@@ -16,8 +16,9 @@ from .errors import (CurvatureError, DomainError, LineSearchError,
                      NumericalError, OptimError, ParseError,
                      UnsupportedOperationError)
 from .oracles import (LogisticObjective, ObjectiveOracle,
-                      OnlineLsExpectedObjective, QuadraticObjective,
-                      logistic_sc_scale, online_ls_minimizer)
+                      OnlineLsExpectedObjective, OraclePoint,
+                      QuadraticObjective, logistic_sc_scale,
+                      online_ls_minimizer)
 from .sc import (AdaptiveQuantities, ScBoundInputs, adaptive_quantities,
                  adaptive_step, omega, sc_lower_f, sc_lower_gd, sc_upper_f,
                  sc_upper_gd, standard_scale_factor)

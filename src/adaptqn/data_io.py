@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .kernels import csr_row_sq_norms
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 __all__ = [
     "SparseDataset",
@@ -25,37 +28,66 @@ __all__ = [
 class SparseDataset:
     """Row-sparse feature matrix with +-1 labels.
 
-    Compressed sparse rows: ``indptr`` has length N+1; row i owns
+    ``X`` is an N x n ``scipy.sparse.csr_matrix``: row i owns
     ``indices[indptr[i]:indptr[i+1]]`` (0-based, strictly increasing)
-    and the matching ``values``. All stored indices are < n.
+    and the matching ``values``. Index arrays are int32 when the shape
+    and entry count fit. Explicitly stored zeros are kept.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    values: np.ndarray
+    X: csr_matrix
     labels: np.ndarray
-    n: int
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self.X.indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self.X.indices
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.X.data
+
+    @functools.cached_property
+    def XT(self):
+        """X' as a CSC matrix sharing X's arrays, for products X'c."""
+        return self.X.T
 
     @property
     def N(self) -> int:
-        return self.indptr.shape[0] - 1
+        return self.X.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.X.shape[1]
 
     def to_dense(self) -> np.ndarray:
         """Materialize the feature matrix (tests and small problems only)."""
-        X = np.zeros((self.N, self.n))
-        for i in range(self.N):
-            sl = slice(self.indptr[i], self.indptr[i + 1])
-            X[i, self.indices[sl]] = self.values[sl]
-        return X
+        return self.X.toarray()
 
     @staticmethod
     def from_dense(X: np.ndarray, labels: np.ndarray) -> "SparseDataset":
         N, n = X.shape
-        indptr = np.arange(0, (N + 1) * n, n, dtype=np.int64)
-        indices = np.tile(np.arange(n, dtype=np.int64), N)
-        return SparseDataset(indptr=indptr, indices=indices,
-                             values=X.ravel().astype(float).copy(),
-                             labels=np.asarray(labels, dtype=float).copy(), n=n)
+        idx = _index_dtype(N * n, n)
+        indptr = np.arange(0, (N + 1) * n, n, dtype=idx)
+        indices = np.tile(np.arange(n, dtype=idx), N)
+        return _dataset(indptr, indices, X.ravel().astype(float).copy(),
+                        np.asarray(labels, dtype=float).copy(), n)
+
+
+def _index_dtype(nnz: int, n: int):
+    """int32 when every index and row offset fits, else int64."""
+    return np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
+
+
+def _dataset(indptr, indices, values, labels, n: int) -> SparseDataset:
+    """Wrap CSR arrays without copying; scipy.sparse is imported here,
+    not at package import, so programs without CSR data never load it."""
+    from scipy.sparse import csr_matrix
+
+    X = csr_matrix((values, indices, indptr), shape=(indptr.shape[0] - 1, n), copy=False)
+    return SparseDataset(X=X, labels=labels)
 
 
 def parse_libsvm(source: Iterable[str] | str, n_features: int | None = None) -> SparseDataset:
@@ -106,11 +138,9 @@ def parse_libsvm(source: Iterable[str] | str, n_features: int | None = None) -> 
     n = max_index if n_features is None else n_features
     if n_features is not None and max_index > n_features:
         raise ParseError(f"index {max_index} exceeds declared feature count {n_features}")
-    return SparseDataset(indptr=np.asarray(indptr, dtype=np.int64),
-                         indices=np.asarray(indices, dtype=np.int64),
-                         values=np.asarray(values, dtype=float),
-                         labels=np.asarray(labels, dtype=float),
-                         n=n)
+    idx = _index_dtype(len(indices), n)
+    return _dataset(np.asarray(indptr, dtype=idx), np.asarray(indices, dtype=idx),
+                    np.asarray(values, dtype=float), np.asarray(labels, dtype=float), n)
 
 
 def load_libsvm(path, n_features: int | None = None) -> SparseDataset:
@@ -133,7 +163,19 @@ def max_row_norm(ds: SparseDataset) -> float:
     """Largest Euclidean row norm, B = max_i ||x_i||."""
     if ds.N < 1:
         raise DomainError("empty dataset")
-    return float(np.sqrt(np.max(csr_row_sq_norms(ds.indptr, ds.values))))
+    return float(np.sqrt(np.max(_row_sq_norms(ds.indptr, ds.values))))
+
+
+def _row_sq_norms(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
+    out = np.zeros(indptr.shape[0] - 1)
+    if data.shape[0] == 0:
+        return out
+    starts = indptr[:-1]
+    nonempty = indptr[1:] > starts
+    # reduceat mishandles empty segments; restrict to nonempty rows, whose
+    # consecutive starts bound exactly the data of each row.
+    out[nonempty] = np.add.reduceat(data * data, starts[nonempty])
+    return out
 
 
 def synth_logistic(N: int, n: int, seed: int, separation: float = 1.5,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Union
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import get_lapack_funcs
 
 from .errors import CurvatureError, NumericalError, UnsupportedOperationError
 from .oracles import ObjectiveOracle
@@ -33,10 +33,16 @@ __all__ = [
     "two_loop_direction",
     "identity_scaling_factor",
     "ingest_pair",
+    "spd_solve",
 ]
 
 # Relative floor under which a curvature pair is considered degenerate.
 PAIR_REJECT_RTOL = 1e-12
+
+# LAPACK Cholesky factor and solve, called directly: the scipy.linalg
+# cho_factor/cho_solve wrappers make the same two calls but re-validate
+# their inputs on every use, which dominates small Newton solves.
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -137,6 +143,20 @@ def bfgs_update_dense(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray
     return 0.5 * (Hp + Hp.T)
 
 
+def spd_solve(G: np.ndarray, b: np.ndarray, what: str = "Hessian") -> np.ndarray:
+    """Solve G x = b for symmetric positive definite G by Cholesky, reading
+    the upper triangle of G. Raises NumericalError when G is not
+    numerically positive definite."""
+    c, info = _POTRF(G, lower=False, clean=False)
+    if info == 0:
+        x, info = _POTRS(c, b, lower=False)
+    if info != 0:
+        why = (f"leading minor of order {info} is not positive definite" if info > 0
+               else f"LAPACK argument {-info} is invalid")
+        raise NumericalError(f"{what} factorization failed: {why}")
+    return x
+
+
 def two_loop_direction(pairs, h0_scale: float, g: np.ndarray) -> np.ndarray:
     """d = -Hg with H the BFGS matrix built from h0_scale*I and the
     stored pairs (applied oldest first), evaluated implicitly."""
@@ -162,12 +182,7 @@ def compute_direction(rule: DirectionRule, state: InverseHessianState,
     elif isinstance(rule, Newton):
         if not oracle.has_hessian:
             raise UnsupportedOperationError("Newton rule needs a dense Hessian")
-        G = oracle.dense_hessian(x)
-        try:
-            cf = scipy.linalg.cho_factor(G, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericalError(f"Hessian factorization failed: {exc}") from exc
-        d = scipy.linalg.cho_solve(cf, -g, check_finite=False)
+        d = spd_solve(oracle.dense_hessian(x), -g)
     elif isinstance(rule, BfgsDense):
         d = -(state.H @ g)
     elif isinstance(rule, (BfgsTwoLoopUnlimited, LBfgs)):

@@ -107,7 +107,8 @@ class Trace:
 
 
 class _CountingOracle:
-    """Pass-through oracle that counts value/gradient/hess_vec calls."""
+    """Pass-through oracle that counts value/gradient/hess_vec requests,
+    made on it or on the points it returns."""
 
     def __init__(self, inner: ObjectiveOracle):
         self.inner = inner
@@ -138,6 +139,29 @@ class _CountingOracle:
     def dense_hessian(self, x):
         return self.inner.dense_hessian(x)
 
+    def at(self, x):
+        return _CountingPoint(self, self.inner.at(x))
+
+
+class _CountingPoint:
+    __slots__ = ("_counts", "_inner")
+
+    def __init__(self, counts: _CountingOracle, inner):
+        self._counts = counts
+        self._inner = inner
+
+    def value(self):
+        self._counts.evals_f += 1
+        return self._inner.value()
+
+    def gradient(self):
+        self._counts.evals_g += 1
+        return self._inner.gradient()
+
+    def hess_vec(self, d):
+        self._counts.evals_hv += 1
+        return self._inner.hess_vec(d)
+
 
 def _log_gap(f: float, ref: Optional[ReferenceOptimum]) -> Optional[float]:
     if ref is None:
@@ -148,8 +172,9 @@ def _log_gap(f: float, ref: Optional[ReferenceOptimum]) -> Optional[float]:
 
 def run(config: RunConfig, oracle: ObjectiveOracle) -> Trace:
     """Iterate x <- x + t d per the configured rules until the gradient
-    threshold, iteration cap, time cap, or a numerical error. Errors are
-    reported through ``Trace.termination``, never raised."""
+    threshold, iteration cap, time cap, or a numerical error (including
+    a non-finite f or ||g||). Errors are reported through
+    ``Trace.termination``, never raised."""
     n = oracle.dim
     x = np.zeros(n) if config.x0 is None else np.asarray(config.x0, dtype=float).copy()
     if x.shape != (n,):
@@ -168,8 +193,9 @@ def run(config: RunConfig, oracle: ObjectiveOracle) -> Trace:
     started = time.perf_counter()
     monotone = not isinstance(config.step, Constant)
 
-    f = co.value(x)
-    g = co.gradient(x)
+    point = co.at(x)
+    f = point.value()
+    g = point.gradient()
 
     def _terminal(k: int, fv: float, gn: float, term: Termination):
         trace.records.append(IterationRecord(
@@ -182,9 +208,13 @@ def run(config: RunConfig, oracle: ObjectiveOracle) -> Trace:
 
     for k in range(config.max_iters + 1):
         gnorm = float(np.linalg.norm(g))
+        if not (math.isfinite(f) and math.isfinite(gnorm)):
+            _terminal(k, f, gnorm, Termination(
+                "numerical_error", f"non-finite f = {f} or ||g|| = {gnorm} at k={k}"))
+            return trace
         if gnorm < config.grad_tol:
             # terminal point: f is re-evaluated there once, and counted
-            _terminal(k, co.value(x), gnorm, Termination("grad_tol"))
+            _terminal(k, point.value(), gnorm, Termination("grad_tol"))
             return trace
         if k >= config.max_iters:
             _terminal(k, f, gnorm, Termination("max_iters"))
@@ -195,7 +225,8 @@ def run(config: RunConfig, oracle: ObjectiveOracle) -> Trace:
 
         try:
             d, rho = compute_direction(config.direction, state, co, x, g)
-            outcome = choose_step(config.step, co, x, d, f, g, rho)
+            # positional: wrappers of choose_step may forward *args only
+            outcome = choose_step(config.step, co, x, d, f, g, rho, point)
         except OptimError as exc:
             _terminal(k, f, gnorm, Termination("numerical_error", str(exc)))
             return trace
@@ -209,8 +240,9 @@ def run(config: RunConfig, oracle: ObjectiveOracle) -> Trace:
                 f"step stalled below floating-point resolution at k={k} "
                 f"(t={outcome.t:.3e})"))
             return trace
-        f_new = outcome.f_new if outcome.f_new is not None else co.value(x_new)
-        g_new = outcome.g_new if outcome.g_new is not None else co.gradient(x_new)
+        point_new = outcome.point if outcome.point is not None else co.at(x_new)
+        f_new = outcome.f_new if outcome.f_new is not None else point_new.value()
+        g_new = outcome.g_new if outcome.g_new is not None else point_new.gradient()
 
         if monotone and f_new > f + 1e-10 * (1.0 + abs(f)):
             _terminal(k, f, gnorm, Termination(
@@ -230,7 +262,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle) -> Trace:
             log_gap=_log_gap(f, ref), err_ratio=err_ratio))
 
         ingest_pair(state, x_new - x, g_new - g)
-        x, f, g = x_new, f_new, g_new
+        x, f, g, point = x_new, f_new, g_new, point_new
 
     return trace  # unreachable
 

@@ -9,10 +9,10 @@ import numpy as np
 
 from .data_io import SparseDataset, max_row_norm
 from .errors import DomainError, NumericalError, UnsupportedOperationError
-from .kernels import csr_matvec, csr_rmatvec, csr_weighted_gram
 
 __all__ = [
     "ObjectiveOracle",
+    "OraclePoint",
     "LogisticObjective",
     "QuadraticObjective",
     "OnlineLsExpectedObjective",
@@ -22,8 +22,9 @@ __all__ = [
 
 
 def _sigmoid(z):
+    # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, never overflowing
     ez = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
 def _softplus(z):
@@ -31,12 +32,36 @@ def _softplus(z):
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
+class OraclePoint:
+    """An oracle evaluated at one x: ``value()``, ``gradient()`` and
+    ``hess_vec(d)``. This default forwards each request to the oracle's
+    own methods; oracles whose f, g and G(x)d share work at x return a
+    point that does that work once."""
+
+    __slots__ = ("oracle", "x")
+
+    def __init__(self, oracle: "ObjectiveOracle", x: np.ndarray):
+        self.oracle = oracle
+        self.x = x
+
+    def value(self) -> float:
+        return self.oracle.value(self.x)
+
+    def gradient(self) -> np.ndarray:
+        return self.oracle.gradient(self.x)
+
+    def hess_vec(self, d: np.ndarray) -> np.ndarray:
+        return self.oracle.hess_vec(self.x, d)
+
+
 class ObjectiveOracle(ABC):
     """Deterministic objective exposing value, gradient and the Hessian
     action G(x)d; some oracles can also materialize the full Hessian.
 
     Oracles are immutable after construction and hold no mutable cache,
-    so concurrent evaluation from multiple runs is safe.
+    so concurrent evaluation from multiple runs is safe. Work shared
+    between evaluations at one x lives in the point returned by ``at``,
+    which its caller owns.
     """
 
     @property
@@ -58,6 +83,10 @@ class ObjectiveOracle(ABC):
 
     def dense_hessian(self, x: np.ndarray) -> np.ndarray:
         raise UnsupportedOperationError(f"{type(self).__name__} has no dense Hessian")
+
+    def at(self, x: np.ndarray) -> OraclePoint:
+        """A fresh evaluation point at x."""
+        return OraclePoint(self, x)
 
     def _check(self, v: np.ndarray, name: str = "x") -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -98,42 +127,75 @@ class LogisticObjective(ObjectiveOracle):
     def has_hessian(self) -> bool:
         return True
 
-    def _margins(self, w):
-        return csr_matvec(self.data.indptr, self.data.indices, self.data.values, w)
+    def at(self, x) -> "_LogisticPoint":
+        return _LogisticPoint(self, self._check(x))
 
     def value(self, x) -> float:
-        w = self._check(x)
-        z = self._margins(w)
-        N = self.data.N
-        loss = np.sum(_softplus(-self.data.labels * z)) / N
-        return self.sc_scale * (loss + 0.5 * float(w @ w) / N)
+        return self.at(x).value()
 
     def gradient(self, x) -> np.ndarray:
-        w = self._check(x)
-        ds = self.data
-        z = self._margins(w)
-        coef = -ds.labels * _sigmoid(-ds.labels * z) / ds.N
-        g = csr_rmatvec(ds.indptr, ds.indices, ds.values, coef, ds.n)
-        return self.sc_scale * (g + w / ds.N)
+        return self.at(x).gradient()
 
     def hess_vec(self, x, d) -> np.ndarray:
-        w = self._check(x)
-        d = self._check(d, "d")
-        ds = self.data
-        s = _sigmoid(self._margins(w))
-        u = csr_matvec(ds.indptr, ds.indices, ds.values, d)
-        coef = s * (1.0 - s) * u / ds.N
-        hv = csr_rmatvec(ds.indptr, ds.indices, ds.values, coef, ds.n)
-        return self.sc_scale * (hv + d / ds.N)
+        return self.at(x).hess_vec(d)
 
     def dense_hessian(self, x) -> np.ndarray:
         w = self._check(x)
         ds = self.data
-        s = _sigmoid(self._margins(w))
-        weights = s * (1.0 - s) / ds.N
-        G = csr_weighted_gram(ds.indptr, ds.indices, ds.values, weights, ds.n)
+        s = _sigmoid(ds.X @ w)
+        G = _weighted_gram(ds.X, s * (1.0 - s) / ds.N)
         G += np.eye(ds.n) / ds.N
         return self.sc_scale * G
+
+
+class _LogisticPoint:
+    """Logistic loss at one w: the margins z = Xw are computed once, the
+    Hessian weights s(1-s) on the first ``hess_vec``."""
+
+    __slots__ = ("_obj", "_w", "_z", "_hw")
+
+    def __init__(self, obj: LogisticObjective, w: np.ndarray):
+        self._obj = obj
+        self._w = w
+        self._z = obj.data.X @ w
+        self._hw = None
+
+    def value(self) -> float:
+        obj, w = self._obj, self._w
+        N = obj.data.N
+        loss = np.sum(_softplus(-obj.data.labels * self._z)) / N
+        return obj.sc_scale * (loss + 0.5 * float(w @ w) / N)
+
+    def gradient(self) -> np.ndarray:
+        ds = self._obj.data
+        coef = -ds.labels * _sigmoid(-ds.labels * self._z) / ds.N
+        return self._obj.sc_scale * (ds.XT @ coef + self._w / ds.N)
+
+    def hess_vec(self, d) -> np.ndarray:
+        d = self._obj._check(d, "d")
+        ds = self._obj.data
+        if self._hw is None:
+            s = _sigmoid(self._z)
+            self._hw = s * (1.0 - s)
+        coef = self._hw * (ds.X @ d) / ds.N
+        return self._obj.sc_scale * (ds.XT @ coef + d / ds.N)
+
+
+# Rows per dense block of the weighted Gram matrix; bounds its scratch
+# memory at this many rows times n.
+_GRAM_BLOCK_ROWS = 4096
+
+
+def _weighted_gram(X, weights: np.ndarray) -> np.ndarray:
+    """X' diag(weights) X as a dense n x n matrix, accumulated over dense
+    row blocks of the CSR matrix X."""
+    N, n = X.shape
+    out = np.zeros((n, n))
+    for lo in range(0, N, _GRAM_BLOCK_ROWS):
+        hi = min(lo + _GRAM_BLOCK_ROWS, N)
+        block = X[lo:hi].toarray()
+        out += (block.T * weights[lo:hi]) @ block
+    return out
 
 
 class QuadraticObjective(ObjectiveOracle):

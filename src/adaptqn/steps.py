@@ -9,7 +9,7 @@ from typing import Union
 import numpy as np
 
 from .errors import CurvatureError, DomainError, LineSearchError
-from .oracles import ObjectiveOracle
+from .oracles import ObjectiveOracle, OraclePoint
 from .sc import adaptive_step
 
 __all__ = [
@@ -72,9 +72,10 @@ StepRule = Union[Adaptive, Constant, ArmijoWolfe, Hybrid]
 class StepOutcome:
     """Chosen step plus the oracle work spent choosing it.
 
-    ``f_new``/``g_new`` carry evaluations already made at x + t d so the
-    driver never re-pays for them; they are None when the rule did not
-    evaluate there.
+    ``point`` is the evaluation point at x + t d when the rule made one,
+    and ``f_new``/``g_new`` the evaluations already requested there, so
+    the driver never re-pays for them; each is None when the rule did
+    not evaluate there.
     """
 
     t: float
@@ -87,6 +88,7 @@ class StepOutcome:
     warning: bool = False
     f_new: float | None = None
     g_new: np.ndarray | None = field(default=None, repr=False)
+    point: OraclePoint | None = field(default=None, repr=False)
 
 
 def armijo_check(f0: float, f1: float, t: float, gd: float, c1: float) -> bool:
@@ -103,12 +105,14 @@ def wolfe_check(gd1: float, gd0: float, c2: float) -> bool:
 
 
 def adaptive_step_size(oracle: ObjectiveOracle, x: np.ndarray, d: np.ndarray,
-                       rho: float) -> tuple[float, float, float]:
+                       rho: float, point: OraclePoint | None = None
+                       ) -> tuple[float, float, float]:
     """(t, delta, eta) for the curvature-adaptive rule.
 
-    Costs exactly one Hessian-vector product: delta^2 = d'G(x)d.
+    Costs exactly one Hessian-vector product: delta^2 = d'G(x)d, taken
+    from ``point`` (the evaluation point at x) when one is given.
     """
-    Gd = oracle.hess_vec(x, d)
+    Gd = oracle.hess_vec(x, d) if point is None else point.hess_vec(d)
     d_gd = float(d @ Gd)
     if d_gd <= 0.0:
         raise CurvatureError(f"d'Gd = {d_gd} <= 0; convexity violated numerically")
@@ -149,30 +153,31 @@ def armijo_wolfe_search(oracle: ObjectiveOracle, x: np.ndarray, d: np.ndarray,
 
     def _bail() -> StepOutcome:
         if best is not None:
-            tb, fb, gb = best
+            tb, fb, gb, pb = best
             return StepOutcome(t=tb, kind="line_search", evals_f=evals_f,
-                               evals_g=evals_g, warning=True, f_new=fb, g_new=gb)
+                               evals_g=evals_g, warning=True, f_new=fb, g_new=gb,
+                               point=pb)
         raise LineSearchError(f"no Armijo step within {params.max_evals} evaluations")
 
     while True:
         if evals_f + evals_g >= params.max_evals:
             return _bail()
-        xt = x + t * d
-        ft = float(oracle.value(xt))
+        pt = oracle.at(x + t * d)
+        ft = float(pt.value())
         evals_f += 1
         if armijo_check(f0, ft, t, gd, c1):
             if evals_f + evals_g >= params.max_evals:
                 if best is None or ft < best[1]:
-                    best = (t, ft, None)
+                    best = (t, ft, None, pt)
                 return _bail()
-            gt = oracle.gradient(xt)
+            gt = pt.gradient()
             evals_g += 1
             gdt = float(gt @ d)
             if wolfe_check(gdt, gd, c2):
                 return StepOutcome(t=t, kind="line_search", evals_f=evals_f,
-                                   evals_g=evals_g, f_new=ft, g_new=gt)
+                                   evals_g=evals_g, f_new=ft, g_new=gt, point=pt)
             if best is None or ft < best[1]:
-                best = (t, ft, gt)
+                best = (t, ft, gt, pt)
             lo, f_lo, gd_lo = t, ft, gdt
             if hi is None:
                 t = 2.0 * t
@@ -199,29 +204,34 @@ def _bracket_step(lo: float, f_lo: float, gd_lo: float, hi: float, f_hi: float) 
 
 def hybrid_select(oracle: ObjectiveOracle, x: np.ndarray, d: np.ndarray,
                   f0: float, gd: float, rho: float,
-                  candidates=DEFAULT_HYBRID_CANDIDATES, c1: float = 0.1) -> StepOutcome:
+                  candidates=DEFAULT_HYBRID_CANDIDATES, c1: float = 0.1,
+                  point: OraclePoint | None = None) -> StepOutcome:
     """Try the fixed candidates in order against Armijo; fall back to
     the adaptive step when none passes. One f evaluation per candidate;
-    the Hessian-vector product is paid only on fallback."""
+    the Hessian-vector product is paid only on fallback, at ``point``
+    when one is given."""
     if gd >= 0.0:
         raise DomainError(f"hybrid selection needs a descent direction, g'd = {gd}")
     evals_f = 0
     for cand in candidates:
-        ft = float(oracle.value(x + cand * d))
+        pt = oracle.at(x + cand * d)
+        ft = float(pt.value())
         evals_f += 1
         if armijo_check(f0, ft, cand, gd, c1):
             return StepOutcome(t=cand, kind="hybrid_candidate",
-                               evals_f=evals_f, f_new=ft)
-    t, delta, eta = adaptive_step_size(oracle, x, d, rho)
+                               evals_f=evals_f, f_new=ft, point=pt)
+    t, delta, eta = adaptive_step_size(oracle, x, d, rho, point)
     return StepOutcome(t=t, kind="hybrid_fallback", evals_f=evals_f,
                        evals_hv=1, delta=delta, eta=eta)
 
 
 def choose_step(rule: StepRule, oracle: ObjectiveOracle, x: np.ndarray,
-                d: np.ndarray, f0: float, g: np.ndarray, rho: float) -> StepOutcome:
-    """Dispatch a step rule; the uniform entry point used by the driver."""
+                d: np.ndarray, f0: float, g: np.ndarray, rho: float,
+                point: OraclePoint | None = None) -> StepOutcome:
+    """Dispatch a step rule; the uniform entry point used by the driver,
+    which passes the evaluation point at x as ``point``."""
     if isinstance(rule, Adaptive):
-        t, delta, eta = adaptive_step_size(oracle, x, d, rho)
+        t, delta, eta = adaptive_step_size(oracle, x, d, rho, point)
         return StepOutcome(t=t, kind="adaptive", evals_hv=1, delta=delta, eta=eta)
     if isinstance(rule, Constant):
         return StepOutcome(t=rule.alpha, kind="constant")
@@ -229,5 +239,5 @@ def choose_step(rule: StepRule, oracle: ObjectiveOracle, x: np.ndarray,
         return armijo_wolfe_search(oracle, x, d, f0, float(g @ d), rule)
     if isinstance(rule, Hybrid):
         return hybrid_select(oracle, x, d, f0, float(g @ d), rho,
-                             rule.candidates, rule.c1)
+                             rule.candidates, rule.c1, point)
     raise TypeError(f"unknown step rule {rule!r}")

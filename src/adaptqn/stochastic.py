@@ -9,9 +9,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
 
-from .directions import bfgs_update_dense
+from .directions import bfgs_update_dense, spd_solve
 from .driver import IterationRecord, ReferenceOptimum, Termination, Trace
 from .errors import CurvatureError, NumericalError
 from .oracles import ObjectiveOracle, OnlineLsExpectedObjective, online_ls_minimizer
@@ -223,11 +222,7 @@ def stochastic_run(method: str, schedule: BatchSchedule, step_rule,
             if method == "sgd":
                 d = -ghat
             elif method == "snewton":
-                try:
-                    cf = scipy.linalg.cho_factor(batch.dense_hessian(w), check_finite=False)
-                except scipy.linalg.LinAlgError as exc:
-                    raise NumericalError(f"batch Hessian factorization failed: {exc}") from exc
-                d = scipy.linalg.cho_solve(cf, -ghat, check_finite=False)
+                d = spd_solve(batch.dense_hessian(w), -ghat, "batch Hessian")
             else:
                 d = -(H @ ghat)
             rho = -float(ghat @ d)

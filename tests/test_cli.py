@@ -58,6 +58,19 @@ def test_run_budget_exhaustion_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_run_non_finite_objective_exits_1(tmp_path, monkeypatch):
+    import adaptqn.cli
+    from adaptqn import QuadraticObjective
+
+    monkeypatch.setattr(adaptqn.cli, "make_synthetic_quadratic",
+                        lambda dim, cond, seed: QuadraticObjective(
+                            np.eye(dim), np.full(dim, np.nan)))
+    rc = main(["run", "--method", "bfgs-a", "--synthetic-quadratic", "dim=3",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert read_csv(tmp_path / "bfgs-a.csv")[-1].split(",")[5] == "terminal"
+
+
 def test_run_requires_exactly_one_problem_source(tmp_path, capsys):
     rc = main(["run", "--method", "gd-a", "--out", str(tmp_path)])
     assert rc == 64

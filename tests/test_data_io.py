@@ -1,8 +1,13 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from adaptqn import (DomainError, ParseError, logistic_sc_scale, max_row_norm,
-                     parse_libsvm, serialize_libsvm, synth_logistic)
+import adaptqn
+from adaptqn import (DomainError, ParseError, SparseDataset, logistic_sc_scale,
+                     max_row_norm, parse_libsvm, serialize_libsvm, synth_logistic)
 
 
 def test_parse_basic_record():
@@ -104,3 +109,33 @@ def test_synth_logistic_zero_separation_is_balanced():
 def test_synth_logistic_max_norm_pinned():
     ds = synth_logistic(200, 20, seed=1, max_norm=2.0)
     assert max_row_norm(ds) == pytest.approx(2.0, rel=1e-12)
+
+
+def test_dataset_is_one_csr_matrix_with_int32_indices():
+    ds = parse_libsvm("+1 1:0.5 3:-0.2\n-1\n+1 2:1", n_features=4)
+    assert ds.X.format == "csr" and ds.X.shape == (3, 4)
+    assert ds.indptr.dtype == ds.indices.dtype == np.int32
+    np.testing.assert_array_equal(ds.indptr, [0, 2, 2, 3])
+    np.testing.assert_array_equal(ds.to_dense(), [[0.5, 0, -0.2, 0], [0, 0, 0, 0],
+                                                  [0, 1, 0, 0]])
+    with pytest.raises(AttributeError):
+        ds.indptr = np.zeros(4, dtype=np.int32)
+
+
+def test_from_dense_keeps_explicit_zeros_in_row_order():
+    X = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
+    ds = SparseDataset.from_dense(X, np.array([1.0, -1.0]))
+    assert ds.X.nnz == 6
+    np.testing.assert_array_equal(ds.values, X.ravel())
+    np.testing.assert_array_equal(ds.indices, [0, 1, 2, 0, 1, 2])
+    assert ds.indices.dtype == np.int32
+
+
+def test_package_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse is loaded by the dataset builders, not by the package
+    src = str(Path(adaptqn.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import adaptqn; "
+            "print('scipy.sparse' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

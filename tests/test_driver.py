@@ -227,3 +227,50 @@ def test_log_gap_and_err_ratio_columns(desk_bfgs_a_trace):
 def test_desk_bfgs_final_step_near_one(desk_bfgs_a_trace):
     ts = desk_bfgs_a_trace.step_sizes()
     assert abs(ts[-1] - 1.0) < 0.1
+
+
+# Oracle work per method on the desk logistic problem, as reported in the
+# trace CSV: (iterations, evals_f, evals_g, evals_hv) on the terminal row.
+# Sharing work between evaluations at one x must not change these counts.
+DESK_EVAL_COUNTS = {
+    "bfgs-a": (BfgsDense(), Adaptive(), (30, 32, 31, 30)),
+    "bfgs-ls": (BfgsDense(), ArmijoWolfe(c1=0.1, c2=0.75), (13, 20, 14, 0)),
+    "bfgs-h": (BfgsDense(), Hybrid(), (16, 22, 17, 0)),
+    "newton-a": (Newton(), Adaptive(), (26, 28, 27, 26)),
+}
+
+
+@pytest.mark.parametrize("method", sorted(DESK_EVAL_COUNTS))
+def test_desk_eval_counts_are_pinned(desk_logistic, method):
+    direction, step, expected = DESK_EVAL_COUNTS[method]
+    trace = run(RunConfig(direction=direction, step=step, grad_tol=1e-7,
+                          max_iters=5000), desk_logistic)
+    assert trace.termination.kind == "grad_tol"
+    final = trace.final
+    assert (trace.iterations, final.cum_evals_f, final.cum_evals_g,
+            final.cum_evals_hv) == expected
+
+
+@pytest.mark.parametrize("direction, step", [
+    (GradientDescent(), Adaptive()),
+    (BfgsDense(), Adaptive()),
+    (GradientDescent(), Constant(0.5)),
+])
+def test_nan_objective_ends_numerical_error(direction, step):
+    obj = QuadraticObjective(np.eye(3), np.array([1.0, np.nan, 0.0]))
+    trace = run(RunConfig(direction=direction, step=step, max_iters=50), obj)
+    assert trace.termination.kind == "numerical_error"
+    assert "non-finite" in trace.termination.detail
+    assert trace.iterations == 0
+
+
+def test_diverging_constant_step_ends_numerical_error():
+    # x <- x - 3 (x + 1) doubles |x| every step until f overflows
+    obj = QuadraticObjective(np.eye(2), np.ones(2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = run(RunConfig(direction=GradientDescent(), step=Constant(3.0),
+                              max_iters=2000), obj)
+    assert trace.termination.kind == "numerical_error"
+    assert "non-finite" in trace.termination.detail
+    assert trace.iterations < 2000
+    assert all(math.isfinite(r.f) for r in trace.records[:-1])

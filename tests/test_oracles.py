@@ -124,6 +124,99 @@ def test_self_concordance_audit(small_logistic):
         assert sc_lower_gd(gd, delta, t) - slack <= gdt <= sc_upper_gd(gd, delta, t) + slack
 
 
+def random_dataset(rng, n_rows, n_cols, density=0.3):
+    """LIBSVM records with about 15% empty rows, and the dense matrix
+    they describe, built independently of the parser."""
+    dense = np.zeros((n_rows, n_cols))
+    lines = []
+    for i in range(n_rows):
+        nnz = 0 if rng.random() < 0.15 else rng.integers(1, int(density * n_cols) + 2)
+        cols = np.sort(rng.choice(n_cols, size=nnz, replace=False))
+        dense[i, cols] = rng.normal(size=nnz)
+        label = "+1" if rng.random() < 0.5 else "-1"
+        lines.append(" ".join([label] + [f"{c + 1}:{dense[i, c]:.17g}" for c in cols]))
+    return parse_libsvm("\n".join(lines), n_features=n_cols), dense
+
+
+def dense_reference(X, y, w, d):
+    """Raw logistic f, g, G(w)d and G(w) from a dense X (sc_scale = 1)."""
+    N, n = X.shape
+    z = X @ w
+    f = np.mean(np.logaddexp(0.0, -y * z)) + 0.5 * (w @ w) / N
+    g = X.T @ (-y / (1.0 + np.exp(y * z))) / N + w / N
+    s = 1.0 / (1.0 + np.exp(-z))
+    weights = s * (1.0 - s) / N
+    G = (X.T * weights) @ X + np.eye(n) / N
+    return f, g, G @ d, G
+
+
+def assert_rel_close(actual, expected, rtol=1e-13):
+    err = np.linalg.norm(np.asarray(actual) - expected)
+    assert err <= rtol * np.linalg.norm(expected), (err, np.linalg.norm(expected))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_logistic_matches_dense_reference(seed):
+    rng = np.random.default_rng(seed)
+    ds, X = random_dataset(rng, 40, 17)
+    assert np.any(np.diff(ds.indptr) == 0)  # empty rows are covered
+    obj = LogisticObjective(ds, sc_scale=1.0)
+    w, d = rng.normal(size=(2, 17))
+    f, g, hv, G = dense_reference(X, ds.labels, w, d)
+    assert obj.value(w) == pytest.approx(f, rel=1e-13)
+    assert_rel_close(obj.gradient(w), g)
+    assert_rel_close(obj.hess_vec(w, d), hv)
+    assert_rel_close(obj.dense_hessian(w), G)
+
+
+def test_logistic_on_matrix_without_nonzeros():
+    ds = parse_libsvm("+1\n-1\n+1", n_features=5)
+    assert ds.values.size == 0
+    obj = LogisticObjective(ds, sc_scale=1.0)
+    w, d = np.arange(5.0), np.ones(5)
+    assert obj.value(w) == pytest.approx(np.log(2.0) + 0.5 * (w @ w) / 3, rel=1e-15)
+    np.testing.assert_array_equal(obj.gradient(w), w / 3)
+    np.testing.assert_array_equal(obj.hess_vec(w, d), d / 3)
+    np.testing.assert_array_equal(obj.dense_hessian(w), np.eye(5) / 3)
+
+
+def test_logistic_point_matches_oracle_bitwise():
+    rng = np.random.default_rng(3)
+    ds, _ = random_dataset(rng, 60, 11)
+    obj = LogisticObjective(ds)
+    for _ in range(5):
+        x, d = rng.normal(size=(2, 11))
+        pt = obj.at(x)
+        assert pt.value() == obj.value(x)
+        np.testing.assert_array_equal(pt.gradient(), obj.gradient(x))
+        np.testing.assert_array_equal(pt.hess_vec(d), obj.hess_vec(x, d))
+
+
+def test_logistic_point_is_order_independent():
+    rng = np.random.default_rng(4)
+    ds, _ = random_dataset(rng, 60, 11)
+    obj = LogisticObjective(ds)
+    x, d, e = rng.normal(size=(3, 11))
+    first = obj.at(x)
+    hv_d, hv_e, g, f = first.hess_vec(d), first.hess_vec(e), first.gradient(), first.value()
+    second = obj.at(x)
+    assert second.value() == f
+    np.testing.assert_array_equal(second.gradient(), g)
+    np.testing.assert_array_equal(second.hess_vec(e), hv_e)
+    np.testing.assert_array_equal(second.hess_vec(d), hv_d)
+    with pytest.raises(ValueError):
+        second.hess_vec(np.ones(3))
+
+
+def test_default_point_forwards_to_oracle():
+    obj = QuadraticObjective(np.diag([1.0, 2.0]), np.array([1.0, -1.0]))
+    x, d = np.array([0.5, 2.0]), np.array([1.0, 1.0])
+    pt = obj.at(x)
+    assert pt.value() == obj.value(x)
+    np.testing.assert_array_equal(pt.gradient(), obj.gradient(x))
+    np.testing.assert_array_equal(pt.hess_vec(d), obj.hess_vec(x, d))
+
+
 def test_quadratic_identities():
     rng = np.random.default_rng(11)
     n = 6

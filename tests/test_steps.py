@@ -198,6 +198,19 @@ def test_line_search_contract_on_logistic_run():
         x = x + out.t * d
 
 
+def test_accepted_trial_point_is_returned():
+    obj = LogisticObjective(synth_logistic(200, 15, seed=3))
+    x = np.zeros(15)
+    g = obj.gradient(x)
+    ls = armijo_wolfe_search(obj, x, -g, obj.value(x), float(-g @ g), ArmijoWolfe())
+    hy = hybrid_select(obj, x, -g, obj.value(x), float(-g @ g), float(g @ g))
+    for out in (ls, hy):
+        x_new = x - out.t * g
+        assert out.point.value() == out.f_new == obj.value(x_new)
+        np.testing.assert_array_equal(out.point.gradient(), obj.gradient(x_new))
+    np.testing.assert_array_equal(ls.g_new, obj.gradient(x - ls.t * g))
+
+
 def test_hybrid_accepts_unit_step_on_quadratic():
     obj = CountingWrapper(QuadraticObjective(np.eye(3), np.zeros(3)))
     x = np.array([1.0, 2.0, -1.0])
