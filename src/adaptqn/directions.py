@@ -4,6 +4,15 @@ Four families: identity (gradient descent), exact inverse Hessian
 (damped Newton), dense BFGS, and two-loop-recursion BFGS in unlimited-
 and bounded-memory forms. State lives in :class:`InverseHessianState`,
 owned by a single run.
+
+Symmetric matrices follow the BLAS/LAPACK convention of being held in
+their upper triangle: Newton's ``G`` is factored from it, and the dense
+BFGS matrix ``H`` is a Fortran-ordered array whose upper triangle is
+read by ``dsymv`` and updated in place by ``dsyr2``. Its strictly lower
+triangle is never read or written, so symmetry holds by construction.
+An update returns the updated matrix, which is the input array itself
+when that is Fortran-ordered float64 and a copy otherwise; callers
+always use the returned array.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ from typing import Deque, Union
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
+from scipy.linalg.blas import dsymv, dsyr2
 
 from .errors import CurvatureError, NumericalError, UnsupportedOperationError
 from .oracles import ObjectiveOracle
@@ -94,7 +104,10 @@ def default_lbfgs_memory(n: int) -> int:
 class InverseHessianState:
     """Mutable state behind a direction rule.
 
-    Dense BFGS keeps the full matrix ``H``; the two-loop variants keep
+    Dense BFGS keeps the matrix ``H``: symmetric, held in the upper
+    triangle of a Fortran-ordered array, and overwritten in place by each
+    update. Its strictly lower triangle is unspecified, so read ``H``
+    through ``dsymv`` or its upper triangle. The two-loop variants keep
     curvature pairs (s, y, s'y) with s'y > 0, plus the scale ``h0_scale``
     applied to the implicit initial matrix.
     """
@@ -110,7 +123,7 @@ class InverseHessianState:
 def new_state(rule: DirectionRule, n: int) -> InverseHessianState:
     state = InverseHessianState(rule=rule)
     if isinstance(rule, BfgsDense):
-        state.H = np.eye(n)
+        state.H = np.eye(n, order="F")
     elif isinstance(rule, LBfgs):
         state.pairs = deque(maxlen=rule.memory)
     return state
@@ -131,16 +144,19 @@ def identity_scaling_factor(s: np.ndarray, y: np.ndarray) -> float:
 def bfgs_update_dense(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Inverse-Hessian BFGS update enforcing the secant equation H+ y = s.
 
-    Expanded form of ss'/y's + (I - sy'/y's) H (I - ys'/y's); the result
-    is re-symmetrized to keep roundoff from accumulating.
+    The expanded form of ss'/y's + (I - sy'/y's) H (I - ys'/y's) is the
+    single symmetric rank-2 update H + sv' + vs' with
+    v = (1 + y'Hy/s'y) s / (2 s'y) - Hy/s'y. H is symmetric and held in
+    its upper triangle; the update reads and writes only that triangle,
+    in place when H is Fortran-ordered float64. Use the returned array.
     """
     sy = float(s @ y)
-    if sy <= 0.0:
+    if not sy > 0.0:
         raise CurvatureError(f"BFGS update requires s'y > 0, got {sy}")
-    Hy = H @ y
+    Hy = dsymv(1.0, H, y)
     coeff = (1.0 + float(y @ Hy) / sy) / sy
-    Hp = H - (np.outer(s, Hy) + np.outer(Hy, s)) / sy + coeff * np.outer(s, s)
-    return 0.5 * (Hp + Hp.T)
+    v = (0.5 * coeff) * s - Hy / sy
+    return dsyr2(1.0, s, v, a=H, overwrite_a=True)
 
 
 def spd_solve(G: np.ndarray, b: np.ndarray, what: str = "Hessian") -> np.ndarray:
@@ -184,14 +200,14 @@ def compute_direction(rule: DirectionRule, state: InverseHessianState,
             raise UnsupportedOperationError("Newton rule needs a dense Hessian")
         d = spd_solve(oracle.dense_hessian(x), -g)
     elif isinstance(rule, BfgsDense):
-        d = -(state.H @ g)
+        d = dsymv(-1.0, state.H, g)
     elif isinstance(rule, (BfgsTwoLoopUnlimited, LBfgs)):
         d = two_loop_direction(state.pairs, state.h0_scale, g)
     else:
         raise TypeError(f"unknown direction rule {rule!r}")
     rho = -float(g @ d)
-    if rho <= 0.0:
-        raise CurvatureError(f"rho = -g'd = {rho} <= 0; positive definiteness lost")
+    if not rho > 0.0:
+        raise CurvatureError(f"rho = -g'd = {rho} is not positive; positive definiteness lost")
     return d, rho
 
 
@@ -202,12 +218,12 @@ def ingest_pair(state: InverseHessianState, s: np.ndarray, y: np.ndarray) -> boo
     if isinstance(rule, (GradientDescent, Newton)):
         return False
     sy = float(s @ y)
-    if sy <= PAIR_REJECT_RTOL * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+    if not sy > PAIR_REJECT_RTOL * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
         state.skipped += 1
         return False
     if isinstance(rule, BfgsDense):
         if rule.identity_scaling and not state.first_update_done:
-            state.H = identity_scaling_factor(s, y) * np.eye(s.shape[0])
+            state.H = identity_scaling_factor(s, y) * np.eye(s.shape[0], order="F")
         state.H = bfgs_update_dense(state.H, s, y)
     else:
         state.pairs.append((s.copy(), y.copy(), sy))

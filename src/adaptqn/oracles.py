@@ -21,15 +21,19 @@ __all__ = [
 ]
 
 
-def _sigmoid(z):
-    # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, never overflowing
-    ez = np.exp(-np.abs(z))
+def _sigmoid(z, ez=None):
+    # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, never overflowing;
+    # ez, when given, is exp(-|z|)
+    if ez is None:
+        ez = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
-def _softplus(z):
-    # log(1 + exp(z)) without overflow for large |z|
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+def _softplus(z, ez=None):
+    # log(1 + exp(z)) without overflow for large |z|; ez as in _sigmoid
+    if ez is None:
+        ez = np.exp(-np.abs(z))
+    return np.maximum(z, 0.0) + np.log1p(ez)
 
 
 class OraclePoint:
@@ -144,31 +148,41 @@ class LogisticObjective(ObjectiveOracle):
         ds = self.data
         s = _sigmoid(ds.X @ w)
         G = _weighted_gram(ds.X, s * (1.0 - s) / ds.N)
-        G += np.eye(ds.n) / ds.N
-        return self.sc_scale * G
+        G.flat[::ds.n + 1] += 1.0 / ds.N
+        G *= self.sc_scale
+        return G
 
 
 class _LogisticPoint:
-    """Logistic loss at one w: the margins z = Xw are computed once, the
-    Hessian weights s(1-s) on the first ``hess_vec``."""
+    """Logistic loss at one w: the margins z = Xw are computed once; the
+    loss margins m = -yz and exp(-|m|), shared by ``value`` and
+    ``gradient``, on the first of them; the Hessian weights s(1-s) on
+    the first ``hess_vec``."""
 
-    __slots__ = ("_obj", "_w", "_z", "_hw")
+    __slots__ = ("_obj", "_w", "_z", "_m", "_em", "_hw")
 
     def __init__(self, obj: LogisticObjective, w: np.ndarray):
         self._obj = obj
         self._w = w
         self._z = obj.data.X @ w
+        self._m = None
         self._hw = None
+
+    def _loss_margins(self):
+        if self._m is None:
+            self._m = -self._obj.data.labels * self._z
+            self._em = np.exp(-np.abs(self._m))
+        return self._m, self._em
 
     def value(self) -> float:
         obj, w = self._obj, self._w
         N = obj.data.N
-        loss = np.sum(_softplus(-obj.data.labels * self._z)) / N
+        loss = np.sum(_softplus(*self._loss_margins())) / N
         return obj.sc_scale * (loss + 0.5 * float(w @ w) / N)
 
     def gradient(self) -> np.ndarray:
         ds = self._obj.data
-        coef = -ds.labels * _sigmoid(-ds.labels * self._z) / ds.N
+        coef = -ds.labels * _sigmoid(*self._loss_margins()) / ds.N
         return self._obj.sc_scale * (ds.XT @ coef + self._w / ds.N)
 
     def hess_vec(self, d) -> np.ndarray:

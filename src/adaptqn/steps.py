@@ -114,8 +114,8 @@ def adaptive_step_size(oracle: ObjectiveOracle, x: np.ndarray, d: np.ndarray,
     """
     Gd = oracle.hess_vec(x, d) if point is None else point.hess_vec(d)
     d_gd = float(d @ Gd)
-    if d_gd <= 0.0:
-        raise CurvatureError(f"d'Gd = {d_gd} <= 0; convexity violated numerically")
+    if not d_gd > 0.0:
+        raise CurvatureError(f"d'Gd = {d_gd} is not positive; convexity violated numerically")
     delta = float(np.sqrt(d_gd))
     t = adaptive_step(rho, delta)
     return t, delta, rho / delta

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from scipy.linalg.blas import dsymv
 
 from .directions import bfgs_update_dense, spd_solve
 from .driver import IterationRecord, ReferenceOptimum, Termination, Trace
@@ -162,8 +163,10 @@ def draw_batch(sampler: OnlineSampler, size: int) -> SampledBatchOracle:
 def sbfgs_pair_update(H: np.ndarray, d: np.ndarray, Gd_hat: np.ndarray) -> tuple[np.ndarray, bool]:
     """BFGS update from the pair (d, G_hat d); equivalent to (s, y) =
     (t d, t G_hat d) for any t > 0 since the update is jointly scale
-    invariant. Returns (H, accepted); nonpositive curvature skips."""
-    if float(d @ Gd_hat) <= 0.0:
+    invariant. Returns (H, accepted); nonpositive curvature skips. H is
+    held in its upper triangle and updated in place as in
+    ``bfgs_update_dense``; use the returned array."""
+    if not float(d @ Gd_hat) > 0.0:
         return H, False
     return bfgs_update_dense(H, d, Gd_hat), True
 
@@ -205,15 +208,25 @@ def stochastic_run(method: str, schedule: BatchSchedule, step_rule,
 
     p = sampler.dim
     w = np.asarray(x0, dtype=float).copy()
-    H = np.eye(p) if method == "sbfgs" else None
+    H = np.eye(p, order="F") if method == "sbfgs" else None
     skipped = 0
 
     for k in range(budget):
         if time.perf_counter() - started > max_seconds:
             trace.termination = Termination("time_budget")
             break
+        f_exp = expected.value(w)
+        gnorm = float(np.linalg.norm(expected.gradient(w)))
+        if not (math.isfinite(f_exp) and math.isfinite(gnorm)):
+            trace.termination = Termination(
+                "numerical_error", f"non-finite f = {f_exp} or ||g|| = {gnorm} at k={k}")
+            break
         batch = draw_batch(sampler, batch_size(schedule, k))
         ghat = batch.gradient(w)
+        if not np.isfinite(ghat).all():
+            trace.termination = Termination(
+                "numerical_error", f"non-finite batch gradient at k={k}")
+            break
         if not np.any(ghat):
             # exactly stationary for this batch (zero-noise degenerate case)
             trace.termination = Termination("grad_tol", "batch gradient exactly zero")
@@ -224,21 +237,24 @@ def stochastic_run(method: str, schedule: BatchSchedule, step_rule,
             elif method == "snewton":
                 d = spd_solve(batch.dense_hessian(w), -ghat, "batch Hessian")
             else:
-                d = -(H @ ghat)
+                d = dsymv(-1.0, H, ghat)
             rho = -float(ghat @ d)
-            if rho <= 0.0:
-                raise CurvatureError(f"rho = {rho} <= 0 on batch at k={k}")
+            if not rho > 0.0:
+                raise CurvatureError(f"rho = {rho} is not positive on batch at k={k}")
             Gd = batch.hess_vec(w, d)
             d_gd = float(d @ Gd)
             eta = math.nan
             if isinstance(step_rule, Adaptive):
-                if d_gd <= 0.0:
-                    raise CurvatureError(f"d'Gd = {d_gd} <= 0 on batch at k={k}")
+                if not d_gd > 0.0:
+                    raise CurvatureError(f"d'Gd = {d_gd} is not positive on batch at k={k}")
                 delta = math.sqrt(d_gd)
                 t = adaptive_step(rho, delta)
                 eta = rho / delta
             else:
                 t = step_rule.alpha
+            if not (math.isfinite(rho) and math.isfinite(d_gd) and math.isfinite(t)):
+                raise NumericalError(
+                    f"non-finite rho = {rho}, d'Gd = {d_gd} or t = {t} on batch at k={k}")
         except (CurvatureError, NumericalError) as exc:
             trace.termination = Termination("numerical_error", str(exc))
             break
@@ -249,9 +265,8 @@ def stochastic_run(method: str, schedule: BatchSchedule, step_rule,
             if not accepted:
                 skipped += 1
 
-        f_exp = expected.value(w)
         trace.records.append(IterationRecord(
-            k=k, f=f_exp, gnorm=float(np.linalg.norm(expected.gradient(w))),
+            k=k, f=f_exp, gnorm=gnorm,
             t=t, eta=eta, step_kind="adaptive" if isinstance(step_rule, Adaptive) else "constant",
             cum_evals_f=0, cum_evals_g=k + 1, cum_evals_hv=k + 1,
             elapsed=time.perf_counter() - started,

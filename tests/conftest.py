@@ -19,6 +19,11 @@ def desk_logistic(desk_dataset):
     return LogisticObjective(desk_dataset)
 
 
+def sym(H):
+    """The full symmetric matrix held in the upper triangle of H."""
+    return np.triu(H) + np.triu(H, 1).T
+
+
 def newton_polish(obj, x, iters=10):
     """Full-step Newton refinement; only valid from a near-optimal start."""
     x = np.asarray(x, dtype=float).copy()

@@ -24,7 +24,7 @@ from adaptqn import (Adaptive, BfgsDense, BfgsTwoLoopUnlimited, Constant,
                      two_loop_direction, wolfe_check)
 from adaptqn.stochastic import CONSTANT_STEP_SIZES
 
-from conftest import DESK_SEED, compute_reference
+from conftest import DESK_SEED, compute_reference, sym
 
 DESK_N, DESK_DIM = 500, 50
 GRAD_TOL = 1e-7
@@ -213,7 +213,7 @@ def test_criterion_6_bfgs_structure():
         M = (qm * (10.0 ** rng.uniform(-1, 1, n))) @ qm.T
         y = M @ s
         H = bfgs_update_dense(H, s, y)
-        assert np.linalg.norm(H @ y - s) <= 1e-10 * (1.0 + np.linalg.norm(s))
+        assert np.linalg.norm(sym(H) @ y - s) <= 1e-10 * (1.0 + np.linalg.norm(s))
 
     # unlimited-memory two-loop equals dense BFGS on a shared trajectory
     A = (q * np.linspace(0.1, 10.0, n)) @ q.T

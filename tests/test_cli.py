@@ -169,6 +169,18 @@ def test_stoch_all_method_families(tmp_path):
         assert (tmp_path / f"{name}.csv").exists()
 
 
+def test_stoch_non_finite_model_exits_1(tmp_path, monkeypatch):
+    import adaptqn.cli
+
+    monkeypatch.setattr(adaptqn.cli, "make_sparse_beta",
+                        lambda p, seed: np.full(p, np.nan))
+    rc = main(["stoch", "--p", "6", "--methods", "sbfgs-a,sgd-1", "--iters", "20",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    for name in ("sbfgs-a", "sgd-1"):
+        assert read_csv(tmp_path / f"{name}.csv")[-1].split(",")[5] == "terminal"
+
+
 def test_stoch_sigma_from_data(tmp_path):
     ds_file = tmp_path / "cov.svm"
     ds_file.write_text(serialize_libsvm(synth_logistic(120, 12, seed=8)))

@@ -1,16 +1,52 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptqn import (BfgsDense, BfgsTwoLoopUnlimited, CurvatureError,
                      GradientDescent, LBfgs, Newton, NumericalError,
                      QuadraticObjective, bfgs_update_dense, compute_direction,
                      default_lbfgs_memory, identity_scaling_factor, ingest_pair,
                      new_state, two_loop_direction)
+from conftest import sym
 
 
 def random_spd(rng, n, lo=0.5, hi=3.0):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return (q * np.linspace(lo, hi, n)) @ q.T
+
+
+def explicit_bfgs_update(H, s, y):
+    """The update written out over full matrices, re-symmetrized."""
+    sy = float(s @ y)
+    Hy = H @ y
+    coeff = (1.0 + float(y @ Hy) / sy) / sy
+    Hp = H - (np.outer(s, Hy) + np.outer(Hy, s)) / sy + coeff * np.outer(s, s)
+    return 0.5 * (Hp + Hp.T)
+
+
+# Derandomized so the suite sees the same examples on every run.
+property_test = settings(derandomize=True, database=None, deadline=None,
+                         max_examples=100)
+
+
+@st.composite
+def spd_and_pair(draw):
+    """Fortran-ordered SPD H (n from 1 to 40, condition up to 100) and a
+    pair with s'y > 0 from y = A s, A SPD."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H = np.asfortranarray(random_spd(rng, n, 0.1, 10.0))
+    s = rng.standard_normal(n)
+    y = random_spd(rng, n, 0.1, 10.0) @ s
+    return H, s, y
+
+
+def nan_below_diagonal(H):
+    """A Fortran-ordered copy of H with its strict lower triangle NaN."""
+    out = np.array(H, order="F")
+    out[np.tril_indices(H.shape[0], -1)] = np.nan
+    return out
 
 
 def test_gradient_descent_direction():
@@ -69,7 +105,7 @@ def test_bfgs_update_secant_and_spd():
     H = np.eye(2)
     s = np.array([1.0, 2.0])
     y = np.array([1.0, 1.0])
-    Hp = bfgs_update_dense(H, s, y)
+    Hp = sym(bfgs_update_dense(H, s, y))
     np.testing.assert_allclose(Hp @ y, s, atol=1e-12)
     assert np.all(np.linalg.eigvalsh(Hp) > 0)
     np.testing.assert_allclose(Hp, Hp.T, atol=1e-14)
@@ -93,7 +129,7 @@ def test_bfgs_update_secant_property_random():
         s = rng.standard_normal(n)
         y = random_spd(rng, n, 0.2, 4.0) @ s
         H = bfgs_update_dense(H, s, y)
-        assert np.linalg.norm(H @ y - s) <= 1e-10 * (1.0 + np.linalg.norm(s))
+        assert np.linalg.norm(sym(H) @ y - s) <= 1e-10 * (1.0 + np.linalg.norm(s))
 
 
 def test_bfgs_update_rejects_nonpositive_curvature():
@@ -109,7 +145,7 @@ def test_two_loop_empty_and_single_pair():
     y = np.array([1.0, 1.0])
     pairs = [(s, y, float(s @ y))]
     for h0 in (1.0, 0.3):
-        want = -(bfgs_update_dense(h0 * np.eye(2), s, y) @ g)
+        want = -(sym(bfgs_update_dense(h0 * np.eye(2), s, y)) @ g)
         np.testing.assert_allclose(two_loop_direction(pairs, h0, g), want,
                                    rtol=1e-12, atol=1e-14)
 
@@ -199,6 +235,13 @@ def test_skip_semantics():
     np.testing.assert_array_equal(dense.H, np.eye(2))
 
 
+def test_nan_pair_is_skipped_not_raised():
+    state = new_state(BfgsDense(), 2)
+    assert not ingest_pair(state, np.array([1.0, np.nan]), np.array([1.0, 1.0]))
+    assert state.skipped == 1
+    np.testing.assert_array_equal(state.H, np.eye(2))
+
+
 def test_h0_refresh_flag_overrides():
     rng = np.random.default_rng(8)
     A = random_spd(rng, 3)
@@ -236,3 +279,66 @@ def test_default_lbfgs_memory():
     assert default_lbfgs_memory(50) == 20
     assert default_lbfgs_memory(10) == 5
     assert default_lbfgs_memory(1) == 1
+
+
+@property_test
+@given(spd_and_pair())
+def test_bfgs_update_upper_triangle_matches_explicit_formula(case):
+    H, s, y = case
+    want = np.triu(explicit_bfgs_update(H, s, y))
+    got = np.triu(bfgs_update_dense(H.copy(order="F"), s, y))
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@property_test
+@given(spd_and_pair())
+def test_bfgs_update_secant_and_positive_definite(case):
+    H, s, y = case
+    Hp = bfgs_update_dense(H, s, y)
+    assert np.linalg.norm(sym(Hp) @ y - s) <= 1e-10 * (1.0 + np.linalg.norm(s))
+    assert np.all(np.linalg.eigvalsh(Hp, UPLO="U") > 0)
+
+
+@property_test
+@given(spd_and_pair())
+def test_bfgs_never_reads_lower_triangle(case):
+    H, s, y = case
+    g = s[::-1].copy()
+    clean = new_state(BfgsDense(), H.shape[0])
+    clean.H = bfgs_update_dense(H.copy(order="F"), s, y)
+    poisoned = new_state(BfgsDense(), H.shape[0])
+    poisoned.H = bfgs_update_dense(nan_below_diagonal(H), s, y)
+    upper = np.triu_indices(H.shape[0])
+    np.testing.assert_array_equal(poisoned.H[upper], clean.H[upper])
+    assert np.all(np.isfinite(poisoned.H[upper]))
+    assert np.all(np.isnan(poisoned.H[np.tril_indices(H.shape[0], -1)]))
+    obj = QuadraticObjective(np.eye(H.shape[0]), np.zeros(H.shape[0]))
+    x = np.zeros(H.shape[0])
+    d_poisoned, _ = compute_direction(BfgsDense(), poisoned, obj, x, g)
+    d_clean, _ = compute_direction(BfgsDense(), clean, obj, x, g)
+    np.testing.assert_array_equal(d_poisoned, d_clean)
+    assert np.all(np.isfinite(d_poisoned))
+
+
+@pytest.mark.parametrize("identity_scaling", [False, True])
+def test_dense_bfgs_updates_in_place(identity_scaling):
+    rng = np.random.default_rng(9)
+    n = 6
+    A = random_spd(rng, n)
+    state = new_state(BfgsDense(identity_scaling=identity_scaling), n)
+    H = state.H
+    for k in range(11):
+        s = rng.standard_normal(n)
+        assert ingest_pair(state, s, A @ s)
+        if k == 0 and identity_scaling:
+            H = state.H  # the scaling reset allocates the matrix once
+        assert state.H is H
+    assert H.flags.f_contiguous
+
+
+def test_rho_nan_raises():
+    obj = QuadraticObjective(np.eye(2), np.zeros(2))
+    state = new_state(BfgsDense(), 2)
+    state.H[0, 0] = np.nan
+    with pytest.raises(CurvatureError):
+        compute_direction(BfgsDense(), state, obj, np.zeros(2), np.array([1.0, 0.0]))

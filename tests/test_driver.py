@@ -264,6 +264,18 @@ def test_nan_objective_ends_numerical_error(direction, step):
     assert trace.iterations == 0
 
 
+def test_nan_curvature_ends_numerical_error():
+    class NanHessVec(QuadraticObjective):
+        def hess_vec(self, x, d):
+            return np.full_like(d, np.nan)
+
+    trace = run(RunConfig(direction=BfgsDense(), step=Adaptive(), max_iters=20),
+                NanHessVec(np.eye(3), np.ones(3)))
+    assert trace.termination.kind == "numerical_error"
+    assert "d'Gd = nan" in trace.termination.detail
+    assert trace.iterations == 0
+
+
 def test_diverging_constant_step_ends_numerical_error():
     # x <- x - 3 (x + 1) doubles |x| every step until f overflows
     obj = QuadraticObjective(np.eye(2), np.ones(2))

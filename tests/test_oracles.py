@@ -6,6 +6,7 @@ from adaptqn import (LogisticObjective, OnlineLsExpectedObjective,
                      logistic_sc_scale, online_ls_minimizer, parse_libsvm,
                      sc_lower_f, sc_lower_gd, sc_upper_f, sc_upper_gd,
                      synth_logistic)
+from adaptqn.oracles import _sigmoid, _softplus, _weighted_gram
 
 
 def fd_gradient(obj, x, h=1e-6):
@@ -206,6 +207,34 @@ def test_logistic_point_is_order_independent():
     np.testing.assert_array_equal(second.hess_vec(d), hv_d)
     with pytest.raises(ValueError):
         second.hess_vec(np.ones(3))
+
+
+def test_dense_hessian_is_bitwise_the_formula(desk_logistic):
+    ds = desk_logistic.data
+    rng = np.random.default_rng(5)
+    for w in (np.zeros(ds.n), rng.normal(size=ds.n)):
+        s = _sigmoid(ds.X @ w)
+        G = _weighted_gram(ds.X, s * (1.0 - s) / ds.N)
+        G += np.eye(ds.n) / ds.N
+        np.testing.assert_array_equal(desk_logistic.dense_hessian(w),
+                                      desk_logistic.sc_scale * G)
+
+
+def test_logistic_point_shares_exp_bitwise(desk_logistic):
+    ds = desk_logistic.data
+    rng = np.random.default_rng(6)
+    for w in (np.zeros(ds.n), rng.normal(size=ds.n)):
+        m = -ds.labels * (ds.X @ w)
+        f = desk_logistic.sc_scale * (np.sum(_softplus(m)) / ds.N
+                                      + 0.5 * float(w @ w) / ds.N)
+        g = desk_logistic.sc_scale * (ds.XT @ (-ds.labels * _sigmoid(m) / ds.N)
+                                      + w / ds.N)
+        value_first = desk_logistic.at(w)
+        assert value_first.value() == f
+        np.testing.assert_array_equal(value_first.gradient(), g)
+        gradient_first = desk_logistic.at(w)
+        np.testing.assert_array_equal(gradient_first.gradient(), g)
+        assert gradient_first.value() == f
 
 
 def test_default_point_forwards_to_oracle():

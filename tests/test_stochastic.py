@@ -11,6 +11,7 @@ from adaptqn import (Adaptive, BfgsDense, Constant, ConstantBatch,
                      stochastic_run)
 from adaptqn.sc import adaptive_step
 from adaptqn.stochastic import CONSTANT_STEP_SIZES
+from conftest import sym
 
 
 def make_sampler(p=10, seed=7, sigma_seed=3, **kw):
@@ -137,7 +138,7 @@ def test_adaptive_decrease_holds_per_batch():
     for k in range(60):
         batch = draw_batch(sampler, batch_size(GrowingBatch(base=4), k))
         g = batch.gradient(w)
-        d = -(H @ g)
+        d = -(sym(H) @ g)
         rho = -float(g @ d)
         Gd = batch.hess_vec(w, d)
         delta = math.sqrt(float(d @ Gd))
@@ -165,7 +166,7 @@ def test_sbfgs_matches_driver_bfgs_on_fixed_quadratic():
     my_ts = []
     for _ in range(trace.iterations):
         g = batch.gradient(w)
-        d = -(H @ g)
+        d = -(sym(H) @ g)
         rho = -float(g @ d)
         Gd = batch.hess_vec(w, d)
         delta = math.sqrt(float(d @ Gd))
@@ -203,3 +204,54 @@ def test_sgd_constant_step_is_slow():
     slow = stochastic_run("sgd", ConstantBatch(5), Constant(CONSTANT_STEP_SIZES["alpha1"]),
                           make_sampler(p=p), x0=np.zeros(p), budget=400)
     assert fast.final.log_gap < slow.final.log_gap - 1.0
+
+
+def test_sbfgs_pair_update_updates_in_place():
+    rng = np.random.default_rng(11)
+    A = make_synthetic_sigma(5, seed=2)
+    H = np.eye(5, order="F")
+    for _ in range(10):
+        d = rng.standard_normal(5)
+        H_new, accepted = sbfgs_pair_update(H, d, A @ d)
+        assert accepted
+        assert H_new is H
+
+
+@pytest.mark.parametrize("method", ["sgd", "snewton", "sbfgs"])
+def test_nan_model_ends_numerical_error(method):
+    p = 10
+    beta = make_sparse_beta(p, seed=12)
+    beta[2] = np.nan
+    sampler = OnlineSampler(make_synthetic_sigma(p, seed=3), beta, lam=1.0 / p, seed=7)
+    trace = stochastic_run(method, GrowingBatch(base=5), Adaptive(), sampler,
+                           x0=np.zeros(p), budget=40)
+    assert trace.termination.kind == "numerical_error"
+    assert "non-finite" in trace.termination.detail
+    assert trace.iterations == 0
+
+
+def test_diverging_constant_step_ends_numerical_error():
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = stochastic_run("sgd", ConstantBatch(5), Constant(10.0),
+                               make_sampler(p=5), x0=np.zeros(5), budget=400)
+    assert trace.termination.kind == "numerical_error"
+    assert "non-finite" in trace.termination.detail
+    assert trace.iterations < 400
+    assert all(math.isfinite(r.f) and math.isfinite(r.gnorm)
+               for r in trace.records[:-1])
+
+
+def test_non_finite_batch_gradient_ends_numerical_error(monkeypatch):
+    import adaptqn.stochastic
+
+    def nan_batch(sampler, size):
+        batch = draw_batch(sampler, size)
+        batch.Y[0] = np.nan
+        return batch
+
+    monkeypatch.setattr(adaptqn.stochastic, "draw_batch", nan_batch)
+    trace = stochastic_run("sbfgs", GrowingBatch(base=5), Adaptive(), make_sampler(),
+                           x0=np.zeros(10), budget=40)
+    assert trace.termination.kind == "numerical_error"
+    assert "non-finite batch gradient" in trace.termination.detail
+    assert trace.iterations == 0
