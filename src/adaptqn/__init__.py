@@ -5,8 +5,8 @@ variants for online least squares."""
 
 from .data_io import (SparseDataset, load_libsvm, max_row_norm, parse_libsvm,
                       serialize_libsvm, synth_logistic)
-from .directions import (BfgsDense, BfgsTwoLoopUnlimited, GradientDescent,
-                         LBfgs, Newton, bfgs_update_dense, compute_direction,
+from .directions import (BfgsDense, GradientDescent, LBfgs, Newton,
+                         bfgs_update_dense, compute_direction,
                          default_lbfgs_memory, identity_scaling_factor,
                          ingest_pair, new_state, two_loop_direction)
 from .driver import (IterationRecord, ReferenceOptimum, RunConfig,
@@ -28,7 +28,6 @@ from .steps import (Adaptive, ArmijoWolfe, Constant, Hybrid, StepOutcome,
 from .stochastic import (CONSTANT_STEP_SIZES, ConstantBatch, GrowingBatch,
                          OnlineSampler, SampledBatchOracle, StochasticConfig,
                          batch_size, draw_batch, make_sparse_beta,
-                         make_synthetic_sigma, sbfgs_pair_update,
-                         stochastic_run)
+                         make_synthetic_sigma, stochastic_run)
 
 __version__ = "0.1.0"

@@ -171,8 +171,6 @@ def cmd_run(args) -> int:
         raise UsageError(f"unknown method {args.method!r}; choose from "
                          f"{', '.join(DETERMINISTIC_METHODS)}")
     oracle = _build_oracle(args)
-    if args.method.startswith("bfgs") and oracle.dim > 5000:
-        raise UsageError("dense BFGS refused for n > 5000; use lbfgs-*")
     config = _method_config(args.method, oracle.dim, args,
                             identity_scaling=args.identity_scaling == "on")
     trace = run(config, oracle)
@@ -347,6 +345,11 @@ def main(argv=None) -> int:
     except OptimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except ValueError as exc:
+        # a configuration the library refuses, such as dense BFGS above
+        # BfgsDense.max_dense_dim or a negative iteration budget
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Direction engines producing d = -Hg.
 
 Four families: identity (gradient descent), exact inverse Hessian
-(damped Newton), dense BFGS, and two-loop-recursion BFGS in unlimited-
-and bounded-memory forms. State lives in :class:`InverseHessianState`,
+(damped Newton), dense BFGS, and two-loop-recursion BFGS with bounded
+or unbounded memory. State lives in :class:`InverseHessianState`,
 owned by a single run.
 
 Symmetric matrices follow the BLAS/LAPACK convention of being held in
@@ -17,9 +17,10 @@ always use the returned array.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Union
+from typing import Deque, Optional, Union
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -32,7 +33,6 @@ __all__ = [
     "GradientDescent",
     "Newton",
     "BfgsDense",
-    "BfgsTwoLoopUnlimited",
     "LBfgs",
     "DirectionRule",
     "InverseHessianState",
@@ -74,25 +74,20 @@ class BfgsDense:
 
 
 @dataclass(frozen=True)
-class BfgsTwoLoopUnlimited:
+class LBfgs:
+    # How many of the newest pairs to keep; None keeps every pair.
+    memory: Optional[int]
     identity_scaling: bool = False
     # "first": freeze h0 from the first accepted pair; "latest": refresh
     # from the newest pair every iteration.
-    h0_refresh: str = "first"
-
-
-@dataclass(frozen=True)
-class LBfgs:
-    memory: int
-    identity_scaling: bool = False
     h0_refresh: str = "latest"
 
     def __post_init__(self):
-        if self.memory < 1:
-            raise ValueError("L-BFGS memory must be >= 1")
+        if self.memory is not None and self.memory < 1:
+            raise ValueError("L-BFGS memory must be >= 1 or None")
 
 
-DirectionRule = Union[GradientDescent, Newton, BfgsDense, BfgsTwoLoopUnlimited, LBfgs]
+DirectionRule = Union[GradientDescent, Newton, BfgsDense, LBfgs]
 
 
 def default_lbfgs_memory(n: int) -> int:
@@ -107,8 +102,8 @@ class InverseHessianState:
     Dense BFGS keeps the matrix ``H``: symmetric, held in the upper
     triangle of a Fortran-ordered array, and overwritten in place by each
     update. Its strictly lower triangle is unspecified, so read ``H``
-    through ``dsymv`` or its upper triangle. The two-loop variants keep
-    curvature pairs (s, y, s'y) with s'y > 0, plus the scale ``h0_scale``
+    through ``dsymv`` or its upper triangle. L-BFGS keeps curvature
+    pairs (s, y, s'y) with s'y > 0, plus the scale ``h0_scale``
     applied to the implicit initial matrix.
     """
 
@@ -201,7 +196,7 @@ def compute_direction(rule: DirectionRule, state: InverseHessianState,
         d = spd_solve(oracle.dense_hessian(x), -g)
     elif isinstance(rule, BfgsDense):
         d = dsymv(-1.0, state.H, g)
-    elif isinstance(rule, (BfgsTwoLoopUnlimited, LBfgs)):
+    elif isinstance(rule, LBfgs):
         d = two_loop_direction(state.pairs, state.h0_scale, g)
     else:
         raise TypeError(f"unknown direction rule {rule!r}")
@@ -212,13 +207,17 @@ def compute_direction(rule: DirectionRule, state: InverseHessianState,
 
 
 def ingest_pair(state: InverseHessianState, s: np.ndarray, y: np.ndarray) -> bool:
-    """Feed the step pair (s, y) into the state; returns False (and
-    bumps the skip counter) when s'y fails the positivity guard."""
+    """Feed the curvature pair (s, y) into the state: a step and its
+    gradient change, or a direction d and its Hessian action G d (the
+    pair of the step t d on a quadratic, up to the scale t, to which the
+    BFGS update is invariant). Returns False (and bumps the skip
+    counter) when s'y fails the positivity guard."""
     rule = state.rule
     if isinstance(rule, (GradientDescent, Newton)):
         return False
     sy = float(s @ y)
-    if not sy > PAIR_REJECT_RTOL * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+    # sqrt(v @ v) is np.linalg.norm(v) bit for bit, without its call overhead
+    if not sy > PAIR_REJECT_RTOL * math.sqrt(s @ s) * math.sqrt(y @ y):
         state.skipped += 1
         return False
     if isinstance(rule, BfgsDense):

@@ -1,20 +1,21 @@
-"""Deterministic optimization loop over DirectionRule x StepRule, with
-per-iteration tracing and post-run step-size/convergence diagnostics."""
+"""The optimization loop over DirectionRule x StepRule, on a fixed
+oracle or on one sampled per iteration, with per-iteration tracing and
+post-run step-size/convergence diagnostics."""
 
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .directions import (BfgsDense, DirectionRule, Newton, compute_direction,
-                         ingest_pair, new_state)
-from .errors import OptimError, UnsupportedOperationError
+from .directions import (BfgsDense, DirectionRule, LBfgs, Newton,
+                         compute_direction, ingest_pair, new_state)
+from .errors import NumericalError, OptimError, UnsupportedOperationError
 from .oracles import ObjectiveOracle
-from .steps import Constant, StepRule, choose_step
+from .steps import Adaptive, Constant, StepRule, choose_step
 
 __all__ = [
     "ReferenceOptimum",
@@ -57,8 +58,8 @@ class RunConfig:
     def __post_init__(self):
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,8 @@ class Trace:
 
 class _CountingOracle:
     """Pass-through oracle that counts value/gradient/hess_vec requests,
-    made on it or on the points it returns."""
+    made on it or on the points it returns. A run on batches points
+    ``inner`` at each iteration's batch, so the counts accumulate."""
 
     def __init__(self, inner: ObjectiveOracle):
         self.inner = inner
@@ -163,6 +165,11 @@ class _CountingPoint:
         return self._inner.hess_vec(d)
 
 
+def _norm(v: np.ndarray) -> float:
+    # np.linalg.norm(v) bit for bit, without its per-call overhead
+    return math.sqrt(v @ v)
+
+
 def _log_gap(f: float, ref: Optional[ReferenceOptimum]) -> Optional[float]:
     if ref is None:
         return None
@@ -170,11 +177,23 @@ def _log_gap(f: float, ref: Optional[ReferenceOptimum]) -> Optional[float]:
     return math.log10(gap) if gap > 0 else None
 
 
-def run(config: RunConfig, oracle: ObjectiveOracle) -> Trace:
+def run(config: RunConfig, oracle: ObjectiveOracle, *,
+        batches: Optional[Callable[[int], ObjectiveOracle]] = None) -> Trace:
     """Iterate x <- x + t d per the configured rules until the gradient
     threshold, iteration cap, time cap, or a numerical error (including
-    a non-finite f or ||g||). Errors are reported through
-    ``Trace.termination``, never raised."""
+    a non-finite f, ||g||, rho or t). Errors are reported through
+    ``Trace.termination``, never raised.
+
+    ``batches``, when given, maps iteration k to the oracle that chooses
+    that iteration's direction and step, such as a freshly sampled
+    batch. ``oracle`` then only measures the recorded f and ||g||, and
+    the eval counts are those of the batches. A quasi-Newton update then
+    takes the pair (d, G_k d) from batch k, since a secant pair across
+    two batches would measure their difference, not curvature. The
+    gradient threshold, the monotone-decrease check and the stall test
+    hold for a fixed oracle only; a run on batches stops on its budget,
+    on a non-finite value, or on an exactly zero batch gradient.
+    """
     n = oracle.dim
     x = np.zeros(n) if config.x0 is None else np.asarray(config.x0, dtype=float).copy()
     if x.shape != (n,):
@@ -184,16 +203,24 @@ def run(config: RunConfig, oracle: ObjectiveOracle) -> Trace:
     if isinstance(config.direction, BfgsDense) and n > config.direction.max_dense_dim:
         raise ValueError(
             f"dense BFGS refused for n = {n} > {config.direction.max_dense_dim}; "
-            "use BfgsTwoLoopUnlimited or LBfgs")
+            "use LBfgs")
+    fixed = batches is None
+    if not (fixed or isinstance(config.step, (Adaptive, Constant))):
+        # a line search would compare batch trial values with the measured f
+        raise ValueError("a run on batches needs an Adaptive or Constant step")
 
     co = _CountingOracle(oracle)
+    measure = co if fixed else oracle
     ref = config.reference
     state = new_state(config.direction, n)
     trace = Trace(config=config)
     started = time.perf_counter()
-    monotone = not isinstance(config.step, Constant)
+    monotone = fixed and not isinstance(config.step, Constant)
+    if ref is not None:
+        err_floor = _MEASURABLE_RTOL * (1.0 + _norm(ref.x))
+        err = _norm(x - ref.x)
 
-    point = co.at(x)
+    point = measure.at(x)
     f = point.value()
     g = point.gradient()
 
@@ -207,12 +234,12 @@ def run(config: RunConfig, oracle: ObjectiveOracle) -> Trace:
         trace.skipped_pairs = state.skipped
 
     for k in range(config.max_iters + 1):
-        gnorm = float(np.linalg.norm(g))
+        gnorm = _norm(g)
         if not (math.isfinite(f) and math.isfinite(gnorm)):
             _terminal(k, f, gnorm, Termination(
                 "numerical_error", f"non-finite f = {f} or ||g|| = {gnorm} at k={k}"))
             return trace
-        if gnorm < config.grad_tol:
+        if fixed and gnorm < config.grad_tol:
             # terminal point: f is re-evaluated there once, and counted
             _terminal(k, point.value(), gnorm, Termination("grad_tol"))
             return trace
@@ -223,16 +250,33 @@ def run(config: RunConfig, oracle: ObjectiveOracle) -> Trace:
             _terminal(k, f, gnorm, Termination("time_budget"))
             return trace
 
+        if fixed:
+            step_point, step_g = point, g
+        else:
+            co.inner = batches(k)
+            step_point = co.at(x)
+            step_g = step_point.gradient()
+            if not np.isfinite(step_g).all():
+                _terminal(k, f, gnorm, Termination(
+                    "numerical_error", f"non-finite batch gradient at k={k}"))
+                return trace
+            if not np.any(step_g):
+                # exactly stationary for this batch (zero-noise degenerate case)
+                _terminal(k, f, gnorm, Termination("grad_tol", "batch gradient exactly zero"))
+                return trace
+
         try:
-            d, rho = compute_direction(config.direction, state, co, x, g)
+            d, rho = compute_direction(config.direction, state, co, x, step_g)
             # positional: wrappers of choose_step may forward *args only
-            outcome = choose_step(config.step, co, x, d, f, g, rho, point)
+            outcome = choose_step(config.step, co, x, d, f, step_g, rho, step_point)
+            if not (math.isfinite(rho) and math.isfinite(outcome.t)):
+                raise NumericalError(f"non-finite rho = {rho} or t = {outcome.t} at k={k}")
         except OptimError as exc:
             _terminal(k, f, gnorm, Termination("numerical_error", str(exc)))
             return trace
 
         x_new = x + outcome.t * d
-        if np.array_equal(x_new, x):
+        if fixed and np.array_equal(x_new, x):
             # t*d fell below the resolution of x; the loop is deterministic,
             # so no future iteration can make progress either
             _terminal(k, f, gnorm, Termination(
@@ -240,7 +284,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle) -> Trace:
                 f"step stalled below floating-point resolution at k={k} "
                 f"(t={outcome.t:.3e})"))
             return trace
-        point_new = outcome.point if outcome.point is not None else co.at(x_new)
+        point_new = outcome.point if outcome.point is not None else measure.at(x_new)
         f_new = outcome.f_new if outcome.f_new is not None else point_new.value()
         g_new = outcome.g_new if outcome.g_new is not None else point_new.gradient()
 
@@ -249,19 +293,24 @@ def run(config: RunConfig, oracle: ObjectiveOracle) -> Trace:
                 "numerical_error", f"monotone decrease violated at k={k}: {f} -> {f_new}"))
             return trace
 
+        if fixed:
+            ingest_pair(state, x_new - x, g_new - g)
+        elif isinstance(config.direction, (BfgsDense, LBfgs)):
+            ingest_pair(state, d, outcome.hv if outcome.hv is not None
+                        else step_point.hess_vec(d))
+
         err_ratio = None
         if ref is not None:
-            den = float(np.linalg.norm(x - ref.x))
-            if den > _MEASURABLE_RTOL * (1.0 + float(np.linalg.norm(ref.x))):
-                err_ratio = float(np.linalg.norm(x_new - ref.x)) / den
+            err_new = _norm(x_new - ref.x)
+            if err > err_floor:
+                err_ratio = err_new / err
+            err = err_new
         trace.records.append(IterationRecord(
             k=k, f=f, gnorm=gnorm, t=outcome.t,
             eta=outcome.eta if outcome.eta is not None else math.nan,
             step_kind=outcome.kind, cum_evals_f=co.evals_f, cum_evals_g=co.evals_g,
             cum_evals_hv=co.evals_hv, elapsed=time.perf_counter() - started,
             log_gap=_log_gap(f, ref), err_ratio=err_ratio))
-
-        ingest_pair(state, x_new - x, g_new - g)
         x, f, g, point = x_new, f_new, g_new, point_new
 
     return trace  # unreachable

@@ -281,14 +281,14 @@ class OnlineLsExpectedObjective(ObjectiveOracle):
     def has_hessian(self) -> bool:
         return True
 
+    def at(self, x) -> "_OnlineLsPoint":
+        return _OnlineLsPoint(self, self._check(x))
+
     def value(self, x) -> float:
-        w = self._check(x)
-        r = self.beta - w
-        return float(r @ (self.sigma @ r)) + self.noise_var + 0.5 * self.lam * float(w @ w)
+        return self.at(x).value()
 
     def gradient(self, x) -> np.ndarray:
-        w = self._check(x)
-        return -2.0 * (self.sigma @ (self.beta - w)) + self.lam * w
+        return self.at(x).gradient()
 
     def hess_vec(self, x, d) -> np.ndarray:
         self._check(x)
@@ -298,6 +298,29 @@ class OnlineLsExpectedObjective(ObjectiveOracle):
     def dense_hessian(self, x) -> np.ndarray:
         self._check(x)
         return 2.0 * self.sigma + self.lam * np.eye(self.dim)
+
+
+class _OnlineLsPoint:
+    """Expected objective at one w: the residual r = beta - w and Sigma r,
+    shared by ``value`` and ``gradient``, are computed once."""
+
+    __slots__ = ("_obj", "_w", "_r", "_sr")
+
+    def __init__(self, obj: OnlineLsExpectedObjective, w: np.ndarray):
+        self._obj = obj
+        self._w = w
+        self._r = obj.beta - w
+        self._sr = obj.sigma @ self._r
+
+    def value(self) -> float:
+        obj, w = self._obj, self._w
+        return float(self._r @ self._sr) + obj.noise_var + 0.5 * obj.lam * float(w @ w)
+
+    def gradient(self) -> np.ndarray:
+        return -2.0 * self._sr + self._obj.lam * self._w
+
+    def hess_vec(self, d) -> np.ndarray:
+        return self._obj.hess_vec(self._w, d)
 
 
 def online_ls_minimizer(obj: OnlineLsExpectedObjective) -> np.ndarray:

@@ -63,12 +63,13 @@ def adaptive_step(rho, delta):
 
     Always strictly below 1/delta, so steps stay inside the domain of
     the upper model bound. Nonpositive rho or delta means the direction
-    was not a descent direction or curvature degenerated; that is
-    raised rather than clamped so drivers can stop with a diagnostic.
+    was not a descent direction or curvature degenerated, and a NaN means
+    it could not be measured; either is raised rather than clamped so
+    drivers can stop with a diagnostic.
     """
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise DomainError(f"adaptive_step requires rho > 0, got {rho}")
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise DomainError(f"adaptive_step requires delta > 0, got {delta}")
     return rho / ((rho + delta) * delta)
 

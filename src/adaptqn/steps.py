@@ -75,7 +75,7 @@ class StepOutcome:
     ``point`` is the evaluation point at x + t d when the rule made one,
     and ``f_new``/``g_new`` the evaluations already requested there, so
     the driver never re-pays for them; each is None when the rule did
-    not evaluate there.
+    not evaluate there. ``hv`` is G(x)d when the rule computed it.
     """
 
     t: float
@@ -89,6 +89,7 @@ class StepOutcome:
     f_new: float | None = None
     g_new: np.ndarray | None = field(default=None, repr=False)
     point: OraclePoint | None = field(default=None, repr=False)
+    hv: np.ndarray | None = field(default=None, repr=False)
 
 
 def armijo_check(f0: float, f1: float, t: float, gd: float, c1: float) -> bool:
@@ -112,13 +113,18 @@ def adaptive_step_size(oracle: ObjectiveOracle, x: np.ndarray, d: np.ndarray,
     Costs exactly one Hessian-vector product: delta^2 = d'G(x)d, taken
     from ``point`` (the evaluation point at x) when one is given.
     """
+    return _adaptive(oracle, x, d, rho, point)[:3]
+
+
+def _adaptive(oracle, x, d, rho, point):
+    """``adaptive_step_size`` plus the product G(x)d it computed."""
     Gd = oracle.hess_vec(x, d) if point is None else point.hess_vec(d)
     d_gd = float(d @ Gd)
-    if not d_gd > 0.0:
-        raise CurvatureError(f"d'Gd = {d_gd} is not positive; convexity violated numerically")
+    if not 0.0 < d_gd < np.inf:
+        raise CurvatureError(f"d'Gd = {d_gd} is not positive and finite")
     delta = float(np.sqrt(d_gd))
     t = adaptive_step(rho, delta)
-    return t, delta, rho / delta
+    return t, delta, rho / delta, Gd
 
 
 def _quad_interp(f0: float, gd: float, t: float, ft: float) -> float:
@@ -220,9 +226,9 @@ def hybrid_select(oracle: ObjectiveOracle, x: np.ndarray, d: np.ndarray,
         if armijo_check(f0, ft, cand, gd, c1):
             return StepOutcome(t=cand, kind="hybrid_candidate",
                                evals_f=evals_f, f_new=ft, point=pt)
-    t, delta, eta = adaptive_step_size(oracle, x, d, rho, point)
+    t, delta, eta, Gd = _adaptive(oracle, x, d, rho, point)
     return StepOutcome(t=t, kind="hybrid_fallback", evals_f=evals_f,
-                       evals_hv=1, delta=delta, eta=eta)
+                       evals_hv=1, delta=delta, eta=eta, hv=Gd)
 
 
 def choose_step(rule: StepRule, oracle: ObjectiveOracle, x: np.ndarray,
@@ -231,8 +237,8 @@ def choose_step(rule: StepRule, oracle: ObjectiveOracle, x: np.ndarray,
     """Dispatch a step rule; the uniform entry point used by the driver,
     which passes the evaluation point at x as ``point``."""
     if isinstance(rule, Adaptive):
-        t, delta, eta = adaptive_step_size(oracle, x, d, rho, point)
-        return StepOutcome(t=t, kind="adaptive", evals_hv=1, delta=delta, eta=eta)
+        t, delta, eta, Gd = _adaptive(oracle, x, d, rho, point)
+        return StepOutcome(t=t, kind="adaptive", evals_hv=1, delta=delta, eta=eta, hv=Gd)
     if isinstance(rule, Constant):
         return StepOutcome(t=rule.alpha, kind="constant")
     if isinstance(rule, ArmijoWolfe):

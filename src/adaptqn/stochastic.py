@@ -1,22 +1,19 @@
 """Online least-squares sampler, batch schedules, and the stochastic
-method loop (gradient / Newton / BFGS steps on per-iteration batches)."""
+methods (gradient / Newton / BFGS steps on per-iteration batches), run
+through the driver's loop."""
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg.blas import dsymv
 
-from .directions import bfgs_update_dense, spd_solve
-from .driver import IterationRecord, ReferenceOptimum, Termination, Trace
-from .errors import CurvatureError, NumericalError
+from .directions import BfgsDense, GradientDescent, Newton
+from .driver import ReferenceOptimum, RunConfig, Trace, run
 from .oracles import ObjectiveOracle, OnlineLsExpectedObjective, online_ls_minimizer
-from .sc import adaptive_step
-from .steps import Adaptive, Constant, StepRule
+from .steps import StepRule
 
 __all__ = [
     "CONSTANT_STEP_SIZES",
@@ -29,7 +26,6 @@ __all__ = [
     "batch_size",
     "draw_batch",
     "stochastic_run",
-    "sbfgs_pair_update",
     "make_synthetic_sigma",
     "make_sparse_beta",
 ]
@@ -160,17 +156,6 @@ def draw_batch(sampler: OnlineSampler, size: int) -> SampledBatchOracle:
     return SampledBatchOracle(X, Y, sampler.lam)
 
 
-def sbfgs_pair_update(H: np.ndarray, d: np.ndarray, Gd_hat: np.ndarray) -> tuple[np.ndarray, bool]:
-    """BFGS update from the pair (d, G_hat d); equivalent to (s, y) =
-    (t d, t G_hat d) for any t > 0 since the update is jointly scale
-    invariant. Returns (H, accepted); nonpositive curvature skips. H is
-    held in its upper triangle and updated in place as in
-    ``bfgs_update_dense``; use the returned array."""
-    if not float(d @ Gd_hat) > 0.0:
-        return H, False
-    return bfgs_update_dense(H, d, Gd_hat), True
-
-
 @dataclass(frozen=True)
 class StochasticConfig:
     """Snapshot of a stochastic run, stored on its Trace."""
@@ -183,114 +168,34 @@ class StochasticConfig:
     reference: Optional[ReferenceOptimum] = None
 
 
+_DIRECTIONS = {"sgd": GradientDescent(), "snewton": Newton(), "sbfgs": BfgsDense()}
+
+
 def stochastic_run(method: str, schedule: BatchSchedule, step_rule,
                    sampler: OnlineSampler, x0: np.ndarray, budget: int,
                    max_seconds: float = math.inf) -> Trace:
     """Run a stochastic method for ``budget`` iterations.
 
     ``method`` is one of "sgd", "snewton", "sbfgs"; ``step_rule`` is
-    Adaptive() or Constant(alpha). Direction, curvature and (for SBFGS)
-    the update pair all come from the same per-iteration batch; the
-    trace's f, gnorm and log-gap columns are measured against the
-    expected objective and its closed-form minimizer.
+    Adaptive() or Constant(alpha). This is ``driver.run`` with GD,
+    Newton or dense BFGS directions on a batch drawn per iteration:
+    direction, curvature and (for SBFGS) the update pair (d, G_hat d)
+    all come from that batch; the trace's f, gnorm, log-gap and
+    err_ratio columns are measured against the expected objective and
+    its closed-form minimizer.
     """
-    if method not in ("sgd", "snewton", "sbfgs"):
+    if method not in _DIRECTIONS:
         raise ValueError(f"unknown stochastic method {method!r}")
-    if not isinstance(step_rule, (Adaptive, Constant)):
-        raise ValueError("stochastic step rule must be Adaptive or Constant")
     expected = sampler.expected_objective()
     w_star = online_ls_minimizer(expected)
     ref = ReferenceOptimum(x=w_star, f=expected.value(w_star))
-    config = StochasticConfig(method=method, schedule=schedule, step=step_rule,
-                              budget=budget, seed=sampler.seed, reference=ref)
-    trace = Trace(config=config)
-    started = time.perf_counter()
-
-    p = sampler.dim
-    w = np.asarray(x0, dtype=float).copy()
-    H = np.eye(p, order="F") if method == "sbfgs" else None
-    skipped = 0
-
-    for k in range(budget):
-        if time.perf_counter() - started > max_seconds:
-            trace.termination = Termination("time_budget")
-            break
-        f_exp = expected.value(w)
-        gnorm = float(np.linalg.norm(expected.gradient(w)))
-        if not (math.isfinite(f_exp) and math.isfinite(gnorm)):
-            trace.termination = Termination(
-                "numerical_error", f"non-finite f = {f_exp} or ||g|| = {gnorm} at k={k}")
-            break
-        batch = draw_batch(sampler, batch_size(schedule, k))
-        ghat = batch.gradient(w)
-        if not np.isfinite(ghat).all():
-            trace.termination = Termination(
-                "numerical_error", f"non-finite batch gradient at k={k}")
-            break
-        if not np.any(ghat):
-            # exactly stationary for this batch (zero-noise degenerate case)
-            trace.termination = Termination("grad_tol", "batch gradient exactly zero")
-            break
-        try:
-            if method == "sgd":
-                d = -ghat
-            elif method == "snewton":
-                d = spd_solve(batch.dense_hessian(w), -ghat, "batch Hessian")
-            else:
-                d = dsymv(-1.0, H, ghat)
-            rho = -float(ghat @ d)
-            if not rho > 0.0:
-                raise CurvatureError(f"rho = {rho} is not positive on batch at k={k}")
-            Gd = batch.hess_vec(w, d)
-            d_gd = float(d @ Gd)
-            eta = math.nan
-            if isinstance(step_rule, Adaptive):
-                if not d_gd > 0.0:
-                    raise CurvatureError(f"d'Gd = {d_gd} is not positive on batch at k={k}")
-                delta = math.sqrt(d_gd)
-                t = adaptive_step(rho, delta)
-                eta = rho / delta
-            else:
-                t = step_rule.alpha
-            if not (math.isfinite(rho) and math.isfinite(d_gd) and math.isfinite(t)):
-                raise NumericalError(
-                    f"non-finite rho = {rho}, d'Gd = {d_gd} or t = {t} on batch at k={k}")
-        except (CurvatureError, NumericalError) as exc:
-            trace.termination = Termination("numerical_error", str(exc))
-            break
-
-        w_new = w + t * d
-        if method == "sbfgs":
-            H, accepted = sbfgs_pair_update(H, d, Gd)
-            if not accepted:
-                skipped += 1
-
-        trace.records.append(IterationRecord(
-            k=k, f=f_exp, gnorm=gnorm,
-            t=t, eta=eta, step_kind="adaptive" if isinstance(step_rule, Adaptive) else "constant",
-            cum_evals_f=0, cum_evals_g=k + 1, cum_evals_hv=k + 1,
-            elapsed=time.perf_counter() - started,
-            log_gap=_safe_log_gap(f_exp, ref.f)))
-        w = w_new
-    else:
-        trace.termination = Termination("max_iters")
-
-    f_exp = expected.value(w)
-    trace.records.append(IterationRecord(
-        k=len(trace.records), f=f_exp,
-        gnorm=float(np.linalg.norm(expected.gradient(w))),
-        t=math.nan, eta=math.nan, step_kind="terminal",
-        cum_evals_f=0, cum_evals_g=0, cum_evals_hv=0,
-        elapsed=time.perf_counter() - started,
-        log_gap=_safe_log_gap(f_exp, ref.f)))
-    trace.final_x = w.copy()
-    trace.skipped_pairs = skipped
+    config = RunConfig(direction=_DIRECTIONS[method], step=step_rule, max_iters=budget,
+                       max_seconds=max_seconds, x0=x0, reference=ref)
+    trace = run(config, expected,
+                batches=lambda k: draw_batch(sampler, batch_size(schedule, k)))
+    trace.config = StochasticConfig(method=method, schedule=schedule, step=step_rule,
+                                    budget=budget, seed=sampler.seed, reference=ref)
     return trace
-
-
-def _safe_log_gap(f: float, f_star: float) -> Optional[float]:
-    gap = f - f_star
-    return math.log10(gap) if gap > 0 else None
 
 
 def make_synthetic_sigma(p: int, seed: int, eig_low: float = 1.0,

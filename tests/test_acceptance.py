@@ -11,15 +11,15 @@ import time
 import numpy as np
 import pytest
 
-from adaptqn import (Adaptive, BfgsDense, BfgsTwoLoopUnlimited, Constant,
-                     ConstantBatch, GradientDescent, GrowingBatch, Hybrid,
+from adaptqn import (Adaptive, BfgsDense, Constant, ConstantBatch,
+                     GradientDescent, GrowingBatch, Hybrid,
                      LBfgs, LogisticObjective, Newton, OnlineSampler,
                      QuadraticObjective, ReferenceOptimum, RunConfig,
                      SampledBatchOracle, adaptive_step, adaptive_step_size,
                      armijo_check, bfgs_update_dense, compute_direction,
                      default_lbfgs_memory, ingest_pair, make_sparse_beta,
                      make_synthetic_sigma, new_state, omega, parse_libsvm,
-                     run, sbfgs_pair_update, serialize_libsvm,
+                     run, serialize_libsvm,
                      stochastic_run, superlinear_report, synth_logistic,
                      two_loop_direction, wolfe_check)
 from adaptqn.stochastic import CONSTANT_STEP_SIZES
@@ -219,12 +219,12 @@ def test_criterion_6_bfgs_structure():
     A = (q * np.linspace(0.1, 10.0, n)) @ q.T
     obj = QuadraticObjective(A, rng.standard_normal(n))
     dense_state = new_state(BfgsDense(), n)
-    loop_state = new_state(BfgsTwoLoopUnlimited(), n)
+    loop_state = new_state(LBfgs(memory=None), n)
     x = rng.standard_normal(n)
     g = obj.gradient(x)
     for _ in range(50):
         d1, _ = compute_direction(BfgsDense(), dense_state, obj, x, g)
-        d2, _ = compute_direction(BfgsTwoLoopUnlimited(), loop_state, obj, x, g)
+        d2, _ = compute_direction(LBfgs(memory=None), loop_state, obj, x, g)
         assert np.linalg.norm(d1 - d2) <= 1e-8 * np.linalg.norm(d1)
         x_new = x + 0.05 * d1
         g_new = obj.gradient(x_new)

@@ -71,6 +71,19 @@ def test_run_non_finite_objective_exits_1(tmp_path, monkeypatch):
     assert read_csv(tmp_path / "bfgs-a.csv")[-1].split(",")[5] == "terminal"
 
 
+def test_refused_configuration_is_usage_error(tmp_path, capsys):
+    # the driver refuses dense BFGS above BfgsDense.max_dense_dim (5000)
+    rc = main(["run", "--method", "bfgs-a", "--synthetic-logistic", "N=4,n=5001",
+               "--out", str(tmp_path)])
+    assert rc == 64
+    assert "dense BFGS refused" in capsys.readouterr().err
+    assert not (tmp_path / "bfgs-a.csv").exists()
+    rc = main(["stoch", "--p", "5", "--methods", "sgd-a", "--iters", "-1",
+               "--out", str(tmp_path)])
+    assert rc == 64
+    assert "max_iters" in capsys.readouterr().err
+
+
 def test_run_requires_exactly_one_problem_source(tmp_path, capsys):
     rc = main(["run", "--method", "gd-a", "--out", str(tmp_path)])
     assert rc == 64

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptqn import (BfgsDense, BfgsTwoLoopUnlimited, CurvatureError,
-                     GradientDescent, LBfgs, Newton, NumericalError,
+from adaptqn import (BfgsDense, CurvatureError, GradientDescent, LBfgs,
+                     Newton, NumericalError,
                      QuadraticObjective, bfgs_update_dense, compute_direction,
                      default_lbfgs_memory, identity_scaling_factor, ingest_pair,
                      new_state, two_loop_direction)
@@ -91,8 +91,8 @@ def test_fresh_bfgs_equals_gradient_descent():
     g = np.array([1.0, 2.0, 3.0, 4.0])
     d, rho = compute_direction(BfgsDense(), new_state(BfgsDense(), 4), obj, np.zeros(4), g)
     np.testing.assert_array_equal(d, -g)
-    d2, _ = compute_direction(BfgsTwoLoopUnlimited(),
-                              new_state(BfgsTwoLoopUnlimited(), 4), obj, np.zeros(4), g)
+    d2, _ = compute_direction(LBfgs(memory=None),
+                              new_state(LBfgs(memory=None), 4), obj, np.zeros(4), g)
     np.testing.assert_array_equal(d2, -g)
 
 
@@ -156,7 +156,7 @@ def test_two_loop_matches_dense_over_trajectory():
     n = 10
     A = random_spd(rng, n, 0.1, 10.0)
     obj = QuadraticObjective(A, rng.standard_normal(n))
-    dense_rule, loop_rule = BfgsDense(), BfgsTwoLoopUnlimited()
+    dense_rule, loop_rule = BfgsDense(), LBfgs(memory=None)
     dense_state = new_state(dense_rule, n)
     loop_state = new_state(loop_rule, n)
     x = rng.standard_normal(n)
@@ -246,8 +246,8 @@ def test_h0_refresh_flag_overrides():
     rng = np.random.default_rng(8)
     A = random_spd(rng, 3)
     lbfgs_first = new_state(LBfgs(memory=5, identity_scaling=True, h0_refresh="first"), 3)
-    loop_latest = new_state(BfgsTwoLoopUnlimited(identity_scaling=True,
-                                                 h0_refresh="latest"), 3)
+    loop_latest = new_state(LBfgs(memory=None, identity_scaling=True,
+                                  h0_refresh="latest"), 3)
     factors = []
     for _ in range(3):
         s = rng.standard_normal(3)
@@ -263,7 +263,7 @@ def test_lbfgs_h0_refresh_modes():
     rng = np.random.default_rng(7)
     A = random_spd(rng, 3)
     latest = new_state(LBfgs(memory=5, identity_scaling=True), 3)
-    first = new_state(BfgsTwoLoopUnlimited(identity_scaling=True), 3)
+    first = new_state(LBfgs(memory=None, identity_scaling=True, h0_refresh="first"), 3)
     factors = []
     for _ in range(3):
         s = rng.standard_normal(3)

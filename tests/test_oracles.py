@@ -295,6 +295,32 @@ def test_online_ls_expected():
     assert obj.value(beta) == pytest.approx(1.0 + 0.5 * beta @ beta, rel=1e-12)
 
 
+def test_online_ls_point_shares_residual_bitwise():
+    rng = np.random.default_rng(15)
+    p, lam, noise_var = 7, 0.3, 0.5
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    sigma = (q * np.linspace(1.0, 9.0, p)) @ q.T
+    beta = rng.standard_normal(p)
+    obj = OnlineLsExpectedObjective(sigma, beta, lam, noise_var=noise_var)
+    d = rng.standard_normal(p)
+    for w in (np.zeros(p), rng.standard_normal(p)):
+        r = beta - w
+        f = float(r @ (sigma @ r)) + noise_var + 0.5 * lam * float(w @ w)
+        g = -2.0 * (sigma @ (beta - w)) + lam * w
+        value_first = obj.at(w)
+        assert value_first.value() == f
+        np.testing.assert_array_equal(value_first.gradient(), g)
+        gradient_first = obj.at(w)
+        np.testing.assert_array_equal(gradient_first.gradient(), g)
+        assert gradient_first.value() == f
+        np.testing.assert_array_equal(gradient_first.hess_vec(d),
+                                      2.0 * (sigma @ d) + lam * d)
+        assert obj.value(w) == f
+        np.testing.assert_array_equal(obj.gradient(w), g)
+    with pytest.raises(ValueError):
+        obj.at(np.ones(3))
+
+
 def test_online_ls_minimizer_stationary():
     rng = np.random.default_rng(14)
     p = 8

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -46,7 +48,8 @@ def test_adaptive_step_examples():
     assert adaptive_step(1.0, 10.0) == pytest.approx(1.0 / 110.0, rel=1e-15)
 
 
-@pytest.mark.parametrize("rho,delta", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
+@pytest.mark.parametrize("rho,delta", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+                                       (math.nan, 1.0), (1.0, math.nan)])
 def test_adaptive_step_domain(rho, delta):
     with pytest.raises(DomainError):
         adaptive_step(rho, delta)

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from adaptqn import (Adaptive, BfgsDense, Constant, ConstantBatch,
-                     GrowingBatch, OnlineSampler, QuadraticObjective, RunConfig,
-                     SampledBatchOracle, batch_size, draw_batch,
-                     make_sparse_beta, make_synthetic_sigma, omega,
-                     online_ls_minimizer, run, sbfgs_pair_update,
-                     stochastic_run)
+from adaptqn import (Adaptive, ArmijoWolfe, BfgsDense, Constant,
+                     ConstantBatch, GrowingBatch, OnlineSampler,
+                     QuadraticObjective, RunConfig, SampledBatchOracle,
+                     StochasticConfig, batch_size,
+                     bfgs_update_dense, draw_batch, ingest_pair,
+                     make_sparse_beta, make_synthetic_sigma, new_state, omega,
+                     online_ls_minimizer, run, stochastic_run)
 from adaptqn.sc import adaptive_step
 from adaptqn.stochastic import CONSTANT_STEP_SIZES
 from conftest import sym
@@ -85,26 +86,27 @@ def test_batch_oracle_formulas():
     assert fd == pytest.approx(oracle.gradient(w)[2], rel=1e-5)
 
 
-def test_sbfgs_pair_update_identity_fixed_point():
+def test_sbfgs_pair_identity_fixed_point():
+    # the pair (d, G_hat d) enters dense BFGS through ingest_pair
     d = np.array([1.0, -2.0, 0.5])
-    H, accepted = sbfgs_pair_update(np.eye(3), d, d)
-    assert accepted
-    np.testing.assert_allclose(H, np.eye(3), atol=1e-14)
+    state = new_state(BfgsDense(), 3)
+    assert ingest_pair(state, d, d)
+    np.testing.assert_allclose(sym(state.H), np.eye(3), atol=1e-14)
 
 
-def test_sbfgs_pair_update_scale_invariance_and_skip():
+def test_sbfgs_pair_scale_invariance_and_skip():
     rng = np.random.default_rng(1)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     G = (q * np.linspace(0.5, 2.0, 4)) @ q.T
     d = rng.standard_normal(4)
-    H0 = np.eye(4)
-    H1, _ = sbfgs_pair_update(H0, d, G @ d)
+    H1 = bfgs_update_dense(np.eye(4), d, G @ d)
     for t in (0.3, 2.0):
-        H2, _ = sbfgs_pair_update(H0, t * d, t * (G @ d))
-        np.testing.assert_allclose(H1, H2, rtol=1e-12)
-    Hs, accepted = sbfgs_pair_update(H0, d, -G @ d)
-    assert not accepted
-    np.testing.assert_array_equal(Hs, H0)
+        H2 = bfgs_update_dense(np.eye(4), t * d, t * (G @ d))
+        np.testing.assert_allclose(sym(H1), sym(H2), rtol=1e-12)
+    state = new_state(BfgsDense(), 4)
+    assert not ingest_pair(state, d, -G @ d)
+    assert state.skipped == 1
+    np.testing.assert_array_equal(state.H, np.eye(4))
 
 
 def test_zero_noise_stationary_at_optimum():
@@ -134,11 +136,11 @@ def test_adaptive_decrease_holds_per_batch():
     # omega-decrease for the batch objective at the proposal point
     sampler = make_sampler(p=8)
     w = np.zeros(8)
-    H = np.eye(8)
+    state = new_state(BfgsDense(), 8)
     for k in range(60):
         batch = draw_batch(sampler, batch_size(GrowingBatch(base=4), k))
         g = batch.gradient(w)
-        d = -(sym(H) @ g)
+        d = -(sym(state.H) @ g)
         rho = -float(g @ d)
         Gd = batch.hess_vec(w, d)
         delta = math.sqrt(float(d @ Gd))
@@ -146,7 +148,7 @@ def test_adaptive_decrease_holds_per_batch():
         eta = rho / delta
         f0, f1 = batch.value(w), batch.value(w + t * d)
         assert f1 <= f0 - omega(eta) + 1e-10 * (1.0 + abs(f0))
-        H, _ = sbfgs_pair_update(H, d, Gd)
+        ingest_pair(state, d, Gd)
         w = w + t * d
 
 
@@ -162,17 +164,17 @@ def test_sbfgs_matches_driver_bfgs_on_fixed_quadratic():
     trace = run(cfg, batch)
 
     w = np.zeros(6)
-    H = np.eye(6)
+    state = new_state(BfgsDense(), 6)
     my_ts = []
     for _ in range(trace.iterations):
         g = batch.gradient(w)
-        d = -(sym(H) @ g)
+        d = -(sym(state.H) @ g)
         rho = -float(g @ d)
         Gd = batch.hess_vec(w, d)
         delta = math.sqrt(float(d @ Gd))
         t = adaptive_step(rho, delta)
         my_ts.append(t)
-        H, _ = sbfgs_pair_update(H, d, Gd)
+        ingest_pair(state, d, Gd)
         w = w + t * d
     np.testing.assert_allclose(my_ts, trace.step_sizes(), rtol=1e-9)
     np.testing.assert_allclose(w, trace.final_x, rtol=1e-7, atol=1e-12)
@@ -206,15 +208,16 @@ def test_sgd_constant_step_is_slow():
     assert fast.final.log_gap < slow.final.log_gap - 1.0
 
 
-def test_sbfgs_pair_update_updates_in_place():
+def test_sbfgs_pair_updates_in_place():
     rng = np.random.default_rng(11)
     A = make_synthetic_sigma(5, seed=2)
-    H = np.eye(5, order="F")
+    state = new_state(BfgsDense(), 5)
+    H = state.H
     for _ in range(10):
         d = rng.standard_normal(5)
-        H_new, accepted = sbfgs_pair_update(H, d, A @ d)
-        assert accepted
-        assert H_new is H
+        assert ingest_pair(state, d, A @ d)
+        assert state.H is H
+        assert bfgs_update_dense(H, d, A @ d) is H
 
 
 @pytest.mark.parametrize("method", ["sgd", "snewton", "sbfgs"])
@@ -255,3 +258,63 @@ def test_non_finite_batch_gradient_ends_numerical_error(monkeypatch):
     assert trace.termination.kind == "numerical_error"
     assert "non-finite batch gradient" in trace.termination.detail
     assert trace.iterations == 0
+
+
+@pytest.mark.parametrize("method,step,hv_per_iter", [
+    ("sgd", Constant(CONSTANT_STEP_SIZES["alpha1"]), 0),
+    ("snewton", Constant(CONSTANT_STEP_SIZES["alpha1"]), 0),
+    ("sgd", Adaptive(), 1),
+    ("sbfgs", Adaptive(), 1),
+    ("sbfgs", Constant(CONSTANT_STEP_SIZES["alpha1"]), 1),  # G_hat d for the pair
+])
+def test_eval_counts_are_the_batch_work(method, step, hv_per_iter):
+    # one batch gradient per iteration, a batch Hv only where a step or a
+    # pair reads it, and no count for the expected-objective measurements
+    budget = 30
+    trace = stochastic_run(method, GrowingBatch(base=5), step, make_sampler(),
+                           x0=np.zeros(10), budget=budget)
+    counts = [(r.cum_evals_f, r.cum_evals_g, r.cum_evals_hv) for r in trace.records]
+    assert counts[:-1] == [(0, k + 1, hv_per_iter * (k + 1)) for k in range(budget)]
+    assert counts[-1] == (0, budget, hv_per_iter * budget)
+
+
+def test_err_ratio_measures_distance_to_minimizer():
+    sampler = make_sampler()
+    w_star = online_ls_minimizer(sampler.expected_objective())
+    trace = stochastic_run("sbfgs", GrowingBatch(base=5), Adaptive(), sampler,
+                           x0=np.zeros(10), budget=60)
+    ratios = [r.err_ratio for r in trace.records[:-1]]
+    assert all(r is not None and math.isfinite(r) for r in ratios)
+    assert trace.final.err_ratio is None
+    # the per-step ratios telescope to the overall error reduction
+    assert math.prod(ratios) == pytest.approx(
+        np.linalg.norm(trace.final_x - w_star) / np.linalg.norm(w_star), rel=1e-9)
+
+
+def test_trace_config_records_the_stochastic_run():
+    sampler = make_sampler(seed=9)
+    schedule, step = GrowingBatch(base=5), Constant(CONSTANT_STEP_SIZES["alpha2"])
+    trace = stochastic_run("snewton", schedule, step, sampler, x0=np.zeros(10), budget=7)
+    cfg = trace.config
+    assert isinstance(cfg, StochasticConfig)
+    assert (cfg.method, cfg.schedule, cfg.step, cfg.budget, cfg.seed) == (
+        "snewton", schedule, step, 7, 9)
+    expected = sampler.expected_objective()
+    np.testing.assert_array_equal(cfg.reference.x, online_ls_minimizer(expected))
+    assert cfg.reference.f == expected.value(cfg.reference.x)
+
+
+def test_run_on_batches_refuses_line_search():
+    sampler = make_sampler()
+    cfg = RunConfig(direction=BfgsDense(), step=ArmijoWolfe(), max_iters=5)
+    with pytest.raises(ValueError):
+        run(cfg, sampler.expected_objective(), batches=lambda k: draw_batch(sampler, 5))
+
+
+def test_zero_budget_records_only_the_start():
+    trace = stochastic_run("sbfgs", GrowingBatch(base=5), Adaptive(), make_sampler(),
+                           x0=np.zeros(10), budget=0)
+    assert trace.termination.kind == "max_iters"
+    assert [r.step_kind for r in trace.records] == ["terminal"]
+    expected = make_sampler().expected_objective()
+    assert trace.final.f == expected.value(np.zeros(10))
