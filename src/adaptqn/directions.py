@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 from scipy.linalg.blas import dsymv, dsyr2
 
-from .errors import CurvatureError, NumericalError, UnsupportedOperationError
+from .errors import CurvatureError, NumericalError
 from .oracles import ObjectiveOracle
 
 __all__ = [
@@ -191,8 +191,6 @@ def compute_direction(rule: DirectionRule, state: InverseHessianState,
     if isinstance(rule, GradientDescent):
         d = -g
     elif isinstance(rule, Newton):
-        if not oracle.has_hessian:
-            raise UnsupportedOperationError("Newton rule needs a dense Hessian")
         d = spd_solve(oracle.dense_hessian(x), -g)
     elif isinstance(rule, BfgsDense):
         d = dsymv(-1.0, state.H, g)

@@ -108,8 +108,8 @@ class Trace:
 
 
 class _CountingOracle:
-    """Pass-through oracle that counts value/gradient/hess_vec requests,
-    made on it or on the points it returns. A run on batches points
+    """Pass-through oracle that counts the value/gradient/hess_vec
+    requests made on the points it returns. A run on batches points
     ``inner`` at each iteration's batch, so the counts accumulate."""
 
     def __init__(self, inner: ObjectiveOracle):
@@ -117,26 +117,6 @@ class _CountingOracle:
         self.evals_f = 0
         self.evals_g = 0
         self.evals_hv = 0
-
-    @property
-    def dim(self):
-        return self.inner.dim
-
-    @property
-    def has_hessian(self):
-        return self.inner.has_hessian
-
-    def value(self, x):
-        self.evals_f += 1
-        return self.inner.value(x)
-
-    def gradient(self, x):
-        self.evals_g += 1
-        return self.inner.gradient(x)
-
-    def hess_vec(self, x, d):
-        self.evals_hv += 1
-        return self.inner.hess_vec(x, d)
 
     def dense_hessian(self, x):
         return self.inner.dense_hessian(x)

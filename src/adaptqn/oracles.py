@@ -4,6 +4,7 @@ expected online least-squares objective with its closed-form minimizer."""
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Protocol
 
 import numpy as np
 
@@ -36,36 +37,33 @@ def _softplus(z, ez=None):
     return np.maximum(z, 0.0) + np.log1p(ez)
 
 
-class OraclePoint:
-    """An oracle evaluated at one x: ``value()``, ``gradient()`` and
-    ``hess_vec(d)``. This default forwards each request to the oracle's
-    own methods; oracles whose f, g and G(x)d share work at x return a
-    point that does that work once."""
+class OraclePoint(Protocol):
+    """An objective evaluated at one x. ``value()``, ``gradient()`` and
+    ``hess_vec(d)`` may be requested in any order and any number of
+    times, and each returns the same bits whatever was requested
+    before; work they share at x is done once. ``hess_vec`` raises
+    ValueError for a d of the wrong shape."""
 
-    __slots__ = ("oracle", "x")
+    def value(self) -> float: ...
 
-    def __init__(self, oracle: "ObjectiveOracle", x: np.ndarray):
-        self.oracle = oracle
-        self.x = x
+    def gradient(self) -> np.ndarray: ...
 
-    def value(self) -> float:
-        return self.oracle.value(self.x)
-
-    def gradient(self) -> np.ndarray:
-        return self.oracle.gradient(self.x)
-
-    def hess_vec(self, d: np.ndarray) -> np.ndarray:
-        return self.oracle.hess_vec(self.x, d)
+    def hess_vec(self, d: np.ndarray) -> np.ndarray: ...
 
 
 class ObjectiveOracle(ABC):
     """Deterministic objective exposing value, gradient and the Hessian
     action G(x)d; some oracles can also materialize the full Hessian.
 
+    To write an oracle, implement ``dim`` and ``at(x)``, which checks x
+    and returns an :class:`OraclePoint` holding the work shared between
+    evaluations at x. ``value(x)``, ``gradient(x)`` and ``hess_vec(x, d)``
+    are derived from it, one fresh point per call. Oracles with a dense
+    Hessian also override ``has_hessian`` and ``dense_hessian``.
+
     Oracles are immutable after construction and hold no mutable cache,
-    so concurrent evaluation from multiple runs is safe. Work shared
-    between evaluations at one x lives in the point returned by ``at``,
-    which its caller owns.
+    so concurrent evaluation from multiple runs is safe; a point belongs
+    to its caller.
     """
 
     @property
@@ -77,20 +75,20 @@ class ObjectiveOracle(ABC):
         return False
 
     @abstractmethod
-    def value(self, x: np.ndarray) -> float: ...
+    def at(self, x: np.ndarray) -> OraclePoint:
+        """A fresh evaluation point at x."""
 
-    @abstractmethod
-    def gradient(self, x: np.ndarray) -> np.ndarray: ...
+    def value(self, x: np.ndarray) -> float:
+        return self.at(x).value()
 
-    @abstractmethod
-    def hess_vec(self, x: np.ndarray, d: np.ndarray) -> np.ndarray: ...
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return self.at(x).gradient()
+
+    def hess_vec(self, x: np.ndarray, d: np.ndarray) -> np.ndarray:
+        return self.at(x).hess_vec(d)
 
     def dense_hessian(self, x: np.ndarray) -> np.ndarray:
         raise UnsupportedOperationError(f"{type(self).__name__} has no dense Hessian")
-
-    def at(self, x: np.ndarray) -> OraclePoint:
-        """A fresh evaluation point at x."""
-        return OraclePoint(self, x)
 
     def _check(self, v: np.ndarray, name: str = "x") -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -133,15 +131,6 @@ class LogisticObjective(ObjectiveOracle):
 
     def at(self, x) -> "_LogisticPoint":
         return _LogisticPoint(self, self._check(x))
-
-    def value(self, x) -> float:
-        return self.at(x).value()
-
-    def gradient(self, x) -> np.ndarray:
-        return self.at(x).gradient()
-
-    def hess_vec(self, x, d) -> np.ndarray:
-        return self.at(x).hess_vec(d)
 
     def dense_hessian(self, x) -> np.ndarray:
         w = self._check(x)
@@ -231,18 +220,8 @@ class QuadraticObjective(ObjectiveOracle):
     def has_hessian(self) -> bool:
         return True
 
-    def value(self, x) -> float:
-        x = self._check(x)
-        return 0.5 * float(x @ (self.A @ x)) + float(self.b @ x)
-
-    def gradient(self, x) -> np.ndarray:
-        x = self._check(x)
-        return self.A @ x + self.b
-
-    def hess_vec(self, x, d) -> np.ndarray:
-        self._check(x)
-        d = self._check(d, "d")
-        return self.A @ d
+    def at(self, x) -> "_QuadraticPoint":
+        return _QuadraticPoint(self, self._check(x))
 
     def dense_hessian(self, x) -> np.ndarray:
         self._check(x)
@@ -252,6 +231,27 @@ class QuadraticObjective(ObjectiveOracle):
         """Exact optimum (solves Ax = -b) and its objective value."""
         xs = np.linalg.solve(self.A, -self.b)
         return xs, self.value(xs)
+
+
+class _QuadraticPoint:
+    """Quadratic at one x: Ax, shared by ``value`` and ``gradient``, is
+    computed once."""
+
+    __slots__ = ("_obj", "_x", "_ax")
+
+    def __init__(self, obj: QuadraticObjective, x: np.ndarray):
+        self._obj = obj
+        self._x = x
+        self._ax = obj.A @ x
+
+    def value(self) -> float:
+        return 0.5 * float(self._x @ self._ax) + float(self._obj.b @ self._x)
+
+    def gradient(self) -> np.ndarray:
+        return self._ax + self._obj.b
+
+    def hess_vec(self, d) -> np.ndarray:
+        return self._obj.A @ self._obj._check(d, "d")
 
 
 class OnlineLsExpectedObjective(ObjectiveOracle):
@@ -284,17 +284,6 @@ class OnlineLsExpectedObjective(ObjectiveOracle):
     def at(self, x) -> "_OnlineLsPoint":
         return _OnlineLsPoint(self, self._check(x))
 
-    def value(self, x) -> float:
-        return self.at(x).value()
-
-    def gradient(self, x) -> np.ndarray:
-        return self.at(x).gradient()
-
-    def hess_vec(self, x, d) -> np.ndarray:
-        self._check(x)
-        d = self._check(d, "d")
-        return 2.0 * (self.sigma @ d) + self.lam * d
-
     def dense_hessian(self, x) -> np.ndarray:
         self._check(x)
         return 2.0 * self.sigma + self.lam * np.eye(self.dim)
@@ -320,7 +309,9 @@ class _OnlineLsPoint:
         return -2.0 * self._sr + self._obj.lam * self._w
 
     def hess_vec(self, d) -> np.ndarray:
-        return self._obj.hess_vec(self._w, d)
+        obj = self._obj
+        d = obj._check(d, "d")
+        return 2.0 * (obj.sigma @ d) + obj.lam * d
 
 
 def online_ls_minimizer(obj: OnlineLsExpectedObjective) -> np.ndarray:

@@ -70,19 +70,17 @@ StepRule = Union[Adaptive, Constant, ArmijoWolfe, Hybrid]
 
 @dataclass
 class StepOutcome:
-    """Chosen step plus the oracle work spent choosing it.
+    """Chosen step plus what the rule learned while choosing it.
 
     ``point`` is the evaluation point at x + t d when the rule made one,
     and ``f_new``/``g_new`` the evaluations already requested there, so
     the driver never re-pays for them; each is None when the rule did
-    not evaluate there. ``hv`` is G(x)d when the rule computed it.
+    not evaluate there. ``hv`` is G(x)d when the rule computed it. The
+    rule's oracle work is counted on the points it requested it from.
     """
 
     t: float
     kind: str  # adaptive | constant | line_search | hybrid_candidate | hybrid_fallback
-    evals_f: int = 0
-    evals_g: int = 0
-    evals_hv: int = 0
     delta: float | None = None
     eta: float | None = None
     warning: bool = False
@@ -111,14 +109,15 @@ def adaptive_step_size(oracle: ObjectiveOracle, x: np.ndarray, d: np.ndarray,
     """(t, delta, eta) for the curvature-adaptive rule.
 
     Costs exactly one Hessian-vector product: delta^2 = d'G(x)d, taken
-    from ``point`` (the evaluation point at x) when one is given.
+    from ``point`` (the evaluation point at x) when one is given, else
+    from ``oracle.at(x)``.
     """
-    return _adaptive(oracle, x, d, rho, point)[:3]
+    return _adaptive(oracle.at(x) if point is None else point, d, rho)[:3]
 
 
-def _adaptive(oracle, x, d, rho, point):
-    """``adaptive_step_size`` plus the product G(x)d it computed."""
-    Gd = oracle.hess_vec(x, d) if point is None else point.hess_vec(d)
+def _adaptive(point: OraclePoint, d: np.ndarray, rho: float):
+    """``adaptive_step_size`` at ``point`` plus the product G(x)d it computed."""
+    Gd = point.hess_vec(d)
     d_gd = float(d @ Gd)
     if not 0.0 < d_gd < np.inf:
         raise CurvatureError(f"d'Gd = {d_gd} is not positive and finite")
@@ -149,39 +148,38 @@ def armijo_wolfe_search(oracle: ObjectiveOracle, x: np.ndarray, d: np.ndarray,
     if gd >= 0.0:
         raise DomainError(f"line search needs a descent direction, g'd = {gd}")
     c1, c2 = params.c1, params.c2
-    evals_f = evals_g = 0
+    evals = 0  # f and g requests, against the budget
     t = 1.0
     lo = 0.0          # best Armijo-satisfying point so far (Wolfe failed there)
     f_lo, gd_lo = f0, gd
     hi = None         # smallest Armijo-failing step
     f_hi = None
-    best = None       # (t, f, g) with the lowest Armijo-satisfying f
+    best = None       # (t, f, g, point) with the lowest Armijo-satisfying f
 
     def _bail() -> StepOutcome:
         if best is not None:
             tb, fb, gb, pb = best
-            return StepOutcome(t=tb, kind="line_search", evals_f=evals_f,
-                               evals_g=evals_g, warning=True, f_new=fb, g_new=gb,
-                               point=pb)
+            return StepOutcome(t=tb, kind="line_search", warning=True, f_new=fb,
+                               g_new=gb, point=pb)
         raise LineSearchError(f"no Armijo step within {params.max_evals} evaluations")
 
     while True:
-        if evals_f + evals_g >= params.max_evals:
+        if evals >= params.max_evals:
             return _bail()
         pt = oracle.at(x + t * d)
         ft = float(pt.value())
-        evals_f += 1
+        evals += 1
         if armijo_check(f0, ft, t, gd, c1):
-            if evals_f + evals_g >= params.max_evals:
+            if evals >= params.max_evals:
                 if best is None or ft < best[1]:
                     best = (t, ft, None, pt)
                 return _bail()
             gt = pt.gradient()
-            evals_g += 1
+            evals += 1
             gdt = float(gt @ d)
             if wolfe_check(gdt, gd, c2):
-                return StepOutcome(t=t, kind="line_search", evals_f=evals_f,
-                                   evals_g=evals_g, f_new=ft, g_new=gt, point=pt)
+                return StepOutcome(t=t, kind="line_search", f_new=ft, g_new=gt,
+                                   point=pt)
             if best is None or ft < best[1]:
                 best = (t, ft, gt, pt)
             lo, f_lo, gd_lo = t, ft, gdt
@@ -218,17 +216,13 @@ def hybrid_select(oracle: ObjectiveOracle, x: np.ndarray, d: np.ndarray,
     when one is given."""
     if gd >= 0.0:
         raise DomainError(f"hybrid selection needs a descent direction, g'd = {gd}")
-    evals_f = 0
     for cand in candidates:
         pt = oracle.at(x + cand * d)
         ft = float(pt.value())
-        evals_f += 1
         if armijo_check(f0, ft, cand, gd, c1):
-            return StepOutcome(t=cand, kind="hybrid_candidate",
-                               evals_f=evals_f, f_new=ft, point=pt)
-    t, delta, eta, Gd = _adaptive(oracle, x, d, rho, point)
-    return StepOutcome(t=t, kind="hybrid_fallback", evals_f=evals_f,
-                       evals_hv=1, delta=delta, eta=eta, hv=Gd)
+            return StepOutcome(t=cand, kind="hybrid_candidate", f_new=ft, point=pt)
+    t, delta, eta, Gd = _adaptive(oracle.at(x) if point is None else point, d, rho)
+    return StepOutcome(t=t, kind="hybrid_fallback", delta=delta, eta=eta, hv=Gd)
 
 
 def choose_step(rule: StepRule, oracle: ObjectiveOracle, x: np.ndarray,
@@ -237,8 +231,8 @@ def choose_step(rule: StepRule, oracle: ObjectiveOracle, x: np.ndarray,
     """Dispatch a step rule; the uniform entry point used by the driver,
     which passes the evaluation point at x as ``point``."""
     if isinstance(rule, Adaptive):
-        t, delta, eta, Gd = _adaptive(oracle, x, d, rho, point)
-        return StepOutcome(t=t, kind="adaptive", evals_hv=1, delta=delta, eta=eta, hv=Gd)
+        t, delta, eta, Gd = _adaptive(oracle.at(x) if point is None else point, d, rho)
+        return StepOutcome(t=t, kind="adaptive", delta=delta, eta=eta, hv=Gd)
     if isinstance(rule, Constant):
         return StepOutcome(t=rule.alpha, kind="constant")
     if isinstance(rule, ArmijoWolfe):

@@ -91,24 +91,37 @@ class SampledBatchOracle(ObjectiveOracle):
     def size(self) -> int:
         return self.X.shape[0]
 
-    def value(self, x) -> float:
-        w = self._check(x)
-        r = self.Y - self.X @ w
-        return float(r @ r) / self.size + 0.5 * self.lam * float(w @ w)
-
-    def gradient(self, x) -> np.ndarray:
-        w = self._check(x)
-        r = self.Y - self.X @ w
-        return -(2.0 / self.size) * (self.X.T @ r) + self.lam * w
-
-    def hess_vec(self, x, d) -> np.ndarray:
-        self._check(x)
-        d = self._check(d, "d")
-        return (2.0 / self.size) * (self.X.T @ (self.X @ d)) + self.lam * d
+    def at(self, x) -> "_BatchPoint":
+        return _BatchPoint(self, self._check(x))
 
     def dense_hessian(self, x) -> np.ndarray:
         self._check(x)
         return (2.0 / self.size) * (self.X.T @ self.X) + self.lam * np.eye(self.dim)
+
+
+class _BatchPoint:
+    """One batch at w: the residual r = Y - Xw, shared by ``value`` and
+    ``gradient``, is computed once."""
+
+    __slots__ = ("_obj", "_w", "_r")
+
+    def __init__(self, obj: SampledBatchOracle, w: np.ndarray):
+        self._obj = obj
+        self._w = w
+        self._r = obj.Y - obj.X @ w
+
+    def value(self) -> float:
+        obj, w, r = self._obj, self._w, self._r
+        return float(r @ r) / obj.size + 0.5 * obj.lam * float(w @ w)
+
+    def gradient(self) -> np.ndarray:
+        obj = self._obj
+        return -(2.0 / obj.size) * (obj.X.T @ self._r) + obj.lam * self._w
+
+    def hess_vec(self, d) -> np.ndarray:
+        obj = self._obj
+        d = obj._check(d, "d")
+        return (2.0 / obj.size) * (obj.X.T @ (obj.X @ d)) + obj.lam * d
 
 
 class OnlineSampler:

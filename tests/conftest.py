@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from adaptqn import (Adaptive, BfgsDense, Hybrid, LogisticObjective, Newton,
                      ReferenceOptimum, RunConfig, run, synth_logistic)
@@ -17,6 +18,11 @@ def desk_dataset():
 @pytest.fixture(scope="session")
 def desk_logistic(desk_dataset):
     return LogisticObjective(desk_dataset)
+
+
+# Derandomized so the suite sees the same examples on every run.
+property_test = settings(derandomize=True, database=None, deadline=None,
+                         max_examples=100)
 
 
 def sym(H):

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from adaptqn import (BfgsDense, CurvatureError, GradientDescent, LBfgs,
-                     Newton, NumericalError,
-                     QuadraticObjective, bfgs_update_dense, compute_direction,
+                     Newton, NumericalError, ObjectiveOracle,
+                     QuadraticObjective, UnsupportedOperationError,
+                     bfgs_update_dense, compute_direction,
                      default_lbfgs_memory, identity_scaling_factor, ingest_pair,
                      new_state, two_loop_direction)
-from conftest import sym
+from conftest import property_test, sym
 
 
 def random_spd(rng, n, lo=0.5, hi=3.0):
@@ -23,11 +24,6 @@ def explicit_bfgs_update(H, s, y):
     coeff = (1.0 + float(y @ Hy) / sy) / sy
     Hp = H - (np.outer(s, Hy) + np.outer(Hy, s)) / sy + coeff * np.outer(s, s)
     return 0.5 * (Hp + Hp.T)
-
-
-# Derandomized so the suite sees the same examples on every run.
-property_test = settings(derandomize=True, database=None, deadline=None,
-                         max_examples=100)
 
 
 @st.composite
@@ -76,6 +72,26 @@ def test_newton_failure_on_indefinite():
     obj = QuadraticObjective(-np.eye(3), np.zeros(3))
     with pytest.raises(NumericalError):
         compute_direction(Newton(), new_state(Newton(), 3), obj, np.ones(3), obj.gradient(np.ones(3)))
+
+
+def test_newton_direction_needs_a_dense_hessian():
+    class GradientOnly(ObjectiveOracle):
+        """A quadratic's points, without its dense Hessian."""
+
+        def __init__(self, inner):
+            self.inner = inner
+
+        @property
+        def dim(self):
+            return self.inner.dim
+
+        def at(self, x):
+            return self.inner.at(x)
+
+    obj = GradientOnly(QuadraticObjective(np.eye(3), np.ones(3)))
+    assert not obj.has_hessian
+    with pytest.raises(UnsupportedOperationError):
+        compute_direction(Newton(), new_state(Newton(), 3), obj, np.zeros(3), np.ones(3))
 
 
 def test_rho_nonpositive_raises():

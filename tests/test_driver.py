@@ -8,6 +8,7 @@ from adaptqn import (Adaptive, ArmijoWolfe, BfgsDense, Constant,
                      RunConfig, ReferenceOptimum, UnsupportedOperationError,
                      run, superlinear_report, t_settle_index)
 from adaptqn.cli import make_synthetic_quadratic
+from adaptqn.oracles import _QuadraticPoint
 
 
 def norm_ball_objective(n=3, radius=3.0):
@@ -265,9 +266,13 @@ def test_nan_objective_ends_numerical_error(direction, step):
 
 
 def test_nan_curvature_ends_numerical_error():
-    class NanHessVec(QuadraticObjective):
-        def hess_vec(self, x, d):
+    class NanHessVecPoint(_QuadraticPoint):
+        def hess_vec(self, d):
             return np.full_like(d, np.nan)
+
+    class NanHessVec(QuadraticObjective):
+        def at(self, x):
+            return NanHessVecPoint(self, self._check(x))
 
     trace = run(RunConfig(direction=BfgsDense(), step=Adaptive(), max_iters=20),
                 NanHessVec(np.eye(3), np.ones(3)))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from adaptqn import (LogisticObjective, OnlineLsExpectedObjective,
-                     QuadraticObjective, ScBoundInputs, UnsupportedOperationError,
+                     QuadraticObjective, SampledBatchOracle, ScBoundInputs,
+                     UnsupportedOperationError,
                      logistic_sc_scale, online_ls_minimizer, parse_libsvm,
                      sc_lower_f, sc_lower_gd, sc_upper_f, sc_upper_gd,
                      synth_logistic)
@@ -181,18 +182,6 @@ def test_logistic_on_matrix_without_nonzeros():
     np.testing.assert_array_equal(obj.dense_hessian(w), np.eye(5) / 3)
 
 
-def test_logistic_point_matches_oracle_bitwise():
-    rng = np.random.default_rng(3)
-    ds, _ = random_dataset(rng, 60, 11)
-    obj = LogisticObjective(ds)
-    for _ in range(5):
-        x, d = rng.normal(size=(2, 11))
-        pt = obj.at(x)
-        assert pt.value() == obj.value(x)
-        np.testing.assert_array_equal(pt.gradient(), obj.gradient(x))
-        np.testing.assert_array_equal(pt.hess_vec(d), obj.hess_vec(x, d))
-
-
 def test_logistic_point_is_order_independent():
     rng = np.random.default_rng(4)
     ds, _ = random_dataset(rng, 60, 11)
@@ -237,13 +226,88 @@ def test_logistic_point_shares_exp_bitwise(desk_logistic):
         assert gradient_first.value() == f
 
 
-def test_default_point_forwards_to_oracle():
-    obj = QuadraticObjective(np.diag([1.0, 2.0]), np.array([1.0, -1.0]))
-    x, d = np.array([0.5, 2.0]), np.array([1.0, 1.0])
-    pt = obj.at(x)
-    assert pt.value() == obj.value(x)
-    np.testing.assert_array_equal(pt.gradient(), obj.gradient(x))
-    np.testing.assert_array_equal(pt.hess_vec(d), obj.hess_vec(x, d))
+def spd_matrix(rng, n, lo, hi):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q * np.linspace(lo, hi, n)) @ q.T
+
+
+def make_logistic(rng):
+    ds, _ = random_dataset(rng, 60, 11)
+    return LogisticObjective(ds)
+
+
+def make_quadratic(rng):
+    return QuadraticObjective(spd_matrix(rng, 9, 0.5, 4.0), rng.standard_normal(9))
+
+
+def make_online_ls(rng):
+    return OnlineLsExpectedObjective(spd_matrix(rng, 7, 1.0, 9.0), rng.standard_normal(7),
+                                     0.3, noise_var=0.5)
+
+
+def make_batch(rng):
+    X = rng.standard_normal((25, 8))
+    return SampledBatchOracle(X, X @ rng.standard_normal(8) + rng.standard_normal(25), 0.2)
+
+
+ORACLES = [make_logistic, make_quadratic, make_online_ls, make_batch]
+
+
+@pytest.mark.parametrize("make", ORACLES, ids=lambda m: m.__name__[5:])
+def test_point_contract(make):
+    rng = np.random.default_rng(3)
+    obj = make(rng)
+    n = obj.dim
+    for _ in range(3):
+        x, d, e = rng.normal(size=(3, n))
+        # the derived x-methods are the point's results, bit for bit
+        pt = obj.at(x)
+        assert obj.value(x) == pt.value()
+        np.testing.assert_array_equal(obj.gradient(x), pt.gradient())
+        np.testing.assert_array_equal(obj.hess_vec(x, d), pt.hess_vec(d))
+        # the same bits whatever the order of requests
+        first = obj.at(x)
+        hv_d, hv_e, g, f = first.hess_vec(d), first.hess_vec(e), first.gradient(), first.value()
+        second = obj.at(x)
+        assert second.value() == f
+        np.testing.assert_array_equal(second.gradient(), g)
+        np.testing.assert_array_equal(second.hess_vec(e), hv_e)
+        np.testing.assert_array_equal(second.hess_vec(d), hv_d)
+    with pytest.raises(ValueError):
+        obj.at(x).hess_vec(np.ones(n + 1))
+    with pytest.raises(ValueError):
+        obj.hess_vec(x, np.ones(n + 1))
+    with pytest.raises(ValueError):
+        obj.at(np.ones(n + 1))
+
+
+def quadratic_formulas(obj, x, d):
+    """f, g and G d as QuadraticObjective computed them before it had a point."""
+    A, b = obj.A, obj.b
+    return 0.5 * float(x @ (A @ x)) + float(b @ x), A @ x + b, A @ d
+
+
+def batch_formulas(obj, w, d):
+    """f, g and G d as SampledBatchOracle computed them before it had a point."""
+    r = obj.Y - obj.X @ w
+    f = float(r @ r) / obj.size + 0.5 * obj.lam * float(w @ w)
+    g = -(2.0 / obj.size) * (obj.X.T @ r) + obj.lam * w
+    hv = (2.0 / obj.size) * (obj.X.T @ (obj.X @ d)) + obj.lam * d
+    return f, g, hv
+
+
+@pytest.mark.parametrize("make, formulas", [(make_quadratic, quadratic_formulas),
+                                            (make_batch, batch_formulas)])
+def test_point_is_bitwise_the_formulas(make, formulas):
+    rng = np.random.default_rng(16)
+    obj = make(rng)
+    for x in (np.zeros(obj.dim), rng.standard_normal(obj.dim)):
+        d = rng.standard_normal(obj.dim)
+        f, g, hv = formulas(obj, x, d)
+        pt = obj.at(x)
+        assert pt.value() == f
+        np.testing.assert_array_equal(pt.gradient(), g)
+        np.testing.assert_array_equal(pt.hess_vec(d), hv)
 
 
 def test_quadratic_identities():

@@ -3,31 +3,45 @@ import pytest
 
 from adaptqn import (Adaptive, ArmijoWolfe, Constant, CurvatureError,
                      DomainError, Hybrid, LineSearchError, LogisticObjective,
-                     QuadraticObjective, adaptive_step_size, armijo_check,
-                     armijo_wolfe_search, choose_step, hybrid_select, omega,
-                     synth_logistic, wolfe_check)
+                     ObjectiveOracle, QuadraticObjective, adaptive_step_size,
+                     armijo_check, armijo_wolfe_search, choose_step,
+                     hybrid_select, omega, synth_logistic, wolfe_check)
 from adaptqn.directions import GradientDescent, compute_direction, new_state
+from adaptqn.oracles import _QuadraticPoint
 
 
-class CountingWrapper:
+class CountingWrapper(ObjectiveOracle):
+    """Counts the value/gradient/hess_vec requests made on the points
+    it returns."""
+
     def __init__(self, inner):
         self.inner = inner
         self.n_f = self.n_g = self.n_hv = 0
 
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
+    @property
+    def dim(self):
+        return self.inner.dim
 
-    def value(self, x):
-        self.n_f += 1
-        return self.inner.value(x)
+    def at(self, x):
+        return CountingPoint(self, self.inner.at(x))
 
-    def gradient(self, x):
-        self.n_g += 1
-        return self.inner.gradient(x)
 
-    def hess_vec(self, x, d):
-        self.n_hv += 1
-        return self.inner.hess_vec(x, d)
+class CountingPoint:
+    def __init__(self, counts, inner):
+        self.counts = counts
+        self.inner = inner
+
+    def value(self):
+        self.counts.n_f += 1
+        return self.inner.value()
+
+    def gradient(self):
+        self.counts.n_g += 1
+        return self.inner.gradient()
+
+    def hess_vec(self, d):
+        self.counts.n_hv += 1
+        return self.inner.hess_vec(d)
 
 
 def test_armijo_check_boundary_and_failure():
@@ -104,7 +118,7 @@ def test_armijo_wolfe_immediate_accept():
                               ArmijoWolfe(c1=0.1, c2=0.75))
     assert out.t == 1.0
     assert out.kind == "line_search"
-    assert (out.evals_f, out.evals_g) == (1, 1)
+    assert (obj.n_f, obj.n_g) == (1, 1)
     assert not out.warning
 
 
@@ -147,11 +161,16 @@ def test_armijo_wolfe_precondition():
         armijo_wolfe_search(obj, np.ones(2), np.ones(2), 1.0, 1.0, ArmijoWolfe())
 
 
+class UnitValuePoint(_QuadraticPoint):
+    def value(self):
+        return 1.0
+
+
 class NeverDecreases(QuadraticObjective):
     """Claims descent via gradient but the value never drops (stub)."""
 
-    def value(self, x):
-        return 1.0
+    def at(self, x):
+        return UnitValuePoint(self, self._check(x))
 
 
 def test_armijo_wolfe_budget_failure():
@@ -221,7 +240,7 @@ def test_hybrid_accepts_unit_step_on_quadratic():
     out = hybrid_select(obj, x, d, f0, gd, rho=-gd, c1=0.5)
     assert out.t == 1.0
     assert out.kind == "hybrid_candidate"
-    assert out.evals_f == 1 and obj.n_hv == 0
+    assert obj.n_f == 1 and obj.n_hv == 0
 
 
 def test_hybrid_falls_back_to_adaptive():
@@ -235,7 +254,7 @@ def test_hybrid_falls_back_to_adaptive():
     f0 = obj.inner.value(x)
     out = hybrid_select(obj, x, d, f0, float(g @ d), rho)
     assert out.kind == "hybrid_fallback"
-    assert out.evals_f == 3 and out.evals_hv == 1 and obj.n_hv == 1
+    assert obj.n_f == 3 and obj.n_hv == 1
     t_direct, delta, eta = adaptive_step_size(obj.inner, x, d, rho)
     assert out.t == pytest.approx(t_direct, rel=1e-14)
     assert out.eta == pytest.approx(eta, rel=1e-14)
