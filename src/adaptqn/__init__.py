@@ -19,15 +19,14 @@ from .oracles import (LogisticObjective, ObjectiveOracle,
                       OnlineLsExpectedObjective, OraclePoint,
                       QuadraticObjective, logistic_sc_scale,
                       online_ls_minimizer)
-from .sc import (AdaptiveQuantities, ScBoundInputs, adaptive_quantities,
-                 adaptive_step, omega, sc_lower_f, sc_lower_gd, sc_upper_f,
-                 sc_upper_gd, standard_scale_factor)
+from .sc import (ScBoundInputs, adaptive_step, omega, sc_lower_f, sc_lower_gd,
+                 sc_upper_f, sc_upper_gd)
 from .steps import (Adaptive, ArmijoWolfe, Constant, Hybrid, StepOutcome,
                     adaptive_step_size, armijo_check, armijo_wolfe_search,
                     choose_step, hybrid_select, wolfe_check)
 from .stochastic import (CONSTANT_STEP_SIZES, ConstantBatch, GrowingBatch,
-                         OnlineSampler, SampledBatchOracle, StochasticConfig,
-                         batch_size, draw_batch, make_sparse_beta,
-                         make_synthetic_sigma, stochastic_run)
+                         OnlineSampler, SampledBatchOracle, batch_size,
+                         draw_batch, make_sparse_beta, make_synthetic_sigma,
+                         stochastic_run)
 
 __version__ = "0.1.0"

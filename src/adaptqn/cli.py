@@ -144,7 +144,7 @@ def _method_config(method: str, n: int, args, identity_scaling: bool) -> RunConf
     elif family == "bfgs":
         direction = BfgsDense(identity_scaling=identity_scaling)
     elif family == "lbfgs":
-        mem = args.lbfgs_memory or default_lbfgs_memory(n)
+        mem = default_lbfgs_memory(n) if args.lbfgs_memory is None else args.lbfgs_memory
         direction = LBfgs(memory=mem, identity_scaling=identity_scaling)
     else:
         raise UsageError(f"unknown method {method!r}")
@@ -194,34 +194,35 @@ def cmd_bench(args) -> int:
             raise UsageError(f"unknown method {m!r}")
     oracle = _build_oracle(args)
     scaling_grid = {"on": [True], "off": [False], "both": [False, True]}[args.identity_scaling]
+    # built before any run, so that an invalid flag is a usage error
+    grid = [(method, identity_scaling, _method_config(method, oracle.dim, args, identity_scaling))
+            for identity_scaling in scaling_grid for method in methods]
     os.makedirs(args.out, exist_ok=True)
     rows = [SUMMARY_HEADER]
     worst = EXIT_OK
-    for identity_scaling in scaling_grid:
-        for method in methods:
-            tag = f"{method}-scaled" if identity_scaling else method
-            try:
-                config = _method_config(method, oracle.dim, args, identity_scaling)
-                trace = run(config, oracle)
-            except (OptimError, ValueError) as exc:
-                rows.append(f"{method},{int(identity_scaling)},,,error: {exc},")
-                worst = EXIT_ERROR
-                continue
-            write_trace_csv(os.path.join(args.out, f"{tag}.csv"), trace)
-            settle = ""
-            if not isinstance(config.step, Constant):
-                idx = t_settle_index(trace.step_sizes())
-                settle = "" if idx is None else str(idx)
-            rows.append(",".join([
-                method, str(int(identity_scaling)), str(trace.iterations),
-                _fmt(trace.final.gnorm), trace.termination.kind, settle,
-            ]))
-            print(_summary_line(tag, trace))
-            kind = trace.termination.kind
-            if kind == "numerical_error":
-                worst = EXIT_ERROR
-            elif kind in ("max_iters", "time_budget") and worst == EXIT_OK:
-                worst = EXIT_BUDGET
+    for method, identity_scaling, config in grid:
+        tag = f"{method}-scaled" if identity_scaling else method
+        try:
+            trace = run(config, oracle)
+        except (OptimError, ValueError) as exc:
+            rows.append(f"{method},{int(identity_scaling)},,,error: {exc},")
+            worst = EXIT_ERROR
+            continue
+        write_trace_csv(os.path.join(args.out, f"{tag}.csv"), trace)
+        settle = ""
+        if not isinstance(config.step, Constant):
+            idx = t_settle_index(trace.step_sizes())
+            settle = "" if idx is None else str(idx)
+        rows.append(",".join([
+            method, str(int(identity_scaling)), str(trace.iterations),
+            _fmt(trace.final.gnorm), trace.termination.kind, settle,
+        ]))
+        print(_summary_line(tag, trace))
+        kind = trace.termination.kind
+        if kind == "numerical_error":
+            worst = EXIT_ERROR
+        elif kind in ("max_iters", "time_budget") and worst == EXIT_OK:
+            worst = EXIT_BUDGET
     _write_file(os.path.join(args.out, "summary.csv"), "\n".join(rows) + "\n")
     return worst
 
@@ -347,7 +348,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except ValueError as exc:
         # a configuration the library refuses, such as dense BFGS above
-        # BfgsDense.max_dense_dim or a negative iteration budget
+        # MAX_DENSE_DIM or a negative iteration budget
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -35,6 +35,7 @@ __all__ = [
     "BfgsDense",
     "LBfgs",
     "DirectionRule",
+    "MAX_DENSE_DIM",
     "InverseHessianState",
     "default_lbfgs_memory",
     "new_state",
@@ -48,6 +49,10 @@ __all__ = [
 
 # Relative floor under which a curvature pair is considered degenerate.
 PAIR_REJECT_RTOL = 1e-12
+
+# Explicit H costs O(n^2) memory; above this dimension the driver
+# refuses dense BFGS and suggests the two-loop form instead.
+MAX_DENSE_DIM = 5000
 
 # LAPACK Cholesky factor and solve, called directly: the scipy.linalg
 # cho_factor/cho_solve wrappers make the same two calls but re-validate
@@ -68,19 +73,14 @@ class Newton:
 @dataclass(frozen=True)
 class BfgsDense:
     identity_scaling: bool = False
-    # Explicit H costs O(n^2) memory; above this the driver refuses and
-    # suggests the two-loop form instead.
-    max_dense_dim: int = 5000
 
 
 @dataclass(frozen=True)
 class LBfgs:
     # How many of the newest pairs to keep; None keeps every pair.
     memory: Optional[int]
+    # Scale h0 by s'y/y'y of the newest pair.
     identity_scaling: bool = False
-    # "first": freeze h0 from the first accepted pair; "latest": refresh
-    # from the newest pair every iteration.
-    h0_refresh: str = "latest"
 
     def __post_init__(self):
         if self.memory is not None and self.memory < 1:
@@ -184,10 +184,10 @@ def two_loop_direction(pairs, h0_scale: float, g: np.ndarray) -> np.ndarray:
     return -r
 
 
-def compute_direction(rule: DirectionRule, state: InverseHessianState,
-                      oracle: ObjectiveOracle, x: np.ndarray,
-                      g: np.ndarray) -> tuple[np.ndarray, float]:
-    """Direction d = -Hg and rho = -g'd for the rule's current H."""
+def compute_direction(state: InverseHessianState, oracle: ObjectiveOracle,
+                      x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
+    """Direction d = -Hg and rho = -g'd for the current H of ``state.rule``."""
+    rule = state.rule
     if isinstance(rule, GradientDescent):
         d = -g
     elif isinstance(rule, Newton):
@@ -225,7 +225,6 @@ def ingest_pair(state: InverseHessianState, s: np.ndarray, y: np.ndarray) -> boo
     else:
         state.pairs.append((s.copy(), y.copy(), sy))
         if rule.identity_scaling:
-            if rule.h0_refresh == "latest" or not state.first_update_done:
-                state.h0_scale = identity_scaling_factor(s, y)
+            state.h0_scale = identity_scaling_factor(s, y)
     state.first_update_done = True
     return True

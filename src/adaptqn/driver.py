@@ -11,8 +11,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .directions import (BfgsDense, DirectionRule, LBfgs, Newton,
-                         compute_direction, ingest_pair, new_state)
+from .directions import (MAX_DENSE_DIM, BfgsDense, DirectionRule, LBfgs,
+                         Newton, compute_direction, ingest_pair, new_state)
 from .errors import NumericalError, OptimError, UnsupportedOperationError
 from .oracles import ObjectiveOracle
 from .steps import Adaptive, Constant, StepRule, choose_step
@@ -56,13 +56,13 @@ class RunConfig:
     reference: Optional[ReferenceOptimum] = None
 
     def __post_init__(self):
-        if self.grad_tol <= 0:
+        if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     k: int
     f: float
@@ -86,9 +86,11 @@ class Termination:
 
 @dataclass
 class Trace:
-    # config is a RunConfig, or a StochasticConfig for stochastic runs;
-    # both expose .step and .reference, which is all diagnostics need.
-    config: object
+    """What one ``run`` did. ``config`` is the RunConfig that was run; a
+    stochastic run's method shows as its direction. ``records`` holds one
+    record per step plus a terminal one."""
+
+    config: RunConfig
     records: list[IterationRecord] = field(default_factory=list)
     termination: Termination = Termination("max_iters")
     final_x: Optional[np.ndarray] = None
@@ -180,10 +182,8 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
         raise ValueError(f"x0 has shape {x.shape}, oracle dimension is {n}")
     if isinstance(config.direction, Newton) and not oracle.has_hessian:
         raise UnsupportedOperationError("Newton direction requires has_hessian")
-    if isinstance(config.direction, BfgsDense) and n > config.direction.max_dense_dim:
-        raise ValueError(
-            f"dense BFGS refused for n = {n} > {config.direction.max_dense_dim}; "
-            "use LBfgs")
+    if isinstance(config.direction, BfgsDense) and n > MAX_DENSE_DIM:
+        raise ValueError(f"dense BFGS refused for n = {n} > {MAX_DENSE_DIM}; use LBfgs")
     fixed = batches is None
     if not (fixed or isinstance(config.step, (Adaptive, Constant))):
         # a line search would compare batch trial values with the measured f
@@ -246,7 +246,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
                 return trace
 
         try:
-            d, rho = compute_direction(config.direction, state, co, x, step_g)
+            d, rho = compute_direction(state, co, x, step_g)
             # positional: wrappers of choose_step may forward *args only
             outcome = choose_step(config.step, co, x, d, f, step_g, rho, step_point)
             if not (math.isfinite(rho) and math.isfinite(outcome.t)):
@@ -256,7 +256,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
             return trace
 
         x_new = x + outcome.t * d
-        if fixed and np.array_equal(x_new, x):
+        if fixed and (x_new == x).all():
             # t*d fell below the resolution of x; the loop is deterministic,
             # so no future iteration can make progress either
             _terminal(k, f, gnorm, Termination(

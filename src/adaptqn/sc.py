@@ -16,16 +16,13 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "AdaptiveQuantities",
     "ScBoundInputs",
     "omega",
     "adaptive_step",
-    "adaptive_quantities",
     "sc_upper_f",
     "sc_lower_f",
     "sc_lower_gd",
     "sc_upper_gd",
-    "standard_scale_factor",
 ]
 
 # Below this threshold the series expansion of z - log1p(z) is exact to
@@ -75,27 +72,6 @@ def adaptive_step(rho, delta):
 
 
 @dataclass(frozen=True)
-class AdaptiveQuantities:
-    """Per-iteration scalars of the adaptive method.
-
-    rho = g'Hg = -g'd, delta = ||d||_x, eta = rho/delta, and the step
-    t = rho/((rho+delta)*delta) = (eta/delta)/(1+eta).
-    """
-
-    rho: float
-    delta: float
-    eta: float
-    step: float
-
-
-def adaptive_quantities(rho, delta) -> AdaptiveQuantities:
-    """Bundle (rho, delta) with the derived eta and step size."""
-    t = adaptive_step(rho, delta)
-    return AdaptiveQuantities(rho=float(rho), delta=float(delta),
-                              eta=float(rho) / float(delta), step=t)
-
-
-@dataclass(frozen=True)
 class ScBoundInputs:
     """Inputs shared by the four ray bounds: f0 = f(x), gd = g(x)'d,
     delta = ||d||_x, and the step length t."""
@@ -139,9 +115,3 @@ def sc_upper_gd(gd0, delta, t) -> float:
         raise DomainError(f"upper bound requires t*delta < 1, got {u}")
     return gd0 + delta * delta * t / (1.0 - u)
 
-
-def standard_scale_factor(kappa) -> float:
-    """Multiplier kappa^2/4 that renders a kappa-self-concordant f standard."""
-    if kappa <= 0:
-        raise DomainError(f"kappa must be positive, got {kappa}")
-    return kappa * kappa / 4.0

@@ -27,9 +27,6 @@ __all__ = [
     "choose_step",
 ]
 
-DEFAULT_HYBRID_CANDIDATES = (1.0, 0.25, 0.0625)
-
-
 @dataclass(frozen=True)
 class Adaptive:
     pass
@@ -61,7 +58,7 @@ class ArmijoWolfe:
 
 @dataclass(frozen=True)
 class Hybrid:
-    candidates: tuple[float, ...] = DEFAULT_HYBRID_CANDIDATES
+    candidates: tuple[float, ...] = (1.0, 0.25, 0.0625)
     c1: float = 0.1
 
 
@@ -103,20 +100,13 @@ def wolfe_check(gd1: float, gd0: float, c2: float) -> bool:
     return gd1 >= c2 * gd0
 
 
-def adaptive_step_size(oracle: ObjectiveOracle, x: np.ndarray, d: np.ndarray,
-                       rho: float, point: OraclePoint | None = None
-                       ) -> tuple[float, float, float]:
-    """(t, delta, eta) for the curvature-adaptive rule.
+def adaptive_step_size(point: OraclePoint, d: np.ndarray, rho: float
+                       ) -> tuple[float, float, float, np.ndarray]:
+    """(t, delta, eta, G(x)d) for the curvature-adaptive rule at the
+    evaluation point at x.
 
-    Costs exactly one Hessian-vector product: delta^2 = d'G(x)d, taken
-    from ``point`` (the evaluation point at x) when one is given, else
-    from ``oracle.at(x)``.
+    Costs exactly one Hessian-vector product: delta^2 = d'G(x)d.
     """
-    return _adaptive(oracle.at(x) if point is None else point, d, rho)[:3]
-
-
-def _adaptive(point: OraclePoint, d: np.ndarray, rho: float):
-    """``adaptive_step_size`` at ``point`` plus the product G(x)d it computed."""
     Gd = point.hess_vec(d)
     d_gd = float(d @ Gd)
     if not 0.0 < d_gd < np.inf:
@@ -207,37 +197,35 @@ def _bracket_step(lo: float, f_lo: float, gd_lo: float, hi: float, f_hi: float) 
 
 
 def hybrid_select(oracle: ObjectiveOracle, x: np.ndarray, d: np.ndarray,
-                  f0: float, gd: float, rho: float,
-                  candidates=DEFAULT_HYBRID_CANDIDATES, c1: float = 0.1,
-                  point: OraclePoint | None = None) -> StepOutcome:
-    """Try the fixed candidates in order against Armijo; fall back to
-    the adaptive step when none passes. One f evaluation per candidate;
-    the Hessian-vector product is paid only on fallback, at ``point``
-    when one is given."""
+                  f0: float, gd: float, rho: float, rule: Hybrid,
+                  point: OraclePoint) -> StepOutcome:
+    """Try ``rule.candidates`` in order against Armijo with ``rule.c1``;
+    fall back to the adaptive step when none passes. One f evaluation
+    per candidate, at ``oracle.at(x + t d)``; the Hessian-vector product
+    is paid only on fallback, at ``point``, the evaluation point at x."""
     if gd >= 0.0:
         raise DomainError(f"hybrid selection needs a descent direction, g'd = {gd}")
-    for cand in candidates:
+    for cand in rule.candidates:
         pt = oracle.at(x + cand * d)
         ft = float(pt.value())
-        if armijo_check(f0, ft, cand, gd, c1):
+        if armijo_check(f0, ft, cand, gd, rule.c1):
             return StepOutcome(t=cand, kind="hybrid_candidate", f_new=ft, point=pt)
-    t, delta, eta, Gd = _adaptive(oracle.at(x) if point is None else point, d, rho)
+    t, delta, eta, Gd = adaptive_step_size(point, d, rho)
     return StepOutcome(t=t, kind="hybrid_fallback", delta=delta, eta=eta, hv=Gd)
 
 
 def choose_step(rule: StepRule, oracle: ObjectiveOracle, x: np.ndarray,
                 d: np.ndarray, f0: float, g: np.ndarray, rho: float,
-                point: OraclePoint | None = None) -> StepOutcome:
-    """Dispatch a step rule; the uniform entry point used by the driver,
-    which passes the evaluation point at x as ``point``."""
+                point: OraclePoint) -> StepOutcome:
+    """Dispatch a step rule; the uniform entry point used by the driver.
+    ``point`` is the evaluation point at x."""
     if isinstance(rule, Adaptive):
-        t, delta, eta, Gd = _adaptive(oracle.at(x) if point is None else point, d, rho)
+        t, delta, eta, Gd = adaptive_step_size(point, d, rho)
         return StepOutcome(t=t, kind="adaptive", delta=delta, eta=eta, hv=Gd)
     if isinstance(rule, Constant):
         return StepOutcome(t=rule.alpha, kind="constant")
     if isinstance(rule, ArmijoWolfe):
         return armijo_wolfe_search(oracle, x, d, f0, float(g @ d), rule)
     if isinstance(rule, Hybrid):
-        return hybrid_select(oracle, x, d, f0, float(g @ d), rho,
-                             rule.candidates, rule.c1, point)
+        return hybrid_select(oracle, x, d, f0, float(g @ d), rho, rule, point)
     raise TypeError(f"unknown step rule {rule!r}")

@@ -6,14 +6,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from .directions import BfgsDense, GradientDescent, Newton
 from .driver import ReferenceOptimum, RunConfig, Trace, run
 from .oracles import ObjectiveOracle, OnlineLsExpectedObjective, online_ls_minimizer
-from .steps import StepRule
 
 __all__ = [
     "CONSTANT_STEP_SIZES",
@@ -22,7 +21,6 @@ __all__ = [
     "GrowingBatch",
     "BatchSchedule",
     "SampledBatchOracle",
-    "StochasticConfig",
     "batch_size",
     "draw_batch",
     "stochastic_run",
@@ -145,7 +143,6 @@ class OnlineSampler:
         self.sigma = sigma
         self.beta = beta
         self.lam = float(lam)
-        self.seed = seed
         self.noise_scale = float(noise_scale)
         self._chol = chol
         self._rng = np.random.default_rng(seed)
@@ -169,18 +166,6 @@ def draw_batch(sampler: OnlineSampler, size: int) -> SampledBatchOracle:
     return SampledBatchOracle(X, Y, sampler.lam)
 
 
-@dataclass(frozen=True)
-class StochasticConfig:
-    """Snapshot of a stochastic run, stored on its Trace."""
-
-    method: str
-    schedule: BatchSchedule
-    step: StepRule
-    budget: int
-    seed: int
-    reference: Optional[ReferenceOptimum] = None
-
-
 _DIRECTIONS = {"sgd": GradientDescent(), "snewton": Newton(), "sbfgs": BfgsDense()}
 
 
@@ -195,7 +180,9 @@ def stochastic_run(method: str, schedule: BatchSchedule, step_rule,
     direction, curvature and (for SBFGS) the update pair (d, G_hat d)
     all come from that batch; the trace's f, gnorm, log-gap and
     err_ratio columns are measured against the expected objective and
-    its closed-form minimizer.
+    its closed-form minimizer. ``Trace.config`` is the ``RunConfig`` that
+    was run: the method shows as its direction, and ``max_iters`` is
+    ``budget``.
     """
     if method not in _DIRECTIONS:
         raise ValueError(f"unknown stochastic method {method!r}")
@@ -204,17 +191,17 @@ def stochastic_run(method: str, schedule: BatchSchedule, step_rule,
     ref = ReferenceOptimum(x=w_star, f=expected.value(w_star))
     config = RunConfig(direction=_DIRECTIONS[method], step=step_rule, max_iters=budget,
                        max_seconds=max_seconds, x0=x0, reference=ref)
-    trace = run(config, expected,
-                batches=lambda k: draw_batch(sampler, batch_size(schedule, k)))
-    trace.config = StochasticConfig(method=method, schedule=schedule, step=step_rule,
-                                    budget=budget, seed=sampler.seed, reference=ref)
-    return trace
+    return run(config, expected,
+               batches=lambda k: draw_batch(sampler, batch_size(schedule, k)))
 
 
 def make_synthetic_sigma(p: int, seed: int, eig_low: float = 1.0,
                          eig_high: float = 100.0) -> np.ndarray:
     """Synthetic SPD covariance Q diag(lam) Q' with a log-uniform
-    spectrum on [eig_low, eig_high]."""
+    spectrum on [eig_low, eig_high], 0 < eig_low <= eig_high < inf."""
+    if not 0.0 < eig_low <= eig_high < math.inf:
+        raise ValueError(f"need 0 < eig_low <= eig_high < inf, got "
+                         f"eig_low = {eig_low}, eig_high = {eig_high}")
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((p, p)))
     eigs = np.exp(rng.uniform(np.log(eig_low), np.log(eig_high), size=p))

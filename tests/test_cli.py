@@ -72,7 +72,7 @@ def test_run_non_finite_objective_exits_1(tmp_path, monkeypatch):
 
 
 def test_refused_configuration_is_usage_error(tmp_path, capsys):
-    # the driver refuses dense BFGS above BfgsDense.max_dense_dim (5000)
+    # the driver refuses dense BFGS above MAX_DENSE_DIM (5000)
     rc = main(["run", "--method", "bfgs-a", "--synthetic-logistic", "N=4,n=5001",
                "--out", str(tmp_path)])
     assert rc == 64
@@ -221,3 +221,19 @@ def test_csv_missing_optionals_are_empty(tmp_path):
     assert len(cells) == len(TRACE_HEADER.split(","))
     assert cells[3] == "" and cells[4] == ""  # terminal t and eta
     assert cells[10] == "" and cells[11] == ""  # no reference: log_gap, err_ratio
+
+
+@pytest.mark.parametrize("argv, csv_name", [
+    (["run", "--method", "gd-a", "--synthetic-quadratic", "dim=3",
+      "--grad-tol", "nan"], "gd-a.csv"),
+    (["run", "--method", "lbfgs-a", "--synthetic-quadratic", "dim=4",
+      "--lbfgs-memory", "0"], "lbfgs-a.csv"),
+    (["stoch", "--p", "5", "--methods", "sgd-a", "--iters", "5",
+      "--eig-low", "0"], "sgd-a.csv"),
+], ids=["grad-tol-nan", "lbfgs-memory-0", "eig-low-0"])
+def test_invalid_numeric_flag_is_usage_error(tmp_path, capsys, argv, csv_name):
+    rc = main(argv + ["--out", str(tmp_path)])
+    assert rc == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / csv_name).exists()

@@ -48,8 +48,7 @@ def nan_below_diagonal(H):
 def test_gradient_descent_direction():
     obj = QuadraticObjective(np.eye(3), np.zeros(3))
     g = np.array([1.0, -2.0, 0.5])
-    d, rho = compute_direction(GradientDescent(), new_state(GradientDescent(), 3), obj,
-                               np.zeros(3), g)
+    d, rho = compute_direction(new_state(GradientDescent(), 3), obj, np.zeros(3), g)
     np.testing.assert_array_equal(d, -g)
     assert rho == pytest.approx(g @ g)
 
@@ -62,7 +61,7 @@ def test_newton_solves_quadratic_exactly():
     obj = QuadraticObjective(A, b)
     x = rng.standard_normal(n)
     g = obj.gradient(x)
-    d, rho = compute_direction(Newton(), new_state(Newton(), n), obj, x, g)
+    d, rho = compute_direction(new_state(Newton(), n), obj, x, g)
     # unit Newton step lands on the minimizer
     assert np.linalg.norm(obj.gradient(x + d)) < 1e-10
     assert rho > 0
@@ -71,7 +70,7 @@ def test_newton_solves_quadratic_exactly():
 def test_newton_failure_on_indefinite():
     obj = QuadraticObjective(-np.eye(3), np.zeros(3))
     with pytest.raises(NumericalError):
-        compute_direction(Newton(), new_state(Newton(), 3), obj, np.ones(3), obj.gradient(np.ones(3)))
+        compute_direction(new_state(Newton(), 3), obj, np.ones(3), obj.gradient(np.ones(3)))
 
 
 def test_newton_direction_needs_a_dense_hessian():
@@ -91,7 +90,7 @@ def test_newton_direction_needs_a_dense_hessian():
     obj = GradientOnly(QuadraticObjective(np.eye(3), np.ones(3)))
     assert not obj.has_hessian
     with pytest.raises(UnsupportedOperationError):
-        compute_direction(Newton(), new_state(Newton(), 3), obj, np.zeros(3), np.ones(3))
+        compute_direction(new_state(Newton(), 3), obj, np.zeros(3), np.ones(3))
 
 
 def test_rho_nonpositive_raises():
@@ -99,16 +98,15 @@ def test_rho_nonpositive_raises():
     state = new_state(BfgsDense(), 2)
     state.H = -np.eye(2)  # corrupted state
     with pytest.raises(CurvatureError):
-        compute_direction(BfgsDense(), state, obj, np.zeros(2), np.array([1.0, 0.0]))
+        compute_direction(state, obj, np.zeros(2), np.array([1.0, 0.0]))
 
 
 def test_fresh_bfgs_equals_gradient_descent():
     obj = QuadraticObjective(np.eye(4), np.zeros(4))
     g = np.array([1.0, 2.0, 3.0, 4.0])
-    d, rho = compute_direction(BfgsDense(), new_state(BfgsDense(), 4), obj, np.zeros(4), g)
+    d, rho = compute_direction(new_state(BfgsDense(), 4), obj, np.zeros(4), g)
     np.testing.assert_array_equal(d, -g)
-    d2, _ = compute_direction(LBfgs(memory=None),
-                              new_state(LBfgs(memory=None), 4), obj, np.zeros(4), g)
+    d2, _ = compute_direction(new_state(LBfgs(memory=None), 4), obj, np.zeros(4), g)
     np.testing.assert_array_equal(d2, -g)
 
 
@@ -178,8 +176,8 @@ def test_two_loop_matches_dense_over_trajectory():
     x = rng.standard_normal(n)
     g = obj.gradient(x)
     for k in range(50):
-        d1, _ = compute_direction(dense_rule, dense_state, obj, x, g)
-        d2, _ = compute_direction(loop_rule, loop_state, obj, x, g)
+        d1, _ = compute_direction(dense_state, obj, x, g)
+        d2, _ = compute_direction(loop_state, obj, x, g)
         assert np.linalg.norm(d1 - d2) <= 1e-8 * np.linalg.norm(d1)
         x_new = x + 0.05 * d1
         g_new = obj.gradient(x_new)
@@ -258,37 +256,17 @@ def test_nan_pair_is_skipped_not_raised():
     np.testing.assert_array_equal(state.H, np.eye(2))
 
 
-def test_h0_refresh_flag_overrides():
-    rng = np.random.default_rng(8)
-    A = random_spd(rng, 3)
-    lbfgs_first = new_state(LBfgs(memory=5, identity_scaling=True, h0_refresh="first"), 3)
-    loop_latest = new_state(LBfgs(memory=None, identity_scaling=True,
-                                  h0_refresh="latest"), 3)
-    factors = []
-    for _ in range(3):
-        s = rng.standard_normal(3)
-        y = A @ s
-        factors.append(identity_scaling_factor(s, y))
-        ingest_pair(lbfgs_first, s, y)
-        ingest_pair(loop_latest, s, y)
-    assert lbfgs_first.h0_scale == pytest.approx(factors[0])
-    assert loop_latest.h0_scale == pytest.approx(factors[-1])
-
-
 def test_lbfgs_h0_refresh_modes():
     rng = np.random.default_rng(7)
     A = random_spd(rng, 3)
     latest = new_state(LBfgs(memory=5, identity_scaling=True), 3)
-    first = new_state(LBfgs(memory=None, identity_scaling=True, h0_refresh="first"), 3)
     factors = []
     for _ in range(3):
         s = rng.standard_normal(3)
         y = A @ s
         factors.append(identity_scaling_factor(s, y))
         ingest_pair(latest, s, y)
-        ingest_pair(first, s, y)
     assert latest.h0_scale == pytest.approx(factors[-1])
-    assert first.h0_scale == pytest.approx(factors[0])
 
 
 def test_default_lbfgs_memory():
@@ -330,8 +308,8 @@ def test_bfgs_never_reads_lower_triangle(case):
     assert np.all(np.isnan(poisoned.H[np.tril_indices(H.shape[0], -1)]))
     obj = QuadraticObjective(np.eye(H.shape[0]), np.zeros(H.shape[0]))
     x = np.zeros(H.shape[0])
-    d_poisoned, _ = compute_direction(BfgsDense(), poisoned, obj, x, g)
-    d_clean, _ = compute_direction(BfgsDense(), clean, obj, x, g)
+    d_poisoned, _ = compute_direction(poisoned, obj, x, g)
+    d_clean, _ = compute_direction(clean, obj, x, g)
     np.testing.assert_array_equal(d_poisoned, d_clean)
     assert np.all(np.isfinite(d_poisoned))
 
@@ -357,4 +335,4 @@ def test_rho_nan_raises():
     state = new_state(BfgsDense(), 2)
     state.H[0, 0] = np.nan
     with pytest.raises(CurvatureError):
-        compute_direction(BfgsDense(), state, obj, np.zeros(2), np.array([1.0, 0.0]))
+        compute_direction(state, obj, np.zeros(2), np.array([1.0, 0.0]))

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from adaptqn import (Adaptive, ArmijoWolfe, BfgsDense, Constant,
-                     GradientDescent, Hybrid, LBfgs, Newton, QuadraticObjective,
-                     RunConfig, ReferenceOptimum, UnsupportedOperationError,
-                     run, superlinear_report, t_settle_index)
+                     GradientDescent, Hybrid, LBfgs, LogisticObjective, Newton,
+                     QuadraticObjective, RunConfig, ReferenceOptimum,
+                     UnsupportedOperationError, run, superlinear_report,
+                     synth_logistic, t_settle_index)
 from adaptqn.cli import make_synthetic_quadratic
 from adaptqn.oracles import _QuadraticPoint
 
@@ -110,10 +111,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(direction=GradientDescent(), step=Adaptive(), grad_tol=0.0)
     with pytest.raises(ValueError):
+        RunConfig(direction=GradientDescent(), step=Adaptive(), grad_tol=math.nan)
+    with pytest.raises(ValueError):
         run(RunConfig(direction=GradientDescent(), step=Adaptive(),
                       x0=np.zeros(3)), obj)
-    with pytest.raises(ValueError):
-        run(RunConfig(direction=BfgsDense(max_dense_dim=3), step=Adaptive()), obj)
+    # dense BFGS is refused above MAX_DENSE_DIM = 5000
+    wide = LogisticObjective(synth_logistic(2, 5001, seed=0))
+    with pytest.raises(ValueError, match="dense BFGS refused"):
+        run(RunConfig(direction=BfgsDense(), step=Adaptive()), wide)
 
 
 def test_newton_requires_hessian_capability():

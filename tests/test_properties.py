@@ -1,7 +1,8 @@
 """Property tests of the paper's per-iteration guarantees for the
 adaptive step, over random SPD quadratics and small logistic problems:
 the omega decrease, Armijo with c1 = 1/2, t*delta = eta/(1+eta) < 1,
-and an honest termination kind."""
+an honest termination kind, and the secant equation H y = s after
+every curvature pair that dense BFGS accepts."""
 
 from unittest import mock
 
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 
 import adaptqn.driver as driver
 from adaptqn import (Adaptive, BfgsDense, GradientDescent, LogisticObjective,
-                     QuadraticObjective, RunConfig, choose_step, omega, run,
-                     synth_logistic)
-from conftest import property_test
+                     QuadraticObjective, RunConfig, choose_step, ingest_pair,
+                     omega, run, synth_logistic)
+from conftest import property_test, sym
 
 TERMINATION_KINDS = {"grad_tol", "max_iters", "time_budget", "numerical_error"}
 DIRECTIONS = {"gd-a": GradientDescent(), "bfgs-a": BfgsDense()}
@@ -80,3 +81,33 @@ def test_adaptive_guarantees_on_random_quadratics(problem, method):
 @given(small_logistics(), st.sampled_from(sorted(DIRECTIONS)))
 def test_adaptive_guarantees_on_small_logistic_problems(problem, method):
     check_adaptive_guarantees(*problem, method)
+
+
+def check_secant_equation(obj, x0):
+    """On a bfgs-a run, ||sym(H) y - s|| <= 1e-10 ||s|| after every
+    accepted pair (s, y)."""
+    residuals = []
+
+    def recording(state, s, y):
+        accepted = ingest_pair(state, s, y)
+        if accepted:
+            residuals.append(np.linalg.norm(sym(state.H) @ y - s) / np.linalg.norm(s))
+        return accepted
+
+    config = RunConfig(direction=BfgsDense(), step=Adaptive(), max_iters=300, x0=x0)
+    with mock.patch.object(driver, "ingest_pair", recording):
+        trace = run(config, obj)
+    assert trace.termination.kind in TERMINATION_KINDS
+    assert all(r <= 1e-10 for r in residuals), max(residuals)
+
+
+@property_test
+@given(spd_quadratics())
+def test_secant_equation_on_random_quadratics(problem):
+    check_secant_equation(*problem)
+
+
+@property_test
+@given(small_logistics())
+def test_secant_equation_on_small_logistic_problems(problem):
+    check_secant_equation(*problem)

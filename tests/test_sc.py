@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from adaptqn import (AdaptiveQuantities, DomainError, ScBoundInputs,
-                     adaptive_quantities, adaptive_step, omega, sc_lower_f,
-                     sc_lower_gd, sc_upper_f, sc_upper_gd,
-                     standard_scale_factor)
+from adaptqn import (DomainError, ScBoundInputs, adaptive_step, omega,
+                     sc_lower_f, sc_lower_gd, sc_upper_f, sc_upper_gd)
 
 # frozen 30-digit evaluations of z - log(1+z)
 OMEGA_1 = 0.306852819440054690582767878542
@@ -63,14 +61,6 @@ def test_adaptive_step_identities():
         eta = rho / delta
         assert t * delta < 1.0
         assert t == pytest.approx((eta / delta) / (1.0 + eta), rel=1e-12)
-
-
-def test_adaptive_quantities_bundle():
-    q = adaptive_quantities(4.0, 2.0)
-    assert isinstance(q, AdaptiveQuantities)
-    assert q.eta == 2.0
-    assert q.step == pytest.approx(1.0 / 3.0)
-    assert q.step * q.delta < 1.0
 
 
 def test_step_maximizes_model_decrease():
@@ -152,11 +142,3 @@ def test_bound_domain_errors():
     with pytest.raises(DomainError):
         sc_lower_gd(0.0, 1.0, -1e-9)
 
-
-def test_standard_scale_factor():
-    assert standard_scale_factor(2.0) == 1.0
-    assert standard_scale_factor(4.0) == 4.0
-    with pytest.raises(DomainError):
-        standard_scale_factor(0.0)
-    with pytest.raises(DomainError):
-        standard_scale_factor(-1.0)

@@ -79,7 +79,7 @@ def test_adaptive_step_on_norm_squared():
     r = np.linalg.norm(x)
     d = -x
     rho = r * r
-    t, delta, eta = adaptive_step_size(obj, x, d, rho)
+    t, delta, eta, _ = adaptive_step_size(obj.at(x), d, rho)
     assert obj.n_hv == 1
     assert delta == pytest.approx(r, rel=1e-14)
     assert t == pytest.approx(1.0 / (1.0 + r), rel=1e-14)
@@ -90,7 +90,7 @@ def test_adaptive_step_on_norm_squared():
 def test_adaptive_step_curvature_error():
     obj = QuadraticObjective(-np.eye(2), np.zeros(2))
     with pytest.raises(CurvatureError):
-        adaptive_step_size(obj, np.ones(2), np.ones(2), 1.0)
+        adaptive_step_size(obj.at(np.ones(2)), np.ones(2), 1.0)
 
 
 def test_adaptive_decrease_bound_on_logistic():
@@ -100,7 +100,7 @@ def test_adaptive_decrease_bound_on_logistic():
         g = obj.gradient(x)
         d = -g
         rho = float(g @ g)
-        t, delta, eta = adaptive_step_size(obj, x, d, rho)
+        t, delta, eta, _ = adaptive_step_size(obj.at(x), d, rho)
         f0 = obj.value(x)
         f1 = obj.value(x + t * d)
         assert f1 <= f0 - omega(eta) + 1e-10 * (1.0 + abs(f0))
@@ -195,7 +195,8 @@ def test_armijo_wolfe_warning_when_wolfe_unreachable_in_budget():
 def test_hybrid_precondition():
     obj = QuadraticObjective(np.eye(2), np.zeros(2))
     with pytest.raises(DomainError):
-        hybrid_select(obj, np.ones(2), np.ones(2), 1.0, 1.0, 1.0)
+        hybrid_select(obj, np.ones(2), np.ones(2), 1.0, 1.0, 1.0, Hybrid(),
+                      obj.at(np.ones(2)))
 
 
 def test_line_search_contract_on_logistic_run():
@@ -222,7 +223,8 @@ def test_accepted_trial_point_is_returned():
     x = np.zeros(15)
     g = obj.gradient(x)
     ls = armijo_wolfe_search(obj, x, -g, obj.value(x), float(-g @ g), ArmijoWolfe())
-    hy = hybrid_select(obj, x, -g, obj.value(x), float(-g @ g), float(g @ g))
+    hy = hybrid_select(obj, x, -g, obj.value(x), float(-g @ g), float(g @ g), Hybrid(),
+                       obj.at(x))
     for out in (ls, hy):
         x_new = x - out.t * g
         assert out.point.value() == out.f_new == obj.value(x_new)
@@ -237,7 +239,7 @@ def test_hybrid_accepts_unit_step_on_quadratic():
     f0 = obj.value(x)
     gd = float(-x @ x)
     obj.n_f = obj.n_hv = 0
-    out = hybrid_select(obj, x, d, f0, gd, rho=-gd, c1=0.5)
+    out = hybrid_select(obj, x, d, f0, gd, -gd, Hybrid(c1=0.5), obj.at(x))
     assert out.t == 1.0
     assert out.kind == "hybrid_candidate"
     assert obj.n_f == 1 and obj.n_hv == 0
@@ -252,10 +254,10 @@ def test_hybrid_falls_back_to_adaptive():
     d = -g
     rho = float(g @ g)
     f0 = obj.inner.value(x)
-    out = hybrid_select(obj, x, d, f0, float(g @ d), rho)
+    out = hybrid_select(obj, x, d, f0, float(g @ d), rho, Hybrid(), obj.at(x))
     assert out.kind == "hybrid_fallback"
     assert obj.n_f == 3 and obj.n_hv == 1
-    t_direct, delta, eta = adaptive_step_size(obj.inner, x, d, rho)
+    t_direct, delta, eta, _ = adaptive_step_size(obj.inner.at(x), d, rho)
     assert out.t == pytest.approx(t_direct, rel=1e-14)
     assert out.eta == pytest.approx(eta, rel=1e-14)
 
@@ -265,8 +267,8 @@ def test_hybrid_empty_candidates_is_pure_adaptive():
     x = np.array([3.0, 4.0])
     g = obj.gradient(x)
     out = hybrid_select(obj, x, -g, obj.value(x), float(-g @ g), float(g @ g),
-                        candidates=())
-    t_direct, _, _ = adaptive_step_size(obj, x, -g, float(g @ g))
+                        Hybrid(candidates=()), obj.at(x))
+    t_direct, _, _, _ = adaptive_step_size(obj.at(x), -g, float(g @ g))
     assert out.kind == "hybrid_fallback"
     assert out.t == pytest.approx(t_direct, rel=1e-14)
 
@@ -286,7 +288,7 @@ def test_adaptive_step_closed_form_in_g_H_G():
         g = obj.gradient(x)
         d = -(H @ g)
         rho = -float(g @ d)
-        t, delta, eta = adaptive_step_size(obj, x, d, rho)
+        t, delta, eta, _ = adaptive_step_size(obj.at(x), d, rho)
         gHg = float(g @ H @ g)
         gHGHg = float(g @ H @ G @ H @ g)
         want = gHg / (gHGHg + gHg * np.sqrt(gHGHg))
@@ -298,11 +300,11 @@ def test_choose_step_dispatch():
     obj = QuadraticObjective(np.eye(2), np.zeros(2))
     x = np.array([1.0, 1.0])
     g = obj.gradient(x)
-    d, rho = compute_direction(GradientDescent(), new_state(GradientDescent(), 2),
-                               obj, x, g)
+    d, rho = compute_direction(new_state(GradientDescent(), 2), obj, x, g)
     f0 = obj.value(x)
-    assert choose_step(Adaptive(), obj, x, d, f0, g, rho).kind == "adaptive"
-    assert choose_step(Constant(0.3), obj, x, d, f0, g, rho).t == 0.3
-    assert choose_step(ArmijoWolfe(), obj, x, d, f0, g, rho).kind == "line_search"
-    assert choose_step(Hybrid(), obj, x, d, f0, g, rho).kind in ("hybrid_candidate",
-                                                                 "hybrid_fallback")
+    pt = obj.at(x)
+    assert choose_step(Adaptive(), obj, x, d, f0, g, rho, pt).kind == "adaptive"
+    assert choose_step(Constant(0.3), obj, x, d, f0, g, rho, pt).t == 0.3
+    assert choose_step(ArmijoWolfe(), obj, x, d, f0, g, rho, pt).kind == "line_search"
+    assert choose_step(Hybrid(), obj, x, d, f0, g, rho, pt).kind in ("hybrid_candidate",
+                                                                     "hybrid_fallback")

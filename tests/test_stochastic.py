@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from adaptqn import (Adaptive, ArmijoWolfe, BfgsDense, Constant,
-                     ConstantBatch, GrowingBatch, OnlineSampler,
+                     ConstantBatch, GrowingBatch, Newton, OnlineSampler,
                      QuadraticObjective, RunConfig, SampledBatchOracle,
-                     StochasticConfig, batch_size,
-                     bfgs_update_dense, draw_batch, ingest_pair,
+                     batch_size, bfgs_update_dense, draw_batch, ingest_pair,
                      make_sparse_beta, make_synthetic_sigma, new_state, omega,
                      online_ls_minimizer, run, stochastic_run)
 from adaptqn.sc import adaptive_step
@@ -296,12 +295,18 @@ def test_trace_config_records_the_stochastic_run():
     schedule, step = GrowingBatch(base=5), Constant(CONSTANT_STEP_SIZES["alpha2"])
     trace = stochastic_run("snewton", schedule, step, sampler, x0=np.zeros(10), budget=7)
     cfg = trace.config
-    assert isinstance(cfg, StochasticConfig)
-    assert (cfg.method, cfg.schedule, cfg.step, cfg.budget, cfg.seed) == (
-        "snewton", schedule, step, 7, 9)
+    assert isinstance(cfg, RunConfig)
+    assert (cfg.direction, cfg.step, cfg.max_iters) == (Newton(), step, 7)
     expected = sampler.expected_objective()
     np.testing.assert_array_equal(cfg.reference.x, online_ls_minimizer(expected))
     assert cfg.reference.f == expected.value(cfg.reference.x)
+
+
+@pytest.mark.parametrize("eig_low, eig_high", [
+    (0.0, 100.0), (-1.0, 100.0), (math.nan, 100.0), (2.0, 1.0), (1.0, math.inf)])
+def test_synthetic_sigma_refuses_an_invalid_spectrum(eig_low, eig_high):
+    with pytest.raises(ValueError):
+        make_synthetic_sigma(4, seed=0, eig_low=eig_low, eig_high=eig_high)
 
 
 def test_run_on_batches_refuses_line_search():

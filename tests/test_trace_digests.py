@@ -6,8 +6,16 @@ checked in tests/test_stochastic.py."""
 
 import csv
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import adaptqn
 from adaptqn.cli import DETERMINISTIC_METHODS, STOCHASTIC_METHODS, main
+
+# The package directory's parent, for a subprocess to import the same adaptqn.
+SRC = str(Path(adaptqn.__file__).resolve().parents[1])
 
 STOCH_COLUMNS = ("k", "f", "gnorm", "t", "eta", "step_kind", "log_gap")
 
@@ -38,8 +46,8 @@ BENCH_DIGESTS = {
     "lbfgs-a.csv": "5fe1e83eae3fad6526e0cabe813244d22c77a6f66d72f740f33db2eba7bc3e5d",
     "lbfgs-ls-scaled.csv": "a0772d8a06b43fed8ec8abebf6ee4d16938f7c4ab9d7f9ac891f18b6424f8377",
     "lbfgs-ls.csv": "863286c588c73419a189ef4e373f94ee972f43f4fcf643a38785031b21aa6f3c",
-    "newton-a-scaled.csv": "bc146fd0c6f0889df8dcac8b914ff0513b002d40b14b7782aa433be32004bc6b",
-    "newton-a.csv": "bc146fd0c6f0889df8dcac8b914ff0513b002d40b14b7782aa433be32004bc6b",
+    "newton-a-scaled.csv": "b953310c0adb493d7967689285c56987666663d39aa9cfe7418600ee9694318a",
+    "newton-a.csv": "b953310c0adb493d7967689285c56987666663d39aa9cfe7418600ee9694318a",
     "summary.csv": "9280223e1fa0c6e9c8a80a6b26bdb736c07178fce69bf89938635c2332efeb34",
 }
 
@@ -64,10 +72,18 @@ def test_stochastic_traces_are_pinned(tmp_path):
 
 
 def test_deterministic_traces_are_pinned(tmp_path):
-    rc = main(["bench", "--methods", ",".join(DETERMINISTIC_METHODS),
-               "--synthetic-logistic", "N=500,n=50,seed=38", "--identity-scaling", "both",
-               "--out", str(tmp_path)])
-    assert rc == 1  # gd-ls stalls below floating-point resolution here
+    # On one BLAS thread, as the benchmark runs: newton-a's weighted Gram
+    # matrix rounds differently for each thread count.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "adaptqn.cli", "bench",
+         "--methods", ",".join(DETERMINISTIC_METHODS),
+         "--synthetic-logistic", "N=500,n=50,seed=38", "--identity-scaling", "both",
+         "--out", str(tmp_path)], env=env, capture_output=True, text=True)
+    # gd-ls stalls below floating-point resolution here
+    assert proc.returncode == 1, proc.stderr
     got = {p.name: column_digest(p, lambda c: c != "elapsed_s")
            for p in tmp_path.glob("*.csv")}
     assert got == BENCH_DIGESTS
