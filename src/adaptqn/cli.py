@@ -128,11 +128,7 @@ def _build_oracle(args):
             feature_decay=kv.get("decay", 0.6),
             max_norm=kv.get("maxnorm", 2.0))
     sc = args.sc_scale
-    if sc == "auto":
-        return LogisticObjective(ds)
-    if sc in ("1", "none"):
-        return LogisticObjective(ds, sc_scale=1.0)
-    return LogisticObjective(ds, sc_scale=float(sc))
+    return LogisticObjective(ds, None if sc == "auto" else 1.0 if sc == "none" else float(sc))
 
 
 def _method_config(method: str, n: int, args, identity_scaling: bool) -> RunConfig:

@@ -5,14 +5,14 @@ Four families: identity (gradient descent), exact inverse Hessian
 or unbounded memory. State lives in :class:`InverseHessianState`,
 owned by a single run.
 
-Symmetric matrices follow the BLAS/LAPACK convention of being held in
-their upper triangle: Newton's ``G`` is factored from it, and the dense
-BFGS matrix ``H`` is a Fortran-ordered array whose upper triangle is
-read by ``dsymv`` and updated in place by ``dsyr2``. Its strictly lower
-triangle is never read or written, so symmetry holds by construction.
-An update returns the updated matrix, which is the input array itself
-when that is Fortran-ordered float64 and a copy otherwise; callers
-always use the returned array.
+Newton solves on the evaluation point at x. The dense BFGS matrix
+``H`` is symmetric and, by the BLAS convention, held in the upper
+triangle of a Fortran-ordered array, read by ``dsymv`` and updated in
+place by ``dsyr2``. Its strictly lower triangle is never read or
+written, so symmetry holds by construction. An update returns the
+updated matrix, which is the input array itself when that is
+Fortran-ordered float64 and a copy otherwise; callers always use the
+returned array.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 from typing import Deque, Optional, Union
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 from scipy.linalg.blas import dsymv, dsyr2
 
-from .errors import CurvatureError, NumericalError
-from .oracles import ObjectiveOracle
+from .errors import CurvatureError, UnsupportedOperationError
+from .oracles import OraclePoint
 
 __all__ = [
     "GradientDescent",
@@ -44,7 +43,6 @@ __all__ = [
     "two_loop_direction",
     "identity_scaling_factor",
     "ingest_pair",
-    "spd_solve",
 ]
 
 # Relative floor under which a curvature pair is considered degenerate.
@@ -53,11 +51,6 @@ PAIR_REJECT_RTOL = 1e-12
 # Explicit H costs O(n^2) memory; above this dimension the driver
 # refuses dense BFGS and suggests the two-loop form instead.
 MAX_DENSE_DIM = 5000
-
-# LAPACK Cholesky factor and solve, called directly: the scipy.linalg
-# cho_factor/cho_solve wrappers make the same two calls but re-validate
-# their inputs on every use, which dominates small Newton solves.
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -154,20 +147,6 @@ def bfgs_update_dense(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray
     return dsyr2(1.0, s, v, a=H, overwrite_a=True)
 
 
-def spd_solve(G: np.ndarray, b: np.ndarray, what: str = "Hessian") -> np.ndarray:
-    """Solve G x = b for symmetric positive definite G by Cholesky, reading
-    the upper triangle of G. Raises NumericalError when G is not
-    numerically positive definite."""
-    c, info = _POTRF(G, lower=False, clean=False)
-    if info == 0:
-        x, info = _POTRS(c, b, lower=False)
-    if info != 0:
-        why = (f"leading minor of order {info} is not positive definite" if info > 0
-               else f"LAPACK argument {-info} is invalid")
-        raise NumericalError(f"{what} factorization failed: {why}")
-    return x
-
-
 def two_loop_direction(pairs, h0_scale: float, g: np.ndarray) -> np.ndarray:
     """d = -Hg with H the BFGS matrix built from h0_scale*I and the
     stored pairs (applied oldest first), evaluated implicitly."""
@@ -184,14 +163,18 @@ def two_loop_direction(pairs, h0_scale: float, g: np.ndarray) -> np.ndarray:
     return -r
 
 
-def compute_direction(state: InverseHessianState, oracle: ObjectiveOracle,
-                      x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
-    """Direction d = -Hg and rho = -g'd for the current H of ``state.rule``."""
+def compute_direction(state: InverseHessianState, point: OraclePoint,
+                      g: np.ndarray) -> tuple[np.ndarray, float]:
+    """Direction d = -Hg and rho = -g'd for the current H of ``state.rule``.
+    ``point`` is the evaluation point at x; Newton solves G(x) d = -g
+    with its ``solve``, and the other rules do not use it."""
     rule = state.rule
     if isinstance(rule, GradientDescent):
         d = -g
     elif isinstance(rule, Newton):
-        d = spd_solve(oracle.dense_hessian(x), -g)
+        if not hasattr(point, "solve"):
+            raise UnsupportedOperationError(f"Newton needs solve; {type(point).__name__} has none")
+        d = point.solve(-g)
     elif isinstance(rule, BfgsDense):
         d = dsymv(-1.0, state.H, g)
     elif isinstance(rule, LBfgs):

@@ -110,18 +110,15 @@ class Trace:
 
 
 class _CountingOracle:
-    """Pass-through oracle that counts the value/gradient/hess_vec
-    requests made on the points it returns. A run on batches points
-    ``inner`` at each iteration's batch, so the counts accumulate."""
+    """Pass-through oracle counting the value/gradient/hess_vec requests
+    (not ``solve``) on its points. A run on batches points ``inner`` at
+    each iteration's batch, so the counts accumulate."""
 
     def __init__(self, inner: ObjectiveOracle):
         self.inner = inner
         self.evals_f = 0
         self.evals_g = 0
         self.evals_hv = 0
-
-    def dense_hessian(self, x):
-        return self.inner.dense_hessian(x)
 
     def at(self, x):
         return _CountingPoint(self, self.inner.at(x))
@@ -145,6 +142,9 @@ class _CountingPoint:
     def hess_vec(self, d):
         self._counts.evals_hv += 1
         return self._inner.hess_vec(d)
+
+    def solve(self, b):
+        return self._inner.solve(b)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -215,13 +215,15 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
 
     for k in range(config.max_iters + 1):
         gnorm = _norm(g)
+        converged = fixed and gnorm < config.grad_tol
+        if converged:  # f is re-evaluated at the terminal point once, and counted
+            f = point.value()
         if not (math.isfinite(f) and math.isfinite(gnorm)):
             _terminal(k, f, gnorm, Termination(
                 "numerical_error", f"non-finite f = {f} or ||g|| = {gnorm} at k={k}"))
             return trace
-        if fixed and gnorm < config.grad_tol:
-            # terminal point: f is re-evaluated there once, and counted
-            _terminal(k, point.value(), gnorm, Termination("grad_tol"))
+        if converged:
+            _terminal(k, f, gnorm, Termination("grad_tol"))
             return trace
         if k >= config.max_iters:
             _terminal(k, f, gnorm, Termination("max_iters"))
@@ -246,7 +248,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
                 return trace
 
         try:
-            d, rho = compute_direction(state, co, x, step_g)
+            d, rho = compute_direction(state, step_point, step_g)
             # positional: wrappers of choose_step may forward *args only
             outcome = choose_step(config.step, co, x, d, f, step_g, rho, step_point)
             if not (math.isfinite(rho) and math.isfinite(outcome.t)):
@@ -276,8 +278,12 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
         if fixed:
             ingest_pair(state, x_new - x, g_new - g)
         elif isinstance(config.direction, (BfgsDense, LBfgs)):
-            ingest_pair(state, d, outcome.hv if outcome.hv is not None
-                        else step_point.hess_vec(d))
+            hv = outcome.hv if outcome.hv is not None else step_point.hess_vec(d)
+            if not np.isfinite(hv).all():
+                _terminal(k, f, gnorm, Termination(
+                    "numerical_error", f"non-finite batch G d at k={k}"))
+                return trace
+            ingest_pair(state, d, hv)
 
         err_ratio = None
         if ref is not None:

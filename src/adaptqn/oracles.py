@@ -7,9 +7,10 @@ from abc import ABC, abstractmethod
 from typing import Protocol
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from .data_io import SparseDataset, max_row_norm
-from .errors import DomainError, NumericalError, UnsupportedOperationError
+from .errors import DomainError, NumericalError
 
 __all__ = [
     "ObjectiveOracle",
@@ -19,7 +20,13 @@ __all__ = [
     "OnlineLsExpectedObjective",
     "logistic_sc_scale",
     "online_ls_minimizer",
+    "spd_solve",
 ]
+
+# LAPACK Cholesky factor and solve, called directly: the scipy.linalg
+# cho_factor/cho_solve wrappers make the same two calls but re-validate
+# their inputs on every use, which dominates small Newton solves.
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 def _sigmoid(z, ez=None):
@@ -37,12 +44,30 @@ def _softplus(z, ez=None):
     return np.maximum(z, 0.0) + np.log1p(ez)
 
 
+def spd_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve G x = b for symmetric positive definite G by Cholesky, reading
+    the upper triangle of G and leaving G unmodified. Raises
+    NumericalError when G is not numerically positive definite."""
+    c, info = _POTRF(G, lower=False, clean=False)
+    if info == 0:
+        x, info = _POTRS(c, b, lower=False)
+    if info != 0:
+        why = (f"leading minor of order {info} is not positive definite" if info > 0
+               else f"LAPACK argument {-info} is invalid")
+        raise NumericalError(f"Hessian factorization failed: {why}")
+    return x
+
+
 class OraclePoint(Protocol):
     """An objective evaluated at one x. ``value()``, ``gradient()`` and
     ``hess_vec(d)`` may be requested in any order and any number of
     times, and each returns the same bits whatever was requested
     before; work they share at x is done once. ``hess_vec`` raises
-    ValueError for a d of the wrong shape."""
+    ValueError for a d of the wrong shape.
+
+    Points of an oracle with ``has_hessian`` also have ``solve(b)``: u
+    with G(x) u = b, for Newton, under the same rules; NumericalError
+    when G(x) is not numerically positive definite."""
 
     def value(self) -> float: ...
 
@@ -53,26 +78,24 @@ class OraclePoint(Protocol):
 
 class ObjectiveOracle(ABC):
     """Deterministic objective exposing value, gradient and the Hessian
-    action G(x)d; some oracles can also materialize the full Hessian.
+    action G(x)d; some oracles can also solve with G(x).
 
     To write an oracle, implement ``dim`` and ``at(x)``, which checks x
     and returns an :class:`OraclePoint` holding the work shared between
     evaluations at x. ``value(x)``, ``gradient(x)`` and ``hess_vec(x, d)``
-    are derived from it, one fresh point per call. Oracles with a dense
-    Hessian also override ``has_hessian`` and ``dense_hessian``.
+    are derived from it, one fresh point per call. An oracle whose points
+    can ``solve(b)`` with G(x), as Newton needs, sets ``has_hessian``.
 
     Oracles are immutable after construction and hold no mutable cache,
     so concurrent evaluation from multiple runs is safe; a point belongs
     to its caller.
     """
 
+    has_hessian = False
+
     @property
     @abstractmethod
     def dim(self) -> int: ...
-
-    @property
-    def has_hessian(self) -> bool:
-        return False
 
     @abstractmethod
     def at(self, x: np.ndarray) -> OraclePoint:
@@ -86,9 +109,6 @@ class ObjectiveOracle(ABC):
 
     def hess_vec(self, x: np.ndarray, d: np.ndarray) -> np.ndarray:
         return self.at(x).hess_vec(d)
-
-    def dense_hessian(self, x: np.ndarray) -> np.ndarray:
-        raise UnsupportedOperationError(f"{type(self).__name__} has no dense Hessian")
 
     def _check(self, v: np.ndarray, name: str = "x") -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -111,42 +131,34 @@ class LogisticObjective(ObjectiveOracle):
 
     ``sc_scale=None`` (default) applies B^2 N/4 so the objective is
     standard self-concordant; pass ``sc_scale=1.0`` for the raw loss.
+    Any other scale must be positive and finite (ValueError otherwise).
     The model has no intercept column. The Hessian weight
     sigma(z)(1-sigma(z)) is label-free since it is symmetric in sign.
     """
+
+    has_hessian = True
 
     def __init__(self, data: SparseDataset, sc_scale: float | None = None):
         if data.N < 1:
             raise DomainError("empty dataset")
         self.data = data
         self.sc_scale = logistic_sc_scale(data) if sc_scale is None else float(sc_scale)
+        if not 0.0 < self.sc_scale < np.inf:
+            raise ValueError(f"sc_scale must be positive and finite, got {self.sc_scale}")
 
     @property
     def dim(self) -> int:
         return self.data.n
 
-    @property
-    def has_hessian(self) -> bool:
-        return True
-
     def at(self, x) -> "_LogisticPoint":
         return _LogisticPoint(self, self._check(x))
-
-    def dense_hessian(self, x) -> np.ndarray:
-        w = self._check(x)
-        ds = self.data
-        s = _sigmoid(ds.X @ w)
-        G = _weighted_gram(ds.X, s * (1.0 - s) / ds.N)
-        G.flat[::ds.n + 1] += 1.0 / ds.N
-        G *= self.sc_scale
-        return G
 
 
 class _LogisticPoint:
     """Logistic loss at one w: the margins z = Xw are computed once; the
     loss margins m = -yz and exp(-|m|), shared by ``value`` and
     ``gradient``, on the first of them; the Hessian weights s(1-s) on
-    the first ``hess_vec``."""
+    the first ``hess_vec`` or ``solve``."""
 
     __slots__ = ("_obj", "_w", "_z", "_m", "_em", "_hw")
 
@@ -174,14 +186,33 @@ class _LogisticPoint:
         coef = -ds.labels * _sigmoid(*self._loss_margins()) / ds.N
         return self._obj.sc_scale * (ds.XT @ coef + self._w / ds.N)
 
-    def hess_vec(self, d) -> np.ndarray:
-        d = self._obj._check(d, "d")
-        ds = self._obj.data
+    def _hess_weights(self) -> np.ndarray:
         if self._hw is None:
             s = _sigmoid(self._z)
             self._hw = s * (1.0 - s)
-        coef = self._hw * (ds.X @ d) / ds.N
+        return self._hw
+
+    def hess_vec(self, d) -> np.ndarray:
+        d = self._obj._check(d, "d")
+        ds = self._obj.data
+        coef = self._hess_weights() * (ds.X @ d) / ds.N
         return self._obj.sc_scale * (ds.XT @ coef + d / ds.N)
+
+    def solve(self, b) -> np.ndarray:
+        """u with G u = b, G = (c/N)(X'WX + I): by Cholesky of G when n <= N,
+        else as (N/c)(b - A'(I + AA')^-1 A b) with A = W^(1/2) X dense."""
+        ds, c, b = self._obj.data, self._obj.sc_scale, self._obj._check(b, "b")
+        N, n = ds.N, ds.n
+        if n <= N:
+            G = _weighted_gram(ds.X, self._hess_weights() / N)
+            G.flat[::n + 1] += 1.0 / N
+            G *= c
+            return spd_solve(G, b)
+        A = ds.X.toarray()
+        A *= np.sqrt(self._hess_weights())[:, None]
+        K = A @ A.T
+        K.flat[::N + 1] += 1.0
+        return (N / c) * (b - A.T @ spd_solve(K, A @ b))
 
 
 # Rows per dense block of the weighted Gram matrix; bounds its scratch
@@ -204,6 +235,8 @@ def _weighted_gram(X, weights: np.ndarray) -> np.ndarray:
 class QuadraticObjective(ObjectiveOracle):
     """f(x) = x'Ax/2 + b'x with A symmetric positive definite."""
 
+    has_hessian = True
+
     def __init__(self, A: np.ndarray, b: np.ndarray):
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
@@ -216,16 +249,8 @@ class QuadraticObjective(ObjectiveOracle):
     def dim(self) -> int:
         return self.b.shape[0]
 
-    @property
-    def has_hessian(self) -> bool:
-        return True
-
     def at(self, x) -> "_QuadraticPoint":
         return _QuadraticPoint(self, self._check(x))
-
-    def dense_hessian(self, x) -> np.ndarray:
-        self._check(x)
-        return self.A.copy()
 
     def minimizer(self) -> tuple[np.ndarray, float]:
         """Exact optimum (solves Ax = -b) and its objective value."""
@@ -253,12 +278,17 @@ class _QuadraticPoint:
     def hess_vec(self, d) -> np.ndarray:
         return self._obj.A @ self._obj._check(d, "d")
 
+    def solve(self, b) -> np.ndarray:
+        return spd_solve(self._obj.A, self._obj._check(b, "b"))
+
 
 class OnlineLsExpectedObjective(ObjectiveOracle):
     """Population objective of the Gaussian linear model:
 
     F(w) = (beta - w)' Sigma (beta - w) + noise_var + lam ||w||^2 / 2.
     """
+
+    has_hessian = True
 
     def __init__(self, sigma: np.ndarray, beta: np.ndarray, lam: float,
                  noise_var: float = 1.0):
@@ -277,16 +307,8 @@ class OnlineLsExpectedObjective(ObjectiveOracle):
     def dim(self) -> int:
         return self.beta.shape[0]
 
-    @property
-    def has_hessian(self) -> bool:
-        return True
-
     def at(self, x) -> "_OnlineLsPoint":
         return _OnlineLsPoint(self, self._check(x))
-
-    def dense_hessian(self, x) -> np.ndarray:
-        self._check(x)
-        return 2.0 * self.sigma + self.lam * np.eye(self.dim)
 
 
 class _OnlineLsPoint:
@@ -312,6 +334,10 @@ class _OnlineLsPoint:
         obj = self._obj
         d = obj._check(d, "d")
         return 2.0 * (obj.sigma @ d) + obj.lam * d
+
+    def solve(self, b) -> np.ndarray:
+        obj = self._obj
+        return spd_solve(2.0 * obj.sigma + obj.lam * np.eye(obj.dim), obj._check(b, "b"))
 
 
 def online_ls_minimizer(obj: OnlineLsExpectedObjective) -> np.ndarray:

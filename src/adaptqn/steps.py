@@ -8,7 +8,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import CurvatureError, DomainError, LineSearchError
+from .errors import CurvatureError, DomainError, LineSearchError, NumericalError
 from .oracles import ObjectiveOracle, OraclePoint
 from .sc import adaptive_step
 
@@ -90,13 +90,18 @@ class StepOutcome:
 def armijo_check(f0: float, f1: float, t: float, gd: float, c1: float) -> bool:
     """Sufficient decrease: f1 <= f0 + c1 t g'd (inclusive boundary).
 
-    Assumes t > 0 and gd < 0.
+    Assumes t > 0 and gd < 0; a non-finite f1 raises NumericalError.
     """
+    if not np.isfinite(f1):
+        raise NumericalError(f"non-finite trial f = {f1} at t = {t}")
     return f1 <= f0 + c1 * t * gd
 
 
 def wolfe_check(gd1: float, gd0: float, c2: float) -> bool:
-    """Curvature condition: g(x+td)'d >= c2 g(x)'d. Assumes gd0 < 0."""
+    """Curvature condition: g(x+td)'d >= c2 g(x)'d. Assumes gd0 < 0; a
+    non-finite gd1 raises NumericalError."""
+    if not np.isfinite(gd1):
+        raise NumericalError(f"non-finite trial g'd = {gd1}")
     return gd1 >= c2 * gd0
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .directions import BfgsDense, GradientDescent, Newton
 from .driver import ReferenceOptimum, RunConfig, Trace, run
-from .oracles import ObjectiveOracle, OnlineLsExpectedObjective, online_ls_minimizer
+from .oracles import ObjectiveOracle, OnlineLsExpectedObjective, online_ls_minimizer, spd_solve
 
 __all__ = [
     "CONSTANT_STEP_SIZES",
@@ -72,6 +72,8 @@ class SampledBatchOracle(ObjectiveOracle):
     (1/|S|) sum_i (Y_i - X_i'w)^2 + lam ||w||^2 / 2. Its Hessian
     (2/|S|) X'X + lam I is exact and constant in w."""
 
+    has_hessian = True
+
     def __init__(self, X: np.ndarray, Y: np.ndarray, lam: float):
         self.X = X
         self.Y = Y
@@ -82,19 +84,11 @@ class SampledBatchOracle(ObjectiveOracle):
         return self.X.shape[1]
 
     @property
-    def has_hessian(self) -> bool:
-        return True
-
-    @property
     def size(self) -> int:
         return self.X.shape[0]
 
     def at(self, x) -> "_BatchPoint":
         return _BatchPoint(self, self._check(x))
-
-    def dense_hessian(self, x) -> np.ndarray:
-        self._check(x)
-        return (2.0 / self.size) * (self.X.T @ self.X) + self.lam * np.eye(self.dim)
 
 
 class _BatchPoint:
@@ -120,6 +114,11 @@ class _BatchPoint:
         obj = self._obj
         d = obj._check(d, "d")
         return (2.0 / obj.size) * (obj.X.T @ (obj.X @ d)) + obj.lam * d
+
+    def solve(self, b) -> np.ndarray:
+        obj = self._obj
+        return spd_solve((2.0 / obj.size) * (obj.X.T @ obj.X) + obj.lam * np.eye(obj.dim),
+                         obj._check(b, "b"))
 
 
 class OnlineSampler:

@@ -35,7 +35,7 @@ def newton_polish(obj, x, iters=10):
     x = np.asarray(x, dtype=float).copy()
     for _ in range(iters):
         g = obj.gradient(x)
-        x -= np.linalg.solve(obj.dense_hessian(x), g)
+        x -= obj.at(x).solve(g)
     return x
 
 

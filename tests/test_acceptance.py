@@ -68,7 +68,7 @@ def instrumented_adaptive_run(obj, rule, grad_tol=GRAD_TOL, max_iters=5000):
     for _ in range(max_iters):
         if np.linalg.norm(g) < grad_tol:
             return steps, True
-        d, rho = compute_direction(state, obj, x, g)
+        d, rho = compute_direction(state, obj.at(x), g)
         t, delta, eta, _ = adaptive_step_size(obj.at(x), d, rho)
         x_new = x + t * d
         f_new = obj.value(x_new)
@@ -223,8 +223,8 @@ def test_criterion_6_bfgs_structure():
     x = rng.standard_normal(n)
     g = obj.gradient(x)
     for _ in range(50):
-        d1, _ = compute_direction(dense_state, obj, x, g)
-        d2, _ = compute_direction(loop_state, obj, x, g)
+        d1, _ = compute_direction(dense_state, obj.at(x), g)
+        d2, _ = compute_direction(loop_state, obj.at(x), g)
         assert np.linalg.norm(d1 - d2) <= 1e-8 * np.linalg.norm(d1)
         x_new = x + 0.05 * d1
         g_new = obj.gradient(x_new)

@@ -230,7 +230,10 @@ def test_csv_missing_optionals_are_empty(tmp_path):
       "--lbfgs-memory", "0"], "lbfgs-a.csv"),
     (["stoch", "--p", "5", "--methods", "sgd-a", "--iters", "5",
       "--eig-low", "0"], "sgd-a.csv"),
-], ids=["grad-tol-nan", "lbfgs-memory-0", "eig-low-0"])
+    *[(["run", "--method", "newton-a", "--synthetic-logistic", "N=50,n=5",
+        f"--sc-scale={sc}"], "newton-a.csv") for sc in ("0", "-1", "nan", "inf")],
+], ids=["grad-tol-nan", "lbfgs-memory-0", "eig-low-0",
+        "sc-scale-0", "sc-scale--1", "sc-scale-nan", "sc-scale-inf"])
 def test_invalid_numeric_flag_is_usage_error(tmp_path, capsys, argv, csv_name):
     rc = main(argv + ["--out", str(tmp_path)])
     assert rc == 64

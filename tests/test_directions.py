@@ -48,7 +48,7 @@ def nan_below_diagonal(H):
 def test_gradient_descent_direction():
     obj = QuadraticObjective(np.eye(3), np.zeros(3))
     g = np.array([1.0, -2.0, 0.5])
-    d, rho = compute_direction(new_state(GradientDescent(), 3), obj, np.zeros(3), g)
+    d, rho = compute_direction(new_state(GradientDescent(), 3), obj.at(np.zeros(3)), g)
     np.testing.assert_array_equal(d, -g)
     assert rho == pytest.approx(g @ g)
 
@@ -61,7 +61,7 @@ def test_newton_solves_quadratic_exactly():
     obj = QuadraticObjective(A, b)
     x = rng.standard_normal(n)
     g = obj.gradient(x)
-    d, rho = compute_direction(new_state(Newton(), n), obj, x, g)
+    d, rho = compute_direction(new_state(Newton(), n), obj.at(x), g)
     # unit Newton step lands on the minimizer
     assert np.linalg.norm(obj.gradient(x + d)) < 1e-10
     assert rho > 0
@@ -70,13 +70,26 @@ def test_newton_solves_quadratic_exactly():
 def test_newton_failure_on_indefinite():
     obj = QuadraticObjective(-np.eye(3), np.zeros(3))
     with pytest.raises(NumericalError):
-        compute_direction(new_state(Newton(), 3), obj, np.ones(3), obj.gradient(np.ones(3)))
+        compute_direction(new_state(Newton(), 3), obj.at(np.ones(3)), obj.gradient(np.ones(3)))
 
 
 def test_newton_direction_needs_a_dense_hessian():
-    class GradientOnly(ObjectiveOracle):
-        """A quadratic's points, without its dense Hessian."""
+    class GradientOnlyPoint:
+        """A quadratic's point without ``solve``."""
 
+        def __init__(self, inner):
+            self.inner = inner
+
+        def value(self):
+            return self.inner.value()
+
+        def gradient(self):
+            return self.inner.gradient()
+
+        def hess_vec(self, d):
+            return self.inner.hess_vec(d)
+
+    class GradientOnly(ObjectiveOracle):
         def __init__(self, inner):
             self.inner = inner
 
@@ -85,12 +98,12 @@ def test_newton_direction_needs_a_dense_hessian():
             return self.inner.dim
 
         def at(self, x):
-            return self.inner.at(x)
+            return GradientOnlyPoint(self.inner.at(x))
 
     obj = GradientOnly(QuadraticObjective(np.eye(3), np.ones(3)))
     assert not obj.has_hessian
     with pytest.raises(UnsupportedOperationError):
-        compute_direction(new_state(Newton(), 3), obj, np.zeros(3), np.ones(3))
+        compute_direction(new_state(Newton(), 3), obj.at(np.zeros(3)), np.ones(3))
 
 
 def test_rho_nonpositive_raises():
@@ -98,15 +111,15 @@ def test_rho_nonpositive_raises():
     state = new_state(BfgsDense(), 2)
     state.H = -np.eye(2)  # corrupted state
     with pytest.raises(CurvatureError):
-        compute_direction(state, obj, np.zeros(2), np.array([1.0, 0.0]))
+        compute_direction(state, obj.at(np.zeros(2)), np.array([1.0, 0.0]))
 
 
 def test_fresh_bfgs_equals_gradient_descent():
     obj = QuadraticObjective(np.eye(4), np.zeros(4))
     g = np.array([1.0, 2.0, 3.0, 4.0])
-    d, rho = compute_direction(new_state(BfgsDense(), 4), obj, np.zeros(4), g)
+    d, rho = compute_direction(new_state(BfgsDense(), 4), obj.at(np.zeros(4)), g)
     np.testing.assert_array_equal(d, -g)
-    d2, _ = compute_direction(new_state(LBfgs(memory=None), 4), obj, np.zeros(4), g)
+    d2, _ = compute_direction(new_state(LBfgs(memory=None), 4), obj.at(np.zeros(4)), g)
     np.testing.assert_array_equal(d2, -g)
 
 
@@ -176,8 +189,8 @@ def test_two_loop_matches_dense_over_trajectory():
     x = rng.standard_normal(n)
     g = obj.gradient(x)
     for k in range(50):
-        d1, _ = compute_direction(dense_state, obj, x, g)
-        d2, _ = compute_direction(loop_state, obj, x, g)
+        d1, _ = compute_direction(dense_state, obj.at(x), g)
+        d2, _ = compute_direction(loop_state, obj.at(x), g)
         assert np.linalg.norm(d1 - d2) <= 1e-8 * np.linalg.norm(d1)
         x_new = x + 0.05 * d1
         g_new = obj.gradient(x_new)
@@ -308,8 +321,8 @@ def test_bfgs_never_reads_lower_triangle(case):
     assert np.all(np.isnan(poisoned.H[np.tril_indices(H.shape[0], -1)]))
     obj = QuadraticObjective(np.eye(H.shape[0]), np.zeros(H.shape[0]))
     x = np.zeros(H.shape[0])
-    d_poisoned, _ = compute_direction(poisoned, obj, x, g)
-    d_clean, _ = compute_direction(clean, obj, x, g)
+    d_poisoned, _ = compute_direction(poisoned, obj.at(x), g)
+    d_clean, _ = compute_direction(clean, obj.at(x), g)
     np.testing.assert_array_equal(d_poisoned, d_clean)
     assert np.all(np.isfinite(d_poisoned))
 
@@ -335,4 +348,4 @@ def test_rho_nan_raises():
     state = new_state(BfgsDense(), 2)
     state.H[0, 0] = np.nan
     with pytest.raises(CurvatureError):
-        compute_direction(state, obj, np.zeros(2), np.array([1.0, 0.0]))
+        compute_direction(state, obj.at(np.zeros(2)), np.array([1.0, 0.0]))

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from adaptqn import (LogisticObjective, OnlineLsExpectedObjective,
-                     QuadraticObjective, SampledBatchOracle, ScBoundInputs,
-                     UnsupportedOperationError,
-                     logistic_sc_scale, online_ls_minimizer, parse_libsvm,
-                     sc_lower_f, sc_lower_gd, sc_upper_f, sc_upper_gd,
-                     synth_logistic)
-from adaptqn.oracles import _sigmoid, _softplus, _weighted_gram
+from adaptqn import (Adaptive, LogisticObjective, Newton, ObjectiveOracle,
+                     OnlineLsExpectedObjective, QuadraticObjective, RunConfig,
+                     SampledBatchOracle, ScBoundInputs,
+                     UnsupportedOperationError, logistic_sc_scale,
+                     online_ls_minimizer, parse_libsvm, run, sc_lower_f,
+                     sc_lower_gd, sc_upper_f, sc_upper_gd, synth_logistic)
+from adaptqn.oracles import _sigmoid, _softplus, _weighted_gram, spd_solve
 
 
 def fd_gradient(obj, x, h=1e-6):
@@ -42,10 +42,11 @@ def test_logistic_single_sample_handchecks():
     w = np.zeros(1)
     np.testing.assert_allclose(obj.gradient(w), [-0.5], rtol=1e-14)
     np.testing.assert_allclose(obj.hess_vec(w, np.ones(1)), [1.25], rtol=1e-14)
+    # one row, two features: G = diag(1.25, 1), solved through the 1 x 1 system
     ds2 = parse_libsvm("+1 1:1", n_features=2)
     obj2 = LogisticObjective(ds2, sc_scale=1.0)
-    np.testing.assert_allclose(obj2.dense_hessian(np.zeros(2)),
-                               [[1.25, 0.0], [0.0, 1.0]], atol=1e-14)
+    np.testing.assert_allclose(obj2.at(np.zeros(2)).solve(np.array([1.25, 3.0])),
+                               [1.0, 3.0], rtol=1e-14)
 
 
 def test_logistic_sc_scale_values():
@@ -80,12 +81,10 @@ def test_hess_vec_symmetry_and_dense_consistency(small_logistic):
         lhs = d @ small_logistic.hess_vec(x, e)
         rhs = e @ small_logistic.hess_vec(x, d)
         assert lhs == pytest.approx(rhs, rel=1e-10)
-    G = small_logistic.dense_hessian(x)
-    for i in range(small_logistic.dim):
-        e = np.zeros(small_logistic.dim)
-        e[i] = 1.0
-        np.testing.assert_allclose(G[:, i], small_logistic.hess_vec(x, e), rtol=1e-10,
-                                   atol=1e-12)
+    # solve inverts the matrix whose columns are the Hessian-vector products
+    G = np.column_stack([small_logistic.hess_vec(x, e) for e in np.eye(small_logistic.dim)])
+    b = rng.standard_normal(small_logistic.dim)
+    assert_rel_close(small_logistic.at(x).solve(b), np.linalg.solve(G, b), rtol=1e-10)
 
 
 def test_logistic_strong_convexity_floor(small_logistic):
@@ -168,7 +167,8 @@ def test_logistic_matches_dense_reference(seed):
     assert obj.value(w) == pytest.approx(f, rel=1e-13)
     assert_rel_close(obj.gradient(w), g)
     assert_rel_close(obj.hess_vec(w, d), hv)
-    assert_rel_close(obj.dense_hessian(w), G)
+    b = rng.normal(size=17)
+    assert_rel_close(obj.at(w).solve(b), np.linalg.solve(G, b), rtol=1e-12)
 
 
 def test_logistic_on_matrix_without_nonzeros():
@@ -179,7 +179,8 @@ def test_logistic_on_matrix_without_nonzeros():
     assert obj.value(w) == pytest.approx(np.log(2.0) + 0.5 * (w @ w) / 3, rel=1e-15)
     np.testing.assert_array_equal(obj.gradient(w), w / 3)
     np.testing.assert_array_equal(obj.hess_vec(w, d), d / 3)
-    np.testing.assert_array_equal(obj.dense_hessian(w), np.eye(5) / 3)
+    # n > N, and the Woodbury solve with A = 0 is exactly G^-1 = 3 I
+    np.testing.assert_array_equal(obj.at(w).solve(d), 3.0 * d)
 
 
 def test_logistic_point_is_order_independent():
@@ -198,15 +199,18 @@ def test_logistic_point_is_order_independent():
         second.hess_vec(np.ones(3))
 
 
-def test_dense_hessian_is_bitwise_the_formula(desk_logistic):
+def test_solve_is_bitwise_spd_solve_of_the_formula(desk_logistic):
+    # n <= N: Newton's solve is the Cholesky solve of the Gram-matrix G
     ds = desk_logistic.data
+    assert ds.n <= ds.N
     rng = np.random.default_rng(5)
     for w in (np.zeros(ds.n), rng.normal(size=ds.n)):
+        b = rng.normal(size=ds.n)
         s = _sigmoid(ds.X @ w)
         G = _weighted_gram(ds.X, s * (1.0 - s) / ds.N)
         G += np.eye(ds.n) / ds.N
-        np.testing.assert_array_equal(desk_logistic.dense_hessian(w),
-                                      desk_logistic.sc_scale * G)
+        np.testing.assert_array_equal(desk_logistic.at(w).solve(b),
+                                      spd_solve(desk_logistic.sc_scale * G, b))
 
 
 def test_logistic_point_shares_exp_bitwise(desk_logistic):
@@ -236,6 +240,11 @@ def make_logistic(rng):
     return LogisticObjective(ds)
 
 
+def make_wide_logistic(rng):
+    ds, _ = random_dataset(rng, 9, 23)
+    return LogisticObjective(ds)
+
+
 def make_quadratic(rng):
     return QuadraticObjective(spd_matrix(rng, 9, 0.5, 4.0), rng.standard_normal(9))
 
@@ -250,7 +259,7 @@ def make_batch(rng):
     return SampledBatchOracle(X, X @ rng.standard_normal(8) + rng.standard_normal(25), 0.2)
 
 
-ORACLES = [make_logistic, make_quadratic, make_online_ls, make_batch]
+ORACLES = [make_logistic, make_wide_logistic, make_quadratic, make_online_ls, make_batch]
 
 
 @pytest.mark.parametrize("make", ORACLES, ids=lambda m: m.__name__[5:])
@@ -268,13 +277,20 @@ def test_point_contract(make):
         # the same bits whatever the order of requests
         first = obj.at(x)
         hv_d, hv_e, g, f = first.hess_vec(d), first.hess_vec(e), first.gradient(), first.value()
+        u = first.solve(d)
         second = obj.at(x)
+        np.testing.assert_array_equal(second.solve(d), u)
         assert second.value() == f
         np.testing.assert_array_equal(second.gradient(), g)
         np.testing.assert_array_equal(second.hess_vec(e), hv_e)
         np.testing.assert_array_equal(second.hess_vec(d), hv_d)
+        # solve inverts the Hessian action
+        assert_rel_close(first.solve(hv_e), e, rtol=1e-10)
+        assert_rel_close(first.hess_vec(u), d, rtol=1e-10)
     with pytest.raises(ValueError):
         obj.at(x).hess_vec(np.ones(n + 1))
+    with pytest.raises(ValueError):
+        obj.at(x).solve(np.ones(n + 1))
     with pytest.raises(ValueError):
         obj.hess_vec(x, np.ones(n + 1))
     with pytest.raises(ValueError):
@@ -323,7 +339,7 @@ def test_quadratic_identities():
     np.testing.assert_allclose(obj.gradient(x), A @ x + b, rtol=1e-12)
     d = rng.standard_normal(n)
     np.testing.assert_allclose(obj.hess_vec(x, d), A @ d, rtol=1e-12)
-    np.testing.assert_allclose(obj.dense_hessian(x), A)
+    np.testing.assert_allclose(obj.at(x).solve(A @ d), d, rtol=1e-12)
     # identity special case: value with ||x|| = 2 is 2
     iden = QuadraticObjective(np.eye(3), np.zeros(3))
     x = np.array([2.0, 0.0, 0.0])
@@ -405,14 +421,32 @@ def test_dimension_checks_and_capability():
     with pytest.raises(ValueError):
         obj.hess_vec(np.zeros(3), np.zeros(2))
 
-    class NoHessian(QuadraticObjective):
-        @property
-        def has_hessian(self):
-            return False
+    # has_hessian is the one capability flag: off by default, and a run
+    # refuses Newton on an oracle that turns it off
+    assert obj.has_hessian and not ObjectiveOracle.has_hessian
 
-        def dense_hessian(self, x):
-            raise UnsupportedOperationError("disabled")
+    class NoHessian(QuadraticObjective):
+        has_hessian = False
 
     nh = NoHessian(np.eye(2), np.zeros(2))
     with pytest.raises(UnsupportedOperationError):
-        nh.dense_hessian(np.zeros(2))
+        run(RunConfig(direction=Newton(), step=Adaptive()), nh)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_quadratic_solve_leaves_A_unmodified(order):
+    rng = np.random.default_rng(17)
+    A = np.array(spd_matrix(rng, 6, 0.5, 4.0), order=order)
+    kept = A.copy()
+    obj = QuadraticObjective(A, rng.standard_normal(6))
+    b = rng.standard_normal(6)
+    u = obj.at(np.zeros(6)).solve(b)
+    np.testing.assert_array_equal(A, kept)
+    assert_rel_close(A @ u, b, rtol=1e-12)
+
+
+@pytest.mark.parametrize("sc_scale", [0.0, -1.0, np.nan, np.inf])
+def test_logistic_refuses_a_scale_that_makes_no_objective(sc_scale):
+    with pytest.raises(ValueError, match="sc_scale") as info:
+        LogisticObjective(synth_logistic(20, 3, seed=0), sc_scale=sc_scale)
+    assert type(info.value) is ValueError

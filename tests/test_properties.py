@@ -1,8 +1,11 @@
 """Property tests of the paper's per-iteration guarantees for the
 adaptive step, over random SPD quadratics and small logistic problems:
 the omega decrease, Armijo with c1 = 1/2, t*delta = eta/(1+eta) < 1,
-an honest termination kind, and the secant equation H y = s after
-every curvature pair that dense BFGS accepts."""
+an honest termination kind, the secant equation H y = s after every
+curvature pair that dense BFGS accepts, and the two-loop recursion
+with every pair giving dense BFGS's directions along whole runs. Also
+the Woodbury Newton solve of wide logistic problems against the Gram
+matrix."""
 
 from unittest import mock
 
@@ -12,9 +15,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import adaptqn.driver as driver
-from adaptqn import (Adaptive, BfgsDense, GradientDescent, LogisticObjective,
-                     QuadraticObjective, RunConfig, choose_step, ingest_pair,
-                     omega, run, synth_logistic)
+from adaptqn import (Adaptive, BfgsDense, GradientDescent, LBfgs,
+                     LogisticObjective, QuadraticObjective, RunConfig,
+                     SparseDataset, choose_step, compute_direction,
+                     ingest_pair, new_state, omega, run, synth_logistic)
+from adaptqn.oracles import _sigmoid, _weighted_gram, spd_solve
 from conftest import property_test, sym
 
 TERMINATION_KINDS = {"grad_tol", "max_iters", "time_budget", "numerical_error"}
@@ -111,3 +116,75 @@ def test_secant_equation_on_random_quadratics(problem):
 @given(small_logistics())
 def test_secant_equation_on_small_logistic_problems(problem):
     check_secant_equation(*problem)
+
+
+def check_two_loop_replays_dense(obj, x0):
+    """Replay the gradients and pairs of a bfgs-a run, in their order,
+    into a BfgsDense and an LBfgs(memory=None) state: both accept the
+    same pairs and give the same direction, to 1e-10 relative, at
+    every k."""
+    events = []
+
+    def direction(state, point, g):
+        events.append((compute_direction, point, g))
+        return compute_direction(state, point, g)
+
+    def pair(state, s, y):
+        events.append((ingest_pair, s, y))
+        return ingest_pair(state, s, y)
+
+    config = RunConfig(direction=BfgsDense(), step=Adaptive(), max_iters=300, x0=x0)
+    with mock.patch.object(driver, "compute_direction", direction), \
+            mock.patch.object(driver, "ingest_pair", pair):
+        trace = run(config, obj)
+    assert trace.termination.kind in TERMINATION_KINDS
+    dense, loop = new_state(BfgsDense(), obj.dim), new_state(LBfgs(memory=None), obj.dim)
+    for fn, a, b in events:
+        if fn is ingest_pair:
+            assert ingest_pair(dense, a, b) == ingest_pair(loop, a, b)
+        else:
+            d_dense, _ = compute_direction(dense, a, b)
+            d_loop, _ = compute_direction(loop, a, b)
+            assert np.linalg.norm(d_loop - d_dense) <= 1e-10 * np.linalg.norm(d_dense)
+
+
+@property_test
+@given(spd_quadratics())
+def test_two_loop_replays_dense_on_random_quadratics(problem):
+    check_two_loop_replays_dense(*problem)
+
+
+@property_test
+@given(small_logistics())
+def test_two_loop_replays_dense_on_small_logistic_problems(problem):
+    check_two_loop_replays_dense(*problem)
+
+
+@st.composite
+def wide_logistic_points(draw):
+    """A logistic objective with n > N at a point w, and a right-hand
+    side: N from 1 to 12, n up to 40, dense Gaussian rows of which
+    some are empty (or all, with sc_scale = 1), the auto or the raw
+    scale, and |w| from 1e-2 to 1e3 times Gaussian."""
+    N = draw(st.integers(1, 12))
+    n = draw(st.integers(N + 1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((N, n)) * (rng.random((N, 1)) > draw(st.sampled_from([0.0, 0.3, 1.0])))
+    labels = np.where(rng.random(N) < 0.5, -1.0, 1.0)
+    raw = draw(st.booleans()) or not X.any()
+    obj = LogisticObjective(SparseDataset.from_dense(X, labels), sc_scale=1.0 if raw else None)
+    w = 10.0 ** draw(st.floats(-2.0, 3.0)) * rng.standard_normal(n)
+    return obj, w, rng.standard_normal(n)
+
+
+@property_test
+@given(wide_logistic_points())
+def test_woodbury_solve_matches_the_gram_solve(case):
+    obj, w, b = case
+    ds = obj.data
+    s = _sigmoid(ds.X @ w)
+    G = _weighted_gram(ds.X, s * (1.0 - s) / ds.N)
+    G.flat[::ds.n + 1] += 1.0 / ds.N
+    gram = spd_solve(obj.sc_scale * G, b)
+    woodbury = obj.at(w).solve(b)
+    assert np.linalg.norm(woodbury - gram) <= 1e-12 * np.linalg.norm(gram)

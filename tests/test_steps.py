@@ -300,7 +300,7 @@ def test_choose_step_dispatch():
     obj = QuadraticObjective(np.eye(2), np.zeros(2))
     x = np.array([1.0, 1.0])
     g = obj.gradient(x)
-    d, rho = compute_direction(new_state(GradientDescent(), 2), obj, x, g)
+    d, rho = compute_direction(new_state(GradientDescent(), 2), obj.at(x), g)
     f0 = obj.value(x)
     pt = obj.at(x)
     assert choose_step(Adaptive(), obj, x, d, f0, g, rho, pt).kind == "adaptive"

@@ -76,8 +76,7 @@ def test_batch_oracle_formulas():
                                -(2 / 32) * X.T @ r + lam * w, rtol=1e-12)
     np.testing.assert_allclose(oracle.hess_vec(w, d),
                                (2 / 32) * X.T @ (X @ d) + lam * d, rtol=1e-12)
-    np.testing.assert_allclose(oracle.dense_hessian(w) @ d, oracle.hess_vec(w, d),
-                               rtol=1e-12)
+    np.testing.assert_allclose(oracle.at(w).solve(oracle.hess_vec(w, d)), d, rtol=1e-12)
     h = 1e-6
     e = np.zeros(5)
     e[2] = h
