@@ -35,6 +35,10 @@ EXIT_BUDGET = 2
 EXIT_USAGE = 64
 EXIT_NOINPUT = 66
 
+# exit code of each termination kind; stoch counts max_iters as success
+_EXIT = {"grad_tol": EXIT_OK, "max_iters": EXIT_BUDGET, "time_budget": EXIT_BUDGET,
+         "numerical_error": EXIT_ERROR}
+
 
 class UsageError(Exception):
     pass
@@ -89,6 +93,15 @@ def _parse_kv(spec: str) -> dict:
     return out
 
 
+def _count(kv: dict, key: str, low: int, default=None) -> int:
+    """kv[key] (or default) as a whole number >= low."""
+    v = kv.get(key, default)
+    if v is None or not (float(v).is_integer() and v >= low):
+        raise UsageError(f"{key} must be a whole number >= {low}"
+                         + ("" if v is None else f", got {v}"))
+    return int(v)
+
+
 def make_synthetic_quadratic(dim: int, cond: float = 100.0, seed: int = 0) -> QuadraticObjective:
     """Random SPD quadratic with a log-spaced spectrum in [1, cond]."""
     rng = np.random.default_rng(seed)
@@ -109,10 +122,10 @@ def _build_oracle(args):
                          "--synthetic-quadratic is required")
     if args.synthetic_quadratic is not None:
         kv = _parse_kv(args.synthetic_quadratic)
-        if "dim" not in kv:
-            raise UsageError("--synthetic-quadratic needs dim=<int>")
-        return make_synthetic_quadratic(int(kv["dim"]), kv.get("cond", 100.0),
-                                        int(kv.get("seed", 0)))
+        cond = kv.get("cond", 100.0)
+        if not 0 < cond < math.inf:
+            raise UsageError(f"cond must be positive and finite, got {cond}")
+        return make_synthetic_quadratic(_count(kv, "dim", 1), cond, _count(kv, "seed", 0, 0))
     if args.data is not None:
         try:
             ds = data_io.load_libsvm(args.data)
@@ -120,10 +133,8 @@ def _build_oracle(args):
             raise FileNotFoundError(str(exc)) from exc
     else:
         kv = _parse_kv(args.synthetic_logistic)
-        if "N" not in kv or "n" not in kv:
-            raise UsageError("--synthetic-logistic needs N=<int>,n=<int>")
         ds = data_io.synth_logistic(
-            int(kv["N"]), int(kv["n"]), seed=int(kv.get("seed", args.seed)),
+            _count(kv, "N", 1), _count(kv, "n", 1), seed=_count(kv, "seed", 0, args.seed),
             separation=kv.get("separation", 1.5),
             feature_decay=kv.get("decay", 0.6),
             max_norm=kv.get("maxnorm", 2.0))
@@ -139,19 +150,10 @@ def _method_config(method: str, n: int, args, identity_scaling: bool) -> RunConf
         direction = Newton()
     elif family == "bfgs":
         direction = BfgsDense(identity_scaling=identity_scaling)
-    elif family == "lbfgs":
+    else:
         mem = default_lbfgs_memory(n) if args.lbfgs_memory is None else args.lbfgs_memory
         direction = LBfgs(memory=mem, identity_scaling=identity_scaling)
-    else:
-        raise UsageError(f"unknown method {method!r}")
-    if suffix == "a":
-        step = Adaptive()
-    elif suffix == "ls":
-        step = ArmijoWolfe(c1=0.1, c2=0.75)
-    elif suffix == "h":
-        step = Hybrid()
-    else:
-        raise UsageError(f"unknown method {method!r}")
+    step = {"a": Adaptive(), "ls": ArmijoWolfe(c1=0.1, c2=0.75), "h": Hybrid()}[suffix]
     return RunConfig(direction=direction, step=step, grad_tol=args.grad_tol,
                      max_iters=args.max_iters, max_seconds=args.max_seconds)
 
@@ -162,32 +164,41 @@ def _summary_line(method: str, trace: Trace) -> str:
             f"termination={trace.termination.kind}")
 
 
+def _methods(text: str, known: tuple) -> list:
+    """The comma-separated method names in text, each one of known."""
+    methods = [m.strip() for m in text.split(",") if m.strip()]
+    for m in methods:
+        if m not in known:
+            raise UsageError(f"unknown method {m!r}; choose from {', '.join(known)}")
+    return methods
+
+
+def _worst(codes) -> int:
+    """The gravest exit code: an error over a spent budget over success."""
+    return max(codes, key=(EXIT_OK, EXIT_BUDGET, EXIT_ERROR).index, default=EXIT_OK)
+
+
 def cmd_run(args) -> int:
-    if args.method not in DETERMINISTIC_METHODS:
-        raise UsageError(f"unknown method {args.method!r}; choose from "
-                         f"{', '.join(DETERMINISTIC_METHODS)}")
+    methods = _methods(args.method, DETERMINISTIC_METHODS)
+    if len(methods) != 1:
+        raise UsageError("run takes one method; bench runs several")
+    if args.identity_scaling == "both":
+        raise UsageError("run takes --identity-scaling on or off; bench runs both")
+    method = methods[0]
     oracle = _build_oracle(args)
-    config = _method_config(args.method, oracle.dim, args,
+    config = _method_config(method, oracle.dim, args,
                             identity_scaling=args.identity_scaling == "on")
     trace = run(config, oracle)
     os.makedirs(args.out, exist_ok=True)
-    write_trace_csv(os.path.join(args.out, f"{args.method}.csv"), trace)
-    print(_summary_line(args.method, trace))
-    kind = trace.termination.kind
-    if kind == "grad_tol":
-        return EXIT_OK
-    if kind in ("max_iters", "time_budget"):
-        return EXIT_BUDGET
-    return EXIT_ERROR
+    write_trace_csv(os.path.join(args.out, f"{method}.csv"), trace)
+    print(_summary_line(method, trace))
+    return _EXIT[trace.termination.kind]
 
 
 def cmd_bench(args) -> int:
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    methods = _methods(args.methods, DETERMINISTIC_METHODS)
     if len(methods) < 2:
         raise UsageError("bench needs at least two methods")
-    for m in methods:
-        if m not in DETERMINISTIC_METHODS:
-            raise UsageError(f"unknown method {m!r}")
     oracle = _build_oracle(args)
     scaling_grid = {"on": [True], "off": [False], "both": [False, True]}[args.identity_scaling]
     # built before any run, so that an invalid flag is a usage error
@@ -195,14 +206,14 @@ def cmd_bench(args) -> int:
             for identity_scaling in scaling_grid for method in methods]
     os.makedirs(args.out, exist_ok=True)
     rows = [SUMMARY_HEADER]
-    worst = EXIT_OK
+    codes = []
     for method, identity_scaling, config in grid:
         tag = f"{method}-scaled" if identity_scaling else method
         try:
             trace = run(config, oracle)
         except (OptimError, ValueError) as exc:
             rows.append(f"{method},{int(identity_scaling)},,,error: {exc},")
-            worst = EXIT_ERROR
+            codes.append(EXIT_ERROR)
             continue
         write_trace_csv(os.path.join(args.out, f"{tag}.csv"), trace)
         settle = ""
@@ -214,13 +225,9 @@ def cmd_bench(args) -> int:
             _fmt(trace.final.gnorm), trace.termination.kind, settle,
         ]))
         print(_summary_line(tag, trace))
-        kind = trace.termination.kind
-        if kind == "numerical_error":
-            worst = EXIT_ERROR
-        elif kind in ("max_iters", "time_budget") and worst == EXIT_OK:
-            worst = EXIT_BUDGET
+        codes.append(_EXIT[trace.termination.kind])
     _write_file(os.path.join(args.out, "summary.csv"), "\n".join(rows) + "\n")
-    return worst
+    return _worst(codes)
 
 
 def _stoch_schedule(method: str, p: int, args):
@@ -238,11 +245,7 @@ def _stoch_step(method: str):
 
 
 def cmd_stoch(args) -> int:
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in STOCHASTIC_METHODS:
-            raise UsageError(f"unknown stochastic method {m!r}; choose from "
-                             f"{', '.join(STOCHASTIC_METHODS)}")
+    methods = _methods(args.methods, STOCHASTIC_METHODS)
     p = args.p
     if args.sigma_from_data is not None:
         ds = data_io.load_libsvm(args.sigma_from_data)
@@ -258,7 +261,7 @@ def cmd_stoch(args) -> int:
     beta = make_sparse_beta(p, seed=args.beta_seed)
     lam = 1.0 / p
     os.makedirs(args.out, exist_ok=True)
-    worst = EXIT_OK
+    codes = []
     for method in methods:
         base = method.rsplit("-", 1)[0]
         kernel = {"sgd": "sgd", "sn": "snewton", "sbfgs": "sbfgs"}[base]
@@ -272,9 +275,8 @@ def cmd_stoch(args) -> int:
         gap_s = "n/a" if gap is None else f"{gap:.3f}"
         print(f"{method}: iters={trace.iterations} final_log_gap={gap_s} "
               f"termination={trace.termination.kind}")
-        if trace.termination.kind == "numerical_error":
-            worst = EXIT_ERROR
-    return worst
+        codes.append({**_EXIT, "max_iters": EXIT_OK}[trace.termination.kind])
+    return _worst(codes)
 
 
 def build_parser() -> _Parser:

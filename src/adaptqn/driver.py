@@ -60,6 +60,8 @@ class RunConfig:
             raise ValueError("grad_tol must be positive")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
+        if not self.max_seconds >= 0:
+            raise ValueError(f"max_seconds must be >= 0, got {self.max_seconds}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,8 +165,10 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
         batches: Optional[Callable[[int], ObjectiveOracle]] = None) -> Trace:
     """Iterate x <- x + t d per the configured rules until the gradient
     threshold, iteration cap, time cap, or a numerical error (including
-    a non-finite f, ||g||, rho or t). Errors are reported through
-    ``Trace.termination``, never raised.
+    a non-finite f, ||g||, rho or t). Past the up-front refusals of the
+    configuration, every ``OptimError``, including one at ``x0``, ends
+    the run as ``numerical_error`` in ``Trace.termination``; none is
+    raised.
 
     ``batches``, when given, maps iteration k to the oracle that chooses
     that iteration's direction and step, such as a freshly sampled
@@ -200,106 +204,90 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
         err_floor = _MEASURABLE_RTOL * (1.0 + _norm(ref.x))
         err = _norm(x - ref.x)
 
-    point = measure.at(x)
-    f = point.value()
-    g = point.gradient()
+    k, f, gnorm = 0, math.nan, math.nan
 
-    def _terminal(k: int, fv: float, gn: float, term: Termination):
+    def _end(kind: str, detail: str = "") -> Trace:
         trace.records.append(IterationRecord(
-            k=k, f=fv, gnorm=gn, t=math.nan, eta=math.nan, step_kind="terminal",
+            k=k, f=f, gnorm=gnorm, t=math.nan, eta=math.nan, step_kind="terminal",
             cum_evals_f=co.evals_f, cum_evals_g=co.evals_g, cum_evals_hv=co.evals_hv,
-            elapsed=time.perf_counter() - started, log_gap=_log_gap(fv, ref)))
-        trace.termination = term
+            elapsed=time.perf_counter() - started, log_gap=_log_gap(f, ref)))
+        trace.termination = Termination(kind, detail)
         trace.final_x = x.copy()
         trace.skipped_pairs = state.skipped
+        return trace
 
-    for k in range(config.max_iters + 1):
-        gnorm = _norm(g)
-        converged = fixed and gnorm < config.grad_tol
-        if converged:  # f is re-evaluated at the terminal point once, and counted
-            f = point.value()
-        if not (math.isfinite(f) and math.isfinite(gnorm)):
-            _terminal(k, f, gnorm, Termination(
-                "numerical_error", f"non-finite f = {f} or ||g|| = {gnorm} at k={k}"))
-            return trace
-        if converged:
-            _terminal(k, f, gnorm, Termination("grad_tol"))
-            return trace
-        if k >= config.max_iters:
-            _terminal(k, f, gnorm, Termination("max_iters"))
-            return trace
-        if time.perf_counter() - started > config.max_seconds:
-            _terminal(k, f, gnorm, Termination("time_budget"))
-            return trace
+    try:
+        point = measure.at(x)
+        f = point.value()
+        g = point.gradient()
+        for k in range(config.max_iters + 1):
+            gnorm = _norm(g)
+            converged = fixed and gnorm < config.grad_tol
+            if converged:  # f is re-evaluated at the terminal point once, and counted
+                f = point.value()
+            if not (math.isfinite(f) and math.isfinite(gnorm)):
+                raise NumericalError(f"non-finite f = {f} or ||g|| = {gnorm} at k={k}")
+            if converged:
+                return _end("grad_tol")
+            if k >= config.max_iters:
+                return _end("max_iters")
+            if time.perf_counter() - started > config.max_seconds:
+                return _end("time_budget")
 
-        if fixed:
-            step_point, step_g = point, g
-        else:
-            co.inner = batches(k)
-            step_point = co.at(x)
-            step_g = step_point.gradient()
-            if not np.isfinite(step_g).all():
-                _terminal(k, f, gnorm, Termination(
-                    "numerical_error", f"non-finite batch gradient at k={k}"))
-                return trace
-            if not np.any(step_g):
-                # exactly stationary for this batch (zero-noise degenerate case)
-                _terminal(k, f, gnorm, Termination("grad_tol", "batch gradient exactly zero"))
-                return trace
+            if fixed:
+                step_point, step_g = point, g
+            else:
+                co.inner = batches(k)
+                step_point = co.at(x)
+                step_g = step_point.gradient()
+                if not np.isfinite(step_g).all():
+                    raise NumericalError(f"non-finite batch gradient at k={k}")
+                if not np.any(step_g):
+                    # exactly stationary for this batch (zero-noise degenerate case)
+                    return _end("grad_tol", "batch gradient exactly zero")
 
-        try:
             d, rho = compute_direction(state, step_point, step_g)
             # positional: wrappers of choose_step may forward *args only
             outcome = choose_step(config.step, co, x, d, f, step_g, rho, step_point)
             if not (math.isfinite(rho) and math.isfinite(outcome.t)):
                 raise NumericalError(f"non-finite rho = {rho} or t = {outcome.t} at k={k}")
-        except OptimError as exc:
-            _terminal(k, f, gnorm, Termination("numerical_error", str(exc)))
-            return trace
 
-        x_new = x + outcome.t * d
-        if fixed and (x_new == x).all():
-            # t*d fell below the resolution of x; the loop is deterministic,
-            # so no future iteration can make progress either
-            _terminal(k, f, gnorm, Termination(
-                "numerical_error",
-                f"step stalled below floating-point resolution at k={k} "
-                f"(t={outcome.t:.3e})"))
-            return trace
-        point_new = outcome.point if outcome.point is not None else measure.at(x_new)
-        f_new = outcome.f_new if outcome.f_new is not None else point_new.value()
-        g_new = outcome.g_new if outcome.g_new is not None else point_new.gradient()
+            x_new = x + outcome.t * d
+            if fixed and (x_new == x).all():
+                # t*d fell below the resolution of x; the loop is deterministic,
+                # so no future iteration can make progress either
+                raise NumericalError(f"step stalled below floating-point resolution at k={k} "
+                                     f"(t={outcome.t:.3e})")
+            point_new = outcome.point if outcome.point is not None else measure.at(x_new)
+            f_new = outcome.f_new if outcome.f_new is not None else point_new.value()
+            g_new = outcome.g_new if outcome.g_new is not None else point_new.gradient()
 
-        if monotone and f_new > f + 1e-10 * (1.0 + abs(f)):
-            _terminal(k, f, gnorm, Termination(
-                "numerical_error", f"monotone decrease violated at k={k}: {f} -> {f_new}"))
-            return trace
+            if monotone and f_new > f + 1e-10 * (1.0 + abs(f)):
+                raise NumericalError(f"monotone decrease violated at k={k}: {f} -> {f_new}")
 
-        if fixed:
-            ingest_pair(state, x_new - x, g_new - g)
-        elif isinstance(config.direction, (BfgsDense, LBfgs)):
-            hv = outcome.hv if outcome.hv is not None else step_point.hess_vec(d)
-            if not np.isfinite(hv).all():
-                _terminal(k, f, gnorm, Termination(
-                    "numerical_error", f"non-finite batch G d at k={k}"))
-                return trace
-            ingest_pair(state, d, hv)
+            if fixed:
+                ingest_pair(state, x_new - x, g_new - g)
+            elif isinstance(config.direction, (BfgsDense, LBfgs)):
+                hv = outcome.hv if outcome.hv is not None else step_point.hess_vec(d)
+                if not np.isfinite(hv).all():
+                    raise NumericalError(f"non-finite batch G d at k={k}")
+                ingest_pair(state, d, hv)
 
-        err_ratio = None
-        if ref is not None:
-            err_new = _norm(x_new - ref.x)
-            if err > err_floor:
-                err_ratio = err_new / err
-            err = err_new
-        trace.records.append(IterationRecord(
-            k=k, f=f, gnorm=gnorm, t=outcome.t,
-            eta=outcome.eta if outcome.eta is not None else math.nan,
-            step_kind=outcome.kind, cum_evals_f=co.evals_f, cum_evals_g=co.evals_g,
-            cum_evals_hv=co.evals_hv, elapsed=time.perf_counter() - started,
-            log_gap=_log_gap(f, ref), err_ratio=err_ratio))
-        x, f, g, point = x_new, f_new, g_new, point_new
-
-    return trace  # unreachable
+            err_ratio = None
+            if ref is not None:
+                err_new = _norm(x_new - ref.x)
+                if err > err_floor:
+                    err_ratio = err_new / err
+                err = err_new
+            trace.records.append(IterationRecord(
+                k=k, f=f, gnorm=gnorm, t=outcome.t,
+                eta=outcome.eta if outcome.eta is not None else math.nan,
+                step_kind=outcome.kind, cum_evals_f=co.evals_f, cum_evals_g=co.evals_g,
+                cum_evals_hv=co.evals_hv, elapsed=time.perf_counter() - started,
+                log_gap=_log_gap(f, ref), err_ratio=err_ratio))
+            x, f, g, point = x_new, f_new, g_new, point_new
+    except OptimError as exc:
+        return _end("numerical_error", str(exc))
 
 
 def t_settle_index(ts: Sequence[float]) -> Optional[int]:

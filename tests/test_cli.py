@@ -213,6 +213,21 @@ def test_run_identity_scaling_and_memory_flags(tmp_path):
     assert rc == 0
 
 
+def test_run_refuses_identity_scaling_both(tmp_path, capsys):
+    rc = main(["run", "--method", "bfgs-a", "--synthetic-quadratic", "dim=3",
+               "--identity-scaling", "both", "--out", str(tmp_path)])
+    assert rc == 64
+    assert "bench runs both" in capsys.readouterr().err
+    assert not (tmp_path / "bfgs-a.csv").exists()
+
+
+def test_stoch_time_budget_exits_2(tmp_path):
+    rc = main(["stoch", "--p", "5", "--methods", "sgd-a", "--iters", "50",
+               "--max-seconds", "0", "--out", str(tmp_path)])
+    assert rc == 2
+    assert read_csv(tmp_path / "sgd-a.csv")[-1].split(",")[5] == "terminal"
+
+
 def test_csv_missing_optionals_are_empty(tmp_path):
     main(["run", "--method", "gd-a", "--synthetic-quadratic", "dim=4",
           "--max-iters", "50", "--out", str(tmp_path)])
@@ -232,8 +247,21 @@ def test_csv_missing_optionals_are_empty(tmp_path):
       "--eig-low", "0"], "sgd-a.csv"),
     *[(["run", "--method", "newton-a", "--synthetic-logistic", "N=50,n=5",
         f"--sc-scale={sc}"], "newton-a.csv") for sc in ("0", "-1", "nan", "inf")],
+    *[(["run", "--method", "gd-a", "--synthetic-quadratic", "dim=3",
+        f"--max-seconds={s}"], "gd-a.csv") for s in ("nan", "-1")],
+    *[(["stoch", "--p", "5", "--methods", "sgd-a", "--iters", "5",
+        f"--max-seconds={s}"], "sgd-a.csv") for s in ("nan", "-1")],
+    *[(["run", "--method", "gd-a", "--synthetic-quadratic", spec], "gd-a.csv")
+      for spec in ("dim=0", "dim=2.5", "dim=3,seed=-1", "dim=3,cond=-1", "dim=3,cond=inf")],
+    *[(["run", "--method", "gd-a", "--synthetic-logistic", spec], "gd-a.csv")
+      for spec in ("N=0,n=3", "N=5,n=0", "N=5,n=3,seed=1.5")],
 ], ids=["grad-tol-nan", "lbfgs-memory-0", "eig-low-0",
-        "sc-scale-0", "sc-scale--1", "sc-scale-nan", "sc-scale-inf"])
+        "sc-scale-0", "sc-scale--1", "sc-scale-nan", "sc-scale-inf",
+        "run-max-seconds-nan", "run-max-seconds--1",
+        "stoch-max-seconds-nan", "stoch-max-seconds--1",
+        "quadratic-dim-0", "quadratic-dim-2.5", "quadratic-seed--1",
+        "quadratic-cond--1", "quadratic-cond-inf",
+        "logistic-N-0", "logistic-n-0", "logistic-seed-1.5"])
 def test_invalid_numeric_flag_is_usage_error(tmp_path, capsys, argv, csv_name):
     rc = main(argv + ["--out", str(tmp_path)])
     assert rc == 64

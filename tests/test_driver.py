@@ -112,6 +112,9 @@ def test_config_validation():
         RunConfig(direction=GradientDescent(), step=Adaptive(), grad_tol=0.0)
     with pytest.raises(ValueError):
         RunConfig(direction=GradientDescent(), step=Adaptive(), grad_tol=math.nan)
+    for max_seconds in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="max_seconds"):
+            RunConfig(direction=GradientDescent(), step=Adaptive(), max_seconds=max_seconds)
     with pytest.raises(ValueError):
         run(RunConfig(direction=GradientDescent(), step=Adaptive(),
                       x0=np.zeros(3)), obj)

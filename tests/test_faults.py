@@ -1,6 +1,7 @@
-"""Fault injection: one NaN or infinity in one oracle result, wherever a
-run requests it, ends the run as numerical_error, with finite records
-before the terminal one and without raising; the CLI exits 1 on it."""
+"""Fault injection: one NaN or infinity in one oracle result, or one
+request that raises NumericalError, wherever a run makes it, ends the
+run as numerical_error, with finite records before the terminal one and
+without raising; the CLI exits 1 on it."""
 
 import math
 
@@ -9,13 +10,14 @@ import pytest
 
 import adaptqn.cli
 from adaptqn import (Adaptive, ArmijoWolfe, BfgsDense, Constant, GradientDescent,
-                     Hybrid, LBfgs, Newton, ObjectiveOracle, OnlineSampler,
+                     Hybrid, LBfgs, Newton, NumericalError, ObjectiveOracle, OnlineSampler,
                      QuadraticObjective, RunConfig, draw_batch, make_sparse_beta,
                      make_synthetic_sigma, run)
 from adaptqn.cli import main
 
 KINDS = ("value", "gradient", "hess_vec", "solve")
 BAD = (np.nan, np.inf, -np.inf)
+RAISE = "raise"  # a Fault's bad value that raises in place of returning
 DIRECTIONS = {"gd": GradientDescent(), "newton": Newton(), "bfgs": BfgsDense(),
               "lbfgs": LBfgs(memory=3)}
 
@@ -26,7 +28,8 @@ pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class Fault:
     """Spoils the k-th result of one kind of request, counting the
     requests of each kind over every point of the oracles sharing it.
-    A vector result gets the bad value in its first entry."""
+    A vector result gets the bad value in its first entry; with
+    bad=RAISE the request raises NumericalError instead."""
 
     def __init__(self, kind=None, k=0, bad=np.nan):
         self.kind, self.k, self.bad = kind, k, bad
@@ -36,6 +39,8 @@ class Fault:
         self.calls[kind] += 1
         if kind != self.kind or self.calls[kind] != self.k:
             return result
+        if self.bad is RAISE:
+            raise NumericalError(f"injected into {kind} #{self.k}")
         if np.ndim(result) == 0:
             return self.bad
         result = np.array(result, dtype=float)
@@ -94,21 +99,25 @@ def batch_run(config, fault):
 
 def check_every_fault_ends_numerical_error(config, run_with):
     """Spoil the first, the middle and the last request of each kind that
-    a clean run makes, with NaN, +inf and -inf in turn."""
+    a clean run makes, with NaN, +inf and -inf in turn, and make each of
+    them raise."""
     clean = Fault()
     run_with(config, clean)
     spoiled = 0
     for kind in KINDS:
         n = clean.calls[kind]
         for k, bad in zip(sorted({1, (n + 1) // 2, n}) if n else [], BAD):
-            trace = run_with(config, Fault(kind, k, bad))
-            where = f"{kind} #{k} of {n} = {bad}"
-            assert trace.termination.kind == "numerical_error", (where, trace.termination)
-            for r in trace.records[:-1]:
-                assert math.isfinite(r.f) and math.isfinite(r.gnorm), (where, r)
-                assert math.isfinite(r.t), (where, r)
-            spoiled += 1
-    assert spoiled >= 4
+            for spoil in (bad, RAISE):
+                trace = run_with(config, Fault(kind, k, spoil))
+                where = f"{kind} #{k} of {n} = {spoil}"
+                assert trace.termination.kind == "numerical_error", (where, trace.termination)
+                if spoil is RAISE:
+                    assert trace.termination.detail == f"injected into {kind} #{k}", where
+                for r in trace.records[:-1]:
+                    assert math.isfinite(r.f) and math.isfinite(r.gnorm), (where, r)
+                    assert math.isfinite(r.t), (where, r)
+                spoiled += 1
+    assert spoiled >= 8
 
 
 @pytest.mark.parametrize("step", [Adaptive(), ArmijoWolfe(), Hybrid(), Constant(0.5)],
