@@ -12,9 +12,7 @@ from .directions import (BfgsDense, GradientDescent, LBfgs, Newton,
 from .driver import (IterationRecord, ReferenceOptimum, RunConfig,
                      SuperlinearReport, Termination, Trace, run,
                      superlinear_report, t_settle_index)
-from .errors import (CurvatureError, DomainError, LineSearchError,
-                     NumericalError, OptimError, ParseError,
-                     UnsupportedOperationError)
+from .errors import NumericalError, ParseError
 from .oracles import (LogisticObjective, ObjectiveOracle,
                       OnlineLsExpectedObjective, OraclePoint,
                       QuadraticObjective, logistic_sc_scale,

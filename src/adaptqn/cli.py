@@ -14,7 +14,7 @@ from . import data_io
 from .directions import (BfgsDense, GradientDescent, LBfgs, Newton,
                          default_lbfgs_memory)
 from .driver import RunConfig, Trace, run, t_settle_index
-from .errors import OptimError, ParseError
+from .errors import NumericalError, ParseError
 from .oracles import LogisticObjective, QuadraticObjective
 from .steps import Adaptive, ArmijoWolfe, Hybrid, Constant
 from .stochastic import (CONSTANT_STEP_SIZES, ConstantBatch, GrowingBatch,
@@ -34,19 +34,16 @@ EXIT_ERROR = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 64
 EXIT_NOINPUT = 66
+EXIT_CANTCREAT = 73
 
 # exit code of each termination kind; stoch counts max_iters as success
 _EXIT = {"grad_tol": EXIT_OK, "max_iters": EXIT_BUDGET, "time_budget": EXIT_BUDGET,
          "numerical_error": EXIT_ERROR}
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _fmt(v) -> str:
@@ -77,19 +74,21 @@ def _write_file(path, text: str) -> None:
         os.fsync(fh.fileno())
 
 
-def _parse_kv(spec: str) -> dict:
+def _parse_kv(spec: str, keys: tuple) -> dict:
+    """The key=value pairs of spec as numbers, each key one of keys."""
     out = {}
     for item in spec.split(","):
         item = item.strip()
         if not item:
             continue
         key, _, val = item.partition("=")
-        if not val:
-            raise UsageError(f"expected key=value, got {item!r}")
+        key = key.strip()
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {spec!r}; choose from {', '.join(keys)}")
         try:
-            out[key.strip()] = float(val)
+            out[key] = float(val)
         except ValueError:
-            raise UsageError(f"expected a number in {item!r}") from None
+            raise ValueError(f"expected key=number, got {item!r}") from None
     return out
 
 
@@ -97,9 +96,17 @@ def _count(kv: dict, key: str, low: int, default=None) -> int:
     """kv[key] (or default) as a whole number >= low."""
     v = kv.get(key, default)
     if v is None or not (float(v).is_integer() and v >= low):
-        raise UsageError(f"{key} must be a whole number >= {low}"
+        raise ValueError(f"{key} must be a whole number >= {low}"
                          + ("" if v is None else f", got {v}"))
     return int(v)
+
+
+def _real(kv: dict, key: str, default: float, positive: bool = True) -> float:
+    """kv[key] (or default) as a finite number, positive if asked."""
+    v = kv.get(key, default)
+    if not (0.0 if positive else -math.inf) < v < math.inf:
+        raise ValueError(f"{key} must be {'positive and ' * positive}finite, got {v}")
+    return v
 
 
 def make_synthetic_quadratic(dim: int, cond: float = 100.0, seed: int = 0) -> QuadraticObjective:
@@ -113,31 +120,36 @@ def make_synthetic_quadratic(dim: int, cond: float = 100.0, seed: int = 0) -> Qu
     return QuadraticObjective(A, b)
 
 
+def _read_dataset(path):
+    """The LIBSVM dataset at path; a file that cannot be read raises
+    ParseError, like one that cannot be parsed."""
+    try:
+        return data_io.load_libsvm(path)
+    except OSError as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def _build_oracle(args):
     """Oracle described by --data / --synthetic-logistic / --synthetic-quadratic."""
     chosen = [s for s in (args.data, args.synthetic_logistic, args.synthetic_quadratic)
               if s is not None]
     if len(chosen) != 1:
-        raise UsageError("exactly one of --data, --synthetic-logistic, "
+        raise ValueError("exactly one of --data, --synthetic-logistic, "
                          "--synthetic-quadratic is required")
     if args.synthetic_quadratic is not None:
-        kv = _parse_kv(args.synthetic_quadratic)
-        cond = kv.get("cond", 100.0)
-        if not 0 < cond < math.inf:
-            raise UsageError(f"cond must be positive and finite, got {cond}")
-        return make_synthetic_quadratic(_count(kv, "dim", 1), cond, _count(kv, "seed", 0, 0))
+        kv = _parse_kv(args.synthetic_quadratic, ("dim", "cond", "seed"))
+        return make_synthetic_quadratic(_count(kv, "dim", 1), _real(kv, "cond", 100.0),
+                                        _count(kv, "seed", 0, 0))
     if args.data is not None:
-        try:
-            ds = data_io.load_libsvm(args.data)
-        except OSError as exc:
-            raise FileNotFoundError(str(exc)) from exc
+        ds = _read_dataset(args.data)
     else:
-        kv = _parse_kv(args.synthetic_logistic)
+        kv = _parse_kv(args.synthetic_logistic,
+                       ("N", "n", "seed", "separation", "decay", "maxnorm"))
         ds = data_io.synth_logistic(
-            _count(kv, "N", 1), _count(kv, "n", 1), seed=_count(kv, "seed", 0, args.seed),
-            separation=kv.get("separation", 1.5),
-            feature_decay=kv.get("decay", 0.6),
-            max_norm=kv.get("maxnorm", 2.0))
+            _count(kv, "N", 1), _count(kv, "n", 1), seed=_count(kv, "seed", 0, 0),
+            separation=_real(kv, "separation", 1.5, positive=False),
+            feature_decay=_real(kv, "decay", 0.6),
+            max_norm=_real(kv, "maxnorm", 2.0))
     sc = args.sc_scale
     return LogisticObjective(ds, None if sc == "auto" else 1.0 if sc == "none" else float(sc))
 
@@ -169,7 +181,7 @@ def _methods(text: str, known: tuple) -> list:
     methods = [m.strip() for m in text.split(",") if m.strip()]
     for m in methods:
         if m not in known:
-            raise UsageError(f"unknown method {m!r}; choose from {', '.join(known)}")
+            raise ValueError(f"unknown method {m!r}; choose from {', '.join(known)}")
     return methods
 
 
@@ -181,9 +193,9 @@ def _worst(codes) -> int:
 def cmd_run(args) -> int:
     methods = _methods(args.method, DETERMINISTIC_METHODS)
     if len(methods) != 1:
-        raise UsageError("run takes one method; bench runs several")
+        raise ValueError("run takes one method; bench runs several")
     if args.identity_scaling == "both":
-        raise UsageError("run takes --identity-scaling on or off; bench runs both")
+        raise ValueError("run takes --identity-scaling on or off; bench runs both")
     method = methods[0]
     oracle = _build_oracle(args)
     config = _method_config(method, oracle.dim, args,
@@ -198,7 +210,7 @@ def cmd_run(args) -> int:
 def cmd_bench(args) -> int:
     methods = _methods(args.methods, DETERMINISTIC_METHODS)
     if len(methods) < 2:
-        raise UsageError("bench needs at least two methods")
+        raise ValueError("bench needs at least two methods")
     oracle = _build_oracle(args)
     scaling_grid = {"on": [True], "off": [False], "both": [False, True]}[args.identity_scaling]
     # built before any run, so that an invalid flag is a usage error
@@ -211,7 +223,7 @@ def cmd_bench(args) -> int:
         tag = f"{method}-scaled" if identity_scaling else method
         try:
             trace = run(config, oracle)
-        except (OptimError, ValueError) as exc:
+        except ValueError as exc:  # a configuration run refuses
             rows.append(f"{method},{int(identity_scaling)},,,error: {exc},")
             codes.append(EXIT_ERROR)
             continue
@@ -247,11 +259,12 @@ def _stoch_step(method: str):
 def cmd_stoch(args) -> int:
     methods = _methods(args.methods, STOCHASTIC_METHODS)
     p = args.p
+    if p < 1:
+        raise ValueError(f"--p must be >= 1, got {p}")
     if args.sigma_from_data is not None:
-        ds = data_io.load_libsvm(args.sigma_from_data)
-        X = ds.to_dense()
+        X = _read_dataset(args.sigma_from_data).to_dense()
         if X.shape[1] < p:
-            raise UsageError(f"dataset has {X.shape[1]} features, need >= p = {p}")
+            raise ValueError(f"dataset has {X.shape[1]} features, need >= p = {p}")
         X = X[:, :p]
         sigma = np.cov(X, rowvar=False)
         sigma = 0.5 * (sigma + sigma.T) + 1e-10 * np.eye(p)
@@ -298,7 +311,6 @@ def build_parser() -> _Parser:
         p.add_argument("--identity-scaling", choices=["on", "off", "both"], default="off")
         p.add_argument("--lbfgs-memory", type=int, default=None,
                        help="default min(n//2, 20)")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=".", help="output directory for CSV traces")
 
     p_run = sub.add_parser("run", help="run one method, write <method>.csv")
@@ -335,20 +347,20 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FileNotFoundError, PermissionError, IsADirectoryError, ParseError) as exc:
+    except ParseError as exc:
         print(f"error: cannot read dataset: {exc}", file=sys.stderr)
         return EXIT_NOINPUT
-    except OptimError as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except ValueError as exc:
-        # a configuration the library refuses, such as dense BFGS above
-        # MAX_DENSE_DIM or a negative iteration budget
+        # a bad flag, or a configuration the library refuses, such as
+        # dense BFGS above MAX_DENSE_DIM or a negative iteration budget
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:  # dataset reads raise ParseError, so this is output
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CANTCREAT
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import ParseError
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -162,20 +162,8 @@ def serialize_libsvm(ds: SparseDataset) -> str:
 def max_row_norm(ds: SparseDataset) -> float:
     """Largest Euclidean row norm, B = max_i ||x_i||."""
     if ds.N < 1:
-        raise DomainError("empty dataset")
-    return float(np.sqrt(np.max(_row_sq_norms(ds.indptr, ds.values))))
-
-
-def _row_sq_norms(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
-    out = np.zeros(indptr.shape[0] - 1)
-    if data.shape[0] == 0:
-        return out
-    starts = indptr[:-1]
-    nonempty = indptr[1:] > starts
-    # reduceat mishandles empty segments; restrict to nonempty rows, whose
-    # consecutive starts bound exactly the data of each row.
-    out[nonempty] = np.add.reduceat(data * data, starts[nonempty])
-    return out
+        raise ValueError("empty dataset")
+    return float(np.sqrt(ds.X.power(2).sum(axis=1).max()))
 
 
 def synth_logistic(N: int, n: int, seed: int, separation: float = 1.5,
@@ -190,7 +178,7 @@ def synth_logistic(N: int, n: int, seed: int, separation: float = 1.5,
     of the labelling (0 gives pure coin flips).
     """
     if N < 1 or n < 1:
-        raise DomainError("N and n must be positive")
+        raise ValueError("N and n must be positive")
     rng = np.random.default_rng(seed)
     scales = feature_decay ** np.arange(n)
     X = rng.standard_normal((N, n)) * scales

@@ -25,7 +25,7 @@ from typing import Deque, Optional, Union
 import numpy as np
 from scipy.linalg.blas import dsymv, dsyr2
 
-from .errors import CurvatureError, UnsupportedOperationError
+from .errors import NumericalError
 from .oracles import OraclePoint
 
 __all__ = [
@@ -123,9 +123,9 @@ def identity_scaling_factor(s: np.ndarray, y: np.ndarray) -> float:
     yy = float(y @ y)
     sy = float(s @ y)
     if yy <= 0.0:
-        raise CurvatureError("identity scaling undefined for y = 0")
+        raise NumericalError("identity scaling undefined for y = 0")
     if sy <= 0.0:
-        raise CurvatureError(f"identity scaling requires s'y > 0, got {sy}")
+        raise NumericalError(f"identity scaling requires s'y > 0, got {sy}")
     return sy / yy
 
 
@@ -140,7 +140,7 @@ def bfgs_update_dense(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray
     """
     sy = float(s @ y)
     if not sy > 0.0:
-        raise CurvatureError(f"BFGS update requires s'y > 0, got {sy}")
+        raise NumericalError(f"BFGS update requires s'y > 0, got {sy}")
     Hy = dsymv(1.0, H, y)
     coeff = (1.0 + float(y @ Hy) / sy) / sy
     v = (0.5 * coeff) * s - Hy / sy
@@ -173,7 +173,7 @@ def compute_direction(state: InverseHessianState, point: OraclePoint,
         d = -g
     elif isinstance(rule, Newton):
         if not hasattr(point, "solve"):
-            raise UnsupportedOperationError(f"Newton needs solve; {type(point).__name__} has none")
+            raise ValueError(f"Newton needs solve; {type(point).__name__} has none")
         d = point.solve(-g)
     elif isinstance(rule, BfgsDense):
         d = dsymv(-1.0, state.H, g)
@@ -183,7 +183,7 @@ def compute_direction(state: InverseHessianState, point: OraclePoint,
         raise TypeError(f"unknown direction rule {rule!r}")
     rho = -float(g @ d)
     if not rho > 0.0:
-        raise CurvatureError(f"rho = -g'd = {rho} is not positive; positive definiteness lost")
+        raise NumericalError(f"rho = -g'd = {rho} is not positive; positive definiteness lost")
     return d, rho
 
 

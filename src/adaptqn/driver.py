@@ -13,7 +13,7 @@ import numpy as np
 
 from .directions import (MAX_DENSE_DIM, BfgsDense, DirectionRule, LBfgs,
                          Newton, compute_direction, ingest_pair, new_state)
-from .errors import NumericalError, OptimError, UnsupportedOperationError
+from .errors import NumericalError
 from .oracles import ObjectiveOracle
 from .steps import Adaptive, Constant, StepRule, choose_step
 
@@ -165,10 +165,10 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
         batches: Optional[Callable[[int], ObjectiveOracle]] = None) -> Trace:
     """Iterate x <- x + t d per the configured rules until the gradient
     threshold, iteration cap, time cap, or a numerical error (including
-    a non-finite f, ||g||, rho or t). Past the up-front refusals of the
-    configuration, every ``OptimError``, including one at ``x0``, ends
-    the run as ``numerical_error`` in ``Trace.termination``; none is
-    raised.
+    a non-finite f, ||g||, rho or t). Every ``NumericalError``, including
+    one at ``x0``, ends the run as ``numerical_error`` in
+    ``Trace.termination``; a configuration it refuses raises
+    ``ValueError``.
 
     ``batches``, when given, maps iteration k to the oracle that chooses
     that iteration's direction and step, such as a freshly sampled
@@ -185,7 +185,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
     if x.shape != (n,):
         raise ValueError(f"x0 has shape {x.shape}, oracle dimension is {n}")
     if isinstance(config.direction, Newton) and not oracle.has_hessian:
-        raise UnsupportedOperationError("Newton direction requires has_hessian")
+        raise ValueError("Newton direction requires has_hessian")
     if isinstance(config.direction, BfgsDense) and n > MAX_DENSE_DIM:
         raise ValueError(f"dense BFGS refused for n = {n} > {MAX_DENSE_DIM}; use LBfgs")
     fixed = batches is None
@@ -286,7 +286,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
                 cum_evals_hv=co.evals_hv, elapsed=time.perf_counter() - started,
                 log_gap=_log_gap(f, ref), err_ratio=err_ratio))
             x, f, g, point = x_new, f_new, g_new, point_new
-    except OptimError as exc:
+    except NumericalError as exc:
         return _end("numerical_error", str(exc))
 
 
@@ -321,7 +321,7 @@ def superlinear_report(trace: Trace) -> SuperlinearReport:
     are marked not-applicable for constant step rules.
     """
     if trace.config.reference is None:
-        raise UnsupportedOperationError("superlinear_report needs a reference optimum")
+        raise ValueError("superlinear_report needs a reference optimum")
     applicable = not isinstance(trace.config.step, Constant)
     ts = trace.step_sizes()
     settle = t_settle_index(ts) if applicable else None

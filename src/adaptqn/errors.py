@@ -1,36 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. An argument or
+configuration the package refuses raises a plain ``ValueError``."""
 
 
-class OptimError(Exception):
-    """Base class for all errors raised by this package."""
+class NumericalError(Exception):
+    """A computation broke down: positive curvature (s'y, d'Gd or
+    rho = g'Hg) was required but not observed, a value came out
+    non-finite, a factorization failed, or no Armijo step was found.
+    With a strictly convex objective these can only happen through
+    numerical breakdown, so callers treat this as a hard diagnostic
+    rather than clamping."""
 
 
-class DomainError(OptimError, ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
-
-
-class CurvatureError(OptimError):
-    """Positive curvature was required but not observed.
-
-    Raised when s'y <= 0, d'Gd <= 0, or rho = g'Hg <= 0. With a strictly
-    convex objective these can only happen through numerical breakdown,
-    so callers treat this as a hard diagnostic rather than clamping.
-    """
-
-
-class NumericalError(OptimError):
-    """A linear-algebra operation failed (e.g. non-SPD factorization)."""
-
-
-class LineSearchError(OptimError):
-    """No step satisfying the Armijo condition was found within budget."""
-
-
-class UnsupportedOperationError(OptimError):
-    """The oracle or trace does not support the requested operation."""
-
-
-class ParseError(OptimError, ValueError):
+class ParseError(ValueError):
     """Malformed input file; carries the 1-based line number."""
 
     def __init__(self, message, line_number=None):

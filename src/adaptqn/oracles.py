@@ -10,7 +10,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .data_io import SparseDataset, max_row_norm
-from .errors import DomainError, NumericalError
+from .errors import NumericalError
 
 __all__ = [
     "ObjectiveOracle",
@@ -122,7 +122,7 @@ def logistic_sc_scale(data: SparseDataset) -> float:
     the logistic loss is standard self-concordant."""
     B = max_row_norm(data)
     if B == 0.0:
-        raise DomainError("all feature rows are zero; scale factor undefined")
+        raise ValueError("all feature rows are zero; scale factor undefined")
     return B * B * data.N / 4.0
 
 
@@ -140,7 +140,7 @@ class LogisticObjective(ObjectiveOracle):
 
     def __init__(self, data: SparseDataset, sc_scale: float | None = None):
         if data.N < 1:
-            raise DomainError("empty dataset")
+            raise ValueError("empty dataset")
         self.data = data
         self.sc_scale = logistic_sc_scale(data) if sc_scale is None else float(sc_scale)
         if not 0.0 < self.sc_scale < np.inf:
@@ -295,7 +295,7 @@ class OnlineLsExpectedObjective(ObjectiveOracle):
         sigma = np.asarray(sigma, dtype=float)
         beta = np.asarray(beta, dtype=float)
         if lam <= 0:
-            raise DomainError("regularizer lam must be positive")
+            raise ValueError("regularizer lam must be positive")
         if sigma.shape != (beta.shape[0], beta.shape[0]):
             raise ValueError("sigma must be p x p matching beta")
         self.sigma = sigma

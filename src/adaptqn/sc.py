@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-
 __all__ = [
     "ScBoundInputs",
     "omega",
@@ -38,7 +36,7 @@ def omega(z):
     """
     z = np.asarray(z, dtype=float)
     if np.any(z < 0):
-        raise DomainError("omega requires z >= 0")
+        raise ValueError("omega requires z >= 0")
     # z^2/2 - z^3/3 + z^4/4 - z^5/5
     series = z * z * (0.5 - z * (1.0 / 3.0 - z * (0.25 - 0.2 * z)))
     direct = z - np.log1p(z)
@@ -65,9 +63,9 @@ def adaptive_step(rho, delta):
     drivers can stop with a diagnostic.
     """
     if not rho > 0.0:
-        raise DomainError(f"adaptive_step requires rho > 0, got {rho}")
+        raise ValueError(f"adaptive_step requires rho > 0, got {rho}")
     if not delta > 0.0:
-        raise DomainError(f"adaptive_step requires delta > 0, got {delta}")
+        raise ValueError(f"adaptive_step requires delta > 0, got {delta}")
     return rho / ((rho + delta) * delta)
 
 
@@ -86,32 +84,32 @@ def sc_upper_f(b: ScBoundInputs) -> float:
     """Upper model bound f(x) + t g'd - dt - log(1 - dt), dt = delta*t < 1."""
     u = b.delta * b.t
     if u >= 1.0:
-        raise DomainError(f"upper bound requires t*delta < 1, got {u}")
+        raise ValueError(f"upper bound requires t*delta < 1, got {u}")
     if b.t < 0:
-        raise DomainError("negative step length")
+        raise ValueError("negative step length")
     return b.f0 + b.t * b.gd + _omega_neg(u)
 
 
 def sc_lower_f(b: ScBoundInputs) -> float:
     """Lower model bound f(x) + t g'd + dt - log(1 + dt), any t >= 0."""
     if b.t < 0:
-        raise DomainError("negative step length")
+        raise ValueError("negative step length")
     return b.f0 + b.t * b.gd + omega(b.delta * b.t)
 
 
 def sc_lower_gd(gd0, delta, t) -> float:
     """Lower bound on g(x+td)'d: gd0 + delta^2 t / (1 + delta t)."""
     if t < 0:
-        raise DomainError("negative step length")
+        raise ValueError("negative step length")
     return gd0 + delta * delta * t / (1.0 + delta * t)
 
 
 def sc_upper_gd(gd0, delta, t) -> float:
     """Upper bound on g(x+td)'d: gd0 + delta^2 t / (1 - delta t), dt < 1."""
     if t < 0:
-        raise DomainError("negative step length")
+        raise ValueError("negative step length")
     u = delta * t
     if u >= 1.0:
-        raise DomainError(f"upper bound requires t*delta < 1, got {u}")
+        raise ValueError(f"upper bound requires t*delta < 1, got {u}")
     return gd0 + delta * delta * t / (1.0 - u)
 

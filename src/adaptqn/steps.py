@@ -8,7 +8,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import CurvatureError, DomainError, LineSearchError, NumericalError
+from .errors import NumericalError
 from .oracles import ObjectiveOracle, OraclePoint
 from .sc import adaptive_step
 
@@ -115,7 +115,7 @@ def adaptive_step_size(point: OraclePoint, d: np.ndarray, rho: float
     Gd = point.hess_vec(d)
     d_gd = float(d @ Gd)
     if not 0.0 < d_gd < np.inf:
-        raise CurvatureError(f"d'Gd = {d_gd} is not positive and finite")
+        raise NumericalError(f"d'Gd = {d_gd} is not positive and finite")
     delta = float(np.sqrt(d_gd))
     t = adaptive_step(rho, delta)
     return t, delta, rho / delta, Gd
@@ -138,10 +138,10 @@ def armijo_wolfe_search(oracle: ObjectiveOracle, x: np.ndarray, d: np.ndarray,
     points double t until an upper bracket appears, after which the
     bracket is narrowed with the same interpolation safeguard. If the
     evaluation budget runs out, the best Armijo point found is returned
-    with ``warning=True``; if there is none, raises LineSearchError.
+    with ``warning=True``; if there is none, raises NumericalError.
     """
     if gd >= 0.0:
-        raise DomainError(f"line search needs a descent direction, g'd = {gd}")
+        raise ValueError(f"line search needs a descent direction, g'd = {gd}")
     c1, c2 = params.c1, params.c2
     evals = 0  # f and g requests, against the budget
     t = 1.0
@@ -156,7 +156,7 @@ def armijo_wolfe_search(oracle: ObjectiveOracle, x: np.ndarray, d: np.ndarray,
             tb, fb, gb, pb = best
             return StepOutcome(t=tb, kind="line_search", warning=True, f_new=fb,
                                g_new=gb, point=pb)
-        raise LineSearchError(f"no Armijo step within {params.max_evals} evaluations")
+        raise NumericalError(f"no Armijo step within {params.max_evals} evaluations")
 
     while True:
         if evals >= params.max_evals:
@@ -209,7 +209,7 @@ def hybrid_select(oracle: ObjectiveOracle, x: np.ndarray, d: np.ndarray,
     per candidate, at ``oracle.at(x + t d)``; the Hessian-vector product
     is paid only on fallback, at ``point``, the evaluation point at x."""
     if gd >= 0.0:
-        raise DomainError(f"hybrid selection needs a descent direction, g'd = {gd}")
+        raise ValueError(f"hybrid selection needs a descent direction, g'd = {gd}")
     for cand in rule.candidates:
         pt = oracle.at(x + cand * d)
         ft = float(pt.value())

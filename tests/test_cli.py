@@ -238,33 +238,78 @@ def test_csv_missing_optionals_are_empty(tmp_path):
     assert cells[10] == "" and cells[11] == ""  # no reference: log_gap, err_ratio
 
 
-@pytest.mark.parametrize("argv, csv_name", [
+@pytest.mark.parametrize("argv, csv_name, named", [
     (["run", "--method", "gd-a", "--synthetic-quadratic", "dim=3",
-      "--grad-tol", "nan"], "gd-a.csv"),
+      "--grad-tol", "nan"], "gd-a.csv", "grad_tol"),
     (["run", "--method", "lbfgs-a", "--synthetic-quadratic", "dim=4",
-      "--lbfgs-memory", "0"], "lbfgs-a.csv"),
+      "--lbfgs-memory", "0"], "lbfgs-a.csv", "memory"),
     (["stoch", "--p", "5", "--methods", "sgd-a", "--iters", "5",
-      "--eig-low", "0"], "sgd-a.csv"),
+      "--eig-low", "0"], "sgd-a.csv", "eig_low"),
     *[(["run", "--method", "newton-a", "--synthetic-logistic", "N=50,n=5",
-        f"--sc-scale={sc}"], "newton-a.csv") for sc in ("0", "-1", "nan", "inf")],
+        f"--sc-scale={sc}"], "newton-a.csv", "sc_scale") for sc in ("0", "-1", "nan", "inf")],
     *[(["run", "--method", "gd-a", "--synthetic-quadratic", "dim=3",
-        f"--max-seconds={s}"], "gd-a.csv") for s in ("nan", "-1")],
+        f"--max-seconds={s}"], "gd-a.csv", "max_seconds") for s in ("nan", "-1")],
     *[(["stoch", "--p", "5", "--methods", "sgd-a", "--iters", "5",
-        f"--max-seconds={s}"], "sgd-a.csv") for s in ("nan", "-1")],
-    *[(["run", "--method", "gd-a", "--synthetic-quadratic", spec], "gd-a.csv")
-      for spec in ("dim=0", "dim=2.5", "dim=3,seed=-1", "dim=3,cond=-1", "dim=3,cond=inf")],
-    *[(["run", "--method", "gd-a", "--synthetic-logistic", spec], "gd-a.csv")
-      for spec in ("N=0,n=3", "N=5,n=0", "N=5,n=3,seed=1.5")],
+        f"--max-seconds={s}"], "sgd-a.csv", "max_seconds") for s in ("nan", "-1")],
+    *[(["run", "--method", "gd-a", "--synthetic-quadratic", spec], "gd-a.csv", named)
+      for spec, named in (("dim=0", "dim"), ("dim=2.5", "dim"), ("dim=3,seed=-1", "seed"),
+                          ("dim=3,cond=-1", "cond"), ("dim=3,cond=inf", "cond"),
+                          ("dim=3,cnd=5", "'cnd'"))],
+    *[(["run", "--method", "gd-a", "--synthetic-logistic", spec], "gd-a.csv", named)
+      for spec, named in (("N=0,n=3", "N must"), ("N=5,n=0", "n must"),
+                          ("N=5,n=3,seed=1.5", "seed"), ("N=5,n=3,separation=inf", "separation"),
+                          ("N=5,n=3,separation=nan", "separation"), ("N=5,n=3,decay=0", "decay"),
+                          ("N=5,n=3,decay=inf", "decay"), ("N=5,n=3,maxnorm=nan", "maxnorm"),
+                          ("N=5,n=3,maxnorm=-2", "maxnorm"))],
+    (["stoch", "--p", "0", "--methods", "sgd-a", "--iters", "5"], "sgd-a.csv", "--p"),
 ], ids=["grad-tol-nan", "lbfgs-memory-0", "eig-low-0",
         "sc-scale-0", "sc-scale--1", "sc-scale-nan", "sc-scale-inf",
         "run-max-seconds-nan", "run-max-seconds--1",
         "stoch-max-seconds-nan", "stoch-max-seconds--1",
         "quadratic-dim-0", "quadratic-dim-2.5", "quadratic-seed--1",
-        "quadratic-cond--1", "quadratic-cond-inf",
-        "logistic-N-0", "logistic-n-0", "logistic-seed-1.5"])
-def test_invalid_numeric_flag_is_usage_error(tmp_path, capsys, argv, csv_name):
+        "quadratic-cond--1", "quadratic-cond-inf", "quadratic-unknown-key",
+        "logistic-N-0", "logistic-n-0", "logistic-seed-1.5",
+        "logistic-separation-inf", "logistic-separation-nan",
+        "logistic-decay-0", "logistic-decay-inf",
+        "logistic-maxnorm-nan", "logistic-maxnorm--2", "stoch-p-0"])
+def test_invalid_numeric_flag_is_usage_error(tmp_path, capsys, argv, csv_name, named):
     rc = main(argv + ["--out", str(tmp_path)])
     assert rc == 64
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
     assert not (tmp_path / csv_name).exists()
+
+
+def test_refused_dataset_is_usage_error(tmp_path, capsys):
+    # a dataset of labels only, or of nothing, has no sc_scale to apply
+    labels = tmp_path / "labels.svm"
+    labels.write_text("+1\n-1\n")
+    empty = tmp_path / "empty.svm"
+    empty.write_text("")
+    for path, why in ((labels, "all feature rows are zero"), (empty, "empty dataset")):
+        rc = main(["run", "--method", "gd-a", "--data", str(path), "--out", str(tmp_path)])
+        assert rc == 64
+        assert why in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["out-is-a-file", "out-under-a-file", "trace-is-a-dir"])
+def test_output_failure_exits_73(tmp_path, capsys, case):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    (tmp_path / "gd-a.csv").mkdir()
+    out = {"out-is-a-file": afile, "out-under-a-file": afile / "sub",
+           "trace-is-a-dir": tmp_path}[case]
+    rc = main(["run", "--method", "gd-a", "--synthetic-quadratic", "dim=3",
+               "--out", str(out)])
+    assert rc == 73
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+
+
+def test_run_seed_flag_is_gone(tmp_path, capsys):
+    # the spec's seed= key picks the synthetic problem; stoch --seed stays
+    rc = main(["run", "--method", "gd-a", "--synthetic-logistic", "N=20,n=3",
+               "--seed", "3", "--out", str(tmp_path)])
+    assert rc == 64
+    assert "--seed" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import adaptqn
-from adaptqn import (DomainError, ParseError, SparseDataset, logistic_sc_scale,
+from adaptqn import (ParseError, SparseDataset, logistic_sc_scale,
                      max_row_norm, parse_libsvm, serialize_libsvm, synth_logistic)
 
 
@@ -77,9 +77,9 @@ def test_max_row_norm():
     assert max_row_norm(parse_libsvm("+1 1:3 2:4")) == pytest.approx(5.0)
     zero = parse_libsvm("+1 1:0\n-1 2:0")
     assert max_row_norm(zero) == 0.0
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="all feature rows are zero"):
         logistic_sc_scale(zero)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="empty dataset"):
         max_row_norm(parse_libsvm(""))
 
 

@@ -6,7 +6,7 @@ import pytest
 from adaptqn import (Adaptive, ArmijoWolfe, BfgsDense, Constant,
                      GradientDescent, Hybrid, LBfgs, LogisticObjective, Newton,
                      QuadraticObjective, RunConfig, ReferenceOptimum,
-                     UnsupportedOperationError, run, superlinear_report,
+                     run, superlinear_report,
                      synth_logistic, t_settle_index)
 from adaptqn.cli import make_synthetic_quadratic
 from adaptqn.oracles import _QuadraticPoint
@@ -131,7 +131,7 @@ def test_newton_requires_hessian_capability():
             return False
 
     obj = GradOnly(np.eye(3), np.ones(3))
-    with pytest.raises(UnsupportedOperationError):
+    with pytest.raises(ValueError, match="Newton direction requires has_hessian"):
         run(RunConfig(direction=Newton(), step=Adaptive()), obj)
 
 
@@ -184,7 +184,7 @@ def test_superlinear_report_requires_reference():
     obj = make_synthetic_quadratic(4, seed=8)
     trace = run(RunConfig(direction=BfgsDense(), step=Adaptive(), grad_tol=1e-8,
                           max_iters=100), obj)
-    with pytest.raises(UnsupportedOperationError):
+    with pytest.raises(ValueError, match="superlinear_report needs a reference optimum"):
         superlinear_report(trace)
 
 

@@ -3,8 +3,7 @@ import pytest
 
 from adaptqn import (Adaptive, LogisticObjective, Newton, ObjectiveOracle,
                      OnlineLsExpectedObjective, QuadraticObjective, RunConfig,
-                     SampledBatchOracle, ScBoundInputs,
-                     UnsupportedOperationError, logistic_sc_scale,
+                     SampledBatchOracle, ScBoundInputs, logistic_sc_scale,
                      online_ls_minimizer, parse_libsvm, run, sc_lower_f,
                      sc_lower_gd, sc_upper_f, sc_upper_gd, synth_logistic)
 from adaptqn.oracles import _sigmoid, _softplus, _weighted_gram, spd_solve
@@ -429,7 +428,7 @@ def test_dimension_checks_and_capability():
         has_hessian = False
 
     nh = NoHessian(np.eye(2), np.zeros(2))
-    with pytest.raises(UnsupportedOperationError):
+    with pytest.raises(ValueError, match="Newton direction requires has_hessian"):
         run(RunConfig(direction=Newton(), step=Adaptive()), nh)
 
 

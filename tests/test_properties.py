@@ -3,9 +3,10 @@ adaptive step, over random SPD quadratics and small logistic problems:
 the omega decrease, Armijo with c1 = 1/2, t*delta = eta/(1+eta) < 1,
 an honest termination kind, the secant equation H y = s after every
 curvature pair that dense BFGS accepts, and the two-loop recursion
-with every pair giving dense BFGS's directions along whole runs. Also
-the Woodbury Newton solve of wide logistic problems against the Gram
-matrix."""
+with every pair giving dense BFGS's directions along whole runs; the
+omega decrease of each iteration's batch objective along runs on
+batches of online least squares. Also the Woodbury Newton solve of
+wide logistic problems against the Gram matrix."""
 
 from unittest import mock
 
@@ -15,10 +16,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import adaptqn.driver as driver
-from adaptqn import (Adaptive, BfgsDense, GradientDescent, LBfgs,
-                     LogisticObjective, QuadraticObjective, RunConfig,
-                     SparseDataset, choose_step, compute_direction,
-                     ingest_pair, new_state, omega, run, synth_logistic)
+from adaptqn import (Adaptive, BfgsDense, GradientDescent, GrowingBatch,
+                     LBfgs, LogisticObjective, OnlineSampler,
+                     QuadraticObjective, RunConfig, SparseDataset,
+                     batch_size, choose_step, compute_direction, draw_batch,
+                     ingest_pair, make_sparse_beta, make_synthetic_sigma,
+                     new_state, omega, run, synth_logistic)
 from adaptqn.oracles import _sigmoid, _weighted_gram, spd_solve
 from conftest import property_test, sym
 
@@ -46,17 +49,18 @@ def small_logistics(draw):
     return LogisticObjective(data), np.zeros(n)
 
 
-def run_recording_steps(config, obj):
-    """``run`` plus, for every step it chose, rho = -g'd and the StepOutcome."""
+def run_recording_steps(config, obj, **kw):
+    """``run(config, obj, **kw)`` plus, for every step it chose, the
+    arguments (rule, oracle, x, d, f, g, rho, point) and the StepOutcome."""
     steps = []
 
     def recording(*args):
         outcome = choose_step(*args)
-        steps.append((args[6], outcome))
+        steps.append((args, outcome))
         return outcome
 
     with mock.patch.object(driver, "choose_step", recording):
-        trace = run(config, obj)
+        trace = run(config, obj, **kw)
     return trace, steps
 
 
@@ -66,8 +70,8 @@ def check_adaptive_guarantees(obj, x0, method):
     assert trace.termination.kind in TERMINATION_KINDS
     records = trace.records
     assert len(steps) >= len(records) - 1
-    for rec, nxt, (rho, out) in zip(records, records[1:], steps):
-        f0, f1, t, eta, delta = rec.f, nxt.f, rec.t, rec.eta, out.delta
+    for rec, nxt, (args, out) in zip(records, records[1:], steps):
+        f0, f1, t, eta, delta, rho = rec.f, nxt.f, rec.t, rec.eta, out.delta, args[6]
         # f is evaluated to about one ulp; the margins can be smaller near the end
         slack = 1e-10 * (1.0 + abs(f0))
         assert f1 <= f0 - omega(eta) + slack
@@ -86,6 +90,44 @@ def test_adaptive_guarantees_on_random_quadratics(problem, method):
 @given(small_logistics(), st.sampled_from(sorted(DIRECTIONS)))
 def test_adaptive_guarantees_on_small_logistic_problems(problem, method):
     check_adaptive_guarantees(*problem, method)
+
+
+@st.composite
+def online_samplers(draw):
+    """Online least squares with p from 1 to 12, a random covariance,
+    signal and sampling stream, and a growing batch from 1 to 2p."""
+    p = draw(st.integers(1, 12))
+    seeds = [draw(st.integers(0, 2**16)) for _ in range(3)]
+    sigma = make_synthetic_sigma(p, seed=seeds[0])
+    sampler = OnlineSampler(sigma, make_sparse_beta(p, seed=seeds[1]), lam=1.0 / p,
+                            seed=seeds[2])
+    return sampler, GrowingBatch(base=draw(st.integers(1, 2 * p)), period=10)
+
+
+def check_batch_omega_decrease(sampler, schedule, method):
+    """Every step of an adaptive run on batches decreases its own batch
+    objective f_k by omega(eta): f_k(x + t d) <= f_k(x) - omega(eta).
+    f_k is evaluated on the batch directly, outside the run's counts."""
+    batches = []
+
+    def draw(k):
+        batches.append(draw_batch(sampler, batch_size(schedule, k)))
+        return batches[-1]
+
+    config = RunConfig(direction=DIRECTIONS[method], step=Adaptive(), max_iters=100)
+    trace, steps = run_recording_steps(config, sampler.expected_objective(), batches=draw)
+    assert trace.termination.kind in TERMINATION_KINDS
+    assert len(steps) >= trace.iterations
+    for batch, (args, out) in zip(batches, steps):
+        x, d = args[2], args[3]
+        f0, f1 = batch.value(x), batch.value(x + out.t * d)
+        assert f1 <= f0 - omega(out.eta) + 1e-10 * (1.0 + abs(f0))
+
+
+@property_test
+@given(online_samplers(), st.sampled_from(sorted(DIRECTIONS)))
+def test_adaptive_decrease_per_batch_along_runs(problem, method):
+    check_batch_omega_decrease(*problem, method)
 
 
 def check_secant_equation(obj, x0):
