@@ -13,7 +13,7 @@ import numpy as np
 from . import data_io
 from .directions import (BfgsDense, GradientDescent, LBfgs, Newton,
                          default_lbfgs_memory)
-from .driver import RunConfig, Trace, run, t_settle_index
+from .driver import RunConfig, Trace, check_config, run, t_settle_index
 from .errors import NumericalError, ParseError
 from .oracles import LogisticObjective, QuadraticObjective
 from .steps import Adaptive, ArmijoWolfe, Hybrid, Constant
@@ -213,20 +213,18 @@ def cmd_bench(args) -> int:
         raise ValueError("bench needs at least two methods")
     oracle = _build_oracle(args)
     scaling_grid = {"on": [True], "off": [False], "both": [False, True]}[args.identity_scaling]
-    # built before any run, so that an invalid flag is a usage error
+    # built and checked before any run, so that an invalid flag or a
+    # configuration run refuses is a usage error and writes nothing
     grid = [(method, identity_scaling, _method_config(method, oracle.dim, args, identity_scaling))
             for identity_scaling in scaling_grid for method in methods]
+    for _, _, config in grid:
+        check_config(config, oracle)
     os.makedirs(args.out, exist_ok=True)
     rows = [SUMMARY_HEADER]
     codes = []
     for method, identity_scaling, config in grid:
         tag = f"{method}-scaled" if identity_scaling else method
-        try:
-            trace = run(config, oracle)
-        except ValueError as exc:  # a configuration run refuses
-            rows.append(f"{method},{int(identity_scaling)},,,error: {exc},")
-            codes.append(EXIT_ERROR)
-            continue
+        trace = run(config, oracle)
         write_trace_csv(os.path.join(args.out, f"{tag}.csv"), trace)
         settle = ""
         if not isinstance(config.step, Constant):

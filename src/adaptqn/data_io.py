@@ -54,6 +54,16 @@ class SparseDataset:
         """X' as a CSC matrix sharing X's arrays, for products X'c."""
         return self.X.T
 
+    @functools.cached_property
+    def row_gram(self) -> np.ndarray:
+        """The dense N x N row Gram matrix X X', read-only, for Newton
+        solves with n > N. Computed on first use only: no other caller
+        pays for it."""
+        A = self.X.toarray()
+        gram = A @ A.T
+        gram.flags.writeable = False
+        return gram
+
     @property
     def N(self) -> int:
         return self.X.shape[0]
@@ -70,7 +80,7 @@ class SparseDataset:
     def from_dense(X: np.ndarray, labels: np.ndarray) -> "SparseDataset":
         N, n = X.shape
         idx = _index_dtype(N * n, n)
-        indptr = np.arange(0, (N + 1) * n, n, dtype=idx)
+        indptr = np.arange(N + 1, dtype=idx) * n
         indices = np.tile(np.arange(n, dtype=idx), N)
         return _dataset(indptr, indices, X.ravel().astype(float).copy(),
                         np.asarray(labels, dtype=float).copy(), n)

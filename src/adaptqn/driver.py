@@ -23,6 +23,7 @@ __all__ = [
     "IterationRecord",
     "Termination",
     "Trace",
+    "check_config",
     "run",
     "superlinear_report",
     "SuperlinearReport",
@@ -161,6 +162,19 @@ def _log_gap(f: float, ref: Optional[ReferenceOptimum]) -> Optional[float]:
     return math.log10(gap) if gap > 0 else None
 
 
+def check_config(config: RunConfig, oracle: ObjectiveOracle) -> None:
+    """Raise ValueError if ``run`` refuses ``config`` on ``oracle``: an x0
+    of the wrong shape, Newton on an oracle without ``has_hessian``, or
+    dense BFGS above ``MAX_DENSE_DIM``. Checks nothing about batches."""
+    n = oracle.dim
+    if config.x0 is not None and np.shape(config.x0) != (n,):
+        raise ValueError(f"x0 has shape {np.shape(config.x0)}, oracle dimension is {n}")
+    if isinstance(config.direction, Newton) and not oracle.has_hessian:
+        raise ValueError("Newton direction requires has_hessian")
+    if isinstance(config.direction, BfgsDense) and n > MAX_DENSE_DIM:
+        raise ValueError(f"dense BFGS refused for n = {n} > {MAX_DENSE_DIM}; use LBfgs")
+
+
 def run(config: RunConfig, oracle: ObjectiveOracle, *,
         batches: Optional[Callable[[int], ObjectiveOracle]] = None) -> Trace:
     """Iterate x <- x + t d per the configured rules until the gradient
@@ -180,14 +194,9 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
     hold for a fixed oracle only; a run on batches stops on its budget,
     on a non-finite value, or on an exactly zero batch gradient.
     """
+    check_config(config, oracle)
     n = oracle.dim
     x = np.zeros(n) if config.x0 is None else np.asarray(config.x0, dtype=float).copy()
-    if x.shape != (n,):
-        raise ValueError(f"x0 has shape {x.shape}, oracle dimension is {n}")
-    if isinstance(config.direction, Newton) and not oracle.has_hessian:
-        raise ValueError("Newton direction requires has_hessian")
-    if isinstance(config.direction, BfgsDense) and n > MAX_DENSE_DIM:
-        raise ValueError(f"dense BFGS refused for n = {n} > {MAX_DENSE_DIM}; use LBfgs")
     fixed = batches is None
     if not (fixed or isinstance(config.step, (Adaptive, Constant))):
         # a line search would compare batch trial values with the measured f

@@ -86,9 +86,11 @@ class ObjectiveOracle(ABC):
     are derived from it, one fresh point per call. An oracle whose points
     can ``solve(b)`` with G(x), as Newton needs, sets ``has_hessian``.
 
-    Oracles are immutable after construction and hold no mutable cache,
-    so concurrent evaluation from multiple runs is safe; a point belongs
-    to its caller.
+    Oracles are immutable after construction, so concurrent evaluation
+    from multiple runs is safe; a point belongs to its caller. The one
+    state that changes is a logistic dataset's ``X'`` and ``X X'``,
+    computed once on first use; the computation is idempotent, so a run
+    that races another to it only repeats the same work.
     """
 
     has_hessian = False
@@ -200,7 +202,8 @@ class _LogisticPoint:
 
     def solve(self, b) -> np.ndarray:
         """u with G u = b, G = (c/N)(X'WX + I): by Cholesky of G when n <= N,
-        else as (N/c)(b - A'(I + AA')^-1 A b) with A = W^(1/2) X dense."""
+        else as (N/c)(b - A'(I + AA')^-1 A b) with A = W^(1/2) X, where
+        AA' = W^(1/2) (X X') W^(1/2) scales the dataset's cached row Gram."""
         ds, c, b = self._obj.data, self._obj.sc_scale, self._obj._check(b, "b")
         N, n = ds.N, ds.n
         if n <= N:
@@ -208,11 +211,10 @@ class _LogisticPoint:
             G.flat[::n + 1] += 1.0 / N
             G *= c
             return spd_solve(G, b)
-        A = ds.X.toarray()
-        A *= np.sqrt(self._hess_weights())[:, None]
-        K = A @ A.T
+        r = np.sqrt(self._hess_weights())
+        K = r[:, None] * ds.row_gram * r
         K.flat[::N + 1] += 1.0
-        return (N / c) * (b - A.T @ spd_solve(K, A @ b))
+        return (N / c) * (b - ds.XT @ (r * spd_solve(K, r * (ds.X @ b))))
 
 
 # Rows per dense block of the weighted Gram matrix; bounds its scratch

@@ -84,6 +84,17 @@ def test_refused_configuration_is_usage_error(tmp_path, capsys):
     assert "max_iters" in capsys.readouterr().err
 
 
+def test_bench_refuses_before_it_runs_anything(tmp_path, capsys):
+    # bfgs-a's refusal is found when the grid is built, so gd-a never runs
+    out = tmp_path / "out"
+    rc = main(["bench", "--methods", "gd-a,bfgs-a", "--synthetic-logistic", "N=4,n=5001",
+               "--max-iters", "5", "--out", str(out)])
+    assert rc == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: dense BFGS refused") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_run_requires_exactly_one_problem_source(tmp_path, capsys):
     rc = main(["run", "--method", "gd-a", "--out", str(tmp_path)])
     assert rc == 64

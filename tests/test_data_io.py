@@ -131,6 +131,16 @@ def test_from_dense_keeps_explicit_zeros_in_row_order():
     assert ds.indices.dtype == np.int32
 
 
+def test_from_dense_without_columns_matches_a_labels_only_file():
+    ds = SparseDataset.from_dense(np.zeros((3, 0)), np.array([1.0, -1.0, 1.0]))
+    parsed = parse_libsvm("+1\n-1\n+1")
+    assert ds.X.shape == parsed.X.shape == (3, 0)
+    for a, b in ((ds.indptr, parsed.indptr), (ds.indices, parsed.indices),
+                 (ds.values, parsed.values), (ds.labels, parsed.labels)):
+        np.testing.assert_array_equal(a, b)
+        assert a.dtype == b.dtype
+
+
 def test_package_import_leaves_scipy_sparse_unloaded():
     # scipy.sparse is loaded by the dataset builders, not by the package
     src = str(Path(adaptqn.__file__).resolve().parent.parent)

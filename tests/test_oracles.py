@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from adaptqn import (Adaptive, LogisticObjective, Newton, ObjectiveOracle,
-                     OnlineLsExpectedObjective, QuadraticObjective, RunConfig,
-                     SampledBatchOracle, ScBoundInputs, logistic_sc_scale,
-                     online_ls_minimizer, parse_libsvm, run, sc_lower_f,
-                     sc_lower_gd, sc_upper_f, sc_upper_gd, synth_logistic)
+from adaptqn import (Adaptive, BfgsDense, LBfgs, LogisticObjective, Newton,
+                     ObjectiveOracle, OnlineLsExpectedObjective,
+                     QuadraticObjective, RunConfig, SampledBatchOracle,
+                     ScBoundInputs, logistic_sc_scale, online_ls_minimizer,
+                     parse_libsvm, run, sc_lower_f, sc_lower_gd, sc_upper_f,
+                     sc_upper_gd, synth_logistic)
 from adaptqn.oracles import _sigmoid, _softplus, _weighted_gram, spd_solve
 
 
@@ -449,3 +450,32 @@ def test_logistic_refuses_a_scale_that_makes_no_objective(sc_scale):
     with pytest.raises(ValueError, match="sc_scale") as info:
         LogisticObjective(synth_logistic(20, 3, seed=0), sc_scale=sc_scale)
     assert type(info.value) is ValueError
+
+
+def test_row_gram_is_built_by_wide_newton_only():
+    # X X' is computed on a wide dataset's first Newton solve and kept;
+    # constructing the oracle and the quasi-Newton methods never pay for it
+    ds = synth_logistic(30, 60, seed=2)
+    obj = LogisticObjective(ds)
+    for direction in (BfgsDense(), LBfgs(memory=5)):
+        trace = run(RunConfig(direction=direction, step=Adaptive(), max_iters=20), obj)
+        assert trace.iterations > 0
+    assert "row_gram" not in vars(ds)
+
+    newton = RunConfig(direction=Newton(), step=Adaptive(), max_iters=20)
+    first = run(newton, obj)
+    assert first.termination.kind == "grad_tol"
+    gram = vars(ds)["row_gram"]
+    assert not gram.flags.writeable
+    np.testing.assert_allclose(gram, ds.to_dense() @ ds.to_dense().T, rtol=1e-14, atol=1e-14)
+    second = run(newton, LogisticObjective(ds))
+    assert vars(ds)["row_gram"] is gram
+    assert [r.f for r in second.records] == [r.f for r in first.records]
+
+
+def test_row_gram_is_never_built_when_n_fits_in_N():
+    ds = synth_logistic(60, 30, seed=2)
+    trace = run(RunConfig(direction=Newton(), step=Adaptive(), max_iters=20),
+                LogisticObjective(ds))
+    assert trace.termination.kind == "grad_tol"
+    assert "row_gram" not in vars(ds)
