@@ -13,9 +13,9 @@ from .driver import (IterationRecord, ReferenceOptimum, RunConfig,
                      SuperlinearReport, Termination, Trace, run,
                      superlinear_report, t_settle_index)
 from .errors import NumericalError, ParseError
-from .oracles import (LogisticObjective, ObjectiveOracle,
+from .oracles import (HessVecRay, LogisticObjective, ObjectiveOracle,
                       OnlineLsExpectedObjective, OraclePoint,
-                      QuadraticObjective, logistic_sc_scale,
+                      QuadraticObjective, Ray, logistic_sc_scale,
                       online_ls_minimizer)
 from .sc import (ScBoundInputs, adaptive_step, omega, sc_lower_f, sc_lower_gd,
                  sc_upper_f, sc_upper_gd)

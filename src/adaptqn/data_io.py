@@ -78,12 +78,18 @@ class SparseDataset:
 
     @staticmethod
     def from_dense(X: np.ndarray, labels: np.ndarray) -> "SparseDataset":
+        """Store a dense N x n matrix as CSR, zeros included. Raises
+        ValueError unless ``labels`` holds N values, each -1 or +1."""
         N, n = X.shape
+        labels = np.asarray(labels, dtype=float)
+        if labels.shape != (N,):
+            raise ValueError(f"labels have shape {labels.shape}, expected ({N},)")
+        if not np.isin(labels, (-1.0, 1.0)).all():
+            raise ValueError("labels must be -1 or +1")
         idx = _index_dtype(N * n, n)
         indptr = np.arange(N + 1, dtype=idx) * n
         indices = np.tile(np.arange(n, dtype=idx), N)
-        return _dataset(indptr, indices, X.ravel().astype(float).copy(),
-                        np.asarray(labels, dtype=float).copy(), n)
+        return _dataset(indptr, indices, X.ravel().astype(float).copy(), labels.copy(), n)
 
 
 def _index_dtype(nnz: int, n: int):

@@ -114,8 +114,10 @@ class Trace:
 
 class _CountingOracle:
     """Pass-through oracle counting the value/gradient/hess_vec requests
-    (not ``solve``) on its points. A run on batches points ``inner`` at
-    each iteration's batch, so the counts accumulate."""
+    (not ``solve``) on its points and their rays. A ray's curvature and
+    G d together count as one hess_vec request, as they share one
+    product. A run on batches points ``inner`` at each iteration's
+    batch, so the counts accumulate."""
 
     def __init__(self, inner: ObjectiveOracle):
         self.inner = inner
@@ -148,6 +150,34 @@ class _CountingPoint:
 
     def solve(self, b):
         return self._inner.solve(b)
+
+    def ray(self, d):
+        return _CountingRay(self._counts, self._inner.ray(d))
+
+
+class _CountingRay:
+    __slots__ = ("_counts", "_inner", "_hv_counted")
+
+    def __init__(self, counts: _CountingOracle, inner):
+        self._counts = counts
+        self._inner = inner
+        self._hv_counted = False
+
+    def _count_hv(self):
+        if not self._hv_counted:
+            self._counts.evals_hv += 1
+            self._hv_counted = True
+
+    def curvature(self):
+        self._count_hv()
+        return self._inner.curvature()
+
+    def hess_vec(self):
+        self._count_hv()
+        return self._inner.hess_vec()
+
+    def at(self, t):
+        return _CountingPoint(self._counts, self._inner.at(t))
 
 
 def _norm(v: np.ndarray) -> float:
@@ -256,8 +286,9 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
                     return _end("grad_tol", "batch gradient exactly zero")
 
             d, rho = compute_direction(state, step_point, step_g)
+            ray = step_point.ray(d)
             # positional: wrappers of choose_step may forward *args only
-            outcome = choose_step(config.step, co, x, d, f, step_g, rho, step_point)
+            outcome = choose_step(config.step, co, x, d, f, step_g, rho, ray)
             if not (math.isfinite(rho) and math.isfinite(outcome.t)):
                 raise NumericalError(f"non-finite rho = {rho} or t = {outcome.t} at k={k}")
 
@@ -267,7 +298,12 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
                 # so no future iteration can make progress either
                 raise NumericalError(f"step stalled below floating-point resolution at k={k} "
                                      f"(t={outcome.t:.3e})")
-            point_new = outcome.point if outcome.point is not None else measure.at(x_new)
+            if outcome.point is not None:
+                point_new = outcome.point
+            elif fixed:  # the ray's point at x_new reuses the ray's work
+                point_new = ray.at(outcome.t)
+            else:
+                point_new = measure.at(x_new)
             f_new = outcome.f_new if outcome.f_new is not None else point_new.value()
             g_new = outcome.g_new if outcome.g_new is not None else point_new.gradient()
 
@@ -277,7 +313,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
             if fixed:
                 ingest_pair(state, x_new - x, g_new - g)
             elif isinstance(config.direction, (BfgsDense, LBfgs)):
-                hv = outcome.hv if outcome.hv is not None else step_point.hess_vec(d)
+                hv = ray.hess_vec()
                 if not np.isfinite(hv).all():
                     raise NumericalError(f"non-finite batch G d at k={k}")
                 ingest_pair(state, d, hv)

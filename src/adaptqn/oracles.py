@@ -15,6 +15,8 @@ from .errors import NumericalError
 __all__ = [
     "ObjectiveOracle",
     "OraclePoint",
+    "Ray",
+    "HessVecRay",
     "LogisticObjective",
     "QuadraticObjective",
     "OnlineLsExpectedObjective",
@@ -65,6 +67,10 @@ class OraclePoint(Protocol):
     before; work they share at x is done once. ``hess_vec`` raises
     ValueError for a d of the wrong shape.
 
+    ``ray(d)`` returns the :class:`Ray` along x + t d from this point,
+    with the same check on d. A point without a cheaper ray returns
+    ``HessVecRay(oracle, x, d, self)``.
+
     Points of an oracle with ``has_hessian`` also have ``solve(b)``: u
     with G(x) u = b, for Newton, under the same rules; NumericalError
     when G(x) is not numerically positive definite."""
@@ -75,6 +81,52 @@ class OraclePoint(Protocol):
 
     def hess_vec(self, d: np.ndarray) -> np.ndarray: ...
 
+    def ray(self, d: np.ndarray) -> "Ray": ...
+
+
+class Ray(Protocol):
+    """The objective along x + t d, from the evaluation point at x.
+
+    ``curvature()`` is d'G(x)d and ``hess_vec()`` is G(x)d; the two
+    share their work, so requesting both costs one Hessian-vector
+    product. ``at(t)`` is a fresh evaluation point at x + t d, whose
+    x is ``x + t * d`` bit for bit; it may reuse work done along the
+    ray, so its values agree with ``oracle.at(x + t * d)`` to rounding,
+    not bit for bit."""
+
+    def curvature(self) -> float: ...
+
+    def hess_vec(self) -> np.ndarray: ...
+
+    def at(self, t: float) -> OraclePoint: ...
+
+
+class HessVecRay:
+    """The ray of a point without a cheaper one: ``hess_vec()`` is the
+    point's ``hess_vec(d)``, computed once, ``curvature()`` is d'(G d),
+    and ``at(t)`` is ``oracle.at(x + t * d)``."""
+
+    __slots__ = ("_oracle", "_x", "_d", "_point", "_gd")
+
+    def __init__(self, oracle: "ObjectiveOracle", x: np.ndarray, d: np.ndarray,
+                 point: OraclePoint):
+        self._oracle = oracle
+        self._x = x
+        self._d = d
+        self._point = point
+        self._gd = None
+
+    def hess_vec(self) -> np.ndarray:
+        if self._gd is None:
+            self._gd = self._point.hess_vec(self._d)
+        return self._gd
+
+    def curvature(self) -> float:
+        return float(self._d @ self.hess_vec())
+
+    def at(self, t: float) -> OraclePoint:
+        return self._oracle.at(self._x + t * self._d)
+
 
 class ObjectiveOracle(ABC):
     """Deterministic objective exposing value, gradient and the Hessian
@@ -82,9 +134,13 @@ class ObjectiveOracle(ABC):
 
     To write an oracle, implement ``dim`` and ``at(x)``, which checks x
     and returns an :class:`OraclePoint` holding the work shared between
-    evaluations at x. ``value(x)``, ``gradient(x)`` and ``hess_vec(x, d)``
-    are derived from it, one fresh point per call. An oracle whose points
-    can ``solve(b)`` with G(x), as Newton needs, sets ``has_hessian``.
+    evaluations at x. The point's ``ray(d)`` may simply return
+    ``HessVecRay(oracle, x, d, point)``; a point that can evaluate d'G d
+    or the points x + t d more cheaply than ``hess_vec`` and ``at`` do
+    returns its own :class:`Ray`. ``value(x)``, ``gradient(x)`` and
+    ``hess_vec(x, d)`` are derived from ``at``, one fresh point per
+    call. An oracle whose points can ``solve(b)`` with G(x), as Newton
+    needs, sets ``has_hessian``.
 
     Oracles are immutable after construction, so concurrent evaluation
     from multiple runs is safe; a point belongs to its caller. The one
@@ -157,17 +213,18 @@ class LogisticObjective(ObjectiveOracle):
 
 
 class _LogisticPoint:
-    """Logistic loss at one w: the margins z = Xw are computed once; the
-    loss margins m = -yz and exp(-|m|), shared by ``value`` and
-    ``gradient``, on the first of them; the Hessian weights s(1-s) on
-    the first ``hess_vec`` or ``solve``."""
+    """Logistic loss at one w: the margins z = Xw are computed once, or
+    carried in from a ray; the loss margins m = -yz and exp(-|m|),
+    shared by ``value``, ``gradient`` and the Hessian weights, on the
+    first of them; the Hessian weights s(1-s) on the first request that
+    needs them."""
 
     __slots__ = ("_obj", "_w", "_z", "_m", "_em", "_hw")
 
-    def __init__(self, obj: LogisticObjective, w: np.ndarray):
+    def __init__(self, obj: LogisticObjective, w: np.ndarray, z: np.ndarray | None = None):
         self._obj = obj
         self._w = w
-        self._z = obj.data.X @ w
+        self._z = obj.data.X @ w if z is None else z
         self._m = None
         self._hw = None
 
@@ -189,16 +246,17 @@ class _LogisticPoint:
         return self._obj.sc_scale * (ds.XT @ coef + self._w / ds.N)
 
     def _hess_weights(self) -> np.ndarray:
+        # |m| = |z| for labels of +-1, so exp(-|m|) serves sigmoid(z) too
         if self._hw is None:
-            s = _sigmoid(self._z)
+            s = _sigmoid(self._z, self._loss_margins()[1])
             self._hw = s * (1.0 - s)
         return self._hw
 
     def hess_vec(self, d) -> np.ndarray:
-        d = self._obj._check(d, "d")
-        ds = self._obj.data
-        coef = self._hess_weights() * (ds.X @ d) / ds.N
-        return self._obj.sc_scale * (ds.XT @ coef + d / ds.N)
+        return self.ray(d).hess_vec()
+
+    def ray(self, d) -> "_LogisticRay":
+        return _LogisticRay(self, self._obj._check(d, "d"))
 
     def solve(self, b) -> np.ndarray:
         """u with G u = b, G = (c/N)(X'WX + I): by Cholesky of G when n <= N,
@@ -215,6 +273,40 @@ class _LogisticPoint:
         K = r[:, None] * ds.row_gram * r
         K.flat[::N + 1] += 1.0
         return (N / c) * (b - ds.XT @ (r * spd_solve(K, r * (ds.X @ b))))
+
+
+class _LogisticRay:
+    """Logistic loss along w + t d: u = Xd is computed once, on first
+    need. The curvature (c/N)(sum hw u^2 + d'd) then costs O(N), and the
+    point at w + t d takes its margins as z + t u, so only its gradient
+    pays a product with X'."""
+
+    __slots__ = ("_point", "_d", "_u")
+
+    def __init__(self, point: _LogisticPoint, d: np.ndarray):
+        self._point = point
+        self._d = d
+        self._u = None
+
+    def _xd(self) -> np.ndarray:
+        if self._u is None:
+            self._u = self._point._obj.data.X @ self._d
+        return self._u
+
+    def curvature(self) -> float:
+        p, d, u = self._point, self._d, self._xd()
+        obj = p._obj
+        return obj.sc_scale * (float(p._hess_weights() @ (u * u)) + float(d @ d)) / obj.data.N
+
+    def hess_vec(self) -> np.ndarray:
+        p, d = self._point, self._d
+        ds = p._obj.data
+        coef = p._hess_weights() * self._xd() / ds.N
+        return p._obj.sc_scale * (ds.XT @ coef + d / ds.N)
+
+    def at(self, t: float) -> _LogisticPoint:
+        p = self._point
+        return _LogisticPoint(p._obj, p._w + t * self._d, p._z + t * self._xd())
 
 
 # Rows per dense block of the weighted Gram matrix; bounds its scratch
@@ -280,6 +372,9 @@ class _QuadraticPoint:
     def hess_vec(self, d) -> np.ndarray:
         return self._obj.A @ self._obj._check(d, "d")
 
+    def ray(self, d) -> HessVecRay:
+        return HessVecRay(self._obj, self._x, self._obj._check(d, "d"), self)
+
     def solve(self, b) -> np.ndarray:
         return spd_solve(self._obj.A, self._obj._check(b, "b"))
 
@@ -336,6 +431,9 @@ class _OnlineLsPoint:
         obj = self._obj
         d = obj._check(d, "d")
         return 2.0 * (obj.sigma @ d) + obj.lam * d
+
+    def ray(self, d) -> HessVecRay:
+        return HessVecRay(self._obj, self._w, self._obj._check(d, "d"), self)
 
     def solve(self, b) -> np.ndarray:
         obj = self._obj

@@ -9,7 +9,7 @@ from typing import Union
 import numpy as np
 
 from .errors import NumericalError
-from .oracles import ObjectiveOracle, OraclePoint
+from .oracles import ObjectiveOracle, OraclePoint, Ray
 from .sc import adaptive_step
 
 __all__ = [
@@ -72,8 +72,8 @@ class StepOutcome:
     ``point`` is the evaluation point at x + t d when the rule made one,
     and ``f_new``/``g_new`` the evaluations already requested there, so
     the driver never re-pays for them; each is None when the rule did
-    not evaluate there. ``hv`` is G(x)d when the rule computed it. The
-    rule's oracle work is counted on the points it requested it from.
+    not evaluate there. The rule's oracle work is counted on the points
+    and the ray it requested it from.
     """
 
     t: float
@@ -84,7 +84,6 @@ class StepOutcome:
     f_new: float | None = None
     g_new: np.ndarray | None = field(default=None, repr=False)
     point: OraclePoint | None = field(default=None, repr=False)
-    hv: np.ndarray | None = field(default=None, repr=False)
 
 
 def armijo_check(f0: float, f1: float, t: float, gd: float, c1: float) -> bool:
@@ -105,20 +104,18 @@ def wolfe_check(gd1: float, gd0: float, c2: float) -> bool:
     return gd1 >= c2 * gd0
 
 
-def adaptive_step_size(point: OraclePoint, d: np.ndarray, rho: float
-                       ) -> tuple[float, float, float, np.ndarray]:
-    """(t, delta, eta, G(x)d) for the curvature-adaptive rule at the
-    evaluation point at x.
+def adaptive_step_size(ray: Ray, rho: float) -> tuple[float, float, float]:
+    """(t, delta, eta) for the curvature-adaptive rule along ``ray``, the
+    ray along d from the evaluation point at x.
 
-    Costs exactly one Hessian-vector product: delta^2 = d'G(x)d.
+    Needs only the ray's curvature delta^2 = d'G(x)d.
     """
-    Gd = point.hess_vec(d)
-    d_gd = float(d @ Gd)
+    d_gd = ray.curvature()
     if not 0.0 < d_gd < np.inf:
         raise NumericalError(f"d'Gd = {d_gd} is not positive and finite")
     delta = float(np.sqrt(d_gd))
     t = adaptive_step(rho, delta)
-    return t, delta, rho / delta, Gd
+    return t, delta, rho / delta
 
 
 def _quad_interp(f0: float, gd: float, t: float, ft: float) -> float:
@@ -201,36 +198,39 @@ def _bracket_step(lo: float, f_lo: float, gd_lo: float, hi: float, f_hi: float) 
     return float(np.clip(cand, lo + 0.1 * width, hi - 0.1 * width))
 
 
-def hybrid_select(oracle: ObjectiveOracle, x: np.ndarray, d: np.ndarray,
-                  f0: float, gd: float, rho: float, rule: Hybrid,
-                  point: OraclePoint) -> StepOutcome:
+def hybrid_select(ray: Ray, f0: float, gd: float, rho: float,
+                  rule: Hybrid) -> StepOutcome:
     """Try ``rule.candidates`` in order against Armijo with ``rule.c1``;
     fall back to the adaptive step when none passes. One f evaluation
-    per candidate, at ``oracle.at(x + t d)``; the Hessian-vector product
-    is paid only on fallback, at ``point``, the evaluation point at x."""
+    per candidate, at ``ray.at(t)``; the ray's curvature is paid only on
+    fallback."""
     if gd >= 0.0:
         raise ValueError(f"hybrid selection needs a descent direction, g'd = {gd}")
     for cand in rule.candidates:
-        pt = oracle.at(x + cand * d)
+        pt = ray.at(cand)
         ft = float(pt.value())
         if armijo_check(f0, ft, cand, gd, rule.c1):
             return StepOutcome(t=cand, kind="hybrid_candidate", f_new=ft, point=pt)
-    t, delta, eta, Gd = adaptive_step_size(point, d, rho)
-    return StepOutcome(t=t, kind="hybrid_fallback", delta=delta, eta=eta, hv=Gd)
+    t, delta, eta = adaptive_step_size(ray, rho)
+    return StepOutcome(t=t, kind="hybrid_fallback", delta=delta, eta=eta)
 
 
 def choose_step(rule: StepRule, oracle: ObjectiveOracle, x: np.ndarray,
                 d: np.ndarray, f0: float, g: np.ndarray, rho: float,
-                point: OraclePoint) -> StepOutcome:
+                ray: Ray) -> StepOutcome:
     """Dispatch a step rule; the uniform entry point used by the driver.
-    ``point`` is the evaluation point at x."""
+    ``ray`` is the ray along d from the evaluation point at x. The
+    adaptive and hybrid rules work on it; the line search evaluates its
+    trials at ``oracle.at(x + t d)``, since it compares f values at the
+    rounding floor, where margins carried along a ray would change its
+    decisions."""
     if isinstance(rule, Adaptive):
-        t, delta, eta, Gd = adaptive_step_size(point, d, rho)
-        return StepOutcome(t=t, kind="adaptive", delta=delta, eta=eta, hv=Gd)
+        t, delta, eta = adaptive_step_size(ray, rho)
+        return StepOutcome(t=t, kind="adaptive", delta=delta, eta=eta)
     if isinstance(rule, Constant):
         return StepOutcome(t=rule.alpha, kind="constant")
     if isinstance(rule, ArmijoWolfe):
         return armijo_wolfe_search(oracle, x, d, f0, float(g @ d), rule)
     if isinstance(rule, Hybrid):
-        return hybrid_select(oracle, x, d, f0, float(g @ d), rho, rule, point)
+        return hybrid_select(ray, f0, float(g @ d), rho, rule)
     raise TypeError(f"unknown step rule {rule!r}")

@@ -12,7 +12,8 @@ import numpy as np
 
 from .directions import BfgsDense, GradientDescent, Newton
 from .driver import ReferenceOptimum, RunConfig, Trace, run
-from .oracles import ObjectiveOracle, OnlineLsExpectedObjective, online_ls_minimizer, spd_solve
+from .oracles import (HessVecRay, ObjectiveOracle, OnlineLsExpectedObjective,
+                      online_ls_minimizer, spd_solve)
 
 __all__ = [
     "CONSTANT_STEP_SIZES",
@@ -114,6 +115,9 @@ class _BatchPoint:
         obj = self._obj
         d = obj._check(d, "d")
         return (2.0 / obj.size) * (obj.X.T @ (obj.X @ d)) + obj.lam * d
+
+    def ray(self, d) -> HessVecRay:
+        return HessVecRay(self._obj, self._w, self._obj._check(d, "d"), self)
 
     def solve(self, b) -> np.ndarray:
         obj = self._obj

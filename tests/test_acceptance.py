@@ -69,7 +69,7 @@ def instrumented_adaptive_run(obj, rule, grad_tol=GRAD_TOL, max_iters=5000):
         if np.linalg.norm(g) < grad_tol:
             return steps, True
         d, rho = compute_direction(state, obj.at(x), g)
-        t, delta, eta, _ = adaptive_step_size(obj.at(x), d, rho)
+        t, delta, eta = adaptive_step_size(obj.at(x).ray(d), rho)
         x_new = x + t * d
         f_new = obj.value(x_new)
         g_new = obj.gradient(x_new)

@@ -141,6 +141,20 @@ def test_from_dense_without_columns_matches_a_labels_only_file():
         assert a.dtype == b.dtype
 
 
+@pytest.mark.parametrize("labels", [[1.0, -1.0], [1.0, -1.0, 1.0, -1.0], [[1.0, -1.0, 1.0]]],
+                         ids=["short", "long", "2d"])
+def test_from_dense_refuses_labels_of_the_wrong_shape(labels):
+    with pytest.raises(ValueError, match=r"labels have shape .*, expected \(3,\)"):
+        SparseDataset.from_dense(np.ones((3, 2)), labels)
+
+
+@pytest.mark.parametrize("labels", [[0.0, 1.0], [1.0, 2.0], [-1.0, np.nan]],
+                         ids=["zero-one", "two", "nan"])
+def test_from_dense_refuses_labels_other_than_plus_minus_one(labels):
+    with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+        SparseDataset.from_dense(np.ones((2, 2)), labels)
+
+
 def test_package_import_leaves_scipy_sparse_unloaded():
     # scipy.sparse is loaded by the dataset builders, not by the package
     src = str(Path(adaptqn.__file__).resolve().parent.parent)

@@ -10,9 +10,9 @@ import pytest
 
 import adaptqn.cli
 from adaptqn import (Adaptive, ArmijoWolfe, BfgsDense, Constant, GradientDescent,
-                     Hybrid, LBfgs, Newton, NumericalError, ObjectiveOracle, OnlineSampler,
-                     QuadraticObjective, RunConfig, draw_batch, make_sparse_beta,
-                     make_synthetic_sigma, run)
+                     HessVecRay, Hybrid, LBfgs, Newton, NumericalError, ObjectiveOracle,
+                     OnlineSampler, QuadraticObjective, RunConfig, draw_batch,
+                     make_sparse_beta, make_synthetic_sigma, run)
 from adaptqn.cli import main
 
 KINDS = ("value", "gradient", "hess_vec", "solve")
@@ -49,8 +49,8 @@ class Fault:
 
 
 class FaultyPoint:
-    def __init__(self, inner, fault):
-        self._inner, self._fault = inner, fault
+    def __init__(self, oracle, x, inner, fault):
+        self._oracle, self._x, self._inner, self._fault = oracle, x, inner, fault
 
     def value(self):
         return self._fault("value", self._inner.value())
@@ -64,6 +64,11 @@ class FaultyPoint:
     def solve(self, b):
         return self._fault("solve", self._inner.solve(b))
 
+    def ray(self, d):
+        # the generic ray, so that its curvature is a spoilable hess_vec
+        # and its points are faulty points
+        return HessVecRay(self._oracle, self._x, d, self)
+
 
 class FaultyOracle(ObjectiveOracle):
     has_hessian = True
@@ -76,7 +81,7 @@ class FaultyOracle(ObjectiveOracle):
         return self.inner.dim
 
     def at(self, x):
-        return FaultyPoint(self.inner.at(x), self.fault)
+        return FaultyPoint(self, x, self.inner.at(x), self.fault)
 
 
 def quadratic():

@@ -7,7 +7,8 @@ from adaptqn import (Adaptive, BfgsDense, LBfgs, LogisticObjective, Newton,
                      ScBoundInputs, logistic_sc_scale, online_ls_minimizer,
                      parse_libsvm, run, sc_lower_f, sc_lower_gd, sc_upper_f,
                      sc_upper_gd, synth_logistic)
-from adaptqn.oracles import _sigmoid, _softplus, _weighted_gram, spd_solve
+from adaptqn.oracles import (_LogisticRay, _sigmoid, _softplus, _weighted_gram,
+                             spd_solve)
 
 
 def fd_gradient(obj, x, h=1e-6):
@@ -230,6 +231,59 @@ def test_logistic_point_shares_exp_bitwise(desk_logistic):
         assert gradient_first.value() == f
 
 
+def test_hess_weights_reuse_the_loss_exp_bitwise(desk_logistic):
+    # for labels of +-1, exp(-|m|) = exp(-|z|): the weights are the
+    # two-pass formula's bits
+    ds = desk_logistic.data
+    rng = np.random.default_rng(7)
+    for w in (np.zeros(ds.n), 3.0 * rng.normal(size=ds.n)):
+        d = rng.normal(size=ds.n)
+        s = _sigmoid(ds.X @ w)
+        coef = s * (1.0 - s) * (ds.X @ d) / ds.N
+        want = desk_logistic.sc_scale * (ds.XT @ coef + d / ds.N)
+        pt = desk_logistic.at(w)
+        pt.value()
+        np.testing.assert_array_equal(pt.hess_vec(d), want)
+        np.testing.assert_array_equal(desk_logistic.at(w).hess_vec(d), want)
+
+
+def sparse_binary_logistic(N, n, nnz_per_row, seed):
+    """N rows of nnz_per_row ones, in columns drawn with power-law
+    popularity, and labels from a noisy linear rule, read from LIBSVM
+    text: a small version of a9a-like data."""
+    rng = np.random.default_rng(seed)
+    keys = rng.exponential(size=(N, n)) * np.arange(1, n + 1) ** 0.7
+    cols = np.sort(np.argpartition(keys, nnz_per_row, axis=1)[:, :nnz_per_row], axis=1)
+    margin = rng.standard_normal(n)[cols].sum(axis=1)
+    margin = (margin - margin.mean()) / margin.std()
+    labels = np.where(1.5 * margin + rng.standard_normal(N) >= 0, "+1", "-1")
+    text = "\n".join(label + " " + " ".join(f"{j}:1" for j in row)
+                     for label, row in zip(labels, cols + 1))
+    return LogisticObjective(parse_libsvm(text, n_features=n))
+
+
+def test_margins_carried_along_a_long_run_stay_within_rounding(monkeypatch):
+    # lbfgs-a takes every step along a ray, so each iterate's margins are
+    # z + t X d carried from the start, never recomputed as X w
+    obj = sparse_binary_logistic(3000, 200, 10, seed=1)
+    X = obj.data.X
+    points = []
+    ray_at = _LogisticRay.at
+
+    def recording(ray, t):
+        points.append(ray_at(ray, t))
+        return points[-1]
+
+    monkeypatch.setattr(_LogisticRay, "at", recording)
+    g0 = np.linalg.norm(obj.gradient(np.zeros(obj.dim)))
+    trace = run(RunConfig(direction=LBfgs(memory=20), step=Adaptive(), grad_tol=1e-6 * g0,
+                          max_iters=2000), obj)
+    assert trace.termination.kind == "grad_tol"
+    assert len(points) == trace.iterations >= 300
+    drift = max(np.linalg.norm(p._z - X @ p._w) / np.linalg.norm(X @ p._w) for p in points)
+    assert drift <= 1e-13
+
+
 def spd_matrix(rng, n, lo, hi):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return (q * np.linspace(lo, hi, n)) @ q.T
@@ -287,6 +341,16 @@ def test_point_contract(make):
         # solve inverts the Hessian action
         assert_rel_close(first.solve(hv_e), e, rtol=1e-10)
         assert_rel_close(first.hess_vec(u), d, rtol=1e-10)
+        # the ray along d: the point's G d, d'G d, and points at x + t d
+        ray = obj.at(x).ray(d)
+        curvature = ray.curvature()
+        np.testing.assert_array_equal(ray.hess_vec(), hv_d)
+        assert abs(curvature - float(d @ hv_d)) <= 1e-13 * curvature
+        on_ray = ray.at(0.5)
+        assert on_ray.value() == pytest.approx(obj.value(x + 0.5 * d), rel=1e-13)
+        assert_rel_close(on_ray.gradient(), obj.gradient(x + 0.5 * d))
+    with pytest.raises(ValueError):
+        obj.at(x).ray(np.ones(n + 1))
     with pytest.raises(ValueError):
         obj.at(x).hess_vec(np.ones(n + 1))
     with pytest.raises(ValueError):

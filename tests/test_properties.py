@@ -6,7 +6,8 @@ curvature pair that dense BFGS accepts, and the two-loop recursion
 with every pair giving dense BFGS's directions along whole runs; the
 omega decrease of each iteration's batch objective along runs on
 batches of online least squares. Also the Woodbury Newton solve of
-wide logistic problems against the Gram matrix."""
+wide logistic problems against the Gram matrix, and the logistic ray
+against fresh evaluation points."""
 
 from unittest import mock
 
@@ -51,7 +52,7 @@ def small_logistics(draw):
 
 def run_recording_steps(config, obj, **kw):
     """``run(config, obj, **kw)`` plus, for every step it chose, the
-    arguments (rule, oracle, x, d, f, g, rho, point) and the StepOutcome."""
+    arguments (rule, oracle, x, d, f, g, rho, ray) and the StepOutcome."""
     steps = []
 
     def recording(*args):
@@ -230,3 +231,49 @@ def test_woodbury_solve_matches_the_gram_solve(case):
     gram = spd_solve(obj.sc_scale * G, b)
     woodbury = obj.at(w).solve(b)
     assert np.linalg.norm(woodbury - gram) <= 1e-12 * np.linalg.norm(gram)
+
+
+@st.composite
+def logistic_rays(draw):
+    """A logistic objective at a point w with a direction d and a step
+    t: N and n from 1 to 30 (so n > N too), dense Gaussian rows of which
+    some are empty (or all, with sc_scale = 1), the auto or the raw
+    scale, |w| from 1e-2 to 1e3 and |d| from 1e-3 to 1e2 times Gaussian,
+    and t in (0, 2]."""
+    N, n = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((N, n)) * (rng.random((N, 1)) > draw(st.sampled_from([0.0, 0.3, 1.0])))
+    labels = np.where(rng.random(N) < 0.5, -1.0, 1.0)
+    raw = draw(st.booleans()) or not X.any()
+    obj = LogisticObjective(SparseDataset.from_dense(X, labels), sc_scale=1.0 if raw else None)
+    w = 10.0 ** draw(st.floats(-2.0, 3.0)) * rng.standard_normal(n)
+    d = 10.0 ** draw(st.floats(-3.0, 2.0)) * rng.standard_normal(n)
+    t = draw(st.floats(0.0, 2.0, exclude_min=True))
+    return obj, w, d, t
+
+
+@property_test
+@given(logistic_rays())
+def test_logistic_ray_matches_fresh_points(case):
+    """The ray's curvature is d'G d within 1e-13 relative, its G d is the
+    point's bit for bit, and its point at t has x = w + t d bit for bit,
+    with f and g within rounding of the margins of oracle.at(w + t d)."""
+    obj, w, d, t = case
+    pt, ray = obj.at(w), obj.at(w).ray(d)
+    hv = pt.hess_vec(d)
+    dGd = float(d @ hv)
+    assert abs(ray.curvature() - dGd) <= 1e-13 * dGd
+    np.testing.assert_array_equal(ray.hess_vec(), hv)
+    x = w + t * d
+    on_ray, fresh = ray.at(t), obj.at(x)
+    np.testing.assert_array_equal(on_ray._w, x)
+    # a margin x_i'w + t x_i'd differs from x_i'(w + t d) by rounding
+    # relative to |x_i|'(|w| + t |d|); f and g move by at most that much
+    absX = abs(obj.data.X)
+    margin_scale = absX @ (np.abs(w) + t * np.abs(d))
+    c, N = obj.sc_scale, obj.data.N
+    f = fresh.value()
+    assert abs(on_ray.value() - f) <= 1e-13 * (abs(f) + c * margin_scale.sum() / N)
+    g = fresh.gradient()
+    g_scale = np.linalg.norm(g) + c * np.linalg.norm(absX.T @ margin_scale) / N
+    assert np.linalg.norm(on_ray.gradient() - g) <= 1e-13 * g_scale

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adaptqn import (Adaptive, ArmijoWolfe, Constant, Hybrid,
+from adaptqn import (Adaptive, ArmijoWolfe, Constant, HessVecRay, Hybrid,
                      LogisticObjective, NumericalError, ObjectiveOracle,
                      QuadraticObjective, adaptive_step_size, armijo_check,
                      armijo_wolfe_search, choose_step, hybrid_select, omega,
@@ -12,7 +12,7 @@ from adaptqn.oracles import _QuadraticPoint
 
 class CountingWrapper(ObjectiveOracle):
     """Counts the value/gradient/hess_vec requests made on the points
-    it returns."""
+    it returns and on their rays."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -23,12 +23,13 @@ class CountingWrapper(ObjectiveOracle):
         return self.inner.dim
 
     def at(self, x):
-        return CountingPoint(self, self.inner.at(x))
+        return CountingPoint(self, x, self.inner.at(x))
 
 
 class CountingPoint:
-    def __init__(self, counts, inner):
+    def __init__(self, counts, x, inner):
         self.counts = counts
+        self.x = x
         self.inner = inner
 
     def value(self):
@@ -42,6 +43,9 @@ class CountingPoint:
     def hess_vec(self, d):
         self.counts.n_hv += 1
         return self.inner.hess_vec(d)
+
+    def ray(self, d):
+        return HessVecRay(self.counts, self.x, d, self)
 
 
 def test_armijo_check_boundary_and_failure():
@@ -79,7 +83,7 @@ def test_adaptive_step_on_norm_squared():
     r = np.linalg.norm(x)
     d = -x
     rho = r * r
-    t, delta, eta, _ = adaptive_step_size(obj.at(x), d, rho)
+    t, delta, eta = adaptive_step_size(obj.at(x).ray(d), rho)
     assert obj.n_hv == 1
     assert delta == pytest.approx(r, rel=1e-14)
     assert t == pytest.approx(1.0 / (1.0 + r), rel=1e-14)
@@ -90,7 +94,7 @@ def test_adaptive_step_on_norm_squared():
 def test_adaptive_step_curvature_error():
     obj = QuadraticObjective(-np.eye(2), np.zeros(2))
     with pytest.raises(NumericalError, match="d'Gd = .* is not positive and finite"):
-        adaptive_step_size(obj.at(np.ones(2)), np.ones(2), 1.0)
+        adaptive_step_size(obj.at(np.ones(2)).ray(np.ones(2)), 1.0)
 
 
 def test_adaptive_decrease_bound_on_logistic():
@@ -100,7 +104,7 @@ def test_adaptive_decrease_bound_on_logistic():
         g = obj.gradient(x)
         d = -g
         rho = float(g @ g)
-        t, delta, eta, _ = adaptive_step_size(obj.at(x), d, rho)
+        t, delta, eta = adaptive_step_size(obj.at(x).ray(d), rho)
         f0 = obj.value(x)
         f1 = obj.value(x + t * d)
         assert f1 <= f0 - omega(eta) + 1e-10 * (1.0 + abs(f0))
@@ -195,8 +199,7 @@ def test_armijo_wolfe_warning_when_wolfe_unreachable_in_budget():
 def test_hybrid_precondition():
     obj = QuadraticObjective(np.eye(2), np.zeros(2))
     with pytest.raises(ValueError, match="hybrid selection needs a descent direction"):
-        hybrid_select(obj, np.ones(2), np.ones(2), 1.0, 1.0, 1.0, Hybrid(),
-                      obj.at(np.ones(2)))
+        hybrid_select(obj.at(np.ones(2)).ray(np.ones(2)), 1.0, 1.0, 1.0, Hybrid())
 
 
 def test_line_search_contract_on_logistic_run():
@@ -223,8 +226,8 @@ def test_accepted_trial_point_is_returned():
     x = np.zeros(15)
     g = obj.gradient(x)
     ls = armijo_wolfe_search(obj, x, -g, obj.value(x), float(-g @ g), ArmijoWolfe())
-    hy = hybrid_select(obj, x, -g, obj.value(x), float(-g @ g), float(g @ g), Hybrid(),
-                       obj.at(x))
+    hy = hybrid_select(obj.at(x).ray(-g), obj.value(x), float(-g @ g), float(g @ g),
+                       Hybrid())
     for out in (ls, hy):
         x_new = x - out.t * g
         assert out.point.value() == out.f_new == obj.value(x_new)
@@ -239,7 +242,7 @@ def test_hybrid_accepts_unit_step_on_quadratic():
     f0 = obj.value(x)
     gd = float(-x @ x)
     obj.n_f = obj.n_hv = 0
-    out = hybrid_select(obj, x, d, f0, gd, -gd, Hybrid(c1=0.5), obj.at(x))
+    out = hybrid_select(obj.at(x).ray(d), f0, gd, -gd, Hybrid(c1=0.5))
     assert out.t == 1.0
     assert out.kind == "hybrid_candidate"
     assert obj.n_f == 1 and obj.n_hv == 0
@@ -254,10 +257,10 @@ def test_hybrid_falls_back_to_adaptive():
     d = -g
     rho = float(g @ g)
     f0 = obj.inner.value(x)
-    out = hybrid_select(obj, x, d, f0, float(g @ d), rho, Hybrid(), obj.at(x))
+    out = hybrid_select(obj.at(x).ray(d), f0, float(g @ d), rho, Hybrid())
     assert out.kind == "hybrid_fallback"
     assert obj.n_f == 3 and obj.n_hv == 1
-    t_direct, delta, eta, _ = adaptive_step_size(obj.inner.at(x), d, rho)
+    t_direct, delta, eta = adaptive_step_size(obj.inner.at(x).ray(d), rho)
     assert out.t == pytest.approx(t_direct, rel=1e-14)
     assert out.eta == pytest.approx(eta, rel=1e-14)
 
@@ -266,9 +269,9 @@ def test_hybrid_empty_candidates_is_pure_adaptive():
     obj = QuadraticObjective(np.eye(2), np.zeros(2))
     x = np.array([3.0, 4.0])
     g = obj.gradient(x)
-    out = hybrid_select(obj, x, -g, obj.value(x), float(-g @ g), float(g @ g),
-                        Hybrid(candidates=()), obj.at(x))
-    t_direct, _, _, _ = adaptive_step_size(obj.at(x), -g, float(g @ g))
+    out = hybrid_select(obj.at(x).ray(-g), obj.value(x), float(-g @ g), float(g @ g),
+                        Hybrid(candidates=()))
+    t_direct, _, _ = adaptive_step_size(obj.at(x).ray(-g), float(g @ g))
     assert out.kind == "hybrid_fallback"
     assert out.t == pytest.approx(t_direct, rel=1e-14)
 
@@ -288,7 +291,7 @@ def test_adaptive_step_closed_form_in_g_H_G():
         g = obj.gradient(x)
         d = -(H @ g)
         rho = -float(g @ d)
-        t, delta, eta, _ = adaptive_step_size(obj.at(x), d, rho)
+        t, delta, eta = adaptive_step_size(obj.at(x).ray(d), rho)
         gHg = float(g @ H @ g)
         gHGHg = float(g @ H @ G @ H @ g)
         want = gHg / (gHGHg + gHg * np.sqrt(gHGHg))
@@ -302,9 +305,9 @@ def test_choose_step_dispatch():
     g = obj.gradient(x)
     d, rho = compute_direction(new_state(GradientDescent(), 2), obj.at(x), g)
     f0 = obj.value(x)
-    pt = obj.at(x)
-    assert choose_step(Adaptive(), obj, x, d, f0, g, rho, pt).kind == "adaptive"
-    assert choose_step(Constant(0.3), obj, x, d, f0, g, rho, pt).t == 0.3
-    assert choose_step(ArmijoWolfe(), obj, x, d, f0, g, rho, pt).kind == "line_search"
-    assert choose_step(Hybrid(), obj, x, d, f0, g, rho, pt).kind in ("hybrid_candidate",
-                                                                     "hybrid_fallback")
+    ray = obj.at(x).ray(d)
+    assert choose_step(Adaptive(), obj, x, d, f0, g, rho, ray).kind == "adaptive"
+    assert choose_step(Constant(0.3), obj, x, d, f0, g, rho, ray).t == 0.3
+    assert choose_step(ArmijoWolfe(), obj, x, d, f0, g, rho, ray).kind == "line_search"
+    assert choose_step(Hybrid(), obj, x, d, f0, g, rho, ray).kind in ("hybrid_candidate",
+                                                                      "hybrid_fallback")

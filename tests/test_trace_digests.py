@@ -32,23 +32,23 @@ STOCH_DIGESTS = {
 }
 
 BENCH_DIGESTS = {
-    "bfgs-a-scaled.csv": "859aad2952bc3966ce887a8fc8e95850ce2ba013a96a91f270c8dfc7d4cf29e7",
-    "bfgs-a.csv": "1225612ffd25129072bbcbd5f0e22e57a09eaffa8ec0222a0d7bb92717bf53c1",
-    "bfgs-h-scaled.csv": "b121e9370b142edf79e45d5e388f93b40b1115b620b293bd17dd66cf7664621a",
-    "bfgs-h.csv": "e26b9b364859c26a064cce2ca7f0e61ac16c452b844d7b50aedd5d1d8b0cf972",
+    "bfgs-a-scaled.csv": "78e62c5b209713e41fa15175fcbfe949fab94be6b61d97e64a6739748237ef97",
+    "bfgs-a.csv": "584f44f48ba0fea0f9dd3efa9f4c5752789b2962aa8e838fffe42e06e19c5b0e",
+    "bfgs-h-scaled.csv": "ba69dfb1a799ff195bd764f11d7d71d78fa7df9b59383874aa2140b6d250df84",
+    "bfgs-h.csv": "af2b83bb18f05cf8bb1c95e236a0d61dce8d555452080aa5d55dd81c4e719acf",
     "bfgs-ls-scaled.csv": "0aa065c0fff807325e4b1b92e1f51a75e58913a020b038019034ee9db0471475",
     "bfgs-ls.csv": "ee173f71468a183299a0812004bec23b28b9376bfaa0d71d192b4311a5130adf",
-    "gd-a-scaled.csv": "ec120e7037f721ef3ca1e8c7f6835761e54af34e46771f9e0c1568998e4b231f",
-    "gd-a.csv": "ec120e7037f721ef3ca1e8c7f6835761e54af34e46771f9e0c1568998e4b231f",
+    "gd-a-scaled.csv": "534ec35f49d51f11001f84b56cb2c47466f8116db4263fa545ed1bb7599fe300",
+    "gd-a.csv": "534ec35f49d51f11001f84b56cb2c47466f8116db4263fa545ed1bb7599fe300",
     "gd-ls-scaled.csv": "905379677f6b4a1d6326f2c3fe92a7d71b72178ea2fc5f387864fafee3781445",
     "gd-ls.csv": "905379677f6b4a1d6326f2c3fe92a7d71b72178ea2fc5f387864fafee3781445",
-    "lbfgs-a-scaled.csv": "47680985ae8c586443730676243fcebb45f392aad004340e02feb8a0910284b9",
-    "lbfgs-a.csv": "5fe1e83eae3fad6526e0cabe813244d22c77a6f66d72f740f33db2eba7bc3e5d",
+    "lbfgs-a-scaled.csv": "4596fd4865de54b7e190addad3f5af923a49384ae19c697ab8176a6d70072ead",
+    "lbfgs-a.csv": "7ceaf541313bc80f688939a39bd9531ea84ad4fbf19381bb408a71581bb62b37",
     "lbfgs-ls-scaled.csv": "a0772d8a06b43fed8ec8abebf6ee4d16938f7c4ab9d7f9ac891f18b6424f8377",
     "lbfgs-ls.csv": "863286c588c73419a189ef4e373f94ee972f43f4fcf643a38785031b21aa6f3c",
-    "newton-a-scaled.csv": "b953310c0adb493d7967689285c56987666663d39aa9cfe7418600ee9694318a",
-    "newton-a.csv": "b953310c0adb493d7967689285c56987666663d39aa9cfe7418600ee9694318a",
-    "summary.csv": "9280223e1fa0c6e9c8a80a6b26bdb736c07178fce69bf89938635c2332efeb34",
+    "newton-a-scaled.csv": "c52268ef37a2de00da7a683b78bd3957a7d70a01c5b1b080df60ef2ad3a9f385",
+    "newton-a.csv": "c52268ef37a2de00da7a683b78bd3957a7d70a01c5b1b080df60ef2ad3a9f385",
+    "summary.csv": "52e24667b57555a2e432df16e803f0c72d0f5edaf56d27b4068c6b607e3ec89a",
 }
 
 
