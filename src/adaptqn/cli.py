@@ -24,10 +24,29 @@ from .stochastic import (CONSTANT_STEP_SIZES, ConstantBatch, GrowingBatch,
 TRACE_HEADER = "k,f,gnorm,t,eta,step_kind,evals_f,evals_g,evals_hv,elapsed_s,log_gap,err_ratio"
 SUMMARY_HEADER = "method,identity_scaling,iters,final_gnorm,termination,iters_until_t_near_1"
 
-DETERMINISTIC_METHODS = ("gd-a", "gd-ls", "newton-a", "bfgs-a", "bfgs-ls",
-                         "bfgs-h", "lbfgs-a", "lbfgs-ls")
-STOCHASTIC_METHODS = ("sgd-a", "sgd-1", "sgd-2", "sgd-3", "sgd-4",
-                      "sn-a", "sn-1", "sbfgs-a", "sbfgs-1")
+# Every CLI method name -> (direction, step, batch): run_config resolves
+# the run and bench names (batch None), stoch_config the stoch names.
+METHODS = {
+    "gd-a": ("gd", Adaptive(), None),
+    "gd-ls": ("gd", ArmijoWolfe(c1=0.1, c2=0.75), None),
+    "newton-a": ("newton", Adaptive(), None),
+    "bfgs-a": ("bfgs", Adaptive(), None),
+    "bfgs-ls": ("bfgs", ArmijoWolfe(c1=0.1, c2=0.75), None),
+    "bfgs-h": ("bfgs", Hybrid(), None),
+    "lbfgs-a": ("lbfgs", Adaptive(), None),
+    "lbfgs-ls": ("lbfgs", ArmijoWolfe(c1=0.1, c2=0.75), None),
+    "sgd-a": ("sgd", Adaptive(), "growing"),
+    "sgd-1": ("sgd", Constant(CONSTANT_STEP_SIZES["alpha1"]), "constant"),
+    "sgd-2": ("sgd", Constant(CONSTANT_STEP_SIZES["alpha2"]), "constant"),
+    "sgd-3": ("sgd", Constant(CONSTANT_STEP_SIZES["alpha3"]), "constant"),
+    "sgd-4": ("sgd", Constant(CONSTANT_STEP_SIZES["alpha4"]), "constant"),
+    "sn-a": ("snewton", Adaptive(), "growing"),
+    "sn-1": ("snewton", Constant(CONSTANT_STEP_SIZES["alpha1"]), "growing"),
+    "sbfgs-a": ("sbfgs", Adaptive(), "growing"),
+    "sbfgs-1": ("sbfgs", Constant(CONSTANT_STEP_SIZES["alpha1"]), "growing"),
+}
+DETERMINISTIC_METHODS = tuple(m for m, (_, _, batch) in METHODS.items() if batch is None)
+STOCHASTIC_METHODS = tuple(m for m in METHODS if m not in DETERMINISTIC_METHODS)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -48,11 +67,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(v) -> str:
     """Round-trip float formatting; empty string for missing values."""
-    if v is None:
-        return ""
-    if isinstance(v, float) and math.isnan(v):
-        return ""
-    return repr(float(v))
+    return "" if v is None or isinstance(v, float) and math.isnan(v) else repr(float(v))
 
 
 def write_trace_csv(path, trace: Trace) -> None:
@@ -77,10 +92,7 @@ def _write_file(path, text: str) -> None:
 def _parse_kv(spec: str, keys: tuple) -> dict:
     """The key=value pairs of spec as numbers, each key one of keys."""
     out = {}
-    for item in spec.split(","):
-        item = item.strip()
-        if not item:
-            continue
+    for item in filter(None, map(str.strip, spec.split(","))):
         key, _, val = item.partition("=")
         key = key.strip()
         if key not in keys:
@@ -150,38 +162,43 @@ def _build_oracle(args):
             separation=_real(kv, "separation", 1.5, positive=False),
             feature_decay=_real(kv, "decay", 0.6),
             max_norm=_real(kv, "maxnorm", 2.0))
-    sc = args.sc_scale
-    return LogisticObjective(ds, None if sc == "auto" else 1.0 if sc == "none" else float(sc))
+    return LogisticObjective(ds, args.sc_scale)
 
 
-def _method_config(method: str, n: int, args, identity_scaling: bool) -> RunConfig:
-    family, _, suffix = method.partition("-")
-    if family == "gd":
-        direction = GradientDescent()
-    elif family == "newton":
-        direction = Newton()
-    elif family == "bfgs":
-        direction = BfgsDense(identity_scaling=identity_scaling)
-    else:
-        mem = default_lbfgs_memory(n) if args.lbfgs_memory is None else args.lbfgs_memory
-        direction = LBfgs(memory=mem, identity_scaling=identity_scaling)
-    step = {"a": Adaptive(), "ls": ArmijoWolfe(c1=0.1, c2=0.75), "h": Hybrid()}[suffix]
-    return RunConfig(direction=direction, step=step, grad_tol=args.grad_tol,
-                     max_iters=args.max_iters, max_seconds=args.max_seconds)
+def run_config(method: str, *, dim: int, grad_tol: float, max_iters: int,
+               max_seconds: float = math.inf, identity_scaling: bool = False,
+               lbfgs_memory=None) -> RunConfig:
+    """The RunConfig of one of DETERMINISTIC_METHODS in dimension dim; L-BFGS
+    keeps default_lbfgs_memory(dim) pairs unless lbfgs_memory is given."""
+    family, step, _ = METHODS[method]
+    memory = default_lbfgs_memory(dim) if lbfgs_memory is None else lbfgs_memory
+    direction = {"gd": GradientDescent, "newton": Newton,
+                 "bfgs": lambda: BfgsDense(identity_scaling=identity_scaling),
+                 "lbfgs": lambda: LBfgs(memory=memory, identity_scaling=identity_scaling),
+                 }[family]()
+    return RunConfig(direction=direction, step=step, grad_tol=grad_tol,
+                     max_iters=max_iters, max_seconds=max_seconds)
 
 
-def _summary_line(method: str, trace: Trace) -> str:
-    final = trace.final
-    return (f"{method}: iters={trace.iterations} final_gnorm={final.gnorm:.3e} "
-            f"termination={trace.termination.kind}")
+def stoch_config(method: str, *, p: int, batch: str = "small") -> tuple:
+    """The (stochastic_run method, BatchSchedule, step) of one of
+    STOCHASTIC_METHODS in dimension p; batch sizes a constant batch p/2, p or 4p."""
+    kernel, step, batching = METHODS[method]
+    if batching == "constant":
+        factor = {"small": 0.5, "medium": 1.0, "large": 4.0}[batch]
+        return kernel, ConstantBatch(size=math.ceil(factor * p)), step
+    return kernel, GrowingBatch(base=math.ceil(p / 2)), step
 
 
 def _methods(text: str, known: tuple) -> list:
-    """The comma-separated method names in text, each one of known."""
+    """The comma-separated method names in text, each one of known and
+    none listed twice."""
     methods = [m.strip() for m in text.split(",") if m.strip()]
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in known:
             raise ValueError(f"unknown method {m!r}; choose from {', '.join(known)}")
+        if m in methods[:i]:
+            raise ValueError(f"method {m!r} is listed twice")
     return methods
 
 
@@ -190,68 +207,44 @@ def _worst(codes) -> int:
     return max(codes, key=(EXIT_OK, EXIT_BUDGET, EXIT_ERROR).index, default=EXIT_OK)
 
 
-def cmd_run(args) -> int:
-    methods = _methods(args.method, DETERMINISTIC_METHODS)
-    if len(methods) != 1:
-        raise ValueError("run takes one method; bench runs several")
-    if args.identity_scaling == "both":
-        raise ValueError("run takes --identity-scaling on or off; bench runs both")
-    method = methods[0]
-    oracle = _build_oracle(args)
-    config = _method_config(method, oracle.dim, args,
-                            identity_scaling=args.identity_scaling == "on")
-    trace = run(config, oracle)
-    os.makedirs(args.out, exist_ok=True)
-    write_trace_csv(os.path.join(args.out, f"{method}.csv"), trace)
-    print(_summary_line(method, trace))
-    return _EXIT[trace.termination.kind]
-
-
-def cmd_bench(args) -> int:
+def cmd_grid(args) -> int:
+    """run one method, or bench two or more under each --identity-scaling,
+    tagging the scaled traces and writing summary.csv."""
+    bench = args.command == "bench"
     methods = _methods(args.methods, DETERMINISTIC_METHODS)
-    if len(methods) < 2:
+    if bench and len(methods) < 2:
         raise ValueError("bench needs at least two methods")
+    if not bench and len(methods) != 1:
+        raise ValueError("run takes one method; bench runs several")
+    if not bench and args.identity_scaling == "both":
+        raise ValueError("run takes --identity-scaling on or off; bench runs both")
     oracle = _build_oracle(args)
-    scaling_grid = {"on": [True], "off": [False], "both": [False, True]}[args.identity_scaling]
+    scalings = {"on": [True], "off": [False], "both": [False, True]}[args.identity_scaling]
     # built and checked before any run, so that an invalid flag or a
     # configuration run refuses is a usage error and writes nothing
-    grid = [(method, identity_scaling, _method_config(method, oracle.dim, args, identity_scaling))
-            for identity_scaling in scaling_grid for method in methods]
+    grid = [(method, scaled, run_config(method, dim=oracle.dim, grad_tol=args.grad_tol,
+                                        max_iters=args.max_iters, max_seconds=args.max_seconds,
+                                        identity_scaling=scaled, lbfgs_memory=args.lbfgs_memory))
+            for scaled in scalings for method in methods]
     for _, _, config in grid:
         check_config(config, oracle)
     os.makedirs(args.out, exist_ok=True)
     rows = [SUMMARY_HEADER]
     codes = []
-    for method, identity_scaling, config in grid:
-        tag = f"{method}-scaled" if identity_scaling else method
+    for method, scaled, config in grid:
+        tag = f"{method}-scaled" if scaled and bench else method
         trace = run(config, oracle)
         write_trace_csv(os.path.join(args.out, f"{tag}.csv"), trace)
-        settle = ""
-        if not isinstance(config.step, Constant):
-            idx = t_settle_index(trace.step_sizes())
-            settle = "" if idx is None else str(idx)
+        settle = t_settle_index(trace.step_sizes())
         rows.append(",".join([
-            method, str(int(identity_scaling)), str(trace.iterations),
-            _fmt(trace.final.gnorm), trace.termination.kind, settle,
-        ]))
-        print(_summary_line(tag, trace))
+            method, str(int(scaled)), str(trace.iterations), _fmt(trace.final.gnorm),
+            trace.termination.kind, "" if settle is None else str(settle)]))
+        print(f"{tag}: iters={trace.iterations} final_gnorm={trace.final.gnorm:.3e} "
+              f"termination={trace.termination.kind}")
         codes.append(_EXIT[trace.termination.kind])
-    _write_file(os.path.join(args.out, "summary.csv"), "\n".join(rows) + "\n")
+    if bench:
+        _write_file(os.path.join(args.out, "summary.csv"), "\n".join(rows) + "\n")
     return _worst(codes)
-
-
-def _stoch_schedule(method: str, p: int, args):
-    if method.startswith("sgd-") and method[4:].isdigit():
-        factor = {"small": 0.5, "medium": 1.0, "large": 4.0}[args.batch]
-        return ConstantBatch(size=max(1, int(math.ceil(factor * p))))
-    return GrowingBatch(base=int(math.ceil(p / 2)))
-
-
-def _stoch_step(method: str):
-    suffix = method.rsplit("-", 1)[1]
-    if suffix == "a":
-        return Adaptive()
-    return Constant(CONSTANT_STEP_SIZES[f"alpha{suffix}"])
 
 
 def cmd_stoch(args) -> int:
@@ -263,24 +256,20 @@ def cmd_stoch(args) -> int:
         X = _read_dataset(args.sigma_from_data).to_dense()
         if X.shape[1] < p:
             raise ValueError(f"dataset has {X.shape[1]} features, need >= p = {p}")
-        X = X[:, :p]
-        sigma = np.cov(X, rowvar=False)
+        sigma = np.cov(X[:, :p], rowvar=False)
         sigma = 0.5 * (sigma + sigma.T) + 1e-10 * np.eye(p)
     else:
         sigma = make_synthetic_sigma(p, seed=args.sigma_seed,
                                      eig_low=args.eig_low, eig_high=args.eig_high)
     beta = make_sparse_beta(p, seed=args.beta_seed)
-    lam = 1.0 / p
-    os.makedirs(args.out, exist_ok=True)
     codes = []
     for method in methods:
-        base = method.rsplit("-", 1)[0]
-        kernel = {"sgd": "sgd", "sn": "snewton", "sbfgs": "sbfgs"}[base]
-        sampler = OnlineSampler(sigma, beta, lam, seed=args.seed)
-        trace = stochastic_run(kernel, _stoch_schedule(method, p, args),
-                               _stoch_step(method), sampler,
+        sampler = OnlineSampler(sigma, beta, 1.0 / p, seed=args.seed)
+        trace = stochastic_run(*stoch_config(method, p=p, batch=args.batch), sampler,
                                x0=np.zeros(p), budget=args.iters,
                                max_seconds=args.max_seconds)
+        # made after the first run, so that a run stoch refuses writes nothing
+        os.makedirs(args.out, exist_ok=True)
         write_trace_csv(os.path.join(args.out, f"{method}.csv"), trace)
         gap = trace.final.log_gap
         gap_s = "n/a" if gap is None else f"{gap:.3f}"
@@ -295,13 +284,22 @@ def build_parser() -> _Parser:
                      description="Curvature-adaptive optimization benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # argparse names the flag and the function in a value's refusal
+    def sc_scale(text):  # None for auto (B^2 N/4), 1.0 for none, else a number
+        return None if text == "auto" else 1.0 if text == "none" else float(text)
+
+    def seed(text):  # a whole number >= 0
+        if int(text) < 0:
+            raise ValueError(text)
+        return int(text)
+
     def add_common(p):
         p.add_argument("--data", help="LIBSVM text file")
         p.add_argument("--synthetic-logistic", metavar="SPEC",
                        help="e.g. N=500,n=50,seed=38,separation=1.5,decay=0.6")
         p.add_argument("--synthetic-quadratic", metavar="SPEC",
                        help="e.g. dim=5,cond=100,seed=0")
-        p.add_argument("--sc-scale", default="auto",
+        p.add_argument("--sc-scale", type=sc_scale, default="auto",
                        help="auto (B^2 N/4), 1/none, or an explicit factor")
         p.add_argument("--grad-tol", type=float, default=1e-7)
         p.add_argument("--max-iters", type=int, default=5000)
@@ -312,23 +310,23 @@ def build_parser() -> _Parser:
         p.add_argument("--out", default=".", help="output directory for CSV traces")
 
     p_run = sub.add_parser("run", help="run one method, write <method>.csv")
-    p_run.add_argument("--method", required=True)
+    p_run.add_argument("--method", dest="methods", metavar="METHOD", required=True)
     add_common(p_run)
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=cmd_grid)
 
     p_bench = sub.add_parser("bench", help="run a method grid, write summary.csv")
     p_bench.add_argument("--methods", required=True, help="comma-separated list")
     add_common(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
+    p_bench.set_defaults(func=cmd_grid)
 
     p_st = sub.add_parser("stoch", help="stochastic online least-squares experiments")
     p_st.add_argument("--methods", required=True,
                       help=f"comma-separated from {', '.join(STOCHASTIC_METHODS)}")
     p_st.add_argument("--p", type=int, default=30, help="problem dimension")
     p_st.add_argument("--iters", type=int, default=3000)
-    p_st.add_argument("--seed", type=int, default=7, help="sampling stream seed")
-    p_st.add_argument("--sigma-seed", type=int, default=3)
-    p_st.add_argument("--beta-seed", type=int, default=12)
+    p_st.add_argument("--seed", type=seed, default=7, help="sampling stream seed")
+    p_st.add_argument("--sigma-seed", type=seed, default=3)
+    p_st.add_argument("--beta-seed", type=seed, default=12)
     p_st.add_argument("--eig-low", type=float, default=1.0)
     p_st.add_argument("--eig-high", type=float, default=100.0)
     p_st.add_argument("--sigma-from-data", help="LIBSVM file; empirical covariance")

@@ -144,10 +144,6 @@ class _CountingPoint:
         self._counts.evals_g += 1
         return self._inner.gradient()
 
-    def hess_vec(self, d):
-        self._counts.evals_hv += 1
-        return self._inner.hess_vec(d)
-
     def solve(self, b):
         return self._inner.solve(b)
 

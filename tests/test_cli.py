@@ -1,9 +1,12 @@
+import importlib
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adaptqn.cli import TRACE_HEADER, main
+from adaptqn.cli import TRACE_HEADER, main, run_config, stoch_config
 from adaptqn.data_io import serialize_libsvm, synth_logistic
 
 
@@ -273,6 +276,10 @@ def test_csv_missing_optionals_are_empty(tmp_path):
                           ("N=5,n=3,decay=inf", "decay"), ("N=5,n=3,maxnorm=nan", "maxnorm"),
                           ("N=5,n=3,maxnorm=-2", "maxnorm"))],
     (["stoch", "--p", "0", "--methods", "sgd-a", "--iters", "5"], "sgd-a.csv", "--p"),
+    *[(["stoch", "--p", "5", "--methods", "sgd-a", "--iters", "5", flag, "-1"], "sgd-a.csv", flag)
+      for flag in ("--seed", "--sigma-seed", "--beta-seed")],
+    (["run", "--method", "gd-a", "--synthetic-quadratic", "dim=3", "--sc-scale", "abc"],
+     "gd-a.csv", "--sc-scale"),
 ], ids=["grad-tol-nan", "lbfgs-memory-0", "eig-low-0",
         "sc-scale-0", "sc-scale--1", "sc-scale-nan", "sc-scale-inf",
         "run-max-seconds-nan", "run-max-seconds--1",
@@ -282,7 +289,8 @@ def test_csv_missing_optionals_are_empty(tmp_path):
         "logistic-N-0", "logistic-n-0", "logistic-seed-1.5",
         "logistic-separation-inf", "logistic-separation-nan",
         "logistic-decay-0", "logistic-decay-inf",
-        "logistic-maxnorm-nan", "logistic-maxnorm--2", "stoch-p-0"])
+        "logistic-maxnorm-nan", "logistic-maxnorm--2", "stoch-p-0",
+        "stoch-seed--1", "stoch-sigma-seed--1", "stoch-beta-seed--1", "sc-scale-abc"])
 def test_invalid_numeric_flag_is_usage_error(tmp_path, capsys, argv, csv_name, named):
     rc = main(argv + ["--out", str(tmp_path)])
     assert rc == 64
@@ -290,6 +298,64 @@ def test_invalid_numeric_flag_is_usage_error(tmp_path, capsys, argv, csv_name, n
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
     assert not (tmp_path / csv_name).exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["bench", "--methods", "gd-a,bfgs-a,gd-a", "--synthetic-quadratic", "dim=3"], "'gd-a'"),
+    (["stoch", "--methods", "sgd-a,sgd-a", "--p", "3", "--iters", "5"], "'sgd-a'"),
+], ids=["bench", "stoch"])
+def test_method_listed_twice_is_usage_error(tmp_path, capsys, argv, named):
+    out = tmp_path / "out"
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err and "twice" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["stoch", "--methods", "sgd-a,sbfgs-1", "--p", "3", "--iters", "-1"],
+    ["stoch", "--methods", "sgd-a,sbfgs-1", "--p", "3", "--max-seconds", "nan"],
+    ["bench", "--methods", "gd-a,bfgs-a", "--synthetic-quadratic", "dim=3", "--max-iters", "-1"],
+], ids=["stoch-iters--1", "stoch-max-seconds-nan", "bench-max-iters--1"])
+def test_refusal_creates_no_output_directory(tmp_path, argv):
+    out = tmp_path / "fresh"
+    assert main(argv + ["--out", str(out)]) == 64
+    assert not out.exists()
+
+
+def test_perfbench_runs_the_cli_methods(monkeypatch):
+    # perfbench/workloads.py builds its own configurations; they must be
+    # the ones the CLI resolves for the same method names and flags.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.modules.pop("workloads", None)
+        sys.modules.pop("tracing", None)
+
+    det = {m for w in workloads.WORKLOADS.values() if w.uses_driver for m in w.methods}
+    assert det
+    for method in det:
+        for n in (3, 200, 1500):
+            assert workloads._det_config(method, n, 1e-5) == run_config(
+                method, dim=n, grad_tol=1e-5, max_iters=workloads.MAX_ITERS), (method, n)
+
+    class Called(Exception):
+        pass
+
+    def capture(*args):
+        raise Called(args[:3])
+
+    monkeypatch.setattr(workloads, "stochastic_run", capture)
+    stoch = workloads.WORKLOADS["stoch-online"]
+    assert stoch.p == 30 and stoch.methods
+    for method in stoch.methods:
+        with pytest.raises(Called) as called:
+            stoch._solve(None, method, None)
+        assert called.value.args[0] == stoch_config(method, p=30, batch="small"), method
 
 
 def test_refused_dataset_is_usage_error(tmp_path, capsys):
