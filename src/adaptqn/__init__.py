@@ -17,8 +17,8 @@ from .oracles import (HessVecRay, LogisticObjective, ObjectiveOracle,
                       OnlineLsExpectedObjective, OraclePoint,
                       QuadraticObjective, Ray, logistic_sc_scale,
                       online_ls_minimizer)
-from .sc import (ScBoundInputs, adaptive_step, omega, sc_lower_f, sc_lower_gd,
-                 sc_upper_f, sc_upper_gd)
+from .sc import (adaptive_step, omega, sc_lower_f, sc_lower_gd, sc_upper_f,
+                 sc_upper_gd)
 from .steps import (Adaptive, ArmijoWolfe, Constant, Hybrid, StepOutcome,
                     adaptive_step_size, armijo_check, armijo_wolfe_search,
                     choose_step, hybrid_select, wolfe_check)

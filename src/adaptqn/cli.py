@@ -252,8 +252,14 @@ def cmd_stoch(args) -> int:
     p = args.p
     if p < 1:
         raise ValueError(f"--p must be >= 1, got {p}")
+    if not 0.0 < args.eig_low <= args.eig_high < math.inf:
+        raise ValueError(f"need 0 < eig_low <= eig_high < inf, got --eig-low "
+                         f"{args.eig_low} --eig-high {args.eig_high}")
     if args.sigma_from_data is not None:
-        X = _read_dataset(args.sigma_from_data).to_dense()
+        X = _read_dataset(args.sigma_from_data).X.toarray()
+        if X.shape[0] < 2:
+            raise ValueError(f"--sigma-from-data needs >= 2 rows for a covariance, "
+                             f"dataset has {X.shape[0]}")
         if X.shape[1] < p:
             raise ValueError(f"dataset has {X.shape[1]} features, need >= p = {p}")
         sigma = np.cov(X[:, :p], rowvar=False)
@@ -285,11 +291,19 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # argparse names the flag and the function in a value's refusal
-    def sc_scale(text):  # None for auto (B^2 N/4), 1.0 for none, else a number
-        return None if text == "auto" else 1.0 if text == "none" else float(text)
+    def sc_scale(text):  # None for auto (B^2 N/4), 1.0 for none, else a positive finite number
+        v = None if text == "auto" else 1.0 if text == "none" else float(text)
+        if v is not None and not 0.0 < v < math.inf:
+            raise ValueError(text)
+        return v
 
     def seed(text):  # a whole number >= 0
         if int(text) < 0:
+            raise ValueError(text)
+        return int(text)
+
+    def memory(text):  # a whole number >= 1
+        if int(text) < 1:
             raise ValueError(text)
         return int(text)
 
@@ -305,7 +319,7 @@ def build_parser() -> _Parser:
         p.add_argument("--max-iters", type=int, default=5000)
         p.add_argument("--max-seconds", type=float, default=math.inf)
         p.add_argument("--identity-scaling", choices=["on", "off", "both"], default="off")
-        p.add_argument("--lbfgs-memory", type=int, default=None,
+        p.add_argument("--lbfgs-memory", type=memory, default=None,
                        help="default min(n//2, 20)")
         p.add_argument("--out", default=".", help="output directory for CSV traces")
 

@@ -28,26 +28,15 @@ __all__ = [
 class SparseDataset:
     """Row-sparse feature matrix with +-1 labels.
 
-    ``X`` is an N x n ``scipy.sparse.csr_matrix``: row i owns
-    ``indices[indptr[i]:indptr[i+1]]`` (0-based, strictly increasing)
-    and the matching ``values``. Index arrays are int32 when the shape
-    and entry count fit. Explicitly stored zeros are kept.
+    ``X`` is an N x n ``scipy.sparse.csr_matrix``, the one view of the
+    features: row i owns ``X.indices[X.indptr[i]:X.indptr[i+1]]``
+    (0-based, strictly increasing) and the matching ``X.data``. Index
+    arrays are int32 when the shape and entry count fit. Explicitly
+    stored zeros are kept.
     """
 
     X: csr_matrix
     labels: np.ndarray
-
-    @property
-    def indptr(self) -> np.ndarray:
-        return self.X.indptr
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self.X.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.X.data
 
     @functools.cached_property
     def XT(self):
@@ -71,10 +60,6 @@ class SparseDataset:
     @property
     def n(self) -> int:
         return self.X.shape[1]
-
-    def to_dense(self) -> np.ndarray:
-        """Materialize the feature matrix (tests and small problems only)."""
-        return self.X.toarray()
 
     @staticmethod
     def from_dense(X: np.ndarray, labels: np.ndarray) -> "SparseDataset":
@@ -159,27 +144,30 @@ def parse_libsvm(source: Iterable[str] | str, n_features: int | None = None) -> 
                     np.asarray(values, dtype=float), np.asarray(labels, dtype=float), n)
 
 
-def load_libsvm(path, n_features: int | None = None) -> SparseDataset:
+def load_libsvm(path) -> SparseDataset:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_libsvm(fh, n_features=n_features)
+        return parse_libsvm(fh)
 
 
 def serialize_libsvm(ds: SparseDataset) -> str:
     """Emit the dataset in the same text format (round-trip precision)."""
+    X = ds.X
     lines = []
     for i in range(ds.N):
         parts = ["+1" if ds.labels[i] > 0 else "-1"]
-        for j in range(ds.indptr[i], ds.indptr[i + 1]):
-            parts.append(f"{ds.indices[j] + 1}:{ds.values[j]:.17g}")
+        for j in range(X.indptr[i], X.indptr[i + 1]):
+            parts.append(f"{X.indices[j] + 1}:{X.data[j]:.17g}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def max_row_norm(ds: SparseDataset) -> float:
-    """Largest Euclidean row norm, B = max_i ||x_i||."""
+    """Largest Euclidean row norm, B = max_i ||x_i||; inf when a squared
+    norm overflows."""
     if ds.N < 1:
         raise ValueError("empty dataset")
-    return float(np.sqrt(ds.X.power(2).sum(axis=1).max()))
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(ds.X.power(2).sum(axis=1).max()))
 
 
 def synth_logistic(N: int, n: int, seed: int, separation: float = 1.5,

@@ -217,8 +217,8 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
     takes the pair (d, G_k d) from batch k, since a secant pair across
     two batches would measure their difference, not curvature. The
     gradient threshold, the monotone-decrease check and the stall test
-    hold for a fixed oracle only; a run on batches stops on its budget,
-    on a non-finite value, or on an exactly zero batch gradient.
+    hold for a fixed oracle only; a run on batches stops on its budget
+    or on a numerical error.
     """
     check_config(config, oracle)
     n = oracle.dim
@@ -277,9 +277,6 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
                 step_g = step_point.gradient()
                 if not np.isfinite(step_g).all():
                     raise NumericalError(f"non-finite batch gradient at k={k}")
-                if not np.any(step_g):
-                    # exactly stationary for this batch (zero-noise degenerate case)
-                    return _end("grad_tol", "batch gradient exactly zero")
 
             d, rho = compute_direction(state, step_point, step_g)
             ray = step_point.ray(d)

@@ -181,7 +181,11 @@ def logistic_sc_scale(data: SparseDataset) -> float:
     B = max_row_norm(data)
     if B == 0.0:
         raise ValueError("all feature rows are zero; scale factor undefined")
-    return B * B * data.N / 4.0
+    scale = B * B * data.N / 4.0
+    if not np.isfinite(scale):
+        raise ValueError(f"scale factor B^2 N/4 is not finite: largest feature-row "
+                         f"norm B = {B}, N = {data.N}")
+    return scale
 
 
 class LogisticObjective(ObjectiveOracle):
@@ -380,15 +384,14 @@ class _QuadraticPoint:
 
 
 class OnlineLsExpectedObjective(ObjectiveOracle):
-    """Population objective of the Gaussian linear model:
+    """Population objective of the Gaussian linear model with unit noise:
 
-    F(w) = (beta - w)' Sigma (beta - w) + noise_var + lam ||w||^2 / 2.
+    F(w) = (beta - w)' Sigma (beta - w) + 1 + lam ||w||^2 / 2.
     """
 
     has_hessian = True
 
-    def __init__(self, sigma: np.ndarray, beta: np.ndarray, lam: float,
-                 noise_var: float = 1.0):
+    def __init__(self, sigma: np.ndarray, beta: np.ndarray, lam: float):
         sigma = np.asarray(sigma, dtype=float)
         beta = np.asarray(beta, dtype=float)
         if lam <= 0:
@@ -398,7 +401,6 @@ class OnlineLsExpectedObjective(ObjectiveOracle):
         self.sigma = sigma
         self.beta = beta
         self.lam = float(lam)
-        self.noise_var = float(noise_var)
 
     @property
     def dim(self) -> int:
@@ -422,7 +424,7 @@ class _OnlineLsPoint:
 
     def value(self) -> float:
         obj, w = self._obj, self._w
-        return float(self._r @ self._sr) + obj.noise_var + 0.5 * obj.lam * float(w @ w)
+        return float(self._r @ self._sr) + 1.0 + 0.5 * obj.lam * float(w @ w)
 
     def gradient(self) -> np.ndarray:
         return -2.0 * self._sr + self._obj.lam * self._w

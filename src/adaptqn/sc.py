@@ -9,12 +9,9 @@ and the property tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "ScBoundInputs",
     "omega",
     "adaptive_step",
     "sc_upper_f",
@@ -69,32 +66,22 @@ def adaptive_step(rho, delta):
     return rho / ((rho + delta) * delta)
 
 
-@dataclass(frozen=True)
-class ScBoundInputs:
-    """Inputs shared by the four ray bounds: f0 = f(x), gd = g(x)'d,
-    delta = ||d||_x, and the step length t."""
-
-    f0: float
-    gd: float
-    delta: float
-    t: float
-
-
-def sc_upper_f(b: ScBoundInputs) -> float:
-    """Upper model bound f(x) + t g'd - dt - log(1 - dt), dt = delta*t < 1."""
-    u = b.delta * b.t
+def sc_upper_f(f0, gd, delta, t) -> float:
+    """Upper model bound on f(x+td), with f0 = f(x), gd = g(x)'d and
+    delta = ||d||_x: f0 + t gd - dt - log(1 - dt), dt = delta*t < 1."""
+    u = delta * t
     if u >= 1.0:
         raise ValueError(f"upper bound requires t*delta < 1, got {u}")
-    if b.t < 0:
+    if t < 0:
         raise ValueError("negative step length")
-    return b.f0 + b.t * b.gd + _omega_neg(u)
+    return f0 + t * gd + _omega_neg(u)
 
 
-def sc_lower_f(b: ScBoundInputs) -> float:
-    """Lower model bound f(x) + t g'd + dt - log(1 + dt), any t >= 0."""
-    if b.t < 0:
+def sc_lower_f(f0, gd, delta, t) -> float:
+    """Lower model bound f0 + t gd + dt - log(1 + dt), any t >= 0."""
+    if t < 0:
         raise ValueError("negative step length")
-    return b.f0 + b.t * b.gd + omega(b.delta * b.t)
+    return f0 + t * gd + omega(delta * t)
 
 
 def sc_lower_gd(gd0, delta, t) -> float:

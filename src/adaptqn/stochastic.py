@@ -50,7 +50,6 @@ class ConstantBatch:
 @dataclass(frozen=True)
 class GrowingBatch:
     base: int
-    growth: float = 1.05
     period: int = 50
 
     def __post_init__(self):
@@ -62,10 +61,11 @@ BatchSchedule = Union[ConstantBatch, GrowingBatch]
 
 
 def batch_size(schedule: BatchSchedule, k: int) -> int:
-    """Samples drawn at iteration k; growing schedules round up."""
+    """Samples drawn at iteration k; a growing schedule multiplies its
+    base by 1.05 every ``period`` iterations and rounds up."""
     if isinstance(schedule, ConstantBatch):
         return schedule.size
-    return int(math.ceil(schedule.base * schedule.growth ** (k // schedule.period)))
+    return int(math.ceil(schedule.base * 1.05 ** (k // schedule.period)))
 
 
 class SampledBatchOracle(ObjectiveOracle):
@@ -128,11 +128,9 @@ class _BatchPoint:
 class OnlineSampler:
     """Gaussian linear-model oracle: X ~ N(0, Sigma), Y = X'beta + eps
     with unit Gaussian noise. A fixed seed reproduces the sample stream
-    exactly; each draw advances the stream. ``noise_scale`` exists for
-    noise-free degenerate checks only; the model itself has unit noise."""
+    exactly; each draw advances the stream."""
 
-    def __init__(self, sigma: np.ndarray, beta: np.ndarray, lam: float, seed: int,
-                 noise_scale: float = 1.0):
+    def __init__(self, sigma: np.ndarray, beta: np.ndarray, lam: float, seed: int):
         sigma = np.asarray(sigma, dtype=float)
         beta = np.asarray(beta, dtype=float)
         p = beta.shape[0]
@@ -146,7 +144,6 @@ class OnlineSampler:
         self.sigma = sigma
         self.beta = beta
         self.lam = float(lam)
-        self.noise_scale = float(noise_scale)
         self._chol = chol
         self._rng = np.random.default_rng(seed)
 
@@ -155,8 +152,7 @@ class OnlineSampler:
         return self.beta.shape[0]
 
     def expected_objective(self) -> OnlineLsExpectedObjective:
-        return OnlineLsExpectedObjective(self.sigma, self.beta, self.lam,
-                                         noise_var=self.noise_scale ** 2)
+        return OnlineLsExpectedObjective(self.sigma, self.beta, self.lam)
 
 
 def draw_batch(sampler: OnlineSampler, size: int) -> SampledBatchOracle:
@@ -165,7 +161,7 @@ def draw_batch(sampler: OnlineSampler, size: int) -> SampledBatchOracle:
         raise ValueError("batch size must be >= 1")
     X = sampler._rng.standard_normal((size, sampler.dim)) @ sampler._chol.T
     eps = sampler._rng.standard_normal(size)
-    Y = X @ sampler.beta + sampler.noise_scale * eps
+    Y = X @ sampler.beta + eps
     return SampledBatchOracle(X, Y, sampler.lam)
 
 
@@ -211,12 +207,12 @@ def make_synthetic_sigma(p: int, seed: int, eig_low: float = 1.0,
     return (q * eigs) @ q.T
 
 
-def make_sparse_beta(p: int, seed: int, sparsity: float = 0.8) -> np.ndarray:
-    """Deterministic sparse signal: (1 - sparsity) of the coordinates,
-    chosen uniformly, get uniform [-1, 1] values."""
+def make_sparse_beta(p: int, seed: int) -> np.ndarray:
+    """Deterministic sparse signal: p/5 of the coordinates (rounded, at
+    least one), chosen uniformly, get uniform [-1, 1] values."""
     rng = np.random.default_rng(seed)
     beta = np.zeros(p)
-    n_nonzero = max(1, int(round((1.0 - sparsity) * p)))
+    n_nonzero = max(1, round(p / 5))
     idx = rng.choice(p, size=n_nonzero, replace=False)
     beta[idx] = rng.uniform(-1.0, 1.0, size=n_nonzero)
     return beta

@@ -301,7 +301,7 @@ def test_criterion_9_derivative_correctness(desk_oracle):
 
 
 def test_criterion_10_self_concordance_audit(desk_oracle):
-    from adaptqn import ScBoundInputs, sc_lower_f, sc_lower_gd, sc_upper_f, sc_upper_gd
+    from adaptqn import sc_lower_f, sc_lower_gd, sc_upper_f, sc_upper_gd
 
     rng = np.random.default_rng(37)
     for _ in range(50):
@@ -312,10 +312,9 @@ def test_criterion_10_self_concordance_audit(desk_oracle):
         f0 = desk_oracle.value(x)
         gd = float(desk_oracle.gradient(x) @ d)
         slack = 1e-8 * (1.0 + abs(f0))
-        b = ScBoundInputs(f0=f0, gd=gd, delta=delta, t=t)
         ft = desk_oracle.value(x + t * d)
         gdt = float(desk_oracle.gradient(x + t * d) @ d)
-        assert sc_lower_f(b) - slack <= ft <= sc_upper_f(b) + slack
+        assert sc_lower_f(f0, gd, delta, t) - slack <= ft <= sc_upper_f(f0, gd, delta, t) + slack
         assert sc_lower_gd(gd, delta, t) - slack <= gdt <= sc_upper_gd(gd, delta, t) + slack
     _report(10, "all four ray bounds held at 50 random probes of the "
                 "scaled logistic oracle")
@@ -363,7 +362,7 @@ def test_criterion_12_hybrid_behavior(desk_oracle):
 
 def test_criterion_13_parser_suite():
     ds = parse_libsvm("+1 1:0.5 3:-0.2")
-    assert ds.n == 3 and list(ds.indices) == [0, 2]
+    assert ds.n == 3 and list(ds.X.indices) == [0, 2]
     ds01 = parse_libsvm("0 2:1\n1 1:1")
     assert list(ds01.labels) == [-1.0, 1.0] and ds01.n == 2
     from adaptqn import ParseError
@@ -377,8 +376,8 @@ def test_criterion_13_parser_suite():
         lines.append(("+1 " if rng.random() < 0.5 else "-1 ") + feats)
     original = parse_libsvm("\n".join(lines), n_features=25)
     reparsed = parse_libsvm(serialize_libsvm(original), n_features=25)
-    np.testing.assert_array_equal(original.indptr, reparsed.indptr)
-    np.testing.assert_array_equal(original.indices, reparsed.indices)
-    np.testing.assert_array_equal(original.values, reparsed.values)
+    np.testing.assert_array_equal(original.X.indptr, reparsed.X.indptr)
+    np.testing.assert_array_equal(original.X.indices, reparsed.X.indices)
+    np.testing.assert_array_equal(original.X.data, reparsed.X.data)
     np.testing.assert_array_equal(original.labels, reparsed.labels)
     _report(13, "LIBSVM round-trip and error cases passed")

@@ -280,6 +280,17 @@ def test_csv_missing_optionals_are_empty(tmp_path):
       for flag in ("--seed", "--sigma-seed", "--beta-seed")],
     (["run", "--method", "gd-a", "--synthetic-quadratic", "dim=3", "--sc-scale", "abc"],
      "gd-a.csv", "--sc-scale"),
+    # refused whatever the rest of the command line: a problem source or
+    # method that never reads the flag, a --sigma-from-data run
+    (["run", "--method", "gd-a", "--synthetic-quadratic", "dim=3", "--sc-scale", "nan"],
+     "gd-a.csv", "--sc-scale"),
+    (["run", "--method", "bfgs-a", "--synthetic-logistic", "N=50,n=5", "--lbfgs-memory", "0"],
+     "bfgs-a.csv", "--lbfgs-memory"),
+    (["stoch", "--p", "3", "--methods", "sgd-a", "--iters", "5",
+      "--sigma-from-data", os.devnull, "--eig-low", "-5"], "sgd-a.csv", "--eig-low"),
+    (["run", "--method", "gd-a", "--synthetic-quadratic", "dim=abc"], "gd-a.csv", "'dim=abc'"),
+    (["run", "--method", "gd-a,bfgs-a", "--synthetic-quadratic", "dim=3"], "gd-a.csv",
+     "run takes one method"),
 ], ids=["grad-tol-nan", "lbfgs-memory-0", "eig-low-0",
         "sc-scale-0", "sc-scale--1", "sc-scale-nan", "sc-scale-inf",
         "run-max-seconds-nan", "run-max-seconds--1",
@@ -290,7 +301,9 @@ def test_csv_missing_optionals_are_empty(tmp_path):
         "logistic-separation-inf", "logistic-separation-nan",
         "logistic-decay-0", "logistic-decay-inf",
         "logistic-maxnorm-nan", "logistic-maxnorm--2", "stoch-p-0",
-        "stoch-seed--1", "stoch-sigma-seed--1", "stoch-beta-seed--1", "sc-scale-abc"])
+        "stoch-seed--1", "stoch-sigma-seed--1", "stoch-beta-seed--1", "sc-scale-abc",
+        "quadratic-sc-scale-nan", "bfgs-lbfgs-memory-0", "sigma-from-data-eig-low--5",
+        "quadratic-dim-abc", "run-two-methods"])
 def test_invalid_numeric_flag_is_usage_error(tmp_path, capsys, argv, csv_name, named):
     rc = main(argv + ["--out", str(tmp_path)])
     assert rc == 64
@@ -390,3 +403,28 @@ def test_run_seed_flag_is_gone(tmp_path, capsys):
                "--seed", "3", "--out", str(tmp_path)])
     assert rc == 64
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_sigma_from_data_needs_two_rows(tmp_path, capsys):
+    one_row = tmp_path / "one_row.svm"
+    one_row.write_text("+1 1:1 2:2 3:3\n")
+    rc = main(["stoch", "--methods", "sgd-a", "--p", "3", "--iters", "5",
+               "--sigma-from-data", str(one_row), "--out", str(tmp_path)])
+    assert rc == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--sigma-from-data" in err and "has 1" in err
+    assert not (tmp_path / "sgd-a.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_row_norm_is_usage_error(tmp_path, capsys):
+    # ||x||^2 overflows; the refusal names the row norm, not --sc-scale
+    huge = tmp_path / "huge.svm"
+    huge.write_text("+1 1:1e308 2:1e308\n")
+    rc = main(["run", "--method", "bfgs-a", "--data", str(huge), "--out", str(tmp_path)])
+    assert rc == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "feature-row norm B = inf" in err and "sc_scale" not in err

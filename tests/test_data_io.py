@@ -13,8 +13,8 @@ from adaptqn import (ParseError, SparseDataset, logistic_sc_scale,
 def test_parse_basic_record():
     ds = parse_libsvm("+1 1:0.5 3:-0.2")
     assert ds.N == 1 and ds.n == 3
-    np.testing.assert_array_equal(ds.indices, [0, 2])
-    np.testing.assert_array_equal(ds.values, [0.5, -0.2])
+    np.testing.assert_array_equal(ds.X.indices, [0, 2])
+    np.testing.assert_array_equal(ds.X.data, [0.5, -0.2])
     assert ds.labels[0] == 1.0
 
 
@@ -66,11 +66,11 @@ def test_round_trip():
         lines.append(f"{label} {feats}".strip())
     ds = parse_libsvm("\n".join(lines), n_features=30)
     ds2 = parse_libsvm(serialize_libsvm(ds), n_features=30)
-    np.testing.assert_array_equal(ds.indptr, ds2.indptr)
-    np.testing.assert_array_equal(ds.indices, ds2.indices)
-    np.testing.assert_array_equal(ds.values, ds2.values)
+    np.testing.assert_array_equal(ds.X.indptr, ds2.X.indptr)
+    np.testing.assert_array_equal(ds.X.indices, ds2.X.indices)
+    np.testing.assert_array_equal(ds.X.data, ds2.X.data)
     np.testing.assert_array_equal(ds.labels, ds2.labels)
-    assert np.all(ds.indices < ds.n)
+    assert np.all(ds.X.indices < ds.n)
 
 
 def test_max_row_norm():
@@ -85,17 +85,17 @@ def test_max_row_norm():
 
 def test_max_row_norm_matches_dense():
     ds = synth_logistic(60, 12, seed=5)
-    X = ds.to_dense()
+    X = ds.X.toarray()
     assert max_row_norm(ds) == pytest.approx(np.max(np.linalg.norm(X, axis=1)), rel=1e-12)
 
 
 def test_synth_logistic_determinism():
     a = synth_logistic(100, 10, seed=9)
     b = synth_logistic(100, 10, seed=9)
-    np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(a.X.data, b.X.data)
     np.testing.assert_array_equal(a.labels, b.labels)
     c = synth_logistic(100, 10, seed=10)
-    assert not np.array_equal(a.labels, c.labels) or not np.array_equal(a.values, c.values)
+    assert not np.array_equal(a.labels, c.labels) or not np.array_equal(a.X.data, c.X.data)
 
 
 def test_synth_logistic_zero_separation_is_balanced():
@@ -114,29 +114,29 @@ def test_synth_logistic_max_norm_pinned():
 def test_dataset_is_one_csr_matrix_with_int32_indices():
     ds = parse_libsvm("+1 1:0.5 3:-0.2\n-1\n+1 2:1", n_features=4)
     assert ds.X.format == "csr" and ds.X.shape == (3, 4)
-    assert ds.indptr.dtype == ds.indices.dtype == np.int32
-    np.testing.assert_array_equal(ds.indptr, [0, 2, 2, 3])
-    np.testing.assert_array_equal(ds.to_dense(), [[0.5, 0, -0.2, 0], [0, 0, 0, 0],
-                                                  [0, 1, 0, 0]])
+    assert ds.X.indptr.dtype == ds.X.indices.dtype == np.int32
+    np.testing.assert_array_equal(ds.X.indptr, [0, 2, 2, 3])
+    np.testing.assert_array_equal(ds.X.toarray(), [[0.5, 0, -0.2, 0], [0, 0, 0, 0],
+                                                    [0, 1, 0, 0]])
     with pytest.raises(AttributeError):
-        ds.indptr = np.zeros(4, dtype=np.int32)
+        ds.X = None
 
 
 def test_from_dense_keeps_explicit_zeros_in_row_order():
     X = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
     ds = SparseDataset.from_dense(X, np.array([1.0, -1.0]))
     assert ds.X.nnz == 6
-    np.testing.assert_array_equal(ds.values, X.ravel())
-    np.testing.assert_array_equal(ds.indices, [0, 1, 2, 0, 1, 2])
-    assert ds.indices.dtype == np.int32
+    np.testing.assert_array_equal(ds.X.data, X.ravel())
+    np.testing.assert_array_equal(ds.X.indices, [0, 1, 2, 0, 1, 2])
+    assert ds.X.indices.dtype == np.int32
 
 
 def test_from_dense_without_columns_matches_a_labels_only_file():
     ds = SparseDataset.from_dense(np.zeros((3, 0)), np.array([1.0, -1.0, 1.0]))
     parsed = parse_libsvm("+1\n-1\n+1")
     assert ds.X.shape == parsed.X.shape == (3, 0)
-    for a, b in ((ds.indptr, parsed.indptr), (ds.indices, parsed.indices),
-                 (ds.values, parsed.values), (ds.labels, parsed.labels)):
+    for a, b in ((ds.X.indptr, parsed.X.indptr), (ds.X.indices, parsed.X.indices),
+                 (ds.X.data, parsed.X.data), (ds.labels, parsed.labels)):
         np.testing.assert_array_equal(a, b)
         assert a.dtype == b.dtype
 

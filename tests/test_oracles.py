@@ -4,7 +4,7 @@ import pytest
 from adaptqn import (Adaptive, BfgsDense, LBfgs, LogisticObjective, Newton,
                      ObjectiveOracle, OnlineLsExpectedObjective,
                      QuadraticObjective, RunConfig, SampledBatchOracle,
-                     ScBoundInputs, logistic_sc_scale, online_ls_minimizer,
+                     logistic_sc_scale, online_ls_minimizer,
                      parse_libsvm, run, sc_lower_f, sc_lower_gd, sc_upper_f,
                      sc_upper_gd, synth_logistic)
 from adaptqn.oracles import (_LogisticRay, _sigmoid, _softplus, _weighted_gram,
@@ -58,7 +58,7 @@ def test_logistic_sc_scale_values():
 
 def test_logistic_sc_scale_brute_force(small_logistic):
     ds = small_logistic.data
-    X = ds.to_dense()
+    X = ds.X.toarray()
     B = max(np.linalg.norm(X[i]) for i in range(ds.N))
     assert small_logistic.sc_scale == pytest.approx(B * B * ds.N / 4.0, rel=1e-12)
 
@@ -119,10 +119,9 @@ def test_self_concordance_audit(small_logistic):
         t = rng.uniform(0.0, 0.9) / delta
         f0, gd = obj.value(x), float(obj.gradient(x) @ d)
         slack = 1e-8 * (1.0 + abs(f0))
-        b = ScBoundInputs(f0=f0, gd=gd, delta=delta, t=t)
         ft = obj.value(x + t * d)
         gdt = float(obj.gradient(x + t * d) @ d)
-        assert sc_lower_f(b) - slack <= ft <= sc_upper_f(b) + slack
+        assert sc_lower_f(f0, gd, delta, t) - slack <= ft <= sc_upper_f(f0, gd, delta, t) + slack
         assert sc_lower_gd(gd, delta, t) - slack <= gdt <= sc_upper_gd(gd, delta, t) + slack
 
 
@@ -161,7 +160,7 @@ def assert_rel_close(actual, expected, rtol=1e-13):
 def test_logistic_matches_dense_reference(seed):
     rng = np.random.default_rng(seed)
     ds, X = random_dataset(rng, 40, 17)
-    assert np.any(np.diff(ds.indptr) == 0)  # empty rows are covered
+    assert np.any(np.diff(ds.X.indptr) == 0)  # empty rows are covered
     obj = LogisticObjective(ds, sc_scale=1.0)
     w, d = rng.normal(size=(2, 17))
     f, g, hv, G = dense_reference(X, ds.labels, w, d)
@@ -174,7 +173,7 @@ def test_logistic_matches_dense_reference(seed):
 
 def test_logistic_on_matrix_without_nonzeros():
     ds = parse_libsvm("+1\n-1\n+1", n_features=5)
-    assert ds.values.size == 0
+    assert ds.X.data.size == 0
     obj = LogisticObjective(ds, sc_scale=1.0)
     w, d = np.arange(5.0), np.ones(5)
     assert obj.value(w) == pytest.approx(np.log(2.0) + 0.5 * (w @ w) / 3, rel=1e-15)
@@ -304,8 +303,7 @@ def make_quadratic(rng):
 
 
 def make_online_ls(rng):
-    return OnlineLsExpectedObjective(spd_matrix(rng, 7, 1.0, 9.0), rng.standard_normal(7),
-                                     0.3, noise_var=0.5)
+    return OnlineLsExpectedObjective(spd_matrix(rng, 7, 1.0, 9.0), rng.standard_normal(7), 0.3)
 
 
 def make_batch(rng):
@@ -441,15 +439,15 @@ def test_online_ls_expected():
 
 def test_online_ls_point_shares_residual_bitwise():
     rng = np.random.default_rng(15)
-    p, lam, noise_var = 7, 0.3, 0.5
+    p, lam = 7, 0.3
     q, _ = np.linalg.qr(rng.standard_normal((p, p)))
     sigma = (q * np.linspace(1.0, 9.0, p)) @ q.T
     beta = rng.standard_normal(p)
-    obj = OnlineLsExpectedObjective(sigma, beta, lam, noise_var=noise_var)
+    obj = OnlineLsExpectedObjective(sigma, beta, lam)
     d = rng.standard_normal(p)
     for w in (np.zeros(p), rng.standard_normal(p)):
         r = beta - w
-        f = float(r @ (sigma @ r)) + noise_var + 0.5 * lam * float(w @ w)
+        f = float(r @ (sigma @ r)) + 1.0 + 0.5 * lam * float(w @ w)
         g = -2.0 * (sigma @ (beta - w)) + lam * w
         value_first = obj.at(w)
         assert value_first.value() == f
@@ -531,7 +529,7 @@ def test_row_gram_is_built_by_wide_newton_only():
     assert first.termination.kind == "grad_tol"
     gram = vars(ds)["row_gram"]
     assert not gram.flags.writeable
-    np.testing.assert_allclose(gram, ds.to_dense() @ ds.to_dense().T, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(gram, ds.X.toarray() @ ds.X.toarray().T, rtol=1e-14, atol=1e-14)
     second = run(newton, LogisticObjective(ds))
     assert vars(ds)["row_gram"] is gram
     assert [r.f for r in second.records] == [r.f for r in first.records]

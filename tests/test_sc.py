@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from adaptqn import (ScBoundInputs, adaptive_step, omega, sc_lower_f,
-                     sc_lower_gd, sc_upper_f, sc_upper_gd)
+from adaptqn import (adaptive_step, omega, sc_lower_f, sc_lower_gd,
+                     sc_upper_f, sc_upper_gd)
 
 # frozen 30-digit evaluations of z - log(1+z)
 OMEGA_1 = 0.306852819440054690582767878542
@@ -77,8 +77,8 @@ def test_step_maximizes_model_decrease():
 
 
 def test_upper_f_examples():
-    assert sc_upper_f(ScBoundInputs(f0=3.5, gd=-1.0, delta=2.0, t=0.0)) == 3.5
-    got = sc_upper_f(ScBoundInputs(f0=0.0, gd=-1.0, delta=1.0, t=0.5))
+    assert sc_upper_f(3.5, -1.0, 2.0, 0.0) == 3.5
+    got = sc_upper_f(0.0, -1.0, 1.0, 0.5)
     assert got == pytest.approx(-OMEGA_1, rel=1e-14)
 
 
@@ -88,13 +88,13 @@ def test_upper_f_at_adaptive_step_equals_omega_decrease():
         rho, delta = 10.0 ** rng.uniform(-2, 2, size=2)
         t = adaptive_step(rho, delta)
         f0 = float(rng.normal())
-        got = sc_upper_f(ScBoundInputs(f0=f0, gd=-rho, delta=delta, t=t))
+        got = sc_upper_f(f0, -rho, delta, t)
         assert got == pytest.approx(f0 - omega(rho / delta), rel=1e-12, abs=1e-12)
 
 
 def test_lower_f_examples():
-    assert sc_lower_f(ScBoundInputs(f0=-1.0, gd=5.0, delta=3.0, t=0.0)) == -1.0
-    got = sc_lower_f(ScBoundInputs(f0=0.0, gd=0.0, delta=1.0, t=1.0))
+    assert sc_lower_f(-1.0, 5.0, 3.0, 0.0) == -1.0
+    got = sc_lower_f(0.0, 0.0, 1.0, 1.0)
     assert got == pytest.approx(OMEGA_1, rel=1e-14)
 
 
@@ -104,8 +104,7 @@ def test_lower_f_below_upper_f():
         f0, gd = rng.normal(size=2)
         delta = 10.0 ** rng.uniform(-2, 2)
         t = rng.uniform(0, 0.99) / delta
-        b = ScBoundInputs(f0=f0, gd=gd, delta=delta, t=t)
-        assert sc_lower_f(b) <= sc_upper_f(b) + 1e-12
+        assert sc_lower_f(f0, gd, delta, t) <= sc_upper_f(f0, gd, delta, t) + 1e-12
 
 
 def test_gd_bounds():
@@ -134,11 +133,11 @@ def test_lower_gd_at_adaptive_step():
 
 def test_bound_domain_errors():
     with pytest.raises(ValueError, match="requires t\\*delta < 1"):
-        sc_upper_f(ScBoundInputs(f0=0.0, gd=0.0, delta=2.0, t=0.5))
+        sc_upper_f(0.0, 0.0, 2.0, 0.5)
     with pytest.raises(ValueError, match="requires t\\*delta < 1"):
         sc_upper_gd(0.0, 2.0, 0.5)
     with pytest.raises(ValueError, match="negative step length"):
-        sc_lower_f(ScBoundInputs(f0=0.0, gd=0.0, delta=1.0, t=-0.1))
+        sc_lower_f(0.0, 0.0, 1.0, -0.1)
     with pytest.raises(ValueError, match="negative step length"):
         sc_lower_gd(0.0, 1.0, -1e-9)
 

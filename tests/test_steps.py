@@ -8,6 +8,7 @@ from adaptqn import (Adaptive, ArmijoWolfe, Constant, HessVecRay, Hybrid,
                      synth_logistic, wolfe_check)
 from adaptqn.directions import GradientDescent, compute_direction, new_state
 from adaptqn.oracles import _QuadraticPoint
+from adaptqn.steps import _bracket_step, _quad_interp
 
 
 class CountingWrapper(ObjectiveOracle):
@@ -311,3 +312,11 @@ def test_choose_step_dispatch():
     assert choose_step(ArmijoWolfe(), obj, x, d, f0, g, rho, ray).kind == "line_search"
     assert choose_step(Hybrid(), obj, x, d, f0, g, rho, ray).kind in ("hybrid_candidate",
                                                                       "hybrid_fallback")
+
+
+def test_interpolation_without_a_convex_model_falls_back():
+    # no positive curvature through (0, f0) with slope gd and (t, ft): no minimizer
+    assert np.isnan(_quad_interp(0.0, -1.0, 1.0, -1.0))
+    assert np.isnan(_quad_interp(0.0, -1.0, 1.0, np.inf))
+    # so the bracket (1, 3) is bisected
+    assert _bracket_step(1.0, 0.0, -1.0, 3.0, -2.0) == 2.0

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from adaptqn import (Adaptive, ArmijoWolfe, BfgsDense, Constant,
-                     ConstantBatch, GrowingBatch, Newton, OnlineSampler,
-                     QuadraticObjective, RunConfig, SampledBatchOracle,
+                     ConstantBatch, GrowingBatch, Newton, OnlineLsExpectedObjective,
+                     OnlineSampler, QuadraticObjective, RunConfig, SampledBatchOracle,
                      batch_size, bfgs_update_dense, draw_batch, ingest_pair,
                      make_sparse_beta, make_synthetic_sigma, new_state, omega,
                      online_ls_minimizer, run, stochastic_run)
@@ -105,17 +105,6 @@ def test_sbfgs_pair_scale_invariance_and_skip():
     assert not ingest_pair(state, d, -G @ d)
     assert state.skipped == 1
     np.testing.assert_array_equal(state.H, np.eye(4))
-
-
-def test_zero_noise_stationary_at_optimum():
-    # beta = 0 and no noise: w = 0 is exactly stationary for every batch
-    p = 6
-    sampler = OnlineSampler(np.eye(p), np.zeros(p), lam=1.0 / p, seed=5,
-                            noise_scale=0.0)
-    trace = stochastic_run("sbfgs", ConstantBatch(4 * p), Adaptive(), sampler,
-                           x0=np.zeros(p), budget=50)
-    assert trace.termination.kind == "grad_tol"
-    np.testing.assert_array_equal(trace.final_x, np.zeros(p))
 
 
 def test_stochastic_run_determinism():
@@ -322,3 +311,26 @@ def test_zero_budget_records_only_the_start():
     assert [r.step_kind for r in trace.records] == ["terminal"]
     expected = make_sampler().expected_objective()
     assert trace.final.f == expected.value(np.zeros(10))
+
+
+def test_singular_covariance_gets_a_jitter():
+    sigma = np.ones((2, 2))  # positive semidefinite, rank 1
+    sampler = OnlineSampler(sigma, np.zeros(2), lam=0.5, seed=0)
+    np.testing.assert_allclose(sampler._chol @ sampler._chol.T, sigma + 1e-10 * np.eye(2),
+                               rtol=0.0, atol=1e-15)
+    assert np.isfinite(draw_batch(sampler, 4).X).all()
+
+
+@pytest.mark.parametrize("make, why", [
+    (lambda: QuadraticObjective(np.ones((2, 3)), np.zeros(2)), "square"),
+    (lambda: OnlineLsExpectedObjective(np.eye(2), np.zeros(2), 0.0), "lam must be positive"),
+    (lambda: OnlineLsExpectedObjective(np.eye(3), np.zeros(2), 0.5), "p x p"),
+    (lambda: OnlineSampler(np.eye(3), np.zeros(2), 0.5, seed=0), "p x p"),
+    (lambda: ConstantBatch(0), "batch size"),
+    (lambda: GrowingBatch(base=0), "base and period"),
+    (lambda: ArmijoWolfe(max_evals=1), "two evaluations"),
+], ids=["quadratic-not-square", "online-ls-lam-0", "online-ls-shape", "sampler-shape",
+        "constant-batch-0", "growing-batch-base-0", "armijo-wolfe-max-evals-1"])
+def test_constructors_refuse_invalid_arguments(make, why):
+    with pytest.raises(ValueError, match=why):
+        make()
