@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import functools
 import io
 from dataclasses import dataclass
@@ -95,10 +96,11 @@ def parse_libsvm(source: Iterable[str] | str, n_features: int | None = None) -> 
     """Parse LIBSVM text: one ``<label> <idx>:<val> ...`` record per line.
 
     Indices are 1-based and must be strictly increasing within a row;
-    they are stored 0-based. ``#`` starts a comment, blank lines are
-    skipped. Labels +1/-1 are kept; 0/1 files are mapped 0 -> -1,
-    1 -> +1; anything else is a parse error. The feature count is the
-    largest index seen unless ``n_features`` overrides it.
+    they are stored 0-based. Feature values must be finite. ``#``
+    starts a comment, blank lines are skipped. Labels +1/-1 are kept;
+    0/1 files are mapped 0 -> -1, 1 -> +1; anything else is a parse
+    error. The feature count is the largest index seen unless
+    ``n_features`` overrides it.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -106,6 +108,7 @@ def parse_libsvm(source: Iterable[str] | str, n_features: int | None = None) -> 
     indices: list[int] = []
     values: list[float] = []
     labels: list[float] = []
+    linenos: list[int] = []  # the line of each row, for errors found later
     max_index = 0
     for lineno, raw in enumerate(source, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -119,6 +122,7 @@ def parse_libsvm(source: Iterable[str] | str, n_features: int | None = None) -> 
         if label not in (-1.0, 0.0, 1.0):
             raise ParseError(f"label must be -1, 0 or +1, got {tokens[0]!r}", lineno)
         labels.append(-1.0 if label <= 0.0 else 1.0)
+        linenos.append(lineno)
         prev = 0
         for tok in tokens[1:]:
             idx_s, _, val_s = tok.partition(":")
@@ -139,9 +143,18 @@ def parse_libsvm(source: Iterable[str] | str, n_features: int | None = None) -> 
     n = max_index if n_features is None else n_features
     if n_features is not None and max_index > n_features:
         raise ParseError(f"index {max_index} exceeds declared feature count {n_features}")
+    vals = np.asarray(values, dtype=float)
+    # float() reads "nan" and "inf"; one pass over all values finds them,
+    # and only then is the offending row looked up
+    finite = np.isfinite(vals)
+    if not finite.all():
+        pos = int(finite.argmin())
+        row = bisect.bisect_right(indptr, pos) - 1
+        raise ParseError(f"feature {indices[pos] + 1} has non-finite value {vals[pos]}",
+                         linenos[row])
     idx = _index_dtype(len(indices), n)
     return _dataset(np.asarray(indptr, dtype=idx), np.asarray(indices, dtype=idx),
-                    np.asarray(values, dtype=float), np.asarray(labels, dtype=float), n)
+                    vals, np.asarray(labels, dtype=float), n)
 
 
 def load_libsvm(path) -> SparseDataset:

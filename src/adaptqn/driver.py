@@ -15,7 +15,7 @@ from .directions import (MAX_DENSE_DIM, BfgsDense, DirectionRule, LBfgs,
                          Newton, compute_direction, ingest_pair, new_state)
 from .errors import NumericalError
 from .oracles import ObjectiveOracle
-from .steps import Adaptive, Constant, StepRule, choose_step
+from .steps import Adaptive, Constant, Hybrid, StepRule, choose_step
 
 __all__ = [
     "ReferenceOptimum",
@@ -178,7 +178,7 @@ class _CountingRay:
 
 def _norm(v: np.ndarray) -> float:
     # np.linalg.norm(v) bit for bit, without its per-call overhead
-    return math.sqrt(v @ v)
+    return math.sqrt(v.dot(v))
 
 
 def _log_gap(f: float, ref: Optional[ReferenceOptimum]) -> Optional[float]:
@@ -235,6 +235,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
     trace = Trace(config=config)
     started = time.perf_counter()
     monotone = fixed and not isinstance(config.step, Constant)
+    ray_step = isinstance(config.step, (Adaptive, Hybrid))
     if ref is not None:
         err_floor = _MEASURABLE_RTOL * (1.0 + _norm(ref.x))
         err = _norm(x - ref.x)
@@ -279,7 +280,9 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
                     raise NumericalError(f"non-finite batch gradient at k={k}")
 
             d, rho = compute_direction(state, step_point, step_g)
-            ray = step_point.ray(d)
+            # the ray is built where something reads it: the adaptive and
+            # hybrid steps, the fixed oracle's next point and the batch pair
+            ray = step_point.ray(d) if ray_step else None
             # positional: wrappers of choose_step may forward *args only
             outcome = choose_step(config.step, co, x, d, f, step_g, rho, ray)
             if not (math.isfinite(rho) and math.isfinite(outcome.t)):
@@ -294,7 +297,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
             if outcome.point is not None:
                 point_new = outcome.point
             elif fixed:  # the ray's point at x_new reuses the ray's work
-                point_new = ray.at(outcome.t)
+                point_new = (ray or step_point.ray(d)).at(outcome.t)
             else:
                 point_new = measure.at(x_new)
             f_new = outcome.f_new if outcome.f_new is not None else point_new.value()
@@ -306,7 +309,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
             if fixed:
                 ingest_pair(state, x_new - x, g_new - g)
             elif isinstance(config.direction, (BfgsDense, LBfgs)):
-                hv = ray.hess_vec()
+                hv = (ray or step_point.ray(d)).hess_vec()
                 if not np.isfinite(hv).all():
                     raise NumericalError(f"non-finite batch G d at k={k}")
                 ingest_pair(state, d, hv)

@@ -31,19 +31,25 @@ __all__ = [
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
-def _sigmoid(z, ez=None):
+def _sigmoid(z, ez=None, den=None):
     # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, never overflowing;
-    # ez, when given, is exp(-|z|)
+    # ez, when given, is exp(-|z|), and den is 1 + ez. ez <= 1 where
+    # z >= 0, so max(ez, z >= 0) selects 1 there and ez elsewhere, the
+    # bits of np.where without its data-dependent branch
     if ez is None:
         ez = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
+    out = np.maximum(ez, z >= 0)
+    out /= 1.0 + ez if den is None else den
+    return out
 
 
 def _softplus(z, ez=None):
     # log(1 + exp(z)) without overflow for large |z|; ez as in _sigmoid
     if ez is None:
         ez = np.exp(-np.abs(z))
-    return np.maximum(z, 0.0) + np.log1p(ez)
+    out = np.maximum(z, 0.0)
+    out += np.log1p(ez)
+    return out
 
 
 def spd_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -122,7 +128,7 @@ class HessVecRay:
         return self._gd
 
     def curvature(self) -> float:
-        return float(self._d @ self.hess_vec())
+        return float(self._d.dot(self.hess_vec()))
 
     def at(self, t: float) -> OraclePoint:
         return self._oracle.at(self._x + t * self._d)
@@ -207,6 +213,7 @@ class LogisticObjective(ObjectiveOracle):
         self.sc_scale = logistic_sc_scale(data) if sc_scale is None else float(sc_scale)
         if not 0.0 < self.sc_scale < np.inf:
             raise ValueError(f"sc_scale must be positive and finite, got {self.sc_scale}")
+        self._neg_labels = -data.labels
 
     @property
     def dim(self) -> int:
@@ -218,12 +225,12 @@ class LogisticObjective(ObjectiveOracle):
 
 class _LogisticPoint:
     """Logistic loss at one w: the margins z = Xw are computed once, or
-    carried in from a ray; the loss margins m = -yz and exp(-|m|),
-    shared by ``value``, ``gradient`` and the Hessian weights, on the
-    first of them; the Hessian weights s(1-s) on the first request that
-    needs them."""
+    carried in from a ray; the loss margins m = -yz, exp(-|m|) and the
+    sigmoid denominator 1 + exp(-|m|), shared by ``value``, ``gradient``
+    and the Hessian weights, on the first of them; the Hessian weights
+    s(1-s) on the first request that needs them."""
 
-    __slots__ = ("_obj", "_w", "_z", "_m", "_em", "_hw")
+    __slots__ = ("_obj", "_w", "_z", "_m", "_em", "_den", "_hw")
 
     def __init__(self, obj: LogisticObjective, w: np.ndarray, z: np.ndarray | None = None):
         self._obj = obj
@@ -234,26 +241,34 @@ class _LogisticPoint:
 
     def _loss_margins(self):
         if self._m is None:
-            self._m = -self._obj.data.labels * self._z
+            self._m = self._obj._neg_labels * self._z
             self._em = np.exp(-np.abs(self._m))
-        return self._m, self._em
+            self._den = 1.0 + self._em
+        return self._m, self._em, self._den
 
     def value(self) -> float:
         obj, w = self._obj, self._w
         N = obj.data.N
-        loss = np.sum(_softplus(*self._loss_margins())) / N
-        return obj.sc_scale * (loss + 0.5 * float(w @ w) / N)
+        m, em, _ = self._loss_margins()
+        loss = np.sum(_softplus(m, em)) / N
+        return obj.sc_scale * (loss + 0.5 * float(w.dot(w)) / N)
 
     def gradient(self) -> np.ndarray:
-        ds = self._obj.data
-        coef = -ds.labels * _sigmoid(*self._loss_margins()) / ds.N
-        return self._obj.sc_scale * (ds.XT @ coef + self._w / ds.N)
+        obj = self._obj
+        ds = obj.data
+        coef = _sigmoid(*self._loss_margins())
+        coef *= obj._neg_labels
+        coef /= ds.N
+        return obj.sc_scale * (ds.XT @ coef + self._w / ds.N)
 
     def _hess_weights(self) -> np.ndarray:
-        # |m| = |z| for labels of +-1, so exp(-|m|) serves sigmoid(z) too
+        # |m| = |z| for labels of +-1, so exp(-|m|) and 1 + exp(-|m|)
+        # serve sigmoid(z) too
         if self._hw is None:
-            s = _sigmoid(self._z, self._loss_margins()[1])
-            self._hw = s * (1.0 - s)
+            s = _sigmoid(self._z, *self._loss_margins()[1:])
+            hw = 1.0 - s
+            hw *= s
+            self._hw = hw
         return self._hw
 
     def hess_vec(self, d) -> np.ndarray:
@@ -300,12 +315,13 @@ class _LogisticRay:
     def curvature(self) -> float:
         p, d, u = self._point, self._d, self._xd()
         obj = p._obj
-        return obj.sc_scale * (float(p._hess_weights() @ (u * u)) + float(d @ d)) / obj.data.N
+        return obj.sc_scale * (float(p._hess_weights().dot(u * u)) + float(d.dot(d))) / obj.data.N
 
     def hess_vec(self) -> np.ndarray:
         p, d = self._point, self._d
         ds = p._obj.data
-        coef = p._hess_weights() * self._xd() / ds.N
+        coef = p._hess_weights() * self._xd()
+        coef /= ds.N
         return p._obj.sc_scale * (ds.XT @ coef + d / ds.N)
 
     def at(self, t: float) -> _LogisticPoint:
@@ -424,7 +440,7 @@ class _OnlineLsPoint:
 
     def value(self) -> float:
         obj, w = self._obj, self._w
-        return float(self._r @ self._sr) + 1.0 + 0.5 * obj.lam * float(w @ w)
+        return float(self._r.dot(self._sr)) + 1.0 + 0.5 * obj.lam * float(w.dot(w))
 
     def gradient(self) -> np.ndarray:
         return -2.0 * self._sr + self._obj.lam * self._w

@@ -168,7 +168,7 @@ def armijo_wolfe_search(oracle: ObjectiveOracle, x: np.ndarray, d: np.ndarray,
                 return _bail()
             gt = pt.gradient()
             evals += 1
-            gdt = float(gt @ d)
+            gdt = float(gt.dot(d))
             if wolfe_check(gdt, gd, c2):
                 return StepOutcome(t=t, kind="line_search", f_new=ft, g_new=gt,
                                    point=pt)
@@ -217,10 +217,11 @@ def hybrid_select(ray: Ray, f0: float, gd: float, rho: float,
 
 def choose_step(rule: StepRule, oracle: ObjectiveOracle, x: np.ndarray,
                 d: np.ndarray, f0: float, g: np.ndarray, rho: float,
-                ray: Ray) -> StepOutcome:
+                ray: Ray | None) -> StepOutcome:
     """Dispatch a step rule; the uniform entry point used by the driver.
     ``ray`` is the ray along d from the evaluation point at x. The
-    adaptive and hybrid rules work on it; the line search evaluates its
+    adaptive and hybrid rules work on it, and the constant step and the
+    line search take None as well; the line search evaluates its
     trials at ``oracle.at(x + t d)``, since it compares f values at the
     rounding floor, where margins carried along a ray would change its
     decisions."""
@@ -230,7 +231,7 @@ def choose_step(rule: StepRule, oracle: ObjectiveOracle, x: np.ndarray,
     if isinstance(rule, Constant):
         return StepOutcome(t=rule.alpha, kind="constant")
     if isinstance(rule, ArmijoWolfe):
-        return armijo_wolfe_search(oracle, x, d, f0, float(g @ d), rule)
+        return armijo_wolfe_search(oracle, x, d, f0, float(g.dot(d)), rule)
     if isinstance(rule, Hybrid):
-        return hybrid_select(ray, f0, float(g @ d), rho, rule)
+        return hybrid_select(ray, f0, float(g.dot(d)), rho, rule)
     raise TypeError(f"unknown step rule {rule!r}")

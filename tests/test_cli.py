@@ -54,6 +54,19 @@ def test_run_malformed_dataset_exits_66(tmp_path):
     assert rc == 66
 
 
+@pytest.mark.parametrize("sc_scale", ["auto", "1"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_run_non_finite_feature_value_exits_66(tmp_path, capsys, value, sc_scale):
+    bad = tmp_path / "bad.svm"
+    bad.write_text(f"-1 1:2\n+1 1:{value} 2:1\n")
+    rc = main(["run", "--method", "gd-a", "--data", str(bad), "--sc-scale", sc_scale,
+               "--out", str(tmp_path)])
+    assert rc == 66
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "line 2: feature 1 has non-finite value" in err
+    assert not (tmp_path / "gd-a.csv").exists()
+
+
 def test_run_budget_exhaustion_exits_2(tmp_path):
     rc = main(["run", "--method", "gd-a",
                "--synthetic-logistic", "N=120,n=12,seed=1",

@@ -42,6 +42,14 @@ def test_parse_rejects_bad_tokens():
         parse_libsvm("+1 0:1")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "+Infinity"])
+def test_parse_rejects_non_finite_feature_values(value):
+    # the line is counted past comments and blank lines
+    text = f"+1 1:1 2:1\n# comment\n\n-1 1:2 3:{value}\n+1 2:1\n"
+    with pytest.raises(ParseError, match=r"^line 4: feature 3 has non-finite value"):
+        parse_libsvm(text)
+
+
 def test_parse_comments_and_blank_lines():
     text = "# header comment\n\n+1 1:2.0  # trailing\n\n-1 2:1\n"
     ds = parse_libsvm(text)

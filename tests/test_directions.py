@@ -176,6 +176,36 @@ def test_two_loop_empty_and_single_pair():
                                    rtol=1e-12, atol=1e-14)
 
 
+def test_two_loop_is_the_matmul_recursion_bitwise():
+    # the recursion written with @ dots; the library's dots must give
+    # the same bits on every pair count up to a full memory
+    def two_loop(pairs, h0_scale, g):
+        q = g.copy()
+        alphas = []
+        for s, y, sy in reversed(pairs):
+            a = float(s @ q) / sy
+            q -= a * y
+            alphas.append(a)
+        r = h0_scale * q
+        for (s, y, sy), a in zip(pairs, reversed(alphas)):
+            b = float(y @ r) / sy
+            r += (a - b) * s
+        return -r
+
+    rng = np.random.default_rng(21)
+    n = 200
+    for m in (1, 2, 5, 10, 20, 20, 20):
+        pairs = []
+        for _ in range(m):
+            s = rng.standard_normal(n)
+            y = s + 0.3 * rng.standard_normal(n)
+            pairs.append((s, y, float(s @ y)))
+        g = rng.standard_normal(n)
+        h0 = float(rng.uniform(0.1, 2.0))
+        np.testing.assert_array_equal(two_loop_direction(pairs, h0, g),
+                                      two_loop(pairs, h0, g))
+
+
 def test_two_loop_matches_dense_over_trajectory():
     # 50 shared iterations on a 10-dim quadratic, constant step
     rng = np.random.default_rng(3)

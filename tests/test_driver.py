@@ -8,8 +8,10 @@ from adaptqn import (Adaptive, ArmijoWolfe, BfgsDense, Constant,
                      QuadraticObjective, RunConfig, ReferenceOptimum,
                      run, superlinear_report,
                      synth_logistic, t_settle_index)
-from adaptqn.cli import make_synthetic_quadratic
-from adaptqn.oracles import _QuadraticPoint
+from adaptqn.cli import make_synthetic_quadratic, run_config, stoch_config
+from adaptqn.oracles import _LogisticPoint, _QuadraticPoint
+from adaptqn.stochastic import (OnlineSampler, _BatchPoint, make_sparse_beta,
+                                make_synthetic_sigma, stochastic_run)
 
 
 def norm_ball_objective(n=3, radius=3.0):
@@ -271,6 +273,24 @@ def test_nan_objective_ends_numerical_error(direction, step):
     assert trace.termination.kind == "numerical_error"
     assert "non-finite" in trace.termination.detail
     assert trace.iterations == 0
+
+
+def test_a_step_that_reads_no_ray_builds_none(desk_logistic, monkeypatch):
+    # the line search and a constant step on batches with GD directions
+    # never read the ray along d, so a point whose ray() raises runs them
+    def no_ray(self, d):
+        raise AssertionError("ray built for a step that reads none")
+
+    monkeypatch.setattr(_LogisticPoint, "ray", no_ray)
+    monkeypatch.setattr(_BatchPoint, "ray", no_ray)
+    ls = run(run_config("bfgs-ls", dim=desk_logistic.dim, grad_tol=1e-6, max_iters=200),
+             desk_logistic)
+    assert ls.termination.kind == "grad_tol"
+    sampler = OnlineSampler(make_synthetic_sigma(6, seed=1), make_sparse_beta(6, seed=2),
+                            lam=0.1, seed=3)
+    kernel, schedule, step = stoch_config("sgd-1", p=6)
+    sgd = stochastic_run(kernel, schedule, step, sampler, x0=np.zeros(6), budget=40)
+    assert sgd.termination.kind == "max_iters" and sgd.iterations == 40
 
 
 def test_nan_curvature_ends_numerical_error():

@@ -3,12 +3,12 @@ import pytest
 
 from adaptqn import (Adaptive, BfgsDense, LBfgs, LogisticObjective, Newton,
                      ObjectiveOracle, OnlineLsExpectedObjective,
-                     QuadraticObjective, RunConfig, SampledBatchOracle,
+                     QuadraticObjective, RunConfig, SampledBatchOracle, SparseDataset,
                      logistic_sc_scale, online_ls_minimizer,
                      parse_libsvm, run, sc_lower_f, sc_lower_gd, sc_upper_f,
                      sc_upper_gd, synth_logistic)
-from adaptqn.oracles import (_LogisticRay, _sigmoid, _softplus, _weighted_gram,
-                             spd_solve)
+from adaptqn.oracles import (_LogisticPoint, _LogisticRay, _sigmoid, _softplus,
+                             _weighted_gram, spd_solve)
 
 
 def fd_gradient(obj, x, h=1e-6):
@@ -244,6 +244,62 @@ def test_hess_weights_reuse_the_loss_exp_bitwise(desk_logistic):
         pt.value()
         np.testing.assert_array_equal(pt.hess_vec(d), want)
         np.testing.assert_array_equal(desk_logistic.at(w).hess_vec(d), want)
+
+
+# Margins where the sigmoid and softplus kernels change branch, round,
+# underflow or overflow: signed zeros, infinities, NaN, the edge of exp's
+# range and past it, and tiny magnitudes.
+EDGE_MARGINS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 745.2, -745.2,
+                         800.0, -800.0, 1e-300, -1e-300])
+
+
+def test_elementwise_kernels_are_the_formulas_bitwise(monkeypatch):
+    # the kernels' written-out formulas; every result, its signed zeros
+    # and its NaNs must match these bit for bit
+    def sigmoid(z):
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+    def softplus(z):
+        return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+    def same_bits(got, want):
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    rng = np.random.default_rng(12)
+    z = np.concatenate([EDGE_MARGINS, 30.0 * rng.standard_normal(2000),
+                        rng.standard_normal(2000)])
+    labels = rng.choice([-1.0, 1.0], size=z.size)
+    same_bits(_sigmoid(z), sigmoid(z))
+    same_bits(_softplus(z), softplus(z))
+    e = np.exp(-np.abs(z))
+    same_bits(_sigmoid(z, e), sigmoid(z))
+    same_bits(_sigmoid(z, e, 1.0 + e), sigmoid(z))
+    same_bits(_softplus(z, e), softplus(z))
+
+    # the point's Hessian weights and gradient coefficients at margins z,
+    # carried in as a ray's point carries them; X' c is captured, not taken
+    N = z.size
+    ds = SparseDataset.from_dense(np.ones((N, 1)), labels)
+    obj = LogisticObjective(ds, sc_scale=1.0)
+
+    class CaptureXT:
+        def __matmul__(self, c):
+            self.coef = c.copy()
+            return np.zeros(1)
+
+    capture = CaptureXT()
+    monkeypatch.setitem(ds.__dict__, "XT", capture)
+    s = sigmoid(z)
+    m = -labels * z
+    for value_first in (False, True):
+        pt = _LogisticPoint(obj, np.zeros(1), z.copy())
+        if value_first:
+            assert np.isnan(pt.value())
+        same_bits(pt._hess_weights(), s * (1.0 - s))
+        pt.gradient()
+        same_bits(capture.coef, -labels * sigmoid(m) / N)
 
 
 def sparse_binary_logistic(N, n, nnz_per_row, seed):
