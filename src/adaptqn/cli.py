@@ -262,8 +262,12 @@ def cmd_stoch(args) -> int:
                              f"dataset has {X.shape[0]}")
         if X.shape[1] < p:
             raise ValueError(f"dataset has {X.shape[1]} features, need >= p = {p}")
-        sigma = np.cov(X[:, :p], rowvar=False)
-        sigma = 0.5 * (sigma + sigma.T) + 1e-10 * np.eye(p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sigma = np.cov(X[:, :p], rowvar=False)
+            sigma = 0.5 * (sigma + sigma.T) + 1e-10 * np.eye(p)
+        if not np.isfinite(sigma).all():
+            raise ValueError(f"--sigma-from-data: the covariance of the first {p} features "
+                             f"is not finite")
     else:
         sigma = make_synthetic_sigma(p, seed=args.sigma_seed,
                                      eig_low=args.eig_low, eig_high=args.eig_high)
@@ -302,8 +306,8 @@ def build_parser() -> _Parser:
             raise ValueError(text)
         return int(text)
 
-    def memory(text):  # a whole number >= 1
-        if int(text) < 1:
+    def memory(text):  # a whole number in [1, sys.maxsize], as LBfgs takes
+        if not 1 <= int(text) <= sys.maxsize:
             raise ValueError(text)
         return int(text)
 

@@ -1,8 +1,8 @@
 """Direction engines producing d = -Hg.
 
 Four families: identity (gradient descent), exact inverse Hessian
-(damped Newton), dense BFGS, and two-loop-recursion BFGS with bounded
-or unbounded memory. State lives in :class:`InverseHessianState`,
+(damped Newton), dense BFGS, and two-loop-recursion BFGS over the
+newest ``memory`` pairs. State lives in :class:`InverseHessianState`,
 owned by a single run.
 
 Newton solves on the evaluation point at x. The dense BFGS matrix
@@ -18,9 +18,11 @@ returned array.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Optional, Union
+from numbers import Integral
+from typing import Deque, Union
 
 import numpy as np
 from scipy.linalg.blas import dsymv, dsyr2
@@ -70,14 +72,16 @@ class BfgsDense:
 
 @dataclass(frozen=True)
 class LBfgs:
-    # How many of the newest pairs to keep; None keeps every pair.
-    memory: Optional[int]
+    # How many of the newest pairs to keep, a whole number in
+    # [1, sys.maxsize]; a memory no smaller than the pair count keeps all.
+    memory: int
     # Scale h0 by s'y/y'y of the newest pair.
     identity_scaling: bool = False
 
     def __post_init__(self):
-        if self.memory is not None and self.memory < 1:
-            raise ValueError("L-BFGS memory must be >= 1 or None")
+        if not (isinstance(self.memory, Integral) and 1 <= self.memory <= sys.maxsize):
+            raise ValueError(f"L-BFGS memory must be a whole number in [1, {sys.maxsize}], "
+                             f"got {self.memory!r}")
 
 
 DirectionRule = Union[GradientDescent, Newton, BfgsDense, LBfgs]
@@ -177,7 +181,7 @@ def compute_direction(state: InverseHessianState, point: OraclePoint,
         d = -g
     elif isinstance(rule, Newton):
         if not hasattr(point, "solve"):
-            raise ValueError(f"Newton needs solve; {type(point).__name__} has none")
+            raise ValueError("Newton needs solve; the evaluation point has none")
         d = point.solve(-g)
     elif isinstance(rule, BfgsDense):
         d = dsymv(-1.0, state.H, g)

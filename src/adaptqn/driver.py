@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .directions import (MAX_DENSE_DIM, BfgsDense, DirectionRule, LBfgs,
-                         Newton, compute_direction, ingest_pair, new_state)
+                         compute_direction, ingest_pair, new_state)
 from .errors import NumericalError
 from .oracles import ObjectiveOracle
 from .steps import Adaptive, Constant, Hybrid, StepRule, choose_step
@@ -144,8 +144,9 @@ class _CountingPoint:
         self._counts.evals_g += 1
         return self._inner.gradient()
 
-    def solve(self, b):
-        return self._inner.solve(b)
+    @property
+    def solve(self):  # the inner point's, so a point without solve has none here
+        return self._inner.solve
 
     def ray(self, d):
         return _CountingRay(self._counts, self._inner.ray(d))
@@ -189,14 +190,12 @@ def _log_gap(f: float, ref: Optional[ReferenceOptimum]) -> Optional[float]:
 
 
 def check_config(config: RunConfig, oracle: ObjectiveOracle) -> None:
-    """Raise ValueError if ``run`` refuses ``config`` on ``oracle``: an x0
-    of the wrong shape, Newton on an oracle without ``has_hessian``, or
-    dense BFGS above ``MAX_DENSE_DIM``. Checks nothing about batches."""
+    """Raise ValueError if ``run`` refuses ``config`` on ``oracle`` up
+    front: an x0 of the wrong shape or dense BFGS above ``MAX_DENSE_DIM``.
+    Checks nothing about batches, nor the points' ``solve`` for Newton."""
     n = oracle.dim
     if config.x0 is not None and np.shape(config.x0) != (n,):
         raise ValueError(f"x0 has shape {np.shape(config.x0)}, oracle dimension is {n}")
-    if isinstance(config.direction, Newton) and not oracle.has_hessian:
-        raise ValueError("Newton direction requires has_hessian")
     if isinstance(config.direction, BfgsDense) and n > MAX_DENSE_DIM:
         raise ValueError(f"dense BFGS refused for n = {n} > {MAX_DENSE_DIM}; use LBfgs")
 

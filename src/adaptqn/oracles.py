@@ -4,7 +4,7 @@ expected online least-squares objective with its closed-form minimizer."""
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -31,22 +31,18 @@ __all__ = [
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
-def _sigmoid(z, ez=None, den=None):
+def _sigmoid(z, ez, den):
     # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, never overflowing;
-    # ez, when given, is exp(-|z|), and den is 1 + ez. ez <= 1 where
-    # z >= 0, so max(ez, z >= 0) selects 1 there and ez elsewhere, the
-    # bits of np.where without its data-dependent branch
-    if ez is None:
-        ez = np.exp(-np.abs(z))
+    # ez is exp(-|z|) and den is 1 + ez. ez <= 1 where z >= 0, so
+    # max(ez, z >= 0) selects 1 there and ez elsewhere, the bits of
+    # np.where without its data-dependent branch
     out = np.maximum(ez, z >= 0)
-    out /= 1.0 + ez if den is None else den
+    out /= den
     return out
 
 
-def _softplus(z, ez=None):
+def _softplus(z, ez):
     # log(1 + exp(z)) without overflow for large |z|; ez as in _sigmoid
-    if ez is None:
-        ez = np.exp(-np.abs(z))
     out = np.maximum(z, 0.0)
     out += np.log1p(ez)
     return out
@@ -68,24 +64,22 @@ def spd_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class OraclePoint(Protocol):
     """An objective evaluated at one x. ``value()``, ``gradient()`` and
-    ``hess_vec(d)`` may be requested in any order and any number of
-    times, and each returns the same bits whatever was requested
-    before; work they share at x is done once. ``hess_vec`` raises
-    ValueError for a d of the wrong shape.
+    ``ray(d)`` may be requested in any order and any number of times,
+    and each returns the same bits whatever was requested before; work
+    they share at x is done once.
 
-    ``ray(d)`` returns the :class:`Ray` along x + t d from this point,
-    with the same check on d. A point without a cheaper ray returns
-    ``HessVecRay(oracle, x, d, self)``.
+    ``ray(d)`` checks d, raising ValueError for a wrong shape, and
+    returns the :class:`Ray` along x + t d from this point, the one
+    route to G(x)d. A point without a cheaper ray returns
+    ``HessVecRay(oracle, x, d, product)``.
 
-    Points of an oracle with ``has_hessian`` also have ``solve(b)``: u
-    with G(x) u = b, for Newton, under the same rules; NumericalError
-    when G(x) is not numerically positive definite."""
+    A point that Newton can run on also has ``solve(b)``: u with
+    G(x) u = b, under the same rules; NumericalError when G(x) is not
+    numerically positive definite."""
 
     def value(self) -> float: ...
 
     def gradient(self) -> np.ndarray: ...
-
-    def hess_vec(self, d: np.ndarray) -> np.ndarray: ...
 
     def ray(self, d: np.ndarray) -> "Ray": ...
 
@@ -108,23 +102,24 @@ class Ray(Protocol):
 
 
 class HessVecRay:
-    """The ray of a point without a cheaper one: ``hess_vec()`` is the
-    point's ``hess_vec(d)``, computed once, ``curvature()`` is d'(G d),
-    and ``at(t)`` is ``oracle.at(x + t * d)``."""
+    """The ray of a point without a cheaper one. ``product`` is the
+    point's d -> G(x)d, given a d the point has already checked;
+    ``hess_vec()`` is ``product(d)``, computed once, ``curvature()`` is
+    d'(G d), and ``at(t)`` is ``oracle.at(x + t * d)``."""
 
-    __slots__ = ("_oracle", "_x", "_d", "_point", "_gd")
+    __slots__ = ("_oracle", "_x", "_d", "_product", "_gd")
 
     def __init__(self, oracle: "ObjectiveOracle", x: np.ndarray, d: np.ndarray,
-                 point: OraclePoint):
+                 product: Callable[[np.ndarray], np.ndarray]):
         self._oracle = oracle
         self._x = x
         self._d = d
-        self._point = point
+        self._product = product
         self._gd = None
 
     def hess_vec(self) -> np.ndarray:
         if self._gd is None:
-            self._gd = self._point.hess_vec(self._d)
+            self._gd = self._product(self._d)
         return self._gd
 
     def curvature(self) -> float:
@@ -140,13 +135,12 @@ class ObjectiveOracle(ABC):
 
     To write an oracle, implement ``dim`` and ``at(x)``, which checks x
     and returns an :class:`OraclePoint` holding the work shared between
-    evaluations at x. The point's ``ray(d)`` may simply return
-    ``HessVecRay(oracle, x, d, point)``; a point that can evaluate d'G d
-    or the points x + t d more cheaply than ``hess_vec`` and ``at`` do
-    returns its own :class:`Ray`. ``value(x)``, ``gradient(x)`` and
-    ``hess_vec(x, d)`` are derived from ``at``, one fresh point per
-    call. An oracle whose points can ``solve(b)`` with G(x), as Newton
-    needs, sets ``has_hessian``.
+    evaluations at x: a point with ``value``, ``gradient`` and ``ray``,
+    plus ``solve`` for Newton. The point's ``ray(d)`` checks d and may
+    simply return ``HessVecRay(oracle, x, d, product)``; a point that
+    can evaluate d'G d or the points x + t d more cheaply returns its
+    own :class:`Ray`. ``value(x)`` and ``gradient(x)`` are derived from
+    ``at``, one fresh point per call.
 
     Oracles are immutable after construction, so concurrent evaluation
     from multiple runs is safe; a point belongs to its caller. The one
@@ -154,8 +148,6 @@ class ObjectiveOracle(ABC):
     computed once on first use; the computation is idempotent, so a run
     that races another to it only repeats the same work.
     """
-
-    has_hessian = False
 
     @property
     @abstractmethod
@@ -170,9 +162,6 @@ class ObjectiveOracle(ABC):
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.at(x).gradient()
-
-    def hess_vec(self, x: np.ndarray, d: np.ndarray) -> np.ndarray:
-        return self.at(x).hess_vec(d)
 
     def _check(self, v: np.ndarray, name: str = "x") -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -203,8 +192,6 @@ class LogisticObjective(ObjectiveOracle):
     The model has no intercept column. The Hessian weight
     sigma(z)(1-sigma(z)) is label-free since it is symmetric in sign.
     """
-
-    has_hessian = True
 
     def __init__(self, data: SparseDataset, sc_scale: float | None = None):
         if data.N < 1:
@@ -270,9 +257,6 @@ class _LogisticPoint:
             hw *= s
             self._hw = hw
         return self._hw
-
-    def hess_vec(self, d) -> np.ndarray:
-        return self.ray(d).hess_vec()
 
     def ray(self, d) -> "_LogisticRay":
         return _LogisticRay(self, self._obj._check(d, "d"))
@@ -349,8 +333,6 @@ def _weighted_gram(X, weights: np.ndarray) -> np.ndarray:
 class QuadraticObjective(ObjectiveOracle):
     """f(x) = x'Ax/2 + b'x with A symmetric positive definite."""
 
-    has_hessian = True
-
     def __init__(self, A: np.ndarray, b: np.ndarray):
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
@@ -389,11 +371,11 @@ class _QuadraticPoint:
     def gradient(self) -> np.ndarray:
         return self._ax + self._obj.b
 
-    def hess_vec(self, d) -> np.ndarray:
-        return self._obj.A @ self._obj._check(d, "d")
+    def _hess_vec(self, d) -> np.ndarray:
+        return self._obj.A @ d
 
     def ray(self, d) -> HessVecRay:
-        return HessVecRay(self._obj, self._x, self._obj._check(d, "d"), self)
+        return HessVecRay(self._obj, self._x, self._obj._check(d, "d"), self._hess_vec)
 
     def solve(self, b) -> np.ndarray:
         return spd_solve(self._obj.A, self._obj._check(b, "b"))
@@ -404,8 +386,6 @@ class OnlineLsExpectedObjective(ObjectiveOracle):
 
     F(w) = (beta - w)' Sigma (beta - w) + 1 + lam ||w||^2 / 2.
     """
-
-    has_hessian = True
 
     def __init__(self, sigma: np.ndarray, beta: np.ndarray, lam: float):
         sigma = np.asarray(sigma, dtype=float)
@@ -445,13 +425,12 @@ class _OnlineLsPoint:
     def gradient(self) -> np.ndarray:
         return -2.0 * self._sr + self._obj.lam * self._w
 
-    def hess_vec(self, d) -> np.ndarray:
+    def _hess_vec(self, d) -> np.ndarray:
         obj = self._obj
-        d = obj._check(d, "d")
         return 2.0 * (obj.sigma @ d) + obj.lam * d
 
     def ray(self, d) -> HessVecRay:
-        return HessVecRay(self._obj, self._w, self._obj._check(d, "d"), self)
+        return HessVecRay(self._obj, self._w, self._obj._check(d, "d"), self._hess_vec)
 
     def solve(self, b) -> np.ndarray:
         obj = self._obj

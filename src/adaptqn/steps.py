@@ -37,8 +37,8 @@ class Constant:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("constant step must be positive")
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError(f"constant step must be positive and finite, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,12 @@ class ArmijoWolfe:
 class Hybrid:
     candidates: tuple[float, ...] = (1.0, 0.25, 0.0625)
     c1: float = 0.1
+
+    def __post_init__(self):
+        if not 0.0 < self.c1 <= 0.5:
+            raise ValueError("c1 must lie in (0, 1/2]")
+        if not all(0.0 < t < np.inf for t in self.candidates):
+            raise ValueError(f"candidates must lie in (0, inf), got {self.candidates}")
 
 
 StepRule = Union[Adaptive, Constant, ArmijoWolfe, Hybrid]

@@ -73,8 +73,6 @@ class SampledBatchOracle(ObjectiveOracle):
     (1/|S|) sum_i (Y_i - X_i'w)^2 + lam ||w||^2 / 2. Its Hessian
     (2/|S|) X'X + lam I is exact and constant in w."""
 
-    has_hessian = True
-
     def __init__(self, X: np.ndarray, Y: np.ndarray, lam: float):
         self.X = X
         self.Y = Y
@@ -111,13 +109,12 @@ class _BatchPoint:
         obj = self._obj
         return -(2.0 / obj.size) * (obj.X.T @ self._r) + obj.lam * self._w
 
-    def hess_vec(self, d) -> np.ndarray:
+    def _hess_vec(self, d) -> np.ndarray:
         obj = self._obj
-        d = obj._check(d, "d")
         return (2.0 / obj.size) * (obj.X.T @ (obj.X @ d)) + obj.lam * d
 
     def ray(self, d) -> HessVecRay:
-        return HessVecRay(self._obj, self._w, self._obj._check(d, "d"), self)
+        return HessVecRay(self._obj, self._w, self._obj._check(d, "d"), self._hess_vec)
 
     def solve(self, b) -> np.ndarray:
         obj = self._obj

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from adaptqn import (Adaptive, BfgsDense, Hybrid, LogisticObjective, Newton,
-                     ReferenceOptimum, RunConfig, run, synth_logistic)
+                     ObjectiveOracle, ReferenceOptimum, RunConfig, run, synth_logistic)
 
 # The fixed desk-scale problem shared by the acceptance suite: N=500,
 # n=50, seed 38 (see tests/test_acceptance.py).
@@ -28,6 +28,27 @@ property_test = settings(derandomize=True, database=None, deadline=None,
 def sym(H):
     """The full symmetric matrix held in the upper triangle of H."""
     return np.triu(H) + np.triu(H, 1).T
+
+
+class NoSolvePoint:
+    """A point of the wrapped oracle without ``solve``."""
+
+    def __init__(self, inner):
+        self.value, self.gradient, self.ray = inner.value, inner.gradient, inner.ray
+
+
+class NoSolve(ObjectiveOracle):
+    """``inner`` evaluated on points that cannot solve, as Newton needs."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def dim(self):
+        return self.inner.dim
+
+    def at(self, x):
+        return NoSolvePoint(self.inner.at(x))
 
 
 def newton_polish(obj, x, iters=10):

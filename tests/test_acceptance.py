@@ -215,11 +215,11 @@ def test_criterion_6_bfgs_structure():
         H = bfgs_update_dense(H, s, y)
         assert np.linalg.norm(sym(H) @ y - s) <= 1e-10 * (1.0 + np.linalg.norm(s))
 
-    # unlimited-memory two-loop equals dense BFGS on a shared trajectory
+    # a two-loop that keeps all 50 pairs equals dense BFGS on a shared trajectory
     A = (q * np.linspace(0.1, 10.0, n)) @ q.T
     obj = QuadraticObjective(A, rng.standard_normal(n))
     dense_state = new_state(BfgsDense(), n)
-    loop_state = new_state(LBfgs(memory=None), n)
+    loop_state = new_state(LBfgs(memory=50), n)
     x = rng.standard_normal(n)
     g = obj.gradient(x)
     for _ in range(50):
@@ -287,7 +287,7 @@ def test_criterion_9_derivative_correctness(desk_oracle):
                 fd[i] = (oracle.value(x + e) - oracle.value(x - e)) / (2 * h)
             assert np.linalg.norm(fd - g) / np.linalg.norm(g) < 1e-5
             d = rng.standard_normal(oracle.dim)
-            hv = oracle.hess_vec(x, d)
+            hv = oracle.at(x).ray(d).hess_vec()
             h = 1e-5
             fd_hv = (oracle.gradient(x + h * d) - oracle.gradient(x - h * d)) / (2 * h)
             assert np.linalg.norm(fd_hv - hv) / np.linalg.norm(hv) < 1e-4
@@ -307,7 +307,7 @@ def test_criterion_10_self_concordance_audit(desk_oracle):
     for _ in range(50):
         x = 0.3 * rng.standard_normal(desk_oracle.dim)
         d = rng.standard_normal(desk_oracle.dim)
-        delta = float(np.sqrt(d @ desk_oracle.hess_vec(x, d)))
+        delta = float(np.sqrt(d @ desk_oracle.at(x).ray(d).hess_vec()))
         t = rng.uniform(0.0, 0.9) / delta
         f0 = desk_oracle.value(x)
         gd = float(desk_oracle.gradient(x) @ d)

@@ -299,6 +299,9 @@ def test_csv_missing_optionals_are_empty(tmp_path):
      "gd-a.csv", "--sc-scale"),
     (["run", "--method", "bfgs-a", "--synthetic-logistic", "N=50,n=5", "--lbfgs-memory", "0"],
      "bfgs-a.csv", "--lbfgs-memory"),
+    *[(["run", "--method", method, "--synthetic-quadratic", "dim=3",
+        "--lbfgs-memory", "99999999999999999999"], f"{method}.csv", "--lbfgs-memory")
+      for method in ("lbfgs-a", "gd-a")],
     (["stoch", "--p", "3", "--methods", "sgd-a", "--iters", "5",
       "--sigma-from-data", os.devnull, "--eig-low", "-5"], "sgd-a.csv", "--eig-low"),
     (["run", "--method", "gd-a", "--synthetic-quadratic", "dim=abc"], "gd-a.csv", "'dim=abc'"),
@@ -315,7 +318,8 @@ def test_csv_missing_optionals_are_empty(tmp_path):
         "logistic-decay-0", "logistic-decay-inf",
         "logistic-maxnorm-nan", "logistic-maxnorm--2", "stoch-p-0",
         "stoch-seed--1", "stoch-sigma-seed--1", "stoch-beta-seed--1", "sc-scale-abc",
-        "quadratic-sc-scale-nan", "bfgs-lbfgs-memory-0", "sigma-from-data-eig-low--5",
+        "quadratic-sc-scale-nan", "bfgs-lbfgs-memory-0", "lbfgs-memory-1e20",
+        "gd-lbfgs-memory-1e20", "sigma-from-data-eig-low--5",
         "quadratic-dim-abc", "run-two-methods"])
 def test_invalid_numeric_flag_is_usage_error(tmp_path, capsys, argv, csv_name, named):
     rc = main(argv + ["--out", str(tmp_path)])
@@ -429,6 +433,21 @@ def test_sigma_from_data_needs_two_rows(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "--sigma-from-data" in err and "has 1" in err
     assert not (tmp_path / "sgd-a.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_sigma_from_data_with_non_finite_covariance_is_usage_error(tmp_path, capsys):
+    # the first feature's squared deviations overflow
+    huge = tmp_path / "huge.svm"
+    huge.write_text("+1 1:1e200 2:1\n-1 1:-1e200 2:3\n+1 1:2e200 2:-1\n")
+    out = tmp_path / "out"
+    rc = main(["stoch", "--methods", "sgd-a", "--p", "2", "--iters", "5",
+               "--sigma-from-data", str(huge), "--out", str(out)])
+    assert rc == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--sigma-from-data" in err and "not finite" in err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")

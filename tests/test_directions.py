@@ -1,14 +1,16 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from adaptqn import (BfgsDense, GradientDescent, LBfgs, Newton,
-                     NumericalError, ObjectiveOracle, QuadraticObjective,
+                     NumericalError, QuadraticObjective,
                      bfgs_update_dense, compute_direction,
                      default_lbfgs_memory, identity_scaling_factor, ingest_pair,
                      new_state, two_loop_direction)
-from conftest import property_test, sym
+from conftest import NoSolve, property_test, sym
 
 
 def random_spd(rng, n, lo=0.5, hi=3.0):
@@ -73,34 +75,8 @@ def test_newton_failure_on_indefinite():
 
 
 def test_newton_direction_needs_a_dense_hessian():
-    class GradientOnlyPoint:
-        """A quadratic's point without ``solve``."""
-
-        def __init__(self, inner):
-            self.inner = inner
-
-        def value(self):
-            return self.inner.value()
-
-        def gradient(self):
-            return self.inner.gradient()
-
-        def hess_vec(self, d):
-            return self.inner.hess_vec(d)
-
-    class GradientOnly(ObjectiveOracle):
-        def __init__(self, inner):
-            self.inner = inner
-
-        @property
-        def dim(self):
-            return self.inner.dim
-
-        def at(self, x):
-            return GradientOnlyPoint(self.inner.at(x))
-
-    obj = GradientOnly(QuadraticObjective(np.eye(3), np.ones(3)))
-    assert not obj.has_hessian
+    obj = NoSolve(QuadraticObjective(np.eye(3), np.ones(3)))
+    assert not hasattr(obj.at(np.zeros(3)), "solve")
     with pytest.raises(ValueError, match="Newton needs solve"):
         compute_direction(new_state(Newton(), 3), obj.at(np.zeros(3)), np.ones(3))
 
@@ -118,7 +94,7 @@ def test_fresh_bfgs_equals_gradient_descent():
     g = np.array([1.0, 2.0, 3.0, 4.0])
     d, rho = compute_direction(new_state(BfgsDense(), 4), obj.at(np.zeros(4)), g)
     np.testing.assert_array_equal(d, -g)
-    d2, _ = compute_direction(new_state(LBfgs(memory=None), 4), obj.at(np.zeros(4)), g)
+    d2, _ = compute_direction(new_state(LBfgs(memory=4), 4), obj.at(np.zeros(4)), g)
     np.testing.assert_array_equal(d2, -g)
 
 
@@ -207,12 +183,13 @@ def test_two_loop_is_the_matmul_recursion_bitwise():
 
 
 def test_two_loop_matches_dense_over_trajectory():
-    # 50 shared iterations on a 10-dim quadratic, constant step
+    # 50 shared iterations on a 10-dim quadratic, constant step; the
+    # two-loop keeps all 50 pairs
     rng = np.random.default_rng(3)
     n = 10
     A = random_spd(rng, n, 0.1, 10.0)
     obj = QuadraticObjective(A, rng.standard_normal(n))
-    dense_rule, loop_rule = BfgsDense(), LBfgs(memory=None)
+    dense_rule, loop_rule = BfgsDense(), LBfgs(memory=50)
     dense_state = new_state(dense_rule, n)
     loop_state = new_state(loop_rule, n)
     x = rng.standard_normal(n)
@@ -265,6 +242,16 @@ def test_lbfgs_ring_buffer():
     assert len(state.pairs) == 2
     np.testing.assert_array_equal(state.pairs[0][0], pairs_in[1][0])
     np.testing.assert_array_equal(state.pairs[1][0], pairs_in[2][0])
+
+
+def test_lbfgs_memory_is_a_whole_number_up_to_maxsize():
+    for memory in (0, -1, None, 2.5, sys.maxsize + 1, 10 ** 20):
+        with pytest.raises(ValueError, match="L-BFGS memory"):
+            LBfgs(memory=memory)
+    state = new_state(LBfgs(memory=sys.maxsize), 2)
+    assert ingest_pair(state, np.array([1.0, 0.0]), np.array([2.0, 0.0]))
+    np.testing.assert_array_equal(compute_direction(state, None, np.array([2.0, 0.0]))[0],
+                                  [-1.0, 0.0])
 
 
 def test_dense_identity_scaling_applied_before_first_update():

@@ -10,8 +10,9 @@ from adaptqn import (Adaptive, ArmijoWolfe, BfgsDense, Constant,
                      synth_logistic, t_settle_index)
 from adaptqn.cli import make_synthetic_quadratic, run_config, stoch_config
 from adaptqn.oracles import _LogisticPoint, _QuadraticPoint
-from adaptqn.stochastic import (OnlineSampler, _BatchPoint, make_sparse_beta,
+from adaptqn.stochastic import (OnlineSampler, _BatchPoint, draw_batch, make_sparse_beta,
                                 make_synthetic_sigma, stochastic_run)
+from conftest import NoSolve
 
 
 def norm_ball_objective(n=3, radius=3.0):
@@ -127,14 +128,27 @@ def test_config_validation():
 
 
 def test_newton_requires_hessian_capability():
-    class GradOnly(QuadraticObjective):
-        @property
-        def has_hessian(self):
-            return False
-
-    obj = GradOnly(np.eye(3), np.ones(3))
-    with pytest.raises(ValueError, match="Newton direction requires has_hessian"):
+    # a point's solve is Newton's one requirement; run refuses Newton on
+    # points without it
+    obj = NoSolve(QuadraticObjective(np.eye(3), np.ones(3)))
+    with pytest.raises(ValueError, match="Newton needs solve"):
         run(RunConfig(direction=Newton(), step=Adaptive()), obj)
+
+
+def test_batch_newton_solves_on_the_batch_point():
+    # a run on batches solves on each batch's point, so the oracle that
+    # only measures f and ||g|| needs no solve, and measures the same bits
+    def newton_on_batches(wrap):
+        sampler = OnlineSampler(make_synthetic_sigma(6, seed=1), make_sparse_beta(6, seed=2),
+                                lam=0.1, seed=3)
+        return run(RunConfig(direction=Newton(), step=Adaptive(), max_iters=20),
+                   wrap(sampler.expected_objective()),
+                   batches=lambda k: draw_batch(sampler, 6))
+
+    trace = newton_on_batches(NoSolve)
+    assert trace.termination.kind == "max_iters" and trace.iterations == 20
+    plain = newton_on_batches(lambda oracle: oracle)
+    assert [r.f for r in trace.records] == [r.f for r in plain.records]
 
 
 def test_line_search_stall_is_detected():
@@ -295,7 +309,7 @@ def test_a_step_that_reads_no_ray_builds_none(desk_logistic, monkeypatch):
 
 def test_nan_curvature_ends_numerical_error():
     class NanHessVecPoint(_QuadraticPoint):
-        def hess_vec(self, d):
+        def _hess_vec(self, d):
             return np.full_like(d, np.nan)
 
     class NanHessVec(QuadraticObjective):

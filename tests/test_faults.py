@@ -58,21 +58,18 @@ class FaultyPoint:
     def gradient(self):
         return self._fault("gradient", self._inner.gradient())
 
-    def hess_vec(self, d):
-        return self._fault("hess_vec", self._inner.hess_vec(d))
-
     def solve(self, b):
         return self._fault("solve", self._inner.solve(b))
 
     def ray(self, d):
-        # the generic ray, so that its curvature is a spoilable hess_vec
-        # and its points are faulty points
-        return HessVecRay(self._oracle, self._x, d, self)
+        # the generic ray over the inner ray's G d, so that its curvature
+        # is a spoilable hess_vec and its points are faulty points
+        inner = self._inner.ray(d)
+        return HessVecRay(self._oracle, self._x, d,
+                          lambda d: self._fault("hess_vec", inner.hess_vec()))
 
 
 class FaultyOracle(ObjectiveOracle):
-    has_hessian = True
-
     def __init__(self, inner, fault):
         self.inner, self.fault = inner, fault
 

@@ -163,9 +163,9 @@ def test_secant_equation_on_small_logistic_problems(problem):
 
 def check_two_loop_replays_dense(obj, x0):
     """Replay the gradients and pairs of a bfgs-a run, in their order,
-    into a BfgsDense and an LBfgs(memory=None) state: both accept the
-    same pairs and give the same direction, to 1e-10 relative, at
-    every k."""
+    into a BfgsDense state and an LBfgs state that keeps every pair:
+    both accept the same pairs and give the same direction, to 1e-10
+    relative, at every k."""
     events = []
 
     def direction(state, point, g):
@@ -181,7 +181,9 @@ def check_two_loop_replays_dense(obj, x0):
             mock.patch.object(driver, "ingest_pair", pair):
         trace = run(config, obj)
     assert trace.termination.kind in TERMINATION_KINDS
-    dense, loop = new_state(BfgsDense(), obj.dim), new_state(LBfgs(memory=None), obj.dim)
+    # at most one pair per iteration
+    loop = new_state(LBfgs(memory=config.max_iters), obj.dim)
+    dense = new_state(BfgsDense(), obj.dim)
     for fn, a, b in events:
         if fn is ingest_pair:
             assert ingest_pair(dense, a, b) == ingest_pair(loop, a, b)
@@ -225,7 +227,9 @@ def wide_logistic_points(draw):
 def test_woodbury_solve_matches_the_gram_solve(case):
     obj, w, b = case
     ds = obj.data
-    s = _sigmoid(ds.X @ w)
+    z = ds.X @ w
+    e = np.exp(-np.abs(z))
+    s = _sigmoid(z, e, 1.0 + e)
     G = _weighted_gram(ds.X, s * (1.0 - s) / ds.N)
     G.flat[::ds.n + 1] += 1.0 / ds.N
     gram = spd_solve(obj.sc_scale * G, b)
@@ -255,12 +259,12 @@ def logistic_rays(draw):
 @property_test
 @given(logistic_rays())
 def test_logistic_ray_matches_fresh_points(case):
-    """The ray's curvature is d'G d within 1e-13 relative, its G d is the
-    point's bit for bit, and its point at t has x = w + t d bit for bit,
+    """The ray's curvature is d'G d within 1e-13 relative, its G d is a
+    fresh point's ray's bit for bit, and its point at t has x = w + t d bit for bit,
     with f and g within rounding of the margins of oracle.at(w + t d)."""
     obj, w, d, t = case
     pt, ray = obj.at(w), obj.at(w).ray(d)
-    hv = pt.hess_vec(d)
+    hv = pt.ray(d).hess_vec()
     dGd = float(d @ hv)
     assert abs(ray.curvature() - dGd) <= 1e-13 * dGd
     np.testing.assert_array_equal(ray.hess_vec(), hv)

@@ -41,12 +41,14 @@ class CountingPoint:
         self.counts.n_g += 1
         return self.inner.gradient()
 
-    def hess_vec(self, d):
-        self.counts.n_hv += 1
-        return self.inner.hess_vec(d)
-
     def ray(self, d):
-        return HessVecRay(self.counts, self.x, d, self)
+        inner = self.inner.ray(d)
+
+        def product(d):
+            self.counts.n_hv += 1
+            return inner.hess_vec()
+
+        return HessVecRay(self.counts, self.x, d, product)
 
 
 def test_armijo_check_boundary_and_failure():
@@ -65,8 +67,17 @@ def test_wolfe_check():
 
 
 def test_rule_validation():
-    with pytest.raises(ValueError):
-        Constant(alpha=0.0)
+    for alpha in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            Constant(alpha=alpha)
+    for c1 in (-1.0, 0.0, 0.6, np.nan):
+        with pytest.raises(ValueError):
+            Hybrid(c1=c1)
+    for candidates in ((0.0,), (np.nan,), (1.0, np.inf), (1.0, -0.5)):
+        with pytest.raises(ValueError):
+            Hybrid(candidates=candidates)
+    Hybrid(candidates=())  # no candidate: the adaptive fallback every time
+    Hybrid(c1=0.5)
     with pytest.raises(ValueError):
         ArmijoWolfe(c1=0.6)
     with pytest.raises(ValueError):

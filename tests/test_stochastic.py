@@ -74,9 +74,9 @@ def test_batch_oracle_formulas():
     assert oracle.value(w) == pytest.approx(float(r @ r) / 32 + 0.5 * lam * w @ w)
     np.testing.assert_allclose(oracle.gradient(w),
                                -(2 / 32) * X.T @ r + lam * w, rtol=1e-12)
-    np.testing.assert_allclose(oracle.hess_vec(w, d),
+    np.testing.assert_allclose(oracle.at(w).ray(d).hess_vec(),
                                (2 / 32) * X.T @ (X @ d) + lam * d, rtol=1e-12)
-    np.testing.assert_allclose(oracle.at(w).solve(oracle.hess_vec(w, d)), d, rtol=1e-12)
+    np.testing.assert_allclose(oracle.at(w).solve(oracle.at(w).ray(d).hess_vec()), d, rtol=1e-12)
     h = 1e-6
     e = np.zeros(5)
     e[2] = h
@@ -129,7 +129,7 @@ def test_adaptive_decrease_holds_per_batch():
         g = batch.gradient(w)
         d = -(sym(state.H) @ g)
         rho = -float(g @ d)
-        Gd = batch.hess_vec(w, d)
+        Gd = batch.at(w).ray(d).hess_vec()
         delta = math.sqrt(float(d @ Gd))
         t = adaptive_step(rho, delta)
         eta = rho / delta
@@ -157,7 +157,7 @@ def test_sbfgs_matches_driver_bfgs_on_fixed_quadratic():
         g = batch.gradient(w)
         d = -(sym(state.H) @ g)
         rho = -float(g @ d)
-        Gd = batch.hess_vec(w, d)
+        Gd = batch.at(w).ray(d).hess_vec()
         delta = math.sqrt(float(d @ Gd))
         t = adaptive_step(rho, delta)
         my_ts.append(t)
