@@ -70,16 +70,16 @@ def _fmt(v) -> str:
     return "" if v is None or isinstance(v, float) and math.isnan(v) else repr(float(v))
 
 
+# The trace CSV's columns, in TRACE_HEADER's order: (IterationRecord field, format)
+_TRACE_COLUMNS = (("k", str), ("f", _fmt), ("gnorm", _fmt), ("t", _fmt), ("eta", _fmt),
+                  ("step_kind", str), ("cum_evals_f", str), ("cum_evals_g", str),
+                  ("cum_evals_hv", str), ("elapsed", _fmt), ("log_gap", _fmt),
+                  ("err_ratio", _fmt))
+
+
 def write_trace_csv(path, trace: Trace) -> None:
-    lines = [TRACE_HEADER]
-    for r in trace.records:
-        lines.append(",".join([
-            str(r.k), _fmt(r.f), _fmt(r.gnorm), _fmt(r.t), _fmt(r.eta),
-            r.step_kind, str(r.cum_evals_f), str(r.cum_evals_g),
-            str(r.cum_evals_hv), _fmt(r.elapsed), _fmt(r.log_gap),
-            _fmt(r.err_ratio),
-        ]))
-    _write_file(path, "\n".join(lines) + "\n")
+    columns = [map(fmt, trace.column(name)) for name, fmt in _TRACE_COLUMNS]
+    _write_file(path, "\n".join([TRACE_HEADER, *map(",".join, zip(*columns))]) + "\n")
 
 
 def _write_file(path, text: str) -> None:

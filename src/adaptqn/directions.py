@@ -171,6 +171,13 @@ def two_loop_direction(pairs, h0_scale: float, g: np.ndarray) -> np.ndarray:
     return -r
 
 
+def check_solve(rule: DirectionRule, point: OraclePoint) -> None:
+    """Raise ValueError when ``rule`` is Newton and ``point``, where it
+    would solve, has no ``solve``."""
+    if isinstance(rule, Newton) and not hasattr(point, "solve"):
+        raise ValueError("Newton needs solve; the evaluation point has none")
+
+
 def compute_direction(state: InverseHessianState, point: OraclePoint,
                       g: np.ndarray) -> tuple[np.ndarray, float]:
     """Direction d = -Hg and rho = -g'd for the current H of ``state.rule``.
@@ -180,8 +187,7 @@ def compute_direction(state: InverseHessianState, point: OraclePoint,
     if isinstance(rule, GradientDescent):
         d = -g
     elif isinstance(rule, Newton):
-        if not hasattr(point, "solve"):
-            raise ValueError("Newton needs solve; the evaluation point has none")
+        check_solve(rule, point)
         d = point.solve(-g)
     elif isinstance(rule, BfgsDense):
         d = dsymv(-1.0, state.H, g)

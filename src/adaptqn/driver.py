@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .directions import (MAX_DENSE_DIM, BfgsDense, DirectionRule, LBfgs,
-                         compute_direction, ingest_pair, new_state)
+                         check_solve, compute_direction, ingest_pair, new_state)
 from .errors import NumericalError
 from .oracles import ObjectiveOracle
 from .steps import Adaptive, Constant, Hybrid, StepRule, choose_step
@@ -87,29 +87,81 @@ class Termination:
     detail: str = ""
 
 
-@dataclass
+# The per-step values a Trace stores, by column, in IterationRecord's
+# field order; k is the row index and log_gap follows from f on read.
+_COLUMNS = ("f", "gnorm", "t", "eta", "step_kind", "cum_evals_f", "cum_evals_g",
+            "cum_evals_hv", "elapsed", "err_ratio")
+
+
+@dataclass(eq=False)  # traces compare by identity; final_x is an array
 class Trace:
     """What one ``run`` did. ``config`` is the RunConfig that was run; a
-    stochastic run's method shows as its direction. ``records`` holds one
-    record per step plus a terminal one."""
+    stochastic run's method shows as its direction.
+
+    The run stores one row per step plus a terminal one, by column.
+    ``records`` builds their IterationRecords once, on first read, and
+    ``final`` builds the terminal one alone. ``warnings`` counts the
+    line searches that ran out of evaluations, and ``skipped_pairs`` the
+    curvature pairs the quasi-Newton update refused."""
 
     config: RunConfig
-    records: list[IterationRecord] = field(default_factory=list)
     termination: Termination = Termination("max_iters")
     final_x: Optional[np.ndarray] = None
     skipped_pairs: int = 0
+    warnings: int = 0
+
+    def __post_init__(self):
+        self._columns = {name: [] for name in _COLUMNS}
+        self._records = None
+
+    def _append(self, f, gnorm, t, eta, step_kind, cum_evals_f, cum_evals_g,
+                cum_evals_hv, elapsed, err_ratio):
+        c = self._columns
+        c["f"].append(f)
+        c["gnorm"].append(gnorm)
+        c["t"].append(t)
+        c["eta"].append(eta)
+        c["step_kind"].append(step_kind)
+        c["cum_evals_f"].append(cum_evals_f)
+        c["cum_evals_g"].append(cum_evals_g)
+        c["cum_evals_hv"].append(cum_evals_hv)
+        c["elapsed"].append(elapsed)
+        c["err_ratio"].append(err_ratio)
+
+    def column(self, name: str) -> list:
+        """The values of the IterationRecord field ``name``, one per row."""
+        if name == "k":
+            return list(range(len(self._columns["f"])))
+        if name == "log_gap":
+            ref = self.config.reference
+            return [_log_gap(f, ref) for f in self._columns["f"]]
+        return list(self._columns[name])
+
+    def _record(self, k: int) -> IterationRecord:
+        c = self._columns
+        f = c["f"][k]
+        return IterationRecord(
+            k, f, c["gnorm"][k], c["t"][k], c["eta"][k], c["step_kind"][k],
+            c["cum_evals_f"][k], c["cum_evals_g"][k], c["cum_evals_hv"][k],
+            c["elapsed"][k], _log_gap(f, self.config.reference), c["err_ratio"][k])
+
+    @property
+    def records(self) -> list[IterationRecord]:
+        if self._records is None:
+            self._records = [self._record(k) for k in range(len(self._columns["f"]))]
+        return self._records
 
     @property
     def iterations(self) -> int:
         """Number of steps taken (terminal record excluded)."""
-        return sum(1 for r in self.records if r.step_kind != "terminal")
+        return max(len(self._columns["f"]) - 1, 0)
 
     @property
     def final(self) -> IterationRecord:
-        return self.records[-1]
+        return self._record(self.iterations)
 
     def step_sizes(self) -> np.ndarray:
-        return np.array([r.t for r in self.records if r.step_kind != "terminal"])
+        return np.array(self._columns["t"][:self.iterations])
 
 
 class _CountingOracle:
@@ -182,6 +234,12 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _all_finite(v: np.ndarray) -> bool:
+    # np.isfinite(v).all() at about half its cost: no ufunc reduction and
+    # no ndarray.all Python-level wrapper
+    return np.count_nonzero(np.isfinite(v)) == v.size
+
+
 def _log_gap(f: float, ref: Optional[ReferenceOptimum]) -> Optional[float]:
     if ref is None:
         return None
@@ -192,7 +250,8 @@ def _log_gap(f: float, ref: Optional[ReferenceOptimum]) -> Optional[float]:
 def check_config(config: RunConfig, oracle: ObjectiveOracle) -> None:
     """Raise ValueError if ``run`` refuses ``config`` on ``oracle`` up
     front: an x0 of the wrong shape or dense BFGS above ``MAX_DENSE_DIM``.
-    Checks nothing about batches, nor the points' ``solve`` for Newton."""
+    Checks nothing about batches, nor the points' ``solve`` for Newton,
+    which ``run`` checks on its point at x0."""
     n = oracle.dim
     if config.x0 is not None and np.shape(config.x0) != (n,):
         raise ValueError(f"x0 has shape {np.shape(config.x0)}, oracle dimension is {n}")
@@ -232,9 +291,12 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
     ref = config.reference
     state = new_state(config.direction, n)
     trace = Trace(config=config)
+    append = trace._append
     started = time.perf_counter()
     monotone = fixed and not isinstance(config.step, Constant)
     ray_step = isinstance(config.step, (Adaptive, Hybrid))
+    batch_pairs = not fixed and isinstance(config.direction, (BfgsDense, LBfgs))
+    warnings = 0
     if ref is not None:
         err_floor = _MEASURABLE_RTOL * (1.0 + _norm(ref.x))
         err = _norm(x - ref.x)
@@ -242,17 +304,18 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
     k, f, gnorm = 0, math.nan, math.nan
 
     def _end(kind: str, detail: str = "") -> Trace:
-        trace.records.append(IterationRecord(
-            k=k, f=f, gnorm=gnorm, t=math.nan, eta=math.nan, step_kind="terminal",
-            cum_evals_f=co.evals_f, cum_evals_g=co.evals_g, cum_evals_hv=co.evals_hv,
-            elapsed=time.perf_counter() - started, log_gap=_log_gap(f, ref)))
+        append(f, gnorm, math.nan, math.nan, "terminal", co.evals_f, co.evals_g,
+               co.evals_hv, time.perf_counter() - started, None)
         trace.termination = Termination(kind, detail)
         trace.final_x = x.copy()
         trace.skipped_pairs = state.skipped
+        trace.warnings = warnings
         return trace
 
     try:
         point = measure.at(x)
+        if fixed:  # a batch point is checked where Newton solves on it
+            check_solve(config.direction, point)
         f = point.value()
         g = point.gradient()
         for k in range(config.max_iters + 1):
@@ -275,7 +338,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
                 co.inner = batches(k)
                 step_point = co.at(x)
                 step_g = step_point.gradient()
-                if not np.isfinite(step_g).all():
+                if not _all_finite(step_g):
                     raise NumericalError(f"non-finite batch gradient at k={k}")
 
             d, rho = compute_direction(state, step_point, step_g)
@@ -284,6 +347,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
             ray = step_point.ray(d) if ray_step else None
             # positional: wrappers of choose_step may forward *args only
             outcome = choose_step(config.step, co, x, d, f, step_g, rho, ray)
+            warnings += outcome.warning
             if not (math.isfinite(rho) and math.isfinite(outcome.t)):
                 raise NumericalError(f"non-finite rho = {rho} or t = {outcome.t} at k={k}")
 
@@ -307,9 +371,9 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
 
             if fixed:
                 ingest_pair(state, x_new - x, g_new - g)
-            elif isinstance(config.direction, (BfgsDense, LBfgs)):
+            elif batch_pairs:
                 hv = (ray or step_point.ray(d)).hess_vec()
-                if not np.isfinite(hv).all():
+                if not _all_finite(hv):
                     raise NumericalError(f"non-finite batch G d at k={k}")
                 ingest_pair(state, d, hv)
 
@@ -319,12 +383,9 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
                 if err > err_floor:
                     err_ratio = err_new / err
                 err = err_new
-            trace.records.append(IterationRecord(
-                k=k, f=f, gnorm=gnorm, t=outcome.t,
-                eta=outcome.eta if outcome.eta is not None else math.nan,
-                step_kind=outcome.kind, cum_evals_f=co.evals_f, cum_evals_g=co.evals_g,
-                cum_evals_hv=co.evals_hv, elapsed=time.perf_counter() - started,
-                log_gap=_log_gap(f, ref), err_ratio=err_ratio))
+            append(f, gnorm, outcome.t, math.nan if outcome.eta is None else outcome.eta,
+                   outcome.kind, co.evals_f, co.evals_g, co.evals_hv,
+                   time.perf_counter() - started, err_ratio)
             x, f, g, point = x_new, f_new, g_new, point_new
     except NumericalError as exc:
         return _end("numerical_error", str(exc))
@@ -365,7 +426,7 @@ def superlinear_report(trace: Trace) -> SuperlinearReport:
     applicable = not isinstance(trace.config.step, Constant)
     ts = trace.step_sizes()
     settle = t_settle_index(ts) if applicable else None
-    ratios = [r.err_ratio for r in trace.records if r.err_ratio is not None]
+    ratios = [r for r in trace.column("err_ratio") if r is not None]
     tail = tuple(ratios[-5:])
     below = len(tail) == 5 and all(r < 0.5 for r in tail)
     return SuperlinearReport(

@@ -3,6 +3,7 @@ line search, and hybrid candidate testing with adaptive fallback."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -119,7 +120,7 @@ def adaptive_step_size(ray: Ray, rho: float) -> tuple[float, float, float]:
     d_gd = ray.curvature()
     if not 0.0 < d_gd < np.inf:
         raise NumericalError(f"d'Gd = {d_gd} is not positive and finite")
-    delta = float(np.sqrt(d_gd))
+    delta = math.sqrt(d_gd)
     t = adaptive_step(rho, delta)
     return t, delta, rho / delta
 

@@ -135,6 +135,28 @@ def test_newton_requires_hessian_capability():
         run(RunConfig(direction=Newton(), step=Adaptive()), obj)
 
 
+@pytest.mark.parametrize("b, x0", [
+    (np.zeros(2), None),                              # x0 is the optimum
+    (np.array([np.nan, 0.0]), np.array([1.0, 2.0])),  # f is NaN at x0
+])
+def test_newton_without_solve_is_refused_before_any_termination(b, x0):
+    obj = NoSolve(QuadraticObjective(np.eye(2), b))
+    with pytest.raises(ValueError, match="Newton needs solve; the evaluation point has none"):
+        run(RunConfig(Newton(), Adaptive(), x0=x0), obj)
+
+
+def test_line_search_budget_warnings_are_counted():
+    # on a flat quadratic three evaluations never bracket a Wolfe step,
+    # so every search runs out of its budget and warns
+    obj = QuadraticObjective(1e-4 * np.eye(2), np.zeros(2))
+    searched = run(RunConfig(GradientDescent(), ArmijoWolfe(max_evals=3), max_iters=50,
+                             x0=np.ones(2)), obj)
+    assert searched.termination.kind == "max_iters"
+    assert searched.warnings == 50
+    adaptive = run(RunConfig(GradientDescent(), Adaptive(), max_iters=50, x0=np.ones(2)), obj)
+    assert adaptive.warnings == 0
+
+
 def test_batch_newton_solves_on_the_batch_point():
     # a run on batches solves on each batch's point, so the oracle that
     # only measures f and ||g|| needs no solve, and measures the same bits
