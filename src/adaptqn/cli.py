@@ -70,16 +70,15 @@ def _fmt(v) -> str:
     return "" if v is None or isinstance(v, float) and math.isnan(v) else repr(float(v))
 
 
-# The trace CSV's columns, in TRACE_HEADER's order: (IterationRecord field, format)
-_TRACE_COLUMNS = (("k", str), ("f", _fmt), ("gnorm", _fmt), ("t", _fmt), ("eta", _fmt),
-                  ("step_kind", str), ("cum_evals_f", str), ("cum_evals_g", str),
-                  ("cum_evals_hv", str), ("elapsed", _fmt), ("log_gap", _fmt),
-                  ("err_ratio", _fmt))
+# How the trace CSV writes each IterationRecord field, in field order
+_TRACE_FORMATS = (str, _fmt, _fmt, _fmt, _fmt, str, str, str, str, _fmt, _fmt, _fmt)
 
 
 def write_trace_csv(path, trace: Trace) -> None:
-    columns = [map(fmt, trace.column(name)) for name, fmt in _TRACE_COLUMNS]
-    _write_file(path, "\n".join([TRACE_HEADER, *map(",".join, zip(*columns))]) + "\n")
+    lines = [TRACE_HEADER]
+    for row in trace.rows():
+        lines.append(",".join([fmt(v) for fmt, v in zip(_TRACE_FORMATS, row)]))
+    _write_file(path, "\n".join(lines) + "\n")
 
 
 def _write_file(path, text: str) -> None:

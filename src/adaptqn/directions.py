@@ -54,6 +54,9 @@ PAIR_REJECT_RTOL = 1e-12
 # refuses dense BFGS and suggests the two-loop form instead.
 MAX_DENSE_DIM = 5000
 
+# Newton's refusal of an evaluation point that has no solve
+NO_SOLVE = "Newton needs solve; the evaluation point has none"
+
 
 @dataclass(frozen=True)
 class GradientDescent:
@@ -171,13 +174,6 @@ def two_loop_direction(pairs, h0_scale: float, g: np.ndarray) -> np.ndarray:
     return -r
 
 
-def check_solve(rule: DirectionRule, point: OraclePoint) -> None:
-    """Raise ValueError when ``rule`` is Newton and ``point``, where it
-    would solve, has no ``solve``."""
-    if isinstance(rule, Newton) and not hasattr(point, "solve"):
-        raise ValueError("Newton needs solve; the evaluation point has none")
-
-
 def compute_direction(state: InverseHessianState, point: OraclePoint,
                       g: np.ndarray) -> tuple[np.ndarray, float]:
     """Direction d = -Hg and rho = -g'd for the current H of ``state.rule``.
@@ -187,7 +183,8 @@ def compute_direction(state: InverseHessianState, point: OraclePoint,
     if isinstance(rule, GradientDescent):
         d = -g
     elif isinstance(rule, Newton):
-        check_solve(rule, point)
+        if not hasattr(point, "solve"):
+            raise ValueError(NO_SOLVE)
         d = point.solve(-g)
     elif isinstance(rule, BfgsDense):
         d = dsymv(-1.0, state.H, g)

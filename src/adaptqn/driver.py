@@ -7,12 +7,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .directions import (MAX_DENSE_DIM, BfgsDense, DirectionRule, LBfgs,
-                         check_solve, compute_direction, ingest_pair, new_state)
+from .directions import (MAX_DENSE_DIM, NO_SOLVE, BfgsDense, DirectionRule, LBfgs,
+                         Newton, compute_direction, ingest_pair, new_state)
 from .errors import NumericalError
 from .oracles import ObjectiveOracle
 from .steps import Adaptive, Constant, Hybrid, StepRule, choose_step
@@ -87,22 +87,20 @@ class Termination:
     detail: str = ""
 
 
-# The per-step values a Trace stores, by column, in IterationRecord's
-# field order; k is the row index and log_gap follows from f on read.
-_COLUMNS = ("f", "gnorm", "t", "eta", "step_kind", "cum_evals_f", "cum_evals_g",
-            "cum_evals_hv", "elapsed", "err_ratio")
-
-
 @dataclass(eq=False)  # traces compare by identity; final_x is an array
 class Trace:
     """What one ``run`` did. ``config`` is the RunConfig that was run; a
     stochastic run's method shows as its direction.
 
-    The run stores one row per step plus a terminal one, by column.
-    ``records`` builds their IterationRecords once, on first read, and
-    ``final`` builds the terminal one alone. ``warnings`` counts the
-    line searches that ran out of evaluations, and ``skipped_pairs`` the
-    curvature pairs the quasi-Newton update refused."""
+    The run stores one row per step plus a terminal one: a tuple of the
+    IterationRecord fields f, gnorm, t, eta, step_kind, cum_evals_f,
+    cum_evals_g, cum_evals_hv, elapsed and err_ratio. k is the row index
+    and log_gap follows from f and the reference on read. ``rows()``
+    gives every record's fields without building it, ``records`` builds
+    the IterationRecords once, on first read, and ``final`` builds the
+    terminal one alone. ``warnings`` counts the line searches that ran
+    out of evaluations, and ``skipped_pairs`` the curvature pairs the
+    quasi-Newton update refused."""
 
     config: RunConfig
     termination: Termination = Termination("max_iters")
@@ -111,57 +109,34 @@ class Trace:
     warnings: int = 0
 
     def __post_init__(self):
-        self._columns = {name: [] for name in _COLUMNS}
+        self._rows = []
         self._records = None
 
-    def _append(self, f, gnorm, t, eta, step_kind, cum_evals_f, cum_evals_g,
-                cum_evals_hv, elapsed, err_ratio):
-        c = self._columns
-        c["f"].append(f)
-        c["gnorm"].append(gnorm)
-        c["t"].append(t)
-        c["eta"].append(eta)
-        c["step_kind"].append(step_kind)
-        c["cum_evals_f"].append(cum_evals_f)
-        c["cum_evals_g"].append(cum_evals_g)
-        c["cum_evals_hv"].append(cum_evals_hv)
-        c["elapsed"].append(elapsed)
-        c["err_ratio"].append(err_ratio)
+    def _fields(self, k: int) -> tuple:
+        r = self._rows[k]
+        return (k, *r[:9], _log_gap(r[0], self.config.reference), r[9])
 
-    def column(self, name: str) -> list:
-        """The values of the IterationRecord field ``name``, one per row."""
-        if name == "k":
-            return list(range(len(self._columns["f"])))
-        if name == "log_gap":
-            ref = self.config.reference
-            return [_log_gap(f, ref) for f in self._columns["f"]]
-        return list(self._columns[name])
-
-    def _record(self, k: int) -> IterationRecord:
-        c = self._columns
-        f = c["f"][k]
-        return IterationRecord(
-            k, f, c["gnorm"][k], c["t"][k], c["eta"][k], c["step_kind"][k],
-            c["cum_evals_f"][k], c["cum_evals_g"][k], c["cum_evals_hv"][k],
-            c["elapsed"][k], _log_gap(f, self.config.reference), c["err_ratio"][k])
+    def rows(self) -> Iterator[tuple]:
+        """Every record's field values, in IterationRecord's order."""
+        return map(self._fields, range(len(self._rows)))
 
     @property
     def records(self) -> list[IterationRecord]:
         if self._records is None:
-            self._records = [self._record(k) for k in range(len(self._columns["f"]))]
+            self._records = [IterationRecord(*v) for v in self.rows()]
         return self._records
 
     @property
     def iterations(self) -> int:
         """Number of steps taken (terminal record excluded)."""
-        return max(len(self._columns["f"]) - 1, 0)
+        return max(len(self._rows) - 1, 0)
 
     @property
     def final(self) -> IterationRecord:
-        return self._record(self.iterations)
+        return IterationRecord(*self._fields(len(self._rows) - 1))
 
     def step_sizes(self) -> np.ndarray:
-        return np.array(self._columns["t"][:self.iterations])
+        return np.array([r[2] for r in self._rows[:-1]])
 
 
 class _CountingOracle:
@@ -291,7 +266,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
     ref = config.reference
     state = new_state(config.direction, n)
     trace = Trace(config=config)
-    append = trace._append
+    append = trace._rows.append
     started = time.perf_counter()
     monotone = fixed and not isinstance(config.step, Constant)
     ray_step = isinstance(config.step, (Adaptive, Hybrid))
@@ -304,8 +279,8 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
     k, f, gnorm = 0, math.nan, math.nan
 
     def _end(kind: str, detail: str = "") -> Trace:
-        append(f, gnorm, math.nan, math.nan, "terminal", co.evals_f, co.evals_g,
-               co.evals_hv, time.perf_counter() - started, None)
+        append((f, gnorm, math.nan, math.nan, "terminal", co.evals_f, co.evals_g,
+                co.evals_hv, time.perf_counter() - started, None))
         trace.termination = Termination(kind, detail)
         trace.final_x = x.copy()
         trace.skipped_pairs = state.skipped
@@ -314,8 +289,9 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
 
     try:
         point = measure.at(x)
-        if fixed:  # a batch point is checked where Newton solves on it
-            check_solve(config.direction, point)
+        # a batch point is checked where Newton solves on it
+        if fixed and isinstance(config.direction, Newton) and not hasattr(point, "solve"):
+            raise ValueError(NO_SOLVE)
         f = point.value()
         g = point.gradient()
         for k in range(config.max_iters + 1):
@@ -383,9 +359,9 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
                 if err > err_floor:
                     err_ratio = err_new / err
                 err = err_new
-            append(f, gnorm, outcome.t, math.nan if outcome.eta is None else outcome.eta,
-                   outcome.kind, co.evals_f, co.evals_g, co.evals_hv,
-                   time.perf_counter() - started, err_ratio)
+            append((f, gnorm, outcome.t, math.nan if outcome.eta is None else outcome.eta,
+                    outcome.kind, co.evals_f, co.evals_g, co.evals_hv,
+                    time.perf_counter() - started, err_ratio))
             x, f, g, point = x_new, f_new, g_new, point_new
     except NumericalError as exc:
         return _end("numerical_error", str(exc))
@@ -426,7 +402,7 @@ def superlinear_report(trace: Trace) -> SuperlinearReport:
     applicable = not isinstance(trace.config.step, Constant)
     ts = trace.step_sizes()
     settle = t_settle_index(ts) if applicable else None
-    ratios = [r for r in trace.column("err_ratio") if r is not None]
+    ratios = [r[9] for r in trace._rows if r[9] is not None]
     tail = tuple(ratios[-5:])
     below = len(tail) == 5 and all(r < 0.5 for r in tail)
     return SuperlinearReport(

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -187,23 +187,8 @@ def stochastic_run(method: str, schedule: BatchSchedule, step_rule,
     ref = ReferenceOptimum(x=w_star, f=expected.value(w_star))
     config = RunConfig(direction=_DIRECTIONS[method], step=step_rule, max_iters=budget,
                        max_seconds=max_seconds, x0=x0, reference=ref)
-    return run(config, expected, batches=_batches(sampler, schedule))
-
-
-def _batches(sampler: OnlineSampler,
-             schedule: BatchSchedule) -> Callable[[int], SampledBatchOracle]:
-    """k -> a fresh batch of ``batch_size(schedule, k)`` samples, the
-    size computed once per period of a growing schedule."""
-    if isinstance(schedule, ConstantBatch):
-        return lambda k: draw_batch(sampler, schedule.size)
-    sizes = {}  # period index -> batch size
-
-    def batches(k: int) -> SampledBatchOracle:
-        j = k // schedule.period
-        if j not in sizes:
-            sizes[j] = batch_size(schedule, k)
-        return draw_batch(sampler, sizes[j])
-    return batches
+    return run(config, expected,
+               batches=lambda k: draw_batch(sampler, batch_size(schedule, k)))
 
 
 def make_synthetic_sigma(p: int, seed: int, eig_low: float = 1.0,

@@ -1,5 +1,5 @@
 """The trace API over every way a run ends: the records built from the
-stored columns, the terminal record, the step count and the CSV."""
+stored rows, the terminal record, the step count and the CSV."""
 
 import dataclasses
 import math
