@@ -246,6 +246,25 @@ def cmd_grid(args) -> int:
     return _worst(codes)
 
 
+def _sigma_from_data(path, p: int) -> np.ndarray:
+    """The covariance of the first p features of the LIBSVM file at path,
+    symmetrized, plus 1e-10 on the diagonal. Only those p columns are
+    made dense."""
+    X = _read_dataset(path).X
+    if X.shape[0] < 2:
+        raise ValueError(f"--sigma-from-data needs >= 2 rows for a covariance, "
+                         f"dataset has {X.shape[0]}")
+    if X.shape[1] < p:
+        raise ValueError(f"dataset has {X.shape[1]} features, need >= p = {p}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = np.cov(X[:, :p].toarray(), rowvar=False)
+        sigma = 0.5 * (sigma + sigma.T) + 1e-10 * np.eye(p)
+    if not np.isfinite(sigma).all():
+        raise ValueError(f"--sigma-from-data: the covariance of the first {p} features "
+                         f"is not finite")
+    return sigma
+
+
 def cmd_stoch(args) -> int:
     methods = _methods(args.methods, STOCHASTIC_METHODS)
     p = args.p
@@ -255,18 +274,7 @@ def cmd_stoch(args) -> int:
         raise ValueError(f"need 0 < eig_low <= eig_high < inf, got --eig-low "
                          f"{args.eig_low} --eig-high {args.eig_high}")
     if args.sigma_from_data is not None:
-        X = _read_dataset(args.sigma_from_data).X.toarray()
-        if X.shape[0] < 2:
-            raise ValueError(f"--sigma-from-data needs >= 2 rows for a covariance, "
-                             f"dataset has {X.shape[0]}")
-        if X.shape[1] < p:
-            raise ValueError(f"dataset has {X.shape[1]} features, need >= p = {p}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            sigma = np.cov(X[:, :p], rowvar=False)
-            sigma = 0.5 * (sigma + sigma.T) + 1e-10 * np.eye(p)
-        if not np.isfinite(sigma).all():
-            raise ValueError(f"--sigma-from-data: the covariance of the first {p} features "
-                             f"is not finite")
+        sigma = _sigma_from_data(args.sigma_from_data, p)
     else:
         sigma = make_synthetic_sigma(p, seed=args.sigma_seed,
                                      eig_low=args.eig_low, eig_high=args.eig_high)

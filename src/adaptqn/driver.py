@@ -371,14 +371,11 @@ def t_settle_index(ts: Sequence[float]) -> Optional[int]:
     """Smallest index k0 from which |t - 1| < 0.1 holds for at least 80%
     of the remaining step sizes; None when no such index exists."""
     ts = np.asarray(ts, dtype=float)
-    if ts.size == 0:
-        return None
     near = np.abs(ts - 1.0) < T_NEAR_ONE_TOL
-    for k0 in range(ts.size):
-        tail = near[k0:]
-        if tail.mean() >= T_NEAR_ONE_FRACTION:
-            return k0
-    return None
+    # the share of near-one steps in each tail near[k0:], as its mean() reads it
+    share = np.cumsum(near[::-1])[::-1] / np.arange(ts.size, 0, -1)
+    settled = np.flatnonzero(share >= T_NEAR_ONE_FRACTION)
+    return int(settled[0]) if settled.size else None
 
 
 @dataclass(frozen=True)

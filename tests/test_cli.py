@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaptqn.cli import TRACE_HEADER, main, run_config, stoch_config
-from adaptqn.data_io import serialize_libsvm, synth_logistic
+from adaptqn.cli import TRACE_HEADER, _sigma_from_data, main, run_config, stoch_config
+from adaptqn.data_io import load_libsvm, serialize_libsvm, synth_logistic
 
 
 def read_csv(path):
@@ -65,6 +65,29 @@ def test_run_non_finite_feature_value_exits_66(tmp_path, capsys, value, sc_scale
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "line 2: feature 1 has non-finite value" in err
     assert not (tmp_path / "gd-a.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--method", "gd-a", "--data"],
+    ["stoch", "--methods", "sgd-a", "--p", "2", "--iters", "5", "--sigma-from-data"]])
+def test_non_utf8_dataset_exits_66_naming_the_line(tmp_path, capsys, command):
+    bad = tmp_path / "latin1.svm"
+    # universal newlines, as the text reader counts them: \r\n, \r and \n
+    bad.write_bytes(b"+1 1:1 2:2\r\n-1 1:3 2:1\r+1 1:2 2:5\n-1 1:1 2:caf\xe9\n+1 1:1\n")
+    out = tmp_path / "out"
+    assert main(command + [str(bad), "--out", str(out)]) == 66
+    err = capsys.readouterr().err
+    assert err == ("error: cannot read dataset: line 4: not UTF-8 text: "
+                   "cannot decode byte 0xe9\n")
+    assert not out.exists()
+
+
+def test_non_utf8_dataset_reports_an_earlier_malformed_row_first(tmp_path, capsys):
+    bad = tmp_path / "bad.svm"
+    bad.write_bytes(b"+1 1:1\n-1 2:1 2:3\n+1 1:\xff\n")
+    rc = main(["run", "--method", "gd-a", "--data", str(bad), "--out", str(tmp_path)])
+    assert rc == 66
+    assert "line 2: indices must be strictly increasing" in capsys.readouterr().err
 
 
 def test_run_budget_exhaustion_exits_2(tmp_path):
@@ -230,6 +253,18 @@ def test_stoch_sigma_from_data(tmp_path):
     rc = main(["stoch", "--p", "30", "--methods", "sbfgs-a", "--iters", "5",
                "--sigma-from-data", str(ds_file), "--out", str(tmp_path)])
     assert rc == 64  # dataset has fewer features than p
+
+
+@pytest.mark.parametrize("p", [1, 7, 12])
+def test_sigma_from_data_densifies_only_p_columns_bit_for_bit(tmp_path, p):
+    ds_file = tmp_path / "cov.svm"
+    ds_file.write_text(serialize_libsvm(synth_logistic(150, 12, seed=3)) + "-1 2:4 9:-1\n+1\n")
+    X = load_libsvm(ds_file).X.toarray()
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = np.cov(X[:, :p], rowvar=False)
+        full = 0.5 * (full + full.T) + 1e-10 * np.eye(p)
+    sigma = _sigma_from_data(ds_file, p)
+    assert sigma.shape == (p, p) and sigma.tobytes() == full.tobytes()
 
 
 def test_run_identity_scaling_and_memory_flags(tmp_path):

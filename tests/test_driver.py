@@ -218,6 +218,27 @@ def test_t_settle_index():
     assert t_settle_index([0.2, 0.2, 1.0, 1.0, 1.7, 1.0, 1.0, 0.98]) <= 3
 
 
+def _t_settle_by_definition(ts):
+    """The smallest k0 whose tail mean reaches 80%, tail by tail."""
+    near = np.abs(np.asarray(ts, dtype=float) - 1.0) < 0.1
+    return next((k0 for k0 in range(near.size) if near[k0:].mean() >= 0.8), None)
+
+
+def test_t_settle_index_matches_its_definition():
+    rng = np.random.default_rng(17)
+    for _ in range(500):
+        size = int(rng.integers(0, 60))
+        # step sizes near 1 with a random share, some exactly on the 0.1 edges
+        ts = np.where(rng.random(size) < rng.random(), 1.0 + rng.uniform(-0.12, 0.12, size),
+                      rng.choice([0.5, 0.9, 1.1, 2.0], size))
+        assert t_settle_index(ts) == _t_settle_by_definition(ts)
+    # 5000 steps, one in two near 1, never settle; 4000 more at 1 settle them
+    ts = np.tile([1.0, 0.5], 2500)
+    assert t_settle_index(ts) is None and _t_settle_by_definition(ts) is None
+    ts = np.append(ts, [1.0] * 4000)
+    assert t_settle_index(ts) == _t_settle_by_definition(ts) == 2334
+
+
 def test_superlinear_report_requires_reference():
     obj = make_synthetic_quadratic(4, seed=8)
     trace = run(RunConfig(direction=BfgsDense(), step=Adaptive(), grad_tol=1e-8,
