@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import functools
 import io
+import math
+import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -95,6 +97,9 @@ def _dataset(indptr, indices, values, labels, n: int) -> SparseDataset:
 # together; the bound keeps a chunk's transient strings small.
 _CHUNK_TOKENS = 1 << 14
 
+# A byte that is not UTF-8, as the "surrogateescape" decoder stores it.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
 
 def parse_libsvm(source: Iterable[str] | str, n_features: int | None = None) -> SparseDataset:
     """Parse LIBSVM text: one ``<label> <idx>:<val> ...`` record per line.
@@ -105,25 +110,20 @@ def parse_libsvm(source: Iterable[str] | str, n_features: int | None = None) -> 
     comment, blank lines are skipped. Labels +1/-1 are kept; 0/1 files
     are mapped 0 -> -1, 1 -> +1; anything else is a parse error. The
     feature count is the largest index seen unless ``n_features``
-    overrides it. The first error in file order is raised; an index
-    above ``n_features`` or a non-finite value is looked for only once
-    every row has parsed.
+    overrides it; an index above it, or above the int64 range, is an
+    error. A line holding a byte that the "surrogateescape" decoder
+    kept (U+DC80-U+DCFF) is not UTF-8 text. The first error in file
+    order is raised, naming its line.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    chunks = _gather(source)
-    max_index = max(c.max_index for c in chunks)
-    n = max_index if n_features is None else n_features
-    if n_features is not None and max_index > n_features:
-        raise ParseError(f"index {max_index} exceeds declared feature count {n_features}")
-    for c in chunks:
-        if c.non_finite is not None:
-            raise c.non_finite
+    chunks = _gather(source, n_features)
+    n = max(c.max_index for c in chunks) if n_features is None else n_features
     idx = _index_dtype(sum(c.values.size for c in chunks), n)
     counts = np.concatenate([c.counts for c in chunks])
     indptr = np.zeros(counts.size + 1, dtype=idx)
     np.cumsum(counts, out=indptr[1:])
-    indices = np.concatenate([np.asarray(c.indices, dtype=idx) for c in chunks])
+    indices = np.concatenate([c.indices for c in chunks], dtype=idx)
     return _dataset(indptr, indices, np.concatenate([c.values for c in chunks]),
                     np.concatenate([c.labels for c in chunks]), n)
 
@@ -131,25 +131,26 @@ def parse_libsvm(source: Iterable[str] | str, n_features: int | None = None) -> 
 @dataclass(frozen=True)
 class _Chunk:
     """Consecutive rows, converted: +-1 labels, feature counts, 0-based
-    indices (a list of ints only for an index that int64 cannot hold)
-    and values, the largest index, and the error for the first
-    non-finite value, which is raised only once the whole file parsed."""
+    int64 indices and values, and the largest index."""
 
     labels: np.ndarray
     counts: np.ndarray
-    indices: np.ndarray | list
+    indices: np.ndarray
     values: np.ndarray
     max_index: int
-    non_finite: ParseError | None
 
 
-def _gather(lines: Iterable[str]) -> list[_Chunk]:
+def _gather(lines: Iterable[str], n_features: int | None) -> list[_Chunk]:
     """Split each line into its label and feature tokens and convert
-    them a chunk at a time; raises the ParseError of the first bad row.
+    them a chunk at a time; raises the ParseError of the first bad line.
     Always returns at least one chunk, which may hold no rows."""
     chunks = []
     labels, linenos, counts, feats = [], [], [], []
     for lineno, raw in enumerate(lines, start=1):
+        if not raw.isascii() and (bad := _ESCAPED_BYTE.search(raw)):
+            _convert(labels, linenos, counts, feats, n_features)  # an earlier row's error wins
+            raise ParseError(f"not UTF-8 text: cannot decode byte {ord(bad[0]) - 0xdc00:#04x}",
+                             lineno)
         tokens = raw.split("#", 1)[0].split()
         if tokens:
             labels.append(tokens.pop(0))
@@ -157,32 +158,24 @@ def _gather(lines: Iterable[str]) -> list[_Chunk]:
             counts.append(len(tokens))
             feats += tokens
             if len(feats) + len(labels) >= _CHUNK_TOKENS:
-                chunks.append(_convert(labels, linenos, counts, feats))
+                chunks.append(_convert(labels, linenos, counts, feats, n_features))
                 labels, linenos, counts, feats = [], [], [], []
-    chunks.append(_convert(labels, linenos, counts, feats))
+    chunks.append(_convert(labels, linenos, counts, feats, n_features))
     return chunks
 
 
-def _convert(labels, linenos, counts, feats) -> _Chunk:
+def _convert(labels, linenos, counts, feats, n_features) -> _Chunk:
     """One chunk of rows in bulk; when a bulk check fails, ``_walk``
     goes through its rows to raise the first error."""
-    converted = _bulk(labels, counts, feats)
+    converted = _bulk(labels, counts, feats, n_features)
     if converted is None:
-        converted = _walk(labels, linenos, counts, feats)
+        converted = _walk(labels, linenos, counts, feats, n_features)
     label, indices, values, max_index = converted
-    counts = np.array(counts, dtype=np.int64)
-    non_finite = None
-    finite = np.isfinite(values)
-    if not finite.all():
-        pos = int(finite.argmin())
-        row = int(np.searchsorted(np.cumsum(counts), pos, side="right"))
-        non_finite = ParseError(f"feature {indices[pos] + 1} has non-finite value "
-                                f"{values[pos]}", linenos[row])
-    return _Chunk(np.where(label <= 0.0, -1.0, 1.0), counts, indices, values,
-                  max_index, non_finite)
+    return _Chunk(np.where(label <= 0.0, -1.0, 1.0), np.array(counts, dtype=np.int64),
+                  indices, values, max_index)
 
 
-def _bulk(labels, counts, feats):
+def _bulk(labels, counts, feats, n_features):
     """Labels, 0-based indices, values and largest index of a chunk,
     converted by numpy (which reads each token with ``int`` or
     ``float``); None when a token or row is malformed."""
@@ -203,9 +196,11 @@ def _bulk(labels, counts, feats):
     increasing = idx[1:] > idx[:-1]
     starts = np.cumsum(counts[:-1], dtype=np.int64)
     increasing[starts[(starts > 0) & (starts < idx.size)] - 1] = True
-    if not increasing.all():
+    max_index = int(idx.max(initial=0))
+    if (not increasing.all() or (n_features is not None and max_index > n_features)
+            or not np.isfinite(values).all()):
         return None
-    return label, idx - 1, values, int(idx.max(initial=0))
+    return label, idx - 1, values, max_index
 
 
 def _one_colon_each(joined: str, count: int) -> bool:
@@ -219,14 +214,13 @@ def _one_colon_each(joined: str, count: int) -> bool:
     return bool((spaces > colons[:-1]).all() and (colons[1:] > spaces).all())
 
 
-def _walk(labels, linenos, counts, feats):
+def _walk(labels, linenos, counts, feats, n_features):
     """``_bulk``'s result one token at a time, for a chunk that failed a
-    bulk check: raises the ParseError of its first bad row. It returns
-    only when an index is too large for int64, which then fails when
-    the index array is built."""
+    bulk check: raises the ParseError of its first bad row."""
     indices: list[int] = []
     values: list[float] = []
     max_index = end = 0
+    int64_max = np.iinfo(np.int64).max
     for label_s, lineno, count in zip(labels, linenos, counts):
         try:
             label = float(label_s)
@@ -247,35 +241,27 @@ def _walk(labels, linenos, counts, feats):
                 raise ParseError(f"index must be >= 1, got {idx}", lineno)
             if idx <= prev:
                 raise ParseError(f"indices must be strictly increasing, got {idx} after {prev}", lineno)
+            if n_features is not None and idx > n_features:
+                raise ParseError(f"index {idx} exceeds declared feature count {n_features}", lineno)
+            if idx > int64_max:
+                raise ParseError(f"index {idx} exceeds the int64 range", lineno)
+            if not math.isfinite(val):
+                raise ParseError(f"feature {idx} has non-finite value {val}", lineno)
             prev = idx
             indices.append(idx - 1)
             values.append(val)
         max_index = max(max_index, prev)
-    return np.array(labels, dtype=float), indices, np.array(values, dtype=float), max_index
+    return (np.array(labels, dtype=float), np.array(indices, dtype=np.int64),
+            np.array(values, dtype=float), max_index)
 
 
 def load_libsvm(path) -> SparseDataset:
-    """Parse the LIBSVM file at path, which must be UTF-8 text. An
-    undecodable byte raises ParseError naming its line, unless a row on
-    an earlier line is malformed."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_libsvm(fh)
-    except UnicodeDecodeError:
-        pass
-    # the text decoder reads ahead, so the file is read again, whole, to
-    # find the bad byte's line and check the rows before it
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lines = io.StringIO(data[:exc.start].decode("utf-8"), newline=None).readlines()
-        complete = lines if not lines or lines[-1].endswith("\n") else lines[:-1]
-        _gather(complete)
-        raise ParseError(f"not UTF-8 text: cannot decode byte {data[exc.start]:#04x}",
-                         len(complete) + 1) from None
-    raise ParseError("not UTF-8 text")  # the file changed between the two reads
+    """Parse the LIBSVM file at path, which must be UTF-8 text; a
+    leading byte-order mark is skipped. The file is read once: a byte
+    that is not UTF-8 raises ParseError naming its line, unless an
+    earlier line holds an error."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        return parse_libsvm(fh)
 
 
 def serialize_libsvm(ds: SparseDataset) -> str:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -59,8 +60,8 @@ class RunConfig:
     def __post_init__(self):
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be non-negative")
+        if not (isinstance(self.max_iters, Integral) and self.max_iters >= 0):
+            raise ValueError(f"max_iters must be a non-negative whole number, got {self.max_iters!r}")
         if not self.max_seconds >= 0:
             raise ValueError(f"max_seconds must be >= 0, got {self.max_seconds}")
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Union
 
 import numpy as np
@@ -43,8 +44,8 @@ class ConstantBatch:
     size: int
 
     def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("batch size must be >= 1")
+        if not (isinstance(self.size, Integral) and self.size >= 1):
+            raise ValueError(f"batch size must be a whole number >= 1, got {self.size!r}")
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,45 @@ def test_non_utf8_dataset_reports_an_earlier_malformed_row_first(tmp_path, capsy
     assert "line 2: indices must be strictly increasing" in capsys.readouterr().err
 
 
+def test_non_utf8_byte_in_a_comment_exits_66_naming_its_line(tmp_path, capsys):
+    bad = tmp_path / "comment.svm"
+    bad.write_bytes(b"+1 1:1\n-1 2:1 # caf\xe9\n+1 1:2\n")
+    rc = main(["run", "--method", "gd-a", "--data", str(bad), "--out", str(tmp_path)])
+    assert rc == 66
+    assert capsys.readouterr().err == ("error: cannot read dataset: line 2: not UTF-8 text: "
+                                       "cannot decode byte 0xe9\n")
+
+
+def test_index_too_large_for_int64_exits_66_naming_its_line(tmp_path, capsys):
+    bad = tmp_path / "huge.svm"
+    bad.write_text("-1 99999999999999999999:1\n+1 1:1\n")
+    rc = main(["run", "--method", "gd-a", "--data", str(bad), "--out", str(tmp_path)])
+    assert rc == 66
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "line 1: index 99999999999999999999" in err
+
+
+@pytest.mark.parametrize("command, trace", [
+    (["run", "--method", "gd-a", "--max-iters", "40", "--data"], "gd-a.csv"),
+    (["stoch", "--methods", "sgd-a", "--p", "4", "--iters", "30", "--sigma-from-data"],
+     "sgd-a.csv")])
+def test_byte_order_mark_is_skipped(tmp_path, command, trace):
+    text = serialize_libsvm(synth_logistic(40, 6, seed=2)).encode()
+    plain, marked = tmp_path / "plain.svm", tmp_path / "bom.svm"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    expected, got = load_libsvm(plain), load_libsvm(marked)
+    for a, b in ((got.X.indptr, expected.X.indptr), (got.X.indices, expected.X.indices),
+                 (got.X.data, expected.X.data), (got.labels, expected.labels)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got.n == expected.n
+    codes = [main(command + [str(path), "--out", str(tmp_path / path.stem)])
+             for path in (plain, marked)]
+    assert codes[0] == codes[1] and codes[0] in (0, 2)
+    assert (strip_elapsed(read_csv(tmp_path / "bom" / trace))
+            == strip_elapsed(read_csv(tmp_path / "plain" / trace)))
+
+
 def test_run_budget_exhaustion_exits_2(tmp_path):
     rc = main(["run", "--method", "gd-a",
                "--synthetic-logistic", "N=120,n=12,seed=1",

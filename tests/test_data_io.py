@@ -50,6 +50,16 @@ def test_parse_rejects_non_finite_feature_values(value):
         parse_libsvm(text)
 
 
+def test_parse_reports_a_non_finite_value_before_a_later_malformed_row():
+    with pytest.raises(ParseError, match=r"^line 1: feature 1 has non-finite value nan$"):
+        parse_libsvm("+1 1:nan\n-1 1:1\n+1 2:1 2:3\n")
+
+
+def test_parse_names_the_line_of_an_index_above_the_declared_count():
+    with pytest.raises(ParseError, match=r"^line 3: index 5 exceeds declared feature count 3$"):
+        parse_libsvm("+1 1:1\n# comment\n-1 2:1 5:1\n+1 3:1\n", n_features=3)
+
+
 def test_parse_comments_and_blank_lines():
     text = "# header comment\n\n+1 1:2.0  # trailing\n\n-1 2:1\n"
     ds = parse_libsvm(text)

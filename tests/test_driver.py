@@ -109,6 +109,12 @@ def test_numerical_error_is_surfaced_not_raised():
     assert "factorization" in trace.termination.detail
 
 
+@pytest.mark.parametrize("max_iters", [2.5, math.nan, -1])
+def test_config_refuses_a_max_iters_that_is_not_a_whole_number(max_iters):
+    with pytest.raises(ValueError, match="max_iters"):
+        RunConfig(direction=GradientDescent(), step=Adaptive(), max_iters=max_iters)
+
+
 def test_config_validation():
     obj = make_synthetic_quadratic(4, seed=5)
     with pytest.raises(ValueError):

@@ -313,6 +313,12 @@ def test_zero_budget_records_only_the_start():
     assert trace.final.f == expected.value(np.zeros(10))
 
 
+def test_a_budget_that_is_not_a_whole_number_is_refused_before_the_run():
+    with pytest.raises(ValueError, match="max_iters"):
+        stochastic_run("sgd", ConstantBatch(5), Adaptive(), make_sampler(),
+                       x0=np.zeros(10), budget=2.5)
+
+
 def test_singular_covariance_gets_a_jitter():
     sigma = np.ones((2, 2))  # positive semidefinite, rank 1
     sampler = OnlineSampler(sigma, np.zeros(2), lam=0.5, seed=0)
@@ -327,10 +333,12 @@ def test_singular_covariance_gets_a_jitter():
     (lambda: OnlineLsExpectedObjective(np.eye(3), np.zeros(2), 0.5), "p x p"),
     (lambda: OnlineSampler(np.eye(3), np.zeros(2), 0.5, seed=0), "p x p"),
     (lambda: ConstantBatch(0), "batch size"),
+    (lambda: ConstantBatch(2.5), "batch size"),
     (lambda: GrowingBatch(base=0), "base and period"),
     (lambda: ArmijoWolfe(max_evals=1), "two evaluations"),
 ], ids=["quadratic-not-square", "online-ls-lam-0", "online-ls-shape", "sampler-shape",
-        "constant-batch-0", "growing-batch-base-0", "armijo-wolfe-max-evals-1"])
+        "constant-batch-0", "constant-batch-2.5", "growing-batch-base-0",
+        "armijo-wolfe-max-evals-1"])
 def test_constructors_refuse_invalid_arguments(make, why):
     with pytest.raises(ValueError, match=why):
         make()
