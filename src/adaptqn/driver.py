@@ -5,6 +5,7 @@ post-run step-size/convergence diagnostics."""
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 from numbers import Integral
@@ -140,71 +141,6 @@ class Trace:
         return np.array([r[2] for r in self._rows[:-1]])
 
 
-class _CountingOracle:
-    """Pass-through oracle counting the value/gradient/hess_vec requests
-    (not ``solve``) on its points and their rays. A ray's curvature and
-    G d together count as one hess_vec request, as they share one
-    product. A run on batches points ``inner`` at each iteration's
-    batch, so the counts accumulate."""
-
-    def __init__(self, inner: ObjectiveOracle):
-        self.inner = inner
-        self.evals_f = 0
-        self.evals_g = 0
-        self.evals_hv = 0
-
-    def at(self, x):
-        return _CountingPoint(self, self.inner.at(x))
-
-
-class _CountingPoint:
-    __slots__ = ("_counts", "_inner")
-
-    def __init__(self, counts: _CountingOracle, inner):
-        self._counts = counts
-        self._inner = inner
-
-    def value(self):
-        self._counts.evals_f += 1
-        return self._inner.value()
-
-    def gradient(self):
-        self._counts.evals_g += 1
-        return self._inner.gradient()
-
-    @property
-    def solve(self):  # the inner point's, so a point without solve has none here
-        return self._inner.solve
-
-    def ray(self, d):
-        return _CountingRay(self._counts, self._inner.ray(d))
-
-
-class _CountingRay:
-    __slots__ = ("_counts", "_inner", "_hv_counted")
-
-    def __init__(self, counts: _CountingOracle, inner):
-        self._counts = counts
-        self._inner = inner
-        self._hv_counted = False
-
-    def _count_hv(self):
-        if not self._hv_counted:
-            self._counts.evals_hv += 1
-            self._hv_counted = True
-
-    def curvature(self):
-        self._count_hv()
-        return self._inner.curvature()
-
-    def hess_vec(self):
-        self._count_hv()
-        return self._inner.hess_vec()
-
-    def at(self, t):
-        return _CountingPoint(self._counts, self._inner.at(t))
-
-
 def _norm(v: np.ndarray) -> float:
     # np.linalg.norm(v) bit for bit, without its per-call overhead
     return math.sqrt(v.dot(v))
@@ -225,10 +161,13 @@ def _log_gap(f: float, ref: Optional[ReferenceOptimum]) -> Optional[float]:
 
 def check_config(config: RunConfig, oracle: ObjectiveOracle) -> None:
     """Raise ValueError if ``run`` refuses ``config`` on ``oracle`` up
-    front: an x0 of the wrong shape or dense BFGS above ``MAX_DENSE_DIM``.
-    Checks nothing about batches, nor the points' ``solve`` for Newton,
-    which ``run`` checks on its point at x0."""
+    front: a dimension too large for any float64 vector, an x0 of the
+    wrong shape or dense BFGS above ``MAX_DENSE_DIM``. Checks nothing
+    about batches, nor the points' ``solve`` for Newton, which ``run``
+    checks on its point at x0."""
     n = oracle.dim
+    if n > sys.maxsize // 8:
+        raise ValueError(f"dimension n = {n} is too large for a float64 vector")
     if config.x0 is not None and np.shape(config.x0) != (n,):
         raise ValueError(f"x0 has shape {np.shape(config.x0)}, oracle dimension is {n}")
     if isinstance(config.direction, BfgsDense) and n > MAX_DENSE_DIM:
@@ -246,13 +185,20 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
 
     ``batches``, when given, maps iteration k to the oracle that chooses
     that iteration's direction and step, such as a freshly sampled
-    batch. ``oracle`` then only measures the recorded f and ||g||, and
-    the eval counts are those of the batches. A quasi-Newton update then
-    takes the pair (d, G_k d) from batch k, since a secant pair across
-    two batches would measure their difference, not curvature. The
-    gradient threshold, the monotone-decrease check and the stall test
-    hold for a fixed oracle only; a run on batches stops on its budget
-    or on a numerical error.
+    batch. ``oracle`` then only measures the recorded f and ||g||. A
+    quasi-Newton update then takes the pair (d, G_k d) from batch k,
+    since a secant pair across two batches would measure their
+    difference, not curvature. The gradient threshold, the
+    monotone-decrease check and the stall test hold for a fixed oracle
+    only; a run on batches stops on its budget or on a numerical error.
+
+    The trace's eval counts are the f, g and G d requests. On a fixed
+    oracle that is all of them: at x0, in the step rule, at each new
+    point where the rule supplied none, and the terminal f. On batches
+    it is each batch's gradient and G d, not the measurements on
+    ``oracle``. A step rule reports its own requests in its
+    ``StepOutcome``; a rule that raises returns none, so its requests
+    go uncounted.
     """
     check_config(config, oracle)
     n = oracle.dim
@@ -262,8 +208,6 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
         # a line search would compare batch trial values with the measured f
         raise ValueError("a run on batches needs an Adaptive or Constant step")
 
-    co = _CountingOracle(oracle)
-    measure = co if fixed else oracle
     ref = config.reference
     state = new_state(config.direction, n)
     trace = Trace(config=config)
@@ -272,7 +216,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
     monotone = fixed and not isinstance(config.step, Constant)
     ray_step = isinstance(config.step, (Adaptive, Hybrid))
     batch_pairs = not fixed and isinstance(config.direction, (BfgsDense, LBfgs))
-    warnings = 0
+    warnings = nf = ng = nhv = 0  # nf, ng, nhv: the eval counts
     if ref is not None:
         err_floor = _MEASURABLE_RTOL * (1.0 + _norm(ref.x))
         err = _norm(x - ref.x)
@@ -280,8 +224,8 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
     k, f, gnorm = 0, math.nan, math.nan
 
     def _end(kind: str, detail: str = "") -> Trace:
-        append((f, gnorm, math.nan, math.nan, "terminal", co.evals_f, co.evals_g,
-                co.evals_hv, time.perf_counter() - started, None))
+        append((f, gnorm, math.nan, math.nan, "terminal", nf, ng, nhv,
+                time.perf_counter() - started, None))
         trace.termination = Termination(kind, detail)
         trace.final_x = x.copy()
         trace.skipped_pairs = state.skipped
@@ -289,16 +233,19 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
         return trace
 
     try:
-        point = measure.at(x)
+        point = oracle.at(x)
         # a batch point is checked where Newton solves on it
         if fixed and isinstance(config.direction, Newton) and not hasattr(point, "solve"):
             raise ValueError(NO_SOLVE)
+        nf += fixed
         f = point.value()
+        ng += fixed
         g = point.gradient()
         for k in range(config.max_iters + 1):
             gnorm = _norm(g)
             converged = fixed and gnorm < config.grad_tol
             if converged:  # f is re-evaluated at the terminal point once, and counted
+                nf += 1
                 f = point.value()
             if not (math.isfinite(f) and math.isfinite(gnorm)):
                 raise NumericalError(f"non-finite f = {f} or ||g|| = {gnorm} at k={k}")
@@ -310,10 +257,11 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
                 return _end("time_budget")
 
             if fixed:
-                step_point, step_g = point, g
+                step_oracle, step_point, step_g = oracle, point, g
             else:
-                co.inner = batches(k)
-                step_point = co.at(x)
+                step_oracle = batches(k)
+                step_point = step_oracle.at(x)
+                ng += 1
                 step_g = step_point.gradient()
                 if not _all_finite(step_g):
                     raise NumericalError(f"non-finite batch gradient at k={k}")
@@ -323,8 +271,11 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
             # hybrid steps, the fixed oracle's next point and the batch pair
             ray = step_point.ray(d) if ray_step else None
             # positional: wrappers of choose_step may forward *args only
-            outcome = choose_step(config.step, co, x, d, f, step_g, rho, ray)
+            outcome = choose_step(config.step, step_oracle, x, d, f, step_g, rho, ray)
             warnings += outcome.warning
+            nf += outcome.evals_f
+            ng += outcome.evals_g
+            nhv += outcome.evals_hv
             if not (math.isfinite(rho) and math.isfinite(outcome.t)):
                 raise NumericalError(f"non-finite rho = {rho} or t = {outcome.t} at k={k}")
 
@@ -339,8 +290,10 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
             elif fixed:  # the ray's point at x_new reuses the ray's work
                 point_new = (ray or step_point.ray(d)).at(outcome.t)
             else:
-                point_new = measure.at(x_new)
+                point_new = oracle.at(x_new)
+            nf += fixed and outcome.f_new is None
             f_new = outcome.f_new if outcome.f_new is not None else point_new.value()
+            ng += fixed and outcome.g_new is None
             g_new = outcome.g_new if outcome.g_new is not None else point_new.gradient()
 
             if monotone and f_new > f + 1e-10 * (1.0 + abs(f)):
@@ -349,6 +302,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
             if fixed:
                 ingest_pair(state, x_new - x, g_new - g)
             elif batch_pairs:
+                nhv += ray is None  # an adaptive step counted the G d of its ray
                 hv = (ray or step_point.ray(d)).hess_vec()
                 if not _all_finite(hv):
                     raise NumericalError(f"non-finite batch G d at k={k}")
@@ -361,8 +315,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
                     err_ratio = err_new / err
                 err = err_new
             append((f, gnorm, outcome.t, math.nan if outcome.eta is None else outcome.eta,
-                    outcome.kind, co.evals_f, co.evals_g, co.evals_hv,
-                    time.perf_counter() - started, err_ratio))
+                    outcome.kind, nf, ng, nhv, time.perf_counter() - started, err_ratio))
             x, f, g, point = x_new, f_new, g_new, point_new
     except NumericalError as exc:
         return _end("numerical_error", str(exc))

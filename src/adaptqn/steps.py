@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Union
 
 import numpy as np
@@ -53,8 +54,9 @@ class ArmijoWolfe:
             raise ValueError("c1 must lie in (0, 1/2]")
         if not self.c1 < self.c2 < 1.0:
             raise ValueError("c2 must lie in (c1, 1)")
-        if self.max_evals < 2:
-            raise ValueError("need at least two evaluations")
+        if not (isinstance(self.max_evals, Integral) and self.max_evals >= 2):
+            raise ValueError(f"max_evals must be a whole number of at least two evaluations, "
+                             f"got {self.max_evals!r}")
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,8 @@ class StepOutcome:
     ``point`` is the evaluation point at x + t d when the rule made one,
     and ``f_new``/``g_new`` the evaluations already requested there, so
     the driver never re-pays for them; each is None when the rule did
-    not evaluate there. The rule's oracle work is counted on the points
-    and the ray it requested it from.
+    not evaluate there. ``evals_f``, ``evals_g`` and ``evals_hv`` count
+    the value, gradient and curvature requests the rule made.
     """
 
     t: float
@@ -91,6 +93,9 @@ class StepOutcome:
     f_new: float | None = None
     g_new: np.ndarray | None = field(default=None, repr=False)
     point: OraclePoint | None = field(default=None, repr=False)
+    evals_f: int = 0
+    evals_g: int = 0
+    evals_hv: int = 0
 
 
 def armijo_check(f0: float, f1: float, t: float, gd: float, c1: float) -> bool:
@@ -147,7 +152,7 @@ def armijo_wolfe_search(oracle: ObjectiveOracle, x: np.ndarray, d: np.ndarray,
     if gd >= 0.0:
         raise ValueError(f"line search needs a descent direction, g'd = {gd}")
     c1, c2 = params.c1, params.c2
-    evals = 0  # f and g requests, against the budget
+    nf = ng = 0  # f and g requests; their sum is held to the budget
     t = 1.0
     lo = 0.0          # best Armijo-satisfying point so far (Wolfe failed there)
     f_lo, gd_lo = f0, gd
@@ -159,26 +164,26 @@ def armijo_wolfe_search(oracle: ObjectiveOracle, x: np.ndarray, d: np.ndarray,
         if best is not None:
             tb, fb, gb, pb = best
             return StepOutcome(t=tb, kind="line_search", warning=True, f_new=fb,
-                               g_new=gb, point=pb)
+                               g_new=gb, point=pb, evals_f=nf, evals_g=ng)
         raise NumericalError(f"no Armijo step within {params.max_evals} evaluations")
 
     while True:
-        if evals >= params.max_evals:
+        if nf + ng >= params.max_evals:
             return _bail()
         pt = oracle.at(x + t * d)
         ft = float(pt.value())
-        evals += 1
+        nf += 1
         if armijo_check(f0, ft, t, gd, c1):
-            if evals >= params.max_evals:
+            if nf + ng >= params.max_evals:
                 if best is None or ft < best[1]:
                     best = (t, ft, None, pt)
                 return _bail()
             gt = pt.gradient()
-            evals += 1
+            ng += 1
             gdt = float(gt.dot(d))
             if wolfe_check(gdt, gd, c2):
                 return StepOutcome(t=t, kind="line_search", f_new=ft, g_new=gt,
-                                   point=pt)
+                                   point=pt, evals_f=nf, evals_g=ng)
             if best is None or ft < best[1]:
                 best = (t, ft, gt, pt)
             lo, f_lo, gd_lo = t, ft, gdt
@@ -213,13 +218,15 @@ def hybrid_select(ray: Ray, f0: float, gd: float, rho: float,
     fallback."""
     if gd >= 0.0:
         raise ValueError(f"hybrid selection needs a descent direction, g'd = {gd}")
-    for cand in rule.candidates:
+    for tried, cand in enumerate(rule.candidates, 1):
         pt = ray.at(cand)
         ft = float(pt.value())
         if armijo_check(f0, ft, cand, gd, rule.c1):
-            return StepOutcome(t=cand, kind="hybrid_candidate", f_new=ft, point=pt)
+            return StepOutcome(t=cand, kind="hybrid_candidate", f_new=ft, point=pt,
+                               evals_f=tried)
     t, delta, eta = adaptive_step_size(ray, rho)
-    return StepOutcome(t=t, kind="hybrid_fallback", delta=delta, eta=eta)
+    return StepOutcome(t=t, kind="hybrid_fallback", delta=delta, eta=eta,
+                       evals_f=len(rule.candidates), evals_hv=1)
 
 
 def choose_step(rule: StepRule, oracle: ObjectiveOracle, x: np.ndarray,
@@ -234,7 +241,7 @@ def choose_step(rule: StepRule, oracle: ObjectiveOracle, x: np.ndarray,
     decisions."""
     if isinstance(rule, Adaptive):
         t, delta, eta = adaptive_step_size(ray, rho)
-        return StepOutcome(t=t, kind="adaptive", delta=delta, eta=eta)
+        return StepOutcome(t=t, kind="adaptive", delta=delta, eta=eta, evals_hv=1)
     if isinstance(rule, Constant):
         return StepOutcome(t=rule.alpha, kind="constant")
     if isinstance(rule, ArmijoWolfe):

@@ -54,8 +54,9 @@ class GrowingBatch:
     period: int = 50
 
     def __post_init__(self):
-        if self.base < 1 or self.period < 1:
-            raise ValueError("base and period must be >= 1")
+        if not all(isinstance(v, Integral) and v >= 1 for v in (self.base, self.period)):
+            raise ValueError(f"base and period must be whole numbers >= 1, "
+                             f"got {self.base!r} and {self.period!r}")
 
 
 BatchSchedule = Union[ConstantBatch, GrowingBatch]

@@ -108,6 +108,18 @@ def test_index_too_large_for_int64_exits_66_naming_its_line(tmp_path, capsys):
     assert err.count("\n") == 1 and "line 1: index 99999999999999999999" in err
 
 
+def test_dimension_too_large_for_a_float64_vector_is_usage_error(tmp_path, capsys):
+    # the largest int64 index parses, but no vector of that many doubles fits
+    big = tmp_path / "big.svm"
+    big.write_text("-1 9223372036854775807:1\n")
+    out = tmp_path / "out"
+    rc = main(["run", "--method", "gd-a", "--data", str(big), "--out", str(out)])
+    assert rc == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "n = 9223372036854775807" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, trace", [
     (["run", "--method", "gd-a", "--max-iters", "40", "--data"], "gd-a.csv"),
     (["stoch", "--methods", "sgd-a", "--p", "4", "--iters", "30", "--sigma-from-data"],

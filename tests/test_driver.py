@@ -372,6 +372,40 @@ def test_nan_curvature_ends_numerical_error():
     assert trace.iterations == 0
 
 
+def spoiled_quadratic(f_away):
+    """||x||^2/2 + 1'x, started at x0 = 1 where f = 3, with a NaN G d
+    everywhere and ``f_away`` as f at every other point."""
+    class Point(_QuadraticPoint):
+        def value(self):
+            return super().value() if (self._x == 1.0).all() else f_away
+
+        def _hess_vec(self, d):
+            return np.full_like(d, np.nan)
+
+    class Spoiled(QuadraticObjective):
+        def at(self, x):
+            return Point(self, self._check(x))
+
+    return Spoiled(np.eye(2), np.ones(2))
+
+
+@pytest.mark.parametrize("step, f_away, detail", [
+    (Adaptive(), 4.0, "d'Gd = nan"),
+    (ArmijoWolfe(max_evals=6), 4.0, "no Armijo step within 6 evaluations"),
+    (Hybrid(), math.nan, "non-finite trial f"),
+], ids=["adaptive", "line-search", "hybrid"])
+def test_a_step_rule_that_raises_leaves_its_requests_uncounted(step, f_away, detail):
+    # a rule that raises returns no StepOutcome, so the terminal row counts
+    # f and g at x0 only, whatever the rule requested before it raised
+    trace = run(RunConfig(GradientDescent(), step, max_iters=5, x0=np.ones(2)),
+                spoiled_quadratic(f_away))
+    assert trace.termination.kind == "numerical_error"
+    assert detail in trace.termination.detail
+    assert trace.iterations == 0
+    final = trace.final
+    assert (final.cum_evals_f, final.cum_evals_g, final.cum_evals_hv) == (1, 1, 0)
+
+
 def test_diverging_constant_step_ends_numerical_error():
     # x <- x - 3 (x + 1) doubles |x| every step until f overflows
     obj = QuadraticObjective(np.eye(2), np.ones(2))

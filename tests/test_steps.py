@@ -135,6 +135,7 @@ def test_armijo_wolfe_immediate_accept():
     assert out.t == 1.0
     assert out.kind == "line_search"
     assert (obj.n_f, obj.n_g) == (1, 1)
+    assert (out.evals_f, out.evals_g, out.evals_hv) == (1, 1, 0)
     assert not out.warning
 
 
@@ -205,6 +206,7 @@ def test_armijo_wolfe_warning_when_wolfe_unreachable_in_budget():
     gd = float(obj.gradient(x) @ d)
     out = armijo_wolfe_search(obj, x, d, obj.value(x), gd, ArmijoWolfe(max_evals=3))
     assert out.warning
+    assert out.evals_f + out.evals_g == 3
     assert armijo_check(obj.value(x), obj.value(x + out.t * d), out.t, gd, 0.1)
 
 
@@ -258,6 +260,7 @@ def test_hybrid_accepts_unit_step_on_quadratic():
     assert out.t == 1.0
     assert out.kind == "hybrid_candidate"
     assert obj.n_f == 1 and obj.n_hv == 0
+    assert (out.evals_f, out.evals_g, out.evals_hv) == (1, 0, 0)
 
 
 def test_hybrid_falls_back_to_adaptive():
@@ -272,6 +275,7 @@ def test_hybrid_falls_back_to_adaptive():
     out = hybrid_select(obj.at(x).ray(d), f0, float(g @ d), rho, Hybrid())
     assert out.kind == "hybrid_fallback"
     assert obj.n_f == 3 and obj.n_hv == 1
+    assert (out.evals_f, out.evals_g, out.evals_hv) == (3, 0, 1)
     t_direct, delta, eta = adaptive_step_size(obj.inner.at(x).ray(d), rho)
     assert out.t == pytest.approx(t_direct, rel=1e-14)
     assert out.eta == pytest.approx(eta, rel=1e-14)

@@ -335,10 +335,17 @@ def test_singular_covariance_gets_a_jitter():
     (lambda: ConstantBatch(0), "batch size"),
     (lambda: ConstantBatch(2.5), "batch size"),
     (lambda: GrowingBatch(base=0), "base and period"),
+    (lambda: GrowingBatch(base=math.nan), "base and period"),
+    (lambda: GrowingBatch(base=math.inf), "base and period"),
+    (lambda: GrowingBatch(base=5, period=2.5), "base and period"),
     (lambda: ArmijoWolfe(max_evals=1), "two evaluations"),
+    (lambda: ArmijoWolfe(max_evals=math.nan), "two evaluations"),
+    (lambda: ArmijoWolfe(max_evals=2.5), "two evaluations"),
 ], ids=["quadratic-not-square", "online-ls-lam-0", "online-ls-shape", "sampler-shape",
         "constant-batch-0", "constant-batch-2.5", "growing-batch-base-0",
-        "armijo-wolfe-max-evals-1"])
+        "growing-batch-base-nan", "growing-batch-base-inf", "growing-batch-period-2.5",
+        "armijo-wolfe-max-evals-1", "armijo-wolfe-max-evals-nan",
+        "armijo-wolfe-max-evals-2.5"])
 def test_constructors_refuse_invalid_arguments(make, why):
     with pytest.raises(ValueError, match=why):
         make()
