@@ -15,8 +15,7 @@ from .driver import (IterationRecord, ReferenceOptimum, RunConfig,
 from .errors import NumericalError, ParseError
 from .oracles import (HessVecRay, LogisticObjective, ObjectiveOracle,
                       OnlineLsExpectedObjective, OraclePoint,
-                      QuadraticObjective, Ray, logistic_sc_scale,
-                      online_ls_minimizer)
+                      QuadraticObjective, Ray, logistic_sc_scale)
 from .sc import (adaptive_step, omega, sc_lower_f, sc_lower_gd, sc_upper_f,
                  sc_upper_gd)
 from .steps import (Adaptive, ArmijoWolfe, Constant, Hybrid, StepOutcome,

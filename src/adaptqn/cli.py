@@ -374,6 +374,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     except ValueError as exc:
         # a bad flag, or a configuration the library refuses, such as
         # dense BFGS above MAX_DENSE_DIM or a negative iteration budget

@@ -271,7 +271,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
             # hybrid steps, the fixed oracle's next point and the batch pair
             ray = step_point.ray(d) if ray_step else None
             # positional: wrappers of choose_step may forward *args only
-            outcome = choose_step(config.step, step_oracle, x, d, f, step_g, rho, ray)
+            outcome = choose_step(config.step, step_oracle, x, d, f, rho, ray)
             warnings += outcome.warning
             nf += outcome.evals_f
             ng += outcome.evals_g

@@ -21,7 +21,6 @@ __all__ = [
     "QuadraticObjective",
     "OnlineLsExpectedObjective",
     "logistic_sc_scale",
-    "online_ls_minimizer",
     "spd_solve",
 ]
 
@@ -405,6 +404,21 @@ class OnlineLsExpectedObjective(ObjectiveOracle):
     def at(self, x) -> "_OnlineLsPoint":
         return _OnlineLsPoint(self, self._check(x))
 
+    def minimizer(self) -> tuple[np.ndarray, float]:
+        """Closed-form optimum, solving (2 Sigma + lam I) w = 2 Sigma beta, and
+        its value; like ``gradient``, it holds for a symmetric Sigma only."""
+        # NaN and inf pass, to end as numerical_error; sigma - sigma' is antisymmetric
+        scale = np.abs(self.sigma).max(initial=0.0)
+        asym = (self.sigma - self.sigma.T).max(initial=0.0) if scale < np.inf else 0.0
+        if asym > 1e-12 * scale:
+            raise ValueError(f"sigma must be symmetric: max |sigma - sigma'| = {asym:.3g}")
+        A = 2.0 * self.sigma + self.lam * np.eye(self.dim)
+        try:
+            w = np.linalg.solve(A, 2.0 * (self.sigma @ self.beta))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"minimizer solve failed: {exc}") from exc
+        return w, self.value(w)
+
 
 class _OnlineLsPoint:
     """Expected objective at one w: the residual r = beta - w and Sigma r,
@@ -435,14 +449,3 @@ class _OnlineLsPoint:
     def solve(self, b) -> np.ndarray:
         obj = self._obj
         return spd_solve(2.0 * obj.sigma + obj.lam * np.eye(obj.dim), obj._check(b, "b"))
-
-
-def online_ls_minimizer(obj: OnlineLsExpectedObjective) -> np.ndarray:
-    """Closed-form minimizer: solves (2 Sigma + lam I) w = 2 Sigma beta."""
-    A = 2.0 * obj.sigma + obj.lam * np.eye(obj.dim)
-    rhs = 2.0 * (obj.sigma @ obj.beta)
-    try:
-        w = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"minimizer solve failed: {exc}") from exc
-    return w

@@ -210,18 +210,17 @@ def _bracket_step(lo: float, f_lo: float, gd_lo: float, hi: float, f_hi: float) 
     return float(np.clip(cand, lo + 0.1 * width, hi - 0.1 * width))
 
 
-def hybrid_select(ray: Ray, f0: float, gd: float, rho: float,
-                  rule: Hybrid) -> StepOutcome:
-    """Try ``rule.candidates`` in order against Armijo with ``rule.c1``;
-    fall back to the adaptive step when none passes. One f evaluation
-    per candidate, at ``ray.at(t)``; the ray's curvature is paid only on
-    fallback."""
-    if gd >= 0.0:
-        raise ValueError(f"hybrid selection needs a descent direction, g'd = {gd}")
+def hybrid_select(ray: Ray, f0: float, rho: float, rule: Hybrid) -> StepOutcome:
+    """Try ``rule.candidates`` in order against Armijo with ``rule.c1``
+    and the slope g'd = -rho; fall back to the adaptive step when none
+    passes. One f evaluation per candidate, at ``ray.at(t)``; the ray's
+    curvature is paid only on fallback."""
+    if not rho > 0.0:
+        raise ValueError(f"hybrid selection needs a descent direction, rho = -g'd = {rho}")
     for tried, cand in enumerate(rule.candidates, 1):
         pt = ray.at(cand)
         ft = float(pt.value())
-        if armijo_check(f0, ft, cand, gd, rule.c1):
+        if armijo_check(f0, ft, cand, -rho, rule.c1):
             return StepOutcome(t=cand, kind="hybrid_candidate", f_new=ft, point=pt,
                                evals_f=tried)
     t, delta, eta = adaptive_step_size(ray, rho)
@@ -230,22 +229,21 @@ def hybrid_select(ray: Ray, f0: float, gd: float, rho: float,
 
 
 def choose_step(rule: StepRule, oracle: ObjectiveOracle, x: np.ndarray,
-                d: np.ndarray, f0: float, g: np.ndarray, rho: float,
-                ray: Ray | None) -> StepOutcome:
+                d: np.ndarray, f0: float, rho: float, ray: Ray | None) -> StepOutcome:
     """Dispatch a step rule; the uniform entry point used by the driver.
-    ``ray`` is the ray along d from the evaluation point at x. The
-    adaptive and hybrid rules work on it, and the constant step and the
-    line search take None as well; the line search evaluates its
-    trials at ``oracle.at(x + t d)``, since it compares f values at the
-    rounding floor, where margins carried along a ray would change its
-    decisions."""
+    ``rho`` is -g'd and ``ray`` the ray along d from the evaluation point
+    at x. The adaptive and hybrid rules work on the ray, and the constant
+    step and the line search take None as well; the line search
+    evaluates its trials at ``oracle.at(x + t d)``, since it compares f
+    values at the rounding floor, where margins carried along a ray
+    would change its decisions."""
     if isinstance(rule, Adaptive):
         t, delta, eta = adaptive_step_size(ray, rho)
         return StepOutcome(t=t, kind="adaptive", delta=delta, eta=eta, evals_hv=1)
     if isinstance(rule, Constant):
         return StepOutcome(t=rule.alpha, kind="constant")
     if isinstance(rule, ArmijoWolfe):
-        return armijo_wolfe_search(oracle, x, d, f0, float(g.dot(d)), rule)
+        return armijo_wolfe_search(oracle, x, d, f0, -rho, rule)
     if isinstance(rule, Hybrid):
-        return hybrid_select(ray, f0, float(g.dot(d)), rho, rule)
+        return hybrid_select(ray, f0, rho, rule)
     raise TypeError(f"unknown step rule {rule!r}")

@@ -13,8 +13,7 @@ import numpy as np
 
 from .directions import BfgsDense, GradientDescent, Newton
 from .driver import ReferenceOptimum, RunConfig, Trace, run
-from .oracles import (HessVecRay, ObjectiveOracle, OnlineLsExpectedObjective,
-                      online_ls_minimizer, spd_solve)
+from .oracles import HessVecRay, ObjectiveOracle, OnlineLsExpectedObjective, spd_solve
 
 __all__ = [
     "CONSTANT_STEP_SIZES",
@@ -130,20 +129,13 @@ class OnlineSampler:
     exactly; each draw advances the stream."""
 
     def __init__(self, sigma: np.ndarray, beta: np.ndarray, lam: float, seed: int):
-        sigma = np.asarray(sigma, dtype=float)
-        beta = np.asarray(beta, dtype=float)
-        p = beta.shape[0]
-        if sigma.shape != (p, p):
-            raise ValueError("sigma must be p x p matching beta")
+        e = self._expected = OnlineLsExpectedObjective(sigma, beta, lam)
+        self.sigma, self.beta, self.lam = e.sigma, e.beta, e.lam
         try:
-            chol = np.linalg.cholesky(sigma)
+            self._chol = np.linalg.cholesky(self.sigma)
         except np.linalg.LinAlgError:
             # PSD-but-singular covariance: tiny diagonal jitter
-            chol = np.linalg.cholesky(sigma + 1e-10 * np.eye(p))
-        self.sigma = sigma
-        self.beta = beta
-        self.lam = float(lam)
-        self._chol = chol
+            self._chol = np.linalg.cholesky(self.sigma + 1e-10 * np.eye(e.dim))
         self._rng = np.random.default_rng(seed)
 
     @property
@@ -151,7 +143,7 @@ class OnlineSampler:
         return self.beta.shape[0]
 
     def expected_objective(self) -> OnlineLsExpectedObjective:
-        return OnlineLsExpectedObjective(self.sigma, self.beta, self.lam)
+        return self._expected
 
 
 def draw_batch(sampler: OnlineSampler, size: int) -> SampledBatchOracle:
@@ -185,8 +177,7 @@ def stochastic_run(method: str, schedule: BatchSchedule, step_rule,
     if method not in _DIRECTIONS:
         raise ValueError(f"unknown stochastic method {method!r}")
     expected = sampler.expected_objective()
-    w_star = online_ls_minimizer(expected)
-    ref = ReferenceOptimum(x=w_star, f=expected.value(w_star))
+    ref = ReferenceOptimum(*expected.minimizer())
     config = RunConfig(direction=_DIRECTIONS[method], step=step_rule, max_iters=budget,
                        max_seconds=max_seconds, x0=x0, reference=ref)
     return run(config, expected,

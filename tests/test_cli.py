@@ -120,6 +120,20 @@ def test_dimension_too_large_for_a_float64_vector_is_usage_error(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", [["--data", "big.svm"],
+                                    ["--synthetic-quadratic", "dim=3000000"]],
+                         ids=["zero-start-point", "synthetic-quadratic"])
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, source):
+    # 4 EiB for the start point, 65.5 TiB for the dense matrix: each request
+    # is refused at once, so nothing is allocated
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.svm").write_text("-1 576460752303423487:1\n")
+    rc = main(["run", "--method", "gd-a", *source, "--out", "out"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: out of memory: ")
+
+
 @pytest.mark.parametrize("command, trace", [
     (["run", "--method", "gd-a", "--max-iters", "40", "--data"], "gd-a.csv"),
     (["stoch", "--methods", "sgd-a", "--p", "4", "--iters", "30", "--sigma-from-data"],

@@ -4,7 +4,7 @@ import pytest
 from adaptqn import (Adaptive, BfgsDense, LBfgs, LogisticObjective, Newton,
                      OnlineLsExpectedObjective, QuadraticObjective, RunConfig,
                      SampledBatchOracle, SparseDataset,
-                     logistic_sc_scale, online_ls_minimizer,
+                     logistic_sc_scale,
                      parse_libsvm, run, sc_lower_f, sc_lower_gd, sc_upper_f,
                      sc_upper_gd, synth_logistic)
 from adaptqn.oracles import (_LogisticPoint, _LogisticRay, _sigmoid, _softplus,
@@ -489,9 +489,9 @@ def test_online_ls_expected():
     beta = rng.standard_normal(p)
     obj = OnlineLsExpectedObjective(np.eye(p), beta, lam=1.0)
     # Sigma = I, lam = 1: minimizer is (2/3) beta
-    np.testing.assert_allclose(online_ls_minimizer(obj), 2.0 * beta / 3.0, rtol=1e-12)
+    np.testing.assert_allclose(obj.minimizer()[0], 2.0 * beta / 3.0, rtol=1e-12)
     zero = OnlineLsExpectedObjective(np.eye(p), np.zeros(p), lam=0.5)
-    np.testing.assert_allclose(online_ls_minimizer(zero), np.zeros(p), atol=1e-15)
+    np.testing.assert_allclose(zero.minimizer()[0], np.zeros(p), atol=1e-15)
     # at w = beta the residual is pure noise
     assert obj.value(beta) == pytest.approx(1.0 + 0.5 * beta @ beta, rel=1e-12)
 
@@ -529,7 +529,7 @@ def test_online_ls_minimizer_stationary():
     sigma = (q * np.linspace(0.2, 3.0, p)) @ q.T
     beta = rng.standard_normal(p)
     obj = OnlineLsExpectedObjective(sigma, beta, lam=1.0 / p)
-    w = online_ls_minimizer(obj)
+    w = obj.minimizer()[0]
     resid = -2.0 * sigma @ (beta - w) + obj.lam * w
     assert np.linalg.norm(resid) < 1e-10 * (1.0 + np.linalg.norm(beta))
     assert np.linalg.norm(obj.gradient(w)) < 1e-10 * (1.0 + np.linalg.norm(beta))

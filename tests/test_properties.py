@@ -52,7 +52,7 @@ def small_logistics(draw):
 
 def run_recording_steps(config, obj, **kw):
     """``run(config, obj, **kw)`` plus, for every step it chose, the
-    arguments (rule, oracle, x, d, f, g, rho, ray) and the StepOutcome."""
+    arguments (rule, oracle, x, d, f, rho, ray) and the StepOutcome."""
     steps = []
 
     def recording(*args):
@@ -72,7 +72,7 @@ def check_adaptive_guarantees(obj, x0, method):
     records = trace.records
     assert len(steps) >= len(records) - 1
     for rec, nxt, (args, out) in zip(records, records[1:], steps):
-        f0, f1, t, eta, delta, rho = rec.f, nxt.f, rec.t, rec.eta, out.delta, args[6]
+        f0, f1, t, eta, delta, rho = rec.f, nxt.f, rec.t, rec.eta, out.delta, args[5]
         # f is evaluated to about one ulp; the margins can be smaller near the end
         slack = 1e-10 * (1.0 + abs(f0))
         assert f1 <= f0 - omega(eta) + slack

@@ -213,7 +213,7 @@ def test_armijo_wolfe_warning_when_wolfe_unreachable_in_budget():
 def test_hybrid_precondition():
     obj = QuadraticObjective(np.eye(2), np.zeros(2))
     with pytest.raises(ValueError, match="hybrid selection needs a descent direction"):
-        hybrid_select(obj.at(np.ones(2)).ray(np.ones(2)), 1.0, 1.0, 1.0, Hybrid())
+        hybrid_select(obj.at(np.ones(2)).ray(np.ones(2)), 1.0, -1.0, Hybrid())
 
 
 def test_line_search_contract_on_logistic_run():
@@ -240,8 +240,7 @@ def test_accepted_trial_point_is_returned():
     x = np.zeros(15)
     g = obj.gradient(x)
     ls = armijo_wolfe_search(obj, x, -g, obj.value(x), float(-g @ g), ArmijoWolfe())
-    hy = hybrid_select(obj.at(x).ray(-g), obj.value(x), float(-g @ g), float(g @ g),
-                       Hybrid())
+    hy = hybrid_select(obj.at(x).ray(-g), obj.value(x), float(g @ g), Hybrid())
     for out in (ls, hy):
         x_new = x - out.t * g
         assert out.point.value() == out.f_new == obj.value(x_new)
@@ -256,7 +255,7 @@ def test_hybrid_accepts_unit_step_on_quadratic():
     f0 = obj.value(x)
     gd = float(-x @ x)
     obj.n_f = obj.n_hv = 0
-    out = hybrid_select(obj.at(x).ray(d), f0, gd, -gd, Hybrid(c1=0.5))
+    out = hybrid_select(obj.at(x).ray(d), f0, -gd, Hybrid(c1=0.5))
     assert out.t == 1.0
     assert out.kind == "hybrid_candidate"
     assert obj.n_f == 1 and obj.n_hv == 0
@@ -272,7 +271,7 @@ def test_hybrid_falls_back_to_adaptive():
     d = -g
     rho = float(g @ g)
     f0 = obj.inner.value(x)
-    out = hybrid_select(obj.at(x).ray(d), f0, float(g @ d), rho, Hybrid())
+    out = hybrid_select(obj.at(x).ray(d), f0, rho, Hybrid())
     assert out.kind == "hybrid_fallback"
     assert obj.n_f == 3 and obj.n_hv == 1
     assert (out.evals_f, out.evals_g, out.evals_hv) == (3, 0, 1)
@@ -285,7 +284,7 @@ def test_hybrid_empty_candidates_is_pure_adaptive():
     obj = QuadraticObjective(np.eye(2), np.zeros(2))
     x = np.array([3.0, 4.0])
     g = obj.gradient(x)
-    out = hybrid_select(obj.at(x).ray(-g), obj.value(x), float(-g @ g), float(g @ g),
+    out = hybrid_select(obj.at(x).ray(-g), obj.value(x), float(g @ g),
                         Hybrid(candidates=()))
     t_direct, _, _ = adaptive_step_size(obj.at(x).ray(-g), float(g @ g))
     assert out.kind == "hybrid_fallback"
@@ -322,11 +321,11 @@ def test_choose_step_dispatch():
     d, rho = compute_direction(new_state(GradientDescent(), 2), obj.at(x), g)
     f0 = obj.value(x)
     ray = obj.at(x).ray(d)
-    assert choose_step(Adaptive(), obj, x, d, f0, g, rho, ray).kind == "adaptive"
-    assert choose_step(Constant(0.3), obj, x, d, f0, g, rho, ray).t == 0.3
-    assert choose_step(ArmijoWolfe(), obj, x, d, f0, g, rho, ray).kind == "line_search"
-    assert choose_step(Hybrid(), obj, x, d, f0, g, rho, ray).kind in ("hybrid_candidate",
-                                                                      "hybrid_fallback")
+    assert choose_step(Adaptive(), obj, x, d, f0, rho, ray).kind == "adaptive"
+    assert choose_step(Constant(0.3), obj, x, d, f0, rho, ray).t == 0.3
+    assert choose_step(ArmijoWolfe(), obj, x, d, f0, rho, ray).kind == "line_search"
+    assert choose_step(Hybrid(), obj, x, d, f0, rho, ray).kind in ("hybrid_candidate",
+                                                                   "hybrid_fallback")
 
 
 def test_interpolation_without_a_convex_model_falls_back():

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from adaptqn import (Adaptive, ArmijoWolfe, BfgsDense, Constant,
-                     ConstantBatch, GrowingBatch, Newton, OnlineLsExpectedObjective,
-                     OnlineSampler, QuadraticObjective, RunConfig, SampledBatchOracle,
-                     batch_size, bfgs_update_dense, draw_batch, ingest_pair,
+                     ConstantBatch, GrowingBatch, Newton, NumericalError,
+                     OnlineLsExpectedObjective, OnlineSampler, QuadraticObjective,
+                     RunConfig, SampledBatchOracle, batch_size, bfgs_update_dense,
+                     draw_batch, ingest_pair,
                      make_sparse_beta, make_synthetic_sigma, new_state, omega,
-                     online_ls_minimizer, run, stochastic_run)
+                     run, stochastic_run)
 from adaptqn.sc import adaptive_step
 from adaptqn.stochastic import CONSTANT_STEP_SIZES
 from conftest import sym
@@ -267,7 +268,7 @@ def test_eval_counts_are_the_batch_work(method, step, hv_per_iter):
 
 def test_err_ratio_measures_distance_to_minimizer():
     sampler = make_sampler()
-    w_star = online_ls_minimizer(sampler.expected_objective())
+    w_star = sampler.expected_objective().minimizer()[0]
     trace = stochastic_run("sbfgs", GrowingBatch(base=5), Adaptive(), sampler,
                            x0=np.zeros(10), budget=60)
     ratios = [r.err_ratio for r in trace.records[:-1]]
@@ -286,8 +287,12 @@ def test_trace_config_records_the_stochastic_run():
     assert isinstance(cfg, RunConfig)
     assert (cfg.direction, cfg.step, cfg.max_iters) == (Newton(), step, 7)
     expected = sampler.expected_objective()
-    np.testing.assert_array_equal(cfg.reference.x, online_ls_minimizer(expected))
-    assert cfg.reference.f == expected.value(cfg.reference.x)
+    w_star, f_star = expected.minimizer()
+    np.testing.assert_array_equal(cfg.reference.x, w_star)
+    assert cfg.reference.f == expected.value(cfg.reference.x) == f_star
+    # the sampler keeps one expected objective, and its model is that object's
+    assert sampler.expected_objective() is expected
+    assert sampler.sigma is expected.sigma and sampler.beta is expected.beta
 
 
 @pytest.mark.parametrize("eig_low, eig_high", [
@@ -332,6 +337,7 @@ def test_singular_covariance_gets_a_jitter():
     (lambda: OnlineLsExpectedObjective(np.eye(2), np.zeros(2), 0.0), "lam must be positive"),
     (lambda: OnlineLsExpectedObjective(np.eye(3), np.zeros(2), 0.5), "p x p"),
     (lambda: OnlineSampler(np.eye(3), np.zeros(2), 0.5, seed=0), "p x p"),
+    (lambda: OnlineSampler(np.eye(2), np.zeros(2), 0.0, seed=0), "lam must be positive"),
     (lambda: ConstantBatch(0), "batch size"),
     (lambda: ConstantBatch(2.5), "batch size"),
     (lambda: GrowingBatch(base=0), "base and period"),
@@ -342,6 +348,7 @@ def test_singular_covariance_gets_a_jitter():
     (lambda: ArmijoWolfe(max_evals=math.nan), "two evaluations"),
     (lambda: ArmijoWolfe(max_evals=2.5), "two evaluations"),
 ], ids=["quadratic-not-square", "online-ls-lam-0", "online-ls-shape", "sampler-shape",
+        "sampler-lam-0",
         "constant-batch-0", "constant-batch-2.5", "growing-batch-base-0",
         "growing-batch-base-nan", "growing-batch-base-inf", "growing-batch-period-2.5",
         "armijo-wolfe-max-evals-1", "armijo-wolfe-max-evals-nan",
@@ -349,3 +356,31 @@ def test_singular_covariance_gets_a_jitter():
 def test_constructors_refuse_invalid_arguments(make, why):
     with pytest.raises(ValueError, match=why):
         make()
+
+
+def test_an_asymmetric_sigma_is_refused_before_a_run():
+    # the sampler draws with the Cholesky factor of the lower triangle, whose
+    # product is diag(2, 2), and gradient's -2 Sigma r is not value's gradient
+    sigma, beta = np.array([[2.0, 1.0], [0.0, 2.0]]), np.array([1.0, -1.0])
+    with pytest.raises(ValueError, match="symmetric"):
+        OnlineLsExpectedObjective(sigma, beta, 0.5).minimizer()
+    with pytest.raises(ValueError, match="symmetric"):
+        stochastic_run("sgd", ConstantBatch(2), Adaptive(),
+                       OnlineSampler(sigma, beta, 0.5, seed=0), x0=np.zeros(2), budget=3)
+    # within 1e-12 of the largest entry is symmetric
+    sigma[1, 0] = 1.0 - 1e-13
+    assert np.isfinite(OnlineLsExpectedObjective(sigma, beta, 0.5).minimizer()[1])
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_sigma_is_not_refused_as_asymmetric(entry, bad):
+    # a non-finite model ends its run as numerical_error, and the symmetry
+    # check neither refuses it nor warns
+    sigma = np.eye(2)
+    sigma[entry] = bad
+    try:
+        f = OnlineLsExpectedObjective(sigma, np.ones(2), 0.5).minimizer()[1]
+    except NumericalError:  # the solve broke down
+        return
+    assert math.isnan(f)
