@@ -82,6 +82,9 @@ def write_trace_csv(path, trace: Trace) -> None:
 
 
 def _write_file(path, text: str) -> None:
+    """Write text to path, creating its directory: --out appears only
+    with the first file written, so a run that fails first leaves nothing."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
         fh.flush()
@@ -227,7 +230,6 @@ def cmd_grid(args) -> int:
             for scaled in scalings for method in methods]
     for _, _, config in grid:
         check_config(config, oracle)
-    os.makedirs(args.out, exist_ok=True)
     rows = [SUMMARY_HEADER]
     codes = []
     for method, scaled, config in grid:
@@ -285,8 +287,6 @@ def cmd_stoch(args) -> int:
         trace = stochastic_run(*stoch_config(method, p=p, batch=args.batch), sampler,
                                x0=np.zeros(p), budget=args.iters,
                                max_seconds=args.max_seconds)
-        # made after the first run, so that a run stoch refuses writes nothing
-        os.makedirs(args.out, exist_ok=True)
         write_trace_csv(os.path.join(args.out, f"{method}.csv"), trace)
         gap = trace.final.log_gap
         gap_s = "n/a" if gap is None else f"{gap:.3f}"

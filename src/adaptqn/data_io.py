@@ -76,7 +76,7 @@ class SparseDataset:
         idx = _index_dtype(N * n, n)
         indptr = np.arange(N + 1, dtype=idx) * n
         indices = np.tile(np.arange(n, dtype=idx), N)
-        return _dataset(indptr, indices, X.ravel().astype(float).copy(), labels.copy(), n)
+        return _dataset(indptr, indices, X.astype(float, order="C").ravel(), labels.copy(), n)
 
 
 def _index_dtype(nnz: int, n: int):
@@ -117,38 +117,27 @@ def parse_libsvm(source: Iterable[str] | str, n_features: int | None = None) -> 
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    chunks = _gather(source, n_features)
-    n = max(c.max_index for c in chunks) if n_features is None else n_features
-    idx = _index_dtype(sum(c.values.size for c in chunks), n)
-    counts = np.concatenate([c.counts for c in chunks])
+    labels, counts, indices, values, max_index = zip(
+        *(_convert(*chunk, n_features) for chunk in _gather(source)))
+    n = max(max_index) if n_features is None else n_features
+    idx = _index_dtype(sum(v.size for v in values), n)
+    counts = np.concatenate(counts)
     indptr = np.zeros(counts.size + 1, dtype=idx)
     np.cumsum(counts, out=indptr[1:])
-    indices = np.concatenate([c.indices for c in chunks], dtype=idx)
-    return _dataset(indptr, indices, np.concatenate([c.values for c in chunks]),
-                    np.concatenate([c.labels for c in chunks]), n)
+    return _dataset(indptr, np.concatenate(indices, dtype=idx), np.concatenate(values),
+                    np.concatenate(labels), n)
 
 
-@dataclass(frozen=True)
-class _Chunk:
-    """Consecutive rows, converted: +-1 labels, feature counts, 0-based
-    int64 indices and values, and the largest index."""
-
-    labels: np.ndarray
-    counts: np.ndarray
-    indices: np.ndarray
-    values: np.ndarray
-    max_index: int
-
-
-def _gather(lines: Iterable[str], n_features: int | None) -> list[_Chunk]:
-    """Split each line into its label and feature tokens and convert
-    them a chunk at a time; raises the ParseError of the first bad line.
-    Always returns at least one chunk, which may hold no rows."""
-    chunks = []
+def _gather(lines: Iterable[str]):
+    """Split each line into its label and feature tokens and yield them
+    a chunk of rows at a time, as ``(labels, linenos, counts, feats)``.
+    Always yields at least one chunk, which may hold no rows. A line
+    that is not UTF-8 raises ParseError once the rows before it are
+    yielded, so that an earlier row's error wins."""
     labels, linenos, counts, feats = [], [], [], []
     for lineno, raw in enumerate(lines, start=1):
         if not raw.isascii() and (bad := _ESCAPED_BYTE.search(raw)):
-            _convert(labels, linenos, counts, feats, n_features)  # an earlier row's error wins
+            yield labels, linenos, counts, feats
             raise ParseError(f"not UTF-8 text: cannot decode byte {ord(bad[0]) - 0xdc00:#04x}",
                              lineno)
         tokens = raw.split("#", 1)[0].split()
@@ -158,21 +147,19 @@ def _gather(lines: Iterable[str], n_features: int | None) -> list[_Chunk]:
             counts.append(len(tokens))
             feats += tokens
             if len(feats) + len(labels) >= _CHUNK_TOKENS:
-                chunks.append(_convert(labels, linenos, counts, feats, n_features))
+                yield labels, linenos, counts, feats
                 labels, linenos, counts, feats = [], [], [], []
-    chunks.append(_convert(labels, linenos, counts, feats, n_features))
-    return chunks
+    yield labels, linenos, counts, feats
 
 
-def _convert(labels, linenos, counts, feats, n_features) -> _Chunk:
-    """One chunk of rows in bulk; when a bulk check fails, ``_walk``
-    goes through its rows to raise the first error."""
-    converted = _bulk(labels, counts, feats, n_features)
-    if converted is None:
-        converted = _walk(labels, linenos, counts, feats, n_features)
-    label, indices, values, max_index = converted
-    return _Chunk(np.where(label <= 0.0, -1.0, 1.0), np.array(counts, dtype=np.int64),
-                  indices, values, max_index)
+def _convert(labels, linenos, counts, feats, n_features) -> tuple:
+    """One chunk of rows in bulk, as +-1 labels, feature counts, 0-based
+    int64 indices and values, and the largest index; when a bulk check
+    fails, ``_walk`` goes through its rows to raise the first error."""
+    label, indices, values, max_index = (_bulk(labels, counts, feats, n_features)
+                                         or _walk(labels, linenos, counts, feats, n_features))
+    return (np.where(label <= 0.0, -1.0, 1.0), np.array(counts, dtype=np.int64),
+            indices, values, max_index)
 
 
 def _bulk(labels, counts, feats, n_features):
@@ -300,7 +287,8 @@ def synth_logistic(N: int, n: int, seed: int, separation: float = 1.5,
         raise ValueError("N and n must be positive")
     rng = np.random.default_rng(seed)
     scales = feature_decay ** np.arange(n)
-    X = rng.standard_normal((N, n)) * scales
+    X = rng.standard_normal((N, n))
+    X *= scales
     w_true = rng.standard_normal(n)
     w_true /= np.linalg.norm(w_true)
     margin = X @ w_true

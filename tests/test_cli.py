@@ -6,8 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adaptqn import data_io
 from adaptqn.cli import TRACE_HEADER, _sigma_from_data, main, run_config, stoch_config
 from adaptqn.data_io import load_libsvm, serialize_libsvm, synth_logistic
+from adaptqn.errors import NumericalError
+from adaptqn.oracles import OnlineLsExpectedObjective
 
 
 def read_csv(path):
@@ -82,12 +85,35 @@ def test_non_utf8_dataset_exits_66_naming_the_line(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_non_utf8_dataset_reports_an_earlier_malformed_row_first(tmp_path, capsys):
+# one and two tokens a chunk convert the malformed row before the bad
+# byte is read; the default leaves it among the pending rows
+_CHUNK_SIZES = pytest.mark.parametrize("chunk_tokens", [1, 2, data_io._CHUNK_TOKENS],
+                                       ids=["1", "2", "default"])
+
+
+@_CHUNK_SIZES
+def test_non_utf8_dataset_reports_an_earlier_malformed_row_first(tmp_path, capsys,
+                                                                 monkeypatch, chunk_tokens):
+    monkeypatch.setattr(data_io, "_CHUNK_TOKENS", chunk_tokens)
     bad = tmp_path / "bad.svm"
     bad.write_bytes(b"+1 1:1\n-1 2:1 2:3\n+1 1:\xff\n")
     rc = main(["run", "--method", "gd-a", "--data", str(bad), "--out", str(tmp_path)])
     assert rc == 66
     assert "line 2: indices must be strictly increasing" in capsys.readouterr().err
+
+
+@_CHUNK_SIZES
+def test_non_utf8_dataset_reports_its_byte_before_a_later_malformed_row(tmp_path, capsys,
+                                                                        monkeypatch, chunk_tokens):
+    monkeypatch.setattr(data_io, "_CHUNK_TOKENS", chunk_tokens)
+    bad = tmp_path / "bad.svm"
+    bad.write_bytes(b"+1 1:1\n+1 1:\xff\n-1 2:1 2:3\n")
+    out = tmp_path / "out"
+    rc = main(["run", "--method", "gd-a", "--data", str(bad), "--out", str(out)])
+    assert rc == 66
+    assert capsys.readouterr().err == ("error: cannot read dataset: line 2: not UTF-8 text: "
+                                       "cannot decode byte 0xff\n")
+    assert not out.exists()
 
 
 def test_non_utf8_byte_in_a_comment_exits_66_naming_its_line(tmp_path, capsys):
@@ -132,6 +158,21 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, source):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: out of memory: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_numerical_error_outside_a_run_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # stochastic_run solves for the reference optimum before its loop
+    def broken(self):
+        raise NumericalError("minimizer solve failed: singular matrix")
+
+    monkeypatch.setattr(OnlineLsExpectedObjective, "minimizer", broken)
+    out = tmp_path / "out"
+    rc = main(["stoch", "--methods", "sgd-a", "--p", "4", "--iters", "5", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, trace", [

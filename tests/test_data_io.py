@@ -149,6 +149,18 @@ def test_from_dense_keeps_explicit_zeros_in_row_order():
     assert ds.X.indices.dtype == np.int32
 
 
+def test_from_dense_shares_no_memory_with_its_inputs():
+    X = np.arange(6.0).reshape(2, 3)
+    labels = np.array([1.0, -1.0])
+    ds = SparseDataset.from_dense(X, labels)
+    for a in (ds.X.data, ds.X.indices, ds.X.indptr, ds.labels):
+        assert not np.shares_memory(a, X) and not np.shares_memory(a, labels)
+    for F in (np.asfortranarray(X), X.astype(np.float32)):
+        ds = SparseDataset.from_dense(F, labels)
+        assert not np.shares_memory(ds.X.data, F)
+        np.testing.assert_array_equal(ds.X.data, X.ravel())
+
+
 def test_from_dense_without_columns_matches_a_labels_only_file():
     ds = SparseDataset.from_dense(np.zeros((3, 0)), np.array([1.0, -1.0, 1.0]))
     parsed = parse_libsvm("+1\n-1\n+1")
