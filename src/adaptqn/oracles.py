@@ -132,13 +132,14 @@ class ObjectiveOracle(ABC):
     """Deterministic objective exposing value, gradient and the Hessian
     action G(x)d; some oracles can also solve with G(x).
 
-    To write an oracle, implement ``dim`` and ``at(x)``, which checks x
-    and returns an :class:`OraclePoint` holding the work shared between
-    evaluations at x: a point with ``value``, ``gradient`` and ``ray``,
-    plus ``solve`` for Newton. The point's ``ray(d)`` checks d and may
-    simply return ``HessVecRay(oracle, x, d, product)``; a point that
-    can evaluate d'G d or the points x + t d more cheaply returns its
-    own :class:`Ray`. ``value(x)`` and ``gradient(x)`` are derived from
+    To write an oracle, set ``dim`` when the oracle is built and
+    implement ``at(x)``, which checks x and returns an
+    :class:`OraclePoint` holding the work shared between evaluations at
+    x: a point with ``value``, ``gradient`` and ``ray``, plus ``solve``
+    for Newton. The point's ``ray(d)`` checks d and may simply return
+    ``HessVecRay(oracle, x, d, product)``; a point that can evaluate
+    d'G d or the points x + t d more cheaply returns its own
+    :class:`Ray`. ``value(x)`` and ``gradient(x)`` are derived from
     ``at``, one fresh point per call.
 
     Oracles are immutable after construction, so concurrent evaluation
@@ -147,10 +148,6 @@ class ObjectiveOracle(ABC):
     computed once on first use; the computation is idempotent, so a run
     that races another to it only repeats the same work.
     """
-
-    @property
-    @abstractmethod
-    def dim(self) -> int: ...
 
     @abstractmethod
     def at(self, x: np.ndarray) -> OraclePoint:
@@ -196,14 +193,11 @@ class LogisticObjective(ObjectiveOracle):
         if data.N < 1:
             raise ValueError("empty dataset")
         self.data = data
+        self.dim = data.n
         self.sc_scale = logistic_sc_scale(data) if sc_scale is None else float(sc_scale)
         if not 0.0 < self.sc_scale < np.inf:
             raise ValueError(f"sc_scale must be positive and finite, got {self.sc_scale}")
         self._neg_labels = -data.labels
-
-    @property
-    def dim(self) -> int:
-        return self.data.n
 
     def at(self, x) -> "_LogisticPoint":
         return _LogisticPoint(self, self._check(x))
@@ -339,10 +333,7 @@ class QuadraticObjective(ObjectiveOracle):
             raise ValueError("A must be square and b conforming")
         self.A = A
         self.b = b
-
-    @property
-    def dim(self) -> int:
-        return self.b.shape[0]
+        self.dim = b.shape[0]
 
     def at(self, x) -> "_QuadraticPoint":
         return _QuadraticPoint(self, self._check(x))
@@ -396,10 +387,7 @@ class OnlineLsExpectedObjective(ObjectiveOracle):
         self.sigma = sigma
         self.beta = beta
         self.lam = float(lam)
-
-    @property
-    def dim(self) -> int:
-        return self.beta.shape[0]
+        self.dim = beta.shape[0]
 
     def at(self, x) -> "_OnlineLsPoint":
         return _OnlineLsPoint(self, self._check(x))

@@ -78,14 +78,7 @@ class SampledBatchOracle(ObjectiveOracle):
         self.X = X
         self.Y = Y
         self.lam = float(lam)
-
-    @property
-    def dim(self) -> int:
-        return self.X.shape[1]
-
-    @property
-    def size(self) -> int:
-        return self.X.shape[0]
+        self.size, self.dim = X.shape
 
     def at(self, x) -> "_BatchPoint":
         return _BatchPoint(self, self._check(x))
@@ -130,17 +123,17 @@ class OnlineSampler:
 
     def __init__(self, sigma: np.ndarray, beta: np.ndarray, lam: float, seed: int):
         e = self._expected = OnlineLsExpectedObjective(sigma, beta, lam)
-        self.sigma, self.beta, self.lam = e.sigma, e.beta, e.lam
+        self.sigma, self.beta, self.lam, self.dim = e.sigma, e.beta, e.lam, e.dim
         try:
             self._chol = np.linalg.cholesky(self.sigma)
         except np.linalg.LinAlgError:
             # PSD-but-singular covariance: tiny diagonal jitter
-            self._chol = np.linalg.cholesky(self.sigma + 1e-10 * np.eye(e.dim))
+            try:
+                self._chol = np.linalg.cholesky(self.sigma + 1e-10 * np.eye(e.dim))
+            except np.linalg.LinAlgError:
+                raise ValueError("sigma is not positive definite, even with 1e-10 "
+                                 "added to its diagonal") from None
         self._rng = np.random.default_rng(seed)
-
-    @property
-    def dim(self) -> int:
-        return self.beta.shape[0]
 
     def expected_objective(self) -> OnlineLsExpectedObjective:
         return self._expected

@@ -361,6 +361,19 @@ def test_stoch_sigma_from_data(tmp_path):
     assert rc == 64  # dataset has fewer features than p
 
 
+def test_stoch_refuses_a_sigma_that_has_no_cholesky_factor(tmp_path, capsys):
+    # two equal columns at scale 1e16 leave the 1e-10 jitter below rounding
+    ds_file = tmp_path / "dup.svm"
+    ds_file.write_text("+1 1:1e8 2:1e8 3:1\n-1 1:2e8 2:2e8 3:2\n"
+                       "+1 1:3e8 2:3e8 3:5\n-1 1:5e8 2:5e8 3:1\n")
+    rc = main(["stoch", "--p", "3", "--methods", "sgd-a", "--iters", "10",
+               "--sigma-from-data", str(ds_file), "--out", str(tmp_path / "out")])
+    assert rc == 64
+    err = capsys.readouterr().err
+    assert err == "error: sigma is not positive definite, even with 1e-10 added to its diagonal\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("p", [1, 7, 12])
 def test_sigma_from_data_densifies_only_p_columns_bit_for_bit(tmp_path, p):
     ds_file = tmp_path / "cov.svm"

@@ -116,6 +116,12 @@ def test_synth_logistic_determinism():
     assert not np.array_equal(a.labels, c.labels) or not np.array_equal(a.X.data, c.X.data)
 
 
+@pytest.mark.parametrize("N, n", [(0, 5), (5, 0)])
+def test_synth_logistic_refuses_an_empty_shape(N, n):
+    with pytest.raises(ValueError, match="N and n must be positive"):
+        synth_logistic(N, n, seed=0)
+
+
 def test_synth_logistic_zero_separation_is_balanced():
     # separation 0 labels are fair coin flips; 3-sigma binomial band
     N = 4000

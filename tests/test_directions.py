@@ -81,6 +81,12 @@ def test_newton_direction_needs_a_dense_hessian():
         compute_direction(new_state(Newton(), 3), obj.at(np.zeros(3)), np.ones(3))
 
 
+def test_unknown_direction_rule_is_a_type_error():
+    obj = QuadraticObjective(np.eye(2), np.zeros(2))
+    with pytest.raises(TypeError, match="unknown direction rule"):
+        compute_direction(new_state(object(), 2), obj.at(np.zeros(2)), np.ones(2))
+
+
 def test_rho_nonpositive_raises():
     obj = QuadraticObjective(np.eye(2), np.zeros(2))
     state = new_state(BfgsDense(), 2)

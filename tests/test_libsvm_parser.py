@@ -179,6 +179,20 @@ def _assert_same(text, n_features, chunk_tokens):
         assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def _assert_walk_is_bulk(text, n_features, chunk_tokens):
+    """On the chunks of a valid file, ``_walk`` returns ``_bulk``'s labels,
+    indices, values and largest index, bit for bit."""
+    with mock.patch.object(data_io, "_CHUNK_TOKENS", chunk_tokens):
+        chunks = list(data_io._gather(io.StringIO(text)))
+    for labels, linenos, counts, feats in chunks:
+        bulk = data_io._bulk(labels, counts, feats, n_features)
+        assert bulk is not None
+        walk = data_io._walk(labels, linenos, counts, feats, n_features)
+        for a, b in zip(walk[:3], bulk[:3]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert walk[3] == bulk[3]
+
+
 @property_test
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.booleans())
 def test_valid_files_parse_as_the_reference(seed, chunk_tokens, declare):
@@ -187,6 +201,7 @@ def test_valid_files_parse_as_the_reference(seed, chunk_tokens, declare):
     n_features = 40 + int(rng.integers(3)) if declare else None
     _assert_same(text, n_features, chunk_tokens)
     assert not isinstance(_outcome(reference_parse_libsvm, text, n_features), tuple)
+    _assert_walk_is_bulk(text, n_features, chunk_tokens)
 
 
 @property_test

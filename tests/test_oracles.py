@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adaptqn import (Adaptive, BfgsDense, LBfgs, LogisticObjective, Newton,
-                     OnlineLsExpectedObjective, QuadraticObjective, RunConfig,
+                     ObjectiveOracle, OnlineLsExpectedObjective, QuadraticObjective, RunConfig,
                      SampledBatchOracle, SparseDataset,
                      logistic_sc_scale,
                      parse_libsvm, run, sc_lower_f, sc_lower_gd, sc_upper_f,
@@ -549,6 +549,34 @@ def test_dimension_checks_and_capability():
     nh = NoSolve(QuadraticObjective(np.eye(2), np.ones(2)))
     with pytest.raises(ValueError, match="Newton needs solve"):
         run(RunConfig(direction=Newton(), step=Adaptive()), nh)
+
+
+class DimSetWhenBuilt(ObjectiveOracle):
+    """The whole oracle contract: ``dim`` set when built, and ``at``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+
+    def at(self, x):
+        return self.inner.at(self._check(x))
+
+
+# NoSolve keeps dim as a property
+@pytest.mark.parametrize("wrap", [DimSetWhenBuilt, NoSolve])
+def test_an_oracle_needs_only_dim_and_at(wrap):
+    rng = np.random.default_rng(23)
+    inner = QuadraticObjective(spd_matrix(rng, 6, 0.5, 40.0), rng.standard_normal(6))
+    oracle = wrap(inner)
+    assert oracle.dim == 6
+    with pytest.raises(ValueError, match="expected \\(6,\\)"):
+        oracle.value(np.zeros(5))
+    cfg = RunConfig(direction=BfgsDense(), step=Adaptive(), grad_tol=1e-10, max_iters=200)
+    wrapped, plain = run(cfg, oracle), run(cfg, inner)
+    assert plain.termination.kind == "grad_tol" and plain.iterations > 5
+    # every field but the wall clock, bit for bit
+    assert ([repr(r[:9] + r[10:]) for r in wrapped.rows()]
+            == [repr(r[:9] + r[10:]) for r in plain.rows()])
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

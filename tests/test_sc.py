@@ -140,4 +140,8 @@ def test_bound_domain_errors():
         sc_lower_f(0.0, 0.0, 1.0, -0.1)
     with pytest.raises(ValueError, match="negative step length"):
         sc_lower_gd(0.0, 1.0, -1e-9)
+    with pytest.raises(ValueError, match="negative step length"):
+        sc_upper_f(0.0, 0.0, 1.0, -0.1)
+    with pytest.raises(ValueError, match="negative step length"):
+        sc_upper_gd(0.0, 1.0, -1e-9)
 

@@ -326,6 +326,8 @@ def test_choose_step_dispatch():
     assert choose_step(ArmijoWolfe(), obj, x, d, f0, rho, ray).kind == "line_search"
     assert choose_step(Hybrid(), obj, x, d, f0, rho, ray).kind in ("hybrid_candidate",
                                                                    "hybrid_fallback")
+    with pytest.raises(TypeError, match="unknown step rule"):
+        choose_step(object(), obj, x, d, f0, rho, ray)
 
 
 def test_interpolation_without_a_convex_model_falls_back():

@@ -52,6 +52,7 @@ def test_draw_batch_determinism():
 def test_draw_batch_monte_carlo_moments():
     p = 4
     sampler = OnlineSampler(np.eye(p), np.zeros(p), lam=0.25, seed=123)
+    assert sampler.dim == p
     batch = draw_batch(sampler, 100_000)
     # beta = 0: Y is pure noise with mean 0
     assert abs(batch.Y.mean()) <= 3.0 * batch.Y.std() / math.sqrt(batch.Y.size)
@@ -69,6 +70,7 @@ def test_batch_oracle_formulas():
     Y = rng.standard_normal(32)
     lam = 0.2
     oracle = SampledBatchOracle(X, Y, lam)
+    assert (oracle.size, oracle.dim) == X.shape
     w = rng.standard_normal(5)
     d = rng.standard_normal(5)
     r = Y - X @ w
@@ -338,6 +340,8 @@ def test_singular_covariance_gets_a_jitter():
     (lambda: OnlineLsExpectedObjective(np.eye(3), np.zeros(2), 0.5), "p x p"),
     (lambda: OnlineSampler(np.eye(3), np.zeros(2), 0.5, seed=0), "p x p"),
     (lambda: OnlineSampler(np.eye(2), np.zeros(2), 0.0, seed=0), "lam must be positive"),
+    (lambda: OnlineSampler(np.diag([1.0, -1.0]), np.zeros(2), 0.5, seed=0),
+     "sigma is not positive definite, even with 1e-10"),
     (lambda: ConstantBatch(0), "batch size"),
     (lambda: ConstantBatch(2.5), "batch size"),
     (lambda: GrowingBatch(base=0), "base and period"),
@@ -348,7 +352,7 @@ def test_singular_covariance_gets_a_jitter():
     (lambda: ArmijoWolfe(max_evals=math.nan), "two evaluations"),
     (lambda: ArmijoWolfe(max_evals=2.5), "two evaluations"),
 ], ids=["quadratic-not-square", "online-ls-lam-0", "online-ls-shape", "sampler-shape",
-        "sampler-lam-0",
+        "sampler-lam-0", "sampler-sigma-indefinite",
         "constant-batch-0", "constant-batch-2.5", "growing-batch-base-0",
         "growing-batch-base-nan", "growing-batch-base-inf", "growing-batch-period-2.5",
         "armijo-wolfe-max-evals-1", "armijo-wolfe-max-evals-nan",
