@@ -323,14 +323,31 @@ def _weighted_gram(X, weights: np.ndarray) -> np.ndarray:
     return out
 
 
+def _refuse_asymmetric(M: np.ndarray, name: str) -> None:
+    """Refuse a square M whose largest |M - M'| exceeds 1e-12 of its
+    largest entry. NaN and inf pass, to end as numerical_error."""
+    scale = np.abs(M).max(initial=0.0)
+    # M - M' is antisymmetric, so its largest entry is its largest |entry|
+    asym = (M - M.T).max(initial=0.0) if scale < np.inf else 0.0
+    if asym > 1e-12 * scale:
+        raise ValueError(f"{name} must be symmetric: max |{name} - {name}'| = {asym:.3g}")
+
+
 class QuadraticObjective(ObjectiveOracle):
-    """f(x) = x'Ax/2 + b'x with A symmetric positive definite."""
+    """f(x) = x'Ax/2 + b'x with A symmetric positive definite.
+
+    Refuses, with ValueError, an A that is not square, a b that does not
+    conform, and an asymmetric A: one whose largest |A - A'| exceeds
+    1e-12 of its largest entry, for which ``gradient`` would not be the
+    gradient of ``value``. A NaN or inf passes, to end a run as
+    numerical_error."""
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1] or b.shape != (A.shape[0],):
             raise ValueError("A must be square and b conforming")
+        _refuse_asymmetric(A, "A")
         self.A = A
         self.b = b
         self.dim = b.shape[0]
@@ -380,8 +397,8 @@ class OnlineLsExpectedObjective(ObjectiveOracle):
     def __init__(self, sigma: np.ndarray, beta: np.ndarray, lam: float):
         sigma = np.asarray(sigma, dtype=float)
         beta = np.asarray(beta, dtype=float)
-        if lam <= 0:
-            raise ValueError("regularizer lam must be positive")
+        if not 0 < lam < np.inf:
+            raise ValueError("regularizer lam must be positive and finite")
         if sigma.shape != (beta.shape[0], beta.shape[0]):
             raise ValueError("sigma must be p x p matching beta")
         self.sigma = sigma
@@ -395,11 +412,7 @@ class OnlineLsExpectedObjective(ObjectiveOracle):
     def minimizer(self) -> tuple[np.ndarray, float]:
         """Closed-form optimum, solving (2 Sigma + lam I) w = 2 Sigma beta, and
         its value; like ``gradient``, it holds for a symmetric Sigma only."""
-        # NaN and inf pass, to end as numerical_error; sigma - sigma' is antisymmetric
-        scale = np.abs(self.sigma).max(initial=0.0)
-        asym = (self.sigma - self.sigma.T).max(initial=0.0) if scale < np.inf else 0.0
-        if asym > 1e-12 * scale:
-            raise ValueError(f"sigma must be symmetric: max |sigma - sigma'| = {asym:.3g}")
+        _refuse_asymmetric(self.sigma, "sigma")
         A = 2.0 * self.sigma + self.lam * np.eye(self.dim)
         try:
             w = np.linalg.solve(A, 2.0 * (self.sigma @ self.beta))

@@ -133,8 +133,8 @@ def adaptive_step_size(ray: Ray, rho: float) -> tuple[float, float, float]:
 def _quad_interp(f0: float, gd: float, t: float, ft: float) -> float:
     """Minimizer of the quadratic through (0, f0) with slope gd and (t, ft)."""
     denom = 2.0 * (ft - f0 - gd * t)
-    if denom <= 0.0 or not np.isfinite(denom):
-        return np.nan
+    if denom <= 0.0 or not math.isfinite(denom):
+        return math.nan
     return -gd * t * t / denom
 
 
@@ -158,46 +158,37 @@ def armijo_wolfe_search(oracle: ObjectiveOracle, x: np.ndarray, d: np.ndarray,
     f_lo, gd_lo = f0, gd
     hi = None         # smallest Armijo-failing step
     f_hi = None
-    best = None       # (t, f, g, point) with the lowest Armijo-satisfying f
-
-    def _bail() -> StepOutcome:
-        if best is not None:
-            tb, fb, gb, pb = best
-            return StepOutcome(t=tb, kind="line_search", warning=True, f_new=fb,
-                               g_new=gb, point=pb, evals_f=nf, evals_g=ng)
-        raise NumericalError(f"no Armijo step within {params.max_evals} evaluations")
-
-    while True:
-        if nf + ng >= params.max_evals:
-            return _bail()
+    best = None       # (t, f, g, point): the Wolfe point, else the lowest Armijo f
+    warning = True
+    while nf + ng < params.max_evals:
         pt = oracle.at(x + t * d)
         ft = float(pt.value())
         nf += 1
-        if armijo_check(f0, ft, t, gd, c1):
-            if nf + ng >= params.max_evals:
-                if best is None or ft < best[1]:
-                    best = (t, ft, None, pt)
-                return _bail()
-            gt = pt.gradient()
-            ng += 1
-            gdt = float(gt.dot(d))
-            if wolfe_check(gdt, gd, c2):
-                return StepOutcome(t=t, kind="line_search", f_new=ft, g_new=gt,
-                                   point=pt, evals_f=nf, evals_g=ng)
-            if best is None or ft < best[1]:
-                best = (t, ft, gt, pt)
-            lo, f_lo, gd_lo = t, ft, gdt
-            if hi is None:
-                t = 2.0 * t
-            else:
-                t = _bracket_step(lo, f_lo, gd_lo, hi, f_hi)
-        else:
+        if not armijo_check(f0, ft, t, gd, c1):
             hi, f_hi = t, ft
             if lo == 0.0:
                 cand = _quad_interp(f0, gd, t, ft)
-                t = float(np.clip(cand, 0.1 * t, 0.9 * t)) if np.isfinite(cand) else 0.5 * t
+                t = min(max(cand, 0.1 * t), 0.9 * t) if math.isfinite(cand) else 0.5 * t
             else:
                 t = _bracket_step(lo, f_lo, gd_lo, hi, f_hi)
+            continue
+        gt = None  # no room left in the budget for g
+        if nf + ng < params.max_evals:
+            gt = pt.gradient()
+            ng += 1
+            gdt = float(gt.dot(d))
+            warning = not wolfe_check(gdt, gd, c2)
+        if not warning or best is None or ft < best[1]:
+            best = (t, ft, gt, pt)
+        if not warning or gt is None:
+            break
+        lo, f_lo, gd_lo = t, ft, gdt
+        t = 2.0 * t if hi is None else _bracket_step(lo, f_lo, gd_lo, hi, f_hi)
+    if best is None:
+        raise NumericalError(f"no Armijo step within {params.max_evals} evaluations")
+    tb, fb, gb, pb = best
+    return StepOutcome(t=tb, kind="line_search", warning=warning, f_new=fb, g_new=gb,
+                       point=pb, evals_f=nf, evals_g=ng)
 
 
 def _bracket_step(lo: float, f_lo: float, gd_lo: float, hi: float, f_hi: float) -> float:
@@ -205,9 +196,9 @@ def _bracket_step(lo: float, f_lo: float, gd_lo: float, hi: float, f_hi: float) 
     data, clamped to the middle 80% of the bracket (midpoint fallback)."""
     width = hi - lo
     cand = lo + _quad_interp(f_lo, gd_lo, width, f_hi)
-    if not np.isfinite(cand):
+    if not math.isfinite(cand):
         return lo + 0.5 * width
-    return float(np.clip(cand, lo + 0.1 * width, hi - 0.1 * width))
+    return min(max(cand, lo + 0.1 * width), hi - 0.1 * width)
 
 
 def hybrid_select(ray: Ray, f0: float, rho: float, rule: Hybrid) -> StepOutcome:

@@ -72,9 +72,20 @@ def batch_size(schedule: BatchSchedule, k: int) -> int:
 class SampledBatchOracle(ObjectiveOracle):
     """Empirical objective of one batch:
     (1/|S|) sum_i (Y_i - X_i'w)^2 + lam ||w||^2 / 2. Its Hessian
-    (2/|S|) X'X + lam I is exact and constant in w."""
+    (2/|S|) X'X + lam I is exact and constant in w.
+
+    Refuses, with ValueError, an X that is not 2-D or has no rows, a Y
+    whose shape is not ``(X.shape[0],)`` and a lam that is not positive
+    and finite."""
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, lam: float):
+        # attribute reads and comparisons only: a stochastic run builds one per iteration
+        if X.ndim != 2 or X.shape[0] == 0:
+            raise ValueError(f"X must be 2-D with at least one row, got shape {X.shape}")
+        if Y.shape != (X.shape[0],):
+            raise ValueError(f"Y has shape {Y.shape}, expected ({X.shape[0]},)")
+        if not 0 < lam < math.inf:
+            raise ValueError(f"regularizer lam must be positive and finite, got {lam}")
         self.X = X
         self.Y = Y
         self.lam = float(lam)

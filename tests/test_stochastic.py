@@ -336,12 +336,35 @@ def test_singular_covariance_gets_a_jitter():
 
 @pytest.mark.parametrize("make, why", [
     (lambda: QuadraticObjective(np.ones((2, 3)), np.zeros(2)), "square"),
+    (lambda: QuadraticObjective(np.array([[2.0, 1.0], [0.0, 2.0]]), np.array([1.0, -1.0])),
+     r"A must be symmetric: max \|A - A'\| = 1"),
     (lambda: OnlineLsExpectedObjective(np.eye(2), np.zeros(2), 0.0), "lam must be positive"),
+    (lambda: OnlineLsExpectedObjective(np.eye(2), np.zeros(2), math.nan),
+     "lam must be positive and finite"),
+    (lambda: OnlineLsExpectedObjective(np.eye(2), np.zeros(2), math.inf),
+     "lam must be positive and finite"),
     (lambda: OnlineLsExpectedObjective(np.eye(3), np.zeros(2), 0.5), "p x p"),
     (lambda: OnlineSampler(np.eye(3), np.zeros(2), 0.5, seed=0), "p x p"),
     (lambda: OnlineSampler(np.eye(2), np.zeros(2), 0.0, seed=0), "lam must be positive"),
+    (lambda: OnlineSampler(make_synthetic_sigma(5, 3), make_sparse_beta(5, 12), math.nan,
+                           seed=1), "lam must be positive and finite"),
+    (lambda: OnlineSampler(np.eye(2), np.zeros(2), math.inf, seed=0),
+     "lam must be positive and finite"),
     (lambda: OnlineSampler(np.diag([1.0, -1.0]), np.zeros(2), 0.5, seed=0),
      "sigma is not positive definite, even with 1e-10"),
+    (lambda: SampledBatchOracle(np.ones(3), np.ones(3), 0.1), "X must be 2-D"),
+    (lambda: SampledBatchOracle(np.ones((0, 3)), np.ones(0), 0.1), "at least one row"),
+    (lambda: SampledBatchOracle(np.ones((4, 3)), np.ones(1), 0.1),
+     r"Y has shape \(1,\), expected \(4,\)"),
+    (lambda: SampledBatchOracle(np.ones((4, 3)), np.ones((4, 1)), 0.1), "Y has shape"),
+    (lambda: SampledBatchOracle(np.ones((4, 3)), np.ones(4), -1.0),
+     "lam must be positive and finite"),
+    (lambda: SampledBatchOracle(np.ones((4, 3)), np.ones(4), 0.0),
+     "lam must be positive and finite"),
+    (lambda: SampledBatchOracle(np.ones((4, 3)), np.ones(4), math.nan),
+     "lam must be positive and finite"),
+    (lambda: SampledBatchOracle(np.ones((4, 3)), np.ones(4), math.inf),
+     "lam must be positive and finite"),
     (lambda: ConstantBatch(0), "batch size"),
     (lambda: ConstantBatch(2.5), "batch size"),
     (lambda: GrowingBatch(base=0), "base and period"),
@@ -351,8 +374,12 @@ def test_singular_covariance_gets_a_jitter():
     (lambda: ArmijoWolfe(max_evals=1), "two evaluations"),
     (lambda: ArmijoWolfe(max_evals=math.nan), "two evaluations"),
     (lambda: ArmijoWolfe(max_evals=2.5), "two evaluations"),
-], ids=["quadratic-not-square", "online-ls-lam-0", "online-ls-shape", "sampler-shape",
-        "sampler-lam-0", "sampler-sigma-indefinite",
+], ids=["quadratic-not-square", "quadratic-asymmetric", "online-ls-lam-0",
+        "online-ls-lam-nan", "online-ls-lam-inf", "online-ls-shape", "sampler-shape",
+        "sampler-lam-0", "sampler-lam-nan", "sampler-lam-inf", "sampler-sigma-indefinite",
+        "batch-oracle-X-1d", "batch-oracle-X-no-rows", "batch-oracle-Y-broadcast",
+        "batch-oracle-Y-2d", "batch-oracle-lam-negative", "batch-oracle-lam-0",
+        "batch-oracle-lam-nan", "batch-oracle-lam-inf",
         "constant-batch-0", "constant-batch-2.5", "growing-batch-base-0",
         "growing-batch-base-nan", "growing-batch-base-inf", "growing-batch-period-2.5",
         "armijo-wolfe-max-evals-1", "armijo-wolfe-max-evals-nan",
@@ -376,6 +403,19 @@ def test_an_asymmetric_sigma_is_refused_before_a_run():
     assert np.isfinite(OnlineLsExpectedObjective(sigma, beta, 0.5).minimizer()[1])
 
 
+def test_a_quadratic_symmetric_to_rounding_builds():
+    # the rule that refuses an asymmetric sigma refuses an asymmetric A when
+    # the quadratic is built; Q diag(eigs) Q' is symmetric only to rounding
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+    A = (q * rng.uniform(1.0, 100.0, size=30)) @ q.T
+    assert (A != A.T).any()
+    assert QuadraticObjective(A, np.ones(30)).dim == 30
+    A[0, 1] = A[1, 0] + 1e-6
+    with pytest.raises(ValueError, match="A must be symmetric"):
+        QuadraticObjective(A, np.ones(30))
+
+
 @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0)])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_a_non_finite_sigma_is_not_refused_as_asymmetric(entry, bad):
@@ -383,6 +423,10 @@ def test_a_non_finite_sigma_is_not_refused_as_asymmetric(entry, bad):
     # check neither refuses it nor warns
     sigma = np.eye(2)
     sigma[entry] = bad
+    # and so does a quadratic with that matrix as its A
+    trace = run(RunConfig(BfgsDense(), Adaptive(), max_iters=5, x0=np.ones(2)),
+                QuadraticObjective(sigma, np.ones(2)))
+    assert trace.termination.kind == "numerical_error"
     try:
         f = OnlineLsExpectedObjective(sigma, np.ones(2), 0.5).minimizer()[1]
     except NumericalError:  # the solve broke down
