@@ -113,13 +113,20 @@ class InverseHessianState:
     h0_scale: float = 1.0
     first_update_done: bool = False
     skipped: int = 0
+    family: type = field(init=False, repr=False)  # the rule's class, for the dispatch
+
+    def __post_init__(self):
+        kinds = [c for c in (GradientDescent, Newton, BfgsDense, LBfgs) if isinstance(self.rule, c)]
+        if not kinds:
+            raise TypeError(f"unknown direction rule {self.rule!r}")
+        self.family = kinds[0]
 
 
 def new_state(rule: DirectionRule, n: int) -> InverseHessianState:
     state = InverseHessianState(rule=rule)
-    if isinstance(rule, BfgsDense):
+    if state.family is BfgsDense:
         state.H = np.eye(n, order="F")
-    elif isinstance(rule, LBfgs):
+    elif state.family is LBfgs:
         state.pairs = deque(maxlen=rule.memory)
     return state
 
@@ -178,23 +185,22 @@ def compute_direction(state: InverseHessianState, point: OraclePoint,
                       g: np.ndarray) -> tuple[np.ndarray, float]:
     """Direction d = -Hg and rho = -g'd for the current H of ``state.rule``.
     ``point`` is the evaluation point at x; Newton solves G(x) d = -g
-    with its ``solve``, and the other rules do not use it."""
-    rule = state.rule
-    if isinstance(rule, GradientDescent):
+    with its ``solve``, and the other rules do not use it. A rho that is
+    not positive and finite raises NumericalError."""
+    family = state.family
+    if family is GradientDescent:
         d = -g
-    elif isinstance(rule, Newton):
+    elif family is Newton:
         if not hasattr(point, "solve"):
             raise ValueError(NO_SOLVE)
         d = point.solve(-g)
-    elif isinstance(rule, BfgsDense):
+    elif family is BfgsDense:
         d = dsymv(-1.0, state.H, g)
-    elif isinstance(rule, LBfgs):
-        d = two_loop_direction(state.pairs, state.h0_scale, g)
     else:
-        raise TypeError(f"unknown direction rule {rule!r}")
+        d = two_loop_direction(state.pairs, state.h0_scale, g)
     rho = -float(g.dot(d))
-    if not rho > 0.0:
-        raise NumericalError(f"rho = -g'd = {rho} is not positive; positive definiteness lost")
+    if not 0.0 < rho < math.inf:
+        raise NumericalError(f"rho = -g'd = {rho} is not positive and finite")
     return d, rho
 
 
@@ -204,15 +210,15 @@ def ingest_pair(state: InverseHessianState, s: np.ndarray, y: np.ndarray) -> boo
     pair of the step t d on a quadratic, up to the scale t, to which the
     BFGS update is invariant). Returns False (and bumps the skip
     counter) when s'y fails the positivity guard."""
-    rule = state.rule
-    if isinstance(rule, (GradientDescent, Newton)):
+    rule, family = state.rule, state.family
+    if family is GradientDescent or family is Newton:
         return False
     sy = float(s.dot(y))
     # sqrt(v.dot(v)) is np.linalg.norm(v) bit for bit, without its call overhead
     if not sy > PAIR_REJECT_RTOL * math.sqrt(s.dot(s)) * math.sqrt(y.dot(y)):
         state.skipped += 1
         return False
-    if isinstance(rule, BfgsDense):
+    if family is BfgsDense:
         if rule.identity_scaling and not state.first_update_done:
             state.H = identity_scaling_factor(s, y) * np.eye(s.shape[0], order="F")
         state.H = bfgs_update_dense(state.H, s, y)

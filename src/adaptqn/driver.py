@@ -141,17 +141,6 @@ class Trace:
         return np.array([r[2] for r in self._rows[:-1]])
 
 
-def _norm(v: np.ndarray) -> float:
-    # np.linalg.norm(v) bit for bit, without its per-call overhead
-    return math.sqrt(v.dot(v))
-
-
-def _all_finite(v: np.ndarray) -> bool:
-    # np.isfinite(v).all() at about half its cost: no ufunc reduction and
-    # no ndarray.all Python-level wrapper
-    return np.count_nonzero(np.isfinite(v)) == v.size
-
-
 def _log_gap(f: float, ref: Optional[ReferenceOptimum]) -> Optional[float]:
     if ref is None:
         return None
@@ -177,11 +166,14 @@ def check_config(config: RunConfig, oracle: ObjectiveOracle) -> None:
 def run(config: RunConfig, oracle: ObjectiveOracle, *,
         batches: Optional[Callable[[int], ObjectiveOracle]] = None) -> Trace:
     """Iterate x <- x + t d per the configured rules until the gradient
-    threshold, iteration cap, time cap, or a numerical error (including
-    a non-finite f, ||g||, rho or t). Every ``NumericalError``, including
-    one at ``x0``, ends the run as ``numerical_error`` in
-    ``Trace.termination``; a configuration it refuses raises
-    ``ValueError``.
+    threshold, iteration cap, time cap, or a numerical error. Every
+    ``NumericalError``, including one at ``x0``, ends the run as
+    ``numerical_error`` in ``Trace.termination``; a configuration it
+    refuses raises ``ValueError``. Shapes are checked at x0 and at each
+    ``at``, ``ray`` and ``solve``, on attribute reads alone for the
+    driver's own float64 vectors; finiteness on scalars only (f, ||g||,
+    rho, t, d'Gd and a batch pair's s'y), and a batch gradient or G d is
+    scanned just to name the fault after one of them failed.
 
     ``batches``, when given, maps iteration k to the oracle that chooses
     that iteration's direction and step, such as a freshly sampled
@@ -215,13 +207,14 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
     started = time.perf_counter()
     monotone = fixed and not isinstance(config.step, Constant)
     ray_step = isinstance(config.step, (Adaptive, Hybrid))
-    batch_pairs = not fixed and isinstance(config.direction, (BfgsDense, LBfgs))
+    batch_pairs = not fixed and state.family in (BfgsDense, LBfgs)
     warnings = nf = ng = nhv = 0  # nf, ng, nhv: the eval counts
     if ref is not None:
-        err_floor = _MEASURABLE_RTOL * (1.0 + _norm(ref.x))
-        err = _norm(x - ref.x)
+        # sqrt(v.dot(v)) is np.linalg.norm(v) bit for bit, without its call overhead
+        err_floor = _MEASURABLE_RTOL * (1.0 + math.sqrt(ref.x.dot(ref.x)))
+        err = math.sqrt((x - ref.x).dot(x - ref.x))
 
-    k, f, gnorm = 0, math.nan, math.nan
+    k, f, gnorm, step_g = 0, math.nan, math.nan, None
 
     def _end(kind: str, detail: str = "") -> Trace:
         append((f, gnorm, math.nan, math.nan, "terminal", nf, ng, nhv,
@@ -242,7 +235,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
         ng += fixed
         g = point.gradient()
         for k in range(config.max_iters + 1):
-            gnorm = _norm(g)
+            gnorm = math.sqrt(g.dot(g))
             converged = fixed and gnorm < config.grad_tol
             if converged:  # f is re-evaluated at the terminal point once, and counted
                 nf += 1
@@ -253,7 +246,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
                 return _end("grad_tol")
             if k >= config.max_iters:
                 return _end("max_iters")
-            if time.perf_counter() - started > config.max_seconds:
+            if config.max_seconds < math.inf and time.perf_counter() - started > config.max_seconds:
                 return _end("time_budget")
 
             if fixed:
@@ -262,9 +255,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
                 step_oracle = batches(k)
                 step_point = step_oracle.at(x)
                 ng += 1
-                step_g = step_point.gradient()
-                if not _all_finite(step_g):
-                    raise NumericalError(f"non-finite batch gradient at k={k}")
+                step_g = step_point.gradient()  # not scanned: see the except clause
 
             d, rho = compute_direction(state, step_point, step_g)
             # the ray is built where something reads it: the adaptive and
@@ -276,11 +267,12 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
             nf += outcome.evals_f
             ng += outcome.evals_g
             nhv += outcome.evals_hv
-            if not (math.isfinite(rho) and math.isfinite(outcome.t)):
-                raise NumericalError(f"non-finite rho = {rho} or t = {outcome.t} at k={k}")
+            if not math.isfinite(outcome.t):  # compute_direction checked rho
+                raise NumericalError(f"non-finite t = {outcome.t} at k={k}")
 
             x_new = x + outcome.t * d
-            if fixed and (x_new == x).all():
+            # memoryviews compare doubles as (x_new == x).all() does, up to the first difference
+            if fixed and x_new.data == x.data:
                 # t*d fell below the resolution of x; the loop is deterministic,
                 # so no future iteration can make progress either
                 raise NumericalError(f"step stalled below floating-point resolution at k={k} "
@@ -304,13 +296,13 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
             elif batch_pairs:
                 nhv += ray is None  # an adaptive step counted the G d of its ray
                 hv = (ray or step_point.ray(d)).hess_vec()
-                if not _all_finite(hv):
+                # a non-finite G d fails the s'y guard: only a refused pair is scanned
+                if not ingest_pair(state, d, hv) and not np.isfinite(hv).all():
                     raise NumericalError(f"non-finite batch G d at k={k}")
-                ingest_pair(state, d, hv)
 
             err_ratio = None
             if ref is not None:
-                err_new = _norm(x_new - ref.x)
+                err_new = math.sqrt((e := x_new - ref.x).dot(e))
                 if err > err_floor:
                     err_ratio = err_new / err
                 err = err_new
@@ -318,6 +310,9 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
                     outcome.kind, nf, ng, nhv, time.perf_counter() - started, err_ratio))
             x, f, g, point = x_new, f_new, g_new, point_new
     except NumericalError as exc:
+        # a non-finite batch gradient makes rho = -g'd non-finite: only then is it scanned
+        if not (fixed or step_g is None or np.isfinite(step_g).all()):
+            return _end("numerical_error", f"non-finite batch gradient at k={k}")
         return _end("numerical_error", str(exc))
 
 

@@ -160,7 +160,7 @@ class ObjectiveOracle(ABC):
         return self.at(x).gradient()
 
     def _check(self, v: np.ndarray, name: str = "x") -> np.ndarray:
-        v = np.asarray(v, dtype=float)
+        v = v if v.__class__ is np.ndarray and v.dtype == float else np.asarray(v, dtype=float)
         if v.shape != (self.dim,):
             raise ValueError(f"{name} has shape {v.shape}, expected ({self.dim},)")
         return v
@@ -431,7 +431,7 @@ class _OnlineLsPoint:
         self._obj = obj
         self._w = w
         self._r = obj.beta - w
-        self._sr = obj.sigma @ self._r
+        self._sr = obj.sigma.dot(self._r)
 
     def value(self) -> float:
         obj, w = self._obj, self._w
@@ -442,7 +442,7 @@ class _OnlineLsPoint:
 
     def _hess_vec(self, d) -> np.ndarray:
         obj = self._obj
-        return 2.0 * (obj.sigma @ d) + obj.lam * d
+        return 2.0 * obj.sigma.dot(d) + obj.lam * d
 
     def ray(self, d) -> HessVecRay:
         return HessVecRay(self._obj, self._w, self._obj._check(d, "d"), self._hess_vec)

@@ -41,6 +41,7 @@ class Constant:
     def __post_init__(self):
         if not 0.0 < self.alpha < np.inf:
             raise ValueError(f"constant step must be positive and finite, got {self.alpha}")
+        object.__setattr__(self, "_outcome", StepOutcome(t=self.alpha, kind="constant"))
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,8 @@ class StepOutcome:
     and ``f_new``/``g_new`` the evaluations already requested there, so
     the driver never re-pays for them; each is None when the rule did
     not evaluate there. ``evals_f``, ``evals_g`` and ``evals_hv`` count
-    the value, gradient and curvature requests the rule made.
+    the value, gradient and curvature requests the rule made. Callers
+    only read an outcome: a constant rule returns one for every step.
     """
 
     t: float
@@ -126,8 +128,7 @@ def adaptive_step_size(ray: Ray, rho: float) -> tuple[float, float, float]:
     if not 0.0 < d_gd < np.inf:
         raise NumericalError(f"d'Gd = {d_gd} is not positive and finite")
     delta = math.sqrt(d_gd)
-    t = adaptive_step(rho, delta)
-    return t, delta, rho / delta
+    return adaptive_step(rho, delta), delta, rho / delta
 
 
 def _quad_interp(f0: float, gd: float, t: float, ft: float) -> float:
@@ -232,7 +233,7 @@ def choose_step(rule: StepRule, oracle: ObjectiveOracle, x: np.ndarray,
         t, delta, eta = adaptive_step_size(ray, rho)
         return StepOutcome(t=t, kind="adaptive", delta=delta, eta=eta, evals_hv=1)
     if isinstance(rule, Constant):
-        return StepOutcome(t=rule.alpha, kind="constant")
+        return rule._outcome
     if isinstance(rule, ArmijoWolfe):
         return armijo_wolfe_search(oracle, x, d, f0, -rho, rule)
     if isinstance(rule, Hybrid):

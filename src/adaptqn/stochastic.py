@@ -79,16 +79,13 @@ class SampledBatchOracle(ObjectiveOracle):
     and finite."""
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, lam: float):
-        # attribute reads and comparisons only: a stochastic run builds one per iteration
         if X.ndim != 2 or X.shape[0] == 0:
             raise ValueError(f"X must be 2-D with at least one row, got shape {X.shape}")
         if Y.shape != (X.shape[0],):
             raise ValueError(f"Y has shape {Y.shape}, expected ({X.shape[0]},)")
         if not 0 < lam < math.inf:
             raise ValueError(f"regularizer lam must be positive and finite, got {lam}")
-        self.X = X
-        self.Y = Y
-        self.lam = float(lam)
+        self.X, self.Y, self.lam = X, Y, float(lam)
         self.size, self.dim = X.shape
 
     def at(self, x) -> "_BatchPoint":
@@ -104,7 +101,7 @@ class _BatchPoint:
     def __init__(self, obj: SampledBatchOracle, w: np.ndarray):
         self._obj = obj
         self._w = w
-        self._r = obj.Y - obj.X @ w
+        self._r = obj.Y - obj.X.dot(w)
 
     def value(self) -> float:
         obj, w, r = self._obj, self._w, self._r
@@ -112,11 +109,11 @@ class _BatchPoint:
 
     def gradient(self) -> np.ndarray:
         obj = self._obj
-        return -(2.0 / obj.size) * (obj.X.T @ self._r) + obj.lam * self._w
+        return -(2.0 / obj.size) * obj.X.T.dot(self._r) + obj.lam * self._w
 
     def _hess_vec(self, d) -> np.ndarray:
         obj = self._obj
-        return (2.0 / obj.size) * (obj.X.T @ (obj.X @ d)) + obj.lam * d
+        return (2.0 / obj.size) * obj.X.T.dot(obj.X.dot(d)) + obj.lam * d
 
     def ray(self, d) -> HessVecRay:
         return HessVecRay(self._obj, self._w, self._obj._check(d, "d"), self._hess_vec)
@@ -154,10 +151,11 @@ def draw_batch(sampler: OnlineSampler, size: int) -> SampledBatchOracle:
     """Draw ``size`` i.i.d. samples, advancing the sampler's stream."""
     if size < 1:
         raise ValueError("batch size must be >= 1")
-    X = sampler._rng.standard_normal((size, sampler.dim)) @ sampler._chol.T
-    eps = sampler._rng.standard_normal(size)
-    Y = X @ sampler.beta + eps
-    return SampledBatchOracle(X, Y, sampler.lam)
+    X = sampler._rng.standard_normal((size, sampler.dim)).dot(sampler._chol.T)
+    Y = X.dot(sampler.beta) + sampler._rng.standard_normal(size)  # X is drawn first
+    batch = object.__new__(SampledBatchOracle)  # valid as built: skip the checks
+    batch.X, batch.Y, batch.lam, (batch.size, batch.dim) = X, Y, sampler.lam, X.shape
+    return batch
 
 
 _DIRECTIONS = {"sgd": GradientDescent(), "snewton": Newton(), "sbfgs": BfgsDense()}

@@ -93,6 +93,10 @@ def test_rho_nonpositive_raises():
     state.H = -np.eye(2)  # corrupted state
     with pytest.raises(NumericalError, match="rho = -g'd = .* is not positive"):
         compute_direction(state, obj.at(np.zeros(2)), np.array([1.0, 0.0]))
+    # an infinite rho, as a non-finite gradient makes it, is refused as well
+    with pytest.raises(NumericalError, match="rho = -g'd = inf is not positive and finite"):
+        compute_direction(new_state(GradientDescent(), 2), obj.at(np.zeros(2)),
+                          np.array([np.inf, 0.0]))
 
 
 def test_fresh_bfgs_equals_gradient_descent():

@@ -550,6 +550,23 @@ def test_dimension_checks_and_capability():
     with pytest.raises(ValueError, match="Newton needs solve"):
         run(RunConfig(direction=Newton(), step=Adaptive()), nh)
 
+    # every built-in oracle refuses a wrong shape at each public entry,
+    # naming the shape it expected
+    rng = np.random.default_rng(5)
+    for make in ORACLES:
+        obj = make(rng)
+        n = obj.dim
+        point = obj.at(np.zeros(n))
+        for bad in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((n, 1))):
+            for entry in (obj.at, obj.value, obj.gradient, point.ray, point.solve):
+                with pytest.raises(ValueError, match=f"expected \\({n},\\)"):
+                    entry(bad)
+        # what is not a native float64 array is converted first
+        x = np.linspace(-1.0, 1.0, n)
+        for same in (list(x), x.astype(">f8"), x.astype(np.float32)):
+            assert obj.value(same) == obj.value(np.asarray(same, dtype=float))
+        assert obj.value(np.ones(n, dtype=int)) == obj.value(np.ones(n))
+
 
 class DimSetWhenBuilt(ObjectiveOracle):
     """The whole oracle contract: ``dim`` set when built, and ``at``."""

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from adaptqn import (Adaptive, ArmijoWolfe, BfgsDense, Constant,
-                     ConstantBatch, GrowingBatch, Newton, NumericalError,
-                     OnlineLsExpectedObjective, OnlineSampler, QuadraticObjective,
-                     RunConfig, SampledBatchOracle, batch_size, bfgs_update_dense,
-                     draw_batch, ingest_pair,
+                     ConstantBatch, GrowingBatch, HessVecRay, Newton, NumericalError,
+                     ObjectiveOracle, OnlineLsExpectedObjective, OnlineSampler,
+                     QuadraticObjective, RunConfig, SampledBatchOracle, Termination,
+                     batch_size, bfgs_update_dense, draw_batch, ingest_pair,
                      make_sparse_beta, make_synthetic_sigma, new_state, omega,
                      run, stochastic_run)
 from adaptqn.sc import adaptive_step
@@ -47,6 +47,10 @@ def test_draw_batch_determinism():
     # stream advances
     ba2 = draw_batch(a, 64)
     assert not np.array_equal(ba.X, ba2.X)
+    # the batch holds what the checking constructor would make of its arrays
+    built = SampledBatchOracle(ba.X, ba.Y, a.lam)
+    assert (ba.X, ba.Y, ba.lam, ba.size, ba.dim) == (built.X, built.Y, built.lam, 64, 10)
+    assert type(ba.lam) is float and type(ba.size) is int
 
 
 def test_draw_batch_monte_carlo_moments():
@@ -247,6 +251,65 @@ def test_non_finite_batch_gradient_ends_numerical_error(monkeypatch):
                            x0=np.zeros(10), budget=40)
     assert trace.termination.kind == "numerical_error"
     assert "non-finite batch gradient" in trace.termination.detail
+    assert trace.iterations == 0
+
+
+class SpoiledBatch(ObjectiveOracle):
+    """A batch whose points put ``bad`` in the first entry of every
+    result of one kind: "gradient", or "hess_vec" for their rays' G d."""
+
+    def __init__(self, batch, kind, bad):
+        self.batch, self.kind, self.bad, self.dim = batch, kind, bad, batch.dim
+
+    def spoil(self, kind, v):
+        if kind == self.kind:
+            v = v.copy()
+            v[0] = self.bad
+        return v
+
+    def at(self, x):
+        return SpoiledPoint(self, x, self.batch.at(x))
+
+
+class SpoiledPoint:
+    def __init__(self, oracle, x, inner):
+        self._oracle, self._x, self._inner = oracle, x, inner
+        self.value, self.solve = inner.value, inner.solve
+
+    def gradient(self):
+        return self._oracle.spoil("gradient", self._inner.gradient())
+
+    def ray(self, d):
+        inner = self._inner.ray(d)
+        return HessVecRay(self._oracle, self._x, d,
+                          lambda d: self._oracle.spoil("hess_vec", inner.hess_vec()))
+
+
+def spoiled_run(monkeypatch, method, step, kind, bad):
+    import adaptqn.stochastic
+
+    monkeypatch.setattr(adaptqn.stochastic, "draw_batch",
+                        lambda sampler, size: SpoiledBatch(draw_batch(sampler, size), kind, bad))
+    return stochastic_run(method, GrowingBatch(base=5), step, make_sampler(),
+                          x0=np.zeros(10), budget=40)
+
+
+STEPS = [Adaptive(), Constant(CONSTANT_STEP_SIZES["alpha1"])]
+
+
+@pytest.mark.parametrize("step", STEPS, ids=["adaptive", "constant"])
+@pytest.mark.parametrize("method", ["sgd", "snewton", "sbfgs"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_batch_gradient_is_named(monkeypatch, bad, method, step):
+    trace = spoiled_run(monkeypatch, method, step, "gradient", bad)
+    assert trace.termination == Termination("numerical_error",
+                                            "non-finite batch gradient at k=0")
+    assert trace.iterations == 0
+
+
+def test_non_finite_batch_hess_vec_is_named(monkeypatch):
+    trace = spoiled_run(monkeypatch, "sbfgs", STEPS[1], "hess_vec", np.nan)
+    assert trace.termination == Termination("numerical_error", "non-finite batch G d at k=0")
     assert trace.iterations == 0
 
 
