@@ -113,20 +113,13 @@ class InverseHessianState:
     h0_scale: float = 1.0
     first_update_done: bool = False
     skipped: int = 0
-    family: type = field(init=False, repr=False)  # the rule's class, for the dispatch
-
-    def __post_init__(self):
-        kinds = [c for c in (GradientDescent, Newton, BfgsDense, LBfgs) if isinstance(self.rule, c)]
-        if not kinds:
-            raise TypeError(f"unknown direction rule {self.rule!r}")
-        self.family = kinds[0]
 
 
 def new_state(rule: DirectionRule, n: int) -> InverseHessianState:
     state = InverseHessianState(rule=rule)
-    if state.family is BfgsDense:
+    if isinstance(rule, BfgsDense):
         state.H = np.eye(n, order="F")
-    elif state.family is LBfgs:
+    elif isinstance(rule, LBfgs):
         state.pairs = deque(maxlen=rule.memory)
     return state
 
@@ -185,19 +178,20 @@ def compute_direction(state: InverseHessianState, point: OraclePoint,
                       g: np.ndarray) -> tuple[np.ndarray, float]:
     """Direction d = -Hg and rho = -g'd for the current H of ``state.rule``.
     ``point`` is the evaluation point at x; Newton solves G(x) d = -g
-    with its ``solve``, and the other rules do not use it. A rho that is
-    not positive and finite raises NumericalError."""
-    family = state.family
-    if family is GradientDescent:
+    with its ``solve``, and the other rules do not use it."""
+    rule = state.rule
+    if isinstance(rule, GradientDescent):
         d = -g
-    elif family is Newton:
+    elif isinstance(rule, Newton):
         if not hasattr(point, "solve"):
             raise ValueError(NO_SOLVE)
         d = point.solve(-g)
-    elif family is BfgsDense:
+    elif isinstance(rule, BfgsDense):
         d = dsymv(-1.0, state.H, g)
-    else:
+    elif isinstance(rule, LBfgs):
         d = two_loop_direction(state.pairs, state.h0_scale, g)
+    else:
+        raise TypeError(f"unknown direction rule {rule!r}")
     rho = -float(g.dot(d))
     if not 0.0 < rho < math.inf:
         raise NumericalError(f"rho = -g'd = {rho} is not positive and finite")
@@ -210,15 +204,15 @@ def ingest_pair(state: InverseHessianState, s: np.ndarray, y: np.ndarray) -> boo
     pair of the step t d on a quadratic, up to the scale t, to which the
     BFGS update is invariant). Returns False (and bumps the skip
     counter) when s'y fails the positivity guard."""
-    rule, family = state.rule, state.family
-    if family is GradientDescent or family is Newton:
+    rule = state.rule
+    if isinstance(rule, (GradientDescent, Newton)):
         return False
     sy = float(s.dot(y))
     # sqrt(v.dot(v)) is np.linalg.norm(v) bit for bit, without its call overhead
     if not sy > PAIR_REJECT_RTOL * math.sqrt(s.dot(s)) * math.sqrt(y.dot(y)):
         state.skipped += 1
         return False
-    if family is BfgsDense:
+    if isinstance(rule, BfgsDense):
         if rule.identity_scaling and not state.first_update_done:
             state.H = identity_scaling_factor(s, y) * np.eye(s.shape[0], order="F")
         state.H = bfgs_update_dense(state.H, s, y)

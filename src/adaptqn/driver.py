@@ -169,9 +169,8 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
     threshold, iteration cap, time cap, or a numerical error. Every
     ``NumericalError``, including one at ``x0``, ends the run as
     ``numerical_error`` in ``Trace.termination``; a configuration it
-    refuses raises ``ValueError``. Shapes are checked at x0 and at each
-    ``at``, ``ray`` and ``solve``, on attribute reads alone for the
-    driver's own float64 vectors; finiteness on scalars only (f, ||g||,
+    refuses raises ``ValueError``. Shapes are checked at x0 and by every
+    ``at``, ``ray`` and ``solve``; finiteness on scalars only (f, ||g||,
     rho, t, d'Gd and a batch pair's s'y), and a batch gradient or G d is
     scanned just to name the fault after one of them failed.
 
@@ -207,12 +206,12 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
     started = time.perf_counter()
     monotone = fixed and not isinstance(config.step, Constant)
     ray_step = isinstance(config.step, (Adaptive, Hybrid))
-    batch_pairs = not fixed and state.family in (BfgsDense, LBfgs)
+    pairs = isinstance(config.direction, (BfgsDense, LBfgs))  # GD and Newton keep none
     warnings = nf = ng = nhv = 0  # nf, ng, nhv: the eval counts
     if ref is not None:
         # sqrt(v.dot(v)) is np.linalg.norm(v) bit for bit, without its call overhead
         err_floor = _MEASURABLE_RTOL * (1.0 + math.sqrt(ref.x.dot(ref.x)))
-        err = math.sqrt((x - ref.x).dot(x - ref.x))
+        err = math.sqrt((e := x - ref.x).dot(e))
 
     k, f, gnorm, step_g = 0, math.nan, math.nan, None
 
@@ -234,6 +233,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
         f = point.value()
         ng += fixed
         g = point.gradient()
+        elapsed = time.perf_counter() - started  # the time cap reads the row before
         for k in range(config.max_iters + 1):
             gnorm = math.sqrt(g.dot(g))
             converged = fixed and gnorm < config.grad_tol
@@ -246,7 +246,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
                 return _end("grad_tol")
             if k >= config.max_iters:
                 return _end("max_iters")
-            if config.max_seconds < math.inf and time.perf_counter() - started > config.max_seconds:
+            if elapsed > config.max_seconds:
                 return _end("time_budget")
 
             if fixed:
@@ -271,7 +271,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
                 raise NumericalError(f"non-finite t = {outcome.t} at k={k}")
 
             x_new = x + outcome.t * d
-            # memoryviews compare doubles as (x_new == x).all() does, up to the first difference
+            # as (x_new == x).all() (±0 equal, NaN not), but with no ufunc call
             if fixed and x_new.data == x.data:
                 # t*d fell below the resolution of x; the loop is deterministic,
                 # so no future iteration can make progress either
@@ -291,9 +291,9 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
             if monotone and f_new > f + 1e-10 * (1.0 + abs(f)):
                 raise NumericalError(f"monotone decrease violated at k={k}: {f} -> {f_new}")
 
-            if fixed:
+            if pairs and fixed:
                 ingest_pair(state, x_new - x, g_new - g)
-            elif batch_pairs:
+            elif pairs:
                 nhv += ray is None  # an adaptive step counted the G d of its ray
                 hv = (ray or step_point.ray(d)).hess_vec()
                 # a non-finite G d fails the s'y guard: only a refused pair is scanned
@@ -306,8 +306,9 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
                 if err > err_floor:
                     err_ratio = err_new / err
                 err = err_new
+            elapsed = time.perf_counter() - started
             append((f, gnorm, outcome.t, math.nan if outcome.eta is None else outcome.eta,
-                    outcome.kind, nf, ng, nhv, time.perf_counter() - started, err_ratio))
+                    outcome.kind, nf, ng, nhv, elapsed, err_ratio))
             x, f, g, point = x_new, f_new, g_new, point_new
     except NumericalError as exc:
         # a non-finite batch gradient makes rho = -g'd non-finite: only then is it scanned

@@ -41,7 +41,6 @@ class Constant:
     def __post_init__(self):
         if not 0.0 < self.alpha < np.inf:
             raise ValueError(f"constant step must be positive and finite, got {self.alpha}")
-        object.__setattr__(self, "_outcome", StepOutcome(t=self.alpha, kind="constant"))
 
 
 @dataclass(frozen=True)
@@ -83,8 +82,7 @@ class StepOutcome:
     and ``f_new``/``g_new`` the evaluations already requested there, so
     the driver never re-pays for them; each is None when the rule did
     not evaluate there. ``evals_f``, ``evals_g`` and ``evals_hv`` count
-    the value, gradient and curvature requests the rule made. Callers
-    only read an outcome: a constant rule returns one for every step.
+    the value, gradient and curvature requests the rule made.
     """
 
     t: float
@@ -128,7 +126,8 @@ def adaptive_step_size(ray: Ray, rho: float) -> tuple[float, float, float]:
     if not 0.0 < d_gd < np.inf:
         raise NumericalError(f"d'Gd = {d_gd} is not positive and finite")
     delta = math.sqrt(d_gd)
-    return adaptive_step(rho, delta), delta, rho / delta
+    t = adaptive_step(rho, delta)
+    return t, delta, rho / delta
 
 
 def _quad_interp(f0: float, gd: float, t: float, ft: float) -> float:
@@ -233,7 +232,7 @@ def choose_step(rule: StepRule, oracle: ObjectiveOracle, x: np.ndarray,
         t, delta, eta = adaptive_step_size(ray, rho)
         return StepOutcome(t=t, kind="adaptive", delta=delta, eta=eta, evals_hv=1)
     if isinstance(rule, Constant):
-        return rule._outcome
+        return StepOutcome(t=rule.alpha, kind="constant")
     if isinstance(rule, ArmijoWolfe):
         return armijo_wolfe_search(oracle, x, d, f0, -rho, rule)
     if isinstance(rule, Hybrid):

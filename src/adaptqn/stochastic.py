@@ -46,6 +46,9 @@ class ConstantBatch:
         if not (isinstance(self.size, Integral) and self.size >= 1):
             raise ValueError(f"batch size must be a whole number >= 1, got {self.size!r}")
 
+    def size_at(self, k: int) -> int:
+        return self.size
+
 
 @dataclass(frozen=True)
 class GrowingBatch:
@@ -57,16 +60,17 @@ class GrowingBatch:
             raise ValueError(f"base and period must be whole numbers >= 1, "
                              f"got {self.base!r} and {self.period!r}")
 
+    def size_at(self, k: int) -> int:
+        """``base`` times 1.05 every ``period`` iterations, rounded up."""
+        return int(math.ceil(self.base * 1.05 ** (k // self.period)))
+
 
 BatchSchedule = Union[ConstantBatch, GrowingBatch]
 
 
 def batch_size(schedule: BatchSchedule, k: int) -> int:
-    """Samples drawn at iteration k; a growing schedule multiplies its
-    base by 1.05 every ``period`` iterations and rounds up."""
-    if isinstance(schedule, ConstantBatch):
-        return schedule.size
-    return int(math.ceil(schedule.base * 1.05 ** (k // schedule.period)))
+    """Samples drawn at iteration k."""
+    return schedule.size_at(k)
 
 
 class SampledBatchOracle(ObjectiveOracle):
@@ -79,13 +83,16 @@ class SampledBatchOracle(ObjectiveOracle):
     and finite."""
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, lam: float):
+        # attribute reads and comparisons only: a stochastic run builds one per iteration
         if X.ndim != 2 or X.shape[0] == 0:
             raise ValueError(f"X must be 2-D with at least one row, got shape {X.shape}")
         if Y.shape != (X.shape[0],):
             raise ValueError(f"Y has shape {Y.shape}, expected ({X.shape[0]},)")
         if not 0 < lam < math.inf:
             raise ValueError(f"regularizer lam must be positive and finite, got {lam}")
-        self.X, self.Y, self.lam = X, Y, float(lam)
+        self.X = X
+        self.Y = Y
+        self.lam = float(lam)
         self.size, self.dim = X.shape
 
     def at(self, x) -> "_BatchPoint":
@@ -153,9 +160,7 @@ def draw_batch(sampler: OnlineSampler, size: int) -> SampledBatchOracle:
         raise ValueError("batch size must be >= 1")
     X = sampler._rng.standard_normal((size, sampler.dim)).dot(sampler._chol.T)
     Y = X.dot(sampler.beta) + sampler._rng.standard_normal(size)  # X is drawn first
-    batch = object.__new__(SampledBatchOracle)  # valid as built: skip the checks
-    batch.X, batch.Y, batch.lam, (batch.size, batch.dim) = X, Y, sampler.lam, X.shape
-    return batch
+    return SampledBatchOracle(X, Y, sampler.lam)
 
 
 _DIRECTIONS = {"sgd": GradientDescent(), "snewton": Newton(), "sbfgs": BfgsDense()}
@@ -182,8 +187,8 @@ def stochastic_run(method: str, schedule: BatchSchedule, step_rule,
     ref = ReferenceOptimum(*expected.minimizer())
     config = RunConfig(direction=_DIRECTIONS[method], step=step_rule, max_iters=budget,
                        max_seconds=max_seconds, x0=x0, reference=ref)
-    return run(config, expected,
-               batches=lambda k: draw_batch(sampler, batch_size(schedule, k)))
+    size_at = schedule.size_at  # the schedule is resolved once per run
+    return run(config, expected, batches=lambda k: draw_batch(sampler, size_at(k)))
 
 
 def make_synthetic_sigma(p: int, seed: int, eig_low: float = 1.0,

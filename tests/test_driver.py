@@ -192,6 +192,14 @@ def test_line_search_stall_is_detected():
     assert trace.iterations < 20000
 
 
+def test_stall_comparison_is_elementwise_equality():
+    # run's stall test compares memoryviews: ±0 equal, NaN unequal, as (a == b).all()
+    for a, b in [([0.0, 1.0], [-0.0, 1.0]), ([np.nan], [np.nan]), ([1.0, 2.0], [1.0, 2.0]),
+                 ([1.0, 2.0], [1.0, np.nextafter(2.0, 3.0)])]:
+        a, b = np.array(a), np.array(b)
+        assert (a.data == b.data) == bool((a == b).all())
+
+
 def test_armijo_wolfe_run_on_quadratic():
     obj = make_synthetic_quadratic(6, cond=100.0, seed=6)
     cfg = RunConfig(direction=BfgsDense(), step=ArmijoWolfe(), grad_tol=1e-8,
