@@ -22,8 +22,7 @@ from .steps import (Adaptive, ArmijoWolfe, Constant, Hybrid, StepOutcome,
                     adaptive_step_size, armijo_check, armijo_wolfe_search,
                     choose_step, hybrid_select, wolfe_check)
 from .stochastic import (CONSTANT_STEP_SIZES, ConstantBatch, GrowingBatch,
-                         OnlineSampler, SampledBatchOracle, batch_size,
-                         draw_batch, make_sparse_beta, make_synthetic_sigma,
-                         stochastic_run)
+                         OnlineSampler, SampledBatchOracle, draw_batch,
+                         make_sparse_beta, make_synthetic_sigma, stochastic_run)
 
 __version__ = "0.1.0"

@@ -7,7 +7,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NoReturn
 
 import numpy as np
 
@@ -153,61 +153,43 @@ def _gather(lines: Iterable[str]):
 
 
 def _convert(labels, linenos, counts, feats, n_features) -> tuple:
-    """One chunk of rows in bulk, as +-1 labels, feature counts, 0-based
-    int64 indices and values, and the largest index; when a bulk check
-    fails, ``_walk`` goes through its rows to raise the first error."""
-    label, indices, values, max_index = (_bulk(labels, counts, feats, n_features)
-                                         or _walk(labels, linenos, counts, feats, n_features))
-    return (np.where(label <= 0.0, -1.0, 1.0), np.array(counts, dtype=np.int64),
-            indices, values, max_index)
-
-
-def _bulk(labels, counts, feats, n_features):
-    """Labels, 0-based indices, values and largest index of a chunk,
-    converted by numpy (which reads each token with ``int`` or
-    ``float``); None when a token or row is malformed."""
+    """One chunk of rows as +-1 labels, feature counts, 0-based int64
+    indices, values and the largest index, converted by numpy (which
+    reads each token with ``int`` or ``float``). A chunk that fails a
+    check goes to ``_first_fault``, which raises its first error."""
     joined = " ".join(feats)
     parts = joined.replace(":", " ").split()
-    # two parts per token: no token starts or ends with ':' or holds '::'
-    if len(parts) != 2 * len(feats) or not _one_colon_each(joined, len(feats)):
-        return None
     try:
         label = np.array(labels, dtype=float)
         idx = np.array(parts[0::2], dtype=np.int64)
         values = np.array(parts[1::2], dtype=float)
     except (ValueError, OverflowError):  # a token that int() or float() refuses
-        return None
-    if not ((label == 1.0) | (label == -1.0) | (label == 0.0)).all() or idx.min(initial=1) < 1:
-        return None
+        _first_fault(labels, linenos, counts, feats, n_features)
+    # one ':' a token, the k-th between the (k-1)-th and k-th space, and
+    # two parts a token: none starts or ends with ':'
+    b = np.frombuffer(joined.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    colons, spaces = np.flatnonzero(b == ord(":")), np.flatnonzero(b == ord(" "))
     # each index must exceed the one before it, except where a row starts
     increasing = idx[1:] > idx[:-1]
     starts = np.cumsum(counts[:-1], dtype=np.int64)
     increasing[starts[(starts > 0) & (starts < idx.size)] - 1] = True
     max_index = int(idx.max(initial=0))
-    if (not increasing.all() or (n_features is not None and max_index > n_features)
+    if (len(parts) != 2 * len(feats) or colons.size != len(feats)
+            or (spaces < colons[:-1]).any() or (colons[1:] < spaces).any()
+            or not ((label == 1.0) | (label == -1.0) | (label == 0.0)).all()
+            or idx.min(initial=1) < 1 or not increasing.all()
+            or (n_features is not None and max_index > n_features)
             or not np.isfinite(values).all()):
-        return None
-    return label, idx - 1, values, max_index
+        _first_fault(labels, linenos, counts, feats, n_features)
+    return (np.where(label <= 0.0, -1.0, 1.0), np.array(counts, dtype=np.int64),
+            idx - 1, values, max_index)
 
 
-def _one_colon_each(joined: str, count: int) -> bool:
-    """Whether each of the ``count`` tokens that single spaces separate
-    in ``joined`` holds exactly one ':'."""
-    b = np.frombuffer(joined.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    colons = np.flatnonzero(b == ord(":"))
-    if colons.size != count:
-        return False
-    spaces = np.flatnonzero(b == ord(" "))
-    return bool((spaces > colons[:-1]).all() and (colons[1:] > spaces).all())
-
-
-def _walk(labels, linenos, counts, feats, n_features):
-    """``_bulk``'s result one token at a time, for a chunk that failed a
-    bulk check: raises the ParseError of its first bad row."""
-    indices: list[int] = []
-    values: list[float] = []
-    max_index = end = 0
+def _first_fault(labels, linenos, counts, feats, n_features) -> NoReturn:
+    """Raise the ParseError of the first bad row of a chunk that failed a
+    bulk check in ``_convert``, checking its tokens one at a time."""
     int64_max = np.iinfo(np.int64).max
+    end = 0
     for label_s, lineno, count in zip(labels, linenos, counts):
         try:
             label = float(label_s)
@@ -235,11 +217,7 @@ def _walk(labels, linenos, counts, feats, n_features):
             if not math.isfinite(val):
                 raise ParseError(f"feature {idx} has non-finite value {val}", lineno)
             prev = idx
-            indices.append(idx - 1)
-            values.append(val)
-        max_index = max(max_index, prev)
-    return (np.array(labels, dtype=float), np.array(indices, dtype=np.int64),
-            np.array(values, dtype=float), max_index)
+    raise AssertionError("a chunk failed a bulk check but holds no fault")
 
 
 def load_libsvm(path) -> SparseDataset:
@@ -278,7 +256,8 @@ def synth_logistic(N: int, n: int, seed: int, separation: float = 1.5,
 
     Features are dense Gaussians with geometrically decaying per-column
     scales (``feature_decay``), then rescaled so the largest row norm
-    is ``max_norm`` -- mimicking pre-scaled benchmark datasets. Labels
+    is ``max_norm`` -- mimicking pre-scaled benchmark datasets. Only the
+    ratios between scales matter, so the largest scale is 1. Labels
     follow a noisy linear rule: sign(separation * margin + noise) with
     unit Gaussian noise, so ``separation`` is the signal-to-noise ratio
     of the labelling (0 gives pure coin flips).
@@ -286,7 +265,8 @@ def synth_logistic(N: int, n: int, seed: int, separation: float = 1.5,
     if N < 1 or n < 1:
         raise ValueError("N and n must be positive")
     rng = np.random.default_rng(seed)
-    scales = feature_decay ** np.arange(n)
+    # float exponents, largest scale 1: an int decay cannot wrap, a large one cannot overflow
+    scales = feature_decay ** (np.arange(n, dtype=float) - (n - 1 if feature_decay > 1 else 0))
     X = rng.standard_normal((N, n))
     X *= scales
     w_true = rng.standard_normal(n)

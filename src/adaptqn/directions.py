@@ -214,7 +214,7 @@ def ingest_pair(state: InverseHessianState, s: np.ndarray, y: np.ndarray) -> boo
         return False
     if isinstance(rule, BfgsDense):
         if rule.identity_scaling and not state.first_update_done:
-            state.H = identity_scaling_factor(s, y) * np.eye(s.shape[0], order="F")
+            state.H *= identity_scaling_factor(s, y)
         state.H = bfgs_update_dense(state.H, s, y)
     else:
         state.pairs.append((s.copy(), y.copy(), sy))

@@ -449,4 +449,6 @@ class _OnlineLsPoint:
 
     def solve(self, b) -> np.ndarray:
         obj = self._obj
-        return spd_solve(2.0 * obj.sigma + obj.lam * np.eye(obj.dim), obj._check(b, "b"))
+        G = 2.0 * obj.sigma
+        G.flat[::obj.dim + 1] += obj.lam
+        return spd_solve(G, obj._check(b, "b"))

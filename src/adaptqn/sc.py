@@ -34,19 +34,16 @@ def omega(z):
     z = np.asarray(z, dtype=float)
     if np.any(z < 0):
         raise ValueError("omega requires z >= 0")
+    return _omega(z)
+
+
+def _omega(z):
+    """z - log(1 + z) for any z > -1: ``omega``, and at z = -u the
+    upper model's -u - log(1 - u) = u^2/2 + u^3/3 + ..."""
     # z^2/2 - z^3/3 + z^4/4 - z^5/5
     series = z * z * (0.5 - z * (1.0 / 3.0 - z * (0.25 - 0.2 * z)))
     direct = z - np.log1p(z)
-    out = np.where(z < _SERIES_CUTOFF, series, direct)
-    return float(out) if out.ndim == 0 else out
-
-
-def _omega_neg(u):
-    """-u - log(1 - u) = u^2/2 + u^3/3 + ..., for 0 <= u < 1."""
-    u = np.asarray(u, dtype=float)
-    series = u * u * (0.5 + u * (1.0 / 3.0 + u * (0.25 + 0.2 * u)))
-    direct = -u - np.log1p(-u)
-    out = np.where(u < _SERIES_CUTOFF, series, direct)
+    out = np.where(np.abs(z) < _SERIES_CUTOFF, series, direct)
     return float(out) if out.ndim == 0 else out
 
 
@@ -74,7 +71,7 @@ def sc_upper_f(f0, gd, delta, t) -> float:
         raise ValueError(f"upper bound requires t*delta < 1, got {u}")
     if t < 0:
         raise ValueError("negative step length")
-    return f0 + t * gd + _omega_neg(u)
+    return f0 + t * gd + _omega(-u)
 
 
 def sc_lower_f(f0, gd, delta, t) -> float:

@@ -22,7 +22,6 @@ __all__ = [
     "GrowingBatch",
     "BatchSchedule",
     "SampledBatchOracle",
-    "batch_size",
     "draw_batch",
     "stochastic_run",
     "make_synthetic_sigma",
@@ -66,11 +65,6 @@ class GrowingBatch:
 
 
 BatchSchedule = Union[ConstantBatch, GrowingBatch]
-
-
-def batch_size(schedule: BatchSchedule, k: int) -> int:
-    """Samples drawn at iteration k."""
-    return schedule.size_at(k)
 
 
 class SampledBatchOracle(ObjectiveOracle):
@@ -127,8 +121,9 @@ class _BatchPoint:
 
     def solve(self, b) -> np.ndarray:
         obj = self._obj
-        return spd_solve((2.0 / obj.size) * (obj.X.T @ obj.X) + obj.lam * np.eye(obj.dim),
-                         obj._check(b, "b"))
+        G = (2.0 / obj.size) * (obj.X.T @ obj.X)
+        G.flat[::obj.dim + 1] += obj.lam
+        return spd_solve(G, obj._check(b, "b"))
 
 
 class OnlineSampler:

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,21 @@ def test_synth_logistic_determinism():
     np.testing.assert_array_equal(a.labels, b.labels)
     c = synth_logistic(100, 10, seed=10)
     assert not np.array_equal(a.labels, c.labels) or not np.array_equal(a.X.data, c.X.data)
+
+
+def test_synth_logistic_integer_decay_is_the_equal_float():
+    a = synth_logistic(50, 25, seed=1, feature_decay=10)
+    b = synth_logistic(50, 25, seed=1, feature_decay=10.0)
+    assert a.X.data.tobytes() == b.X.data.tobytes()
+    assert a.labels.tobytes() == b.labels.tobytes()
+
+
+def test_synth_logistic_large_decay_builds_finite_data_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = synth_logistic(20, 400, seed=1, feature_decay=10.0)
+    assert np.isfinite(ds.X.data).all()
+    assert max_row_norm(ds) == pytest.approx(2.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("N, n", [(0, 5), (5, 0)])

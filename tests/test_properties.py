@@ -20,7 +20,7 @@ import adaptqn.driver as driver
 from adaptqn import (Adaptive, BfgsDense, GradientDescent, GrowingBatch,
                      LBfgs, LogisticObjective, OnlineSampler,
                      QuadraticObjective, RunConfig, SparseDataset,
-                     batch_size, choose_step, compute_direction, draw_batch,
+                     choose_step, compute_direction, draw_batch,
                      ingest_pair, make_sparse_beta, make_synthetic_sigma,
                      new_state, omega, run, synth_logistic)
 from adaptqn.oracles import _sigmoid, _weighted_gram, spd_solve
@@ -112,7 +112,7 @@ def check_batch_omega_decrease(sampler, schedule, method):
     batches = []
 
     def draw(k):
-        batches.append(draw_batch(sampler, batch_size(schedule, k)))
+        batches.append(draw_batch(sampler, schedule.size_at(k)))
         return batches[-1]
 
     config = RunConfig(direction=DIRECTIONS[method], step=Adaptive(), max_iters=100)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from adaptqn import (adaptive_step, omega, sc_lower_f, sc_lower_gd,
+from adaptqn import (adaptive_step, omega, sc, sc_lower_f, sc_lower_gd,
                      sc_upper_f, sc_upper_gd)
 
 # frozen 30-digit evaluations of z - log(1+z)
@@ -90,6 +90,28 @@ def test_upper_f_at_adaptive_step_equals_omega_decrease():
         f0 = float(rng.normal())
         got = sc_upper_f(f0, -rho, delta, t)
         assert got == pytest.approx(f0 - omega(rho / delta), rel=1e-12, abs=1e-12)
+
+
+def _upper_model_kernel(u):
+    """-u - log(1 - u) in the form the upper model evaluated on its own,
+    series below the cutoff in u."""
+    series = u * u * (0.5 + u * (1.0 / 3.0 + u * (0.25 + 0.2 * u)))
+    return np.where(u < sc._SERIES_CUTOFF, series, -u - np.log1p(-u))
+
+
+def test_omega_kernel_at_minus_u_is_the_upper_model_kernel_bit_for_bit():
+    cut = sc._SERIES_CUTOFF
+    steps = np.arange(-500, 501)
+    u = np.concatenate([
+        np.linspace(0.0, 1.0, 100_000, endpoint=False),
+        np.geomspace(1e-300, 1.0, 100_000, endpoint=False),
+        1.0 - np.geomspace(np.finfo(float).epsneg, 0.5, 100_000),
+        cut * (1.0 + steps * np.finfo(float).eps),
+        [0.0, np.nextafter(cut, 0.0), cut],
+    ])
+    assert u.size > 300_000 and np.all((u >= 0.0) & (u < 1.0))
+    assert sc._omega(-u).tobytes() == _upper_model_kernel(u).tobytes()
+    assert sc_upper_f(0.0, 0.0, 1.0, cut) == float(_upper_model_kernel(np.float64(cut)))
 
 
 def test_lower_f_examples():

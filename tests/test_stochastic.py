@@ -7,7 +7,7 @@ from adaptqn import (Adaptive, ArmijoWolfe, BfgsDense, Constant,
                      ConstantBatch, GrowingBatch, HessVecRay, Newton, NumericalError,
                      ObjectiveOracle, OnlineLsExpectedObjective, OnlineSampler,
                      QuadraticObjective, RunConfig, SampledBatchOracle, Termination,
-                     batch_size, bfgs_update_dense, draw_batch, ingest_pair,
+                     bfgs_update_dense, draw_batch, ingest_pair,
                      make_sparse_beta, make_synthetic_sigma, new_state, omega,
                      run, stochastic_run)
 from adaptqn.sc import adaptive_step
@@ -30,12 +30,12 @@ def test_constant_step_table():
 
 def test_batch_size_schedule():
     sched = GrowingBatch(base=150)
-    assert batch_size(sched, 0) == 150
-    assert batch_size(sched, 49) == 150
-    assert batch_size(sched, 50) == 158  # ceil(150 * 1.05)
-    assert batch_size(ConstantBatch(40), 1234) == 40
+    assert sched.size_at(0) == 150
+    assert sched.size_at(49) == 150
+    assert sched.size_at(50) == 158  # ceil(150 * 1.05)
+    assert ConstantBatch(40).size_at(1234) == 40
     ks = np.arange(0, 2000, 13)
-    sizes = [batch_size(sched, int(k)) for k in ks]
+    sizes = [sched.size_at(int(k)) for k in ks]
     assert all(b >= a for a, b in zip(sizes, sizes[1:]))
 
 
@@ -128,7 +128,7 @@ def test_adaptive_decrease_holds_per_batch():
     w = np.zeros(8)
     state = new_state(BfgsDense(), 8)
     for k in range(60):
-        batch = draw_batch(sampler, batch_size(GrowingBatch(base=4), k))
+        batch = draw_batch(sampler, GrowingBatch(base=4).size_at(k))
         g = batch.gradient(w)
         d = -(sym(state.H) @ g)
         rho = -float(g @ d)
