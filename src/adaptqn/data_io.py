@@ -260,10 +260,18 @@ def synth_logistic(N: int, n: int, seed: int, separation: float = 1.5,
     ratios between scales matter, so the largest scale is 1. Labels
     follow a noisy linear rule: sign(separation * margin + noise) with
     unit Gaussian noise, so ``separation`` is the signal-to-noise ratio
-    of the labelling (0 gives pure coin flips).
+    of the labelling (0 gives pure coin flips). Raises ValueError unless
+    N and n are positive, ``feature_decay`` and ``max_norm`` positive and
+    finite, and ``separation`` finite.
     """
     if N < 1 or n < 1:
         raise ValueError("N and n must be positive")
+    if not 0.0 < feature_decay < np.inf:
+        raise ValueError(f"feature_decay must be positive and finite, got {feature_decay}")
+    if not 0.0 < max_norm < np.inf:
+        raise ValueError(f"max_norm must be positive and finite, got {max_norm}")
+    if not -np.inf < separation < np.inf:
+        raise ValueError(f"separation must be finite, got {separation}")
     rng = np.random.default_rng(seed)
     # float exponents, largest scale 1: an int decay cannot wrap, a large one cannot overflow
     scales = feature_decay ** (np.arange(n, dtype=float) - (n - 1 if feature_decay > 1 else 0))

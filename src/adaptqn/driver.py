@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -17,7 +17,7 @@ from .directions import (MAX_DENSE_DIM, NO_SOLVE, BfgsDense, DirectionRule, LBfg
                          Newton, compute_direction, ingest_pair, new_state)
 from .errors import NumericalError
 from .oracles import ObjectiveOracle
-from .steps import Adaptive, Constant, Hybrid, StepRule, choose_step
+from .steps import Adaptive, Constant, StepRule, choose_step
 
 __all__ = [
     "ReferenceOptimum",
@@ -91,8 +91,9 @@ class Termination:
 
 @dataclass(eq=False)  # traces compare by identity; final_x is an array
 class Trace:
-    """What one ``run`` did. ``config`` is the RunConfig that was run; a
-    stochastic run's method shows as its direction.
+    """What one ``run`` did, built once, when the run ends. ``config`` is
+    the RunConfig that was run; a stochastic run's method shows as its
+    direction.
 
     The run stores one row per step plus a terminal one: a tuple of the
     IterationRecord fields f, gnorm, t, eta, step_kind, cum_evals_f,
@@ -105,14 +106,12 @@ class Trace:
     quasi-Newton update refused."""
 
     config: RunConfig
-    termination: Termination = Termination("max_iters")
-    final_x: Optional[np.ndarray] = None
-    skipped_pairs: int = 0
-    warnings: int = 0
-
-    def __post_init__(self):
-        self._rows = []
-        self._records = None
+    termination: Termination
+    final_x: np.ndarray
+    skipped_pairs: int
+    warnings: int
+    _rows: list[tuple] = field(repr=False)
+    _records: Optional[list[IterationRecord]] = field(default=None, init=False, repr=False)
 
     def _fields(self, k: int) -> tuple:
         r = self._rows[k]
@@ -201,11 +200,10 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
 
     ref = config.reference
     state = new_state(config.direction, n)
-    trace = Trace(config=config)
-    append = trace._rows.append
+    rows = []
+    append = rows.append
     started = time.perf_counter()
     monotone = fixed and not isinstance(config.step, Constant)
-    ray_step = isinstance(config.step, (Adaptive, Hybrid))
     pairs = isinstance(config.direction, (BfgsDense, LBfgs))  # GD and Newton keep none
     warnings = nf = ng = nhv = 0  # nf, ng, nhv: the eval counts
     if ref is not None:
@@ -218,11 +216,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
     def _end(kind: str, detail: str = "") -> Trace:
         append((f, gnorm, math.nan, math.nan, "terminal", nf, ng, nhv,
                 time.perf_counter() - started, None))
-        trace.termination = Termination(kind, detail)
-        trace.final_x = x.copy()
-        trace.skipped_pairs = state.skipped
-        trace.warnings = warnings
-        return trace
+        return Trace(config, Termination(kind, detail), x, state.skipped, warnings, rows)
 
     try:
         point = oracle.at(x)
@@ -258,9 +252,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
                 step_g = step_point.gradient()  # not scanned: see the except clause
 
             d, rho = compute_direction(state, step_point, step_g)
-            # the ray is built where something reads it: the adaptive and
-            # hybrid steps, the fixed oracle's next point and the batch pair
-            ray = step_point.ray(d) if ray_step else None
+            ray = step_point.ray(d)
             # positional: wrappers of choose_step may forward *args only
             outcome = choose_step(config.step, step_oracle, x, d, f, rho, ray)
             warnings += outcome.warning
@@ -280,7 +272,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
             if outcome.point is not None:
                 point_new = outcome.point
             elif fixed:  # the ray's point at x_new reuses the ray's work
-                point_new = (ray or step_point.ray(d)).at(outcome.t)
+                point_new = ray.at(outcome.t)
             else:
                 point_new = oracle.at(x_new)
             nf += fixed and outcome.f_new is None
@@ -294,8 +286,8 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
             if pairs and fixed:
                 ingest_pair(state, x_new - x, g_new - g)
             elif pairs:
-                nhv += ray is None  # an adaptive step counted the G d of its ray
-                hv = (ray or step_point.ray(d)).hess_vec()
+                nhv += not outcome.evals_hv  # unless the step rule counted its ray's G d
+                hv = ray.hess_vec()
                 # a non-finite G d fails the s'y guard: only a refused pair is scanned
                 if not ingest_pair(state, d, hv) and not np.isfinite(hv).all():
                     raise NumericalError(f"non-finite batch G d at k={k}")

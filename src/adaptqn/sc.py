@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericalError
+
 __all__ = [
     "omega",
     "adaptive_step",
@@ -54,13 +56,18 @@ def adaptive_step(rho, delta):
     the upper model bound. Nonpositive rho or delta means the direction
     was not a descent direction or curvature degenerated, and a NaN means
     it could not be measured; either is raised rather than clamped so
-    drivers can stop with a diagnostic.
+    drivers can stop with a diagnostic. A denominator (rho + delta) *
+    delta that underflows to 0 raises ``NumericalError``.
     """
     if not rho > 0.0:
         raise ValueError(f"adaptive_step requires rho > 0, got {rho}")
     if not delta > 0.0:
         raise ValueError(f"adaptive_step requires delta > 0, got {delta}")
-    return rho / ((rho + delta) * delta)
+    den = (rho + delta) * delta
+    if den == 0.0:
+        raise NumericalError(f"adaptive_step denominator (rho + delta) * delta underflows "
+                             f"to 0 for rho = {rho}, delta = {delta}")
+    return rho / den
 
 
 def sc_upper_f(f0, gd, delta, t) -> float:

@@ -220,11 +220,11 @@ def hybrid_select(ray: Ray, f0: float, rho: float, rule: Hybrid) -> StepOutcome:
 
 
 def choose_step(rule: StepRule, oracle: ObjectiveOracle, x: np.ndarray,
-                d: np.ndarray, f0: float, rho: float, ray: Ray | None) -> StepOutcome:
+                d: np.ndarray, f0: float, rho: float, ray: Ray) -> StepOutcome:
     """Dispatch a step rule; the uniform entry point used by the driver.
     ``rho`` is -g'd and ``ray`` the ray along d from the evaluation point
-    at x. The adaptive and hybrid rules work on the ray, and the constant
-    step and the line search take None as well; the line search
+    at x. The adaptive and hybrid rules work on the ray; the constant
+    step and the line search leave it unread, and the line search
     evaluates its trials at ``oracle.at(x + t d)``, since it compares f
     values at the rounding floor, where margins carried along a ray
     would change its decisions."""

@@ -138,6 +138,17 @@ def test_synth_logistic_refuses_an_empty_shape(N, n):
         synth_logistic(N, n, seed=0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("feature_decay", float("nan")), ("feature_decay", -10.0), ("feature_decay", 0.0),
+    ("feature_decay", float("inf")), ("max_norm", float("nan")), ("max_norm", -2.0),
+    ("max_norm", 0.0), ("max_norm", float("inf")), ("separation", float("nan")),
+    ("separation", float("inf")), ("separation", -float("inf")),
+])
+def test_synth_logistic_refuses_what_the_cli_refuses(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        synth_logistic(5, 400, seed=1, **{name: value})
+
+
 def test_synth_logistic_zero_separation_is_balanced():
     # separation 0 labels are fair coin flips; 3-sigma binomial band
     N = 4000

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from adaptqn import (Adaptive, ArmijoWolfe, BfgsDense, Constant,
                      GradientDescent, Hybrid, LBfgs, LogisticObjective, Newton,
                      QuadraticObjective, RunConfig, ReferenceOptimum,
-                     run, superlinear_report,
+                     Termination, run, superlinear_report,
                      synth_logistic, t_settle_index)
+from adaptqn import driver
 from adaptqn.cli import make_synthetic_quadratic, run_config, stoch_config
 from adaptqn.oracles import _LogisticPoint, _QuadraticPoint
 from adaptqn.stochastic import (OnlineSampler, _BatchPoint, draw_batch, make_sparse_beta,
@@ -346,22 +348,51 @@ def test_nan_objective_ends_numerical_error(direction, step):
     assert trace.iterations == 0
 
 
-def test_a_step_that_reads_no_ray_builds_none(desk_logistic, monkeypatch):
-    # the line search and a constant step on batches with GD directions
-    # never read the ray along d, so a point whose ray() raises runs them
-    def no_ray(self, d):
-        raise AssertionError("ray built for a step that reads none")
+def count_rays(monkeypatch, point_class):
+    """A one-item list that counts the ray() calls on point_class."""
+    built = [0]
+    ray = point_class.ray
 
-    monkeypatch.setattr(_LogisticPoint, "ray", no_ray)
-    monkeypatch.setattr(_BatchPoint, "ray", no_ray)
-    ls = run(run_config("bfgs-ls", dim=desk_logistic.dim, grad_tol=1e-6, max_iters=200),
-             desk_logistic)
-    assert ls.termination.kind == "grad_tol"
+    def counted(self, d):
+        built[0] += 1
+        return ray(self, d)
+
+    monkeypatch.setattr(point_class, "ray", counted)
+    return built
+
+
+@pytest.mark.parametrize("method", ["bfgs-ls", "bfgs-h", "bfgs-a", "gd-a"])
+def test_every_iteration_builds_one_ray(desk_logistic, monkeypatch, method):
+    # the line search reads no ray, yet gets one like every other rule
+    built = count_rays(monkeypatch, _LogisticPoint)
+    trace = run(run_config(method, dim=desk_logistic.dim, grad_tol=1e-6, max_iters=200),
+                desk_logistic)
+    assert trace.termination.kind == "grad_tol"
+    assert built[0] == trace.iterations > 0
+
+
+@pytest.mark.parametrize("method", ["sgd-1", "sn-1", "sbfgs-1", "sgd-a"])
+def test_every_batch_iteration_builds_one_ray(monkeypatch, method):
+    # on batches only the adaptive step and a quasi-Newton pair read the ray
+    built = count_rays(monkeypatch, _BatchPoint)
     sampler = OnlineSampler(make_synthetic_sigma(6, seed=1), make_sparse_beta(6, seed=2),
                             lam=0.1, seed=3)
-    kernel, schedule, step = stoch_config("sgd-1", p=6)
-    sgd = stochastic_run(kernel, schedule, step, sampler, x0=np.zeros(6), budget=40)
-    assert sgd.termination.kind == "max_iters" and sgd.iterations == 40
+    kernel, schedule, step = stoch_config(method, p=6)
+    trace = stochastic_run(kernel, schedule, step, sampler, x0=np.zeros(6), budget=200)
+    assert trace.termination.kind == "max_iters"
+    assert built[0] == trace.iterations == 200
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_a_non_finite_step_ends_numerical_error(monkeypatch, t):
+    # no built-in rule returns such a t, but a wrapper of choose_step may
+    choose_step = driver.choose_step
+    monkeypatch.setattr(driver, "choose_step",
+                        lambda *args: dataclasses.replace(choose_step(*args), t=t))
+    trace = run(RunConfig(direction=BfgsDense(), step=Adaptive(), max_iters=20),
+                QuadraticObjective(np.diag([1.0, 4.0]), np.ones(2)))
+    assert trace.termination == Termination("numerical_error", f"non-finite t = {t} at k=0")
+    assert trace.iterations == 0
 
 
 def test_nan_curvature_ends_numerical_error():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from adaptqn import (adaptive_step, omega, sc, sc_lower_f, sc_lower_gd,
+from adaptqn import (NumericalError, adaptive_step, omega, sc, sc_lower_f, sc_lower_gd,
                      sc_upper_f, sc_upper_gd)
 
 # frozen 30-digit evaluations of z - log(1+z)
@@ -51,6 +51,20 @@ def test_adaptive_step_examples():
 def test_adaptive_step_domain(rho, delta):
     with pytest.raises(ValueError, match="adaptive_step requires"):
         adaptive_step(rho, delta)
+
+
+@pytest.mark.parametrize("rho,delta", [(1e-200, 1e-200), (np.float64(1e-200), np.float64(1e-200)),
+                                       (5e-324, 1e-170)])
+def test_adaptive_step_refuses_a_denominator_that_underflows(rho, delta):
+    with pytest.raises(NumericalError, match=f"rho = {rho}, delta = {delta}"):
+        adaptive_step(rho, delta)
+
+
+def test_adaptive_step_is_the_closed_form_bit_for_bit():
+    grid = (10.0 ** np.linspace(-100, 100, 41)).tolist()
+    for rho in grid:
+        for delta in grid:
+            assert adaptive_step(rho, delta) == rho / ((rho + delta) * delta)
 
 
 def test_adaptive_step_identities():
