@@ -126,12 +126,14 @@ def new_state(rule: DirectionRule, n: int) -> InverseHessianState:
 
 def identity_scaling_factor(s: np.ndarray, y: np.ndarray) -> float:
     """Initial-matrix scale s'y / y'y; lies between the extreme
-    eigenvalues of the inverse average Hessian along the step."""
+    eigenvalues of the inverse average Hessian along the step. Raises
+    NumericalError for y = 0 and for an s'y that is not positive, NaN
+    included."""
     yy = float(y @ y)
     sy = float(s @ y)
     if yy <= 0.0:
         raise NumericalError("identity scaling undefined for y = 0")
-    if sy <= 0.0:
+    if not sy > 0.0:
         raise NumericalError(f"identity scaling requires s'y > 0, got {sy}")
     return sy / yy
 

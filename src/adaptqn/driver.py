@@ -8,6 +8,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -99,11 +100,11 @@ class Trace:
     IterationRecord fields f, gnorm, t, eta, step_kind, cum_evals_f,
     cum_evals_g, cum_evals_hv, elapsed and err_ratio. k is the row index
     and log_gap follows from f and the reference on read. ``rows()``
-    gives every record's fields without building it, ``records`` builds
-    the IterationRecords once, on first read, and ``final`` builds the
-    terminal one alone. ``warnings`` counts the line searches that ran
-    out of evaluations, and ``skipped_pairs`` the curvature pairs the
-    quasi-Newton update refused."""
+    gives every record's fields without building it, ``records`` is a
+    cached property that builds the IterationRecords on first read, and
+    ``final`` builds the terminal one alone. ``warnings`` counts the line
+    searches that ran out of evaluations, and ``skipped_pairs`` the
+    curvature pairs the quasi-Newton update refused."""
 
     config: RunConfig
     termination: Termination
@@ -111,7 +112,6 @@ class Trace:
     skipped_pairs: int
     warnings: int
     _rows: list[tuple] = field(repr=False)
-    _records: Optional[list[IterationRecord]] = field(default=None, init=False, repr=False)
 
     def _fields(self, k: int) -> tuple:
         r = self._rows[k]
@@ -121,11 +121,9 @@ class Trace:
         """Every record's field values, in IterationRecord's order."""
         return map(self._fields, range(len(self._rows)))
 
-    @property
+    @cached_property
     def records(self) -> list[IterationRecord]:
-        if self._records is None:
-            self._records = [IterationRecord(*v) for v in self.rows()]
-        return self._records
+        return [IterationRecord(*v) for v in self.rows()]
 
     @property
     def iterations(self) -> int:

@@ -204,11 +204,11 @@ class LogisticObjective(ObjectiveOracle):
 
 
 class _LogisticPoint:
-    """Logistic loss at one w: the margins z = Xw are computed once, or
-    carried in from a ray; the loss margins m = -yz, exp(-|m|) and the
-    sigmoid denominator 1 + exp(-|m|), shared by ``value``, ``gradient``
-    and the Hessian weights, on the first of them; the Hessian weights
-    s(1-s) on the first request that needs them."""
+    """Logistic loss at one w. The margins z = Xw (or z carried in from a
+    ray) and the loss margins m = -yz, exp(-|m|) and the sigmoid
+    denominator 1 + exp(-|m|), which every request reads, are computed
+    when the point is built; the Hessian weights s(1-s) on the first
+    request that needs them, which a line search's trial points never do."""
 
     __slots__ = ("_obj", "_w", "_z", "_m", "_em", "_den", "_hw")
 
@@ -216,27 +216,21 @@ class _LogisticPoint:
         self._obj = obj
         self._w = w
         self._z = obj.data.X @ w if z is None else z
-        self._m = None
+        self._m = obj._neg_labels * self._z
+        self._em = np.exp(-np.abs(self._m))
+        self._den = 1.0 + self._em
         self._hw = None
-
-    def _loss_margins(self):
-        if self._m is None:
-            self._m = self._obj._neg_labels * self._z
-            self._em = np.exp(-np.abs(self._m))
-            self._den = 1.0 + self._em
-        return self._m, self._em, self._den
 
     def value(self) -> float:
         obj, w = self._obj, self._w
         N = obj.data.N
-        m, em, _ = self._loss_margins()
-        loss = np.sum(_softplus(m, em)) / N
+        loss = np.sum(_softplus(self._m, self._em)) / N
         return obj.sc_scale * (loss + 0.5 * float(w.dot(w)) / N)
 
     def gradient(self) -> np.ndarray:
         obj = self._obj
         ds = obj.data
-        coef = _sigmoid(*self._loss_margins())
+        coef = _sigmoid(self._m, self._em, self._den)
         coef *= obj._neg_labels
         coef /= ds.N
         return obj.sc_scale * (ds.XT @ coef + self._w / ds.N)
@@ -245,7 +239,7 @@ class _LogisticPoint:
         # |m| = |z| for labels of +-1, so exp(-|m|) and 1 + exp(-|m|)
         # serve sigmoid(z) too
         if self._hw is None:
-            s = _sigmoid(self._z, *self._loss_margins()[1:])
+            s = _sigmoid(self._z, self._em, self._den)
             hw = 1.0 - s
             hw *= s
             self._hw = hw
@@ -392,6 +386,9 @@ class OnlineLsExpectedObjective(ObjectiveOracle):
     """Population objective of the Gaussian linear model with unit noise:
 
     F(w) = (beta - w)' Sigma (beta - w) + 1 + lam ||w||^2 / 2.
+
+    Refuses, with ValueError, a lam that is not positive and finite, a
+    beta that is not 1-D and a sigma that is not p x p for p = len(beta).
     """
 
     def __init__(self, sigma: np.ndarray, beta: np.ndarray, lam: float):
@@ -399,6 +396,8 @@ class OnlineLsExpectedObjective(ObjectiveOracle):
         beta = np.asarray(beta, dtype=float)
         if not 0 < lam < np.inf:
             raise ValueError("regularizer lam must be positive and finite")
+        if beta.ndim != 1:
+            raise ValueError(f"beta must be 1-D, got shape {beta.shape}")
         if sigma.shape != (beta.shape[0], beta.shape[0]):
             raise ValueError("sigma must be p x p matching beta")
         self.sigma = sigma

@@ -54,19 +54,23 @@ def adaptive_step(rho, delta):
 
     Always strictly below 1/delta, so steps stay inside the domain of
     the upper model bound. Nonpositive rho or delta means the direction
-    was not a descent direction or curvature degenerated, and a NaN means
-    it could not be measured; either is raised rather than clamped so
-    drivers can stop with a diagnostic. A denominator (rho + delta) *
-    delta that underflows to 0 raises ``NumericalError``.
+    was not a descent direction or curvature degenerated, and a NaN or
+    an infinity means it could not be measured; either raises ValueError
+    rather than being clamped, so drivers can stop with a diagnostic. A
+    denominator (rho + delta) * delta that underflows to 0 or overflows
+    to inf raises ``NumericalError``.
     """
-    if not rho > 0.0:
-        raise ValueError(f"adaptive_step requires rho > 0, got {rho}")
-    if not delta > 0.0:
-        raise ValueError(f"adaptive_step requires delta > 0, got {delta}")
+    # as Python floats, so that an overflowing product is inf without a
+    # numpy RuntimeWarning
+    rho, delta = float(rho), float(delta)
+    if not 0.0 < rho < np.inf:
+        raise ValueError(f"adaptive_step requires 0 < rho < inf, got {rho}")
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"adaptive_step requires 0 < delta < inf, got {delta}")
     den = (rho + delta) * delta
-    if den == 0.0:
-        raise NumericalError(f"adaptive_step denominator (rho + delta) * delta underflows "
-                             f"to 0 for rho = {rho}, delta = {delta}")
+    if not 0.0 < den < np.inf:
+        raise NumericalError(f"adaptive_step denominator (rho + delta) * delta = {den} "
+                             f"for rho = {rho}, delta = {delta}")
     return rho / den
 
 

@@ -223,6 +223,8 @@ def test_identity_scaling_factor():
         identity_scaling_factor(s, np.zeros(3))
     with pytest.raises(NumericalError, match="identity scaling requires s'y > 0"):
         identity_scaling_factor(s, -s)
+    with pytest.raises(NumericalError, match="identity scaling requires s'y > 0, got nan"):
+        identity_scaling_factor(np.array([np.nan]), np.array([1.0]))
 
 
 def test_identity_scaling_factor_in_eigen_range():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from adaptqn import (Adaptive, BfgsDense, LBfgs, LogisticObjective, Newton,
                      logistic_sc_scale,
                      parse_libsvm, run, sc_lower_f, sc_lower_gd, sc_upper_f,
                      sc_upper_gd, synth_logistic)
+from adaptqn.cli import run_config
 from adaptqn.oracles import (_LogisticPoint, _LogisticRay, _sigmoid, _softplus,
                              _weighted_gram, spd_solve)
 from conftest import NoSolve
@@ -237,6 +240,54 @@ def test_logistic_point_shares_exp_bitwise(desk_logistic):
         gradient_first = desk_logistic.at(w)
         np.testing.assert_array_equal(gradient_first.gradient(), g)
         assert gradient_first.value() == f
+
+
+def count_exp(monkeypatch):
+    """A one-item list that counts the np.exp passes made from now on."""
+    passes = [0]
+    exp = np.exp
+
+    def counted(*args, **kwargs):
+        passes[0] += 1
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    return passes
+
+
+POINT_REQUESTS = {
+    "value": lambda pt, d: pt.value(),
+    "gradient": lambda pt, d: pt.gradient(),
+    "curvature": lambda pt, d: pt.ray(d).curvature(),
+    "hess_vec": lambda pt, d: pt.ray(d).hess_vec(),
+    "solve": lambda pt, d: pt.solve(d),
+}
+
+
+def test_a_logistic_point_runs_one_exp_pass(desk_logistic, monkeypatch):
+    # the loss's exp(-|m|) serves f, g and the Hessian weights, so a point
+    # asked for anything, in any order, makes exactly one pass
+    rng = np.random.default_rng(8)
+    w, d = rng.normal(size=(2, desk_logistic.dim))
+    passes = count_exp(monkeypatch)
+    orders = [(name,) for name in POINT_REQUESTS]
+    orders += list(itertools.permutations(POINT_REQUESTS))
+    for order in orders:
+        passes[0] = 0
+        pt = desk_logistic.at(w)
+        for name in order:
+            POINT_REQUESTS[name](pt, d)
+        assert passes[0] == 1, order
+
+
+@pytest.mark.parametrize("method", ["gd-a", "bfgs-a", "lbfgs-a", "newton-a"])
+def test_an_adaptive_run_makes_one_exp_pass_per_point(desk_logistic, monkeypatch, method):
+    # one point at x0 and one per step, each reached along the ray
+    config = run_config(method, dim=desk_logistic.dim, grad_tol=1e-7, max_iters=5000)
+    passes = count_exp(monkeypatch)
+    trace = run(config, desk_logistic)
+    assert trace.termination.kind == "grad_tol"
+    assert passes[0] == trace.iterations + 1
 
 
 def test_hess_weights_reuse_the_loss_exp_bitwise(desk_logistic):

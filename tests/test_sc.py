@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,7 +48,8 @@ def test_adaptive_step_examples():
 
 
 @pytest.mark.parametrize("rho,delta", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
-                                       (math.nan, 1.0), (1.0, math.nan)])
+                                       (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                       (1.0, math.inf), (-math.inf, 1.0), (1.0, -math.inf)])
 def test_adaptive_step_domain(rho, delta):
     with pytest.raises(ValueError, match="adaptive_step requires"):
         adaptive_step(rho, delta)
@@ -57,6 +59,13 @@ def test_adaptive_step_domain(rho, delta):
                                        (5e-324, 1e-170)])
 def test_adaptive_step_refuses_a_denominator_that_underflows(rho, delta):
     with pytest.raises(NumericalError, match=f"rho = {rho}, delta = {delta}"):
+        adaptive_step(rho, delta)
+
+
+@pytest.mark.parametrize("rho,delta", [(1e200, 1e200), (np.float64(1e200), np.float64(1e200)),
+                                       (1.0, 1e160), (1e300, 1e10)])
+def test_adaptive_step_refuses_a_denominator_that_overflows(rho, delta):
+    with pytest.raises(NumericalError, match=re.escape(f"= inf for rho = {rho}, delta = {delta}")):
         adaptive_step(rho, delta)
 
 

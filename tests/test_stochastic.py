@@ -403,7 +403,11 @@ def test_singular_covariance_gets_a_jitter():
     (lambda: OnlineLsExpectedObjective(np.eye(2), np.zeros(2), math.inf),
      "lam must be positive and finite"),
     (lambda: OnlineLsExpectedObjective(np.eye(3), np.zeros(2), 0.5), "p x p"),
+    (lambda: OnlineLsExpectedObjective(np.eye(2), np.zeros((2, 1)), 0.5),
+     r"beta must be 1-D, got shape \(2, 1\)"),
+    (lambda: OnlineLsExpectedObjective(np.eye(1), 0.0, 0.5), r"beta must be 1-D, got shape \(\)"),
     (lambda: OnlineSampler(np.eye(3), np.zeros(2), 0.5, seed=0), "p x p"),
+    (lambda: OnlineSampler(np.eye(2), np.zeros((2, 1)), 0.5, seed=0), "beta must be 1-D"),
     (lambda: OnlineSampler(np.eye(2), np.zeros(2), 0.0, seed=0), "lam must be positive"),
     (lambda: OnlineSampler(make_synthetic_sigma(5, 3), make_sparse_beta(5, 12), math.nan,
                            seed=1), "lam must be positive and finite"),
@@ -434,7 +438,8 @@ def test_singular_covariance_gets_a_jitter():
     (lambda: ArmijoWolfe(max_evals=math.nan), "two evaluations"),
     (lambda: ArmijoWolfe(max_evals=2.5), "two evaluations"),
 ], ids=["quadratic-not-square", "quadratic-asymmetric", "online-ls-lam-0",
-        "online-ls-lam-nan", "online-ls-lam-inf", "online-ls-shape", "sampler-shape",
+        "online-ls-lam-nan", "online-ls-lam-inf", "online-ls-shape", "online-ls-beta-2d",
+        "online-ls-beta-0d", "sampler-shape", "sampler-beta-2d",
         "sampler-lam-0", "sampler-lam-nan", "sampler-lam-inf", "sampler-sigma-indefinite",
         "batch-oracle-X-1d", "batch-oracle-X-no-rows", "batch-oracle-Y-broadcast",
         "batch-oracle-Y-2d", "batch-oracle-lam-negative", "batch-oracle-lam-0",
