@@ -7,6 +7,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
+from numbers import Integral
 from typing import TYPE_CHECKING, Iterable, NoReturn
 
 import numpy as np
@@ -93,12 +94,28 @@ def _dataset(indptr, indices, values, labels, n: int) -> SparseDataset:
     return SparseDataset(X=X, labels=labels)
 
 
-# Rows are gathered as tokens until they hold this many, then converted
-# together; the bound keeps a chunk's transient strings small.
-_CHUNK_TOKENS = 1 << 14
+# Lines are gathered until they hold this many characters, then converted
+# together; the bound keeps a chunk's transient arrays and strings small.
+_CHUNK_CHARS = 1 << 16
 
 # A byte that is not UTF-8, as the "surrogateescape" decoder stores it.
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+# The byte route's classes of ASCII bytes, as a bytes.translate table. A
+# byte of class _OTHER (a letter, '#', '_', ...) sends its chunk to the
+# string route. _SPACE is the ASCII whitespace that str.split() splits
+# at, except "\n"; fields are runs of digits, signs and dots.
+_OTHER, _SPACE, _NEWLINE, _COLON, _FIELD = range(5)
+_CLASS = bytes({**dict.fromkeys(b"\t\x0b\x0c\r\x1c\x1d\x1e\x1f ", _SPACE),
+                ord("\n"): _NEWLINE, ord(":"): _COLON,
+                **dict.fromkeys(b"0123456789+-.", _FIELD)}.get(i, _OTHER) for i in range(256))
+# The byte route reads the k-th byte before the end of every field at
+# once, for k up to 18; this many spaces before a chunk keep those reads
+# inside it.
+_PAD = " " * 18
+_TEN = np.array([float(10 ** k) for k in range(17)])
 
 
 def parse_libsvm(source: Iterable[str] | str, n_features: int | None = None) -> SparseDataset:
@@ -113,12 +130,17 @@ def parse_libsvm(source: Iterable[str] | str, n_features: int | None = None) -> 
     overrides it; an index above it, or above the int64 range, is an
     error. A line holding a byte that the "surrogateescape" decoder
     kept (U+DC80-U+DCFF) is not UTF-8 text. The first error in file
-    order is raised, naming its line.
+    order is raised, naming its line. Raises ValueError unless
+    ``n_features`` is None or a whole number in [0, 2**63 - 1].
     """
+    if n_features is not None and not (isinstance(n_features, Integral)
+                                       and 0 <= n_features <= _INT64_MAX):
+        raise ValueError(f"n_features must be a whole number in [0, {_INT64_MAX}], "
+                         f"got {n_features!r}")
     if isinstance(source, str):
         source = io.StringIO(source)
     labels, counts, indices, values, max_index = zip(
-        *(_convert(*chunk, n_features) for chunk in _gather(source)))
+        *(_convert(lines, first, n_features) for first, lines in _chunks(source)))
     n = max(max_index) if n_features is None else n_features
     idx = _index_dtype(sum(v.size for v in values), n)
     counts = np.concatenate(counts)
@@ -128,14 +150,178 @@ def parse_libsvm(source: Iterable[str] | str, n_features: int | None = None) -> 
                     np.concatenate(labels), n)
 
 
-def _gather(lines: Iterable[str]):
-    """Split each line into its label and feature tokens and yield them
-    a chunk of rows at a time, as ``(labels, linenos, counts, feats)``.
-    Always yields at least one chunk, which may hold no rows. A line
-    that is not UTF-8 raises ParseError once the rows before it are
-    yielded, so that an earlier row's error wins."""
+def _chunks(lines: Iterable[str]):
+    """Yield the lines a chunk at a time, as ``(number of its first line,
+    its lines)``: whole lines until they hold ``_CHUNK_CHARS``
+    characters. Always yields at least one chunk; only a source without
+    lines yields an empty one."""
+    chunk, size, first = [], 0, 1
+    for line in lines:
+        chunk.append(line)
+        size += len(line)
+        if size >= _CHUNK_CHARS:
+            yield first, chunk
+            first += len(chunk)
+            chunk, size = [], 0
+    if chunk or first == 1:
+        yield first, chunk
+
+
+def _convert(lines: list, first: int, n_features) -> tuple:
+    """One chunk of lines as +-1 labels, feature counts, 0-based int64
+    indices, values and the largest index. The chunk is read from its
+    bytes (``_from_bytes``) when it can be, else from its tokens as
+    ``int`` and ``float`` read them (``_from_strings``); both give the
+    same arrays. A chunk that fails a check after the byte route is
+    read again by the string route, which raises its first error."""
+    arrays = _from_bytes(lines)
+    if arrays is None or not _valid(*arrays, n_features):
+        arrays = _from_strings(lines, first, n_features)
+    label, counts, idx, values = arrays
+    return (np.where(label <= 0.0, -1.0, 1.0), counts, idx - 1, values,
+            int(idx.max(initial=0)))
+
+
+def _valid(label, counts, idx, values, n_features) -> bool:
+    """Whether a chunk's rows pass the checks that every row must: labels
+    -1, 0 or +1, indices >= 1, strictly increasing in each row and at
+    most ``n_features``, finite values."""
+    # each index must exceed the one before it, except where a row starts
+    increasing = idx[1:] > idx[:-1]
+    starts = np.cumsum(counts[:-1])
+    increasing[starts[(starts > 0) & (starts < idx.size)] - 1] = True
+    return bool(((label == 1.0) | (label == -1.0) | (label == 0.0)).all()
+                and idx.min(initial=1) >= 1 and increasing.all()
+                and (n_features is None or idx.max(initial=0) <= n_features)
+                and np.isfinite(values).all())
+
+
+def _from_bytes(lines: list) -> tuple | None:
+    """The byte route: labels, feature counts, 1-based indices and values
+    of a chunk of ASCII lines, tokenized by numpy passes over its bytes.
+    Labels are ``[+-]?digits`` and indices 1-18 digits. Values are
+    ``-?digits``, ``-?digits.digits`` or ``-?.digits``, at most 17 bytes
+    after the sign, with at most 15 significant digits; each is read as
+    M / 10**F: M < 2**53 and 10**F (F <= 16) are exact, so the one
+    division rounds as ``float`` does (Clinger, PLDI 1990). None for a
+    chunk with a token outside this grammar, a '#' or a non-ASCII
+    character, or a "\n" other than at the end of one of its lines."""
+    text = "".join(lines)
+    if not text.isascii():
+        return None
+    raw = f"{_PAD}{text}\n".encode("ascii")
+    classes = raw.translate(_CLASS)
+    if bytes([_OTHER]) in classes:
+        return None
+    a, c = np.frombuffer(raw, dtype=np.uint8), np.frombuffer(classes, dtype=np.uint8)
+    newlines = np.flatnonzero(c == _NEWLINE)
+    # every line but the last ends at its one "\n"; "\n" is appended
+    line_ends = np.cumsum(np.fromiter(map(len, lines), np.intp, len(lines))) + (len(_PAD) - 1)
+    if (newlines.size != len(lines) + text.endswith("\n")
+            or (newlines[:len(lines) - 1] != line_ends[:-1]).any()):
+        return None
+    in_field = c == _FIELD
+    edges = np.flatnonzero(in_field[1:] != in_field[:-1]) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    # the first field of each line is its label; each other field ends at
+    # a ':' (an index) or starts right after one (a value)
+    label = np.zeros(starts.size + 1, dtype=bool)
+    label[np.searchsorted(starts, newlines)] = True
+    label[0] = True
+    label = label[:-1]
+    colon = c[ends] == _COLON
+    value = np.zeros_like(colon)
+    value[1:] = colon[:-1]
+    index = np.flatnonzero(colon)
+    if (colon[-1:].any() or np.count_nonzero(a == ord(":")) != index.size
+            or ((label.view(np.int8) + colon.view(np.int8) + value.view(np.int8)) != 1).any()
+            or (starts[index + 1] != ends[index] + 1).any()):
+        return None
+    rows = np.flatnonzero(label)
+    first = a[starts[rows]]
+    signed = (first == ord("+")) | (first == ord("-"))
+    negative = a[starts[index + 1]] == ord("-")
+    # values first: long ones are the likeliest to send a chunk away
+    read = (_digits(a, starts[index + 1] + negative, ends[index + 1], 17, float, dots=True),
+            _digits(a, starts[rows] + signed, ends[rows], 18, float),
+            _digits(a, starts[index], ends[index], 18, np.int64))
+    # a sign only starts a label or a value, and each '.' is one of a value's
+    if (any(r is None for r in read)
+            or np.count_nonzero(signed) + np.count_nonzero(negative)
+            != np.count_nonzero(a == ord("+")) + np.count_nonzero(a == ord("-"))
+            or np.count_nonzero(read[0][1]) != np.count_nonzero(a == ord("."))):
+        return None
+    (M, F), (labels, _), (idx, _) = read
+    if not (M < 1e15).all():
+        return None
+    values = M / _TEN[F]
+    np.negative(values, out=values, where=negative)
+    np.negative(labels, out=labels, where=first == ord("-"))
+    return labels, np.diff(rows, append=starts.size) // 2, idx, values
+
+
+def _digits(a, starts, ends, longest: int, dtype, dots: bool = False) -> tuple | None:
+    """Read the fields ``a[starts:ends]`` as decimal digits, with a '.'
+    where ``dots`` allows one. Returns the integers M of their digits, as
+    ``dtype``, and the counts F of digits after the last '.' (0 with
+    none, or with it last), or None when a field is empty or longer than
+    ``longest`` bytes. The k-th byte before the end of every field is
+    read at once, k from the longest field's length down to 1, so M
+    accumulates from the left."""
+    n = ends - starts
+    if not (0 < n.min(initial=1) and n.max(initial=0) <= longest):
+        return None
+    M = np.zeros(n.size, dtype)
+    F = np.zeros(n.size, np.intp)
+    for k in range(int(n.max(initial=0)), 0, -1):
+        d = a[ends - k] - ord("0")
+        inside = n >= k
+        if dots:
+            dot = inside & (d == ord(".") - ord("0") + 256)
+            F[dot] = k - 1
+            inside &= ~dot
+        M = np.where(inside, M * 10 + d, M)
+    return M, F
+
+
+def _from_strings(lines: list, first: int, n_features) -> tuple:
+    """The string route: labels, feature counts, 1-based indices and
+    values of a chunk's rows, split into tokens that numpy converts as
+    ``int`` and ``float`` read them. A chunk that fails a check goes to
+    ``_first_fault``, which raises its first error; a line that is not
+    UTF-8 raises once the rows before it are checked."""
+    rows = _gather(lines, first)
+    chunk = next(rows)
+    labels, linenos, counts, feats = chunk
+    joined = " ".join(feats)
+    parts = joined.replace(":", " ").split()
+    try:
+        label = np.array(labels, dtype=float)
+        idx = np.array(parts[0::2], dtype=np.int64)
+        values = np.array(parts[1::2], dtype=float)
+    except (ValueError, OverflowError):  # a token that int() or float() refuses
+        _first_fault(*chunk, n_features)
+    # one ':' a token, the k-th between the (k-1)-th and k-th space, and
+    # two parts a token: none starts or ends with ':'
+    b = np.frombuffer(joined.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    colons, spaces = np.flatnonzero(b == ord(":")), np.flatnonzero(b == ord(" "))
+    counts = np.array(counts, dtype=np.int64)
+    if (len(parts) != 2 * len(feats) or colons.size != len(feats)
+            or (spaces < colons[:-1]).any() or (colons[1:] < spaces).any()
+            or not _valid(label, counts, idx, values, n_features)):
+        _first_fault(*chunk, n_features)
+    next(rows, None)  # raises for a line after these rows that is not UTF-8
+    return label, counts, idx, values
+
+
+def _gather(lines: Iterable[str], first: int = 1):
+    """Split each line into its label and feature tokens, numbering the
+    lines from ``first``, and yield them once, as ``(labels, linenos,
+    counts, feats)``. A line that is not UTF-8 ends the rows: the
+    generator raises its ParseError when resumed, so that an earlier
+    row's error wins."""
     labels, linenos, counts, feats = [], [], [], []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start=first):
         if not raw.isascii() and (bad := _ESCAPED_BYTE.search(raw)):
             yield labels, linenos, counts, feats
             raise ParseError(f"not UTF-8 text: cannot decode byte {ord(bad[0]) - 0xdc00:#04x}",
@@ -146,49 +332,12 @@ def _gather(lines: Iterable[str]):
             linenos.append(lineno)
             counts.append(len(tokens))
             feats += tokens
-            if len(feats) + len(labels) >= _CHUNK_TOKENS:
-                yield labels, linenos, counts, feats
-                labels, linenos, counts, feats = [], [], [], []
     yield labels, linenos, counts, feats
-
-
-def _convert(labels, linenos, counts, feats, n_features) -> tuple:
-    """One chunk of rows as +-1 labels, feature counts, 0-based int64
-    indices, values and the largest index, converted by numpy (which
-    reads each token with ``int`` or ``float``). A chunk that fails a
-    check goes to ``_first_fault``, which raises its first error."""
-    joined = " ".join(feats)
-    parts = joined.replace(":", " ").split()
-    try:
-        label = np.array(labels, dtype=float)
-        idx = np.array(parts[0::2], dtype=np.int64)
-        values = np.array(parts[1::2], dtype=float)
-    except (ValueError, OverflowError):  # a token that int() or float() refuses
-        _first_fault(labels, linenos, counts, feats, n_features)
-    # one ':' a token, the k-th between the (k-1)-th and k-th space, and
-    # two parts a token: none starts or ends with ':'
-    b = np.frombuffer(joined.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    colons, spaces = np.flatnonzero(b == ord(":")), np.flatnonzero(b == ord(" "))
-    # each index must exceed the one before it, except where a row starts
-    increasing = idx[1:] > idx[:-1]
-    starts = np.cumsum(counts[:-1], dtype=np.int64)
-    increasing[starts[(starts > 0) & (starts < idx.size)] - 1] = True
-    max_index = int(idx.max(initial=0))
-    if (len(parts) != 2 * len(feats) or colons.size != len(feats)
-            or (spaces < colons[:-1]).any() or (colons[1:] < spaces).any()
-            or not ((label == 1.0) | (label == -1.0) | (label == 0.0)).all()
-            or idx.min(initial=1) < 1 or not increasing.all()
-            or (n_features is not None and max_index > n_features)
-            or not np.isfinite(values).all()):
-        _first_fault(labels, linenos, counts, feats, n_features)
-    return (np.where(label <= 0.0, -1.0, 1.0), np.array(counts, dtype=np.int64),
-            idx - 1, values, max_index)
 
 
 def _first_fault(labels, linenos, counts, feats, n_features) -> NoReturn:
     """Raise the ParseError of the first bad row of a chunk that failed a
-    bulk check in ``_convert``, checking its tokens one at a time."""
-    int64_max = np.iinfo(np.int64).max
+    bulk check in ``_from_strings``, checking its tokens one at a time."""
     end = 0
     for label_s, lineno, count in zip(labels, linenos, counts):
         try:
@@ -212,7 +361,7 @@ def _first_fault(labels, linenos, counts, feats, n_features) -> NoReturn:
                 raise ParseError(f"indices must be strictly increasing, got {idx} after {prev}", lineno)
             if n_features is not None and idx > n_features:
                 raise ParseError(f"index {idx} exceeds declared feature count {n_features}", lineno)
-            if idx > int64_max:
+            if idx > _INT64_MAX:
                 raise ParseError(f"index {idx} exceeds the int64 range", lineno)
             if not math.isfinite(val):
                 raise ParseError(f"feature {idx} has non-finite value {val}", lineno)

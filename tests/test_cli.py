@@ -85,16 +85,16 @@ def test_non_utf8_dataset_exits_66_naming_the_line(tmp_path, capsys, command):
     assert not out.exists()
 
 
-# one and two tokens a chunk convert the malformed row before the bad
+# one and two characters a chunk convert the malformed row before the bad
 # byte is read; the default leaves it among the pending rows
-_CHUNK_SIZES = pytest.mark.parametrize("chunk_tokens", [1, 2, data_io._CHUNK_TOKENS],
+_CHUNK_SIZES = pytest.mark.parametrize("chunk_chars", [1, 2, data_io._CHUNK_CHARS],
                                        ids=["1", "2", "default"])
 
 
 @_CHUNK_SIZES
 def test_non_utf8_dataset_reports_an_earlier_malformed_row_first(tmp_path, capsys,
-                                                                 monkeypatch, chunk_tokens):
-    monkeypatch.setattr(data_io, "_CHUNK_TOKENS", chunk_tokens)
+                                                                 monkeypatch, chunk_chars):
+    monkeypatch.setattr(data_io, "_CHUNK_CHARS", chunk_chars)
     bad = tmp_path / "bad.svm"
     bad.write_bytes(b"+1 1:1\n-1 2:1 2:3\n+1 1:\xff\n")
     rc = main(["run", "--method", "gd-a", "--data", str(bad), "--out", str(tmp_path)])
@@ -104,8 +104,8 @@ def test_non_utf8_dataset_reports_an_earlier_malformed_row_first(tmp_path, capsy
 
 @_CHUNK_SIZES
 def test_non_utf8_dataset_reports_its_byte_before_a_later_malformed_row(tmp_path, capsys,
-                                                                        monkeypatch, chunk_tokens):
-    monkeypatch.setattr(data_io, "_CHUNK_TOKENS", chunk_tokens)
+                                                                        monkeypatch, chunk_chars):
+    monkeypatch.setattr(data_io, "_CHUNK_CHARS", chunk_chars)
     bad = tmp_path / "bad.svm"
     bad.write_bytes(b"+1 1:1\n+1 1:\xff\n-1 2:1 2:3\n")
     out = tmp_path / "out"

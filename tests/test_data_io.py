@@ -75,6 +75,20 @@ def test_dimension_override():
         parse_libsvm("+1 5:1", n_features=3)
 
 
+@pytest.mark.parametrize("n_features", [-1, 2.5, 2**63, "3"], ids=["negative", "fraction",
+                                                                 "above-int64", "text"])
+def test_parse_refuses_a_feature_count_that_is_no_int64_whole_number(n_features):
+    with pytest.raises(ValueError, match=r"^n_features must be a whole number in "
+                                         r"\[0, 9223372036854775807\], got "):
+        parse_libsvm("+1\n-1\n", n_features=n_features)
+
+
+@pytest.mark.parametrize("n_features", [0, np.int64(3), 2**63 - 1])
+def test_parse_takes_a_feature_count_at_the_ends_of_its_range(n_features):
+    ds = parse_libsvm("+1\n-1\n", n_features=n_features)
+    assert ds.X.shape == (2, n_features)
+
+
 def test_round_trip():
     rng = np.random.default_rng(0)
     lines = []

@@ -3,7 +3,9 @@ loop it replaced, kept here as the reference: on random valid files and
 on the same files with faults injected, both must return identical
 arrays, dtypes and feature counts, or raise the same exception with the
 same message. The chunk size is drawn small, so rows and errors fall on
-both sides of chunk boundaries."""
+both sides of chunk boundaries, and the tokens are drawn on both sides
+of the limits of the byte route, which reads plain chunks from their
+bytes; anything else goes through the string route."""
 
 import io
 import math
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from adaptqn import ParseError, SparseDataset, data_io, parse_libsvm
+from adaptqn import ParseError, SparseDataset, data_io, load_libsvm, parse_libsvm
 from conftest import property_test
 
 
@@ -69,58 +71,83 @@ def reference_parse_libsvm(source, n_features=None) -> SparseDataset:
                             np.asarray(values, dtype=float), np.asarray(labels, dtype=float), n)
 
 
-LABELS = ["+1", "-1", "1", "0", "1.0", "-1.0", "+1e0", "0.0", "-0", "1_0e-1"]
-VALUES = ["1", "+3", "1_0", "1e-3", ".5", "-0", "5.", "-1.5E+2", "0"]
+# Each list starts with the forms of a plain file, which the byte route
+# reads, when no value in it has more than 15 significant digits.
+PLAIN_LABELS = ["+1", "-1", "1", "0", "-0"]
+LABELS = PLAIN_LABELS + ["1.0", "-1.0", "+1e0", "0.0", "1_0e-1"]
+PLAIN_VALUES = ["1", "-0", "0", "-0.0", "0.000001"]
+VALUES = PLAIN_VALUES + ["+3", "1_0", "1e-3", ".5", "5.", "-1.5E+2"]
 # str.split() whitespace that is no line break to the file reader
-SPACES = [" ", "\t", "  ", " \t ", "\x0b", "\x0c", "\x1f", "\x85", "　"]
+PLAIN_SPACES = [" ", "\t", "  ", " \t ", "\x0b", "\x0c", "\x1f"]
+SPACES = PLAIN_SPACES + ["\x85", "\u3000"]
 ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
-FAULTY_LABELS = ["2", "cat", "nan", "-2", "0.5", "1e999", "+", "1:1"]
-FAULTY_TOKENS = ["7", "3::1", "3:1:2", ":1", "3:", ":", "0:1", "-2:1", "1.5:1", "1e1:1",
-                 "3:abc", "3:0x1", "-99999999999999999999:1", "99999999999999999999:1"]
+# Faults and near-faults. The plain ones hold only digits, signs, dots,
+# colons and spaces, so that the byte route meets them.
+PLAIN_FAULTY_LABELS = ["2", "-2", "+", "-", "1:1", "+-1", "1-", "1.", ".1", "01"]
+FAULTY_LABELS = PLAIN_FAULTY_LABELS + ["cat", "nan", "0.5", "1e999"]
+PLAIN_FAULTY_TOKENS = ["7", "3::1", "3:1:2", ":1", "3:", ":", "3: 7", "0:1", "-2:1", "+2:1",
+                       "1.5:1", "3:+1", "3:1-", "3:--1", "3:-", "3:5.", "3:.", "3:1.2.3", "3:-.5",
+                       "-99999999999999999999:1", "99999999999999999999:1",
+                       # 18 digits, the byte route's longest index, then the int64 range's ends
+                       "999999999999999999:1", "9223372036854775807:1", "9223372036854775808:1"]
+FAULTY_TOKENS = PLAIN_FAULTY_TOKENS + ["1e1:1", "3:abc", "3:0x1", "x"]
 NON_FINITE = ["nan", "inf", "-inf", "NaN", "+Infinity"]
 
 
-def _index_text(rng, i: int) -> str:
-    s = str(i)
-    forms = [s, s, "+" + s, "00" + s, s.translate(ARABIC_INDIC)]
-    if len(s) > 1:
-        forms.append(s[0] + "_" + s[1:])
+def _pick(rng, forms):
     return forms[rng.integers(len(forms))]
 
 
-def _value_text(rng) -> str:
-    if rng.random() < 0.5:
+def _index_text(rng, i: int, plain: bool) -> str:
+    s = str(i)
+    # with leading zeros, 18 digits still take the byte route and 19 do not
+    forms = [s, s, "00" + s, s.zfill(18)]
+    if not plain:
+        forms += ["+" + s, s.translate(ARABIC_INDIC), s.zfill(19)]
+        if len(s) > 1:
+            forms.append(s[0] + "_" + s[1:])
+    return _pick(rng, forms)
+
+
+def _value_text(rng, plain: bool) -> str:
+    u = rng.random()
+    if u < 0.4:  # 1-17 significant digits
+        digits = str(rng.integers(1, 10)) + "".join(map(str, rng.integers(0, 10, rng.integers(17))))
+        point = int(rng.integers(len(digits) + 1))
+        text = (digits[:point] or "0") + ("." + digits[point:] if point < len(digits) else "")
+        return "-" + text if rng.random() < 0.5 else text
+    if u < 0.7 and not plain:
         return repr(float(rng.normal()))
-    return VALUES[rng.integers(len(VALUES))]
+    return _pick(rng, PLAIN_VALUES if plain else VALUES)
 
 
-def _records(rng):
+def _records(rng, plain: bool):
     """Lines of a valid file: records as [label, tokens] with strictly
     increasing indices, or blank and comment-only lines as strings."""
     lines = []
     for _ in range(rng.integers(0, 15)):
         kind = rng.integers(6)
         if kind == 0:
-            lines.append(SPACES[rng.integers(len(SPACES))] if rng.random() < 0.5 else "")
-        elif kind == 1:
+            lines.append(_pick(rng, PLAIN_SPACES if plain else SPACES) if rng.random() < 0.5 else "")
+        elif kind == 1 and not plain:
             lines.append("# a comment: 1:2 nan")
         else:
             width = int(rng.integers(0, 7))
             cols = np.sort(rng.choice(40, size=width, replace=False)) + 1
-            tokens = [f"{_index_text(rng, int(c))}:{_value_text(rng)}" for c in cols]
-            lines.append([LABELS[rng.integers(len(LABELS))], tokens])
+            tokens = [f"{_index_text(rng, int(c), plain)}:{_value_text(rng, plain)}" for c in cols]
+            lines.append([_pick(rng, PLAIN_LABELS if plain else LABELS), tokens])
     return lines
 
 
-def _render(rng, lines) -> str:
+def _render(rng, lines, plain: bool) -> str:
     out = []
     for line in lines:
         if isinstance(line, list):
             label, tokens = line
             text = label
             for tok in tokens:
-                text += SPACES[rng.integers(len(SPACES))] + tok
-            if rng.random() < 0.2:
+                text += _pick(rng, PLAIN_SPACES if plain else SPACES) + tok
+            if rng.random() < 0.2 and not plain:
                 text += " # trailing 3:x"
             line = text
         out.append(line + ("\r\n" if rng.random() < 0.3 else "\n"))
@@ -128,7 +155,24 @@ def _render(rng, lines) -> str:
     return text[:-1] if text and rng.random() < 0.2 else text
 
 
-def _inject(rng, lines) -> bool:
+def _line_list(rng, text: str, join: bool) -> list:
+    """``text`` as a list of lines, as a caller may pass it: some lose
+    their "\n", and one holds a "\n" that stays inside its line, at its
+    start or, with ``join``, between two lines it joins."""
+    parts = text.split("\n")
+    lines = [p + "\n" for p in parts[:-1]] + [parts[-1]] * bool(parts[-1])
+    lines = [line[:-1] if line.endswith("\n") and rng.random() < 0.3 else line for line in lines]
+    if not lines:
+        return lines
+    k = int(rng.integers(len(lines)))
+    if join and k + 1 < len(lines):
+        lines[k:k + 2] = [lines[k].rstrip("\n") + "\n" + lines[k + 1]]
+    else:
+        lines[k] = "\n" + lines[k]
+    return lines
+
+
+def _inject(rng, lines, plain: bool) -> bool:
     """Put one fault into a random record, if there is one. Returns True
     when the fault is to declare too few features, which the caller does."""
     records = [line for line in lines if isinstance(line, list)]
@@ -138,10 +182,10 @@ def _inject(rng, lines) -> bool:
     tokens = record[1]
     kind = rng.integers(6)
     if kind == 0:
-        record[0] = FAULTY_LABELS[rng.integers(len(FAULTY_LABELS))]
+        record[0] = _pick(rng, PLAIN_FAULTY_LABELS if plain else FAULTY_LABELS)
     elif kind == 1 or not tokens:
         tokens.insert(int(rng.integers(len(tokens) + 1)),
-                      FAULTY_TOKENS[rng.integers(len(FAULTY_TOKENS))])
+                      _pick(rng, PLAIN_FAULTY_TOKENS if plain else FAULTY_TOKENS))
     elif kind == 2:  # a repeated index
         k = int(rng.integers(len(tokens)))
         tokens.insert(k, tokens[k])
@@ -164,9 +208,9 @@ def _outcome(parse, text, n_features):
     return ds
 
 
-def _assert_same(text, n_features, chunk_tokens):
+def _assert_same(text, n_features, chunk_chars):
     expected = _outcome(reference_parse_libsvm, text, n_features)
-    with mock.patch.object(data_io, "_CHUNK_TOKENS", chunk_tokens):
+    with mock.patch.object(data_io, "_CHUNK_CHARS", chunk_chars):
         got = _outcome(parse_libsvm, text, n_features)
     if isinstance(expected, tuple):
         assert got == expected
@@ -181,23 +225,30 @@ def _assert_same(text, n_features, chunk_tokens):
 
 
 @property_test
-@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.booleans())
-def test_valid_files_parse_as_the_reference(seed, chunk_tokens, declare):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 160), st.booleans())
+def test_valid_files_parse_as_the_reference(seed, chunk_chars, declare):
     rng = np.random.default_rng(seed)
-    text = _render(rng, _records(rng))
+    plain = rng.random() < 0.5
+    text = _render(rng, _records(rng, plain), plain)
+    if rng.random() < 0.3:
+        text = _line_list(rng, text, join=False)
     n_features = 40 + int(rng.integers(3)) if declare else None
-    _assert_same(text, n_features, chunk_tokens)
+    _assert_same(text, n_features, chunk_chars)
     assert not isinstance(_outcome(reference_parse_libsvm, text, n_features), tuple)
 
 
 @property_test
-@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 3))
-def test_faulty_files_fail_as_the_reference(seed, chunk_tokens, faults):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 160), st.integers(1, 3))
+def test_faulty_files_fail_as_the_reference(seed, chunk_chars, faults):
     rng = np.random.default_rng(seed)
-    lines = _records(rng)
-    too_few = any([_inject(rng, lines) for _ in range(faults)])
+    plain = rng.random() < 0.5
+    lines = _records(rng, plain)
+    too_few = any([_inject(rng, lines, plain) for _ in range(faults)])
     n_features = int(rng.integers(0, 40)) if too_few else None
-    _assert_same(_render(rng, lines), n_features, chunk_tokens)
+    text = _render(rng, lines, plain)
+    if rng.random() < 0.3:
+        text = _line_list(rng, text, join=True)
+    _assert_same(text, n_features, chunk_chars)
 
 
 def test_chunks_of_the_default_size_parse_as_the_reference():
@@ -207,23 +258,23 @@ def test_chunks_of_the_default_size_parse_as_the_reference():
                         for c in np.sort(rng.choice(300, size=rng.integers(0, 30), replace=False)))
              for _ in range(3000)]
     text = "\n".join(lines)
-    _assert_same(text, None, data_io._CHUNK_TOKENS)
+    _assert_same(text, None, data_io._CHUNK_CHARS)
     # errors in the last chunk, after earlier ones converted in bulk
-    _assert_same(text + "\n+1 5:1 5:2\n", None, data_io._CHUNK_TOKENS)
-    _assert_same(text + "\n+1 5:nan\n", None, data_io._CHUNK_TOKENS)
+    _assert_same(text + "\n+1 5:1 5:2\n", None, data_io._CHUNK_CHARS)
+    _assert_same(text + "\n+1 5:nan\n", None, data_io._CHUNK_CHARS)
     # an index too large for int64 is an error of its row, ahead of later ones
     huge = "-1 99999999999999999999:1\n"
-    _assert_same(huge + text, None, data_io._CHUNK_TOKENS)
-    _assert_same(huge + text + "\n+1 5:1:1\n", None, data_io._CHUNK_TOKENS)
-    _assert_same(huge + text, 300, data_io._CHUNK_TOKENS)
+    _assert_same(huge + text, None, data_io._CHUNK_CHARS)
+    _assert_same(huge + text + "\n+1 5:1:1\n", None, data_io._CHUNK_CHARS)
+    _assert_same(huge + text, 300, data_io._CHUNK_CHARS)
 
 
 def test_tokens_whose_colon_counts_offset_each_other_are_refused():
     # one ':' too many in a token and one too few in another leave a
     # chunk with as many ':' as tokens and two parts a token
     for text in ["+1 1:2:3 5", "+1 5 1:2:3", "-1 2:1\n+1 3:4:5\n-1 6", "-1 6\n+1 3:4:5\n"]:
-        for chunk_tokens in (1, 3, 64):
-            _assert_same(text, None, chunk_tokens)
+        for chunk_chars in (1, 8, 64):
+            _assert_same(text, None, chunk_chars)
 
 
 def test_the_fault_finder_never_returns():
@@ -232,3 +283,50 @@ def test_the_fault_finder_never_returns():
     for chunk in data_io._gather(io.StringIO("+1 1:1 3:2\n0 2:0.5\n-1\n")):
         with pytest.raises(AssertionError, match="failed a bulk check but holds no fault"):
             data_io._first_fault(*chunk, None)
+
+
+def test_plain_files_are_read_from_their_bytes(tmp_path):
+    # a file shaped like the benchmark's and one of short decimals parse
+    # with the string route refusing every chunk: a byte route that never
+    # ran would leave every differential test above green
+    rng = np.random.default_rng(11)
+
+    def row(value):
+        cols = np.sort(rng.choice(200, size=rng.integers(0, 12), replace=False)) + 1
+        return " ".join([rng.choice(["+1", "-1"])] + [f"{c}:{value()}" for c in cols])
+
+    binary = "\n".join(row(lambda: 1) for _ in range(3000)) + "\n"
+    decimal = "\n".join(row(lambda: f"{rng.normal():.{rng.integers(0, 7)}f}")
+                        for _ in range(3000)) + "\n"
+    refuse = mock.patch.object(data_io, "_from_strings",
+                               side_effect=AssertionError("a chunk took the string route"))
+    for text in (binary, decimal):
+        with refuse:
+            for chunk_chars in (40, data_io._CHUNK_CHARS):
+                _assert_same(text, None, chunk_chars)
+            path = tmp_path / "crlf.svm"
+            path.write_bytes(text.replace("\n", "\r\n").encode("ascii"))
+            got, expected = load_libsvm(path), parse_libsvm(text)
+        for a, b in ((got.X.indptr, expected.X.indptr), (got.X.indices, expected.X.indices),
+                     (got.X.data, expected.X.data), (got.labels, expected.labels)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("token", FAULTY_LABELS + FAULTY_TOKENS)
+def test_faults_in_plain_files_fail_as_the_reference(token):
+    # each meets the byte route as a label, among features, and last in
+    # its chunk
+    for text in [f"{token} 2:1\n-1 1:1\n", f"+1 1:1 {token} 50:2\n-1 2:1\n",
+                 f"-1 2:0.5\n+1 {token}\n", f"-1 2:0.5\n+1 {token}"]:
+        for chunk_chars in (1, 12, 64):
+            _assert_same(text, None, chunk_chars)
+
+
+def test_lines_given_as_a_list_keep_their_boundaries():
+    # a "\n" inside a list's line, or a line without one, must not make
+    # the byte route see other lines than the string route does
+    for lines in (["+1 1:1\n", "-1 2:1\n+1 3:1"], ["+1 1:1\n-1 2:1", "+1 3:1\n"],
+                  ["+1 1:1", "-1 2:1\n"], ["+1 1:1\n", "", "-1 2:1\n+1 3:1\n"],
+                  ["\n+1 1:1", "-1 2:1"], ["+1 1:1\n", "-1 2:1\n\n"]):
+        for chunk_chars in (1, 64):
+            _assert_same(lines, None, chunk_chars)
