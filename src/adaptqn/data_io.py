@@ -94,9 +94,13 @@ def _dataset(indptr, indices, values, labels, n: int) -> SparseDataset:
     return SparseDataset(X=X, labels=labels)
 
 
-# Lines are gathered until they hold this many characters, then converted
-# together; the bound keeps a chunk's transient arrays and strings small.
+# A file is read in blocks of about this many bytes, and a list source's
+# lines are gathered until they hold this many characters; each chunk is
+# converted whole. The bound keeps a chunk's transient arrays small.
 _CHUNK_CHARS = 1 << 16
+
+# The UTF-8 byte-order mark that a file may start with.
+_BOM = b"\xef\xbb\xbf"
 
 # A byte that is not UTF-8, as the "surrogateescape" decoder stores it.
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
@@ -104,17 +108,18 @@ _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 # The byte route's classes of ASCII bytes, as a bytes.translate table. A
-# byte of class _OTHER (a letter, '#', '_', ...) sends its chunk to the
-# string route. _SPACE is the ASCII whitespace that str.split() splits
-# at, except "\n"; fields are runs of digits, signs and dots.
+# byte of class _OTHER (a letter, '#', '_', a non-ASCII byte, ...) sends
+# its chunk to the string route. _SPACE is the ASCII whitespace that
+# str.split() splits at, except "\n"; fields are runs of digits, signs
+# and dots.
 _OTHER, _SPACE, _NEWLINE, _COLON, _FIELD = range(5)
 _CLASS = bytes({**dict.fromkeys(b"\t\x0b\x0c\r\x1c\x1d\x1e\x1f ", _SPACE),
                 ord("\n"): _NEWLINE, ord(":"): _COLON,
                 **dict.fromkeys(b"0123456789+-.", _FIELD)}.get(i, _OTHER) for i in range(256))
 # The byte route reads the k-th byte before the end of every field at
-# once, for k up to 18; this many spaces before a chunk keep those reads
-# inside it.
-_PAD = " " * 18
+# once, for k up to 19 (a sign and 18 digits); this many spaces before a
+# chunk keep those reads inside it.
+_PAD = b" " * 18
 _TEN = np.array([float(10 ** k) for k in range(17)])
 
 
@@ -139,8 +144,24 @@ def parse_libsvm(source: Iterable[str] | str, n_features: int | None = None) -> 
                          f"got {n_features!r}")
     if isinstance(source, str):
         source = io.StringIO(source)
-    labels, counts, indices, values, max_index = zip(
-        *(_convert(lines, first, n_features) for first, lines in _chunks(source)))
+    return _assemble((_convert(_joined(lines), first, n_features, lines)
+                      for first, lines in _chunks(source)), n_features)
+
+
+def load_libsvm(path) -> SparseDataset:
+    """Parse the LIBSVM file at path, which must be UTF-8 text, as
+    ``parse_libsvm`` parses its lines. A leading byte-order mark is
+    skipped, and "\r\n" and "\r" end lines as "\n" does, as in text
+    mode. The file is read once, as bytes, a block of whole lines at a
+    time: a byte that is not UTF-8 raises ParseError naming its line,
+    unless an earlier line holds an error."""
+    with open(path, "rb") as fh:
+        return _assemble((_convert(block, first, None) for first, block in _blocks(fh)), None)
+
+
+def _assemble(chunks, n_features) -> SparseDataset:
+    """The dataset of the converted chunks, in file order."""
+    labels, counts, indices, values, max_index = zip(*chunks)
     n = max(max_index) if n_features is None else n_features
     idx = _index_dtype(sum(v.size for v in values), n)
     counts = np.concatenate(counts)
@@ -167,15 +188,65 @@ def _chunks(lines: Iterable[str]):
         yield first, chunk
 
 
-def _convert(lines: list, first: int, n_features) -> tuple:
-    """One chunk of lines as +-1 labels, feature counts, 0-based int64
-    indices, values and the largest index. The chunk is read from its
-    bytes (``_from_bytes``) when it can be, else from its tokens as
-    ``int`` and ``float`` read them (``_from_strings``); both give the
-    same arrays. A chunk that fails a check after the byte route is
-    read again by the string route, which raises its first error."""
-    arrays = _from_bytes(lines)
+def _joined(lines: list) -> bytes | None:
+    """A list source's chunk as one block of bytes for the byte route, or
+    None when it is not ASCII or the byte route, which splits a block at
+    "\n", would see other lines: each line but the last must end with
+    its one "\n"."""
+    text = "".join(lines)
+    if (not text.isascii() or text.count("\n") - text.endswith("\n") != len(lines) - 1
+            or not all(line.endswith("\n") for line in lines[:-1])):
+        return None
+    return text.encode("ascii")
+
+
+def _blocks(fh):
+    """Yield a binary file's lines a block at a time, as ``(number of its
+    first line, its bytes)``: about ``_CHUNK_CHARS`` bytes, cut after the
+    last line end. A leading byte-order mark is skipped, and "\r\n" and
+    then a lone "\r" become "\n", as text mode reads them. Always
+    yields at least one block; only a file without lines yields an empty
+    one."""
+    head = fh.read(len(_BOM))
+    pieces, first = [b"" if head == _BOM else head], 1
+    while data := fh.read(_CHUNK_CHARS):
+        # a "\r" last may begin a "\r\n", so it waits for the next read
+        end = len(data) - data.endswith(b"\r")
+        cut = max(data.rfind(b"\n", 0, end), data.rfind(b"\r", 0, end)) + 1
+        if cut:
+            pieces.append(data[:cut])
+            block = _universal_newlines(b"".join(pieces))
+            yield first, block
+            # numpy counts a block's bytes faster than bytes.count
+            first += int(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n")))
+            pieces = [data[cut:]]
+        else:
+            pieces.append(data)
+    block = _universal_newlines(b"".join(pieces))
+    if block or first == 1:
+        yield first, block
+
+
+def _universal_newlines(block: bytes) -> bytes:
+    """``block`` with "\r\n" and then a lone "\r" turned into "\n"."""
+    if b"\r" in block:
+        block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return block
+
+
+def _convert(block: bytes | None, first: int, n_features, lines: list | None = None) -> tuple:
+    """One chunk of whole lines, numbered from ``first``, as +-1 labels,
+    feature counts, 0-based int64 indices, values and the largest index.
+    The chunk is read from its bytes ``block`` (``_from_bytes``) when it
+    can be, else from its lines as ``int`` and ``float`` read them
+    (``_from_strings``); both give the same arrays. A chunk that fails a
+    check after the byte route is read again by the string route, which
+    raises its first error. Without ``lines``, the string route reads the
+    block decoded as UTF-8, with "surrogateescape", and split at "\n"."""
+    arrays = None if block is None else _from_bytes(block)
     if arrays is None or not _valid(*arrays, n_features):
+        if lines is None:
+            lines = block.decode("utf-8", "surrogateescape").split("\n")
         arrays = _from_strings(lines, first, n_features)
     label, counts, idx, values = arrays
     return (np.where(label <= 0.0, -1.0, 1.0), counts, idx - 1, values,
@@ -196,42 +267,43 @@ def _valid(label, counts, idx, values, n_features) -> bool:
                 and np.isfinite(values).all())
 
 
-def _from_bytes(lines: list) -> tuple | None:
+def _from_bytes(block: bytes) -> tuple | None:
     """The byte route: labels, feature counts, 1-based indices and values
-    of a chunk of ASCII lines, tokenized by numpy passes over its bytes.
-    Labels are ``[+-]?digits`` and indices 1-18 digits. Values are
-    ``-?digits``, ``-?digits.digits`` or ``-?.digits``, at most 17 bytes
-    after the sign, with at most 15 significant digits; each is read as
-    M / 10**F: M < 2**53 and 10**F (F <= 16) are exact, so the one
-    division rounds as ``float`` does (Clinger, PLDI 1990). None for a
-    chunk with a token outside this grammar, a '#' or a non-ASCII
-    character, or a "\n" other than at the end of one of its lines."""
-    text = "".join(lines)
-    if not text.isascii():
-        return None
-    raw = f"{_PAD}{text}\n".encode("ascii")
+    of a block of whole ASCII lines, each ended by "\n" but perhaps the
+    last, tokenized by numpy passes over its bytes. Labels are ``[+-]?``
+    and 1-18 digits, indices 1-18 digits. Values are ``-?digits``,
+    ``-?digits.digits`` or ``-?.digits``, at most 17 bytes after the
+    sign, with at most 15 significant digits; each is read as M / 10**F:
+    M < 2**53 and 10**F (F <= 16) are exact, so the one division rounds
+    as ``float`` does (Clinger, PLDI 1990). None for a block with a token
+    outside this grammar, a '#' or a non-ASCII byte."""
+    raw = _PAD + block + b"\n"
     classes = raw.translate(_CLASS)
     if bytes([_OTHER]) in classes:
         return None
     a, c = np.frombuffer(raw, dtype=np.uint8), np.frombuffer(classes, dtype=np.uint8)
-    newlines = np.flatnonzero(c == _NEWLINE)
-    # every line but the last ends at its one "\n"; "\n" is appended
-    line_ends = np.cumsum(np.fromiter(map(len, lines), np.intp, len(lines))) + (len(_PAD) - 1)
-    if (newlines.size != len(lines) + text.endswith("\n")
-            or (newlines[:len(lines) - 1] != line_ends[:-1]).any()):
-        return None
     in_field = c == _FIELD
     edges = np.flatnonzero(in_field[1:] != in_field[:-1]) + 1
     starts, ends = edges[0::2], edges[1::2]
+    # each field that ends at a ':' is an index, and the one right after
+    # it a value. A value holds at most 17 bytes after its sign and any
+    # other field 18; this is checked before any other pass, so that a
+    # chunk of long values costs little before the string route
+    colon = c[ends] == _COLON
+    value = np.zeros_like(colon)
+    value[1:] = colon[:-1]
+    n = ends - starts
+    if n.max(initial=0) > 17:
+        head = a[starts]
+        if (n - ((head == ord("+")) | (head == ord("-"))) > 18 - value).any():
+            return None
+    newlines = np.flatnonzero(c == _NEWLINE)
     # the first field of each line is its label; each other field ends at
     # a ':' (an index) or starts right after one (a value)
     label = np.zeros(starts.size + 1, dtype=bool)
     label[np.searchsorted(starts, newlines)] = True
     label[0] = True
     label = label[:-1]
-    colon = c[ends] == _COLON
-    value = np.zeros_like(colon)
-    value[1:] = colon[:-1]
     index = np.flatnonzero(colon)
     if (colon[-1:].any() or np.count_nonzero(a == ord(":")) != index.size
             or ((label.view(np.int8) + colon.view(np.int8) + value.view(np.int8)) != 1).any()
@@ -242,9 +314,9 @@ def _from_bytes(lines: list) -> tuple | None:
     signed = (first == ord("+")) | (first == ord("-"))
     negative = a[starts[index + 1]] == ord("-")
     # values first: long ones are the likeliest to send a chunk away
-    read = (_digits(a, starts[index + 1] + negative, ends[index + 1], 17, float, dots=True),
-            _digits(a, starts[rows] + signed, ends[rows], 18, float),
-            _digits(a, starts[index], ends[index], 18, np.int64))
+    read = (_digits(a, starts[index + 1] + negative, ends[index + 1], float, dots=True),
+            _digits(a, starts[rows] + signed, ends[rows], float),
+            _digits(a, starts[index], ends[index], np.int64))
     # a sign only starts a label or a value, and each '.' is one of a value's
     if (any(r is None for r in read)
             or np.count_nonzero(signed) + np.count_nonzero(negative)
@@ -260,16 +332,15 @@ def _from_bytes(lines: list) -> tuple | None:
     return labels, np.diff(rows, append=starts.size) // 2, idx, values
 
 
-def _digits(a, starts, ends, longest: int, dtype, dots: bool = False) -> tuple | None:
+def _digits(a, starts, ends, dtype, dots: bool = False) -> tuple | None:
     """Read the fields ``a[starts:ends]`` as decimal digits, with a '.'
     where ``dots`` allows one. Returns the integers M of their digits, as
     ``dtype``, and the counts F of digits after the last '.' (0 with
-    none, or with it last), or None when a field is empty or longer than
-    ``longest`` bytes. The k-th byte before the end of every field is
-    read at once, k from the longest field's length down to 1, so M
-    accumulates from the left."""
+    none, or with it last), or None when a field is empty. The k-th byte
+    before the end of every field is read at once, k from the longest
+    field's length down to 1, so M accumulates from the left."""
     n = ends - starts
-    if not (0 < n.min(initial=1) and n.max(initial=0) <= longest):
+    if not 0 < n.min(initial=1):
         return None
     M = np.zeros(n.size, dtype)
     F = np.zeros(n.size, np.intp)
@@ -369,15 +440,6 @@ def _first_fault(labels, linenos, counts, feats, n_features) -> NoReturn:
     raise AssertionError("a chunk failed a bulk check but holds no fault")
 
 
-def load_libsvm(path) -> SparseDataset:
-    """Parse the LIBSVM file at path, which must be UTF-8 text; a
-    leading byte-order mark is skipped. The file is read once: a byte
-    that is not UTF-8 raises ParseError naming its line, unless an
-    earlier line holds an error."""
-    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-        return parse_libsvm(fh)
-
-
 def serialize_libsvm(ds: SparseDataset) -> str:
     """Emit the dataset in the same text format (round-trip precision)."""
     X = ds.X
@@ -392,11 +454,17 @@ def serialize_libsvm(ds: SparseDataset) -> str:
 
 def max_row_norm(ds: SparseDataset) -> float:
     """Largest Euclidean row norm, B = max_i ||x_i||; inf when a squared
-    norm overflows."""
+    norm overflows. The squared norms of the non-empty rows are one
+    ``np.add.reduceat`` of the squared stored values at the rows' starts,
+    the reduction that scipy's ``X.power(2).sum(axis=1)`` makes, without
+    its copy of X."""
     if ds.N < 1:
         raise ValueError("empty dataset")
+    X = ds.X
+    rows = np.flatnonzero(np.diff(X.indptr))
     with np.errstate(over="ignore"):
-        return float(np.sqrt(ds.X.power(2).sum(axis=1).max()))
+        squares = np.add.reduceat(np.square(X.data), X.indptr[rows])
+        return float(np.sqrt(squares.max(initial=0.0)))
 
 
 def synth_logistic(N: int, n: int, seed: int, separation: float = 1.5,

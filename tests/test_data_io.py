@@ -122,6 +122,26 @@ def test_max_row_norm_matches_dense():
     assert max_row_norm(ds) == pytest.approx(np.max(np.linalg.norm(X, axis=1)), rel=1e-12)
 
 
+def test_max_row_norm_is_bitwise_scipys_row_sum_of_squares():
+    # the formula it replaced, kept as the reference: scipy's
+    # X.power(2).sum(axis=1) reduces each non-empty row with np.add.reduceat
+    from scipy.sparse import csr_matrix
+
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        N, n = rng.integers(1, 25, size=2)
+        # magnitudes up to 1e160, so that some squared norms overflow
+        scale = rng.integers(-160, 161) + rng.integers(-3, 4, size=(N, n))
+        dense = rng.normal(size=(N, n)) * 10.0 ** scale
+        dense[rng.random((N, n)) < rng.random()] = 0.0
+        dense[rng.random(N) < 0.3] = 0.0
+        X = csr_matrix(dense)
+        with np.errstate(over="ignore"):
+            expected = float(np.sqrt(X.power(2).sum(axis=1).max()))
+        got = max_row_norm(SparseDataset(X=X, labels=np.ones(N)))
+        assert got.hex() == expected.hex()
+
+
 def test_synth_logistic_determinism():
     a = synth_logistic(100, 10, seed=9)
     b = synth_logistic(100, 10, seed=9)

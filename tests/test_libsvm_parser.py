@@ -5,10 +5,15 @@ arrays, dtypes and feature counts, or raise the same exception with the
 same message. The chunk size is drawn small, so rows and errors fall on
 both sides of chunk boundaries, and the tokens are drawn on both sides
 of the limits of the byte route, which reads plain chunks from their
-bytes; anything else goes through the string route."""
+bytes; anything else goes through the string route. Each text is also
+written to a file, with "\n", "\r\n" or "\r" line ends and sometimes
+behind a byte-order mark, which ``load_libsvm`` must read as the
+reference reads the text."""
 
 import io
 import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -83,13 +88,19 @@ SPACES = PLAIN_SPACES + ["\x85", "\u3000"]
 ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 # Faults and near-faults. The plain ones hold only digits, signs, dots,
 # colons and spaces, so that the byte route meets them.
-PLAIN_FAULTY_LABELS = ["2", "-2", "+", "-", "1:1", "+-1", "1-", "1.", ".1", "01"]
+PLAIN_FAULTY_LABELS = ["2", "-2", "+", "-", "1:1", "+-1", "1-", "1.", ".1", "01",
+                       # one byte either side of the byte route's longest label
+                       "+000000000000000001", "-0000000000000000001", "0000000000000000001"]
 FAULTY_LABELS = PLAIN_FAULTY_LABELS + ["cat", "nan", "0.5", "1e999"]
 PLAIN_FAULTY_TOKENS = ["7", "3::1", "3:1:2", ":1", "3:", ":", "3: 7", "0:1", "-2:1", "+2:1",
                        "1.5:1", "3:+1", "3:1-", "3:--1", "3:-", "3:5.", "3:.", "3:1.2.3", "3:-.5",
                        "-99999999999999999999:1", "99999999999999999999:1",
                        # 18 digits, the byte route's longest index, then the int64 range's ends
-                       "999999999999999999:1", "9223372036854775807:1", "9223372036854775808:1"]
+                       "999999999999999999:1", "9223372036854775807:1", "9223372036854775808:1",
+                       # signs and dots at the byte route's longest fields
+                       "+000000000000000001:1", "1:+1234567890123456", "1:+12345678901234567",
+                       "1:+.1234567890123456", "1:-.1234567890123456", "1:.12345678901234567",
+                       "1:-.12345678901234567"]
 FAULTY_TOKENS = PLAIN_FAULTY_TOKENS + ["1e1:1", "3:abc", "3:0x1", "x"]
 NON_FINITE = ["nan", "inf", "-inf", "NaN", "+Infinity"]
 
@@ -212,6 +223,34 @@ def _assert_same(text, n_features, chunk_chars):
     expected = _outcome(reference_parse_libsvm, text, n_features)
     with mock.patch.object(data_io, "_CHUNK_CHARS", chunk_chars):
         got = _outcome(parse_libsvm, text, n_features)
+    _assert_equal_outcomes(got, expected)
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def _assert_file_same(data: bytes, text, chunk_chars):
+    """The file of ``data``, read in blocks of ``chunk_chars`` bytes,
+    loads as the reference parses ``text``."""
+    expected = _outcome(reference_parse_libsvm, text, None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.svm"
+        path.write_bytes(data)
+        with mock.patch.object(data_io, "_CHUNK_CHARS", chunk_chars):
+            got = _outcome(lambda p, _: load_libsvm(p), path, None)
+    _assert_equal_outcomes(got, expected)
+
+
+def _file_bytes(rng, text: str) -> bytes:
+    """``text`` as a file's bytes: its line ends as drawn, or all "\n",
+    "\r\n" or "\r", and a byte-order mark before a third of them."""
+    ending = _pick(rng, [None, "\n", "\r\n", "\r"])
+    if ending is not None:
+        text = text.replace("\r\n", "\n").replace("\n", ending)
+    return BOM * (rng.random() < 0.3) + text.encode("utf-8")
+
+
+def _assert_equal_outcomes(got, expected):
     if isinstance(expected, tuple):
         assert got == expected
         return
@@ -229,12 +268,13 @@ def _assert_same(text, n_features, chunk_chars):
 def test_valid_files_parse_as_the_reference(seed, chunk_chars, declare):
     rng = np.random.default_rng(seed)
     plain = rng.random() < 0.5
-    text = _render(rng, _records(rng, plain), plain)
+    text = rendered = _render(rng, _records(rng, plain), plain)
     if rng.random() < 0.3:
         text = _line_list(rng, text, join=False)
     n_features = 40 + int(rng.integers(3)) if declare else None
     _assert_same(text, n_features, chunk_chars)
     assert not isinstance(_outcome(reference_parse_libsvm, text, n_features), tuple)
+    _assert_file_same(_file_bytes(rng, rendered), rendered, chunk_chars)
 
 
 @property_test
@@ -245,10 +285,11 @@ def test_faulty_files_fail_as_the_reference(seed, chunk_chars, faults):
     lines = _records(rng, plain)
     too_few = any([_inject(rng, lines, plain) for _ in range(faults)])
     n_features = int(rng.integers(0, 40)) if too_few else None
-    text = _render(rng, lines, plain)
+    text = rendered = _render(rng, lines, plain)
     if rng.random() < 0.3:
         text = _line_list(rng, text, join=True)
     _assert_same(text, n_features, chunk_chars)
+    _assert_file_same(_file_bytes(rng, rendered), rendered, chunk_chars)
 
 
 def test_chunks_of_the_default_size_parse_as_the_reference():
@@ -298,18 +339,87 @@ def test_plain_files_are_read_from_their_bytes(tmp_path):
     binary = "\n".join(row(lambda: 1) for _ in range(3000)) + "\n"
     decimal = "\n".join(row(lambda: f"{rng.normal():.{rng.integers(0, 7)}f}")
                         for _ in range(3000)) + "\n"
+    # at their longest: a signed 18-digit label, an 18-digit index, and a
+    # value of 17 bytes after its sign
+    longest = ("+000000000000000001 000000000000000002:-0.000000000000001\n"
+               "-1 3:0.00000000000001\n")
     refuse = mock.patch.object(data_io, "_from_strings",
                                side_effect=AssertionError("a chunk took the string route"))
-    for text in (binary, decimal):
+    for text in (binary, decimal, longest):
+        expected = parse_libsvm(text)
         with refuse:
             for chunk_chars in (40, data_io._CHUNK_CHARS):
                 _assert_same(text, None, chunk_chars)
-            path = tmp_path / "crlf.svm"
-            path.write_bytes(text.replace("\n", "\r\n").encode("ascii"))
-            got, expected = load_libsvm(path), parse_libsvm(text)
-        for a, b in ((got.X.indptr, expected.X.indptr), (got.X.indices, expected.X.indices),
-                     (got.X.data, expected.X.data), (got.labels, expected.labels)):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            for bom, ending in ((b"", "\r\n"), (BOM, "\r"), (BOM, "\n")):
+                path = tmp_path / "plain.svm"
+                path.write_bytes(bom + text.replace("\n", ending).encode("ascii"))
+                for chunk_chars in (40, data_io._CHUNK_CHARS):
+                    with mock.patch.object(data_io, "_CHUNK_CHARS", chunk_chars):
+                        got = load_libsvm(path)
+                    for a, b in ((got.X.indptr, expected.X.indptr),
+                                 (got.X.indices, expected.X.indices),
+                                 (got.X.data, expected.X.data), (got.labels, expected.labels)):
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_long_values_take_the_string_route_before_their_digits_are_read():
+    # %.17f values are 19 bytes or more, beyond the byte route's 17 after
+    # a sign: their length refuses each chunk before any digit is read
+    rng = np.random.default_rng(12)
+    text = "".join(
+        " ".join([rng.choice(["+1", "-1"])]
+                 + [f"{c}:{rng.normal():.17f}"
+                    for c in np.sort(rng.choice(50, size=rng.integers(1, 8), replace=False)) + 1])
+        + "\n" for _ in range(500))
+    with mock.patch.object(data_io, "_digits",
+                           side_effect=AssertionError("a long value's digits were read")):
+        for chunk_chars in (1, 40, data_io._CHUNK_CHARS):
+            _assert_same(text, None, chunk_chars)
+            _assert_file_same(text.encode("ascii"), text, chunk_chars)
+
+
+def test_a_crlf_split_between_reads_ends_one_line():
+    # every read size puts a "\r\n" across two reads somewhere; a line
+    # counted twice would misnumber the error on line 3
+    text = "+1 1:1\r\n-1 2:1\r\n+1 3:1 3:2\r\n"
+    data = text.encode("ascii")
+    for chunk_chars in range(1, len(data) + 1):
+        _assert_file_same(data, text, chunk_chars)
+        _assert_file_same(data[:data.index(b"+1 3")], text[:text.index("+1 3")], chunk_chars)
+
+
+def test_a_lone_cr_at_the_end_of_the_file_ends_its_line():
+    for text in ("+1 1:1\r-1 2:1\r", "+1 1:1\r-1 2:1 2:3\r", "\r", "+1 1:1\r\r"):
+        for chunk_chars in (1, 2, 3, 7, 64):
+            _assert_file_same(text.encode("ascii"), text.replace("\r", "\n"), chunk_chars)
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_byte_that_is_not_utf8_in_a_later_block_names_its_line(tmp_path, ending):
+    # the reference reads text; a file's undecodable byte is an error of
+    # its line, and the rows before it parse first
+    path = tmp_path / "bad.svm"
+    lines = ["+1 1:1 2:0.5", "-1 2:1", "", "+1 1:1 4:\xff", "-1 2:1 2:3"]
+    data = ending.join(lines).encode("latin-1")
+    path.write_bytes(data)
+    message = r"^line 4: not UTF-8 text: cannot decode byte 0xff$"
+    for chunk_chars in (1, 8, 16, 24):
+        assert data.index(b"\xff") >= len(BOM) + chunk_chars  # past the first block
+        with mock.patch.object(data_io, "_CHUNK_CHARS", chunk_chars), \
+                pytest.raises(ParseError, match=message) as raised:
+            load_libsvm(path)
+        assert type(raised.value.line_number) is int
+
+
+def test_a_byte_order_mark_is_skipped_before_an_error_on_line_1(tmp_path):
+    for text in ("2 1:1\n-1 2:1\n", "+1 3:1 2:1\n", "+1 1:1:1\n"):
+        for chunk_chars in (1, 2, 5, 64):
+            _assert_file_same(BOM + text.encode("ascii"), text, chunk_chars)
+    # the mark is not part of the label that the message names
+    path = tmp_path / "bom.svm"
+    path.write_bytes(BOM + b"2 1:1\n")
+    with pytest.raises(ParseError, match=r"^line 1: label must be -1, 0 or \+1, got '2'$"):
+        load_libsvm(path)
 
 
 @pytest.mark.parametrize("token", FAULTY_LABELS + FAULTY_TOKENS)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from adaptqn import (Adaptive, BfgsDense, LBfgs, LogisticObjective, Newton,
-                     ObjectiveOracle, OnlineLsExpectedObjective, QuadraticObjective, RunConfig,
-                     SampledBatchOracle, SparseDataset,
+                     NumericalError, ObjectiveOracle, OnlineLsExpectedObjective,
+                     QuadraticObjective, RunConfig, SampledBatchOracle, SparseDataset,
                      logistic_sc_scale,
                      parse_libsvm, run, sc_lower_f, sc_lower_gd, sc_upper_f,
                      sc_upper_gd, synth_logistic)
+from adaptqn import oracles
 from adaptqn.cli import run_config
 from adaptqn.oracles import (_LogisticPoint, _LogisticRay, _sigmoid, _softplus,
                              _weighted_gram, spd_solve)
@@ -223,6 +224,16 @@ def test_solve_is_bitwise_spd_solve_of_the_formula(desk_logistic):
         G += np.eye(ds.n) / ds.N
         np.testing.assert_array_equal(desk_logistic.at(w).solve(b),
                                       spd_solve(desk_logistic.sc_scale * G, b))
+
+
+def test_spd_solve_names_a_failed_factorization(monkeypatch):
+    with pytest.raises(NumericalError, match="leading minor of order 2 is not positive definite"):
+        spd_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+    # LAPACK's code for an invalid argument, which no valid call returns
+    monkeypatch.setattr(oracles, "_POTRF", lambda G, lower, clean: (G, -1))
+    with pytest.raises(NumericalError, match="^Hessian factorization failed: "
+                                             "LAPACK argument 1 is invalid$"):
+        spd_solve(np.eye(2), np.ones(2))
 
 
 def test_logistic_point_shares_exp_bitwise(desk_logistic):
