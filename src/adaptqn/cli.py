@@ -92,13 +92,16 @@ def _write_file(path, text: str) -> None:
 
 
 def _parse_kv(spec: str, keys: tuple) -> dict:
-    """The key=value pairs of spec as numbers, each key one of keys."""
+    """The key=value pairs of spec as numbers, each key one of keys and
+    none given twice."""
     out = {}
     for item in filter(None, map(str.strip, spec.split(","))):
         key, _, val = item.partition("=")
         key = key.strip()
         if key not in keys:
             raise ValueError(f"unknown key {key!r} in {spec!r}; choose from {', '.join(keys)}")
+        if key in out:
+            raise ValueError(f"key {key!r} is given twice in {spec!r}")
         try:
             out[key] = float(val)
         except ValueError:

@@ -8,7 +8,7 @@ import math
 import re
 from dataclasses import dataclass
 from numbers import Integral
-from typing import TYPE_CHECKING, Iterable, NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
@@ -94,9 +94,8 @@ def _dataset(indptr, indices, values, labels, n: int) -> SparseDataset:
     return SparseDataset(X=X, labels=labels)
 
 
-# A file is read in blocks of about this many bytes, and a list source's
-# lines are gathered until they hold this many characters; each chunk is
-# converted whole. The bound keeps a chunk's transient arrays small.
+# Text is read in blocks of about this many bytes, each converted whole.
+# The bound keeps a block's transient arrays small.
 _CHUNK_CHARS = 1 << 16
 
 # The UTF-8 byte-order mark that a file may start with.
@@ -123,7 +122,7 @@ _PAD = b" " * 18
 _TEN = np.array([float(10 ** k) for k in range(17)])
 
 
-def parse_libsvm(source: Iterable[str] | str, n_features: int | None = None) -> SparseDataset:
+def parse_libsvm(text: str, n_features: int | None = None) -> SparseDataset:
     """Parse LIBSVM text: one ``<label> <idx>:<val> ...`` record per line.
 
     Indices are 1-based and must be strictly increasing within a row;
@@ -133,35 +132,41 @@ def parse_libsvm(source: Iterable[str] | str, n_features: int | None = None) -> 
     are mapped 0 -> -1, 1 -> +1; anything else is a parse error. The
     feature count is the largest index seen unless ``n_features``
     overrides it; an index above it, or above the int64 range, is an
-    error. A line holding a byte that the "surrogateescape" decoder
-    kept (U+DC80-U+DCFF) is not UTF-8 text. The first error in file
-    order is raised, naming its line. Raises ValueError unless
+    error. The first error in file order is raised, naming its line.
+
+    ``text`` is read as ``load_libsvm`` reads a file that holds it,
+    encoded as UTF-8 with "surrogateescape": "\r\n" and "\r" end lines
+    as "\n" does, a leading U+FEFF is skipped, U+DC80-U+DCFF stand for
+    the bytes 0x80-0xff, and a line whose bytes are not UTF-8 raises
+    ParseError. Any other lone surrogate raises
+    UnicodeEncodeError, a ValueError, before any line is read. Raises
+    TypeError unless ``text`` is a str, and ValueError unless
     ``n_features`` is None or a whole number in [0, 2**63 - 1].
     """
+    if not isinstance(text, str):
+        raise TypeError(f"parse_libsvm reads a str, got {type(text).__name__}")
     if n_features is not None and not (isinstance(n_features, Integral)
                                        and 0 <= n_features <= _INT64_MAX):
         raise ValueError(f"n_features must be a whole number in [0, {_INT64_MAX}], "
                          f"got {n_features!r}")
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    return _assemble((_convert(_joined(lines), first, n_features, lines)
-                      for first, lines in _chunks(source)), n_features)
+    return _read(io.BytesIO(text.encode("utf-8", "surrogateescape")), n_features)
 
 
 def load_libsvm(path) -> SparseDataset:
     """Parse the LIBSVM file at path, which must be UTF-8 text, as
-    ``parse_libsvm`` parses its lines. A leading byte-order mark is
-    skipped, and "\r\n" and "\r" end lines as "\n" does, as in text
+    ``parse_libsvm`` parses the text it holds. A leading byte-order mark
+    is skipped, and "\r\n" and "\r" end lines as "\n" does, as in text
     mode. The file is read once, as bytes, a block of whole lines at a
     time: a byte that is not UTF-8 raises ParseError naming its line,
     unless an earlier line holds an error."""
     with open(path, "rb") as fh:
-        return _assemble((_convert(block, first, None) for first, block in _blocks(fh)), None)
+        return _read(fh, None)
 
 
-def _assemble(chunks, n_features) -> SparseDataset:
-    """The dataset of the converted chunks, in file order."""
-    labels, counts, indices, values, max_index = zip(*chunks)
+def _read(fh, n_features) -> SparseDataset:
+    """The dataset of a binary file's blocks, converted in file order."""
+    labels, counts, indices, values, max_index = zip(
+        *(_convert(block, first, n_features) for first, block in _blocks(fh)))
     n = max(max_index) if n_features is None else n_features
     idx = _index_dtype(sum(v.size for v in values), n)
     counts = np.concatenate(counts)
@@ -169,35 +174,6 @@ def _assemble(chunks, n_features) -> SparseDataset:
     np.cumsum(counts, out=indptr[1:])
     return _dataset(indptr, np.concatenate(indices, dtype=idx), np.concatenate(values),
                     np.concatenate(labels), n)
-
-
-def _chunks(lines: Iterable[str]):
-    """Yield the lines a chunk at a time, as ``(number of its first line,
-    its lines)``: whole lines until they hold ``_CHUNK_CHARS``
-    characters. Always yields at least one chunk; only a source without
-    lines yields an empty one."""
-    chunk, size, first = [], 0, 1
-    for line in lines:
-        chunk.append(line)
-        size += len(line)
-        if size >= _CHUNK_CHARS:
-            yield first, chunk
-            first += len(chunk)
-            chunk, size = [], 0
-    if chunk or first == 1:
-        yield first, chunk
-
-
-def _joined(lines: list) -> bytes | None:
-    """A list source's chunk as one block of bytes for the byte route, or
-    None when it is not ASCII or the byte route, which splits a block at
-    "\n", would see other lines: each line but the last must end with
-    its one "\n"."""
-    text = "".join(lines)
-    if (not text.isascii() or text.count("\n") - text.endswith("\n") != len(lines) - 1
-            or not all(line.endswith("\n") for line in lines[:-1])):
-        return None
-    return text.encode("ascii")
 
 
 def _blocks(fh):
@@ -234,20 +210,17 @@ def _universal_newlines(block: bytes) -> bytes:
     return block
 
 
-def _convert(block: bytes | None, first: int, n_features, lines: list | None = None) -> tuple:
-    """One chunk of whole lines, numbered from ``first``, as +-1 labels,
+def _convert(block: bytes, first: int, n_features) -> tuple:
+    """One block of whole lines, numbered from ``first``, as +-1 labels,
     feature counts, 0-based int64 indices, values and the largest index.
-    The chunk is read from its bytes ``block`` (``_from_bytes``) when it
-    can be, else from its lines as ``int`` and ``float`` read them
-    (``_from_strings``); both give the same arrays. A chunk that fails a
-    check after the byte route is read again by the string route, which
-    raises its first error. Without ``lines``, the string route reads the
-    block decoded as UTF-8, with "surrogateescape", and split at "\n"."""
-    arrays = None if block is None else _from_bytes(block)
+    The block is read from its bytes (``_from_bytes``) when it can be,
+    else decoded as UTF-8, with "surrogateescape", and read as ``int``
+    and ``float`` read its tokens (``_from_strings``); both give the same
+    arrays. A block that fails a check after the byte route is read
+    again by the string route, which raises its first error."""
+    arrays = _from_bytes(block)
     if arrays is None or not _valid(*arrays, n_features):
-        if lines is None:
-            lines = block.decode("utf-8", "surrogateescape").split("\n")
-        arrays = _from_strings(lines, first, n_features)
+        arrays = _from_strings(block.decode("utf-8", "surrogateescape"), first, n_features)
     label, counts, idx, values = arrays
     return (np.where(label <= 0.0, -1.0, 1.0), counts, idx - 1, values,
             int(idx.max(initial=0)))
@@ -355,14 +328,19 @@ def _digits(a, starts, ends, dtype, dots: bool = False) -> tuple | None:
     return M, F
 
 
-def _from_strings(lines: list, first: int, n_features) -> tuple:
+def _from_strings(text: str, first: int, n_features) -> tuple:
     """The string route: labels, feature counts, 1-based indices and
-    values of a chunk's rows, split into tokens that numpy converts as
-    ``int`` and ``float`` read them. A chunk that fails a check goes to
-    ``_first_fault``, which raises its first error; a line that is not
-    UTF-8 raises once the rows before it are checked."""
-    rows = _gather(lines, first)
-    chunk = next(rows)
+    values of a decoded block's rows, its lines split at "\n" and
+    numbered from ``first``, split into tokens that numpy converts as
+    ``int`` and ``float`` read them. A block that fails a check goes to
+    ``_first_fault``, which raises its first error. A line that is not
+    UTF-8 raises once the rows before it are checked; later lines are
+    not read."""
+    lines = text.split("\n")
+    bad = None if text.isascii() else _ESCAPED_BYTE.search(text)
+    if bad:
+        del lines[text.count("\n", 0, bad.start()):]
+    chunk = _gather(lines, first)
     labels, linenos, counts, feats = chunk
     joined = " ".join(feats)
     parts = joined.replace(":", " ").split()
@@ -381,29 +359,24 @@ def _from_strings(lines: list, first: int, n_features) -> tuple:
             or (spaces < colons[:-1]).any() or (colons[1:] < spaces).any()
             or not _valid(label, counts, idx, values, n_features)):
         _first_fault(*chunk, n_features)
-    next(rows, None)  # raises for a line after these rows that is not UTF-8
+    if bad:
+        raise ParseError(f"not UTF-8 text: cannot decode byte {ord(bad[0]) - 0xdc00:#04x}",
+                         first + len(lines))
     return label, counts, idx, values
 
 
-def _gather(lines: Iterable[str], first: int = 1):
+def _gather(lines: list, first: int) -> tuple:
     """Split each line into its label and feature tokens, numbering the
-    lines from ``first``, and yield them once, as ``(labels, linenos,
-    counts, feats)``. A line that is not UTF-8 ends the rows: the
-    generator raises its ParseError when resumed, so that an earlier
-    row's error wins."""
+    lines from ``first``: ``(labels, linenos, counts, feats)``."""
     labels, linenos, counts, feats = [], [], [], []
     for lineno, raw in enumerate(lines, start=first):
-        if not raw.isascii() and (bad := _ESCAPED_BYTE.search(raw)):
-            yield labels, linenos, counts, feats
-            raise ParseError(f"not UTF-8 text: cannot decode byte {ord(bad[0]) - 0xdc00:#04x}",
-                             lineno)
         tokens = raw.split("#", 1)[0].split()
         if tokens:
             labels.append(tokens.pop(0))
             linenos.append(lineno)
             counts.append(len(tokens))
             feats += tokens
-    yield labels, linenos, counts, feats
+    return labels, linenos, counts, feats
 
 
 def _first_fault(labels, linenos, counts, feats, n_features) -> NoReturn:

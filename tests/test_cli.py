@@ -498,6 +498,21 @@ def test_method_listed_twice_is_usage_error(tmp_path, capsys, argv, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["run", "--method", "gd-a", "--synthetic-quadratic", "dim=5,dim=3"], "'dim'"),
+    (["run", "--method", "gd-a", "--synthetic-quadratic", "dim=3,seed=1,seed=2"], "'seed'"),
+    (["run", "--method", "gd-a", "--synthetic-logistic", "N=20,n=5,N=30"], "'N'"),
+], ids=["quadratic-dim", "quadratic-seed", "logistic-N"])
+def test_spec_key_given_twice_is_usage_error(tmp_path, capsys, argv, named):
+    out = tmp_path / "out"
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err and "twice" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["stoch", "--methods", "sgd-a,sbfgs-1", "--p", "3", "--iters", "-1"],
     ["stoch", "--methods", "sgd-a,sbfgs-1", "--p", "3", "--max-seconds", "nan"],

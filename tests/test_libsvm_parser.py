@@ -8,7 +8,8 @@ of the limits of the byte route, which reads plain chunks from their
 bytes; anything else goes through the string route. Each text is also
 written to a file, with "\n", "\r\n" or "\r" line ends and sometimes
 behind a byte-order mark, which ``load_libsvm`` must read as the
-reference reads the text."""
+reference reads the text, and so must ``parse_libsvm`` read the file's
+bytes decoded as text."""
 
 import io
 import math
@@ -166,23 +167,6 @@ def _render(rng, lines, plain: bool) -> str:
     return text[:-1] if text and rng.random() < 0.2 else text
 
 
-def _line_list(rng, text: str, join: bool) -> list:
-    """``text`` as a list of lines, as a caller may pass it: some lose
-    their "\n", and one holds a "\n" that stays inside its line, at its
-    start or, with ``join``, between two lines it joins."""
-    parts = text.split("\n")
-    lines = [p + "\n" for p in parts[:-1]] + [parts[-1]] * bool(parts[-1])
-    lines = [line[:-1] if line.endswith("\n") and rng.random() < 0.3 else line for line in lines]
-    if not lines:
-        return lines
-    k = int(rng.integers(len(lines)))
-    if join and k + 1 < len(lines):
-        lines[k:k + 2] = [lines[k].rstrip("\n") + "\n" + lines[k + 1]]
-    else:
-        lines[k] = "\n" + lines[k]
-    return lines
-
-
 def _inject(rng, lines, plain: bool) -> bool:
     """Put one fault into a random record, if there is one. Returns True
     when the fault is to declare too few features, which the caller does."""
@@ -231,14 +215,17 @@ BOM = b"\xef\xbb\xbf"
 
 def _assert_file_same(data: bytes, text, chunk_chars):
     """The file of ``data``, read in blocks of ``chunk_chars`` bytes,
-    loads as the reference parses ``text``."""
+    loads as the reference parses ``text``, and ``parse_libsvm`` reads
+    ``data`` decoded as text in the same way."""
     expected = _outcome(reference_parse_libsvm, text, None)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.svm"
         path.write_bytes(data)
         with mock.patch.object(data_io, "_CHUNK_CHARS", chunk_chars):
             got = _outcome(lambda p, _: load_libsvm(p), path, None)
+            parsed = _outcome(parse_libsvm, data.decode("utf-8", "surrogateescape"), None)
     _assert_equal_outcomes(got, expected)
+    _assert_equal_outcomes(parsed, expected)
 
 
 def _file_bytes(rng, text: str) -> bytes:
@@ -268,13 +255,11 @@ def _assert_equal_outcomes(got, expected):
 def test_valid_files_parse_as_the_reference(seed, chunk_chars, declare):
     rng = np.random.default_rng(seed)
     plain = rng.random() < 0.5
-    text = rendered = _render(rng, _records(rng, plain), plain)
-    if rng.random() < 0.3:
-        text = _line_list(rng, text, join=False)
+    text = _render(rng, _records(rng, plain), plain)
     n_features = 40 + int(rng.integers(3)) if declare else None
     _assert_same(text, n_features, chunk_chars)
     assert not isinstance(_outcome(reference_parse_libsvm, text, n_features), tuple)
-    _assert_file_same(_file_bytes(rng, rendered), rendered, chunk_chars)
+    _assert_file_same(_file_bytes(rng, text), text, chunk_chars)
 
 
 @property_test
@@ -285,11 +270,9 @@ def test_faulty_files_fail_as_the_reference(seed, chunk_chars, faults):
     lines = _records(rng, plain)
     too_few = any([_inject(rng, lines, plain) for _ in range(faults)])
     n_features = int(rng.integers(0, 40)) if too_few else None
-    text = rendered = _render(rng, lines, plain)
-    if rng.random() < 0.3:
-        text = _line_list(rng, text, join=True)
+    text = _render(rng, lines, plain)
     _assert_same(text, n_features, chunk_chars)
-    _assert_file_same(_file_bytes(rng, rendered), rendered, chunk_chars)
+    _assert_file_same(_file_bytes(rng, text), text, chunk_chars)
 
 
 def test_chunks_of_the_default_size_parse_as_the_reference():
@@ -321,9 +304,9 @@ def test_tokens_whose_colon_counts_offset_each_other_are_refused():
 def test_the_fault_finder_never_returns():
     # it runs only on a chunk that failed a bulk check; one without a
     # fault is a broken invariant, not a parse
-    for chunk in data_io._gather(io.StringIO("+1 1:1 3:2\n0 2:0.5\n-1\n")):
-        with pytest.raises(AssertionError, match="failed a bulk check but holds no fault"):
-            data_io._first_fault(*chunk, None)
+    chunk = data_io._gather(["+1 1:1 3:2", "0 2:0.5", "-1", ""], 1)
+    with pytest.raises(AssertionError, match="failed a bulk check but holds no fault"):
+        data_io._first_fault(*chunk, None)
 
 
 def test_plain_files_are_read_from_their_bytes(tmp_path):
@@ -432,11 +415,26 @@ def test_faults_in_plain_files_fail_as_the_reference(token):
             _assert_same(text, None, chunk_chars)
 
 
-def test_lines_given_as_a_list_keep_their_boundaries():
-    # a "\n" inside a list's line, or a line without one, must not make
-    # the byte route see other lines than the string route does
-    for lines in (["+1 1:1\n", "-1 2:1\n+1 3:1"], ["+1 1:1\n-1 2:1", "+1 3:1\n"],
-                  ["+1 1:1", "-1 2:1\n"], ["+1 1:1\n", "", "-1 2:1\n+1 3:1\n"],
-                  ["\n+1 1:1", "-1 2:1"], ["+1 1:1\n", "-1 2:1\n\n"]):
-        for chunk_chars in (1, 64):
-            _assert_same(lines, None, chunk_chars)
+def test_text_is_read_as_a_file_that_holds_it():
+    # a lone "\r" ends a line and a leading U+FEFF is skipped, as in a file
+    ds = parse_libsvm("+1 1:1\r-1 2:1\n")
+    assert ds.labels.tolist() == [1.0, -1.0] and ds.X.indices.tolist() == [0, 1]
+    _assert_equal_outcomes(parse_libsvm("\ufeff+1 1:1\n"), parse_libsvm("+1 1:1\n"))
+    for k in (1, 2, 3):
+        lines = ["+1 1:1", "-1 2:1", "+1 3:1"]
+        lines[k - 1] += " # \udcff"
+        for chunk_chars in (1, 8, 64):
+            with mock.patch.object(data_io, "_CHUNK_CHARS", chunk_chars), \
+                    pytest.raises(ParseError, match=rf"^line {k}: not UTF-8 text: "
+                                                    r"cannot decode byte 0xff$"):
+                parse_libsvm("\n".join(lines))
+    # a surrogate that stands for no byte cannot be read, even in a comment
+    with pytest.raises(UnicodeEncodeError):
+        parse_libsvm("+1 1:1 # \ud800\n")
+
+
+@pytest.mark.parametrize("source", [["+1 1:1\n", "-1 2:1\n"], b"+1 1:1\n"],
+                         ids=["list", "bytes"])
+def test_a_source_that_is_not_a_str_is_refused(source):
+    with pytest.raises(TypeError, match=f"got {type(source).__name__}$"):
+        parse_libsvm(source)
