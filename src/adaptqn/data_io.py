@@ -427,10 +427,11 @@ def serialize_libsvm(ds: SparseDataset) -> str:
 
 def max_row_norm(ds: SparseDataset) -> float:
     """Largest Euclidean row norm, B = max_i ||x_i||; inf when a squared
-    norm overflows. The squared norms of the non-empty rows are one
-    ``np.add.reduceat`` of the squared stored values at the rows' starts,
-    the reduction that scipy's ``X.power(2).sum(axis=1)`` makes, without
-    its copy of X."""
+    norm overflows, and 0 when every squared norm underflows, as it does
+    when every value is below about 2e-162 in magnitude. The squared
+    norms of the non-empty rows are one ``np.add.reduceat`` of the
+    squared stored values at the rows' starts, the reduction that
+    scipy's ``X.power(2).sum(axis=1)`` makes, without its copy of X."""
     if ds.N < 1:
         raise ValueError("empty dataset")
     X = ds.X

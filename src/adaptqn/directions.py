@@ -5,10 +5,10 @@ Four families: identity (gradient descent), exact inverse Hessian
 newest ``memory`` pairs. State lives in :class:`InverseHessianState`,
 owned by a single run.
 
-Newton solves on the evaluation point at x. The dense BFGS matrix
-``H`` is symmetric and, by the BLAS convention, held in the upper
-triangle of a Fortran-ordered array, read by ``dsymv`` and updated in
-place by ``dsyr2``. Its strictly lower triangle is never read or
+Newton takes its direction from the evaluation point at x. The dense
+BFGS matrix ``H`` is symmetric and, by the BLAS convention, held in the
+upper triangle of a Fortran-ordered array, read by ``dsymv`` and
+updated in place by ``dsyr2``. Its strictly lower triangle is never read or
 written, so symmetry holds by construction. An update returns the
 updated matrix, which is the input array itself when that is
 Fortran-ordered float64 and a copy otherwise; callers always use the
@@ -54,8 +54,8 @@ PAIR_REJECT_RTOL = 1e-12
 # refuses dense BFGS and suggests the two-loop form instead.
 MAX_DENSE_DIM = 5000
 
-# Newton's refusal of an evaluation point that has no solve
-NO_SOLVE = "Newton needs solve; the evaluation point has none"
+# Newton's refusal of an evaluation point that has no newton()
+NO_NEWTON = "Newton needs newton(); the evaluation point has none"
 
 
 @dataclass(frozen=True)
@@ -179,15 +179,15 @@ def two_loop_direction(pairs, h0_scale: float, g: np.ndarray) -> np.ndarray:
 def compute_direction(state: InverseHessianState, point: OraclePoint,
                       g: np.ndarray) -> tuple[np.ndarray, float]:
     """Direction d = -Hg and rho = -g'd for the current H of ``state.rule``.
-    ``point`` is the evaluation point at x; Newton solves G(x) d = -g
-    with its ``solve``, and the other rules do not use it."""
+    ``point`` is the evaluation point at x; Newton's d is its
+    ``newton()``, -G(x)^-1 g, and the other rules do not use it."""
     rule = state.rule
     if isinstance(rule, GradientDescent):
         d = -g
     elif isinstance(rule, Newton):
-        if not hasattr(point, "solve"):
-            raise ValueError(NO_SOLVE)
-        d = point.solve(-g)
+        if not hasattr(point, "newton"):
+            raise ValueError(NO_NEWTON)
+        d = point.newton()
     elif isinstance(rule, BfgsDense):
         d = dsymv(-1.0, state.H, g)
     elif isinstance(rule, LBfgs):

@@ -14,7 +14,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .directions import (MAX_DENSE_DIM, NO_SOLVE, BfgsDense, DirectionRule, LBfgs,
+from .directions import (MAX_DENSE_DIM, NO_NEWTON, BfgsDense, DirectionRule, LBfgs,
                          Newton, compute_direction, ingest_pair, new_state)
 from .errors import NumericalError
 from .oracles import ObjectiveOracle
@@ -149,7 +149,7 @@ def check_config(config: RunConfig, oracle: ObjectiveOracle) -> None:
     """Raise ValueError if ``run`` refuses ``config`` on ``oracle`` up
     front: a dimension too large for any float64 vector, an x0 of the
     wrong shape or dense BFGS above ``MAX_DENSE_DIM``. Checks nothing
-    about batches, nor the points' ``solve`` for Newton, which ``run``
+    about batches, nor the points' ``newton`` for Newton, which ``run``
     checks on its point at x0."""
     n = oracle.dim
     if n > sys.maxsize // 8:
@@ -167,7 +167,7 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
     ``NumericalError``, including one at ``x0``, ends the run as
     ``numerical_error`` in ``Trace.termination``; a configuration it
     refuses raises ``ValueError``. Shapes are checked at x0 and by every
-    ``at``, ``ray`` and ``solve``; finiteness on scalars only (f, ||g||,
+    ``at`` and ``ray``; finiteness on scalars only (f, ||g||,
     rho, t, d'Gd and a batch pair's s'y), and a batch gradient or G d is
     scanned just to name the fault after one of them failed.
 
@@ -218,9 +218,9 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
 
     try:
         point = oracle.at(x)
-        # a batch point is checked where Newton solves on it
-        if fixed and isinstance(config.direction, Newton) and not hasattr(point, "solve"):
-            raise ValueError(NO_SOLVE)
+        # a batch point is checked where Newton takes its direction
+        if fixed and isinstance(config.direction, Newton) and not hasattr(point, "newton"):
+            raise ValueError(NO_NEWTON)
         nf += fixed
         f = point.value()
         ng += fixed

@@ -47,6 +47,13 @@ def _softplus(z, ez):
     return out
 
 
+def _factorization_failed(info: int) -> NumericalError:
+    """The error for a nonzero LAPACK ``info`` from a Cholesky factor or solve."""
+    why = (f"leading minor of order {info} is not positive definite" if info > 0
+           else f"LAPACK argument {-info} is invalid")
+    return NumericalError(f"Hessian factorization failed: {why}")
+
+
 def spd_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve G x = b for symmetric positive definite G by Cholesky, reading
     the upper triangle of G and leaving G unmodified. Raises
@@ -55,9 +62,19 @@ def spd_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray:
     if info == 0:
         x, info = _POTRS(c, b, lower=False)
     if info != 0:
-        why = (f"leading minor of order {info} is not positive definite" if info > 0
-               else f"LAPACK argument {-info} is invalid")
-        raise NumericalError(f"Hessian factorization failed: {why}")
+        raise _factorization_failed(info)
+    return x
+
+
+def _spd_solve_in_place(K: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """spd_solve for a C-ordered scratch K and b, both overwritten: K's
+    upper triangle is factored as the lower triangle of its Fortran view
+    K', so LAPACK makes no copy of K."""
+    c, info = _POTRF(K.T, lower=True, clean=False, overwrite_a=True)
+    if info == 0:
+        x, info = _POTRS(c, b, lower=True, overwrite_b=True)
+    if info != 0:
+        raise _factorization_failed(info)
     return x
 
 
@@ -65,16 +82,20 @@ class OraclePoint(Protocol):
     """An objective evaluated at one x. ``value()``, ``gradient()`` and
     ``ray(d)`` may be requested in any order and any number of times,
     and each returns the same bits whatever was requested before; work
-    they share at x is done once.
+    they share at x is done once, and a vector result may be the array
+    an earlier request returned, so callers do not write to it.
 
     ``ray(d)`` checks d, raising ValueError for a wrong shape, and
     returns the :class:`Ray` along x + t d from this point, the one
     route to G(x)d. A point without a cheaper ray returns
     ``HessVecRay(oracle, x, d, product)``.
 
-    A point that Newton can run on also has ``solve(b)``: u with
-    G(x) u = b, under the same rules; NumericalError when G(x) is not
-    numerically positive definite."""
+    A point that Newton can run on also has ``newton()``: the Newton
+    direction -G(x)^-1 g(x), under the same rules; NumericalError when
+    G(x) is not numerically positive definite. A point may keep work
+    from it for ``ray`` on the very array it returned, whose results
+    then agree with another ray's along the same d to rounding, not bit
+    for bit."""
 
     def value(self) -> float: ...
 
@@ -130,12 +151,12 @@ class HessVecRay:
 
 class ObjectiveOracle(ABC):
     """Deterministic objective exposing value, gradient and the Hessian
-    action G(x)d; some oracles can also solve with G(x).
+    action G(x)d; some oracles also give the Newton direction.
 
     To write an oracle, set ``dim`` when the oracle is built and
     implement ``at(x)``, which checks x and returns an
     :class:`OraclePoint` holding the work shared between evaluations at
-    x: a point with ``value``, ``gradient`` and ``ray``, plus ``solve``
+    x: a point with ``value``, ``gradient`` and ``ray``, plus ``newton``
     for Newton. The point's ``ray(d)`` checks d and may simply return
     ``HessVecRay(oracle, x, d, product)``; a point that can evaluate
     d'G d or the points x + t d more cheaply returns its own
@@ -168,9 +189,13 @@ class ObjectiveOracle(ABC):
 
 def logistic_sc_scale(data: SparseDataset) -> float:
     """B^2 N / 4 with B the largest feature-row norm; this multiple of
-    the logistic loss is standard self-concordant."""
+    the logistic loss is standard self-concordant. Raises ValueError
+    when B is 0, naming an underflow when some value is not zero."""
     B = max_row_norm(data)
     if B == 0.0:
+        if data.X.data.any():
+            raise ValueError("every squared feature-row norm underflows to 0, so the scale "
+                             "factor B^2 N/4 is undefined; give sc_scale (--sc-scale) instead")
         raise ValueError("all feature rows are zero; scale factor undefined")
     scale = B * B * data.N / 4.0
     if not np.isfinite(scale):
@@ -207,10 +232,11 @@ class _LogisticPoint:
     """Logistic loss at one w. The margins z = Xw (or z carried in from a
     ray) and the loss margins m = -yz, exp(-|m|) and the sigmoid
     denominator 1 + exp(-|m|), which every request reads, are computed
-    when the point is built; the Hessian weights s(1-s) on the first
-    request that needs them, which a line search's trial points never do."""
+    when the point is built; the gradient, which Newton reads too, and
+    the Hessian weights s(1-s) on the first request that needs them,
+    which a line search's trial points never do."""
 
-    __slots__ = ("_obj", "_w", "_z", "_m", "_em", "_den", "_hw")
+    __slots__ = ("_obj", "_w", "_z", "_m", "_em", "_den", "_g", "_hw", "_newton")
 
     def __init__(self, obj: LogisticObjective, w: np.ndarray, z: np.ndarray | None = None):
         self._obj = obj
@@ -219,7 +245,7 @@ class _LogisticPoint:
         self._m = obj._neg_labels * self._z
         self._em = np.exp(-np.abs(self._m))
         self._den = 1.0 + self._em
-        self._hw = None
+        self._g = self._hw = self._newton = None
 
     def value(self) -> float:
         obj, w = self._obj, self._w
@@ -227,13 +253,20 @@ class _LogisticPoint:
         loss = np.sum(_softplus(self._m, self._em)) / N
         return obj.sc_scale * (loss + 0.5 * float(w.dot(w)) / N)
 
+    def _q(self) -> np.ndarray:
+        # q = -y sigmoid(m), so that g = (c/N)(X'q + w)
+        q = _sigmoid(self._m, self._em, self._den)
+        q *= self._obj._neg_labels
+        return q
+
     def gradient(self) -> np.ndarray:
-        obj = self._obj
-        ds = obj.data
-        coef = _sigmoid(self._m, self._em, self._den)
-        coef *= obj._neg_labels
-        coef /= ds.N
-        return obj.sc_scale * (ds.XT @ coef + self._w / ds.N)
+        if self._g is None:
+            obj = self._obj
+            ds = obj.data
+            coef = self._q()
+            coef /= ds.N
+            self._g = obj.sc_scale * (ds.XT @ coef + self._w / ds.N)
+        return self._g
 
     def _hess_weights(self) -> np.ndarray:
         # |m| = |z| for labels of +-1, so exp(-|m|) and 1 + exp(-|m|)
@@ -246,37 +279,51 @@ class _LogisticPoint:
         return self._hw
 
     def ray(self, d) -> "_LogisticRay":
+        if self._newton is not None and d is self._newton[0]:
+            return _LogisticRay(self, d, self._newton[1])
         return _LogisticRay(self, self._obj._check(d, "d"))
 
-    def solve(self, b) -> np.ndarray:
-        """u with G u = b, G = (c/N)(X'WX + I): by Cholesky of G when n <= N,
-        else as (N/c)(b - A'(I + AA')^-1 A b) with A = W^(1/2) X, where
-        AA' = W^(1/2) (X X') W^(1/2) scales the dataset's cached row Gram."""
-        ds, c, b = self._obj.data, self._obj.sc_scale, self._obj._check(b, "b")
+    def newton(self) -> np.ndarray:
+        """-G^-1 g with G = (c/N)(X'WX + I) and g = (c/N)(X'q + w). When
+        n <= N, by Cholesky of G. Else in the row space, with r = W^(1/2)
+        and K = I + r X X' r the dataset's cached row Gram scaled in
+        place: a = q - r K^-1 r (X X'q + z), d = -(w + X'a), and
+        Xd = -(z + X X'a), which the point keeps for ``ray(d)``."""
+        if self._newton is not None:
+            return self._newton[0]
+        obj = self._obj
+        ds, c = obj.data, obj.sc_scale
         N, n = ds.N, ds.n
         if n <= N:
             G = _weighted_gram(ds.X, self._hess_weights() / N)
             G.flat[::n + 1] += 1.0 / N
             G *= c
-            return spd_solve(G, b)
+            return spd_solve(G, -self.gradient())
+        gram = ds.row_gram
+        q = self._q()
         r = np.sqrt(self._hess_weights())
-        K = r[:, None] * ds.row_gram * r
+        K = r[:, None] * gram
+        K *= r
         K.flat[::N + 1] += 1.0
-        return (N / c) * (b - ds.XT @ (r * spd_solve(K, r * (ds.X @ b))))
+        a = q - r * _spd_solve_in_place(K, r * (gram @ q + self._z))
+        d = -(self._w + ds.XT @ a)
+        self._newton = (d, -(self._z + gram @ a))
+        return d
 
 
 class _LogisticRay:
     """Logistic loss along w + t d: u = Xd is computed once, on first
-    need. The curvature (c/N)(sum hw u^2 + d'd) then costs O(N), and the
-    point at w + t d takes its margins as z + t u, so only its gradient
-    pays a product with X'."""
+    need, unless the point's Newton step carried it in. The curvature
+    (c/N)(sum hw u^2 + d'd) then costs O(N), and the point at w + t d
+    takes its margins as z + t u, so only its gradient pays a product
+    with X'."""
 
     __slots__ = ("_point", "_d", "_u")
 
-    def __init__(self, point: _LogisticPoint, d: np.ndarray):
+    def __init__(self, point: _LogisticPoint, d: np.ndarray, u: np.ndarray | None = None):
         self._point = point
         self._d = d
-        self._u = None
+        self._u = u
 
     def _xd(self) -> np.ndarray:
         if self._u is None:
@@ -378,8 +425,8 @@ class _QuadraticPoint:
     def ray(self, d) -> HessVecRay:
         return HessVecRay(self._obj, self._x, self._obj._check(d, "d"), self._hess_vec)
 
-    def solve(self, b) -> np.ndarray:
-        return spd_solve(self._obj.A, self._obj._check(b, "b"))
+    def newton(self) -> np.ndarray:
+        return spd_solve(self._obj.A, -self.gradient())
 
 
 class OnlineLsExpectedObjective(ObjectiveOracle):
@@ -446,8 +493,8 @@ class _OnlineLsPoint:
     def ray(self, d) -> HessVecRay:
         return HessVecRay(self._obj, self._w, self._obj._check(d, "d"), self._hess_vec)
 
-    def solve(self, b) -> np.ndarray:
+    def newton(self) -> np.ndarray:
         obj = self._obj
         G = 2.0 * obj.sigma
         G.flat[::obj.dim + 1] += obj.lam
-        return spd_solve(G, obj._check(b, "b"))
+        return spd_solve(G, -self.gradient())

@@ -95,22 +95,23 @@ class SampledBatchOracle(ObjectiveOracle):
 
 class _BatchPoint:
     """One batch at w: the residual r = Y - Xw, shared by ``value`` and
-    ``gradient``, is computed once."""
+    ``gradient``, and the gradient, which a run requests at every batch
+    point and Newton reads again, are computed once, when it is built."""
 
-    __slots__ = ("_obj", "_w", "_r")
+    __slots__ = ("_obj", "_w", "_r", "_g")
 
     def __init__(self, obj: SampledBatchOracle, w: np.ndarray):
         self._obj = obj
         self._w = w
         self._r = obj.Y - obj.X.dot(w)
+        self._g = -(2.0 / obj.size) * obj.X.T.dot(self._r) + obj.lam * w
 
     def value(self) -> float:
         obj, w, r = self._obj, self._w, self._r
         return float(r @ r) / obj.size + 0.5 * obj.lam * float(w @ w)
 
     def gradient(self) -> np.ndarray:
-        obj = self._obj
-        return -(2.0 / obj.size) * obj.X.T.dot(self._r) + obj.lam * self._w
+        return self._g
 
     def _hess_vec(self, d) -> np.ndarray:
         obj = self._obj
@@ -119,11 +120,11 @@ class _BatchPoint:
     def ray(self, d) -> HessVecRay:
         return HessVecRay(self._obj, self._w, self._obj._check(d, "d"), self._hess_vec)
 
-    def solve(self, b) -> np.ndarray:
+    def newton(self) -> np.ndarray:
         obj = self._obj
         G = (2.0 / obj.size) * (obj.X.T @ obj.X)
         G.flat[::obj.dim + 1] += obj.lam
-        return spd_solve(G, obj._check(b, "b"))
+        return spd_solve(G, -self.gradient())
 
 
 class OnlineSampler:

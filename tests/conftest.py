@@ -31,14 +31,14 @@ def sym(H):
 
 
 class NoSolvePoint:
-    """A point of the wrapped oracle without ``solve``."""
+    """A point of the wrapped oracle without ``newton``."""
 
     def __init__(self, inner):
         self.value, self.gradient, self.ray = inner.value, inner.gradient, inner.ray
 
 
 class NoSolve(ObjectiveOracle):
-    """``inner`` evaluated on points that cannot solve, as Newton needs."""
+    """``inner`` evaluated on points without the Newton direction."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -55,8 +55,7 @@ def newton_polish(obj, x, iters=10):
     """Full-step Newton refinement; only valid from a near-optimal start."""
     x = np.asarray(x, dtype=float).copy()
     for _ in range(iters):
-        g = obj.gradient(x)
-        x -= obj.at(x).solve(g)
+        x += obj.at(x).newton()
     return x
 
 

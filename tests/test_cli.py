@@ -1,5 +1,6 @@
 import importlib
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -35,6 +36,18 @@ def test_run_newton_quadratic_smoke(tmp_path):
     assert lines[0] == TRACE_HEADER
     final_gnorm = float(lines[-1].split(",")[2])
     assert final_gnorm < 1e-7
+
+
+@pytest.mark.parametrize("spec, iters", [("N=200,n=400,seed=5", 19),
+                                         ("N=100,n=1000,seed=2,decay=0.998", 14)])
+def test_wide_newton_reaches_a_tight_grad_tol(tmp_path, capsys, spec, iters):
+    # n > N: the row-space Newton direction is as accurate as the gradient,
+    # so newton-a reaches 1e-12 in the count the n x n Gram solve takes
+    rc = main(["run", "--method", "newton-a", "--synthetic-logistic", spec,
+               "--grad-tol", "1e-12", "--out", str(tmp_path)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert f"newton-a: iters={iters} " in out and out.rstrip().endswith("termination=grad_tol")
 
 
 def test_run_unknown_method_is_usage_error(tmp_path, capsys):
@@ -617,6 +630,26 @@ def test_sigma_from_data_with_non_finite_covariance_is_usage_error(tmp_path, cap
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "--sigma-from-data" in err and "not finite" in err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_underflowing_row_norm_is_usage_error(tmp_path, capsys):
+    # no row is zero, but every squared row norm underflows; the refusal
+    # names the underflow and --sc-scale, which lets the run go ahead
+    tiny = tmp_path / "tiny.svm"
+    tiny.write_text("+1 1:1e-170 2:1e-170\n-1 1:-1e-170\n")
+    out = tmp_path / "out"
+    for source in (["--data", str(tiny)], ["--synthetic-logistic", "N=5,n=40,maxnorm=1e-200"]):
+        rc = main(["run", "--method", "gd-a", *source, "--out", str(out)])
+        assert rc == 64, source
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "underflows" in err and "--sc-scale" in err, err
+        assert "all feature rows are zero" not in err
+        assert not out.exists()
+        assert main(["run", "--method", "gd-a", *source, "--sc-scale", "none",
+                     "--out", str(out)]) == 0
+        shutil.rmtree(out)
 
 
 @pytest.mark.filterwarnings("error")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import adaptqn
-from adaptqn import (ParseError, SparseDataset, logistic_sc_scale,
+from adaptqn import (LogisticObjective, ParseError, SparseDataset, logistic_sc_scale,
                      max_row_norm, parse_libsvm, serialize_libsvm, synth_logistic)
 
 
@@ -114,6 +114,16 @@ def test_max_row_norm():
         logistic_sc_scale(zero)
     with pytest.raises(ValueError, match="empty dataset"):
         max_row_norm(parse_libsvm(""))
+
+
+def test_max_row_norm_is_zero_when_every_square_underflows():
+    # no row is zero, but 1e-170 squared is below the smallest subnormal
+    tiny = parse_libsvm("+1 1:1e-170 2:1e-170\n-1 1:-1e-170")
+    assert max_row_norm(tiny) == 0.0
+    with pytest.raises(ValueError, match=r"underflows to 0.*sc_scale \(--sc-scale\)") as info:
+        logistic_sc_scale(tiny)
+    assert "all feature rows are zero" not in str(info.value)
+    assert LogisticObjective(tiny, sc_scale=1.0).value(np.zeros(2)) == pytest.approx(np.log(2.0))
 
 
 def test_max_row_norm_matches_dense():

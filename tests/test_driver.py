@@ -136,10 +136,10 @@ def test_config_validation():
 
 
 def test_newton_requires_hessian_capability():
-    # a point's solve is Newton's one requirement; run refuses Newton on
-    # points without it
+    # a point's newton() is Newton's one requirement; run refuses Newton
+    # on points without it
     obj = NoSolve(QuadraticObjective(np.eye(3), np.ones(3)))
-    with pytest.raises(ValueError, match="Newton needs solve"):
+    with pytest.raises(ValueError, match=r"Newton needs newton\(\)"):
         run(RunConfig(direction=Newton(), step=Adaptive()), obj)
 
 
@@ -149,7 +149,8 @@ def test_newton_requires_hessian_capability():
 ])
 def test_newton_without_solve_is_refused_before_any_termination(b, x0):
     obj = NoSolve(QuadraticObjective(np.eye(2), b))
-    with pytest.raises(ValueError, match="Newton needs solve; the evaluation point has none"):
+    with pytest.raises(ValueError,
+                       match=r"Newton needs newton\(\); the evaluation point has none"):
         run(RunConfig(Newton(), Adaptive(), x0=x0), obj)
 
 
@@ -166,8 +167,9 @@ def test_line_search_budget_warnings_are_counted():
 
 
 def test_batch_newton_solves_on_the_batch_point():
-    # a run on batches solves on each batch's point, so the oracle that
-    # only measures f and ||g|| needs no solve, and measures the same bits
+    # a run on batches takes Newton's direction from each batch's point, so
+    # the oracle that only measures f and ||g|| needs no newton(), and
+    # measures the same bits
     def newton_on_batches(wrap):
         sampler = OnlineSampler(make_synthetic_sigma(6, seed=1), make_sparse_beta(6, seed=2),
                                 lam=0.1, seed=3)

@@ -15,6 +15,7 @@ from adaptqn import (Adaptive, ArmijoWolfe, BfgsDense, Constant, GradientDescent
                      make_sparse_beta, make_synthetic_sigma, run)
 from adaptqn.cli import main
 
+# the requests a run makes; "solve" is a point's newton(), Newton's solve
 KINDS = ("value", "gradient", "hess_vec", "solve")
 BAD = (np.nan, np.inf, -np.inf)
 RAISE = "raise"  # a Fault's bad value that raises in place of returning
@@ -58,8 +59,8 @@ class FaultyPoint:
     def gradient(self):
         return self._fault("gradient", self._inner.gradient())
 
-    def solve(self, b):
-        return self._fault("solve", self._inner.solve(b))
+    def newton(self):
+        return self._fault("solve", self._inner.newton())
 
     def ray(self, d):
         # the generic ray over the inner ray's G d, so that its curvature

@@ -54,11 +54,11 @@ def test_logistic_single_sample_handchecks():
     w = np.zeros(1)
     np.testing.assert_allclose(obj.gradient(w), [-0.5], rtol=1e-14)
     np.testing.assert_allclose(obj.at(w).ray(np.ones(1)).hess_vec(), [1.25], rtol=1e-14)
-    # one row, two features: G = diag(1.25, 1), solved through the 1 x 1 system
+    # one row, two features: G = diag(1.25, 1) and g = (-0.5, 0), so the
+    # Newton direction (0.4, 0), taken through the 1 x 1 row-space system
     ds2 = parse_libsvm("+1 1:1", n_features=2)
     obj2 = LogisticObjective(ds2, sc_scale=1.0)
-    np.testing.assert_allclose(obj2.at(np.zeros(2)).solve(np.array([1.25, 3.0])),
-                               [1.0, 3.0], rtol=1e-14)
+    np.testing.assert_allclose(obj2.at(np.zeros(2)).newton(), [0.4, 0.0], rtol=1e-14)
 
 
 def test_logistic_sc_scale_values():
@@ -93,11 +93,12 @@ def test_hess_vec_symmetry_and_dense_consistency(small_logistic):
         lhs = d @ small_logistic.at(x).ray(e).hess_vec()
         rhs = e @ small_logistic.at(x).ray(d).hess_vec()
         assert lhs == pytest.approx(rhs, rel=1e-10)
-    # solve inverts the matrix whose columns are the Hessian-vector products
+    # newton() is -G^-1 g for the matrix whose columns are the
+    # Hessian-vector products
     pt = small_logistic.at(x)
     G = np.column_stack([pt.ray(e).hess_vec() for e in np.eye(small_logistic.dim)])
-    b = rng.standard_normal(small_logistic.dim)
-    assert_rel_close(small_logistic.at(x).solve(b), np.linalg.solve(G, b), rtol=1e-10)
+    assert_rel_close(small_logistic.at(x).newton(), -np.linalg.solve(G, pt.gradient()),
+                     rtol=1e-10)
 
 
 def test_logistic_strong_convexity_floor(small_logistic):
@@ -179,8 +180,7 @@ def test_logistic_matches_dense_reference(seed):
     assert obj.value(w) == pytest.approx(f, rel=1e-13)
     assert_rel_close(obj.gradient(w), g)
     assert_rel_close(obj.at(w).ray(d).hess_vec(), hv)
-    b = rng.normal(size=17)
-    assert_rel_close(obj.at(w).solve(b), np.linalg.solve(G, b), rtol=1e-12)
+    assert_rel_close(obj.at(w).newton(), -np.linalg.solve(G, g), rtol=1e-12)
 
 
 def test_logistic_on_matrix_without_nonzeros():
@@ -191,8 +191,9 @@ def test_logistic_on_matrix_without_nonzeros():
     assert obj.value(w) == pytest.approx(np.log(2.0) + 0.5 * (w @ w) / 3, rel=1e-15)
     np.testing.assert_array_equal(obj.gradient(w), w / 3)
     np.testing.assert_array_equal(obj.at(w).ray(d).hess_vec(), d / 3)
-    # n > N, and the Woodbury solve with A = 0 is exactly G^-1 = 3 I
-    np.testing.assert_array_equal(obj.at(w).solve(d), 3.0 * d)
+    # n > N, and with X = 0 the row-space Newton direction is exactly
+    # -G^-1 g = -3 (w / 3) = -w
+    np.testing.assert_array_equal(obj.at(w).newton(), -w)
 
 
 def test_logistic_point_is_order_independent():
@@ -213,17 +214,17 @@ def test_logistic_point_is_order_independent():
 
 
 def test_solve_is_bitwise_spd_solve_of_the_formula(desk_logistic):
-    # n <= N: Newton's solve is the Cholesky solve of the Gram-matrix G
+    # n <= N: newton() is the Cholesky solve of the Gram-matrix G with -g
     ds = desk_logistic.data
     assert ds.n <= ds.N
     rng = np.random.default_rng(5)
     for w in (np.zeros(ds.n), rng.normal(size=ds.n)):
-        b = rng.normal(size=ds.n)
         s = sigmoid_of(ds.X @ w)
         G = _weighted_gram(ds.X, s * (1.0 - s) / ds.N)
         G += np.eye(ds.n) / ds.N
-        np.testing.assert_array_equal(desk_logistic.at(w).solve(b),
-                                      spd_solve(desk_logistic.sc_scale * G, b))
+        np.testing.assert_array_equal(desk_logistic.at(w).newton(),
+                                      spd_solve(desk_logistic.sc_scale * G,
+                                                -desk_logistic.gradient(w)))
 
 
 def test_spd_solve_names_a_failed_factorization(monkeypatch):
@@ -271,7 +272,7 @@ POINT_REQUESTS = {
     "gradient": lambda pt, d: pt.gradient(),
     "curvature": lambda pt, d: pt.ray(d).curvature(),
     "hess_vec": lambda pt, d: pt.ray(d).hess_vec(),
-    "solve": lambda pt, d: pt.solve(d),
+    "newton": lambda pt, d: pt.newton(),
 }
 
 
@@ -454,16 +455,17 @@ def test_point_contract(make):
         first = obj.at(x)
         hv_d, hv_e = first.ray(d).hess_vec(), first.ray(e).hess_vec()
         g, f = first.gradient(), first.value()
-        u = first.solve(d)
+        u = first.newton()
         second = obj.at(x)
-        np.testing.assert_array_equal(second.solve(d), u)
+        np.testing.assert_array_equal(second.newton(), u)
         assert second.value() == f
         np.testing.assert_array_equal(second.gradient(), g)
         np.testing.assert_array_equal(second.ray(e).hess_vec(), hv_e)
         np.testing.assert_array_equal(second.ray(d).hess_vec(), hv_d)
-        # solve inverts the Hessian action
-        assert_rel_close(first.solve(hv_e), e, rtol=1e-10)
-        assert_rel_close(first.ray(u).hess_vec(), d, rtol=1e-10)
+        # the Newton direction: G newton() = -g, along the point's own ray
+        # and along a fresh point's
+        assert_rel_close(first.ray(u).hess_vec(), -g, rtol=1e-10)
+        assert_rel_close(obj.at(x).ray(u.copy()).hess_vec(), -g, rtol=1e-10)
         # the ray along d: the point's G d, d'G d, and points at x + t d
         ray = obj.at(x).ray(d)
         curvature = ray.curvature()
@@ -474,8 +476,6 @@ def test_point_contract(make):
         assert_rel_close(on_ray.gradient(), obj.gradient(x + 0.5 * d))
     with pytest.raises(ValueError):
         obj.at(x).ray(np.ones(n + 1))
-    with pytest.raises(ValueError):
-        obj.at(x).solve(np.ones(n + 1))
     with pytest.raises(ValueError):
         obj.at(np.ones(n + 1))
 
@@ -522,7 +522,7 @@ def test_quadratic_identities():
     np.testing.assert_allclose(obj.gradient(x), A @ x + b, rtol=1e-12)
     d = rng.standard_normal(n)
     np.testing.assert_allclose(obj.at(x).ray(d).hess_vec(), A @ d, rtol=1e-12)
-    np.testing.assert_allclose(obj.at(x).solve(A @ d), d, rtol=1e-12)
+    np.testing.assert_allclose(obj.at(x).newton(), -np.linalg.solve(A, A @ x + b), rtol=1e-12)
     # identity special case: value with ||x|| = 2 is 2
     iden = QuadraticObjective(np.eye(3), np.zeros(3))
     x = np.array([2.0, 0.0, 0.0])
@@ -604,12 +604,12 @@ def test_dimension_checks_and_capability():
     with pytest.raises(ValueError):
         obj.at(np.zeros(3)).ray(np.zeros(2))
 
-    # a point's solve is the one Newton capability, and a run refuses
+    # a point's newton() is the one Newton capability, and a run refuses
     # Newton on an oracle whose points have none
-    assert hasattr(obj.at(np.zeros(3)), "solve")
+    assert hasattr(obj.at(np.zeros(3)), "newton")
 
     nh = NoSolve(QuadraticObjective(np.eye(2), np.ones(2)))
-    with pytest.raises(ValueError, match="Newton needs solve"):
+    with pytest.raises(ValueError, match=r"Newton needs newton\(\)"):
         run(RunConfig(direction=Newton(), step=Adaptive()), nh)
 
     # every built-in oracle refuses a wrong shape at each public entry,
@@ -620,7 +620,7 @@ def test_dimension_checks_and_capability():
         n = obj.dim
         point = obj.at(np.zeros(n))
         for bad in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((n, 1))):
-            for entry in (obj.at, obj.value, obj.gradient, point.ray, point.solve):
+            for entry in (obj.at, obj.value, obj.gradient, point.ray):
                 with pytest.raises(ValueError, match=f"expected \\({n},\\)"):
                     entry(bad)
         # what is not a native float64 array is converted first
@@ -664,10 +664,9 @@ def test_quadratic_solve_leaves_A_unmodified(order):
     A = np.array(spd_matrix(rng, 6, 0.5, 4.0), order=order)
     kept = A.copy()
     obj = QuadraticObjective(A, rng.standard_normal(6))
-    b = rng.standard_normal(6)
-    u = obj.at(np.zeros(6)).solve(b)
+    u = obj.at(np.zeros(6)).newton()
     np.testing.assert_array_equal(A, kept)
-    assert_rel_close(A @ u, b, rtol=1e-12)
+    assert_rel_close(A @ u, -obj.b, rtol=1e-12)
 
 
 @pytest.mark.parametrize("sc_scale", [0.0, -1.0, np.nan, np.inf])
@@ -704,3 +703,51 @@ def test_row_gram_is_never_built_when_n_fits_in_N():
                 LogisticObjective(ds))
     assert trace.termination.kind == "grad_tol"
     assert "row_gram" not in vars(ds)
+
+
+class CountedProducts:
+    """A matrix whose products ``M @ v`` add one to ``counts[name]``."""
+
+    def __init__(self, inner, name, counts):
+        self.inner, self.name, self.counts = inner, name, counts
+        self.shape = inner.shape
+
+    def __matmul__(self, v):
+        self.counts[self.name] += 1
+        return self.inner @ v
+
+
+def test_a_wide_newton_iteration_makes_two_sparse_products(monkeypatch):
+    # n > N: an iteration's products are its point's gradient X'c and its
+    # Newton direction's X'a; Xd comes from the row Gram, and the ray's
+    # curvature and next point reuse it
+    ds = synth_logistic(30, 80, seed=3)
+    obj = LogisticObjective(ds)
+    ds.row_gram  # X X' densifies X once per dataset, before the count
+    counts = {"X": 0, "XT": 0}
+    monkeypatch.setitem(ds.__dict__, "XT", CountedProducts(ds.XT, "XT", counts))
+    monkeypatch.setitem(ds.__dict__, "X", CountedProducts(ds.X, "X", counts))
+    for iters in (1, 2, 3):
+        counts.update(X=0, XT=0)
+        trace = run(RunConfig(Newton(), Adaptive(), grad_tol=1e-300, max_iters=iters), obj)
+        assert trace.iterations == iters
+        # Xw and X'c at x0, then X'a and X'c in each iteration
+        assert counts == {"X": 1, "XT": 1 + 2 * iters}
+
+
+def test_the_newton_ray_agrees_with_a_fresh_ray():
+    # the ray along newton()'s own array starts from the Xd computed in
+    # the row space; its curvature and the margins of its points match a
+    # ray that takes X d afresh, to rounding
+    rng = np.random.default_rng(19)
+    for seed in range(4):
+        obj = LogisticObjective(synth_logistic(40, 120, seed=seed, feature_decay=0.998))
+        for w in (np.zeros(obj.dim), rng.normal(size=obj.dim), 30.0 * rng.normal(size=obj.dim)):
+            point = obj.at(w)
+            d = point.newton()
+            assert point.newton() is d
+            ray, fresh = point.ray(d), obj.at(w).ray(d.copy())
+            assert abs(ray.curvature() - fresh.curvature()) <= 1e-13 * fresh.curvature()
+            for t in (0.25, 1.0):
+                z, want = ray.at(t)._z, fresh.at(t)._z
+                assert np.linalg.norm(z - want) <= 1e-13 * np.linalg.norm(want), (seed, t)

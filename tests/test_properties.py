@@ -5,9 +5,9 @@ an honest termination kind, the secant equation H y = s after every
 curvature pair that dense BFGS accepts, and the two-loop recursion
 with every pair giving dense BFGS's directions along whole runs; the
 omega decrease of each iteration's batch objective along runs on
-batches of online least squares. Also the Woodbury Newton solve of
-wide logistic problems against the Gram matrix, and the logistic ray
-against fresh evaluation points."""
+batches of online least squares. Also the row-space Newton direction
+of wide logistic problems against the Gram matrix's, and the logistic
+ray against fresh evaluation points."""
 
 from unittest import mock
 
@@ -207,8 +207,7 @@ def test_two_loop_replays_dense_on_small_logistic_problems(problem):
 
 @st.composite
 def wide_logistic_points(draw):
-    """A logistic objective with n > N at a point w, and a right-hand
-    side: N from 1 to 12, n up to 40, dense Gaussian rows of which
+    """A logistic objective with n > N at a point w: N from 1 to 12, n up to 40, dense Gaussian rows of which
     some are empty (or all, with sc_scale = 1), the auto or the raw
     scale, and |w| from 1e-2 to 1e3 times Gaussian."""
     N = draw(st.integers(1, 12))
@@ -219,22 +218,24 @@ def wide_logistic_points(draw):
     raw = draw(st.booleans()) or not X.any()
     obj = LogisticObjective(SparseDataset.from_dense(X, labels), sc_scale=1.0 if raw else None)
     w = 10.0 ** draw(st.floats(-2.0, 3.0)) * rng.standard_normal(n)
-    return obj, w, rng.standard_normal(n)
+    return obj, w
 
 
 @property_test
 @given(wide_logistic_points())
 def test_woodbury_solve_matches_the_gram_solve(case):
-    obj, w, b = case
+    # newton() in the row space against the Cholesky solve of the n x n
+    # Gram-matrix G with -g
+    obj, w = case
     ds = obj.data
     z = ds.X @ w
     e = np.exp(-np.abs(z))
     s = _sigmoid(z, e, 1.0 + e)
     G = _weighted_gram(ds.X, s * (1.0 - s) / ds.N)
     G.flat[::ds.n + 1] += 1.0 / ds.N
-    gram = spd_solve(obj.sc_scale * G, b)
-    woodbury = obj.at(w).solve(b)
-    assert np.linalg.norm(woodbury - gram) <= 1e-12 * np.linalg.norm(gram)
+    gram = spd_solve(obj.sc_scale * G, -obj.gradient(w))
+    row_space = obj.at(w).newton()
+    assert np.linalg.norm(row_space - gram) <= 1e-12 * np.linalg.norm(gram)
 
 
 @st.composite

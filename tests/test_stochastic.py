@@ -79,7 +79,9 @@ def test_batch_oracle_formulas():
                                -(2 / 32) * X.T @ r + lam * w, rtol=1e-12)
     np.testing.assert_allclose(oracle.at(w).ray(d).hess_vec(),
                                (2 / 32) * X.T @ (X @ d) + lam * d, rtol=1e-12)
-    np.testing.assert_allclose(oracle.at(w).solve(oracle.at(w).ray(d).hess_vec()), d, rtol=1e-12)
+    # the Newton direction: G u = -g
+    np.testing.assert_allclose(oracle.at(w).ray(oracle.at(w).newton()).hess_vec(),
+                               -oracle.gradient(w), rtol=1e-12)
     h = 1e-6
     e = np.zeros(5)
     e[2] = h
@@ -270,7 +272,7 @@ class SpoiledBatch(ObjectiveOracle):
 class SpoiledPoint:
     def __init__(self, oracle, x, inner):
         self._oracle, self._x, self._inner = oracle, x, inner
-        self.value, self.solve = inner.value, inner.solve
+        self.value, self.newton = inner.value, inner.newton
 
     def gradient(self):
         return self._oracle.spoil("gradient", self._inner.gradient())
