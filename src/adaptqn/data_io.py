@@ -8,7 +8,7 @@ import math
 import re
 from dataclasses import dataclass
 from numbers import Integral
-from typing import TYPE_CHECKING, NoReturn
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -214,10 +214,11 @@ def _convert(block: bytes, first: int, n_features) -> tuple:
     """One block of whole lines, numbered from ``first``, as +-1 labels,
     feature counts, 0-based int64 indices, values and the largest index.
     The block is read from its bytes (``_from_bytes``) when it can be,
-    else decoded as UTF-8, with "surrogateescape", and read as ``int``
-    and ``float`` read its tokens (``_from_strings``); both give the same
-    arrays. A block that fails a check after the byte route is read
-    again by the string route, which raises its first error."""
+    else decoded as UTF-8, with "surrogateescape", and read one token at
+    a time, as ``float`` and ``int`` read it (``_from_strings``); both
+    give the same arrays. A block that fails ``_valid`` after the byte
+    route is read again by the string route, which raises its first
+    error."""
     arrays = _from_bytes(block)
     if arrays is None or not _valid(*arrays, n_features):
         arrays = _from_strings(block.decode("utf-8", "surrogateescape"), first, n_features)
@@ -331,86 +332,55 @@ def _digits(a, starts, ends, dtype, dots: bool = False) -> tuple | None:
 def _from_strings(text: str, first: int, n_features) -> tuple:
     """The string route: labels, feature counts, 1-based indices and
     values of a decoded block's rows, its lines split at "\n" and
-    numbered from ``first``, split into tokens that numpy converts as
-    ``int`` and ``float`` read them. A block that fails a check goes to
-    ``_first_fault``, which raises its first error. A line that is not
-    UTF-8 raises once the rows before it are checked; later lines are
-    not read."""
+    numbered from ``first``. Each label and token is read as ``float``
+    and ``int`` read it and checked as it is read, so the first error in
+    the block is raised, naming its line. A line that is not UTF-8
+    raises once the rows before it are read; later lines are not read."""
     lines = text.split("\n")
     bad = None if text.isascii() else _ESCAPED_BYTE.search(text)
     if bad:
         del lines[text.count("\n", 0, bad.start()):]
-    chunk = _gather(lines, first)
-    labels, linenos, counts, feats = chunk
-    joined = " ".join(feats)
-    parts = joined.replace(":", " ").split()
-    try:
-        label = np.array(labels, dtype=float)
-        idx = np.array(parts[0::2], dtype=np.int64)
-        values = np.array(parts[1::2], dtype=float)
-    except (ValueError, OverflowError):  # a token that int() or float() refuses
-        _first_fault(*chunk, n_features)
-    # one ':' a token, the k-th between the (k-1)-th and k-th space, and
-    # two parts a token: none starts or ends with ':'
-    b = np.frombuffer(joined.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    colons, spaces = np.flatnonzero(b == ord(":")), np.flatnonzero(b == ord(" "))
-    counts = np.array(counts, dtype=np.int64)
-    if (len(parts) != 2 * len(feats) or colons.size != len(feats)
-            or (spaces < colons[:-1]).any() or (colons[1:] < spaces).any()
-            or not _valid(label, counts, idx, values, n_features)):
-        _first_fault(*chunk, n_features)
+    limit = _INT64_MAX if n_features is None else n_features
+    labels, counts, indices, values = [], [], [], []
+    for lineno, line in enumerate(lines, start=first):
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise ParseError(f"non-numeric label {tokens[0]!r}", lineno) from None
+        if label not in (-1.0, 0.0, 1.0):
+            raise ParseError(f"label must be -1, 0 or +1, got {tokens[0]!r}", lineno)
+        labels.append(label)
+        counts.append(len(tokens) - 1)
+        prev = 0
+        for tok in tokens[1:]:
+            idx_s, _, val_s = tok.partition(":")
+            try:
+                idx, val = int(idx_s), float(val_s)
+            except ValueError:
+                raise ParseError(f"malformed feature token {tok!r}", lineno) from None
+            if not (prev < idx <= limit and math.isfinite(val)):
+                if idx < 1:
+                    problem = f"index must be >= 1, got {idx}"
+                elif idx <= prev:
+                    problem = f"indices must be strictly increasing, got {idx} after {prev}"
+                elif idx <= limit:
+                    problem = f"feature {idx} has non-finite value {val}"
+                elif n_features is not None:
+                    problem = f"index {idx} exceeds declared feature count {n_features}"
+                else:
+                    problem = f"index {idx} exceeds the int64 range"
+                raise ParseError(problem, lineno)
+            indices.append(idx)
+            values.append(val)
+            prev = idx
     if bad:
         raise ParseError(f"not UTF-8 text: cannot decode byte {ord(bad[0]) - 0xdc00:#04x}",
                          first + len(lines))
-    return label, counts, idx, values
-
-
-def _gather(lines: list, first: int) -> tuple:
-    """Split each line into its label and feature tokens, numbering the
-    lines from ``first``: ``(labels, linenos, counts, feats)``."""
-    labels, linenos, counts, feats = [], [], [], []
-    for lineno, raw in enumerate(lines, start=first):
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            labels.append(tokens.pop(0))
-            linenos.append(lineno)
-            counts.append(len(tokens))
-            feats += tokens
-    return labels, linenos, counts, feats
-
-
-def _first_fault(labels, linenos, counts, feats, n_features) -> NoReturn:
-    """Raise the ParseError of the first bad row of a chunk that failed a
-    bulk check in ``_from_strings``, checking its tokens one at a time."""
-    end = 0
-    for label_s, lineno, count in zip(labels, linenos, counts):
-        try:
-            label = float(label_s)
-        except ValueError:
-            raise ParseError(f"non-numeric label {label_s!r}", lineno) from None
-        if label not in (-1.0, 0.0, 1.0):
-            raise ParseError(f"label must be -1, 0 or +1, got {label_s!r}", lineno)
-        prev = 0
-        end += count
-        for tok in feats[end - count:end]:
-            idx_s, _, val_s = tok.partition(":")
-            try:
-                idx = int(idx_s)
-                val = float(val_s)
-            except ValueError:
-                raise ParseError(f"malformed feature token {tok!r}", lineno) from None
-            if idx < 1:
-                raise ParseError(f"index must be >= 1, got {idx}", lineno)
-            if idx <= prev:
-                raise ParseError(f"indices must be strictly increasing, got {idx} after {prev}", lineno)
-            if n_features is not None and idx > n_features:
-                raise ParseError(f"index {idx} exceeds declared feature count {n_features}", lineno)
-            if idx > _INT64_MAX:
-                raise ParseError(f"index {idx} exceeds the int64 range", lineno)
-            if not math.isfinite(val):
-                raise ParseError(f"feature {idx} has non-finite value {val}", lineno)
-            prev = idx
-    raise AssertionError("a chunk failed a bulk check but holds no fault")
+    return (np.array(labels, dtype=float), np.array(counts, dtype=np.int64),
+            np.array(indices, dtype=np.int64), np.array(values, dtype=float))
 
 
 def serialize_libsvm(ds: SparseDataset) -> str:

@@ -227,7 +227,10 @@ def run(config: RunConfig, oracle: ObjectiveOracle, *,
         g = point.gradient()
         elapsed = time.perf_counter() - started  # the time cap reads the row before
         for k in range(config.max_iters + 1):
-            gnorm = math.sqrt(g.dot(g))
+            gnorm = math.sqrt(gg := g.dot(g))
+            if gg < sys.float_info.min and g.any():  # g'g underflows: scale g by max|g_i|
+                s = np.abs(g).max()
+                gnorm = s * math.sqrt((g / s).dot(g / s))
             converged = fixed and gnorm < config.grad_tol
             if converged:  # f is re-evaluated at the terminal point once, and counted
                 nf += 1

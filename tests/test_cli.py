@@ -582,6 +582,17 @@ def test_refused_dataset_is_usage_error(tmp_path, capsys):
         assert why in capsys.readouterr().err
 
 
+def test_a_gradient_whose_square_underflows_keeps_its_norm(tmp_path, capsys):
+    # g = [-5e-171, -2.5e-171], which float64 holds, though g'g underflows to 0
+    data = tmp_path / "tiny.svm"
+    data.write_text("+1 1:1e-170 2:1e-170\n-1 1:-1e-170\n")
+    rc = main(["run", "--method", "gd-a", "--data", str(data), "--sc-scale", "none",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().out.rstrip().endswith("termination=grad_tol")
+    assert read_csv(tmp_path / "gd-a.csv")[-1].split(",")[2] == "5.590169943749475e-171"
+
+
 @pytest.mark.parametrize("case", ["out-is-a-file", "out-under-a-file", "trace-is-a-dir"])
 def test_output_failure_exits_73(tmp_path, capsys, case):
     afile = tmp_path / "afile"

@@ -291,6 +291,13 @@ def test_chunks_of_the_default_size_parse_as_the_reference():
     _assert_same(huge + text, None, data_io._CHUNK_CHARS)
     _assert_same(huge + text + "\n+1 5:1:1\n", None, data_io._CHUNK_CHARS)
     _assert_same(huge + text, 300, data_io._CHUNK_CHARS)
+    # the same rows with a comment on every 7th, blank lines and 1e-3
+    # values: every block takes the string route, which numbers its lines
+    noted = "\n".join((f"{line} 301:1e-3 # row {i}" if i % 7 == 0 else line) + "\n" * (i % 13 == 0)
+                      for i, line in enumerate(lines))
+    _assert_same(noted, None, data_io._CHUNK_CHARS)
+    _assert_same(noted + "\n+1 5:1e-3 5:2 # last\n", None, data_io._CHUNK_CHARS)
+    _assert_same(noted + "\n+1 5:1e-3 301:inf # last\n", 301, data_io._CHUNK_CHARS)
 
 
 def test_tokens_whose_colon_counts_offset_each_other_are_refused():
@@ -299,14 +306,6 @@ def test_tokens_whose_colon_counts_offset_each_other_are_refused():
     for text in ["+1 1:2:3 5", "+1 5 1:2:3", "-1 2:1\n+1 3:4:5\n-1 6", "-1 6\n+1 3:4:5\n"]:
         for chunk_chars in (1, 8, 64):
             _assert_same(text, None, chunk_chars)
-
-
-def test_the_fault_finder_never_returns():
-    # it runs only on a chunk that failed a bulk check; one without a
-    # fault is a broken invariant, not a parse
-    chunk = data_io._gather(["+1 1:1 3:2", "0 2:0.5", "-1", ""], 1)
-    with pytest.raises(AssertionError, match="failed a bulk check but holds no fault"):
-        data_io._first_fault(*chunk, None)
 
 
 def test_plain_files_are_read_from_their_bytes(tmp_path):
