@@ -8,9 +8,8 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from numbers import Integral
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -68,8 +67,7 @@ class RunConfig:
             raise ValueError(f"max_seconds must be >= 0, got {self.max_seconds}")
 
 
-@dataclass(frozen=True, slots=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     k: int
     f: float
     gnorm: float
@@ -100,9 +98,8 @@ class Trace:
     IterationRecord fields f, gnorm, t, eta, step_kind, cum_evals_f,
     cum_evals_g, cum_evals_hv, elapsed and err_ratio. k is the row index
     and log_gap follows from f and the reference on read. ``rows()``
-    gives every record's fields without building it, ``records`` is a
-    cached property that builds the IterationRecords on first read, and
-    ``final`` builds the terminal one alone. ``warnings`` counts the line
+    builds each row's IterationRecord as it is read and caches none, and
+    ``final`` is the terminal record. ``warnings`` counts the line
     searches that ran out of evaluations, and ``skipped_pairs`` the
     curvature pairs the quasi-Newton update refused."""
 
@@ -113,17 +110,13 @@ class Trace:
     warnings: int
     _rows: list[tuple] = field(repr=False)
 
-    def _fields(self, k: int) -> tuple:
+    def _record(self, k: int) -> IterationRecord:
         r = self._rows[k]
-        return (k, *r[:9], _log_gap(r[0], self.config.reference), r[9])
+        return IterationRecord(k, *r[:9], _log_gap(r[0], self.config.reference), r[9])
 
-    def rows(self) -> Iterator[tuple]:
-        """Every record's field values, in IterationRecord's order."""
-        return map(self._fields, range(len(self._rows)))
-
-    @cached_property
-    def records(self) -> list[IterationRecord]:
-        return [IterationRecord(*v) for v in self.rows()]
+    def rows(self) -> Iterator[IterationRecord]:
+        """Every row's IterationRecord, built as it is read."""
+        return map(self._record, range(len(self._rows)))
 
     @property
     def iterations(self) -> int:
@@ -132,7 +125,7 @@ class Trace:
 
     @property
     def final(self) -> IterationRecord:
-        return IterationRecord(*self._fields(len(self._rows) - 1))
+        return self._record(len(self._rows) - 1)
 
     def step_sizes(self) -> np.ndarray:
         return np.array([r[2] for r in self._rows[:-1]])

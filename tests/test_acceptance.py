@@ -120,7 +120,7 @@ def test_criterion_1_damped_newton_recursion():
 
     eps = np.finfo(float).eps
     n_steps = trace.iterations
-    for k, rec in enumerate(trace.records):
+    for k, rec in enumerate(trace.rows()):
         if rec.step_kind == "terminal":
             assert rec.gnorm < cfg.grad_tol
             break
@@ -264,7 +264,7 @@ def test_criterion_8_linear_convergence_envelope(desk_oracle, desk_ref):
                     grad_tol=GRAD_TOL, max_iters=20000, reference=desk_ref)
     trace = run(cfg, desk_oracle)
     assert trace.termination.kind == "grad_tol"
-    pts = [(r.k, r.log_gap) for r in trace.records if r.log_gap is not None]
+    pts = [(r.k, r.log_gap) for r in trace.rows() if r.log_gap is not None]
     ks = np.array([p[0] for p in pts], dtype=float)
     lg = np.array([p[1] for p in pts])
     slope = np.polyfit(ks, lg, 1)[0]
@@ -338,7 +338,7 @@ def test_criterion_11_stochastic_regression():
                         x0=np.zeros(p), budget=3000)
     elapsed = time.perf_counter() - t0
     assert sb.termination.kind == "max_iters"
-    gaps = [r.log_gap for r in sb.records if r.log_gap is not None]
+    gaps = [r.log_gap for r in sb.rows() if r.log_gap is not None]
     reached = min(gaps)
     assert reached <= STOCH_REACH_LOG_GAP, reached
     margin = sg.final.log_gap - sb.final.log_gap

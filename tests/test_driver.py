@@ -32,7 +32,7 @@ def test_damped_newton_norm_recursion():
                     reference=ReferenceOptimum(x=np.zeros(3), f=0.0))
     trace = run(cfg, obj)
     r = 3.0
-    for rec in trace.records:
+    for rec in trace.rows():
         if rec.step_kind == "terminal":
             break
         assert rec.gnorm == pytest.approx(r, rel=1e-12)
@@ -67,16 +67,17 @@ def test_trace_shape_and_eval_accounting():
                     max_iters=200)
     trace = run(cfg, obj)
     assert trace.termination.kind == "grad_tol"
-    assert trace.records[-1].step_kind == "terminal"
-    assert math.isnan(trace.records[-1].t)
+    records = list(trace.rows())
+    assert records[-1].step_kind == "terminal"
+    assert math.isnan(records[-1].t)
     # one hess_vec per adaptive step
     steps = trace.iterations
-    assert trace.records[-1].cum_evals_hv == steps
+    assert records[-1].cum_evals_hv == steps
     # monotone objective for adaptive steps
-    fs = [r.f for r in trace.records]
+    fs = [r.f for r in records]
     assert all(f2 <= f1 + 1e-10 * (1 + abs(f1)) for f1, f2 in zip(fs, fs[1:]))
     # k column is contiguous
-    assert [r.k for r in trace.records] == list(range(steps + 1))
+    assert [r.k for r in records] == list(range(steps + 1))
 
 
 def test_determinism_bitwise():
@@ -84,8 +85,9 @@ def test_determinism_bitwise():
     cfg = RunConfig(direction=LBfgs(memory=4), step=Adaptive(), grad_tol=1e-9,
                     max_iters=100)
     t1, t2 = run(cfg, obj), run(cfg, obj)
-    assert len(t1.records) == len(t2.records)
-    for a, b in zip(t1.records, t2.records):
+    r1, r2 = list(t1.rows()), list(t2.rows())
+    assert len(r1) == len(r2)
+    for a, b in zip(r1, r2):
         assert a.f == b.f and a.gnorm == b.gnorm
         assert (a.t == b.t) or (math.isnan(a.t) and math.isnan(b.t))
     np.testing.assert_array_equal(t1.final_x, t2.final_x)
@@ -180,7 +182,7 @@ def test_batch_newton_solves_on_the_batch_point():
     trace = newton_on_batches(NoSolve)
     assert trace.termination.kind == "max_iters" and trace.iterations == 20
     plain = newton_on_batches(lambda oracle: oracle)
-    assert [r.f for r in trace.records] == [r.f for r in plain.records]
+    assert [r.f for r in trace.rows()] == [r.f for r in plain.rows()]
 
 
 def test_line_search_stall_is_detected():
@@ -210,7 +212,7 @@ def test_armijo_wolfe_run_on_quadratic():
                     max_iters=300)
     trace = run(cfg, obj)
     assert trace.termination.kind == "grad_tol"
-    fs = [r.f for r in trace.records]
+    fs = [r.f for r in trace.rows()]
     assert all(f2 <= f1 + 1e-10 * (1 + abs(f1)) for f1, f2 in zip(fs, fs[1:]))
 
 
@@ -219,7 +221,7 @@ def test_hybrid_run_records_kinds():
     cfg = RunConfig(direction=BfgsDense(), step=Hybrid(), grad_tol=1e-8,
                     max_iters=300)
     trace = run(cfg, obj)
-    kinds = {r.step_kind for r in trace.records}
+    kinds = {r.step_kind for r in trace.rows()}
     assert kinds <= {"hybrid_candidate", "hybrid_fallback", "terminal"}
     assert trace.termination.kind == "grad_tol"
 
@@ -295,7 +297,7 @@ def test_rlinear_envelope_on_quadratic():
     xs, fs = obj.minimizer()
     trace = run(RunConfig(direction=GradientDescent(), step=Adaptive(),
                           grad_tol=1e-10, max_iters=2000), obj)
-    gaps = np.array([r.f - fs for r in trace.records])
+    gaps = np.array([r.f - fs for r in trace.rows()])
     gaps = gaps[gaps > 0]
     slope = np.polyfit(np.arange(gaps.size), np.log10(gaps), 1)[0]
     assert slope < 0.0
@@ -304,9 +306,10 @@ def test_rlinear_envelope_on_quadratic():
 def test_log_gap_and_err_ratio_columns(desk_bfgs_a_trace):
     trace = desk_bfgs_a_trace
     assert trace.termination.kind == "grad_tol"
-    gaps = [r.log_gap for r in trace.records if r.log_gap is not None]
+    records = list(trace.rows())
+    gaps = [r.log_gap for r in records if r.log_gap is not None]
     assert all(g2 <= g1 + 1e-9 for g1, g2 in zip(gaps, gaps[1:]))
-    ratios = [r.err_ratio for r in trace.records if r.err_ratio is not None]
+    ratios = [r.err_ratio for r in records if r.err_ratio is not None]
     assert ratios and all(r > 0 for r in ratios)
 
 
@@ -456,4 +459,4 @@ def test_diverging_constant_step_ends_numerical_error():
     assert trace.termination.kind == "numerical_error"
     assert "non-finite" in trace.termination.detail
     assert trace.iterations < 2000
-    assert all(math.isfinite(r.f) for r in trace.records[:-1])
+    assert all(math.isfinite(r.f) for r in list(trace.rows())[:-1])

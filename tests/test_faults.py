@@ -116,7 +116,7 @@ def check_every_fault_ends_numerical_error(config, run_with):
                 assert trace.termination.kind == "numerical_error", (where, trace.termination)
                 if spoil is RAISE:
                     assert trace.termination.detail == f"injected into {kind} #{k}", where
-                for r in trace.records[:-1]:
+                for r in list(trace.rows())[:-1]:
                     assert math.isfinite(r.f) and math.isfinite(r.gnorm), (where, r)
                     assert math.isfinite(r.t), (where, r)
                 spoiled += 1

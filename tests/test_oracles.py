@@ -694,7 +694,7 @@ def test_row_gram_is_built_by_wide_newton_only():
     np.testing.assert_allclose(gram, ds.X.toarray() @ ds.X.toarray().T, rtol=1e-14, atol=1e-14)
     second = run(newton, LogisticObjective(ds))
     assert vars(ds)["row_gram"] is gram
-    assert [r.f for r in second.records] == [r.f for r in first.records]
+    assert [r.f for r in second.rows()] == [r.f for r in first.rows()]
 
 
 def test_row_gram_is_never_built_when_n_fits_in_N():

@@ -69,7 +69,7 @@ def check_adaptive_guarantees(obj, x0, method):
     config = RunConfig(direction=DIRECTIONS[method], step=Adaptive(), max_iters=300, x0=x0)
     trace, steps = run_recording_steps(config, obj)
     assert trace.termination.kind in TERMINATION_KINDS
-    records = trace.records
+    records = list(trace.rows())
     assert len(steps) >= len(records) - 1
     for rec, nxt, (args, out) in zip(records, records[1:], steps):
         f0, f1, t, eta, delta, rho = rec.f, nxt.f, rec.t, rec.eta, out.delta, args[5]

@@ -118,7 +118,7 @@ def test_stochastic_run_determinism():
     tr2 = stochastic_run("sbfgs", GrowingBatch(base=5), Adaptive(),
                          make_sampler(), x0=np.zeros(10), budget=120)
     assert tr1.termination.kind == tr2.termination.kind == "max_iters"
-    for a, b in zip(tr1.records, tr2.records):
+    for a, b in zip(tr1.rows(), tr2.rows()):
         assert a.f == b.f
         assert (a.t == b.t) or (math.isnan(a.t) and math.isnan(b.t))
     np.testing.assert_array_equal(tr1.final_x, tr2.final_x)
@@ -187,7 +187,7 @@ def test_snewton_runs_and_records_log_gap():
     trace = stochastic_run("snewton", GrowingBatch(base=5), Adaptive(),
                            make_sampler(), x0=np.zeros(10), budget=150)
     assert trace.termination.kind == "max_iters"
-    gaps = [r.log_gap for r in trace.records if r.log_gap is not None]
+    gaps = [r.log_gap for r in trace.rows() if r.log_gap is not None]
     assert gaps and gaps[-1] < gaps[0]
 
 
@@ -233,7 +233,7 @@ def test_diverging_constant_step_ends_numerical_error():
     assert "non-finite" in trace.termination.detail
     assert trace.iterations < 400
     assert all(math.isfinite(r.f) and math.isfinite(r.gnorm)
-               for r in trace.records[:-1])
+               for r in list(trace.rows())[:-1])
 
 
 def test_non_finite_batch_gradient_ends_numerical_error(monkeypatch):
@@ -324,7 +324,7 @@ def test_eval_counts_are_the_batch_work(method, step, hv_per_iter):
     budget = 30
     trace = stochastic_run(method, GrowingBatch(base=5), step, make_sampler(),
                            x0=np.zeros(10), budget=budget)
-    counts = [(r.cum_evals_f, r.cum_evals_g, r.cum_evals_hv) for r in trace.records]
+    counts = [(r.cum_evals_f, r.cum_evals_g, r.cum_evals_hv) for r in trace.rows()]
     assert counts[:-1] == [(0, k + 1, hv_per_iter * (k + 1)) for k in range(budget)]
     assert counts[-1] == (0, budget, hv_per_iter * budget)
 
@@ -334,7 +334,7 @@ def test_err_ratio_measures_distance_to_minimizer():
     w_star = sampler.expected_objective().minimizer()[0]
     trace = stochastic_run("sbfgs", GrowingBatch(base=5), Adaptive(), sampler,
                            x0=np.zeros(10), budget=60)
-    ratios = [r.err_ratio for r in trace.records[:-1]]
+    ratios = [r.err_ratio for r in list(trace.rows())[:-1]]
     assert all(r is not None and math.isfinite(r) for r in ratios)
     assert trace.final.err_ratio is None
     # the per-step ratios telescope to the overall error reduction
@@ -376,7 +376,7 @@ def test_zero_budget_records_only_the_start():
     trace = stochastic_run("sbfgs", GrowingBatch(base=5), Adaptive(), make_sampler(),
                            x0=np.zeros(10), budget=0)
     assert trace.termination.kind == "max_iters"
-    assert [r.step_kind for r in trace.records] == ["terminal"]
+    assert [r.step_kind for r in trace.rows()] == ["terminal"]
     expected = make_sampler().expected_objective()
     assert trace.final.f == expected.value(np.zeros(10))
 

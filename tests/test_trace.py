@@ -1,13 +1,12 @@
 """The trace API over every way a run ends: the records built from the
 stored rows, the terminal record, the step count and the CSV."""
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from adaptqn import (Adaptive, BfgsDense, Constant, GradientDescent,
+from adaptqn import (Adaptive, BfgsDense, Constant, GradientDescent, IterationRecord,
                      OnlineSampler, QuadraticObjective, ReferenceOptimum,
                      RunConfig, run, stochastic_run)
 from adaptqn import driver
@@ -21,7 +20,7 @@ def _reference_csv(trace) -> str:
         return "" if v is None or isinstance(v, float) and math.isnan(v) else repr(float(v))
 
     lines = [TRACE_HEADER]
-    for r in trace.records:
+    for r in trace.rows():
         lines.append(",".join([
             str(r.k), fmt(r.f), fmt(r.gnorm), fmt(r.t), fmt(r.eta), r.step_kind,
             str(r.cum_evals_f), str(r.cum_evals_g), str(r.cum_evals_hv),
@@ -91,16 +90,25 @@ ENDINGS = [
 def test_trace_api_on_every_ending(kind, make_run, tmp_path):
     trace = make_run()
     assert trace.termination.kind == kind
-    records = trace.records
+    records = list(trace.rows())
     assert trace.iterations == len(records) - 1
     assert [r.k for r in records] == list(range(len(records)))
     assert [r.step_kind for r in records].count("terminal") == 1
     final = trace.final
-    for field in dataclasses.fields(final):
-        assert _same(getattr(final, field.name), getattr(records[-1], field.name)), field.name
+    for field in IterationRecord._fields:
+        assert _same(getattr(final, field), getattr(records[-1], field)), field
     np.testing.assert_array_equal(trace.step_sizes(), [r.t for r in records[:-1]])
     write_trace_csv(tmp_path / "trace.csv", trace)
     assert (tmp_path / "trace.csv").read_text() == _reference_csv(trace)
+
+
+@pytest.mark.parametrize("kind, make_run", ENDINGS,
+                         ids=[make.__name__.lstrip("_") for _, make in ENDINGS])
+def test_every_row_is_a_record_and_the_last_is_final(kind, make_run):
+    trace = make_run()
+    records = list(trace.rows())
+    assert all(type(r) is IterationRecord for r in records)
+    assert records[-1] == trace.final
 
 
 def test_a_run_builds_no_record_until_one_is_read(monkeypatch):
@@ -118,6 +126,5 @@ def test_a_run_builds_no_record_until_one_is_read(monkeypatch):
     trace = stochastic_run(kernel, schedule, step, sampler, np.zeros(30), 3000)
     assert trace.iterations == 3000 and len(built) == 0
     assert trace.final.k == 3000 and len(built) == 1
-    # the records are built once, on first read
-    assert len(trace.records) == 3001 and len(built) == 3002
-    assert trace.records is trace.records and len(built) == 3002
+    # the records are built on read
+    assert len(list(trace.rows())) == 3001 and len(built) == 3002
