@@ -3,6 +3,7 @@ expected online least-squares objective with its closed-form minimizer."""
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from typing import Callable, Protocol
 
@@ -165,9 +166,10 @@ class ObjectiveOracle(ABC):
 
     Oracles are immutable after construction, so concurrent evaluation
     from multiple runs is safe; a point belongs to its caller. The one
-    state that changes is a logistic dataset's ``X'`` and ``X X'``,
-    computed once on first use; the computation is idempotent, so a run
-    that races another to it only repeats the same work.
+    state that changes is a logistic dataset's ``X'`` and ``X X'`` and
+    an online model's Cholesky factor, each computed once on first use;
+    the computation is idempotent, so a run that races another to it
+    only repeats the same work.
     """
 
     @abstractmethod
@@ -434,31 +436,51 @@ class OnlineLsExpectedObjective(ObjectiveOracle):
 
     F(w) = (beta - w)' Sigma (beta - w) + 1 + lam ||w||^2 / 2.
 
-    Refuses, with ValueError, a lam that is not positive and finite, a
-    beta that is not 1-D and a sigma that is not p x p for p = len(beta).
+    Refuses when it is built, with ValueError, a lam that is not positive
+    and finite, a beta that is not 1-D, a sigma that is not p x p for
+    p = len(beta) and, by ``QuadraticObjective``'s rule, an asymmetric
+    sigma, for which ``gradient`` and a sampler's draws would read two
+    models. Keeps read-only copies of the caller's sigma and beta.
     """
 
     def __init__(self, sigma: np.ndarray, beta: np.ndarray, lam: float):
-        sigma = np.asarray(sigma, dtype=float)
-        beta = np.asarray(beta, dtype=float)
+        sigma = np.array(sigma, dtype=float)
+        beta = np.array(beta, dtype=float)
         if not 0 < lam < np.inf:
             raise ValueError("regularizer lam must be positive and finite")
         if beta.ndim != 1:
             raise ValueError(f"beta must be 1-D, got shape {beta.shape}")
         if sigma.shape != (beta.shape[0], beta.shape[0]):
             raise ValueError("sigma must be p x p matching beta")
+        _refuse_asymmetric(sigma, "sigma")
+        sigma.flags.writeable = beta.flags.writeable = False
         self.sigma = sigma
         self.beta = beta
         self.lam = float(lam)
         self.dim = beta.shape[0]
+
+    @functools.cached_property
+    def chol(self) -> np.ndarray:
+        """Lower Cholesky factor of sigma, or of sigma + 1e-10 I when that
+        factorization fails (a singular covariance), read-only. Computed
+        on first use; ValueError when both factorizations fail."""
+        try:
+            L = np.linalg.cholesky(self.sigma)
+        except np.linalg.LinAlgError:
+            try:
+                L = np.linalg.cholesky(self.sigma + 1e-10 * np.eye(self.dim))
+            except np.linalg.LinAlgError:
+                raise ValueError("sigma is not positive definite, even with 1e-10 "
+                                 "added to its diagonal") from None
+        L.flags.writeable = False
+        return L
 
     def at(self, x) -> "_OnlineLsPoint":
         return _OnlineLsPoint(self, self._check(x))
 
     def minimizer(self) -> tuple[np.ndarray, float]:
         """Closed-form optimum, solving (2 Sigma + lam I) w = 2 Sigma beta, and
-        its value; like ``gradient``, it holds for a symmetric Sigma only."""
-        _refuse_asymmetric(self.sigma, "sigma")
+        its value."""
         A = 2.0 * self.sigma + self.lam * np.eye(self.dim)
         try:
             w = np.linalg.solve(A, 2.0 * (self.sigma @ self.beta))

@@ -5,6 +5,7 @@ through the driver's loop."""
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Union
@@ -127,23 +128,38 @@ class _BatchPoint:
         return spd_solve(G, -self.gradient())
 
 
+# Models by their inputs' shapes and bytes, so that samplers built from
+# equal inputs share one model, factor and symmetry check; an entry
+# leaves once no sampler holds its model. Models are read-only, so
+# sharing one between callers is safe.
+_MODELS = weakref.WeakValueDictionary()
+
+
 class OnlineSampler:
     """Gaussian linear-model oracle: X ~ N(0, Sigma), Y = X'beta + eps
     with unit Gaussian noise. A fixed seed reproduces the sample stream
-    exactly; each draw advances the stream."""
+    exactly; each draw advances the stream.
+
+    A sampler is a model, ``expected_objective()``, plus its own
+    Generator. Samplers built from equal sigma, beta and lam share one
+    read-only ``OnlineLsExpectedObjective``, a copy of the caller's
+    arrays that is checked and factored once. Refuses, with ValueError,
+    what that model refuses, a sigma it cannot factor and a seed that
+    is not a whole number >= 0."""
 
     def __init__(self, sigma: np.ndarray, beta: np.ndarray, lam: float, seed: int):
-        e = self._expected = OnlineLsExpectedObjective(sigma, beta, lam)
+        if not (isinstance(seed, Integral) and seed >= 0):
+            raise ValueError(f"seed must be a whole number >= 0, got {seed!r}")
+        sigma = np.asarray(sigma, dtype=float)
+        beta = np.asarray(beta, dtype=float)
+        key = (sigma.shape, sigma.tobytes(), beta.shape, beta.tobytes(), float(lam))
+        e = _MODELS.get(key)
+        if e is None:
+            e = OnlineLsExpectedObjective(sigma, beta, lam)
+            e.chol  # factor sigma, or refuse it, before the model is shared
+            _MODELS[key] = e
+        self._expected, self._chol = e, e.chol
         self.sigma, self.beta, self.lam, self.dim = e.sigma, e.beta, e.lam, e.dim
-        try:
-            self._chol = np.linalg.cholesky(self.sigma)
-        except np.linalg.LinAlgError:
-            # PSD-but-singular covariance: tiny diagonal jitter
-            try:
-                self._chol = np.linalg.cholesky(self.sigma + 1e-10 * np.eye(e.dim))
-            except np.linalg.LinAlgError:
-                raise ValueError("sigma is not positive definite, even with 1e-10 "
-                                 "added to its diagonal") from None
         self._rng = np.random.default_rng(seed)
 
     def expected_objective(self) -> OnlineLsExpectedObjective:
@@ -151,9 +167,12 @@ class OnlineSampler:
 
 
 def draw_batch(sampler: OnlineSampler, size: int) -> SampledBatchOracle:
-    """Draw ``size`` i.i.d. samples, advancing the sampler's stream."""
-    if size < 1:
-        raise ValueError("batch size must be >= 1")
+    """Draw ``size`` i.i.d. samples, advancing the sampler's stream.
+    Refuses, with ValueError, a size that is not a whole number >= 1."""
+    # a class test first: isinstance against the Integral ABC is slow for an
+    # int, and a run draws once per iteration
+    if not ((size.__class__ is int or isinstance(size, Integral)) and size >= 1):
+        raise ValueError(f"batch size must be a whole number >= 1, got {size!r}")
     X = sampler._rng.standard_normal((size, sampler.dim)).dot(sampler._chol.T)
     Y = X.dot(sampler.beta) + sampler._rng.standard_normal(size)  # X is drawn first
     return SampledBatchOracle(X, Y, sampler.lam)

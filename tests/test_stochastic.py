@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from adaptqn import (Adaptive, ArmijoWolfe, BfgsDense, Constant,
                      bfgs_update_dense, draw_batch, ingest_pair,
                      make_sparse_beta, make_synthetic_sigma, new_state, omega,
                      run, stochastic_run)
+from adaptqn import stochastic
 from adaptqn.sc import adaptive_step
 from adaptqn.stochastic import CONSTANT_STEP_SIZES
 from conftest import sym
@@ -47,6 +50,57 @@ def test_draw_batch_determinism():
     # stream advances
     ba2 = draw_batch(a, 64)
     assert not np.array_equal(ba.X, ba2.X)
+    # the two share one model, each with its own stream; another seed draws another batch
+    assert a.expected_objective() is b.expected_objective()
+    assert not np.array_equal(ba.X, draw_batch(make_sampler(seed=8), 64).X)
+
+
+def test_samplers_from_equal_inputs_share_one_model_factored_once(monkeypatch):
+    models = weakref.WeakValueDictionary()
+    monkeypatch.setattr(stochastic, "_MODELS", models)
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a))
+    sigma, beta = make_synthetic_sigma(30, seed=3), make_sparse_beta(30, seed=12)
+    # 3 streams x 5 methods, each from its own copy of the inputs
+    samplers = [OnlineSampler(sigma.copy(), beta.copy(), 1.0 / 30, seed=s)
+                for s in (11, 12, 13) for _ in range(5)]
+    assert len(calls) == 1
+    assert len({id(s.expected_objective()) for s in samplers}) == 1
+    assert len({id(s._chol) for s in samplers}) == 1
+    # a singular covariance takes the jitter path, once for all of them
+    singular = [OnlineSampler(np.ones((2, 2)), np.zeros(2), 0.5, seed=s) for s in range(15)]
+    assert len(calls) == 3
+    assert singular[0].expected_objective() is singular[-1].expected_objective()
+    # another lam is another model
+    assert OnlineSampler(sigma, beta, 0.5, seed=0).expected_objective() is not \
+        samplers[0].expected_objective()
+    # an entry leaves once no sampler holds its model
+    del samplers, singular
+    gc.collect()
+    assert len(models) == 0
+
+
+def test_the_shared_model_is_a_read_only_copy_of_the_inputs():
+    p = 6
+    sigma, beta = make_synthetic_sigma(p, seed=3), make_sparse_beta(p, seed=12)
+    a = OnlineSampler(sigma, beta, 1.0 / p, seed=5)
+    b = OnlineSampler(sigma, beta, 1.0 / p, seed=5)
+    e = a.expected_objective()
+    for arr in (e.sigma, e.beta, e.chol):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        e.sigma[0, 0] = 1.0
+    w = np.linspace(-1.0, 1.0, p)
+    f, g, batch = e.value(w), e.gradient(w), draw_batch(b, 8)
+    sigma[:] = np.eye(p)
+    beta[:] = 1.0
+    assert e.value(w) == f
+    np.testing.assert_array_equal(e.gradient(w), g)
+    # a, on the same seed as b, draws the batch b drew before the writes
+    after = draw_batch(a, 8)
+    np.testing.assert_array_equal(after.X, batch.X)
+    np.testing.assert_array_equal(after.Y, batch.Y)
 
 
 def test_draw_batch_monte_carlo_moments():
@@ -179,8 +233,11 @@ def test_stochastic_run_validation():
                        np.zeros(10), 10)
     with pytest.raises(ValueError):
         stochastic_run("sgd", ConstantBatch(8), "half", sampler, np.zeros(10), 10)
-    with pytest.raises(ValueError):
-        draw_batch(sampler, 0)
+    for size in (0, 2.5):
+        with pytest.raises(ValueError, match=f"batch size must be a whole number >= 1, "
+                                             f"got {size}"):
+            draw_batch(sampler, size)
+    assert draw_batch(sampler, np.int64(3)).size == 3
 
 
 def test_snewton_runs_and_records_log_gap():
@@ -408,6 +465,8 @@ def test_singular_covariance_gets_a_jitter():
     (lambda: OnlineLsExpectedObjective(np.eye(2), np.zeros((2, 1)), 0.5),
      r"beta must be 1-D, got shape \(2, 1\)"),
     (lambda: OnlineLsExpectedObjective(np.eye(1), 0.0, 0.5), r"beta must be 1-D, got shape \(\)"),
+    (lambda: OnlineLsExpectedObjective(np.array([[2.0, 1.0], [0.0, 2.0]]), np.zeros(2), 0.5),
+     r"sigma must be symmetric: max \|sigma - sigma'\| = 1"),
     (lambda: OnlineSampler(np.eye(3), np.zeros(2), 0.5, seed=0), "p x p"),
     (lambda: OnlineSampler(np.eye(2), np.zeros((2, 1)), 0.5, seed=0), "beta must be 1-D"),
     (lambda: OnlineSampler(np.eye(2), np.zeros(2), 0.0, seed=0), "lam must be positive"),
@@ -417,6 +476,12 @@ def test_singular_covariance_gets_a_jitter():
      "lam must be positive and finite"),
     (lambda: OnlineSampler(np.diag([1.0, -1.0]), np.zeros(2), 0.5, seed=0),
      "sigma is not positive definite, even with 1e-10"),
+    (lambda: OnlineSampler(np.array([[2.0, 1.0], [0.0, 2.0]]), np.zeros(2), 0.5, seed=0),
+     r"sigma must be symmetric: max \|sigma - sigma'\| = 1"),
+    (lambda: OnlineSampler(np.eye(2), np.zeros(2), 0.5, seed=2.5),
+     "seed must be a whole number >= 0, got 2.5"),
+    (lambda: OnlineSampler(np.eye(2), np.zeros(2), 0.5, seed=-1),
+     "seed must be a whole number >= 0, got -1"),
     (lambda: SampledBatchOracle(np.ones(3), np.ones(3), 0.1), "X must be 2-D"),
     (lambda: SampledBatchOracle(np.ones((0, 3)), np.ones(0), 0.1), "at least one row"),
     (lambda: SampledBatchOracle(np.ones((4, 3)), np.ones(1), 0.1),
@@ -441,8 +506,9 @@ def test_singular_covariance_gets_a_jitter():
     (lambda: ArmijoWolfe(max_evals=2.5), "two evaluations"),
 ], ids=["quadratic-not-square", "quadratic-asymmetric", "online-ls-lam-0",
         "online-ls-lam-nan", "online-ls-lam-inf", "online-ls-shape", "online-ls-beta-2d",
-        "online-ls-beta-0d", "sampler-shape", "sampler-beta-2d",
+        "online-ls-beta-0d", "online-ls-sigma-asymmetric", "sampler-shape", "sampler-beta-2d",
         "sampler-lam-0", "sampler-lam-nan", "sampler-lam-inf", "sampler-sigma-indefinite",
+        "sampler-sigma-asymmetric", "sampler-seed-2.5", "sampler-seed--1",
         "batch-oracle-X-1d", "batch-oracle-X-no-rows", "batch-oracle-Y-broadcast",
         "batch-oracle-Y-2d", "batch-oracle-lam-negative", "batch-oracle-lam-0",
         "batch-oracle-lam-nan", "batch-oracle-lam-inf",
