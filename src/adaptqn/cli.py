@@ -212,6 +212,13 @@ def _worst(codes) -> int:
     return max(codes, key=(EXIT_OK, EXIT_BUDGET, EXIT_ERROR).index, default=EXIT_OK)
 
 
+def _ended(trace) -> str:
+    """The end of a run's stdout line: its termination kind, and the
+    detail of why it ended when the run gave one."""
+    t = trace.termination
+    return f"termination={t.kind}: {t.detail}" if t.detail else f"termination={t.kind}"
+
+
 def cmd_grid(args) -> int:
     """run one method, or bench two or more under each --identity-scaling,
     tagging the scaled traces and writing summary.csv."""
@@ -244,7 +251,7 @@ def cmd_grid(args) -> int:
             method, str(int(scaled)), str(trace.iterations), _fmt(trace.final.gnorm),
             trace.termination.kind, "" if settle is None else str(settle)]))
         print(f"{tag}: iters={trace.iterations} final_gnorm={trace.final.gnorm:.3e} "
-              f"termination={trace.termination.kind}")
+              f"{_ended(trace)}")
         codes.append(_EXIT[trace.termination.kind])
     if bench:
         _write_file(os.path.join(args.out, "summary.csv"), "\n".join(rows) + "\n")
@@ -293,8 +300,7 @@ def cmd_stoch(args) -> int:
         write_trace_csv(os.path.join(args.out, f"{method}.csv"), trace)
         gap = trace.final.log_gap
         gap_s = "n/a" if gap is None else f"{gap:.3f}"
-        print(f"{method}: iters={trace.iterations} final_log_gap={gap_s} "
-              f"termination={trace.termination.kind}")
+        print(f"{method}: iters={trace.iterations} final_log_gap={gap_s} {_ended(trace)}")
         codes.append({**_EXIT, "max_iters": EXIT_OK}[trace.termination.kind])
     return _worst(codes)
 

@@ -422,11 +422,11 @@ def synth_logistic(N: int, n: int, seed: int, separation: float = 1.5,
     follow a noisy linear rule: sign(separation * margin + noise) with
     unit Gaussian noise, so ``separation`` is the signal-to-noise ratio
     of the labelling (0 gives pure coin flips). Raises ValueError unless
-    N and n are positive, ``feature_decay`` and ``max_norm`` positive and
-    finite, and ``separation`` finite.
+    N and n are whole numbers >= 1, ``feature_decay`` and ``max_norm``
+    are positive and finite, and ``separation`` is finite.
     """
-    if N < 1 or n < 1:
-        raise ValueError("N and n must be positive")
+    if not all(isinstance(v, Integral) and v >= 1 for v in (N, n)):
+        raise ValueError(f"N and n must be positive whole numbers, got N = {N!r}, n = {n!r}")
     if not 0.0 < feature_decay < np.inf:
         raise ValueError(f"feature_decay must be positive and finite, got {feature_decay}")
     if not 0.0 < max_norm < np.inf:

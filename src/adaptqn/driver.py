@@ -9,7 +9,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, get_args
 
 import numpy as np
 
@@ -48,6 +48,10 @@ class ReferenceOptimum:
     f: float
 
 
+# the rule classes a RunConfig field accepts
+_RULES = (("direction", get_args(DirectionRule)), ("step", get_args(StepRule)))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     direction: DirectionRule
@@ -59,6 +63,11 @@ class RunConfig:
     reference: Optional[ReferenceOptimum] = None
 
     def __post_init__(self):
+        for name, rules in _RULES:
+            value = getattr(self, name)
+            if not isinstance(value, rules):
+                names = ", ".join(c.__name__ for c in rules)
+                raise ValueError(f"{name} must be an instance of one of {names}, got {value!r}")
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
         if not (isinstance(self.max_iters, Integral) and self.max_iters >= 0):

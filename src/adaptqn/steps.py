@@ -65,6 +65,8 @@ class Hybrid:
     c1: float = 0.1
 
     def __post_init__(self):
+        # its own tuple, so no caller's list or array can change it after the check
+        object.__setattr__(self, "candidates", tuple(map(float, self.candidates)))
         if not 0.0 < self.c1 <= 0.5:
             raise ValueError("c1 must lie in (0, 1/2]")
         if not all(0.0 < t < np.inf for t in self.candidates):

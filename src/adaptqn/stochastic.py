@@ -206,10 +206,16 @@ def stochastic_run(method: str, schedule: BatchSchedule, step_rule,
     return run(config, expected, batches=lambda k: draw_batch(sampler, size_at(k)))
 
 
+def _check_p(p) -> None:
+    if not (isinstance(p, Integral) and p >= 1):
+        raise ValueError(f"p must be a whole number >= 1, got {p!r}")
+
+
 def make_synthetic_sigma(p: int, seed: int, eig_low: float = 1.0,
                          eig_high: float = 100.0) -> np.ndarray:
     """Synthetic SPD covariance Q diag(lam) Q' with a log-uniform
     spectrum on [eig_low, eig_high], 0 < eig_low <= eig_high < inf."""
+    _check_p(p)
     if not 0.0 < eig_low <= eig_high < math.inf:
         raise ValueError(f"need 0 < eig_low <= eig_high < inf, got "
                          f"eig_low = {eig_low}, eig_high = {eig_high}")
@@ -222,6 +228,7 @@ def make_synthetic_sigma(p: int, seed: int, eig_low: float = 1.0,
 def make_sparse_beta(p: int, seed: int) -> np.ndarray:
     """Deterministic sparse signal: p/5 of the coordinates (rounded, at
     least one), chosen uniformly, get uniform [-1, 1] values."""
+    _check_p(p)
     rng = np.random.default_rng(seed)
     beta = np.zeros(p)
     n_nonzero = max(1, round(p / 5))

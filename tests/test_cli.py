@@ -50,6 +50,16 @@ def test_wide_newton_reaches_a_tight_grad_tol(tmp_path, capsys, spec, iters):
     assert f"newton-a: iters={iters} " in out and out.rstrip().endswith("termination=grad_tol")
 
 
+def test_a_run_line_names_why_the_run_ended(tmp_path, capsys):
+    # gd-ls stalls below floating-point resolution; the detail ends its line
+    rc = main(["run", "--method", "gd-ls", "--synthetic-logistic", "N=500,n=50,seed=38",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "gd-ls: iters=152 final_gnorm=2.072e-07 termination=numerical_error: step stalled "
+        "below floating-point resolution at k=152 (t=1.370e-11)\n", "")
+
+
 def test_run_unknown_method_is_usage_error(tmp_path, capsys):
     rc = main(["run", "--method", "bfgs-x", "--synthetic-quadratic", "dim=3",
                "--out", str(tmp_path)])

@@ -176,7 +176,8 @@ def test_synth_logistic_large_decay_builds_finite_data_without_warning():
     assert max_row_norm(ds) == pytest.approx(2.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("N, n", [(0, 5), (5, 0)])
+@pytest.mark.parametrize("N, n", [(0, 5), (5, 0), (5, 2.5), (2.5, 5), (-1, 5),
+                                  (5, float("nan"))])
 def test_synth_logistic_refuses_an_empty_shape(N, n):
     with pytest.raises(ValueError, match="N and n must be positive"):
         synth_logistic(N, n, seed=0)

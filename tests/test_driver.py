@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,18 @@ def test_numerical_error_is_surfaced_not_raised():
 def test_config_refuses_a_max_iters_that_is_not_a_whole_number(max_iters):
     with pytest.raises(ValueError, match="max_iters"):
         RunConfig(direction=GradientDescent(), step=Adaptive(), max_iters=max_iters)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("direction", "bfgs"), ("direction", BfgsDense), ("direction", Adaptive()),
+    ("step", "x"), ("step", Adaptive), ("step", None)],
+    ids=["direction-str", "direction-class", "direction-step-rule", "step-str", "step-class",
+         "step-None"])
+def test_config_refuses_a_rule_that_is_not_a_rule_instance(field, value):
+    # refused when built: with max_iters=0 a run ends before it uses either rule
+    rules = {"direction": GradientDescent(), "step": Adaptive(), field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be .*, got {re.escape(repr(value))}$"):
+        RunConfig(**rules, max_iters=0)
 
 
 def test_config_validation():

@@ -59,6 +59,17 @@ def test_armijo_check_boundary_and_failure():
     assert armijo_check(f0, f0 - 1.0, t, gd, c1)
 
 
+def test_hybrid_keeps_its_own_candidates():
+    # a list kept by reference could take a refused candidate after the check
+    candidates = [1.0, 0.5]
+    rule = Hybrid(candidates=candidates)
+    candidates.append(-3.0)
+    assert rule.candidates == (1.0, 0.5)
+    # an array kept as given makes == raise numpy's ambiguous-truth error
+    assert Hybrid(candidates=np.array([1.0, 0.25])) == Hybrid(candidates=(1.0, 0.25))
+    assert all(type(t) is float for t in Hybrid(candidates=np.array([1, 2])).candidates)
+
+
 def test_wolfe_check():
     assert wolfe_check(0.0, -1.0, 0.75)
     assert not wolfe_check(-1.0, -1.0, 0.75)
