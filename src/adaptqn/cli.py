@@ -7,6 +7,7 @@ import argparse
 import math
 import os
 import sys
+from numbers import Integral
 
 import numpy as np
 
@@ -127,7 +128,14 @@ def _real(kv: dict, key: str, default: float, positive: bool = True) -> float:
 
 
 def make_synthetic_quadratic(dim: int, cond: float = 100.0, seed: int = 0) -> QuadraticObjective:
-    """Random SPD quadratic with a log-spaced spectrum in [1, cond]."""
+    """Random SPD quadratic with a log-spaced spectrum in [1, cond]. Raises
+    ValueError for what the --synthetic-quadratic spec refuses."""
+    if not (isinstance(dim, Integral) and dim >= 1):
+        raise ValueError(f"dim must be a whole number >= 1, got {dim!r}")
+    if not 0.0 < cond < math.inf:
+        raise ValueError(f"cond must be positive and finite, got {cond}")
+    if not (isinstance(seed, Integral) and seed >= 0):
+        raise ValueError(f"seed must be a whole number >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     eigs = np.logspace(0.0, np.log10(cond), dim)

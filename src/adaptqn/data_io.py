@@ -5,7 +5,6 @@ from __future__ import annotations
 import functools
 import io
 import math
-import re
 from dataclasses import dataclass
 from numbers import Integral
 from typing import TYPE_CHECKING
@@ -98,11 +97,8 @@ def _dataset(indptr, indices, values, labels, n: int) -> SparseDataset:
 # The bound keeps a block's transient arrays small.
 _CHUNK_CHARS = 1 << 16
 
-# The UTF-8 byte-order mark that a file may start with.
-_BOM = b"\xef\xbb\xbf"
-
-# A byte that is not UTF-8, as the "surrogateescape" decoder stores it.
-_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+# The UTF-8 byte-order mark that a file may start with, as latin-1 reads it.
+_BOM = "\xef\xbb\xbf"
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -149,22 +145,23 @@ def parse_libsvm(text: str, n_features: int | None = None) -> SparseDataset:
                                        and 0 <= n_features <= _INT64_MAX):
         raise ValueError(f"n_features must be a whole number in [0, {_INT64_MAX}], "
                          f"got {n_features!r}")
-    return _read(io.BytesIO(text.encode("utf-8", "surrogateescape")), n_features)
+    data = io.BytesIO(text.encode("utf-8", "surrogateescape"))
+    return _read(io.TextIOWrapper(data, encoding="latin-1", newline=None), n_features)
 
 
 def load_libsvm(path) -> SparseDataset:
     """Parse the LIBSVM file at path, which must be UTF-8 text, as
     ``parse_libsvm`` parses the text it holds. A leading byte-order mark
-    is skipped, and "\r\n" and "\r" end lines as "\n" does, as in text
-    mode. The file is read once, as bytes, a block of whole lines at a
-    time: a byte that is not UTF-8 raises ParseError naming its line,
-    unless an earlier line holds an error."""
-    with open(path, "rb") as fh:
+    is skipped. The file is read once, as latin-1 text, one character a
+    byte, whose text mode ends lines at "\r\n" and "\r" as at "\n", a
+    block of whole lines at a time: a byte that is not UTF-8 raises
+    ParseError naming its line, unless an earlier line holds an error."""
+    with open(path, encoding="latin-1", newline=None) as fh:
         return _read(fh, None)
 
 
 def _read(fh, n_features) -> SparseDataset:
-    """The dataset of a binary file's blocks, converted in file order."""
+    """The dataset of a latin-1 text file's blocks, in file order."""
     labels, counts, indices, values, max_index = zip(
         *(_convert(block, first, n_features) for first, block in _blocks(fh)))
     n = max(max_index) if n_features is None else n_features
@@ -177,71 +174,44 @@ def _read(fh, n_features) -> SparseDataset:
 
 
 def _blocks(fh):
-    """Yield a binary file's lines a block at a time, as ``(number of its
-    first line, its bytes)``: about ``_CHUNK_CHARS`` bytes, cut after the
-    last line end. A leading byte-order mark is skipped, and "\r\n" and
-    then a lone "\r" become "\n", as text mode reads them. Always
-    yields at least one block; only a file without lines yields an empty
-    one."""
+    """Yield the lines of a file opened as latin-1 text a block at a time,
+    as ``(number of its first line, its bytes)``: about ``_CHUNK_CHARS``
+    characters, one per byte, cut after the last "\n", to which text
+    mode has turned each "\r\n" and lone "\r". A leading byte-order mark
+    is skipped. Always yields at least one block; only a file without
+    lines yields an empty one."""
     head = fh.read(len(_BOM))
-    pieces, first = [b"" if head == _BOM else head], 1
+    pieces, first = ["" if head == _BOM else head], 1
     while data := fh.read(_CHUNK_CHARS):
-        # a "\r" last may begin a "\r\n", so it waits for the next read
-        end = len(data) - data.endswith(b"\r")
-        cut = max(data.rfind(b"\n", 0, end), data.rfind(b"\r", 0, end)) + 1
+        cut = data.rfind("\n") + 1
         if cut:
             pieces.append(data[:cut])
-            block = _universal_newlines(b"".join(pieces))
+            block = "".join(pieces).encode("latin-1")
             yield first, block
             # numpy counts a block's bytes faster than bytes.count
             first += int(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n")))
             pieces = [data[cut:]]
         else:
             pieces.append(data)
-    block = _universal_newlines(b"".join(pieces))
+    block = "".join(pieces).encode("latin-1")
     if block or first == 1:
         yield first, block
-
-
-def _universal_newlines(block: bytes) -> bytes:
-    """``block`` with "\r\n" and then a lone "\r" turned into "\n"."""
-    if b"\r" in block:
-        block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return block
 
 
 def _convert(block: bytes, first: int, n_features) -> tuple:
     """One block of whole lines, numbered from ``first``, as +-1 labels,
     feature counts, 0-based int64 indices, values and the largest index.
     The block is read from its bytes (``_from_bytes``) when it can be,
-    else decoded as UTF-8, with "surrogateescape", and read one token at
-    a time, as ``float`` and ``int`` read it (``_from_strings``); both
-    give the same arrays. A block that fails ``_valid`` after the byte
-    route is read again by the string route, which raises its first
-    error."""
-    arrays = _from_bytes(block)
-    if arrays is None or not _valid(*arrays, n_features):
-        arrays = _from_strings(block.decode("utf-8", "surrogateescape"), first, n_features)
-    label, counts, idx, values = arrays
+    else decoded as UTF-8 and read one token at a time, as ``float`` and
+    ``int`` read it (``_from_strings``), which raises its first error;
+    both give the same arrays."""
+    label, counts, idx, values = (_from_bytes(block, n_features)
+                                  or _from_strings(block, first, n_features))
     return (np.where(label <= 0.0, -1.0, 1.0), counts, idx - 1, values,
             int(idx.max(initial=0)))
 
 
-def _valid(label, counts, idx, values, n_features) -> bool:
-    """Whether a chunk's rows pass the checks that every row must: labels
-    -1, 0 or +1, indices >= 1, strictly increasing in each row and at
-    most ``n_features``, finite values."""
-    # each index must exceed the one before it, except where a row starts
-    increasing = idx[1:] > idx[:-1]
-    starts = np.cumsum(counts[:-1])
-    increasing[starts[(starts > 0) & (starts < idx.size)] - 1] = True
-    return bool(((label == 1.0) | (label == -1.0) | (label == 0.0)).all()
-                and idx.min(initial=1) >= 1 and increasing.all()
-                and (n_features is None or idx.max(initial=0) <= n_features)
-                and np.isfinite(values).all())
-
-
-def _from_bytes(block: bytes) -> tuple | None:
+def _from_bytes(block: bytes, n_features) -> tuple | None:
     """The byte route: labels, feature counts, 1-based indices and values
     of a block of whole ASCII lines, each ended by "\n" but perhaps the
     last, tokenized by numpy passes over its bytes. Labels are ``[+-]?``
@@ -249,8 +219,10 @@ def _from_bytes(block: bytes) -> tuple | None:
     ``-?digits.digits`` or ``-?.digits``, at most 17 bytes after the
     sign, with at most 15 significant digits; each is read as M / 10**F:
     M < 2**53 and 10**F (F <= 16) are exact, so the one division rounds
-    as ``float`` does (Clinger, PLDI 1990). None for a block with a token
-    outside this grammar, a '#' or a non-ASCII byte."""
+    as ``float`` does (Clinger, PLDI 1990), and is finite. None for a
+    block with a token outside this grammar, a '#', a non-ASCII byte, a
+    label not -1, 0 or +1, or indices not >= 1, strictly increasing in
+    each row and at most ``n_features``: the string route reads it."""
     raw = _PAD + block + b"\n"
     classes = raw.translate(_CLASS)
     if bytes([_OTHER]) in classes:
@@ -298,7 +270,11 @@ def _from_bytes(block: bytes) -> tuple | None:
             or np.count_nonzero(read[0][1]) != np.count_nonzero(a == ord("."))):
         return None
     (M, F), (labels, _), (idx, _) = read
-    if not (M < 1e15).all():
+    # labels are still unsigned; each index exceeds the one before it,
+    # but for the first of a row, whose field before it is the label
+    if not ((M < 1e15).all() and ((labels == 1.0) | (labels == 0.0)).all()
+            and idx.min(initial=1) >= 1 and ((idx[1:] > idx[:-1]) | label[index[1:] - 1]).all()
+            and (n_features is None or idx.max(initial=0) <= n_features)):
         return None
     values = M / _TEN[F]
     np.negative(values, out=values, where=negative)
@@ -329,17 +305,19 @@ def _digits(a, starts, ends, dtype, dots: bool = False) -> tuple | None:
     return M, F
 
 
-def _from_strings(text: str, first: int, n_features) -> tuple:
+def _from_strings(block: bytes, first: int, n_features) -> tuple:
     """The string route: labels, feature counts, 1-based indices and
-    values of a decoded block's rows, its lines split at "\n" and
-    numbered from ``first``. Each label and token is read as ``float``
-    and ``int`` read it and checked as it is read, so the first error in
-    the block is raised, naming its line. A line that is not UTF-8
-    raises once the rows before it are read; later lines are not read."""
-    lines = text.split("\n")
-    bad = None if text.isascii() else _ESCAPED_BYTE.search(text)
-    if bad:
-        del lines[text.count("\n", 0, bad.start()):]
+    values of a block's rows, decoded as UTF-8, its lines split at "\n"
+    and numbered from ``first``. Each label and token is read as
+    ``float`` and ``int`` read it and checked as it is read, so the first
+    error in the block is raised, naming its line. A line that is not
+    UTF-8 raises once the rows before it are read; later lines are not
+    read."""
+    try:
+        lines, bad = block.decode("utf-8").split("\n"), None
+    except UnicodeDecodeError as exc:
+        # the whole lines before the first byte that is not UTF-8
+        lines, bad = block[:exc.start].decode("utf-8").split("\n")[:-1], block[exc.start]
     limit = _INT64_MAX if n_features is None else n_features
     labels, counts, indices, values = [], [], [], []
     for lineno, line in enumerate(lines, start=first):
@@ -376,9 +354,8 @@ def _from_strings(text: str, first: int, n_features) -> tuple:
             indices.append(idx)
             values.append(val)
             prev = idx
-    if bad:
-        raise ParseError(f"not UTF-8 text: cannot decode byte {ord(bad[0]) - 0xdc00:#04x}",
-                         first + len(lines))
+    if bad is not None:
+        raise ParseError(f"not UTF-8 text: cannot decode byte {bad:#04x}", first + len(lines))
     return (np.array(labels, dtype=float), np.array(counts, dtype=np.int64),
             np.array(indices, dtype=np.int64), np.array(values, dtype=float))
 
@@ -422,11 +399,14 @@ def synth_logistic(N: int, n: int, seed: int, separation: float = 1.5,
     follow a noisy linear rule: sign(separation * margin + noise) with
     unit Gaussian noise, so ``separation`` is the signal-to-noise ratio
     of the labelling (0 gives pure coin flips). Raises ValueError unless
-    N and n are whole numbers >= 1, ``feature_decay`` and ``max_norm``
-    are positive and finite, and ``separation`` is finite.
+    N and n are whole numbers >= 1, ``seed`` is a whole number >= 0,
+    ``feature_decay`` and ``max_norm`` are positive and finite, and
+    ``separation`` is finite.
     """
     if not all(isinstance(v, Integral) and v >= 1 for v in (N, n)):
         raise ValueError(f"N and n must be positive whole numbers, got N = {N!r}, n = {n!r}")
+    if not (isinstance(seed, Integral) and seed >= 0):
+        raise ValueError(f"seed must be a whole number >= 0, got {seed!r}")
     if not 0.0 < feature_decay < np.inf:
         raise ValueError(f"feature_decay must be positive and finite, got {feature_decay}")
     if not 0.0 < max_norm < np.inf:

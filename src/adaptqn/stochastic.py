@@ -216,6 +216,8 @@ def make_synthetic_sigma(p: int, seed: int, eig_low: float = 1.0,
     """Synthetic SPD covariance Q diag(lam) Q' with a log-uniform
     spectrum on [eig_low, eig_high], 0 < eig_low <= eig_high < inf."""
     _check_p(p)
+    if not (isinstance(seed, Integral) and seed >= 0):
+        raise ValueError(f"seed must be a whole number >= 0, got {seed!r}")
     if not 0.0 < eig_low <= eig_high < math.inf:
         raise ValueError(f"need 0 < eig_low <= eig_high < inf, got "
                          f"eig_low = {eig_low}, eig_high = {eig_high}")
@@ -229,6 +231,8 @@ def make_sparse_beta(p: int, seed: int) -> np.ndarray:
     """Deterministic sparse signal: p/5 of the coordinates (rounded, at
     least one), chosen uniformly, get uniform [-1, 1] values."""
     _check_p(p)
+    if not (isinstance(seed, Integral) and seed >= 0):
+        raise ValueError(f"seed must be a whole number >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     beta = np.zeros(p)
     n_nonzero = max(1, round(p / 5))

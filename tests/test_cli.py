@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from adaptqn import data_io
-from adaptqn.cli import TRACE_HEADER, _sigma_from_data, main, run_config, stoch_config
+from adaptqn.cli import (TRACE_HEADER, _sigma_from_data, main, make_synthetic_quadratic,
+                         run_config, stoch_config)
 from adaptqn.data_io import load_libsvm, serialize_libsvm, synth_logistic
 from adaptqn.errors import NumericalError
 from adaptqn.oracles import OnlineLsExpectedObjective
@@ -237,6 +238,21 @@ def test_run_non_finite_objective_exits_1(tmp_path, monkeypatch):
                "--out", str(tmp_path)])
     assert rc == 1
     assert read_csv(tmp_path / "bfgs-a.csv")[-1].split(",")[5] == "terminal"
+
+
+@pytest.mark.parametrize("kwargs, why", [
+    (dict(dim=0), "dim must be a whole number >= 1, got 0"),
+    (dict(dim=2.5), "dim must be a whole number >= 1, got 2.5"),
+    (dict(dim=3, cond=0.0), "cond must be positive and finite, got 0.0"),
+    (dict(dim=3, cond=float("nan")), "cond must be positive and finite, got nan"),
+    (dict(dim=3, cond=float("inf")), "cond must be positive and finite, got inf"),
+    (dict(dim=3, seed=-1), "seed must be a whole number >= 0, got -1"),
+    (dict(dim=3, seed=2.5), "seed must be a whole number >= 0, got 2.5"),
+], ids=["dim-0", "dim-2.5", "cond-0", "cond-nan", "cond-inf", "seed--1", "seed-2.5"])
+def test_synthetic_quadratic_refuses_what_its_spec_refuses(kwargs, why):
+    # test_invalid_numeric_flag_is_usage_error checks the spec parser's refusals
+    with pytest.raises(ValueError, match=f"^{why}$"):
+        make_synthetic_quadratic(**kwargs)
 
 
 def test_refused_configuration_is_usage_error(tmp_path, capsys):

@@ -194,6 +194,12 @@ def test_synth_logistic_refuses_what_the_cli_refuses(name, value):
         synth_logistic(5, 400, seed=1, **{name: value})
 
 
+@pytest.mark.parametrize("seed", [2.5, -1, float("nan")])
+def test_synth_logistic_refuses_a_seed_that_is_not_a_whole_number(seed):
+    with pytest.raises(ValueError, match=f"^seed must be a whole number >= 0, got {seed!r}$"):
+        synth_logistic(5, 3, seed=seed)
+
+
 def test_synth_logistic_zero_separation_is_balanced():
     # separation 0 labels are fair coin flips; 3-sigma binomial band
     N = 4000

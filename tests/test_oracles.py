@@ -237,6 +237,20 @@ def test_spd_solve_names_a_failed_factorization(monkeypatch):
         spd_solve(np.eye(2), np.ones(2))
 
 
+def test_wide_newton_names_a_failed_factorization(monkeypatch):
+    # n > N: the row-space solve factors its scratch K in place; a failed
+    # factorization is a NumericalError, and ends a newton-a run with it
+    ds = synth_logistic(20, 40, seed=1)
+    obj = LogisticObjective(ds)
+    monkeypatch.setattr(oracles, "_POTRF", lambda K, lower, clean, overwrite_a: (K, 2))
+    with pytest.raises(NumericalError, match="^Hessian factorization failed: "
+                                             "leading minor of order 2 is not positive definite$"):
+        obj.at(np.zeros(ds.n)).newton()
+    trace = run(run_config("newton-a", dim=ds.n, grad_tol=1e-7, max_iters=10), obj)
+    assert trace.termination.kind == "numerical_error"
+    assert "leading minor of order 2" in trace.termination.detail
+
+
 def test_logistic_point_shares_exp_bitwise(desk_logistic):
     ds = desk_logistic.data
     rng = np.random.default_rng(6)

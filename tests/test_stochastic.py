@@ -509,6 +509,10 @@ def test_singular_covariance_gets_a_jitter():
     (lambda: make_synthetic_sigma(0, 1), "p must be a whole number >= 1, got 0"),
     (lambda: make_sparse_beta(2.5, 1), "p must be a whole number >= 1, got 2.5"),
     (lambda: make_sparse_beta(0, 1), "p must be a whole number >= 1, got 0"),
+    (lambda: make_synthetic_sigma(5, 2.5), "seed must be a whole number >= 0, got 2.5"),
+    (lambda: make_synthetic_sigma(5, -1), "seed must be a whole number >= 0, got -1"),
+    (lambda: make_sparse_beta(5, 2.5), "seed must be a whole number >= 0, got 2.5"),
+    (lambda: make_sparse_beta(5, -1), "seed must be a whole number >= 0, got -1"),
 ], ids=["quadratic-not-square", "quadratic-asymmetric", "online-ls-lam-0",
         "online-ls-lam-nan", "online-ls-lam-inf", "online-ls-shape", "online-ls-beta-2d",
         "online-ls-beta-0d", "online-ls-sigma-asymmetric", "sampler-shape", "sampler-beta-2d",
@@ -521,7 +525,8 @@ def test_singular_covariance_gets_a_jitter():
         "growing-batch-base-nan", "growing-batch-base-inf", "growing-batch-period-2.5",
         "armijo-wolfe-max-evals-1", "armijo-wolfe-max-evals-nan",
         "armijo-wolfe-max-evals-2.5", "sigma-p-2.5", "sigma-p--1", "sigma-p-0",
-        "beta-p-2.5", "beta-p-0"])
+        "beta-p-2.5", "beta-p-0", "sigma-seed-2.5", "sigma-seed--1", "beta-seed-2.5",
+        "beta-seed--1"])
 def test_constructors_refuse_invalid_arguments(make, why):
     with pytest.raises(ValueError, match=why):
         make()
