@@ -290,6 +290,8 @@ def cmd_stoch(args) -> int:
     p = args.p
     if p < 1:
         raise ValueError(f"--p must be >= 1, got {p}")
+    if args.iters < 0:
+        raise ValueError(f"--iters, each run's max_iters, must be >= 0, got {args.iters}")
     if not 0.0 < args.eig_low <= args.eig_high < math.inf:
         raise ValueError(f"need 0 < eig_low <= eig_high < inf, got --eig-low "
                          f"{args.eig_low} --eig-high {args.eig_high}")

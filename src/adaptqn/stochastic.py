@@ -5,7 +5,9 @@ through the driver's loop."""
 from __future__ import annotations
 
 import math
+import os
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Union
@@ -138,7 +140,8 @@ _MODELS = weakref.WeakValueDictionary()
 class OnlineSampler:
     """Gaussian linear-model oracle: X ~ N(0, Sigma), Y = X'beta + eps
     with unit Gaussian noise. A fixed seed reproduces the sample stream
-    exactly; each draw advances the stream.
+    exactly; each draw advances the stream. Building one starts no thread
+    and draws nothing.
 
     A sampler is a model, ``expected_objective()``, plus its own
     Generator. Samplers built from equal sigma, beta and lam share one
@@ -161,20 +164,85 @@ class OnlineSampler:
         self._expected, self._chol = e, e.chol
         self.sigma, self.beta, self.lam, self.dim = e.sigma, e.beta, e.lam, e.dim
         self._rng = np.random.default_rng(seed)
+        self._ahead = None  # a _DrawAhead while a stochastic run draws ahead
 
     def expected_objective(self) -> OnlineLsExpectedObjective:
         return self._expected
 
+    def _normals(self, n: int) -> np.ndarray:
+        """The next n standard normals of the stream."""
+        ahead = self._ahead
+        return self._rng.standard_normal(n) if ahead is None else ahead.take(n)
+
+
+# Normals a worker draws per handoff (128 KB): a few stoch-online batches.
+DRAW_AHEAD = 16384
+
+
+class _DrawAhead:
+    """A generator's stream, drawn one chunk ahead on one worker thread.
+
+    ``take(n)`` returns the stream's next n normals, the ones
+    ``standard_normal(n)`` would return: a call for n1 + n2 normals draws
+    the calls for n1 and n2 bit for bit. A chunk holds DRAW_AHEAD normals,
+    or the most one ``take`` asked for, if more. ``close()`` ends the worker
+    and leaves the generator where serial draws of the taken normals would:
+    it restores the state saved before the chunk being taken from and
+    draws the taken part of that chunk again."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._size = DRAW_AHEAD
+        self._state, self._chunk, self._pos = rng.bit_generator.state, np.empty(0), 0
+        self._pool = ThreadPoolExecutor(max_workers=1)
+        self._next = self._pool.submit(self._draw, self._size)
+
+    def _draw(self, n: int):
+        # on the worker; standard_normal releases the GIL while it fills
+        return self._rng.bit_generator.state, self._rng.standard_normal(n)
+
+    def take(self, n: int) -> np.ndarray:
+        pos = self._pos
+        if pos + n <= self._chunk.size:
+            self._pos = pos + n
+            return self._chunk[pos:pos + n]
+        self._size = max(self._size, n)
+        pieces = [self._chunk[pos:]]
+        need = n - pieces[0].size
+        while need > 0:
+            self._state, self._chunk = self._next.result()
+            self._next = self._pool.submit(self._draw, self._size)
+            pieces.append(self._chunk[:need])
+            need -= pieces[-1].size
+        self._pos = pieces[-1].size
+        return np.concatenate(pieces)
+
+    def close(self) -> None:
+        try:
+            self._next.result()  # the draw in flight ends before the reset
+        finally:
+            self._pool.shutdown()
+            self._rng.bit_generator.state = self._state
+            self._rng.standard_normal(self._pos)
+
+
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+
 
 def draw_batch(sampler: OnlineSampler, size: int) -> SampledBatchOracle:
-    """Draw ``size`` i.i.d. samples, advancing the sampler's stream.
-    Refuses, with ValueError, a size that is not a whole number >= 1."""
+    """Draw ``size`` i.i.d. samples, advancing the sampler's stream: X
+    takes the stream's next size*p normals and the noise the size after
+    them. Refuses, with ValueError, a size that is not a whole number >= 1."""
     # a class test first: isinstance against the Integral ABC is slow for an
     # int, and a run draws once per iteration
     if not ((size.__class__ is int or isinstance(size, Integral)) and size >= 1):
         raise ValueError(f"batch size must be a whole number >= 1, got {size!r}")
-    X = sampler._rng.standard_normal((size, sampler.dim)).dot(sampler._chol.T)
-    Y = X.dot(sampler.beta) + sampler._rng.standard_normal(size)  # X is drawn first
+    p = sampler.dim
+    z = sampler._normals(size * (p + 1))  # X's normals come first, then the noise
+    X = z[:size * p].reshape(size, p).dot(sampler._chol.T)
+    Y = X.dot(sampler.beta) + z[size * p:]
     return SampledBatchOracle(X, Y, sampler.lam)
 
 
@@ -195,6 +263,13 @@ def stochastic_run(method: str, schedule: BatchSchedule, step_rule,
     its closed-form minimizer. ``Trace.config`` is the ``RunConfig`` that
     was run: the method shows as its direction, and ``max_iters`` is
     ``budget``.
+
+    Where the process may use two or more CPUs, one worker thread draws
+    the sampler's normals a chunk ahead of the batches while the run
+    works; it ends with the run, which leaves the sampler's stream where
+    serial ``draw_batch`` calls would, however the run ends. On one CPU
+    the batches are drawn inline. The batches, the trace and the stream
+    are the same bit for bit either way.
     """
     if method not in _DIRECTIONS:
         raise ValueError(f"unknown stochastic method {method!r}")
@@ -203,7 +278,14 @@ def stochastic_run(method: str, schedule: BatchSchedule, step_rule,
     config = RunConfig(direction=_DIRECTIONS[method], step=step_rule, max_iters=budget,
                        max_seconds=max_seconds, x0=x0, reference=ref)
     size_at = schedule.size_at  # the schedule is resolved once per run
-    return run(config, expected, batches=lambda k: draw_batch(sampler, size_at(k)))
+    # a worker on the one usable CPU would only take turns with the run
+    ahead = sampler._ahead = _DrawAhead(sampler._rng) if _usable_cpus() >= 2 else None
+    try:
+        return run(config, expected, batches=lambda k: draw_batch(sampler, size_at(k)))
+    finally:
+        sampler._ahead = None
+        if ahead is not None:
+            ahead.close()
 
 
 def _check_p(p) -> None:

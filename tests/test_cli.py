@@ -268,6 +268,19 @@ def test_refused_configuration_is_usage_error(tmp_path, capsys):
     assert "max_iters" in capsys.readouterr().err
 
 
+def test_stoch_refuses_iters_before_it_builds_a_sampler(tmp_path, capsys, monkeypatch):
+    import adaptqn.cli
+
+    monkeypatch.setattr(adaptqn.cli, "OnlineSampler",
+                        lambda *args, **kw: pytest.fail("a sampler was built"))
+    out = tmp_path / "out"
+    rc = main(["stoch", "--p", "5", "--methods", "sgd-a,sbfgs-1", "--iters", "-1",
+               "--out", str(out)])
+    assert rc == 64
+    assert capsys.readouterr().err == "error: --iters, each run's max_iters, must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_bench_refuses_before_it_runs_anything(tmp_path, capsys):
     # bfgs-a's refusal is found when the grid is built, so gd-a never runs
     out = tmp_path / "out"
@@ -482,6 +495,7 @@ def test_csv_missing_optionals_are_empty(tmp_path):
                           ("N=5,n=3,decay=inf", "decay"), ("N=5,n=3,maxnorm=nan", "maxnorm"),
                           ("N=5,n=3,maxnorm=-2", "maxnorm"))],
     (["stoch", "--p", "0", "--methods", "sgd-a", "--iters", "5"], "sgd-a.csv", "--p"),
+    (["stoch", "--p", "5", "--methods", "sgd-a", "--iters", "-1"], "sgd-a.csv", "--iters"),
     *[(["stoch", "--p", "5", "--methods", "sgd-a", "--iters", "5", flag, "-1"], "sgd-a.csv", flag)
       for flag in ("--seed", "--sigma-seed", "--beta-seed")],
     (["run", "--method", "gd-a", "--synthetic-quadratic", "dim=3", "--sc-scale", "abc"],
@@ -509,7 +523,7 @@ def test_csv_missing_optionals_are_empty(tmp_path):
         "logistic-N-0", "logistic-n-0", "logistic-seed-1.5",
         "logistic-separation-inf", "logistic-separation-nan",
         "logistic-decay-0", "logistic-decay-inf",
-        "logistic-maxnorm-nan", "logistic-maxnorm--2", "stoch-p-0",
+        "logistic-maxnorm-nan", "logistic-maxnorm--2", "stoch-p-0", "stoch-iters--1",
         "stoch-seed--1", "stoch-sigma-seed--1", "stoch-beta-seed--1", "sc-scale-abc",
         "quadratic-sc-scale-nan", "bfgs-lbfgs-memory-0", "lbfgs-memory-1e20",
         "gd-lbfgs-memory-1e20", "sigma-from-data-eig-low--5",

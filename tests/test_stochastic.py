@@ -1,5 +1,9 @@
 import gc
 import math
+import os
+import sys
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -575,3 +579,169 @@ def test_a_non_finite_sigma_is_not_refused_as_asymmetric(entry, bad):
     except NumericalError:  # the solve broke down
         return
     assert math.isnan(f)
+
+
+# The stream contract: a run sees, and leaves its sampler's generator
+# after, exactly the normals that serial draw_batch calls of the same
+# sizes see, however the run ends and however many CPUs it may use.
+
+def use_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def recorded_run(monkeypatch, spoil=lambda k, batch: batch, **run_kw):
+    """A stochastic_run whose every batch is recorded as (size, X, Y);
+    ``spoil(k, batch)`` may change batch k or raise. Returns the record
+    and the trace, or None for the trace if the run raised ValueError."""
+    seen = []
+
+    def draw(sampler, size):
+        batch = draw_batch(sampler, size)
+        seen.append((size, batch.X.copy(), batch.Y.copy()))
+        return spoil(len(seen) - 1, batch)
+
+    with monkeypatch.context() as m:
+        m.setattr(stochastic, "draw_batch", draw)
+        try:
+            return seen, stochastic_run(**run_kw)
+        except ValueError as exc:
+            assert "spoiled" in str(exc)
+            return seen, None
+
+
+def assert_serial(seen, sampler, ref):
+    """The recorded batches are ref's next serial draws of their sizes,
+    and sampler's next draws are ref's after them."""
+    for size, X, Y in seen:
+        serial = draw_batch(ref, size)
+        np.testing.assert_array_equal(X, serial.X)
+        np.testing.assert_array_equal(Y, serial.Y)
+    for m in (3, 700):
+        after, serial = draw_batch(sampler, m), draw_batch(ref, m)
+        np.testing.assert_array_equal(after.X, serial.X)
+        np.testing.assert_array_equal(after.Y, serial.Y)
+
+
+def nan_at(k0):
+    def spoil(k, batch):
+        if k == k0:
+            batch.Y[0] = np.nan
+        return batch
+    return spoil
+
+
+def raise_at(k0):
+    def spoil(k, batch):
+        if k == k0:
+            raise ValueError("spoiled batch")
+        return batch
+    return spoil
+
+
+def sleep_each(k, batch):
+    time.sleep(2e-3)
+    return batch
+
+
+ENDINGS = {
+    "max_iters": (dict(), {}, "max_iters"),
+    "time_budget-tiny": (dict(), {"max_seconds": 1e-9}, "time_budget"),
+    "time_budget-mid-run": (dict(spoil=sleep_each), {"max_seconds": 0.03}, "time_budget"),
+    "numerical_error-mid-run": (dict(spoil=nan_at(7)), {}, "numerical_error"),
+    "numerical_error-nan-model": (dict(beta=np.full(10, np.nan)), {}, "numerical_error"),
+    "value_error": (dict(spoil=raise_at(7)), {}, None),
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("ending", list(ENDINGS))
+def test_a_run_sees_and_leaves_the_serial_stream(monkeypatch, ending, cpus):
+    setup, run_kw, kind = ENDINGS[ending]
+    use_cpus(monkeypatch, cpus)
+    p = 10
+    beta = setup.get("beta", make_sparse_beta(p, seed=12))
+    sampler, ref = (OnlineSampler(make_synthetic_sigma(p, seed=3), beta, 1.0 / p, seed=7)
+                    for _ in range(2))
+    # sizes of 11 normals a sample straddle the stream's chunk boundaries
+    seen, trace = recorded_run(
+        monkeypatch, setup.get("spoil", lambda k, batch: batch), method="sbfgs",
+        schedule=GrowingBatch(base=40, period=3), step_rule=Adaptive(), sampler=sampler,
+        x0=np.zeros(p), budget=60, **run_kw)
+    assert (trace is None) if kind is None else trace.termination.kind == kind
+    if ending.endswith("mid-run") or kind is None:
+        assert len(seen) < 60
+    if kind in ("numerical_error", None):
+        assert len(seen) == (0 if ending.endswith("nan-model") else 8)
+    assert_serial(seen, sampler, ref)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_batch_larger_than_a_chunk_is_the_serial_batch(monkeypatch, cpus):
+    use_cpus(monkeypatch, cpus)
+    p, size = 200, 500  # 100,500 normals a batch
+    assert size * (p + 1) > stochastic.DRAW_AHEAD
+    sampler, ref = make_sampler(p=p), make_sampler(p=p)
+    seen, trace = recorded_run(
+        monkeypatch, method="sgd", schedule=ConstantBatch(size),
+        step_rule=Constant(CONSTANT_STEP_SIZES["alpha1"]), sampler=sampler,
+        x0=np.zeros(p), budget=3)
+    assert trace.termination.kind == "max_iters" and len(seen) == 3
+    assert_serial(seen, sampler, ref)
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+def test_a_run_ends_its_worker(monkeypatch, fail):
+    use_cpus(monkeypatch, 2)
+    before = threading.enumerate()
+    counts = []
+
+    def spoil(k, batch):
+        counts.append(threading.active_count())
+        return raise_at(20)(k, batch) if fail else batch
+
+    seen, trace = recorded_run(monkeypatch, spoil, method="sbfgs",
+                               schedule=GrowingBatch(base=5), step_rule=Adaptive(),
+                               sampler=make_sampler(), x0=np.zeros(10), budget=40)
+    assert (trace is None) == fail
+    assert threading.enumerate() == before
+    assert set(counts) == {len(before) + 1}  # the run's one worker
+
+
+def test_one_cpu_starts_no_thread_and_traces_the_same(monkeypatch):
+    def traced(cpus):
+        with monkeypatch.context() as m:
+            use_cpus(m, cpus)
+            if cpus == 1:
+                m.setattr(threading.Thread, "start",
+                          lambda self: pytest.fail("a thread started on one CPU"))
+            trace = stochastic_run("sbfgs", GrowingBatch(base=40, period=3), Adaptive(),
+                                   make_sampler(), x0=np.zeros(10), budget=80)
+        rows = [repr(r._replace(elapsed=None)) for r in trace.rows()]
+        return rows, trace.final_x.tobytes()
+
+    assert traced(1) == traced(2)
+
+
+def test_concurrent_runs_keep_their_own_streams(monkeypatch):
+    # more runs, each with its own worker, than CPUs, switching threads often
+    use_cpus(monkeypatch, 2)
+
+    def rows(seed):
+        trace = stochastic_run("sbfgs", GrowingBatch(base=40, period=3), Adaptive(),
+                               make_sampler(seed=seed), x0=np.zeros(10), budget=60)
+        return [repr(r._replace(elapsed=None)) for r in trace.rows()]
+
+    want, got = {s: rows(s) for s in range(4)}, {}
+    threads = [threading.Thread(target=lambda s=s: got.__setitem__(s, rows(s)))
+               for s in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
