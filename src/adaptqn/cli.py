@@ -19,8 +19,8 @@ from .errors import NumericalError, ParseError
 from .oracles import LogisticObjective, QuadraticObjective
 from .steps import Adaptive, ArmijoWolfe, Hybrid, Constant
 from .stochastic import (CONSTANT_STEP_SIZES, ConstantBatch, GrowingBatch,
-                         OnlineSampler, make_sparse_beta, make_synthetic_sigma,
-                         stochastic_run)
+                         OnlineSampler, _run_config, make_sparse_beta,
+                         make_synthetic_sigma, stochastic_run)
 
 TRACE_HEADER = "k,f,gnorm,t,eta,step_kind,evals_f,evals_g,evals_hv,elapsed_s,log_gap,err_ratio"
 SUMMARY_HEADER = "method,identity_scaling,iters,final_gnorm,termination,iters_until_t_near_1"
@@ -29,13 +29,13 @@ SUMMARY_HEADER = "method,identity_scaling,iters,final_gnorm,termination,iters_un
 # the run and bench names (batch None), stoch_config the stoch names.
 METHODS = {
     "gd-a": ("gd", Adaptive(), None),
-    "gd-ls": ("gd", ArmijoWolfe(c1=0.1, c2=0.75), None),
+    "gd-ls": ("gd", ArmijoWolfe(), None),
     "newton-a": ("newton", Adaptive(), None),
     "bfgs-a": ("bfgs", Adaptive(), None),
-    "bfgs-ls": ("bfgs", ArmijoWolfe(c1=0.1, c2=0.75), None),
+    "bfgs-ls": ("bfgs", ArmijoWolfe(), None),
     "bfgs-h": ("bfgs", Hybrid(), None),
     "lbfgs-a": ("lbfgs", Adaptive(), None),
-    "lbfgs-ls": ("lbfgs", ArmijoWolfe(c1=0.1, c2=0.75), None),
+    "lbfgs-ls": ("lbfgs", ArmijoWolfe(), None),
     "sgd-a": ("sgd", Adaptive(), "growing"),
     "sgd-1": ("sgd", Constant(CONSTANT_STEP_SIZES["alpha1"]), "constant"),
     "sgd-2": ("sgd", Constant(CONSTANT_STEP_SIZES["alpha2"]), "constant"),
@@ -287,6 +287,8 @@ def _sigma_from_data(path, p: int) -> np.ndarray:
 
 def cmd_stoch(args) -> int:
     methods = _methods(args.methods, STOCHASTIC_METHODS)
+    if not methods:
+        raise ValueError("stoch needs at least one method")
     p = args.p
     if p < 1:
         raise ValueError(f"--p must be >= 1, got {p}")
@@ -301,12 +303,18 @@ def cmd_stoch(args) -> int:
         sigma = make_synthetic_sigma(p, seed=args.sigma_seed,
                                      eig_low=args.eig_low, eig_high=args.eig_high)
     beta = make_sparse_beta(p, seed=args.beta_seed)
-    codes = []
+    # each configuration is checked before any run, so a refusal writes nothing
+    runs = []
     for method in methods:
+        kernel, schedule, step = stoch_config(method, p=p, batch=args.batch)
         sampler = OnlineSampler(sigma, beta, 1.0 / p, seed=args.seed)
-        trace = stochastic_run(*stoch_config(method, p=p, batch=args.batch), sampler,
-                               x0=np.zeros(p), budget=args.iters,
-                               max_seconds=args.max_seconds)
+        check_config(_run_config(kernel, step, sampler, np.zeros(p), args.iters,
+                                 args.max_seconds), sampler.expected_objective())
+        runs.append((method, kernel, schedule, step, sampler))
+    codes = []
+    for method, kernel, schedule, step, sampler in runs:
+        trace = stochastic_run(kernel, schedule, step, sampler, x0=np.zeros(p),
+                               budget=args.iters, max_seconds=args.max_seconds)
         write_trace_csv(os.path.join(args.out, f"{method}.csv"), trace)
         gap = trace.final.log_gap
         gap_s = "n/a" if gap is None else f"{gap:.3f}"

@@ -118,35 +118,28 @@ _PAD = b" " * 18
 _TEN = np.array([float(10 ** k) for k in range(17)])
 
 
-def parse_libsvm(text: str, n_features: int | None = None) -> SparseDataset:
+def parse_libsvm(text: str) -> SparseDataset:
     """Parse LIBSVM text: one ``<label> <idx>:<val> ...`` record per line.
 
     Indices are 1-based and must be strictly increasing within a row;
     they are stored 0-based. Each token is read as Python's ``int`` and
     ``float`` read it. Feature values must be finite. ``#`` starts a
     comment, blank lines are skipped. Labels +1/-1 are kept; 0/1 files
-    are mapped 0 -> -1, 1 -> +1; anything else is a parse error. The
-    feature count is the largest index seen unless ``n_features``
-    overrides it; an index above it, or above the int64 range, is an
+    are mapped 0 -> -1, 1 -> +1; anything else is a parse error. n is the
+    largest index in the data; an index above the int64 range is an
     error. The first error in file order is raised, naming its line.
 
     ``text`` is read as ``load_libsvm`` reads a file that holds it,
     encoded as UTF-8 with "surrogateescape": "\r\n" and "\r" end lines
     as "\n" does, a leading U+FEFF is skipped, U+DC80-U+DCFF stand for
     the bytes 0x80-0xff, and a line whose bytes are not UTF-8 raises
-    ParseError. Any other lone surrogate raises
-    UnicodeEncodeError, a ValueError, before any line is read. Raises
-    TypeError unless ``text`` is a str, and ValueError unless
-    ``n_features`` is None or a whole number in [0, 2**63 - 1].
+    ParseError. Any other lone surrogate raises UnicodeEncodeError, a
+    ValueError, before any line is read, and a non-str ``text`` TypeError.
     """
     if not isinstance(text, str):
         raise TypeError(f"parse_libsvm reads a str, got {type(text).__name__}")
-    if n_features is not None and not (isinstance(n_features, Integral)
-                                       and 0 <= n_features <= _INT64_MAX):
-        raise ValueError(f"n_features must be a whole number in [0, {_INT64_MAX}], "
-                         f"got {n_features!r}")
     data = io.BytesIO(text.encode("utf-8", "surrogateescape"))
-    return _read(io.TextIOWrapper(data, encoding="latin-1", newline=None), n_features)
+    return _read(io.TextIOWrapper(data, encoding="latin-1", newline=None))
 
 
 def load_libsvm(path) -> SparseDataset:
@@ -157,14 +150,14 @@ def load_libsvm(path) -> SparseDataset:
     block of whole lines at a time: a byte that is not UTF-8 raises
     ParseError naming its line, unless an earlier line holds an error."""
     with open(path, encoding="latin-1", newline=None) as fh:
-        return _read(fh, None)
+        return _read(fh)
 
 
-def _read(fh, n_features) -> SparseDataset:
+def _read(fh) -> SparseDataset:
     """The dataset of a latin-1 text file's blocks, in file order."""
     labels, counts, indices, values, max_index = zip(
-        *(_convert(block, first, n_features) for first, block in _blocks(fh)))
-    n = max(max_index) if n_features is None else n_features
+        *(_convert(block, first) for first, block in _blocks(fh)))
+    n = max(max_index)
     idx = _index_dtype(sum(v.size for v in values), n)
     counts = np.concatenate(counts)
     indptr = np.zeros(counts.size + 1, dtype=idx)
@@ -198,20 +191,19 @@ def _blocks(fh):
         yield first, block
 
 
-def _convert(block: bytes, first: int, n_features) -> tuple:
+def _convert(block: bytes, first: int) -> tuple:
     """One block of whole lines, numbered from ``first``, as +-1 labels,
     feature counts, 0-based int64 indices, values and the largest index.
     The block is read from its bytes (``_from_bytes``) when it can be,
     else decoded as UTF-8 and read one token at a time, as ``float`` and
     ``int`` read it (``_from_strings``), which raises its first error;
     both give the same arrays."""
-    label, counts, idx, values = (_from_bytes(block, n_features)
-                                  or _from_strings(block, first, n_features))
+    label, counts, idx, values = _from_bytes(block) or _from_strings(block, first)
     return (np.where(label <= 0.0, -1.0, 1.0), counts, idx - 1, values,
             int(idx.max(initial=0)))
 
 
-def _from_bytes(block: bytes, n_features) -> tuple | None:
+def _from_bytes(block: bytes) -> tuple | None:
     """The byte route: labels, feature counts, 1-based indices and values
     of a block of whole ASCII lines, each ended by "\n" but perhaps the
     last, tokenized by numpy passes over its bytes. Labels are ``[+-]?``
@@ -221,8 +213,8 @@ def _from_bytes(block: bytes, n_features) -> tuple | None:
     M < 2**53 and 10**F (F <= 16) are exact, so the one division rounds
     as ``float`` does (Clinger, PLDI 1990), and is finite. None for a
     block with a token outside this grammar, a '#', a non-ASCII byte, a
-    label not -1, 0 or +1, or indices not >= 1, strictly increasing in
-    each row and at most ``n_features``: the string route reads it."""
+    label not -1, 0 or +1, or indices not >= 1 and strictly increasing
+    in each row: the string route reads it."""
     raw = _PAD + block + b"\n"
     classes = raw.translate(_CLASS)
     if bytes([_OTHER]) in classes:
@@ -273,8 +265,7 @@ def _from_bytes(block: bytes, n_features) -> tuple | None:
     # labels are still unsigned; each index exceeds the one before it,
     # but for the first of a row, whose field before it is the label
     if not ((M < 1e15).all() and ((labels == 1.0) | (labels == 0.0)).all()
-            and idx.min(initial=1) >= 1 and ((idx[1:] > idx[:-1]) | label[index[1:] - 1]).all()
-            and (n_features is None or idx.max(initial=0) <= n_features)):
+            and idx.min(initial=1) >= 1 and ((idx[1:] > idx[:-1]) | label[index[1:] - 1]).all()):
         return None
     values = M / _TEN[F]
     np.negative(values, out=values, where=negative)
@@ -305,7 +296,7 @@ def _digits(a, starts, ends, dtype, dots: bool = False) -> tuple | None:
     return M, F
 
 
-def _from_strings(block: bytes, first: int, n_features) -> tuple:
+def _from_strings(block: bytes, first: int) -> tuple:
     """The string route: labels, feature counts, 1-based indices and
     values of a block's rows, decoded as UTF-8, its lines split at "\n"
     and numbered from ``first``. Each label and token is read as
@@ -318,7 +309,6 @@ def _from_strings(block: bytes, first: int, n_features) -> tuple:
     except UnicodeDecodeError as exc:
         # the whole lines before the first byte that is not UTF-8
         lines, bad = block[:exc.start].decode("utf-8").split("\n")[:-1], block[exc.start]
-    limit = _INT64_MAX if n_features is None else n_features
     labels, counts, indices, values = [], [], [], []
     for lineno, line in enumerate(lines, start=first):
         tokens = line.split("#", 1)[0].split()
@@ -339,15 +329,13 @@ def _from_strings(block: bytes, first: int, n_features) -> tuple:
                 idx, val = int(idx_s), float(val_s)
             except ValueError:
                 raise ParseError(f"malformed feature token {tok!r}", lineno) from None
-            if not (prev < idx <= limit and math.isfinite(val)):
+            if not (prev < idx <= _INT64_MAX and math.isfinite(val)):
                 if idx < 1:
                     problem = f"index must be >= 1, got {idx}"
                 elif idx <= prev:
                     problem = f"indices must be strictly increasing, got {idx} after {prev}"
-                elif idx <= limit:
+                elif idx <= _INT64_MAX:
                     problem = f"feature {idx} has non-finite value {val}"
-                elif n_features is not None:
-                    problem = f"index {idx} exceeds declared feature count {n_features}"
                 else:
                     problem = f"index {idx} exceeds the int64 range"
                 raise ParseError(problem, lineno)

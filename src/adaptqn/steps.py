@@ -61,16 +61,12 @@ class ArmijoWolfe:
 
 @dataclass(frozen=True)
 class Hybrid:
-    candidates: tuple[float, ...] = (1.0, 0.25, 0.0625)
-    c1: float = 0.1
+    pass
 
-    def __post_init__(self):
-        # its own tuple, so no caller's list or array can change it after the check
-        object.__setattr__(self, "candidates", tuple(map(float, self.candidates)))
-        if not 0.0 < self.c1 <= 0.5:
-            raise ValueError("c1 must lie in (0, 1/2]")
-        if not all(0.0 < t < np.inf for t in self.candidates):
-            raise ValueError(f"candidates must lie in (0, inf), got {self.candidates}")
+
+# Hybrid's step sizes, tried in order, and its Armijo constant
+_HYBRID_CANDIDATES = (1.0, 0.25, 0.0625)
+_HYBRID_C1 = 0.1
 
 
 StepRule = Union[Adaptive, Constant, ArmijoWolfe, Hybrid]
@@ -203,22 +199,22 @@ def _bracket_step(lo: float, f_lo: float, gd_lo: float, hi: float, f_hi: float) 
     return min(max(cand, lo + 0.1 * width), hi - 0.1 * width)
 
 
-def hybrid_select(ray: Ray, f0: float, rho: float, rule: Hybrid) -> StepOutcome:
-    """Try ``rule.candidates`` in order against Armijo with ``rule.c1``
+def hybrid_select(ray: Ray, f0: float, rho: float) -> StepOutcome:
+    """Try the steps 1, 1/4 and 1/16 in order against Armijo with c1 = 0.1
     and the slope g'd = -rho; fall back to the adaptive step when none
     passes. One f evaluation per candidate, at ``ray.at(t)``; the ray's
     curvature is paid only on fallback."""
     if not rho > 0.0:
         raise ValueError(f"hybrid selection needs a descent direction, rho = -g'd = {rho}")
-    for tried, cand in enumerate(rule.candidates, 1):
+    for tried, cand in enumerate(_HYBRID_CANDIDATES, 1):
         pt = ray.at(cand)
         ft = float(pt.value())
-        if armijo_check(f0, ft, cand, -rho, rule.c1):
+        if armijo_check(f0, ft, cand, -rho, _HYBRID_C1):
             return StepOutcome(t=cand, kind="hybrid_candidate", f_new=ft, point=pt,
                                evals_f=tried)
     t, delta, eta = adaptive_step_size(ray, rho)
     return StepOutcome(t=t, kind="hybrid_fallback", delta=delta, eta=eta,
-                       evals_f=len(rule.candidates), evals_hv=1)
+                       evals_f=len(_HYBRID_CANDIDATES), evals_hv=1)
 
 
 def choose_step(rule: StepRule, oracle: ObjectiveOracle, x: np.ndarray,
@@ -238,5 +234,5 @@ def choose_step(rule: StepRule, oracle: ObjectiveOracle, x: np.ndarray,
     if isinstance(rule, ArmijoWolfe):
         return armijo_wolfe_search(oracle, x, d, f0, -rho, rule)
     if isinstance(rule, Hybrid):
-        return hybrid_select(ray, f0, rho, rule)
+        return hybrid_select(ray, f0, rho)
     raise TypeError(f"unknown step rule {rule!r}")

@@ -55,16 +55,14 @@ class ConstantBatch:
 @dataclass(frozen=True)
 class GrowingBatch:
     base: int
-    period: int = 50
 
     def __post_init__(self):
-        if not all(isinstance(v, Integral) and v >= 1 for v in (self.base, self.period)):
-            raise ValueError(f"base and period must be whole numbers >= 1, "
-                             f"got {self.base!r} and {self.period!r}")
+        if not (isinstance(self.base, Integral) and self.base >= 1):
+            raise ValueError(f"base must be a whole number >= 1, got {self.base!r}")
 
     def size_at(self, k: int) -> int:
-        """``base`` times 1.05 every ``period`` iterations, rounded up."""
-        return int(math.ceil(self.base * 1.05 ** (k // self.period)))
+        """``base`` times 1.05 every 50 iterations, rounded up."""
+        return int(math.ceil(self.base * 1.05 ** (k // 50)))
 
 
 BatchSchedule = Union[ConstantBatch, GrowingBatch]
@@ -249,6 +247,17 @@ def draw_batch(sampler: OnlineSampler, size: int) -> SampledBatchOracle:
 _DIRECTIONS = {"sgd": GradientDescent(), "snewton": Newton(), "sbfgs": BfgsDense()}
 
 
+def _run_config(method: str, step_rule, sampler: OnlineSampler, x0: np.ndarray,
+                budget: int, max_seconds: float = math.inf) -> RunConfig:
+    """The ``RunConfig`` that ``stochastic_run`` runs for these arguments,
+    which ``adaptqn stoch`` checks before its first run."""
+    if method not in _DIRECTIONS:
+        raise ValueError(f"unknown stochastic method {method!r}")
+    ref = ReferenceOptimum(*sampler.expected_objective().minimizer())
+    return RunConfig(direction=_DIRECTIONS[method], step=step_rule, max_iters=budget,
+                     max_seconds=max_seconds, x0=x0, reference=ref)
+
+
 def stochastic_run(method: str, schedule: BatchSchedule, step_rule,
                    sampler: OnlineSampler, x0: np.ndarray, budget: int,
                    max_seconds: float = math.inf) -> Trace:
@@ -271,17 +280,13 @@ def stochastic_run(method: str, schedule: BatchSchedule, step_rule,
     the batches are drawn inline. The batches, the trace and the stream
     are the same bit for bit either way.
     """
-    if method not in _DIRECTIONS:
-        raise ValueError(f"unknown stochastic method {method!r}")
-    expected = sampler.expected_objective()
-    ref = ReferenceOptimum(*expected.minimizer())
-    config = RunConfig(direction=_DIRECTIONS[method], step=step_rule, max_iters=budget,
-                       max_seconds=max_seconds, x0=x0, reference=ref)
+    config = _run_config(method, step_rule, sampler, x0, budget, max_seconds)
     size_at = schedule.size_at  # the schedule is resolved once per run
     # a worker on the one usable CPU would only take turns with the run
     ahead = sampler._ahead = _DrawAhead(sampler._rng) if _usable_cpus() >= 2 else None
     try:
-        return run(config, expected, batches=lambda k: draw_batch(sampler, size_at(k)))
+        return run(config, sampler.expected_objective(),
+                   batches=lambda k: draw_batch(sampler, size_at(k)))
     finally:
         sampler._ahead = None
         if ahead is not None:

@@ -374,8 +374,8 @@ def test_criterion_13_parser_suite():
         cols = np.sort(rng.choice(25, size=rng.integers(1, 6), replace=False))
         feats = " ".join(f"{c + 1}:{rng.normal():.17g}" for c in cols)
         lines.append(("+1 " if rng.random() < 0.5 else "-1 ") + feats)
-    original = parse_libsvm("\n".join(lines), n_features=25)
-    reparsed = parse_libsvm(serialize_libsvm(original), n_features=25)
+    original = parse_libsvm("\n".join(lines))
+    reparsed = parse_libsvm(serialize_libsvm(original))
     np.testing.assert_array_equal(original.X.indptr, reparsed.X.indptr)
     np.testing.assert_array_equal(original.X.indices, reparsed.X.indices)
     np.testing.assert_array_equal(original.X.data, reparsed.X.data)

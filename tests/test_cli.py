@@ -292,6 +292,21 @@ def test_bench_refuses_before_it_runs_anything(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_stoch_refuses_before_it_runs_anything(tmp_path, capsys, monkeypatch):
+    # sbfgs-a's refusal is found before sgd-a runs, with the dense cap
+    # lowered in the module whose check_config reads it
+    import adaptqn.driver
+
+    monkeypatch.setattr(adaptqn.driver, "MAX_DENSE_DIM", 4)
+    out = tmp_path / "out"
+    rc = main(["stoch", "--p", "5", "--methods", "sgd-a,sbfgs-a", "--iters", "1",
+               "--out", str(out)])
+    assert rc == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: dense BFGS refused") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_run_requires_exactly_one_problem_source(tmp_path, capsys):
     rc = main(["run", "--method", "gd-a", "--out", str(tmp_path)])
     assert rc == 64
@@ -569,8 +584,11 @@ def test_spec_key_given_twice_is_usage_error(tmp_path, capsys, argv, named):
 @pytest.mark.parametrize("argv", [
     ["stoch", "--methods", "sgd-a,sbfgs-1", "--p", "3", "--iters", "-1"],
     ["stoch", "--methods", "sgd-a,sbfgs-1", "--p", "3", "--max-seconds", "nan"],
+    ["stoch", "--methods", ",", "--p", "3", "--iters", "5"],
+    ["stoch", "--methods", "", "--p", "3", "--iters", "5"],
     ["bench", "--methods", "gd-a,bfgs-a", "--synthetic-quadratic", "dim=3", "--max-iters", "-1"],
-], ids=["stoch-iters--1", "stoch-max-seconds-nan", "bench-max-iters--1"])
+], ids=["stoch-iters--1", "stoch-max-seconds-nan", "stoch-methods-comma", "stoch-methods-empty",
+        "bench-max-iters--1"])
 def test_refusal_creates_no_output_directory(tmp_path, argv):
     out = tmp_path / "fresh"
     assert main(argv + ["--out", str(out)]) == 64

@@ -56,11 +56,6 @@ def test_parse_reports_a_non_finite_value_before_a_later_malformed_row():
         parse_libsvm("+1 1:nan\n-1 1:1\n+1 2:1 2:3\n")
 
 
-def test_parse_names_the_line_of_an_index_above_the_declared_count():
-    with pytest.raises(ParseError, match=r"^line 3: index 5 exceeds declared feature count 3$"):
-        parse_libsvm("+1 1:1\n# comment\n-1 2:1 5:1\n+1 3:1\n", n_features=3)
-
-
 def test_parse_comments_and_blank_lines():
     text = "# header comment\n\n+1 1:2.0  # trailing\n\n-1 2:1\n"
     ds = parse_libsvm(text)
@@ -68,24 +63,11 @@ def test_parse_comments_and_blank_lines():
     np.testing.assert_array_equal(ds.labels, [1.0, -1.0])
 
 
-def test_dimension_override():
-    ds = parse_libsvm("+1 1:1", n_features=10)
-    assert ds.n == 10
-    with pytest.raises(ParseError):
-        parse_libsvm("+1 5:1", n_features=3)
-
-
-@pytest.mark.parametrize("n_features", [-1, 2.5, 2**63, "3"], ids=["negative", "fraction",
-                                                                 "above-int64", "text"])
-def test_parse_refuses_a_feature_count_that_is_no_int64_whole_number(n_features):
-    with pytest.raises(ValueError, match=r"^n_features must be a whole number in "
-                                         r"\[0, 9223372036854775807\], got "):
-        parse_libsvm("+1\n-1\n", n_features=n_features)
-
-
 @pytest.mark.parametrize("n_features", [0, np.int64(3), 2**63 - 1])
 def test_parse_takes_a_feature_count_at_the_ends_of_its_range(n_features):
-    ds = parse_libsvm("+1\n-1\n", n_features=n_features)
+    # n is the largest index in the data, from none up to the int64 range's end
+    text = "+1\n-1\n" if n_features == 0 else f"+1 {n_features}:1\n-1\n"
+    ds = parse_libsvm(text)
     assert ds.X.shape == (2, n_features)
 
 
@@ -97,8 +79,8 @@ def test_round_trip():
         cols = np.sort(rng.choice(30, size=rng.integers(0, 6), replace=False))
         feats = " ".join(f"{c + 1}:{rng.normal():.17g}" for c in cols)
         lines.append(f"{label} {feats}".strip())
-    ds = parse_libsvm("\n".join(lines), n_features=30)
-    ds2 = parse_libsvm(serialize_libsvm(ds), n_features=30)
+    ds = parse_libsvm("\n".join(lines))
+    ds2 = parse_libsvm(serialize_libsvm(ds))
     np.testing.assert_array_equal(ds.X.indptr, ds2.X.indptr)
     np.testing.assert_array_equal(ds.X.indices, ds2.X.indices)
     np.testing.assert_array_equal(ds.X.data, ds2.X.data)
@@ -214,11 +196,11 @@ def test_synth_logistic_max_norm_pinned():
 
 
 def test_dataset_is_one_csr_matrix_with_int32_indices():
-    ds = parse_libsvm("+1 1:0.5 3:-0.2\n-1\n+1 2:1", n_features=4)
+    ds = parse_libsvm("+1 1:0.5 4:-0.2\n-1\n+1 2:1")
     assert ds.X.format == "csr" and ds.X.shape == (3, 4)
     assert ds.X.indptr.dtype == ds.X.indices.dtype == np.int32
     np.testing.assert_array_equal(ds.X.indptr, [0, 2, 2, 3])
-    np.testing.assert_array_equal(ds.X.toarray(), [[0.5, 0, -0.2, 0], [0, 0, 0, 0],
+    np.testing.assert_array_equal(ds.X.toarray(), [[0.5, 0, 0, -0.2], [0, 0, 0, 0],
                                                     [0, 1, 0, 0]])
     with pytest.raises(AttributeError):
         ds.X = None

@@ -26,7 +26,7 @@ from adaptqn import ParseError, SparseDataset, data_io, load_libsvm, parse_libsv
 from conftest import property_test
 
 
-def reference_parse_libsvm(source, n_features=None) -> SparseDataset:
+def reference_parse_libsvm(source) -> SparseDataset:
     """``parse_libsvm`` as it read each token before chunked conversion,
     with every check made on the token it concerns."""
     if isinstance(source, str):
@@ -60,8 +60,6 @@ def reference_parse_libsvm(source, n_features=None) -> SparseDataset:
                 raise ParseError(f"index must be >= 1, got {idx}", lineno)
             if idx <= prev:
                 raise ParseError(f"indices must be strictly increasing, got {idx} after {prev}", lineno)
-            if n_features is not None and idx > n_features:
-                raise ParseError(f"index {idx} exceeds declared feature count {n_features}", lineno)
             if idx > np.iinfo(np.int64).max:
                 raise ParseError(f"index {idx} exceeds the int64 range", lineno)
             if not math.isfinite(val):
@@ -71,10 +69,10 @@ def reference_parse_libsvm(source, n_features=None) -> SparseDataset:
             values.append(val)
         max_index = max(max_index, prev)
         indptr.append(len(indices))
-    n = max_index if n_features is None else n_features
-    idx = data_io._index_dtype(len(indices), n)
+    idx = data_io._index_dtype(len(indices), max_index)
     return data_io._dataset(np.asarray(indptr, dtype=idx), np.asarray(indices, dtype=idx),
-                            np.asarray(values, dtype=float), np.asarray(labels, dtype=float), n)
+                            np.asarray(values, dtype=float), np.asarray(labels, dtype=float),
+                            max_index)
 
 
 # Each list starts with the forms of a plain file, which the byte route
@@ -167,46 +165,42 @@ def _render(rng, lines, plain: bool) -> str:
     return text[:-1] if text and rng.random() < 0.2 else text
 
 
-def _inject(rng, lines, plain: bool) -> bool:
-    """Put one fault into a random record, if there is one. Returns True
-    when the fault is to declare too few features, which the caller does."""
+def _inject(rng, lines, plain: bool) -> None:
+    """Put one fault into a random record, if there is one."""
     records = [line for line in lines if isinstance(line, list)]
     if not records:
-        return False
+        return
     record = records[rng.integers(len(records))]
     tokens = record[1]
-    kind = rng.integers(6)
+    kind = rng.integers(5)
     if kind == 0:
         record[0] = _pick(rng, PLAIN_FAULTY_LABELS if plain else FAULTY_LABELS)
     elif kind == 1 or not tokens:
         tokens.insert(int(rng.integers(len(tokens) + 1)),
                       _pick(rng, PLAIN_FAULTY_TOKENS if plain else FAULTY_TOKENS))
-    elif kind == 2:  # a repeated index
-        k = int(rng.integers(len(tokens)))
-        tokens.insert(k, tokens[k])
     elif kind == 3 and len(tokens) > 1:  # a decreasing index
         k = int(rng.integers(len(tokens) - 1))
         tokens[k], tokens[k + 1] = tokens[k + 1], tokens[k]
-    elif kind == 4:
+    elif kind in (2, 3):  # a repeated index
+        k = int(rng.integers(len(tokens)))
+        tokens.insert(k, tokens[k])
+    else:
         k = int(rng.integers(len(tokens)))
         tokens[k] = tokens[k].partition(":")[0] + ":" + NON_FINITE[rng.integers(len(NON_FINITE))]
-    else:
-        return True
-    return False
 
 
-def _outcome(parse, text, n_features):
+def _outcome(parse, text):
     try:
-        ds = parse(text, n_features)
+        ds = parse(text)
     except ValueError as exc:
         return type(exc), str(exc)
     return ds
 
 
-def _assert_same(text, n_features, chunk_chars):
-    expected = _outcome(reference_parse_libsvm, text, n_features)
+def _assert_same(text, chunk_chars):
+    expected = _outcome(reference_parse_libsvm, text)
     with mock.patch.object(data_io, "_CHUNK_CHARS", chunk_chars):
-        got = _outcome(parse_libsvm, text, n_features)
+        got = _outcome(parse_libsvm, text)
     _assert_equal_outcomes(got, expected)
 
 
@@ -217,13 +211,13 @@ def _assert_file_same(data: bytes, text, chunk_chars):
     """The file of ``data``, read in blocks of ``chunk_chars`` bytes,
     loads as the reference parses ``text``, and ``parse_libsvm`` reads
     ``data`` decoded as text in the same way."""
-    expected = _outcome(reference_parse_libsvm, text, None)
+    expected = _outcome(reference_parse_libsvm, text)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.svm"
         path.write_bytes(data)
         with mock.patch.object(data_io, "_CHUNK_CHARS", chunk_chars):
-            got = _outcome(lambda p, _: load_libsvm(p), path, None)
-            parsed = _outcome(parse_libsvm, data.decode("utf-8", "surrogateescape"), None)
+            got = _outcome(load_libsvm, path)
+            parsed = _outcome(parse_libsvm, data.decode("utf-8", "surrogateescape"))
     _assert_equal_outcomes(got, expected)
     _assert_equal_outcomes(parsed, expected)
 
@@ -251,14 +245,13 @@ def _assert_equal_outcomes(got, expected):
 
 
 @property_test
-@given(st.integers(0, 2**32 - 1), st.integers(1, 160), st.booleans())
-def test_valid_files_parse_as_the_reference(seed, chunk_chars, declare):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 160))
+def test_valid_files_parse_as_the_reference(seed, chunk_chars):
     rng = np.random.default_rng(seed)
     plain = rng.random() < 0.5
     text = _render(rng, _records(rng, plain), plain)
-    n_features = 40 + int(rng.integers(3)) if declare else None
-    _assert_same(text, n_features, chunk_chars)
-    assert not isinstance(_outcome(reference_parse_libsvm, text, n_features), tuple)
+    _assert_same(text, chunk_chars)
+    assert not isinstance(_outcome(reference_parse_libsvm, text), tuple)
     _assert_file_same(_file_bytes(rng, text), text, chunk_chars)
 
 
@@ -268,10 +261,10 @@ def test_faulty_files_fail_as_the_reference(seed, chunk_chars, faults):
     rng = np.random.default_rng(seed)
     plain = rng.random() < 0.5
     lines = _records(rng, plain)
-    too_few = any([_inject(rng, lines, plain) for _ in range(faults)])
-    n_features = int(rng.integers(0, 40)) if too_few else None
+    for _ in range(faults):
+        _inject(rng, lines, plain)
     text = _render(rng, lines, plain)
-    _assert_same(text, n_features, chunk_chars)
+    _assert_same(text, chunk_chars)
     _assert_file_same(_file_bytes(rng, text), text, chunk_chars)
 
 
@@ -282,22 +275,21 @@ def test_chunks_of_the_default_size_parse_as_the_reference():
                         for c in np.sort(rng.choice(300, size=rng.integers(0, 30), replace=False)))
              for _ in range(3000)]
     text = "\n".join(lines)
-    _assert_same(text, None, data_io._CHUNK_CHARS)
+    _assert_same(text, data_io._CHUNK_CHARS)
     # errors in the last chunk, after earlier ones converted in bulk
-    _assert_same(text + "\n+1 5:1 5:2\n", None, data_io._CHUNK_CHARS)
-    _assert_same(text + "\n+1 5:nan\n", None, data_io._CHUNK_CHARS)
+    _assert_same(text + "\n+1 5:1 5:2\n", data_io._CHUNK_CHARS)
+    _assert_same(text + "\n+1 5:nan\n", data_io._CHUNK_CHARS)
     # an index too large for int64 is an error of its row, ahead of later ones
     huge = "-1 99999999999999999999:1\n"
-    _assert_same(huge + text, None, data_io._CHUNK_CHARS)
-    _assert_same(huge + text + "\n+1 5:1:1\n", None, data_io._CHUNK_CHARS)
-    _assert_same(huge + text, 300, data_io._CHUNK_CHARS)
+    _assert_same(huge + text, data_io._CHUNK_CHARS)
+    _assert_same(huge + text + "\n+1 5:1:1\n", data_io._CHUNK_CHARS)
     # the same rows with a comment on every 7th, blank lines and 1e-3
     # values: every block takes the string route, which numbers its lines
     noted = "\n".join((f"{line} 301:1e-3 # row {i}" if i % 7 == 0 else line) + "\n" * (i % 13 == 0)
                       for i, line in enumerate(lines))
-    _assert_same(noted, None, data_io._CHUNK_CHARS)
-    _assert_same(noted + "\n+1 5:1e-3 5:2 # last\n", None, data_io._CHUNK_CHARS)
-    _assert_same(noted + "\n+1 5:1e-3 301:inf # last\n", 301, data_io._CHUNK_CHARS)
+    _assert_same(noted, data_io._CHUNK_CHARS)
+    _assert_same(noted + "\n+1 5:1e-3 5:2 # last\n", data_io._CHUNK_CHARS)
+    _assert_same(noted + "\n+1 5:1e-3 301:inf # last\n", data_io._CHUNK_CHARS)
 
 
 def test_tokens_whose_colon_counts_offset_each_other_are_refused():
@@ -305,7 +297,7 @@ def test_tokens_whose_colon_counts_offset_each_other_are_refused():
     # chunk with as many ':' as tokens and two parts a token
     for text in ["+1 1:2:3 5", "+1 5 1:2:3", "-1 2:1\n+1 3:4:5\n-1 6", "-1 6\n+1 3:4:5\n"]:
         for chunk_chars in (1, 8, 64):
-            _assert_same(text, None, chunk_chars)
+            _assert_same(text, chunk_chars)
 
 
 def test_plain_files_are_read_from_their_bytes(tmp_path):
@@ -331,7 +323,7 @@ def test_plain_files_are_read_from_their_bytes(tmp_path):
         expected = parse_libsvm(text)
         with refuse:
             for chunk_chars in (40, data_io._CHUNK_CHARS):
-                _assert_same(text, None, chunk_chars)
+                _assert_same(text, chunk_chars)
             for bom, ending in ((b"", "\r\n"), (BOM, "\r"), (BOM, "\n")):
                 path = tmp_path / "plain.svm"
                 path.write_bytes(bom + text.replace("\n", ending).encode("ascii"))
@@ -356,7 +348,7 @@ def test_long_values_take_the_string_route_before_their_digits_are_read():
     with mock.patch.object(data_io, "_digits",
                            side_effect=AssertionError("a long value's digits were read")):
         for chunk_chars in (1, 40, data_io._CHUNK_CHARS):
-            _assert_same(text, None, chunk_chars)
+            _assert_same(text, chunk_chars)
             _assert_file_same(text.encode("ascii"), text, chunk_chars)
 
 
@@ -411,7 +403,7 @@ def test_faults_in_plain_files_fail_as_the_reference(token):
     for text in [f"{token} 2:1\n-1 1:1\n", f"+1 1:1 {token} 50:2\n-1 2:1\n",
                  f"-1 2:0.5\n+1 {token}\n", f"-1 2:0.5\n+1 {token}"]:
         for chunk_chars in (1, 12, 64):
-            _assert_same(text, None, chunk_chars)
+            _assert_same(text, chunk_chars)
 
 
 def test_text_is_read_as_a_file_that_holds_it():

@@ -131,7 +131,7 @@ def _search(search, obj, x, d, f0, gd, params):
 def searches(draw, problems):
     """A random point of a random problem, a descent direction there
     (the negative gradient or a random one, scaled by 1e-2 to 1e2), and
-    a budget of 2 to 8 evaluations."""
+    a budget of 2 to 8 evaluations, or the CLI's 25."""
     obj, x0 = draw(problems)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = x0 + rng.standard_normal(obj.dim)
@@ -140,7 +140,7 @@ def searches(draw, problems):
     if d @ g > 0.0:
         d = -d
     d = d * 10.0 ** draw(st.floats(-2.0, 2.0))
-    return obj, x, d, draw(st.integers(2, 8))
+    return obj, x, d, draw(st.integers(2, 8) | st.just(25))
 
 
 PARAMS = [(0.1, 0.75), (1e-4, 0.9), (0.5, 0.51)]

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from adaptqn import (Adaptive, BfgsDense, LBfgs, LogisticObjective, Newton,
                      NumericalError, ObjectiveOracle, OnlineLsExpectedObjective,
@@ -56,7 +57,7 @@ def test_logistic_single_sample_handchecks():
     np.testing.assert_allclose(obj.at(w).ray(np.ones(1)).hess_vec(), [1.25], rtol=1e-14)
     # one row, two features: G = diag(1.25, 1) and g = (-0.5, 0), so the
     # Newton direction (0.4, 0), taken through the 1 x 1 row-space system
-    ds2 = parse_libsvm("+1 1:1", n_features=2)
+    ds2 = SparseDataset(X=csr_matrix([[1.0, 0.0]]), labels=np.array([1.0]))
     obj2 = LogisticObjective(ds2, sc_scale=1.0)
     np.testing.assert_allclose(obj2.at(np.zeros(2)).newton(), [0.4, 0.0], rtol=1e-14)
 
@@ -139,17 +140,15 @@ def test_self_concordance_audit(small_logistic):
 
 
 def random_dataset(rng, n_rows, n_cols, density=0.3):
-    """LIBSVM records with about 15% empty rows, and the dense matrix
-    they describe, built independently of the parser."""
+    """A dataset with about 15% empty rows, and the dense matrix it holds."""
     dense = np.zeros((n_rows, n_cols))
-    lines = []
+    labels = np.empty(n_rows)
     for i in range(n_rows):
         nnz = 0 if rng.random() < 0.15 else rng.integers(1, int(density * n_cols) + 2)
         cols = np.sort(rng.choice(n_cols, size=nnz, replace=False))
         dense[i, cols] = rng.normal(size=nnz)
-        label = "+1" if rng.random() < 0.5 else "-1"
-        lines.append(" ".join([label] + [f"{c + 1}:{dense[i, c]:.17g}" for c in cols]))
-    return parse_libsvm("\n".join(lines), n_features=n_cols), dense
+        labels[i] = 1.0 if rng.random() < 0.5 else -1.0
+    return SparseDataset(X=csr_matrix(dense), labels=labels), dense
 
 
 def dense_reference(X, y, w, d):
@@ -184,7 +183,7 @@ def test_logistic_matches_dense_reference(seed):
 
 
 def test_logistic_on_matrix_without_nonzeros():
-    ds = parse_libsvm("+1\n-1\n+1", n_features=5)
+    ds = SparseDataset(X=csr_matrix((3, 5)), labels=np.array([1.0, -1.0, 1.0]))
     assert ds.X.data.size == 0
     obj = LogisticObjective(ds, sc_scale=1.0)
     w, d = np.arange(5.0), np.ones(5)
@@ -387,17 +386,17 @@ def test_elementwise_kernels_are_the_formulas_bitwise(monkeypatch):
 
 def sparse_binary_logistic(N, n, nnz_per_row, seed):
     """N rows of nnz_per_row ones, in columns drawn with power-law
-    popularity, and labels from a noisy linear rule, read from LIBSVM
-    text: a small version of a9a-like data."""
+    popularity, and labels from a noisy linear rule: a small version of
+    a9a-like data."""
     rng = np.random.default_rng(seed)
     keys = rng.exponential(size=(N, n)) * np.arange(1, n + 1) ** 0.7
     cols = np.sort(np.argpartition(keys, nnz_per_row, axis=1)[:, :nnz_per_row], axis=1)
     margin = rng.standard_normal(n)[cols].sum(axis=1)
     margin = (margin - margin.mean()) / margin.std()
-    labels = np.where(1.5 * margin + rng.standard_normal(N) >= 0, "+1", "-1")
-    text = "\n".join(label + " " + " ".join(f"{j}:1" for j in row)
-                     for label, row in zip(labels, cols + 1))
-    return LogisticObjective(parse_libsvm(text, n_features=n))
+    labels = np.where(1.5 * margin + rng.standard_normal(N) >= 0, 1.0, -1.0)
+    X = csr_matrix((np.ones(cols.size), (np.repeat(np.arange(N), nnz_per_row), cols.ravel())),
+                   shape=(N, n))
+    return LogisticObjective(SparseDataset(X=X, labels=labels))
 
 
 def test_margins_carried_along_a_long_run_stay_within_rounding(monkeypatch):

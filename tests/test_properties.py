@@ -102,7 +102,7 @@ def online_samplers(draw):
     sigma = make_synthetic_sigma(p, seed=seeds[0])
     sampler = OnlineSampler(sigma, make_sparse_beta(p, seed=seeds[1]), lam=1.0 / p,
                             seed=seeds[2])
-    return sampler, GrowingBatch(base=draw(st.integers(1, 2 * p)), period=10)
+    return sampler, GrowingBatch(base=draw(st.integers(1, 2 * p)))
 
 
 def check_batch_omega_decrease(sampler, schedule, method):

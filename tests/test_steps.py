@@ -59,17 +59,6 @@ def test_armijo_check_boundary_and_failure():
     assert armijo_check(f0, f0 - 1.0, t, gd, c1)
 
 
-def test_hybrid_keeps_its_own_candidates():
-    # a list kept by reference could take a refused candidate after the check
-    candidates = [1.0, 0.5]
-    rule = Hybrid(candidates=candidates)
-    candidates.append(-3.0)
-    assert rule.candidates == (1.0, 0.5)
-    # an array kept as given makes == raise numpy's ambiguous-truth error
-    assert Hybrid(candidates=np.array([1.0, 0.25])) == Hybrid(candidates=(1.0, 0.25))
-    assert all(type(t) is float for t in Hybrid(candidates=np.array([1, 2])).candidates)
-
-
 def test_wolfe_check():
     assert wolfe_check(0.0, -1.0, 0.75)
     assert not wolfe_check(-1.0, -1.0, 0.75)
@@ -81,14 +70,6 @@ def test_rule_validation():
     for alpha in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             Constant(alpha=alpha)
-    for c1 in (-1.0, 0.0, 0.6, np.nan):
-        with pytest.raises(ValueError):
-            Hybrid(c1=c1)
-    for candidates in ((0.0,), (np.nan,), (1.0, np.inf), (1.0, -0.5)):
-        with pytest.raises(ValueError):
-            Hybrid(candidates=candidates)
-    Hybrid(candidates=())  # no candidate: the adaptive fallback every time
-    Hybrid(c1=0.5)
     with pytest.raises(ValueError):
         ArmijoWolfe(c1=0.6)
     with pytest.raises(ValueError):
@@ -224,7 +205,7 @@ def test_armijo_wolfe_warning_when_wolfe_unreachable_in_budget():
 def test_hybrid_precondition():
     obj = QuadraticObjective(np.eye(2), np.zeros(2))
     with pytest.raises(ValueError, match="hybrid selection needs a descent direction"):
-        hybrid_select(obj.at(np.ones(2)).ray(np.ones(2)), 1.0, -1.0, Hybrid())
+        hybrid_select(obj.at(np.ones(2)).ray(np.ones(2)), 1.0, -1.0)
 
 
 def test_line_search_contract_on_logistic_run():
@@ -251,7 +232,7 @@ def test_accepted_trial_point_is_returned():
     x = np.zeros(15)
     g = obj.gradient(x)
     ls = armijo_wolfe_search(obj, x, -g, obj.value(x), float(-g @ g), ArmijoWolfe())
-    hy = hybrid_select(obj.at(x).ray(-g), obj.value(x), float(g @ g), Hybrid())
+    hy = hybrid_select(obj.at(x).ray(-g), obj.value(x), float(g @ g))
     for out in (ls, hy):
         x_new = x - out.t * g
         assert out.point.value() == out.f_new == obj.value(x_new)
@@ -266,7 +247,7 @@ def test_hybrid_accepts_unit_step_on_quadratic():
     f0 = obj.value(x)
     gd = float(-x @ x)
     obj.n_f = obj.n_hv = 0
-    out = hybrid_select(obj.at(x).ray(d), f0, -gd, Hybrid(c1=0.5))
+    out = hybrid_select(obj.at(x).ray(d), f0, -gd)
     assert out.t == 1.0
     assert out.kind == "hybrid_candidate"
     assert obj.n_f == 1 and obj.n_hv == 0
@@ -282,24 +263,13 @@ def test_hybrid_falls_back_to_adaptive():
     d = -g
     rho = float(g @ g)
     f0 = obj.inner.value(x)
-    out = hybrid_select(obj.at(x).ray(d), f0, rho, Hybrid())
+    out = hybrid_select(obj.at(x).ray(d), f0, rho)
     assert out.kind == "hybrid_fallback"
     assert obj.n_f == 3 and obj.n_hv == 1
     assert (out.evals_f, out.evals_g, out.evals_hv) == (3, 0, 1)
     t_direct, delta, eta = adaptive_step_size(obj.inner.at(x).ray(d), rho)
     assert out.t == pytest.approx(t_direct, rel=1e-14)
     assert out.eta == pytest.approx(eta, rel=1e-14)
-
-
-def test_hybrid_empty_candidates_is_pure_adaptive():
-    obj = QuadraticObjective(np.eye(2), np.zeros(2))
-    x = np.array([3.0, 4.0])
-    g = obj.gradient(x)
-    out = hybrid_select(obj.at(x).ray(-g), obj.value(x), float(g @ g),
-                        Hybrid(candidates=()))
-    t_direct, _, _ = adaptive_step_size(obj.at(x).ray(-g), float(g @ g))
-    assert out.kind == "hybrid_fallback"
-    assert out.t == pytest.approx(t_direct, rel=1e-14)
 
 
 def test_adaptive_step_closed_form_in_g_H_G():

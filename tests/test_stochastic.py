@@ -501,10 +501,9 @@ def test_singular_covariance_gets_a_jitter():
      "lam must be positive and finite"),
     (lambda: ConstantBatch(0), "batch size"),
     (lambda: ConstantBatch(2.5), "batch size"),
-    (lambda: GrowingBatch(base=0), "base and period"),
-    (lambda: GrowingBatch(base=math.nan), "base and period"),
-    (lambda: GrowingBatch(base=math.inf), "base and period"),
-    (lambda: GrowingBatch(base=5, period=2.5), "base and period"),
+    (lambda: GrowingBatch(base=0), "base must be a whole number >= 1"),
+    (lambda: GrowingBatch(base=math.nan), "base must be a whole number >= 1"),
+    (lambda: GrowingBatch(base=math.inf), "base must be a whole number >= 1"),
     (lambda: ArmijoWolfe(max_evals=1), "two evaluations"),
     (lambda: ArmijoWolfe(max_evals=math.nan), "two evaluations"),
     (lambda: ArmijoWolfe(max_evals=2.5), "two evaluations"),
@@ -526,7 +525,7 @@ def test_singular_covariance_gets_a_jitter():
         "batch-oracle-Y-2d", "batch-oracle-lam-negative", "batch-oracle-lam-0",
         "batch-oracle-lam-nan", "batch-oracle-lam-inf",
         "constant-batch-0", "constant-batch-2.5", "growing-batch-base-0",
-        "growing-batch-base-nan", "growing-batch-base-inf", "growing-batch-period-2.5",
+        "growing-batch-base-nan", "growing-batch-base-inf",
         "armijo-wolfe-max-evals-1", "armijo-wolfe-max-evals-nan",
         "armijo-wolfe-max-evals-2.5", "sigma-p-2.5", "sigma-p--1", "sigma-p-0",
         "beta-p-2.5", "beta-p-0", "sigma-seed-2.5", "sigma-seed--1", "beta-seed-2.5",
@@ -665,7 +664,7 @@ def test_a_run_sees_and_leaves_the_serial_stream(monkeypatch, ending, cpus):
     # sizes of 11 normals a sample straddle the stream's chunk boundaries
     seen, trace = recorded_run(
         monkeypatch, setup.get("spoil", lambda k, batch: batch), method="sbfgs",
-        schedule=GrowingBatch(base=40, period=3), step_rule=Adaptive(), sampler=sampler,
+        schedule=GrowingBatch(base=40), step_rule=Adaptive(), sampler=sampler,
         x0=np.zeros(p), budget=60, **run_kw)
     assert (trace is None) if kind is None else trace.termination.kind == kind
     if ending.endswith("mid-run") or kind is None:
@@ -714,7 +713,7 @@ def test_one_cpu_starts_no_thread_and_traces_the_same(monkeypatch):
             if cpus == 1:
                 m.setattr(threading.Thread, "start",
                           lambda self: pytest.fail("a thread started on one CPU"))
-            trace = stochastic_run("sbfgs", GrowingBatch(base=40, period=3), Adaptive(),
+            trace = stochastic_run("sbfgs", GrowingBatch(base=40), Adaptive(),
                                    make_sampler(), x0=np.zeros(10), budget=80)
         rows = [repr(r._replace(elapsed=None)) for r in trace.rows()]
         return rows, trace.final_x.tobytes()
@@ -727,7 +726,7 @@ def test_concurrent_runs_keep_their_own_streams(monkeypatch):
     use_cpus(monkeypatch, 2)
 
     def rows(seed):
-        trace = stochastic_run("sbfgs", GrowingBatch(base=40, period=3), Adaptive(),
+        trace = stochastic_run("sbfgs", GrowingBatch(base=40), Adaptive(),
                                make_sampler(seed=seed), x0=np.zeros(10), budget=60)
         return [repr(r._replace(elapsed=None)) for r in trace.rows()]
 
