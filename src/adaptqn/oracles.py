@@ -4,12 +4,16 @@ expected online least-squares objective with its closed-form minimizer."""
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from abc import ABC, abstractmethod
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Protocol
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
+from . import data_io
 from .data_io import SparseDataset, max_row_norm
 from .errors import NumericalError
 
@@ -29,6 +33,63 @@ __all__ = [
 # cho_factor/cho_solve wrappers make the same two calls but re-validate
 # their inputs on every use, which dominates small Newton solves.
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+
+
+# The process's one product worker: the first split product starts it, it
+# lives until the process exits, and a forked child starts its own.
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _forget_worker() -> None:
+    # a forked child has no thread behind its parent's worker
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _product_worker() -> ThreadPoolExecutor:
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="adaptqn-product")
+        return _worker
+
+
+def _product(A, v: np.ndarray) -> np.ndarray:
+    """``A @ v`` for a sparse matrix A and a float vector v, bit for bit.
+
+    When A is a CSR matrix of at least ``data_io.SPLIT_NNZ`` stored
+    float64 entries and the process may use two CPUs, A's rows are cut
+    into two ranges of about equal stored entries: the product worker
+    computes the second range through scipy's CSR kernel while the
+    caller computes the first. Every output row is the same sum in the
+    same order either way."""
+    indptr, data = A.indptr, A.data
+    M, n = A.shape
+    if (indptr[-1] < data_io.SPLIT_NNZ or A.format != "csr" or data.dtype != np.float64
+            or v.shape != (n,) or _usable_cpus() < 2):
+        return A @ v
+    from scipy.sparse._sparsetools import csr_matvec
+
+    mid = int(indptr.searchsorted(indptr[-1] // 2))
+    out = np.zeros(M)
+    rest = _product_worker().submit(csr_matvec, M - mid, n, indptr[mid:], A.indices, data,
+                                    v, out[mid:])
+    try:
+        csr_matvec(mid, n, indptr, A.indices, data, v, out[:mid])
+    finally:
+        rest.result()  # the worker's range is written, or its error raised
+    return out
 
 
 def _sigmoid(z, ez, den):
@@ -166,10 +227,12 @@ class ObjectiveOracle(ABC):
 
     Oracles are immutable after construction, so concurrent evaluation
     from multiple runs is safe; a point belongs to its caller. The one
-    state that changes is a logistic dataset's ``X'`` and ``X X'`` and
-    an online model's Cholesky factor, each computed once on first use;
-    the computation is idempotent, so a run that races another to it
-    only repeats the same work.
+    state that changes is a logistic dataset's ``X'`` (for a large X, a
+    CSR copy) and ``X X'`` and an online model's
+    Cholesky factor, each computed once on first use; the computation
+    is idempotent, so a run that races another to it only repeats the
+    same work. Runs on two or more CPUs also share the process's one
+    sparse-product worker, which changes no result.
     """
 
     @abstractmethod
@@ -243,7 +306,7 @@ class _LogisticPoint:
     def __init__(self, obj: LogisticObjective, w: np.ndarray, z: np.ndarray | None = None):
         self._obj = obj
         self._w = w
-        self._z = obj.data.X @ w if z is None else z
+        self._z = _product(obj.data.X, w) if z is None else z
         self._m = obj._neg_labels * self._z
         self._em = np.exp(-np.abs(self._m))
         self._den = 1.0 + self._em
@@ -267,7 +330,7 @@ class _LogisticPoint:
             ds = obj.data
             coef = self._q()
             coef /= ds.N
-            self._g = obj.sc_scale * (ds.XT @ coef + self._w / ds.N)
+            self._g = obj.sc_scale * (_product(ds.XT, coef) + self._w / ds.N)
         return self._g
 
     def _hess_weights(self) -> np.ndarray:
@@ -308,7 +371,7 @@ class _LogisticPoint:
         K *= r
         K.flat[::N + 1] += 1.0
         a = q - r * _spd_solve_in_place(K, r * (gram @ q + self._z))
-        d = -(self._w + ds.XT @ a)
+        d = -(self._w + _product(ds.XT, a))
         self._newton = (d, -(self._z + gram @ a))
         return d
 
@@ -329,7 +392,7 @@ class _LogisticRay:
 
     def _xd(self) -> np.ndarray:
         if self._u is None:
-            self._u = self._point._obj.data.X @ self._d
+            self._u = _product(self._point._obj.data.X, self._d)
         return self._u
 
     def curvature(self) -> float:
@@ -342,7 +405,7 @@ class _LogisticRay:
         ds = p._obj.data
         coef = p._hess_weights() * self._xd()
         coef /= ds.N
-        return p._obj.sc_scale * (ds.XT @ coef + d / ds.N)
+        return p._obj.sc_scale * (_product(ds.XT, coef) + d / ds.N)
 
     def at(self, t: float) -> _LogisticPoint:
         p = self._point

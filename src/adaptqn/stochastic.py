@@ -5,7 +5,6 @@ through the driver's loop."""
 from __future__ import annotations
 
 import math
-import os
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -16,7 +15,8 @@ import numpy as np
 
 from .directions import BfgsDense, GradientDescent, Newton
 from .driver import ReferenceOptimum, RunConfig, Trace, run
-from .oracles import HessVecRay, ObjectiveOracle, OnlineLsExpectedObjective, spd_solve
+from .oracles import (HessVecRay, ObjectiveOracle, OnlineLsExpectedObjective, _usable_cpus,
+                      spd_solve)
 
 __all__ = [
     "CONSTANT_STEP_SIZES",
@@ -222,11 +222,6 @@ class _DrawAhead:
             self._pool.shutdown()
             self._rng.bit_generator.state = self._state
             self._rng.standard_normal(self._pos)
-
-
-def _usable_cpus() -> int:
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
 
 
 def draw_batch(sampler: OnlineSampler, size: int) -> SampledBatchOracle:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -23,6 +25,12 @@ def desk_logistic(desk_dataset):
 # Derandomized so the suite sees the same examples on every run.
 property_test = settings(derandomize=True, database=None, deadline=None,
                          max_examples=100)
+
+
+def use_cpus(monkeypatch, n):
+    """Let the process see n usable CPUs: the rule by which a stochastic
+    run draws ahead and a large sparse product is split."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def sym(H):

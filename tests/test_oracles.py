@@ -1,7 +1,15 @@
 import itertools
+import os
+import signal
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 from adaptqn import (Adaptive, BfgsDense, LBfgs, LogisticObjective, Newton,
@@ -10,11 +18,11 @@ from adaptqn import (Adaptive, BfgsDense, LBfgs, LogisticObjective, Newton,
                      logistic_sc_scale,
                      parse_libsvm, run, sc_lower_f, sc_lower_gd, sc_upper_f,
                      sc_upper_gd, synth_logistic)
-from adaptqn import oracles
+from adaptqn import data_io, oracles
 from adaptqn.cli import run_config
 from adaptqn.oracles import (_LogisticPoint, _LogisticRay, _sigmoid, _softplus,
                              _weighted_gram, spd_solve)
-from conftest import NoSolve
+from conftest import NoSolve, property_test, use_cpus
 
 
 def fd_gradient(obj, x, h=1e-6):
@@ -367,12 +375,13 @@ def test_elementwise_kernels_are_the_formulas_bitwise(monkeypatch):
     obj = LogisticObjective(ds, sc_scale=1.0)
 
     class CaptureXT:
-        def __matmul__(self, c):
+        def __call__(self, A, c):
+            assert A is ds.XT
             self.coef = c.copy()
             return np.zeros(1)
 
     capture = CaptureXT()
-    monkeypatch.setitem(ds.__dict__, "XT", capture)
+    monkeypatch.setattr(oracles, "_product", capture)
     s = sigmoid(z)
     m = -labels * z
     for value_first in (False, True):
@@ -718,16 +727,16 @@ def test_row_gram_is_never_built_when_n_fits_in_N():
     assert "row_gram" not in vars(ds)
 
 
-class CountedProducts:
-    """A matrix whose products ``M @ v`` add one to ``counts[name]``."""
+def count_products(monkeypatch, ds, counts):
+    """Add one to counts["X"] or counts["XT"] for each product that the
+    logistic oracle makes with ds.X or ds.XT, split or not."""
+    product = oracles._product
 
-    def __init__(self, inner, name, counts):
-        self.inner, self.name, self.counts = inner, name, counts
-        self.shape = inner.shape
+    def counted(A, v):
+        counts["X" if A is ds.X else "XT" if A is ds.XT else pytest.fail("another matrix")] += 1
+        return product(A, v)
 
-    def __matmul__(self, v):
-        self.counts[self.name] += 1
-        return self.inner @ v
+    monkeypatch.setattr(oracles, "_product", counted)
 
 
 def test_a_wide_newton_iteration_makes_two_sparse_products(monkeypatch):
@@ -738,9 +747,10 @@ def test_a_wide_newton_iteration_makes_two_sparse_products(monkeypatch):
     obj = LogisticObjective(ds)
     ds.row_gram  # X X' densifies X once per dataset, before the count
     counts = {"X": 0, "XT": 0}
-    monkeypatch.setitem(ds.__dict__, "XT", CountedProducts(ds.XT, "XT", counts))
-    monkeypatch.setitem(ds.__dict__, "X", CountedProducts(ds.X, "X", counts))
-    for iters in (1, 2, 3):
+    count_products(monkeypatch, ds, counts)
+    monkeypatch.setattr(data_io, "SPLIT_NNZ", 0)
+    for cpus, iters in itertools.product((1, 2), (1, 2, 3)):
+        use_cpus(monkeypatch, cpus)  # on two, every product is split
         counts.update(X=0, XT=0)
         trace = run(RunConfig(Newton(), Adaptive(), grad_tol=1e-300, max_iters=iters), obj)
         assert trace.iterations == iters
@@ -764,3 +774,194 @@ def test_the_newton_ray_agrees_with_a_fresh_ray():
             for t in (0.25, 1.0):
                 z, want = ray.at(t)._z, fresh.at(t)._z
                 assert np.linalg.norm(z - want) <= 1e-13 * np.linalg.norm(want), (seed, t)
+
+
+# The product split: a large A @ v is cut into two row ranges, one
+# computed by the caller and one by the process's product worker, with
+# the bits of the whole product. With data_io.SPLIT_NNZ = 0, every
+# dataset keeps X' as a CSR copy and every product is split.
+
+FLOATS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e20, -1e-20, 1e-300, -3.5e20])
+
+
+@st.composite
+def csr_products(draw):
+    """A random CSR matrix with int32 or int64 indices, and float vectors
+    for its products with X and X'. Its rows follow one of three shapes:
+    random lengths, many empty rows, or one row holding every entry.
+    Entries and vector values mix signed zeros (explicitly stored ones in
+    the matrix), NaN, +-inf, and values of magnitude 1e+-20 or ~1."""
+    N, n = draw(st.integers(0, 30)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["random", "sparse rows", "one row"]))
+    lengths = rng.integers(0, n + 1, size=N)
+    if shape == "sparse rows":
+        lengths[rng.random(N) < 0.8] = 0
+    elif shape == "one row" and N:
+        lengths[:] = 0
+        lengths[rng.integers(N)] = n
+    cols = [np.sort(rng.choice(n, size=k, replace=False)) for k in lengths]
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    indices = np.concatenate([np.zeros(0, dtype=np.int64), *cols])
+
+    def values(size):
+        special = rng.random(size) < draw(st.sampled_from([0.0, 0.2, 0.6]))
+        scale = 10.0 ** rng.choice([-20, 0, 20], size=size)
+        return np.where(special, rng.choice(FLOATS, size=size),
+                        scale * rng.standard_normal(size))
+
+    X = csr_matrix((values(indices.size), indices, indptr), shape=(N, n))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    X.indices, X.indptr = X.indices.astype(dtype), X.indptr.astype(dtype)
+    return X, values(n), values(N)
+
+
+def same_product_bits(got, want):
+    """Equal values, NaN at the same places, and the same sign on the rest."""
+    np.testing.assert_array_equal(got, want)
+    ok = ~np.isnan(want)
+    np.testing.assert_array_equal(np.signbit(got[ok]), np.signbit(want[ok]))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@property_test
+@given(csr_products())
+def test_split_products_have_the_bits_of_the_whole_products(cpus, case):
+    X, v, c = case
+    with mock.patch.object(data_io, "SPLIT_NNZ", 0), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                              create=True):
+        XT = SparseDataset(X=X, labels=np.ones(X.shape[0])).XT
+        assert XT.format == "csr"
+        XT.indices, XT.indptr = (XT.indices.astype(X.indices.dtype),
+                                 XT.indptr.astype(X.indptr.dtype))
+        same_product_bits(oracles._product(X, v), X @ v)
+        same_product_bits(oracles._product(XT, c), X.T @ c)  # CSC's scatter
+
+
+def test_only_a_large_dataset_copies_x_transposed(monkeypatch):
+    # below SPLIT_NNZ entries X' is a view of X's arrays, which a product
+    # never splits; from SPLIT_NNZ on, a CSR copy, built on the first X'c
+    ds = synth_logistic(50, 20, seed=1)
+    obj = LogisticObjective(ds)
+    assert "XT" not in vars(ds)
+    obj.gradient(np.zeros(20))
+    assert ds.XT.format == "csc" and np.shares_memory(ds.XT.data, ds.X.data)
+    monkeypatch.setattr(data_io, "SPLIT_NNZ", ds.X.nnz)
+    big = synth_logistic(50, 20, seed=1)
+    LogisticObjective(big).gradient(np.zeros(20))
+    assert big.XT.format == "csr" and not np.shares_memory(big.XT.data, big.X.data)
+    assert big.XT.nnz == ds.XT.nnz
+
+
+def product_workers():
+    return [t for t in threading.enumerate() if t.name.startswith("adaptqn-product")]
+
+
+def wide_logistic():
+    return LogisticObjective(synth_logistic(40, 150, seed=5, feature_decay=0.998))
+
+
+WIDE_METHODS = ("bfgs-a", "lbfgs-a", "bfgs-h", "newton-a")
+
+
+def traced(method, obj):
+    trace = run(run_config(method, dim=obj.dim, grad_tol=1e-8, max_iters=40), obj)
+    return [repr(r._replace(elapsed=None)) for r in trace.rows()], trace.final_x.tobytes()
+
+
+def test_concurrent_runs_on_one_oracle_give_the_serial_traces(monkeypatch):
+    # four runs share one wide oracle and the one product worker while the
+    # interpreter switches threads every microsecond; X' is first built
+    # during the race
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(data_io, "SPLIT_NNZ", 0)
+    want = {m: traced(m, wide_logistic()) for m in WIDE_METHODS}
+    obj, got = wide_logistic(), {}
+    assert "XT" not in vars(obj.data)
+    threads = [threading.Thread(target=lambda m=m: got.__setitem__(m, traced(m, obj)))
+               for m in WIDE_METHODS]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+    assert len(product_workers()) == 1
+
+
+def test_one_cpu_starts_no_product_worker_and_traces_the_same(monkeypatch):
+    monkeypatch.setattr(data_io, "SPLIT_NNZ", 0)
+
+    def on(cpus):
+        with monkeypatch.context() as m:
+            use_cpus(m, cpus)
+            if cpus == 1:
+                m.setattr(threading.Thread, "start",
+                          lambda self: pytest.fail("a thread started on one CPU"))
+            return {method: traced(method, wide_logistic()) for method in WIDE_METHODS}
+
+    assert on(1) == on(2)
+    assert len(product_workers()) == 1  # the two-CPU runs split their products
+
+
+def test_racing_first_products_start_one_worker(monkeypatch):
+    made = []
+
+    class Counted(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(data_io, "SPLIT_NNZ", 0)
+    monkeypatch.setattr(oracles, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(oracles, "_worker", None)  # as in a fresh process
+    X = wide_logistic().data.X
+    v = np.random.default_rng(3).standard_normal(X.shape[1])
+    want, got = (X @ v).tobytes(), []
+    threads = [threading.Thread(target=lambda: got.append(oracles._product(X, v).tobytes()))
+               for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in made:
+            pool.shutdown()
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * 8
+    assert len(made) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_worker(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(data_io, "SPLIT_NNZ", 0)
+    X = wide_logistic().data.X
+    v = np.random.default_rng(4).standard_normal(X.shape[1])
+    want = (X @ v).tobytes()
+    assert oracles._product(X, v).tobytes() == want
+    parent = oracles._worker
+    assert parent is not None
+    pid = os.fork()
+    if pid == 0:  # the child: exit 0 only if its own worker gave the product
+        code = 1
+        try:
+            signal.alarm(30)  # a child that waits on its parent's worker ends here
+            code = 0 if (oracles._worker is None
+                         and oracles._product(X, v).tobytes() == want
+                         and oracles._worker not in (None, parent)) else 2
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0

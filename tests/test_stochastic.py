@@ -1,6 +1,5 @@
 import gc
 import math
-import os
 import sys
 import threading
 import time
@@ -19,7 +18,7 @@ from adaptqn import (Adaptive, ArmijoWolfe, BfgsDense, Constant,
 from adaptqn import stochastic
 from adaptqn.sc import adaptive_step
 from adaptqn.stochastic import CONSTANT_STEP_SIZES
-from conftest import sym
+from conftest import sym, use_cpus
 
 
 def make_sampler(p=10, seed=7, sigma_seed=3, **kw):
@@ -583,10 +582,6 @@ def test_a_non_finite_sigma_is_not_refused_as_asymmetric(entry, bad):
 # The stream contract: a run sees, and leaves its sampler's generator
 # after, exactly the normals that serial draw_batch calls of the same
 # sizes see, however the run ends and however many CPUs it may use.
-
-def use_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
 
 def recorded_run(monkeypatch, spoil=lambda k, batch: batch, **run_kw):
     """A stochastic_run whose every batch is recorded as (size, X, Y);
