@@ -26,14 +26,6 @@ __all__ = [
 ]
 
 
-# Stored entries from which a dataset keeps X' as a CSR copy and the
-# logistic oracle splits a product with X or X' between two CPUs. With a
-# worker round trip of 20-30 us, a split saved 10-30% of a 200,000-entry
-# product, 30-40% at 600,000 and about nothing at 100,000-150,000. Below
-# it, X' stays a view of X's arrays: a copy made smaller products slower.
-SPLIT_NNZ = 200_000
-
-
 @dataclass(frozen=True)
 class SparseDataset:
     """Row-sparse feature matrix with +-1 labels.
@@ -47,17 +39,6 @@ class SparseDataset:
 
     X: csr_matrix
     labels: np.ndarray
-
-    @functools.cached_property
-    def XT(self):
-        """X' for products X'c, built on the first X'c. Below SPLIT_NNZ
-        stored entries, a CSC matrix sharing X's arrays. From SPLIT_NNZ
-        on, a CSR copy, whose products can be split by output row: nnz
-        * 12 bytes with int32 indices (7.2 MB for a dense 400 x 1500 X).
-        Its row j holds column j's entries in the order of their rows
-        of X, so its product with c adds the terms of (X'c)_j in the
-        order that the CSC scatter adds them, with the same bits."""
-        return self.X.T.tocsr() if self.X.indptr[-1] >= SPLIT_NNZ else self.X.T
 
     @functools.cached_property
     def row_gram(self) -> np.ndarray:

@@ -13,7 +13,6 @@ from typing import Callable, Protocol
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from . import data_io
 from .data_io import SparseDataset, max_row_norm
 from .errors import NumericalError
 
@@ -35,14 +34,16 @@ __all__ = [
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+# Stored entries from which a logistic oracle keeps X' as a CSR copy and
+# splits a product with X or X' between two CPUs. With a worker round
+# trip of 20-30 us, a split saved 10-30% of a 200,000-entry product,
+# 30-40% at 600,000 and about nothing at 100,000-150,000. Below it, X'
+# stays a view of X's arrays: a copy made smaller products slower.
+SPLIT_NNZ = 200_000
 
-
-# The process's one product worker: the first split product starts it, it
-# lives until the process exits, and a forked child starts its own.
+# The process's one worker, which splits products and draws stochastic
+# batches ahead: the first use starts it, it lives until the process
+# exits, and a forked child starts its own.
 _worker = None
 _worker_lock = threading.Lock()
 
@@ -57,34 +58,38 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _product_worker() -> ThreadPoolExecutor:
+def _second_cpu() -> ThreadPoolExecutor | None:
+    """The process's one worker, or None when the process may use only
+    one CPU, where a worker would only take turns with its caller."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if (len(affinity(0)) if affinity is not None else os.cpu_count() or 1) < 2:
+        return None
     global _worker
     with _worker_lock:
         if _worker is None:
-            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="adaptqn-product")
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="adaptqn-worker")
         return _worker
 
 
 def _product(A, v: np.ndarray) -> np.ndarray:
     """``A @ v`` for a sparse matrix A and a float vector v, bit for bit.
 
-    When A is a CSR matrix of at least ``data_io.SPLIT_NNZ`` stored
-    float64 entries and the process may use two CPUs, A's rows are cut
-    into two ranges of about equal stored entries: the product worker
-    computes the second range through scipy's CSR kernel while the
-    caller computes the first. Every output row is the same sum in the
-    same order either way."""
+    When A is a CSR matrix of at least ``SPLIT_NNZ`` stored float64
+    entries and the process has a second CPU, A's rows are cut into two
+    ranges of about equal stored entries: the worker computes the
+    second range through scipy's CSR kernel while the caller computes
+    the first. Every output row is the same sum in the same order
+    either way."""
     indptr, data = A.indptr, A.data
     M, n = A.shape
-    if (indptr[-1] < data_io.SPLIT_NNZ or A.format != "csr" or data.dtype != np.float64
-            or v.shape != (n,) or _usable_cpus() < 2):
+    if (indptr[-1] < SPLIT_NNZ or A.format != "csr" or data.dtype != np.float64
+            or v.shape != (n,) or (worker := _second_cpu()) is None):
         return A @ v
     from scipy.sparse._sparsetools import csr_matvec
 
     mid = int(indptr.searchsorted(indptr[-1] // 2))
     out = np.zeros(M)
-    rest = _product_worker().submit(csr_matvec, M - mid, n, indptr[mid:], A.indices, data,
-                                    v, out[mid:])
+    rest = worker.submit(csr_matvec, M - mid, n, indptr[mid:], A.indices, data, v, out[mid:])
     try:
         csr_matvec(mid, n, indptr, A.indices, data, v, out[:mid])
     finally:
@@ -227,12 +232,12 @@ class ObjectiveOracle(ABC):
 
     Oracles are immutable after construction, so concurrent evaluation
     from multiple runs is safe; a point belongs to its caller. The one
-    state that changes is a logistic dataset's ``X'`` (for a large X, a
-    CSR copy) and ``X X'`` and an online model's
-    Cholesky factor, each computed once on first use; the computation
-    is idempotent, so a run that races another to it only repeats the
-    same work. Runs on two or more CPUs also share the process's one
-    sparse-product worker, which changes no result.
+    state that changes is a logistic oracle's ``X'`` (for a large X, a
+    CSR copy), its dataset's ``X X'`` and an online model's Cholesky
+    factor, each computed once on first use; the computation is
+    idempotent, so a run that races another to it only repeats the same
+    work. Runs on two or more CPUs also share the process's one worker,
+    which changes no result.
     """
 
     @abstractmethod
@@ -289,6 +294,18 @@ class LogisticObjective(ObjectiveOracle):
             raise ValueError(f"sc_scale must be positive and finite, got {self.sc_scale}")
         self._neg_labels = -data.labels
 
+    @functools.cached_property
+    def _xt(self):
+        """X' for products X'c, built on the first X'c. Below SPLIT_NNZ
+        stored entries, a CSC matrix sharing X's arrays. From SPLIT_NNZ
+        on, a CSR copy, whose products can be split by output row: nnz
+        * 12 bytes with int32 indices (7.2 MB for a dense 400 x 1500 X).
+        Its row j holds column j's entries in the order of their rows
+        of X, so its product with c adds the terms of (X'c)_j in the
+        order that the CSC scatter adds them, with the same bits."""
+        X = self.data.X
+        return X.T.tocsr() if X.indptr[-1] >= SPLIT_NNZ else X.T
+
     def at(self, x) -> "_LogisticPoint":
         return _LogisticPoint(self, self._check(x))
 
@@ -330,7 +347,7 @@ class _LogisticPoint:
             ds = obj.data
             coef = self._q()
             coef /= ds.N
-            self._g = obj.sc_scale * (_product(ds.XT, coef) + self._w / ds.N)
+            self._g = obj.sc_scale * (_product(obj._xt, coef) + self._w / ds.N)
         return self._g
 
     def _hess_weights(self) -> np.ndarray:
@@ -371,7 +388,7 @@ class _LogisticPoint:
         K *= r
         K.flat[::N + 1] += 1.0
         a = q - r * _spd_solve_in_place(K, r * (gram @ q + self._z))
-        d = -(self._w + _product(ds.XT, a))
+        d = -(self._w + _product(obj._xt, a))
         self._newton = (d, -(self._z + gram @ a))
         return d
 
@@ -402,10 +419,10 @@ class _LogisticRay:
 
     def hess_vec(self) -> np.ndarray:
         p, d = self._point, self._d
-        ds = p._obj.data
+        obj = p._obj
         coef = p._hess_weights() * self._xd()
-        coef /= ds.N
-        return p._obj.sc_scale * (_product(ds.XT, coef) + d / ds.N)
+        coef /= obj.data.N
+        return obj.sc_scale * (_product(obj._xt, coef) + d / obj.data.N)
 
     def at(self, t: float) -> _LogisticPoint:
         p = self._point

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Union
@@ -15,7 +14,7 @@ import numpy as np
 
 from .directions import BfgsDense, GradientDescent, Newton
 from .driver import ReferenceOptimum, RunConfig, Trace, run
-from .oracles import (HessVecRay, ObjectiveOracle, OnlineLsExpectedObjective, _usable_cpus,
+from .oracles import (HessVecRay, ObjectiveOracle, OnlineLsExpectedObjective, _second_cpu,
                       spd_solve)
 
 __all__ = [
@@ -178,22 +177,23 @@ DRAW_AHEAD = 16384
 
 
 class _DrawAhead:
-    """A generator's stream, drawn one chunk ahead on one worker thread.
+    """A generator's stream, drawn one chunk ahead on the process's worker.
 
     ``take(n)`` returns the stream's next n normals, the ones
     ``standard_normal(n)`` would return: a call for n1 + n2 normals draws
     the calls for n1 and n2 bit for bit. A chunk holds DRAW_AHEAD normals,
-    or the most one ``take`` asked for, if more. ``close()`` ends the worker
-    and leaves the generator where serial draws of the taken normals would:
+    or the most one ``take`` asked for, if more. Only the one draw in
+    flight touches the generator. ``close()`` waits for that draw and
+    leaves the generator where serial draws of the taken normals would:
     it restores the state saved before the chunk being taken from and
     draws the taken part of that chunk again."""
 
-    def __init__(self, rng: np.random.Generator):
+    def __init__(self, rng: np.random.Generator, worker):
         self._rng = rng
         self._size = DRAW_AHEAD
         self._state, self._chunk, self._pos = rng.bit_generator.state, np.empty(0), 0
-        self._pool = ThreadPoolExecutor(max_workers=1)
-        self._next = self._pool.submit(self._draw, self._size)
+        self._worker = worker
+        self._next = worker.submit(self._draw, self._size)
 
     def _draw(self, n: int):
         # on the worker; standard_normal releases the GIL while it fills
@@ -209,19 +209,16 @@ class _DrawAhead:
         need = n - pieces[0].size
         while need > 0:
             self._state, self._chunk = self._next.result()
-            self._next = self._pool.submit(self._draw, self._size)
+            self._next = self._worker.submit(self._draw, self._size)
             pieces.append(self._chunk[:need])
             need -= pieces[-1].size
         self._pos = pieces[-1].size
         return np.concatenate(pieces)
 
     def close(self) -> None:
-        try:
-            self._next.result()  # the draw in flight ends before the reset
-        finally:
-            self._pool.shutdown()
-            self._rng.bit_generator.state = self._state
-            self._rng.standard_normal(self._pos)
+        self._next.result()  # the draw in flight ends before the reset
+        self._rng.bit_generator.state = self._state
+        self._rng.standard_normal(self._pos)
 
 
 def draw_batch(sampler: OnlineSampler, size: int) -> SampledBatchOracle:
@@ -268,17 +265,17 @@ def stochastic_run(method: str, schedule: BatchSchedule, step_rule,
     was run: the method shows as its direction, and ``max_iters`` is
     ``budget``.
 
-    Where the process may use two or more CPUs, one worker thread draws
-    the sampler's normals a chunk ahead of the batches while the run
-    works; it ends with the run, which leaves the sampler's stream where
-    serial ``draw_batch`` calls would, however the run ends. On one CPU
-    the batches are drawn inline. The batches, the trace and the stream
-    are the same bit for bit either way.
+    Where the process may use two or more CPUs, the process's one worker
+    thread draws the sampler's normals a chunk ahead of the batches while
+    the run works. However the run ends, it leaves no draw in flight and
+    the sampler's stream where serial ``draw_batch`` calls would. On one
+    CPU the batches are drawn inline. The batches, the trace and the
+    stream are the same bit for bit either way.
     """
     config = _run_config(method, step_rule, sampler, x0, budget, max_seconds)
     size_at = schedule.size_at  # the schedule is resolved once per run
-    # a worker on the one usable CPU would only take turns with the run
-    ahead = sampler._ahead = _DrawAhead(sampler._rng) if _usable_cpus() >= 2 else None
+    worker = _second_cpu()
+    ahead = sampler._ahead = None if worker is None else _DrawAhead(sampler._rng, worker)
     try:
         return run(config, sampler.expected_objective(),
                    batches=lambda k: draw_batch(sampler, size_at(k)))

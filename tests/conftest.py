@@ -1,4 +1,6 @@
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -31,6 +33,27 @@ def use_cpus(monkeypatch, n):
     """Let the process see n usable CPUs: the rule by which a stochastic
     run draws ahead and a large sparse product is split."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def adaptqn_workers():
+    """The live threads of the process's worker."""
+    return [t for t in threading.enumerate() if t.name.startswith("adaptqn-worker")]
+
+
+def race(targets, timeout=120):
+    """Call each target on its own thread while the interpreter switches
+    threads every microsecond, and wait for all of them."""
+    threads = [threading.Thread(target=target) for target in targets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
 
 
 def sym(H):

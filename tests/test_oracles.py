@@ -1,7 +1,6 @@
 import itertools
 import os
 import signal
-import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -12,17 +11,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
-from adaptqn import (Adaptive, BfgsDense, LBfgs, LogisticObjective, Newton,
+from adaptqn import (Adaptive, BfgsDense, GrowingBatch, LBfgs, LogisticObjective, Newton,
                      NumericalError, ObjectiveOracle, OnlineLsExpectedObjective,
-                     QuadraticObjective, RunConfig, SampledBatchOracle, SparseDataset,
-                     logistic_sc_scale,
-                     parse_libsvm, run, sc_lower_f, sc_lower_gd, sc_upper_f,
-                     sc_upper_gd, synth_logistic)
-from adaptqn import data_io, oracles
+                     OnlineSampler, QuadraticObjective, RunConfig, SampledBatchOracle,
+                     SparseDataset, logistic_sc_scale, make_sparse_beta,
+                     make_synthetic_sigma, parse_libsvm, run, sc_lower_f, sc_lower_gd,
+                     sc_upper_f, sc_upper_gd, stochastic_run, synth_logistic)
+from adaptqn import oracles
 from adaptqn.cli import run_config
 from adaptqn.oracles import (_LogisticPoint, _LogisticRay, _sigmoid, _softplus,
                              _weighted_gram, spd_solve)
-from conftest import NoSolve, property_test, use_cpus
+from conftest import NoSolve, adaptqn_workers, property_test, race, use_cpus
 
 
 def fd_gradient(obj, x, h=1e-6):
@@ -265,7 +264,7 @@ def test_logistic_point_shares_exp_bitwise(desk_logistic):
         m = -ds.labels * (ds.X @ w)
         f = desk_logistic.sc_scale * (np.sum(_softplus(m, np.exp(-np.abs(m)))) / ds.N
                                       + 0.5 * float(w @ w) / ds.N)
-        g = desk_logistic.sc_scale * (ds.XT @ (-ds.labels * sigmoid_of(m) / ds.N)
+        g = desk_logistic.sc_scale * (ds.X.T @ (-ds.labels * sigmoid_of(m) / ds.N)
                                       + w / ds.N)
         value_first = desk_logistic.at(w)
         assert value_first.value() == f
@@ -332,7 +331,7 @@ def test_hess_weights_reuse_the_loss_exp_bitwise(desk_logistic):
         d = rng.normal(size=ds.n)
         s = sigmoid_of(ds.X @ w)
         coef = s * (1.0 - s) * (ds.X @ d) / ds.N
-        want = desk_logistic.sc_scale * (ds.XT @ coef + d / ds.N)
+        want = desk_logistic.sc_scale * (ds.X.T @ coef + d / ds.N)
         pt = desk_logistic.at(w)
         pt.value()
         np.testing.assert_array_equal(pt.ray(d).hess_vec(), want)
@@ -376,7 +375,7 @@ def test_elementwise_kernels_are_the_formulas_bitwise(monkeypatch):
 
     class CaptureXT:
         def __call__(self, A, c):
-            assert A is ds.XT
+            assert A is obj._xt
             self.coef = c.copy()
             return np.zeros(1)
 
@@ -727,13 +726,14 @@ def test_row_gram_is_never_built_when_n_fits_in_N():
     assert "row_gram" not in vars(ds)
 
 
-def count_products(monkeypatch, ds, counts):
+def count_products(monkeypatch, obj, counts):
     """Add one to counts["X"] or counts["XT"] for each product that the
-    logistic oracle makes with ds.X or ds.XT, split or not."""
+    logistic oracle obj makes with its X or X', split or not."""
     product = oracles._product
 
     def counted(A, v):
-        counts["X" if A is ds.X else "XT" if A is ds.XT else pytest.fail("another matrix")] += 1
+        counts["X" if A is obj.data.X else "XT" if A is obj._xt
+               else pytest.fail("another matrix")] += 1
         return product(A, v)
 
     monkeypatch.setattr(oracles, "_product", counted)
@@ -747,8 +747,8 @@ def test_a_wide_newton_iteration_makes_two_sparse_products(monkeypatch):
     obj = LogisticObjective(ds)
     ds.row_gram  # X X' densifies X once per dataset, before the count
     counts = {"X": 0, "XT": 0}
-    count_products(monkeypatch, ds, counts)
-    monkeypatch.setattr(data_io, "SPLIT_NNZ", 0)
+    count_products(monkeypatch, obj, counts)
+    monkeypatch.setattr(oracles, "SPLIT_NNZ", 0)
     for cpus, iters in itertools.product((1, 2), (1, 2, 3)):
         use_cpus(monkeypatch, cpus)  # on two, every product is split
         counts.update(X=0, XT=0)
@@ -777,9 +777,9 @@ def test_the_newton_ray_agrees_with_a_fresh_ray():
 
 
 # The product split: a large A @ v is cut into two row ranges, one
-# computed by the caller and one by the process's product worker, with
-# the bits of the whole product. With data_io.SPLIT_NNZ = 0, every
-# dataset keeps X' as a CSR copy and every product is split.
+# computed by the caller and one by the process's worker, with the bits
+# of the whole product. With oracles.SPLIT_NNZ = 0, every logistic
+# oracle keeps X' as a CSR copy and every product is split.
 
 FLOATS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e20, -1e-20, 1e-300, -3.5e20])
 
@@ -828,11 +828,10 @@ def same_product_bits(got, want):
 @given(csr_products())
 def test_split_products_have_the_bits_of_the_whole_products(cpus, case):
     X, v, c = case
-    with mock.patch.object(data_io, "SPLIT_NNZ", 0), \
+    with mock.patch.object(oracles, "SPLIT_NNZ", 0), \
             mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                               create=True):
-        XT = SparseDataset(X=X, labels=np.ones(X.shape[0])).XT
-        assert XT.format == "csr"
+        XT = X.T.tocsr()  # a large oracle's X'
         XT.indices, XT.indptr = (XT.indices.astype(X.indices.dtype),
                                  XT.indptr.astype(X.indptr.dtype))
         same_product_bits(oracles._product(X, v), X @ v)
@@ -840,22 +839,20 @@ def test_split_products_have_the_bits_of_the_whole_products(cpus, case):
 
 
 def test_only_a_large_dataset_copies_x_transposed(monkeypatch):
-    # below SPLIT_NNZ entries X' is a view of X's arrays, which a product
-    # never splits; from SPLIT_NNZ on, a CSR copy, built on the first X'c
-    ds = synth_logistic(50, 20, seed=1)
-    obj = LogisticObjective(ds)
-    assert "XT" not in vars(ds)
+    # below SPLIT_NNZ entries the oracle's X' is a view of X's arrays,
+    # which a product never splits; from SPLIT_NNZ on, a CSR copy, built
+    # on the first X'c
+    obj = LogisticObjective(synth_logistic(50, 20, seed=1))
+    assert "_xt" not in vars(obj)
     obj.gradient(np.zeros(20))
-    assert ds.XT.format == "csc" and np.shares_memory(ds.XT.data, ds.X.data)
-    monkeypatch.setattr(data_io, "SPLIT_NNZ", ds.X.nnz)
-    big = synth_logistic(50, 20, seed=1)
-    LogisticObjective(big).gradient(np.zeros(20))
-    assert big.XT.format == "csr" and not np.shares_memory(big.XT.data, big.X.data)
-    assert big.XT.nnz == ds.XT.nnz
-
-
-def product_workers():
-    return [t for t in threading.enumerate() if t.name.startswith("adaptqn-product")]
+    X = obj.data.X
+    assert obj._xt.format == "csc" and np.shares_memory(obj._xt.data, X.data)
+    monkeypatch.setattr(oracles, "SPLIT_NNZ", X.nnz)
+    big = LogisticObjective(synth_logistic(50, 20, seed=1))
+    assert "_xt" not in vars(big)
+    big.gradient(np.zeros(20))
+    assert big._xt.format == "csr" and not np.shares_memory(big._xt.data, big.data.X.data)
+    assert (big._xt != X.T).nnz == 0
 
 
 def wide_logistic():
@@ -871,46 +868,57 @@ def traced(method, obj):
 
 
 def test_concurrent_runs_on_one_oracle_give_the_serial_traces(monkeypatch):
-    # four runs share one wide oracle and the one product worker while the
+    # four runs share one wide oracle and the one worker while the
     # interpreter switches threads every microsecond; X' is first built
     # during the race
     use_cpus(monkeypatch, 2)
-    monkeypatch.setattr(data_io, "SPLIT_NNZ", 0)
+    monkeypatch.setattr(oracles, "SPLIT_NNZ", 0)
     want = {m: traced(m, wide_logistic()) for m in WIDE_METHODS}
     obj, got = wide_logistic(), {}
-    assert "XT" not in vars(obj.data)
-    threads = [threading.Thread(target=lambda m=m: got.__setitem__(m, traced(m, obj)))
-               for m in WIDE_METHODS]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    assert "_xt" not in vars(obj)
+    race([lambda m=m: got.__setitem__(m, traced(m, obj)) for m in WIDE_METHODS])
     assert got == want
-    assert len(product_workers()) == 1
+    assert len(adaptqn_workers()) == 1
+
+
+def stoch_traced(seed=7):
+    """The rows and final x of a short sbfgs stochastic run."""
+    sampler = OnlineSampler(make_synthetic_sigma(10, seed=3), make_sparse_beta(10, seed=12),
+                            0.1, seed=seed)
+    trace = stochastic_run("sbfgs", GrowingBatch(base=40), Adaptive(), sampler,
+                           x0=np.zeros(10), budget=60)
+    return [repr(r._replace(elapsed=None)) for r in trace.rows()], trace.final_x.tobytes()
+
+
+def test_a_wide_run_and_a_stochastic_run_share_the_worker(monkeypatch):
+    # split products and draws ahead queue on the one worker, in turn
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(oracles, "SPLIT_NNZ", 0)
+    jobs = {"wide": lambda: traced("bfgs-a", wide_logistic()), "stoch": stoch_traced}
+    want, got = {name: job() for name, job in jobs.items()}, {}
+    race([lambda name=name, job=job: got.__setitem__(name, job()) for name, job in jobs.items()])
+    assert got == want
+    assert len(adaptqn_workers()) == 1
 
 
 def test_one_cpu_starts_no_product_worker_and_traces_the_same(monkeypatch):
-    monkeypatch.setattr(data_io, "SPLIT_NNZ", 0)
+    monkeypatch.setattr(oracles, "SPLIT_NNZ", 0)
 
     def on(cpus):
         with monkeypatch.context() as m:
             use_cpus(m, cpus)
             if cpus == 1:
+                m.setattr(oracles, "_worker", None)  # as in a fresh process
                 m.setattr(threading.Thread, "start",
                           lambda self: pytest.fail("a thread started on one CPU"))
             return {method: traced(method, wide_logistic()) for method in WIDE_METHODS}
 
     assert on(1) == on(2)
-    assert len(product_workers()) == 1  # the two-CPU runs split their products
+    assert len(adaptqn_workers()) == 1  # the two-CPU runs split their products
 
 
 def test_racing_first_products_start_one_worker(monkeypatch):
+    # eight first products and four stochastic runs race to start the worker
     made = []
 
     class Counted(ThreadPoolExecutor):
@@ -919,48 +927,46 @@ def test_racing_first_products_start_one_worker(monkeypatch):
             super().__init__(*args, **kwargs)
 
     use_cpus(monkeypatch, 2)
-    monkeypatch.setattr(data_io, "SPLIT_NNZ", 0)
-    monkeypatch.setattr(oracles, "ThreadPoolExecutor", Counted)
-    monkeypatch.setattr(oracles, "_worker", None)  # as in a fresh process
+    monkeypatch.setattr(oracles, "SPLIT_NNZ", 0)
     X = wide_logistic().data.X
     v = np.random.default_rng(3).standard_normal(X.shape[1])
     want, got = (X @ v).tobytes(), []
-    threads = [threading.Thread(target=lambda: got.append(oracles._product(X, v).tobytes()))
-               for _ in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+    runs_want, runs_got = {s: stoch_traced(s) for s in range(4)}, {}
+    monkeypatch.setattr(oracles, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(oracles, "_worker", None)  # as in a fresh process
+    product = lambda: got.append(oracles._product(X, v).tobytes())
+    runs = [lambda s=s: runs_got.__setitem__(s, stoch_traced(s)) for s in range(4)]
     try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
+        race([job for pair in zip(runs, [product] * 4) for job in pair] + [product] * 4,
+             timeout=60)
     finally:
-        sys.setswitchinterval(interval)
         for pool in made:
             pool.shutdown()
-    assert not any(t.is_alive() for t in threads)
     assert got == [want] * 8
+    assert runs_got == runs_want
     assert len(made) == 1
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_starts_its_own_worker(monkeypatch):
     use_cpus(monkeypatch, 2)
-    monkeypatch.setattr(data_io, "SPLIT_NNZ", 0)
+    monkeypatch.setattr(oracles, "SPLIT_NNZ", 0)
     X = wide_logistic().data.X
     v = np.random.default_rng(4).standard_normal(X.shape[1])
     want = (X @ v).tobytes()
     assert oracles._product(X, v).tobytes() == want
+    run_want = stoch_traced()
     parent = oracles._worker
     assert parent is not None
     pid = os.fork()
-    if pid == 0:  # the child: exit 0 only if its own worker gave the product
+    if pid == 0:  # the child: exit 0 only if its own worker gave the run and the product
         code = 1
         try:
             signal.alarm(30)  # a child that waits on its parent's worker ends here
             code = 0 if (oracles._worker is None
-                         and oracles._product(X, v).tobytes() == want
-                         and oracles._worker not in (None, parent)) else 2
+                         and stoch_traced() == run_want
+                         and oracles._worker not in (None, parent)
+                         and oracles._product(X, v).tobytes() == want) else 2
         finally:
             os._exit(code)
     _, status = os.waitpid(pid, 0)

@@ -15,10 +15,10 @@ from adaptqn import (Adaptive, ArmijoWolfe, BfgsDense, Constant,
                      bfgs_update_dense, draw_batch, ingest_pair,
                      make_sparse_beta, make_synthetic_sigma, new_state, omega,
                      run, stochastic_run)
-from adaptqn import stochastic
+from adaptqn import oracles, stochastic
 from adaptqn.sc import adaptive_step
 from adaptqn.stochastic import CONSTANT_STEP_SIZES
-from conftest import sym, use_cpus
+from conftest import adaptqn_workers, sym, use_cpus
 
 
 def make_sampler(p=10, seed=7, sigma_seed=3, **kw):
@@ -684,21 +684,38 @@ def test_a_batch_larger_than_a_chunk_is_the_serial_batch(monkeypatch, cpus):
 
 
 @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
-def test_a_run_ends_its_worker(monkeypatch, fail):
+def test_a_run_leaves_no_draw_in_flight(monkeypatch, fail):
+    # the run draws ahead on the process's one worker, which outlives it
     use_cpus(monkeypatch, 2)
     before = threading.enumerate()
-    counts = []
+    counts, started, done = [], [], []
+    draw = stochastic._DrawAhead._draw
+
+    def counted(self, n):
+        started.append(n)
+        try:
+            time.sleep(0.02)  # slow enough to be in flight when the run ends
+            return draw(self, n)
+        finally:
+            done.append(n)
 
     def spoil(k, batch):
         counts.append(threading.active_count())
         return raise_at(20)(k, batch) if fail else batch
 
+    monkeypatch.setattr(stochastic._DrawAhead, "_draw", counted)
     seen, trace = recorded_run(monkeypatch, spoil, method="sbfgs",
                                schedule=GrowingBatch(base=5), step_rule=Adaptive(),
                                sampler=make_sampler(), x0=np.zeros(10), budget=40)
+    drawn = len(done)
+    # the worker runs in order, so a draw queued before this no-op has run after it
+    oracles._second_cpu().submit(lambda: None).result()
     assert (trace is None) == fail
-    assert threading.enumerate() == before
-    assert set(counts) == {len(before) + 1}  # the run's one worker
+    assert drawn > 0 and len(started) == len(done) == drawn
+    new = [t for t in threading.enumerate() if t not in before]
+    assert all(t.name.startswith("adaptqn-worker") for t in new)
+    assert len(adaptqn_workers()) == 1
+    assert max(counts) <= len(before) + 1
 
 
 def test_one_cpu_starts_no_thread_and_traces_the_same(monkeypatch):
@@ -717,7 +734,8 @@ def test_one_cpu_starts_no_thread_and_traces_the_same(monkeypatch):
 
 
 def test_concurrent_runs_keep_their_own_streams(monkeypatch):
-    # more runs, each with its own worker, than CPUs, switching threads often
+    # more runs than CPUs, all drawing ahead on the one worker, switching
+    # threads often
     use_cpus(monkeypatch, 2)
 
     def rows(seed):
