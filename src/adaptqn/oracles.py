@@ -6,6 +6,7 @@ from __future__ import annotations
 import functools
 import os
 import threading
+import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Protocol
@@ -42,32 +43,96 @@ _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 SPLIT_NNZ = 200_000
 
 # The process's one worker, which splits products and draws stochastic
-# batches ahead: the first use starts it, it lives until the process
-# exits, and a forked child starts its own.
+# batches ahead, and the verdict of the probe that decides whether it
+# runs at all (None until the process first may use two CPUs): the
+# first use starts it, it lives until the process exits, and a forked
+# child starts, and probes, its own.
 _worker = None
+_parallel = None
 _worker_lock = threading.Lock()
+
+# The probe's verdict: the worker is kept when the probe's two kernels,
+# one on the caller and one on the worker, run at least PARALLEL_RATIO
+# times as fast as the same two on the caller alone. On a 2-vCPU VM
+# whose second CPU added no throughput, the ratio read 0.69-0.94 in 50
+# fresh processes (0.80-0.89 in one, unpinned and under taskset -c 0
+# alike), and split products ran 9-18% slower than inline ones and
+# draws ahead 1-14% slower. A free second CPU gives at most 2, less a
+# worker round trip of 20-30 us on each 110-170 us kernel: about 1.6.
+# The ratio was not read on the host where the split and the draw ahead
+# measured faster (BENCH_37.json, BENCH_39.json).
+PARALLEL_RATIO = 1.25
 
 
 def _forget_worker() -> None:
-    # a forked child has no thread behind its parent's worker
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
+    # a forked child has no thread behind its parent's worker, and may
+    # run on other CPUs than its parent's verdict measured
+    global _worker, _parallel, _worker_lock
+    _worker, _parallel, _worker_lock = None, None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
+def _probe(worker: ThreadPoolExecutor) -> float:
+    """How much faster the caller and ``worker`` run two GIL-free
+    kernels side by side than the caller runs them one after the other:
+    the fastest of 5 serial rounds over the fastest of 5 parallel
+    rounds. The kernel is scipy's CSR product, the one a split product
+    runs, on a fixed 200,000-entry matrix (10,000 x 1500, 20 entries a
+    row) of ones whose columns step by a fixed stride, so the probe
+    draws no random numbers."""
+    from scipy.sparse._sparsetools import csr_matvec
+
+    rows, cols, per_row = 10_000, 1500, 20
+    indptr = np.arange(0, rows * per_row + 1, per_row, dtype=np.int32)
+    indices = np.arange(rows * per_row, dtype=np.int32)  # built in place: 2.4 MB in all
+    indices *= 7919
+    indices %= cols
+    data, v, a, b = np.ones(rows * per_row), np.ones(cols), np.empty(rows), np.empty(rows)
+    args = (rows, cols, indptr, indices, data, v)
+    serial = parallel = np.inf
+    clock = time.perf_counter
+    for _ in range(5):
+        t0 = clock()
+        csr_matvec(*args, a)
+        csr_matvec(*args, b)
+        t1 = clock()
+        other = worker.submit(csr_matvec, *args, b)
+        csr_matvec(*args, a)
+        other.result()
+        t2 = clock()
+        serial, parallel = min(serial, t1 - t0), min(parallel, t2 - t1)
+    return serial / parallel
+
+
 def _second_cpu() -> ThreadPoolExecutor | None:
-    """The process's one worker, or None when the process may use only
-    one CPU, where a worker would only take turns with its caller."""
+    """The process's one worker, or None where a worker would only take
+    turns with its caller: when the process may use only one CPU, or
+    when the probe found that its second CPU adds no throughput.
+
+    The first call on two or more CPUs starts the worker and times
+    ``_probe`` on it, once per process (7-8 ms, inside the first solve
+    that asks, or 16-38 ms where that imports scipy.sparse); when the
+    ratio is below PARALLEL_RATIO, it shuts
+    the worker down and every later call returns None. Either way the
+    results are the same bits; only the time changes."""
     affinity = getattr(os, "sched_getaffinity", None)
     if (len(affinity(0)) if affinity is not None else os.cpu_count() or 1) < 2:
         return None
-    global _worker
+    global _worker, _parallel
+    if _parallel is False:
+        return None
     with _worker_lock:
-        if _worker is None:
-            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="adaptqn-worker")
+        if _worker is None and _parallel is not False:
+            worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="adaptqn-worker")
+            if _parallel is None:
+                _parallel = _probe(worker) >= PARALLEL_RATIO
+            if _parallel:
+                _worker = worker
+            else:
+                worker.shutdown()
         return _worker
 
 
@@ -75,8 +140,8 @@ def _product(A, v: np.ndarray) -> np.ndarray:
     """``A @ v`` for a sparse matrix A and a float vector v, bit for bit.
 
     When A is a CSR matrix of at least ``SPLIT_NNZ`` stored float64
-    entries and the process has a second CPU, A's rows are cut into two
-    ranges of about equal stored entries: the worker computes the
+    entries and ``_second_cpu()`` gives a worker, A's rows are cut into
+    two ranges of about equal stored entries: the worker computes the
     second range through scipy's CSR kernel while the caller computes
     the first. Every output row is the same sum in the same order
     either way."""
@@ -236,8 +301,9 @@ class ObjectiveOracle(ABC):
     CSR copy), its dataset's ``X X'`` and an online model's Cholesky
     factor, each computed once on first use; the computation is
     idempotent, so a run that races another to it only repeats the same
-    work. Runs on two or more CPUs also share the process's one worker,
-    which changes no result.
+    work. Runs also share the process's one worker, where there is one:
+    on two or more CPUs, once a probe has found that the second runs in
+    parallel with the first (``_second_cpu``). It changes no result.
     """
 
     @abstractmethod

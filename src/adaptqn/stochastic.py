@@ -265,12 +265,14 @@ def stochastic_run(method: str, schedule: BatchSchedule, step_rule,
     was run: the method shows as its direction, and ``max_iters`` is
     ``budget``.
 
-    Where the process may use two or more CPUs, the process's one worker
-    thread draws the sampler's normals a chunk ahead of the batches while
-    the run works. However the run ends, it leaves no draw in flight and
-    the sampler's stream where serial ``draw_batch`` calls would. On one
-    CPU the batches are drawn inline. The batches, the trace and the
-    stream are the same bit for bit either way.
+    Where the process has its one worker thread (``_second_cpu``: two or
+    more usable CPUs, and a one-time probe that found the second runs in
+    parallel with the first), the worker draws the sampler's normals a
+    chunk ahead of the batches while the run works. However the run
+    ends, it leaves no draw in flight and the sampler's stream where
+    serial ``draw_batch`` calls would. Elsewhere, on one CPU or where
+    the probe said no, the batches are drawn inline. The batches, the
+    trace and the stream are the same bit for bit either way.
     """
     config = _run_config(method, step_rule, sampler, x0, budget, max_seconds)
     size_at = schedule.size_at  # the schedule is resolved once per run

@@ -8,6 +8,7 @@ from hypothesis import settings
 
 from adaptqn import (Adaptive, BfgsDense, Hybrid, LogisticObjective, Newton,
                      ObjectiveOracle, ReferenceOptimum, RunConfig, run, synth_logistic)
+from adaptqn import oracles
 
 # The fixed desk-scale problem shared by the acceptance suite: N=500,
 # n=50, seed 38 (see tests/test_acceptance.py).
@@ -29,10 +30,13 @@ property_test = settings(derandomize=True, database=None, deadline=None,
                          max_examples=100)
 
 
-def use_cpus(monkeypatch, n):
-    """Let the process see n usable CPUs: the rule by which a stochastic
-    run draws ahead and a large sparse product is split."""
+def use_cpus(monkeypatch, n, parallel=True):
+    """Let the process see n usable CPUs, and take ``parallel`` as the
+    probe's verdict on them: the rule by which a stochastic run draws
+    ahead and a large sparse product is split. The verdict is read only
+    on two or more CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(oracles, "_parallel", parallel)
 
 
 def adaptqn_workers():
