@@ -43,32 +43,29 @@ _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 SPLIT_NNZ = 200_000
 
 # The process's one worker, which splits products and draws stochastic
-# batches ahead, and the verdict of the probe that decides whether it
-# runs at all (None until the process first may use two CPUs): the
-# first use starts it, it lives until the process exits, and a forked
-# child starts, and probes, its own.
+# batches ahead: None until the process first may use two CPUs, False
+# once the probe has found that a worker would only take turns with its
+# caller, else the worker. A forked child starts, and probes, its own.
 _worker = None
-_parallel = None
 _worker_lock = threading.Lock()
 
 # The probe's verdict: the worker is kept when the probe's two kernels,
 # one on the caller and one on the worker, run at least PARALLEL_RATIO
 # times as fast as the same two on the caller alone. On a 2-vCPU VM
-# whose second CPU added no throughput, the ratio read 0.69-0.94 in 50
-# fresh processes (0.80-0.89 in one, unpinned and under taskset -c 0
-# alike), and split products ran 9-18% slower than inline ones and
-# draws ahead 1-14% slower. A free second CPU gives at most 2, less a
-# worker round trip of 20-30 us on each 110-170 us kernel: about 1.6.
-# The ratio was not read on the host where the split and the draw ahead
-# measured faster (BENCH_37.json, BENCH_39.json).
+# (BENCH_41.json), in 52 fresh processes where the worker cost time
+# (split products 5-19% slower than inline ones), the probe read
+# 0.74-0.98; in 40 more, not pinned, it said yes once (1.66). In 20
+# where it paid (the caller and the worker each pinned
+# to its own vCPU: split products 8-40% faster, draws ahead 7-25%
+# faster), it read 0.99-1.91, and 17 of the 20 reached 1.25.
 PARALLEL_RATIO = 1.25
 
 
 def _forget_worker() -> None:
     # a forked child has no thread behind its parent's worker, and may
     # run on other CPUs than its parent's verdict measured
-    global _worker, _parallel, _worker_lock
-    _worker, _parallel, _worker_lock = None, None, threading.Lock()
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -79,28 +76,28 @@ def _probe(worker: ThreadPoolExecutor) -> float:
     """How much faster the caller and ``worker`` run two GIL-free
     kernels side by side than the caller runs them one after the other:
     the fastest of 5 serial rounds over the fastest of 5 parallel
-    rounds. The kernel is scipy's CSR product, the one a split product
-    runs, on a fixed 200,000-entry matrix (10,000 x 1500, 20 entries a
-    row) of ones whose columns step by a fixed stride, so the probe
-    draws no random numbers."""
-    from scipy.sparse._sparsetools import csr_matvec
+    rounds, after one untimed kernel on each side. The kernel is numpy's
+    sine over a fixed 16,384-entry array, twice: it stays in cache, as
+    a drawn chunk does, loads nothing that numpy has not, and draws no
+    random numbers."""
+    x = np.linspace(0.0, 1.0, 16_384)
+    a, b = np.empty_like(x), np.empty_like(x)
 
-    rows, cols, per_row = 10_000, 1500, 20
-    indptr = np.arange(0, rows * per_row + 1, per_row, dtype=np.int32)
-    indices = np.arange(rows * per_row, dtype=np.int32)  # built in place: 2.4 MB in all
-    indices *= 7919
-    indices %= cols
-    data, v, a, b = np.ones(rows * per_row), np.ones(cols), np.empty(rows), np.empty(rows)
-    args = (rows, cols, indptr, indices, data, v)
+    def kernel(out):
+        np.sin(x, out=out)
+        np.sin(x, out=out)
+
+    kernel(a)
+    worker.submit(kernel, b).result()
     serial = parallel = np.inf
     clock = time.perf_counter
     for _ in range(5):
         t0 = clock()
-        csr_matvec(*args, a)
-        csr_matvec(*args, b)
+        kernel(a)
+        kernel(b)
         t1 = clock()
-        other = worker.submit(csr_matvec, *args, b)
-        csr_matvec(*args, a)
+        other = worker.submit(kernel, b)
+        kernel(a)
         other.result()
         t2 = clock()
         serial, parallel = min(serial, t1 - t0), min(parallel, t2 - t1)
@@ -113,27 +110,24 @@ def _second_cpu() -> ThreadPoolExecutor | None:
     when the probe found that its second CPU adds no throughput.
 
     The first call on two or more CPUs starts the worker and times
-    ``_probe`` on it, once per process (7-8 ms, inside the first solve
-    that asks, or 16-38 ms where that imports scipy.sparse); when the
-    ratio is below PARALLEL_RATIO, it shuts
+    ``_probe`` on it, once per process (4-8 ms, inside the first
+    solve that asks); when the ratio is below PARALLEL_RATIO, it shuts
     the worker down and every later call returns None. Either way the
     results are the same bits; only the time changes."""
     affinity = getattr(os, "sched_getaffinity", None)
     if (len(affinity(0)) if affinity is not None else os.cpu_count() or 1) < 2:
         return None
-    global _worker, _parallel
-    if _parallel is False:
-        return None
-    with _worker_lock:
-        if _worker is None and _parallel is not False:
-            worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="adaptqn-worker")
-            if _parallel is None:
-                _parallel = _probe(worker) >= PARALLEL_RATIO
-            if _parallel:
-                _worker = worker
-            else:
-                worker.shutdown()
-        return _worker
+    global _worker
+    if _worker is None:
+        with _worker_lock:
+            if _worker is None:
+                worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="adaptqn-worker")
+                if _probe(worker) >= PARALLEL_RATIO:
+                    _worker = worker
+                else:
+                    worker.shutdown()
+                    _worker = False
+    return _worker or None
 
 
 def _product(A, v: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -30,13 +31,36 @@ property_test = settings(derandomize=True, database=None, deadline=None,
                          max_examples=100)
 
 
-def use_cpus(monkeypatch, n, parallel=True):
-    """Let the process see n usable CPUs, and take ``parallel`` as the
-    probe's verdict on them: the rule by which a stochastic run draws
-    ahead and a large sparse product is split. The verdict is read only
-    on two or more CPUs."""
+def see_cpus(monkeypatch, n):
+    """Let the process see n usable CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    monkeypatch.setattr(oracles, "_parallel", parallel)
+
+
+def verdict(parallel):
+    """The probe's verdict to pin: the process's worker for a yes, False
+    for a no. A yes pinned before the process has probed becomes its
+    verdict, so the tests share one worker."""
+    if not parallel:
+        return False
+    if oracles._worker is None:
+        oracles._worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="adaptqn-worker")
+    if oracles._worker is False:  # the process's probe said no
+        if not _yes:
+            _yes.append(ThreadPoolExecutor(max_workers=1, thread_name_prefix="adaptqn-worker"))
+        return _yes[0]
+    return oracles._worker
+
+
+_yes = []  # the one worker of the tests that pin a yes where the probe said no
+
+
+def use_cpus(monkeypatch, n, parallel=True):
+    """Let the process see n usable CPUs, and on two or more pin the
+    probe's verdict on them (``verdict``): the rule by which a
+    stochastic run draws ahead and a large sparse product is split."""
+    see_cpus(monkeypatch, n)
+    if n >= 2:
+        monkeypatch.setattr(oracles, "_worker", verdict(parallel))
 
 
 def adaptqn_workers():

@@ -23,7 +23,7 @@ from adaptqn import oracles
 from adaptqn.cli import run_config
 from adaptqn.oracles import (_LogisticPoint, _LogisticRay, _sigmoid, _softplus,
                              _weighted_gram, spd_solve)
-from conftest import NoSolve, adaptqn_workers, property_test, race, use_cpus
+from conftest import NoSolve, adaptqn_workers, property_test, race, see_cpus, use_cpus, verdict
 
 
 def fd_gradient(obj, x, h=1e-6):
@@ -831,7 +831,7 @@ def same_product_bits(got, want):
 def test_split_products_have_the_bits_of_the_whole_products(cpus, case):
     X, v, c = case
     with mock.patch.object(oracles, "SPLIT_NNZ", 0), \
-            mock.patch.object(oracles, "_parallel", True), \
+            mock.patch.object(oracles, "_worker", verdict(True)), \
             mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                               create=True):
         XT = X.T.tocsr()  # a large oracle's X'
@@ -941,6 +941,7 @@ def test_racing_first_products_start_one_worker(monkeypatch):
     runs_want, runs_got = {s: stoch_traced(s) for s in range(4)}, {}
     monkeypatch.setattr(oracles, "ThreadPoolExecutor", Counted)
     monkeypatch.setattr(oracles, "_worker", None)  # as in a fresh process
+    monkeypatch.setattr(oracles, "_probe", lambda worker: math.inf)  # whose probe says yes
     product = lambda: got.append(oracles._product(X, v).tobytes())
     runs = [lambda s=s: runs_got.__setitem__(s, stoch_traced(s)) for s in range(4)]
     try:
@@ -972,7 +973,7 @@ def test_a_forked_child_starts_its_own_worker(monkeypatch):
         code = 1
         try:
             signal.alarm(30)  # a child that waits on its parent's worker ends here
-            code = 0 if (oracles._worker is None and oracles._parallel is None
+            code = 0 if (oracles._worker is None
                          and stoch_traced() == run_want
                          and probes == [oracles._worker]
                          and oracles._worker not in (None, parent)
@@ -984,13 +985,13 @@ def test_a_forked_child_starts_its_own_worker(monkeypatch):
 
 
 # The probe: the first use of the worker on two or more CPUs times two
-# CSR products on the caller against one on the caller and one on the
+# kernels on the caller against one on the caller and one on the
 # worker, and keeps the worker only when the pair runs in parallel.
 
 
 def fresh_process(monkeypatch, cpus):
-    """The process as it starts on ``cpus`` CPUs: no worker and no verdict."""
-    use_cpus(monkeypatch, cpus, parallel=None)
+    """The process as it starts on ``cpus`` CPUs: no verdict yet."""
+    see_cpus(monkeypatch, cpus)
     monkeypatch.setattr(oracles, "_worker", None)
 
 
@@ -1021,16 +1022,16 @@ def test_a_no_verdict_leaves_no_worker_and_gives_the_one_cpu_bits(monkeypatch):
     fresh_process(monkeypatch, 2)
     monkeypatch.setattr(oracles, "PARALLEL_RATIO", math.inf)  # no ratio reaches it
     before = adaptqn_workers()
-    assert oracles._second_cpu() is None and oracles._parallel is False
+    assert oracles._second_cpu() is None and oracles._worker is False
     assert [t for t in adaptqn_workers() if t not in before] == []  # the probe's is shut down
     forbid_threads(monkeypatch, "a thread started after a no")
     assert work() == want
     assert oracles._second_cpu() is None
 
 
-@pytest.mark.parametrize("ratio, verdict", [(0.0, True), (math.inf, False)],
+@pytest.mark.parametrize("ratio, yes", [(0.0, True), (math.inf, False)],
                          ids=["yes", "no"])
-def test_the_probe_runs_once_per_process(monkeypatch, ratio, verdict):
+def test_the_probe_runs_once_per_process(monkeypatch, ratio, yes):
     fresh_process(monkeypatch, 2)
     monkeypatch.setattr(oracles, "PARALLEL_RATIO", ratio)
     probes = counted_probes(monkeypatch)
@@ -1039,10 +1040,10 @@ def test_the_probe_runs_once_per_process(monkeypatch, ratio, verdict):
         race([lambda: got.append(oracles._second_cpu()) for _ in range(8)], timeout=60)
         got.append(oracles._second_cpu())
         stoch_traced()
-        assert len(probes) == 1 and oracles._parallel is verdict
-        assert got == [probes[0] if verdict else None] * 9
+        assert len(probes) == 1 and oracles._worker is (probes[0] if yes else False)
+        assert got == [probes[0] if yes else None] * 9
     finally:
-        if oracles._worker is not None:
+        if oracles._worker:
             oracles._worker.shutdown()
 
 
@@ -1056,14 +1057,13 @@ def test_one_cpu_never_probes(monkeypatch):
     assert oracles._product(X, v).tobytes() == (X @ v).tobytes()
     stoch_traced()
     traced("newton-a", wide_logistic())
-    assert oracles._second_cpu() is None and oracles._parallel is None
+    assert oracles._second_cpu() is None and oracles._worker is None
 
 
 def test_the_process_cpus_decide_whether_the_probe_runs(monkeypatch):
     # no CPU count is faked here: run on one CPU (taskset -c 0), the
     # process must not probe
     monkeypatch.setattr(oracles, "_worker", None)
-    monkeypatch.setattr(oracles, "_parallel", None)
     probes = counted_probes(monkeypatch)
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
@@ -1071,9 +1071,9 @@ def test_the_process_cpus_decide_whether_the_probe_runs(monkeypatch):
         oracles._second_cpu()
         oracles._second_cpu()
         assert len(probes) == (cpus >= 2)
-        assert (oracles._parallel is None) == (cpus < 2)
+        assert (oracles._worker is None) == (cpus < 2)
     finally:
-        if oracles._worker is not None:
+        if oracles._worker:
             oracles._worker.shutdown()
 
 

@@ -725,7 +725,6 @@ def test_one_cpu_starts_no_thread_and_traces_the_same(monkeypatch):
             if cpus == 1:
                 # as in a fresh process, where no earlier run started the worker
                 m.setattr(oracles, "_worker", None)
-                m.setattr(oracles, "_parallel", None)
                 m.setattr(threading.Thread, "start",
                           lambda self: pytest.fail("a thread started on one CPU"))
             trace = stochastic_run("sbfgs", GrowingBatch(base=40), Adaptive(),
