@@ -6,7 +6,6 @@ from __future__ import annotations
 import functools
 import os
 import threading
-import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Protocol
@@ -43,27 +42,15 @@ _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 SPLIT_NNZ = 200_000
 
 # The process's one worker, which splits products and draws stochastic
-# batches ahead: None until the process first may use two CPUs, False
-# once the probe has found that a worker would only take turns with its
-# caller, else the worker. A forked child starts, and probes, its own.
+# batches ahead: None until the process first uses it on two or more
+# CPUs, then the worker, which lives until the process exits. A forked
+# child starts its own.
 _worker = None
 _worker_lock = threading.Lock()
 
-# The probe's verdict: the worker is kept when the probe's two kernels,
-# one on the caller and one on the worker, run at least PARALLEL_RATIO
-# times as fast as the same two on the caller alone. On a 2-vCPU VM
-# (BENCH_41.json), in 52 fresh processes where the worker cost time
-# (split products 5-19% slower than inline ones), the probe read
-# 0.74-0.98; in 40 more, not pinned, it said yes once (1.66). In 20
-# where it paid (the caller and the worker each pinned
-# to its own vCPU: split products 8-40% faster, draws ahead 7-25%
-# faster), it read 0.99-1.91, and 17 of the 20 reached 1.25.
-PARALLEL_RATIO = 1.25
-
 
 def _forget_worker() -> None:
-    # a forked child has no thread behind its parent's worker, and may
-    # run on other CPUs than its parent's verdict measured
+    # a forked child has no thread behind its parent's worker
     global _worker, _worker_lock
     _worker, _worker_lock = None, threading.Lock()
 
@@ -72,48 +59,11 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _probe(worker: ThreadPoolExecutor) -> float:
-    """How much faster the caller and ``worker`` run two GIL-free
-    kernels side by side than the caller runs them one after the other:
-    the fastest of 5 serial rounds over the fastest of 5 parallel
-    rounds, after one untimed kernel on each side. The kernel is numpy's
-    sine over a fixed 16,384-entry array, twice: it stays in cache, as
-    a drawn chunk does, loads nothing that numpy has not, and draws no
-    random numbers."""
-    x = np.linspace(0.0, 1.0, 16_384)
-    a, b = np.empty_like(x), np.empty_like(x)
-
-    def kernel(out):
-        np.sin(x, out=out)
-        np.sin(x, out=out)
-
-    kernel(a)
-    worker.submit(kernel, b).result()
-    serial = parallel = np.inf
-    clock = time.perf_counter
-    for _ in range(5):
-        t0 = clock()
-        kernel(a)
-        kernel(b)
-        t1 = clock()
-        other = worker.submit(kernel, b)
-        kernel(a)
-        other.result()
-        t2 = clock()
-        serial, parallel = min(serial, t1 - t0), min(parallel, t2 - t1)
-    return serial / parallel
-
-
 def _second_cpu() -> ThreadPoolExecutor | None:
-    """The process's one worker, or None where a worker would only take
-    turns with its caller: when the process may use only one CPU, or
-    when the probe found that its second CPU adds no throughput.
-
-    The first call on two or more CPUs starts the worker and times
-    ``_probe`` on it, once per process (4-8 ms, inside the first
-    solve that asks); when the ratio is below PARALLEL_RATIO, it shuts
-    the worker down and every later call returns None. Either way the
-    results are the same bits; only the time changes."""
+    """The process's one worker, started on first use, when the process
+    may use two or more CPUs; None when it may use only one, where a
+    worker would only take turns with its caller. The results are the
+    same bits either way; only the time changes."""
     affinity = getattr(os, "sched_getaffinity", None)
     if (len(affinity(0)) if affinity is not None else os.cpu_count() or 1) < 2:
         return None
@@ -121,13 +71,8 @@ def _second_cpu() -> ThreadPoolExecutor | None:
     if _worker is None:
         with _worker_lock:
             if _worker is None:
-                worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="adaptqn-worker")
-                if _probe(worker) >= PARALLEL_RATIO:
-                    _worker = worker
-                else:
-                    worker.shutdown()
-                    _worker = False
-    return _worker or None
+                _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="adaptqn-worker")
+    return _worker
 
 
 def _product(A, v: np.ndarray) -> np.ndarray:
@@ -295,9 +240,8 @@ class ObjectiveOracle(ABC):
     CSR copy), its dataset's ``X X'`` and an online model's Cholesky
     factor, each computed once on first use; the computation is
     idempotent, so a run that races another to it only repeats the same
-    work. Runs also share the process's one worker, where there is one:
-    on two or more CPUs, once a probe has found that the second runs in
-    parallel with the first (``_second_cpu``). It changes no result.
+    work. Runs on two or more usable CPUs also share the process's one
+    worker (``_second_cpu``), which changes no result.
     """
 
     @abstractmethod

@@ -177,7 +177,8 @@ DRAW_AHEAD = 16384
 
 
 class _DrawAhead:
-    """A generator's stream, drawn one chunk ahead on the process's worker.
+    """A generator's stream, drawn one chunk ahead on the process's worker,
+    which ``_second_cpu`` gives where the process may use two or more CPUs.
 
     ``take(n)`` returns the stream's next n normals, the ones
     ``standard_normal(n)`` would return: a call for n1 + n2 normals draws
@@ -265,13 +266,11 @@ def stochastic_run(method: str, schedule: BatchSchedule, step_rule,
     was run: the method shows as its direction, and ``max_iters`` is
     ``budget``.
 
-    Where the process has its one worker thread (``_second_cpu``: two or
-    more usable CPUs, and a one-time probe that found the second runs in
-    parallel with the first), the worker draws the sampler's normals a
-    chunk ahead of the batches while the run works. However the run
-    ends, it leaves no draw in flight and the sampler's stream where
-    serial ``draw_batch`` calls would. Elsewhere, on one CPU or where
-    the probe said no, the batches are drawn inline. The batches, the
+    Where the process may use two or more CPUs, its one worker thread
+    (``_second_cpu``) draws the sampler's normals a chunk ahead of the
+    batches while the run works. However the run ends, it leaves no draw
+    in flight and the sampler's stream where serial ``draw_batch`` calls
+    would. On one CPU the batches are drawn inline. The batches, the
     trace and the stream are the same bit for bit either way.
     """
     config = _run_config(method, step_rule, sampler, x0, budget, max_seconds)

@@ -1,7 +1,6 @@
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import settings
 
 from adaptqn import (Adaptive, BfgsDense, Hybrid, LogisticObjective, Newton,
                      ObjectiveOracle, ReferenceOptimum, RunConfig, run, synth_logistic)
-from adaptqn import oracles
 
 # The fixed desk-scale problem shared by the acceptance suite: N=500,
 # n=50, seed 38 (see tests/test_acceptance.py).
@@ -31,36 +29,11 @@ property_test = settings(derandomize=True, database=None, deadline=None,
                          max_examples=100)
 
 
-def see_cpus(monkeypatch, n):
-    """Let the process see n usable CPUs."""
+def use_cpus(monkeypatch, n):
+    """Let the process see n usable CPUs: the rule by which its worker
+    starts, a stochastic run draws ahead and a large sparse product is
+    split."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-def verdict(parallel):
-    """The probe's verdict to pin: the process's worker for a yes, False
-    for a no. A yes pinned before the process has probed becomes its
-    verdict, so the tests share one worker."""
-    if not parallel:
-        return False
-    if oracles._worker is None:
-        oracles._worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="adaptqn-worker")
-    if oracles._worker is False:  # the process's probe said no
-        if not _yes:
-            _yes.append(ThreadPoolExecutor(max_workers=1, thread_name_prefix="adaptqn-worker"))
-        return _yes[0]
-    return oracles._worker
-
-
-_yes = []  # the one worker of the tests that pin a yes where the probe said no
-
-
-def use_cpus(monkeypatch, n, parallel=True):
-    """Let the process see n usable CPUs, and on two or more pin the
-    probe's verdict on them (``verdict``): the rule by which a
-    stochastic run draws ahead and a large sparse product is split."""
-    see_cpus(monkeypatch, n)
-    if n >= 2:
-        monkeypatch.setattr(oracles, "_worker", verdict(parallel))
 
 
 def adaptqn_workers():

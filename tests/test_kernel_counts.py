@@ -115,11 +115,10 @@ def test_the_table_covers_every_cli_method():
     assert [m for m, problem in COUNTS if problem == "online"] == list(STOCHASTIC_METHODS)
 
 
-@pytest.mark.parametrize("cpus, parallel", [(1, None), (2, True), (2, False)],
-                         ids=["one-cpu", "two-cpus-parallel", "two-cpus-not-parallel"])
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one-cpu", "two-cpus-parallel"])
 @pytest.mark.parametrize("method, problem", list(COUNTS))
-def test_each_method_does_its_pinned_kernel_work(monkeypatch, method, problem, cpus, parallel):
-    use_cpus(monkeypatch, cpus, parallel)
+def test_each_method_does_its_pinned_kernel_work(monkeypatch, method, problem, cpus):
+    use_cpus(monkeypatch, cpus)
     monkeypatch.setattr(oracles, "SPLIT_NNZ", 0)  # where the worker runs, every product splits
     trace, counts = counted_run(monkeypatch, method, problem)
     assert trace.iterations == ITERS, trace.termination

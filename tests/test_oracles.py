@@ -1,6 +1,4 @@
-import gc
 import itertools
-import math
 import os
 import signal
 import threading
@@ -23,7 +21,7 @@ from adaptqn import oracles
 from adaptqn.cli import run_config
 from adaptqn.oracles import (_LogisticPoint, _LogisticRay, _sigmoid, _softplus,
                              _weighted_gram, spd_solve)
-from conftest import NoSolve, adaptqn_workers, property_test, race, see_cpus, use_cpus, verdict
+from conftest import NoSolve, adaptqn_workers, property_test, race, use_cpus
 
 
 def fd_gradient(obj, x, h=1e-6):
@@ -831,7 +829,6 @@ def same_product_bits(got, want):
 def test_split_products_have_the_bits_of_the_whole_products(cpus, case):
     X, v, c = case
     with mock.patch.object(oracles, "SPLIT_NNZ", 0), \
-            mock.patch.object(oracles, "_worker", verdict(True)), \
             mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                               create=True):
         XT = X.T.tocsr()  # a large oracle's X'
@@ -884,14 +881,10 @@ def test_concurrent_runs_on_one_oracle_give_the_serial_traces(monkeypatch):
     assert len(adaptqn_workers()) == 1
 
 
-def stoch_sampler(seed=7):
-    return OnlineSampler(make_synthetic_sigma(10, seed=3), make_sparse_beta(10, seed=12),
-                         0.1, seed=seed)
-
-
-def stoch_traced(seed=7, sampler=None):
+def stoch_traced(seed=7):
     """The rows and final x of a short sbfgs stochastic run."""
-    sampler = stoch_sampler(seed) if sampler is None else sampler
+    sampler = OnlineSampler(make_synthetic_sigma(10, seed=3), make_sparse_beta(10, seed=12),
+                            0.1, seed=seed)
     trace = stochastic_run("sbfgs", GrowingBatch(base=40), Adaptive(), sampler,
                            x0=np.zeros(10), budget=60)
     return [repr(r._replace(elapsed=None)) for r in trace.rows()], trace.final_x.tobytes()
@@ -941,7 +934,6 @@ def test_racing_first_products_start_one_worker(monkeypatch):
     runs_want, runs_got = {s: stoch_traced(s) for s in range(4)}, {}
     monkeypatch.setattr(oracles, "ThreadPoolExecutor", Counted)
     monkeypatch.setattr(oracles, "_worker", None)  # as in a fresh process
-    monkeypatch.setattr(oracles, "_probe", lambda worker: math.inf)  # whose probe says yes
     product = lambda: got.append(oracles._product(X, v).tobytes())
     runs = [lambda s=s: runs_got.__setitem__(s, stoch_traced(s)) for s in range(4)]
     try:
@@ -959,8 +951,6 @@ def test_racing_first_products_start_one_worker(monkeypatch):
 def test_a_forked_child_starts_its_own_worker(monkeypatch):
     use_cpus(monkeypatch, 2)
     monkeypatch.setattr(oracles, "SPLIT_NNZ", 0)
-    probes = []  # the child's probe, which says yes here, as the parent's verdict did
-    monkeypatch.setattr(oracles, "_probe", lambda worker: probes.append(worker) or 2.0)
     X = wide_logistic().data.X
     v = np.random.default_rng(4).standard_normal(X.shape[1])
     want = (X @ v).tobytes()
@@ -975,7 +965,6 @@ def test_a_forked_child_starts_its_own_worker(monkeypatch):
             signal.alarm(30)  # a child that waits on its parent's worker ends here
             code = 0 if (oracles._worker is None
                          and stoch_traced() == run_want
-                         and probes == [oracles._worker]
                          and oracles._worker not in (None, parent)
                          and oracles._product(X, v).tobytes() == want) else 2
         finally:
@@ -984,114 +973,23 @@ def test_a_forked_child_starts_its_own_worker(monkeypatch):
     assert os.waitstatus_to_exitcode(status) == 0
 
 
-# The probe: the first use of the worker on two or more CPUs times two
-# kernels on the caller against one on the caller and one on the
-# worker, and keeps the worker only when the pair runs in parallel.
-
-
-def fresh_process(monkeypatch, cpus):
-    """The process as it starts on ``cpus`` CPUs: no verdict yet."""
-    see_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(oracles, "_worker", None)
-
-
-def counted_probes(monkeypatch):
-    """The workers that the real probe is run on, from now on."""
-    probes, probe = [], oracles._probe
-    monkeypatch.setattr(oracles, "_probe", lambda worker: probes.append(worker) or probe(worker))
-    return probes
-
-
-def forbid_threads(monkeypatch, why):
-    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail(why))
-
-
-def test_a_no_verdict_leaves_no_worker_and_gives_the_one_cpu_bits(monkeypatch):
-    monkeypatch.setattr(oracles, "SPLIT_NNZ", 0)  # on a yes, every product would split
-    X = wide_logistic().data.X
-    v = np.random.default_rng(5).standard_normal(X.shape[1])
-
-    def work():
-        sampler = stoch_sampler()
-        return (oracles._product(X, v).tobytes(), traced("bfgs-a", wide_logistic()),
-                stoch_traced(sampler=sampler), sampler._rng.bit_generator.state)
-
-    with monkeypatch.context() as m:
-        use_cpus(m, 1)
-        want = work()  # the stream ends where serial draws leave it
-    fresh_process(monkeypatch, 2)
-    monkeypatch.setattr(oracles, "PARALLEL_RATIO", math.inf)  # no ratio reaches it
-    before = adaptqn_workers()
-    assert oracles._second_cpu() is None and oracles._worker is False
-    assert [t for t in adaptqn_workers() if t not in before] == []  # the probe's is shut down
-    forbid_threads(monkeypatch, "a thread started after a no")
-    assert work() == want
-    assert oracles._second_cpu() is None
-
-
-@pytest.mark.parametrize("ratio, yes", [(0.0, True), (math.inf, False)],
-                         ids=["yes", "no"])
-def test_the_probe_runs_once_per_process(monkeypatch, ratio, yes):
-    fresh_process(monkeypatch, 2)
-    monkeypatch.setattr(oracles, "PARALLEL_RATIO", ratio)
-    probes = counted_probes(monkeypatch)
-    got = []
-    try:
-        race([lambda: got.append(oracles._second_cpu()) for _ in range(8)], timeout=60)
-        got.append(oracles._second_cpu())
-        stoch_traced()
-        assert len(probes) == 1 and oracles._worker is (probes[0] if yes else False)
-        assert got == [probes[0] if yes else None] * 9
-    finally:
-        if oracles._worker:
-            oracles._worker.shutdown()
-
-
-def test_one_cpu_never_probes(monkeypatch):
-    fresh_process(monkeypatch, 1)
-    monkeypatch.setattr(oracles, "SPLIT_NNZ", 0)
-    monkeypatch.setattr(oracles, "_probe", lambda worker: pytest.fail("probed on one CPU"))
-    forbid_threads(monkeypatch, "a thread started on one CPU")
-    X = wide_logistic().data.X
-    v = np.ones(X.shape[1])
-    assert oracles._product(X, v).tobytes() == (X @ v).tobytes()
-    stoch_traced()
-    traced("newton-a", wide_logistic())
-    assert oracles._second_cpu() is None and oracles._worker is None
-
-
-def test_the_process_cpus_decide_whether_the_probe_runs(monkeypatch):
+def test_the_process_cpus_decide_whether_the_worker_starts(monkeypatch):
     # no CPU count is faked here: run on one CPU (taskset -c 0), the
-    # process must not probe
-    monkeypatch.setattr(oracles, "_worker", None)
-    probes = counted_probes(monkeypatch)
+    # process must start no worker; on two or more, exactly one
+    monkeypatch.setattr(oracles, "_worker", None)  # as in a fresh process
+    before = adaptqn_workers()
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+    first = oracles._second_cpu()
     try:
-        oracles._second_cpu()
-        oracles._second_cpu()
-        assert len(probes) == (cpus >= 2)
-        assert (oracles._worker is None) == (cpus < 2)
+        assert oracles._second_cpu() is first
+        if cpus < 2:
+            assert first is None and oracles._worker is None
+        else:
+            assert isinstance(first, ThreadPoolExecutor)
+            first.submit(lambda: None).result()  # the worker's thread is running
+        new = [t for t in adaptqn_workers() if t not in before]
+        assert len(new) == (cpus >= 2)
     finally:
-        if oracles._worker:
-            oracles._worker.shutdown()
-
-
-def generator_states():
-    """The state of every numpy Generator in the process, and of numpy's
-    global RandomState."""
-    gens = [o for o in gc.get_objects() if isinstance(o, np.random.Generator)]
-    return [repr(g.bit_generator.state) for g in gens], repr(np.random.get_state())
-
-
-def test_the_probe_advances_no_generator(monkeypatch):
-    sampler = stoch_sampler()
-    fresh_process(monkeypatch, 2)
-    monkeypatch.setattr(oracles, "PARALLEL_RATIO", math.inf)
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda *a, **k: pytest.fail("the probe made a Generator"))
-    probes = counted_probes(monkeypatch)
-    before = generator_states()
-    assert repr(sampler._rng.bit_generator.state) in before[0]
-    assert oracles._second_cpu() is None and len(probes) == 1
-    assert generator_states() == before
+        if first is not None:
+            first.shutdown()

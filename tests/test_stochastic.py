@@ -1,6 +1,5 @@
 import gc
 import math
-import sys
 import threading
 import time
 import weakref
@@ -18,7 +17,7 @@ from adaptqn import (Adaptive, ArmijoWolfe, BfgsDense, Constant,
 from adaptqn import oracles, stochastic
 from adaptqn.sc import adaptive_step
 from adaptqn.stochastic import CONSTANT_STEP_SIZES
-from conftest import adaptqn_workers, sym, use_cpus
+from conftest import adaptqn_workers, race, sym, use_cpus
 
 
 def make_sampler(p=10, seed=7, sigma_seed=3, **kw):
@@ -746,16 +745,5 @@ def test_concurrent_runs_keep_their_own_streams(monkeypatch):
         return [repr(r._replace(elapsed=None)) for r in trace.rows()]
 
     want, got = {s: rows(s) for s in range(4)}, {}
-    threads = [threading.Thread(target=lambda s=s: got.__setitem__(s, rows(s)))
-               for s in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    race([lambda s=s: got.__setitem__(s, rows(s)) for s in range(4)], timeout=60)
     assert got == want
